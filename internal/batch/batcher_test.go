@@ -100,6 +100,9 @@ func TestContinuousByteIdentity(t *testing.T) {
 		}
 	}
 
+	// A step delivers its results before it commits its counters, so the
+	// ledger is only settled once the loop has drained.
+	b.Stop()
 	st := b.Stats()
 	if st.Completed != len(jobs) {
 		t.Fatalf("completed: got %d, want %d", st.Completed, len(jobs))
@@ -237,6 +240,7 @@ func TestPageGateKeepsQueueTail(t *testing.T) {
 			t.Fatalf("request %d diverged: got %v, want %v", i, got[i], want[i])
 		}
 	}
+	b.Stop() // counters settle when the loop has drained, not at delivery
 	if st := b.Stats(); st.Completed != len(prompts) {
 		t.Fatalf("completed: got %d, want %d", st.Completed, len(prompts))
 	}

@@ -273,12 +273,16 @@ func (ix *Indexed) ReadTensorInto(name string, dst []float32) (*Entry, error) {
 // pass a serving daemon runs before hot-swapping a reloaded checkpoint
 // under live traffic. It returns the first failure (ErrCorrupt for bad
 // records, ErrClosed after Close) and reads nothing into long-lived
-// memory.
+// memory: every record decodes into one buffer that grows to the largest
+// record and is dropped on return.
 func (ix *Indexed) Verify() error {
+	var buf []float32
 	for _, name := range ix.order {
-		if _, err := ix.ReadTensor(name); err != nil {
+		e, err := ix.ReadTensorInto(name, buf)
+		if err != nil {
 			return err
 		}
+		buf = e.Data
 	}
 	return nil
 }

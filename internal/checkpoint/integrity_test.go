@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"helmsim/internal/quant"
@@ -269,5 +270,57 @@ func TestVerifyCatchesCorruptionAndClose(t *testing.T) {
 	}
 	if err := ix.Verify(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Verify after Close = %v, want ErrClosed", err)
+	}
+}
+
+// Verify decodes every record into one reused buffer, so what it
+// allocates for decoded values does not grow with the record count: 28
+// more records of 64 KiB each must cost far less than their decoded size
+// (per-record bookkeeping — the entry, the fp16 group metadata — is the
+// only thing that scales).
+func TestVerifyDecodeBufferDoesNotGrowWithRecords(t *testing.T) {
+	const elems = 16 << 10
+	verifyBytes := func(records int) uint64 {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, "v", records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float32, elems)
+		for i := range x {
+			x[i] = float32(i%251) / 251
+		}
+		qt, err := quant.Quantize(x, quant.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			if err := w.WriteQuantized(string(rune('A'+i)), qt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "v.hlmc")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := OpenIndexedMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := ix.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	few, many := verifyBytes(4), verifyBytes(32)
+	if extra, decoded := int64(many)-int64(few), int64(28*elems*4); extra > decoded/8 {
+		t.Errorf("Verify allocated %d B for 4 records and %d B for 32: %d B more, against %d B of extra decoded values", few, many, extra, decoded)
 	}
 }

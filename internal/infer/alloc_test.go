@@ -3,6 +3,7 @@ package infer
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -31,27 +32,77 @@ func weightCount(cfg model.Config) int {
 func TestDecodeAllocsMemStoreZero(t *testing.T) {
 	for _, cfg := range []model.Config{tinyOPT(), tinyLlama()} {
 		prev := tensor.SetParallelism(1)
-		e := newEngine(t, cfg, 11)
-		if _, err := e.Forward([]int{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		step := func() {
-			e.stepTok[0] = 5
-			if _, err := e.Forward(e.stepTok[:]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Warm-up: lets the arena, KV slabs, and retained-logits list
-		// reach their steady-state shapes.
-		for i := 0; i < 3; i++ {
-			step()
-		}
+		step := soloDecodeStep(t, newEngine(t, cfg, 11))
 		allocs := testing.AllocsPerRun(10, step)
 		tensor.SetParallelism(prev)
 		if allocs != 0 {
 			t.Errorf("%s: steady-state decode allocates %.1f objects/token, want 0", cfg.Name, allocs)
 		}
 	}
+}
+
+// soloDecodeStep prefills a three-token prompt and returns the engine's
+// single-token decode step, already run three times so the arena, KV
+// slabs, retained-logits list and any recycled weight buffers have
+// reached their steady-state shapes.
+func soloDecodeStep(t *testing.T, e *Engine) func() {
+	t.Helper()
+	if _, err := e.Forward([]int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		e.stepTok[0] = 5
+		if _, err := e.Forward(e.stepTok[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	return step
+}
+
+// The lockstep engine reads a resident MemStore through its layer memo;
+// the memo must take the store's zero-copy views there, not the copying
+// Tensor path (which cost a full copy of the model per token). No
+// objects per step means no bytes per step.
+func TestStepDecodeAllocsMemStoreZero(t *testing.T) {
+	cfg := tinyOPT()
+	raw, err := RandomWeights(cfg, 13, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewStepEngine(cfg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
+		t.Errorf("resident lockstep decode allocates %.1f objects/step, want 0", allocs)
+	}
+}
+
+// stepDecodeAllocs prefills a three-token prompt, warms the engine up
+// and reports steady-state allocations per single-token step at one
+// kernel worker.
+func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
+	t.Helper()
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+	seq := &StepSeq{Tokens: []int{1, 2, 3}, Pos: 0, KV: NewBlockCaches(cfg)}
+	seqs := []*StepSeq{seq}
+	var tok [1]int
+	step := func() {
+		if _, err := se.Step(seqs); err != nil {
+			t.Fatal(err)
+		}
+		seq.Pos += len(seq.Tokens)
+		tok[0] = 7
+		seq.Tokens = tok[:]
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(10, step)
 }
 
 // A lockstep engine over a quantized store stops allocating once the
@@ -71,25 +122,7 @@ func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-
-	seq := &StepSeq{Tokens: []int{1, 2, 3}, Pos: 0, KV: NewBlockCaches(cfg)}
-	seqs := []*StepSeq{seq}
-	var tok [1]int
-	step := func() {
-		if _, err := se.Step(seqs); err != nil {
-			t.Fatal(err)
-		}
-		seq.Pos += len(seq.Tokens)
-		tok[0] = 7
-		seq.Tokens = tok[:]
-	}
-	for i := 0; i < 4; i++ {
-		step()
-	}
-	allocs := testing.AllocsPerRun(10, step)
-	if allocs != 0 {
+	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
 		t.Errorf("quant lockstep decode allocates %.1f objects/step, want 0", allocs)
 	}
 }
@@ -120,28 +153,57 @@ func TestStepDecodeAllocsFileBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := tensor.SetParallelism(1)
-			defer tensor.SetParallelism(prev)
-
-			seq := &StepSeq{Tokens: []int{1, 2, 3}, Pos: 0, KV: NewBlockCaches(cfg)}
-			seqs := []*StepSeq{seq}
-			var tok [1]int
-			step := func() {
-				if _, err := se.Step(seqs); err != nil {
-					t.Fatal(err)
-				}
-				seq.Pos += len(seq.Tokens)
-				tok[0] = 7
-				seq.Tokens = tok[:]
-			}
-			for i := 0; i < 4; i++ {
-				step()
-			}
-			allocs := testing.AllocsPerRun(10, step)
-			if allocs > budget {
+			if allocs := stepDecodeAllocs(t, cfg, se); allocs > budget {
 				t.Errorf("file decode (%s) allocates %.1f objects/step, budget %.0f", tc.name, allocs, budget)
 			}
 		})
+	}
+}
+
+// The solo engine over an mmap'd checkpoint fits the same per-fetch
+// budget: New reads a decode-into store through a layer memo, so decode
+// buffers are recycled instead of allocated per tensor per token — and
+// the store still sees each tensor exactly once per token.
+func TestDecodeAllocsFileBudget(t *testing.T) {
+	cfg := tinyOPT()
+	fs, err := OpenFileStoreMmap(writeTestCheckpoint(t, cfg, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	e, err := New(cfg, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+	step := soloDecodeStep(t, e)
+	before := fs.Reads()
+	step()
+	if got, want := fs.Reads()-before, weightCount(cfg); got != want {
+		t.Errorf("solo decode reads %d tensors/token, want %d", got, want)
+	}
+	budget := 6.0 * float64(weightCount(cfg))
+	if allocs := testing.AllocsPerRun(10, step); allocs > budget {
+		t.Errorf("solo file decode allocates %.1f objects/token, budget %.0f", allocs, budget)
+	}
+	// The object budget would also admit one fresh slice per tensor; the
+	// bytes show whether the weights themselves are being reallocated.
+	var modelBytes uint64
+	for _, l := range cfg.Layers() {
+		for _, w := range l.Weights {
+			modelBytes += 4 * uint64(w.Elems)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const tokens = 10
+	for i := 0; i < tokens; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	if perToken := (m1.TotalAlloc - m0.TotalAlloc) / tokens; perToken > modelBytes/4 {
+		t.Errorf("solo file decode allocates %d B/token against %d B of weights: decode buffers are not recycled", perToken, modelBytes)
 	}
 }
 

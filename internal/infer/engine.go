@@ -117,13 +117,21 @@ type Engine struct {
 	stepTok  [1]int       // single-token batch for greedy decode loops
 }
 
-// New builds an engine over the model and weight store.
+// New builds an engine over the model and weight store. A store that
+// decodes into caller buffers (IntoStore: file-backed, quantized) is read
+// through a per-layer memo, which hands each layer's evicted buffers to
+// the next decode of the same tensor name instead of allocating a slice
+// per tensor per token. The engine asks for a tensor once per layer
+// visit, so the store sees exactly the fetches it would see unwrapped.
 func New(cfg model.Config, w WeightStore) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if w == nil {
 		return nil, fmt.Errorf("infer: nil weight store")
+	}
+	if _, ok := w.(IntoStore); ok {
+		w = newLayerMemo(w)
 	}
 	e := &Engine{
 		cfg:     cfg,

@@ -24,7 +24,11 @@ type layerMemo struct {
 	// overwritten after its layer was evicted, i.e. after the engine
 	// moved past it. A PrefetchStore backing never implements IntoStore —
 	// it owns (and recycles) its bundle buffers itself.
-	into  IntoStore
+	into IntoStore
+	// views is backing's zero-copy path, used when it has no decode-into
+	// path: a resident MemStore then serves its own storage (read-only,
+	// like every weight the engine sees) instead of a copy per fetch.
+	views ViewStore
 	layer int
 	cache map[string][]float32
 	free  map[string][]float32
@@ -40,6 +44,8 @@ func newLayerMemo(backing WeightStore) *layerMemo {
 	if is, ok := backing.(IntoStore); ok {
 		m.into = is
 		m.free = map[string][]float32{}
+	} else {
+		m.views, _ = backing.(ViewStore)
 	}
 	return m
 }
@@ -64,9 +70,12 @@ func (m *layerMemo) Tensor(layer int, name string) ([]float32, error) {
 	}
 	var d []float32
 	var err error
-	if m.into != nil {
+	switch {
+	case m.into != nil:
 		d, err = m.into.TensorInto(layer, name, m.free[name])
-	} else {
+	case m.views != nil:
+		d, err = m.views.TensorView(layer, name)
+	default:
 		d, err = m.backing.Tensor(layer, name)
 	}
 	if err != nil {

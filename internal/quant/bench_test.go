@@ -35,3 +35,26 @@ func BenchmarkDequantize(b *testing.B) {
 		})
 	}
 }
+
+// The bench-ooc decode: one FFN matrix (384 x 1536, 4-bit group-64) into
+// a recycled buffer, as the prefetcher does once per tensor per token.
+// ns/op over 589824 elements is bench/'s quant.dequant_ns_per_elem.
+func BenchmarkDequantizeIntoFFN(b *testing.B) {
+	x := make([]float32, 384*1536)
+	for i := range x {
+		x[i] = float32(i%509)/509 - 0.5
+	}
+	t, err := Quantize(x, Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := parallel.Set(1)
+	defer parallel.Set(prev)
+	dst := make([]float32, len(x))
+	b.SetBytes(int64(len(x)) * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = t.DequantizeInto(dst)
+	}
+}

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -96,24 +97,30 @@ func TestUnmarshalBinaryViewMatchesCopy(t *testing.T) {
 	assertIdentical(t, "copy unaffected by later blob mutation", copied.Dequantize(), orig.Dequantize())
 }
 
-// FuzzDequantizeInto cross-checks DequantizeInto against Dequantize on
-// arbitrary marshaled tensors, including hostile ones from the fuzzer —
-// whatever UnmarshalBinary accepts must decode identically both ways.
+// FuzzDequantizeInto cross-checks DequantizeInto against Dequantize, and
+// both against the scalar oracle, on arbitrary marshaled tensors,
+// including hostile ones from the fuzzer — whatever UnmarshalBinary
+// accepts must decode identically all three ways.
 func FuzzDequantizeInto(f *testing.F) {
-	for _, n := range []int{0, 1, 63, 64, 65, 200} {
-		x := make([]float32, n)
-		for i := range x {
-			x[i] = float32(i%17) - 8
+	// Seeds on both sides of the decode's path choice: the 4-bit table
+	// kernel (even groups; word-wide, byte-wide and odd-element tails)
+	// and the generic loop (odd groups, 2- and 8-bit).
+	for _, cfg := range []Config{{4, 64}, {4, 2}, {4, 6}, {4, 128}, {4, 3}, {2, 64}, {8, 6}} {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = float32(i%17) - 8
+			}
+			tt, err := Quantize(x, cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blob, err := tt.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob, 10)
 		}
-		tt, err := Quantize(x, Config{Bits: 4, GroupSize: 64})
-		if err != nil {
-			f.Fatal(err)
-		}
-		blob, err := tt.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob, 10)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte, dstCap int) {
 		var tt Tensor
@@ -121,6 +128,7 @@ func FuzzDequantizeInto(f *testing.F) {
 			t.Skip()
 		}
 		want := tt.Dequantize()
+		assertIdentical(t, "Dequantize vs scalar oracle", dequantRef(&tt), want)
 		if dstCap < 0 {
 			dstCap = 0
 		}
@@ -149,8 +157,9 @@ func assertIdentical(t *testing.T, name string, want, got []float32) {
 		t.Fatalf("%s: len %d vs %d", name, len(got), len(want))
 	}
 	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: element %d = %v, want %v (must be bit-identical)", name, i, got[i], want[i])
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("%s: element %d = %v (%#08x), want %v (%#08x): must be bit-identical", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }

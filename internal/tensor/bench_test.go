@@ -109,3 +109,34 @@ func BenchmarkGELU(b *testing.B) {
 		}
 	})
 }
+
+// The three bench-ooc shapes (hidden 384, FFN 1536, vocab 2048) at one
+// worker, beside bench/'s tensor.gemm_prefill_ms, tensor.gemv_decode_us
+// and tensor.logits_us: the 128-token prefill GEMM and the decode GEMV
+// against the first FFN matrix, and one row of logits.
+func BenchmarkBenchOOCShapes(b *testing.B) {
+	prev := SetParallelism(1)
+	defer SetParallelism(prev)
+	w := randMat(384, 1536, 9)
+	table := randMat(2048, 384, 10)
+	for _, bc := range []struct {
+		name string
+		a, b Mat
+		into func(a, b, out Mat) error
+		outC int
+	}{
+		{"gemm_prefill", randMat(128, 384, 11), w, MatMulInto, w.C},
+		{"gemv_decode", randMat(1, 384, 12), w, MatMulInto, w.C},
+		{"logits", randMat(1, 384, 13), table, MatMulTInto, table.R},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			out := New(bc.a.R, bc.outC)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.into(bc.a, bc.b, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

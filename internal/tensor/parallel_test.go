@@ -24,45 +24,21 @@ func refMatMul(a, b Mat) Mat {
 	return out
 }
 
-// eqBits compares float32s including NaN (bit-level agreement on
-// NaN-ness; NaN payloads may differ).
-func eqBits(x, y float32) bool {
-	if math.IsNaN(float64(x)) || math.IsNaN(float64(y)) {
-		return math.IsNaN(float64(x)) && math.IsNaN(float64(y))
-	}
-	return x == y
-}
-
 // Property: MatMul agrees with the reference kernel on inputs containing
 // NaN and ±Inf — 0·NaN must stay NaN, so no term may be skipped
 // (regression for the old `av == 0` fast path, which broke exactly this).
 func TestMatMulNaNInfParity(t *testing.T) {
-	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, -0}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r, k, c := 1+rng.Intn(5), 1+rng.Intn(6), 1+rng.Intn(5)
-		a, b := New(r, k), New(k, c)
-		fill := func(m Mat) {
-			for i := range m.Data {
-				switch rng.Intn(4) {
-				case 0:
-					m.Data[i] = specials[rng.Intn(len(specials))]
-				case 1:
-					m.Data[i] = 0
-				default:
-					m.Data[i] = float32(rng.NormFloat64())
-				}
-			}
-		}
-		fill(a)
-		fill(b)
+		a, b := specialMat(r, k, rng), specialMat(k, c, rng)
 		got, err := MatMul(a, b)
 		if err != nil {
 			return false
 		}
 		want := refMatMul(a, b)
 		for i := range got.Data {
-			if !eqBits(got.Data[i], want.Data[i]) {
+			if !sameBits(got.Data[i], want.Data[i]) {
 				t.Logf("seed %d: elem %d = %v, want %v", seed, i, got.Data[i], want.Data[i])
 				return false
 			}

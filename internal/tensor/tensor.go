@@ -3,16 +3,20 @@
 // matrices, matmul, softmax, layer/RMS norm, and the GELU/SiLU
 // activations of the OPT and LLaMA decoder blocks.
 //
-// These are straightforward cache-friendly loops, not a BLAS — but they
-// are parallel: the matmuls, norms and activations split their index
-// spaces over the shared worker pool of internal/parallel (row tiles when
-// the batch is tall, output-column tiles when it is not), and every split
-// preserves the serial per-element accumulation order, so output is
-// bit-identical at any SetParallelism value. The engine exists to execute
-// the paper's computation faithfully at laptop scale, while the
-// performance questions are answered by the calibrated simulator;
-// parallel kernels are what make the executable grounding fast enough for
-// real batch/seq sweeps (cf. HeteGen's multi-core CPU path).
+// These are plain row-major loops, not a BLAS: there is no cache blocking
+// and no assembly. What they do have is inner loops written for the
+// pipeline — the matmul accumulate takes four k per pass with the running
+// sum in a register, the transposed matmul runs four dot products at once
+// so the adds overlap — and parallelism: the matmuls, norms and
+// activations split their index spaces over the shared worker pool of
+// internal/parallel (rows when the batch is tall, output columns when it
+// is not). Neither changes what an output element computes — its terms,
+// one at a time, in ascending k — so output is bit-identical to the
+// textbook loop at any SetParallelism value (DESIGN §3c). The engine
+// exists to execute the paper's computation faithfully at laptop scale,
+// while the performance questions are answered by the calibrated
+// simulator; fast kernels are what make the executable grounding usable
+// for real batch/seq sweeps (cf. HeteGen's multi-core CPU path).
 package tensor
 
 import (
@@ -91,44 +95,49 @@ func MatMulInto(a, b, out Mat) error {
 	}
 	clear(out.Data)
 	if a.R*a.C*b.C < minParallelFlops || parallel.N() == 1 {
-		matMulRows(a, b, out, 0, a.R)
+		matMulTile(a, b, out, 0, a.R, 0, b.C)
 		return nil
 	}
 	if a.R >= parallel.N() {
-		parallel.For(a.R, 1, func(lo, hi int) { matMulRows(a, b, out, lo, hi) })
+		parallel.For(a.R, 1, func(lo, hi int) { matMulTile(a, b, out, lo, hi, 0, b.C) })
 	} else {
-		parallel.For(b.C, minColTile, func(lo, hi int) { matMulCols(a, b, out, lo, hi) })
+		parallel.For(b.C, minColTile, func(lo, hi int) { matMulTile(a, b, out, 0, a.R, lo, hi) })
 	}
 	return nil
 }
 
-// matMulRows accumulates output rows [lo, hi) — each row owned by one
-// worker, k-order identical to the serial kernel.
-func matMulRows(a, b, out Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulTile accumulates the output tile rows [rlo, rhi) x columns
+// [clo, chi) — a row tile when the batch is tall, a column tile when it
+// has fewer rows than workers. It consumes four k per pass with the
+// running sum in a register, so an output element is loaded and stored
+// once per four terms instead of once per term; each element still adds
+// its terms one at a time in ascending k, which is what keeps the result
+// bit-identical to the one-k-per-pass loop and independent of the tiling.
+func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
+	for i := rlo; i < rhi; i++ {
 		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.C; k++ {
-			av := arow[k]
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
+		o := out.Row(i)[clo:chi]
+		k := 0
+		for ; k+4 <= a.C; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			b0 := b.Row(k)[clo:][:len(o)]
+			b1 := b.Row(k + 1)[clo:][:len(o)]
+			b2 := b.Row(k + 2)[clo:][:len(o)]
+			b3 := b.Row(k + 3)[clo:][:len(o)]
+			for j := range o {
+				t := o[j]
+				t += a0 * b0[j]
+				t += a1 * b1[j]
+				t += a2 * b2[j]
+				t += a3 * b3[j]
+				o[j] = t
 			}
 		}
-	}
-}
-
-// matMulCols accumulates output columns [lo, hi) across all rows — the
-// split used when the batch has fewer rows than workers.
-func matMulCols(a, b, out Mat, lo, hi int) {
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)[lo:hi]
-		for k := 0; k < a.C; k++ {
+		for ; k < a.C; k++ {
 			av := arow[k]
-			brow := b.Row(k)[lo:hi]
-			for j := range orow {
-				orow[j] += av * brow[j]
+			brow := b.Row(k)[clo:][:len(o)]
+			for j := range o {
+				o[j] += av * brow[j]
 			}
 		}
 	}
@@ -157,44 +166,56 @@ func MatMulTInto(a, b, out Mat) error {
 		return fmt.Errorf("tensor: matmulT output %dx%d for (%dx%d)@(%dx%d)T", out.R, out.C, a.R, a.C, b.R, b.C)
 	}
 	if a.R*a.C*b.R < minParallelFlops || parallel.N() == 1 {
-		matMulTRows(a, b, out, 0, a.R)
+		matMulTTile(a, b, out, 0, a.R, 0, b.R)
 		return nil
 	}
 	if a.R >= parallel.N() {
-		parallel.For(a.R, 1, func(lo, hi int) { matMulTRows(a, b, out, lo, hi) })
+		parallel.For(a.R, 1, func(lo, hi int) { matMulTTile(a, b, out, lo, hi, 0, b.R) })
 	} else {
 		// One query row against a large token table: split the table.
-		parallel.For(b.R, minColTile, func(lo, hi int) {
-			for i := 0; i < a.R; i++ {
-				arow := a.Row(i)
-				orow := out.Row(i)
-				for j := lo; j < hi; j++ {
-					orow[j] = dot(arow, b.Row(j))
-				}
-			}
-		})
+		parallel.For(b.R, minColTile, func(lo, hi int) { matMulTTile(a, b, out, 0, a.R, lo, hi) })
 	}
 	return nil
 }
 
-// matMulTRows fills output rows [lo, hi) of a @ bᵀ.
-func matMulTRows(a, b, out Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulTTile fills output rows [rlo, rhi) x columns [clo, chi) of
+// a @ bᵀ, four columns per pass (see dot4).
+func matMulTTile(a, b, out Mat, rlo, rhi, clo, chi int) {
+	for i := rlo; i < rhi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
-		for j := 0; j < b.R; j++ {
+		j := clo
+		for ; j+4 <= chi; j += 4 {
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		}
+		for ; j < chi; j++ {
 			orow[j] = dot(arow, b.Row(j))
 		}
 	}
 }
 
-// dot is the serial inner product both matmul variants reduce to.
+// dot is the serial inner product: one sum, terms added in ascending k.
 func dot(x, y []float32) float32 {
 	var s float32
 	for k := range x {
 		s += x[k] * y[k]
 	}
 	return s
+}
+
+// dot4 computes four inner products against one x in a single pass. A
+// lone s += x*y chain waits out the add latency on every term; four
+// independent chains keep the adder busy. Each sum is still its own
+// ascending-k chain, so every result carries the bits dot returns.
+func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+	for k, xv := range x {
+		s0 += xv * y0[k]
+		s1 += xv * y1[k]
+		s2 += xv * y2[k]
+		s3 += xv * y3[k]
+	}
+	return
 }
 
 // AddBias adds a length-C bias vector to every row in place.
