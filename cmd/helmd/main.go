@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	helmd -hidden 64 -blocks 4 -workers 2 -addr 127.0.0.1:8080
+//	helmd -hidden 64 -blocks 4 -batch-seqs 4 -addr 127.0.0.1:8080
 //	helmd -ckpt /tmp/m.hlmc -hidden 64 -blocks 4 -fault-rate 0.05
 //
 // Without -ckpt, helmd synthesizes a checkpoint for the flag-described
@@ -101,7 +101,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.vocab, "vocab", 512, "vocabulary size")
 	fs.Int64Var(&o.seed, "seed", 1, "weight seed for a synthesized checkpoint")
 	fs.BoolVar(&o.quantize, "quantize", false, "synthesize the checkpoint 4-bit quantized")
-	fs.IntVar(&o.workers, "workers", 2, "engine pool size")
+	fs.IntVar(&o.workers, "workers", 0, "requests handed to the batcher at once (0 = match -batch-seqs)")
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "admission bound on the waiting line (full line sheds 429)")
 	fs.DurationVar(&o.maxWait, "max-wait", 0, "renege bound on queueing delay (0 = unbounded)")
 	fs.IntVar(&o.maxTokens, "max-tokens", 64, "per-request generation cap (and default)")
@@ -126,11 +126,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.breaker.TripRate, "breaker-trip-rate", 0, "transient-failure rate that trips the breaker (0 = default)")
 	fs.DurationVar(&o.breaker.Cooldown, "breaker-cooldown", 0, "open-state dwell before a half-open probe (0 = default)")
 	fs.IntVar(&o.breaker.Probes, "breaker-probes", 0, "concurrent half-open probes (0 = default)")
-	fs.BoolVar(&o.batch.Enabled, "batch", false, "continuous batching: workers feed one shared iteration-level batcher over a paged KV cache")
-	fs.IntVar(&o.batch.MaxSeqs, "batch-seqs", 0, "concurrent sequences per decode step in batch mode (0 = default)")
+	fs.IntVar(&o.batch.MaxSeqs, "batch-seqs", 0, "concurrent sequences per decode step of the continuous batcher (0 = default 8)")
 	fs.IntVar(&o.batch.KVPages, "kv-pages", 0, "paged KV pool size in pages (0 = default)")
 	fs.IntVar(&o.batch.PageTokens, "page-tokens", 0, "KV page granularity in tokens (0 = default)")
-	fs.BoolVar(&o.batch.DisablePrefixReuse, "no-prefix-reuse", false, "disable the shared-prefix KV page cache in batch mode")
+	fs.BoolVar(&o.batch.DisablePrefixReuse, "no-prefix-reuse", false, "disable the shared-prefix KV page cache")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -289,6 +289,12 @@ func TestFlagErrors(t *testing.T) {
 	if code := realMain([]string{"-no-such-flag"}, &out, &errBuf); code != 2 {
 		t.Errorf("unknown flag exit = %d, want 2", code)
 	}
+	// The worker-pool mode and its -batch switch are gone: the batcher is
+	// the only serving path, and asking for it by flag is a usage error.
+	var outB, errBufB syncBuffer
+	if code := realMain([]string{"-batch"}, &outB, &errBufB); code != 2 {
+		t.Errorf("-batch exit = %d, want 2", code)
+	}
 	var out2, errBuf2 syncBuffer
 	if code := realMain([]string{"-h"}, &out2, &errBuf2); code != 0 {
 		t.Errorf("-h exit = %d, want 0", code)

@@ -123,7 +123,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.vocab, "vocab", 512, "vocabulary size")
 	fs.Int64Var(&o.seed, "seed", 1, "weight seed for a synthesized checkpoint")
 	fs.BoolVar(&o.quantize, "quantize", false, "synthesize the checkpoint 4-bit quantized")
-	fs.IntVar(&o.workers, "workers", 2, "engine pool size per in-process replica")
+	fs.IntVar(&o.workers, "workers", 0, "requests each in-process replica hands its batcher at once (0 = the default batch width)")
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "per-replica admission bound on the waiting line")
 	fs.IntVar(&o.maxTokens, "max-tokens", 64, "per-request generation cap (and default)")
 	fs.IntVar(&o.retries, "retries", 3, "max foreground retries per transiently failed fetch, per replica")

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -41,7 +42,7 @@ func main() {
 		gen      = flag.Int("gen", 16, "tokens to generate")
 		quantize = flag.Bool("quantize", false, "store the checkpoint 4-bit quantized")
 		ckpt     = flag.String("ckpt", "", "checkpoint path (default: temp file)")
-		batch    = flag.Int("batch", 1, "sequences decoded in lockstep (weights fetched once per layer per step)")
+		batch    = flag.Int("batch", 1, "sequences decoded in lockstep (weights fetched once per layer per step; 1 is a batch of one)")
 		threads  = flag.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); output is identical at any setting")
 		prefetch = flag.Bool("prefetch", true, "fetch+dequantize layer L+1 in the background while layer L computes")
 
@@ -57,7 +58,7 @@ func main() {
 	// checkpoint teardown still runs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *batch, *prefetch,
+	if err := run(ctx, os.Stdout, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *batch, *prefetch,
 		*faultRate, *faultSeed, *retries, *timeout); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "minigen: interrupted")
@@ -68,7 +69,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, batch int, prefetch bool,
+func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, batch int, prefetch bool,
 	faultRate float64, faultSeed int64, retries int, timeout time.Duration) error {
 	if batch < 1 {
 		return fmt.Errorf("non-positive batch %d", batch)
@@ -133,7 +134,7 @@ func run(ctx context.Context, arch string, hidden, heads, blocks, vocab int, see
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d params, checkpoint %s (%d bytes, quantized=%v)\n",
+	fmt.Fprintf(stdout, "%s: %d params, checkpoint %s (%d bytes, quantized=%v)\n",
 		cfg.Name, cfg.ParamCount(), ckptPath, st.Size(), quantize)
 
 	store, err := infer.OpenFileStore(ckptPath)
@@ -162,75 +163,50 @@ func run(ctx context.Context, arch string, hidden, heads, blocks, vocab int, see
 		defer cancel()
 	}
 
+	// Lockstep batch: every sequence shares one weight fetch per layer per
+	// step (vary the prompts slightly so the outputs differ). A solo
+	// generation is a batch of one.
 	start := time.Now()
-	var outputs [][]int
-	var prefetchHits, prefetchMisses, degraded int
-	if batch == 1 {
-		var engine *infer.Engine
-		if prefetch {
-			engine, err = infer.NewPrefetchedResilient(cfg, weightSrc, retry)
-		} else {
-			rs, rerr := infer.NewResilient(weightSrc, retry)
-			if rerr != nil {
-				return rerr
-			}
-			engine, err = infer.New(cfg, rs)
-		}
-		if err != nil {
-			return err
-		}
-		defer engine.Close()
-		out, err := engine.GenerateContext(ctx, prompt, gen)
-		if err != nil {
-			return err
-		}
-		outputs = [][]int{out}
-		prefetchHits, prefetchMisses = engine.PrefetchStats()
-		degraded = engine.DegradedFetches()
+	var be *infer.BatchEngine
+	if prefetch {
+		be, err = infer.NewBatchPrefetched(ctx, cfg, weightSrc, batch, retry)
 	} else {
-		// Lockstep batch: every sequence shares one weight fetch per layer
-		// per step (vary the prompts slightly so the outputs differ).
-		var be *infer.BatchEngine
-		if prefetch {
-			be, err = infer.NewBatchPrefetchedResilient(cfg, weightSrc, batch, retry)
-		} else {
-			rs, rerr := infer.NewResilient(weightSrc, retry)
-			if rerr != nil {
-				return rerr
-			}
-			be, err = infer.NewBatch(cfg, rs, batch)
+		rs, rerr := infer.NewResilient(weightSrc, retry)
+		if rerr != nil {
+			return rerr
 		}
-		if err != nil {
-			return err
-		}
-		defer be.Close()
-		prompts := make([][]int, batch)
-		for i := range prompts {
-			p := append([]int(nil), prompt...)
-			p[len(p)-1] = (p[len(p)-1] + i) % vocab
-			prompts[i] = p
-		}
-		if outputs, err = be.GenerateBatchContext(ctx, prompts, gen); err != nil {
-			return err
-		}
-		prefetchHits, prefetchMisses = be.PrefetchStats()
-		degraded = be.DegradedFetches()
+		be, err = infer.NewBatch(cfg, rs, batch)
+	}
+	if err != nil {
+		return err
+	}
+	defer be.Close()
+	prompts := make([][]int, batch)
+	for i := range prompts {
+		p := append([]int(nil), prompt...)
+		p[len(p)-1] = (p[len(p)-1] + i) % vocab
+		prompts[i] = p
+	}
+	outputs, err := be.GenerateBatchContext(ctx, prompts, gen)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("prompt:    %v (batch %d)\n", prompt, batch)
+	fmt.Fprintf(stdout, "prompt:    %v (batch %d)\n", prompt, batch)
 	for i, out := range outputs {
-		fmt.Printf("seq %d:     %v\n", i, out)
+		fmt.Fprintf(stdout, "seq %d:     %v\n", i, out)
 	}
-	fmt.Printf("served out-of-core: %d tensor reads from disk, %.1f tok/s wall (threads=%d)\n",
+	fmt.Fprintf(stdout, "served out-of-core: %d tensor reads from disk, %.1f tok/s wall (threads=%d)\n",
 		store.Reads(), float64(gen*batch)/elapsed.Seconds(), tensor.Parallelism())
 	if prefetch {
-		fmt.Printf("layer prefetch: %d background hits, %d foreground misses\n", prefetchHits, prefetchMisses)
+		hits, misses := be.PrefetchStats()
+		fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses\n", hits, misses)
 	}
 	if faults != nil {
 		st := faults.Stats()
-		fmt.Printf("chaos: %d/%d reads failed transiently (seed %d), %d degraded fetches, output unharmed\n",
-			st.Transients, st.Accesses, faultSeed, degraded)
+		fmt.Fprintf(stdout, "chaos: %d/%d reads failed transiently (seed %d), %d degraded fetches, output unharmed\n",
+			st.Transients, st.Accesses, faultSeed, be.DegradedFetches())
 	}
 	return nil
 }

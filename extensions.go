@@ -89,8 +89,8 @@ type ServerStats = server.Stats
 // BreakerConfig tunes the daemon's storage circuit breaker.
 type BreakerConfig = server.BreakerConfig
 
-// NewServer starts the live serving daemon: admission control, a
-// worker pool of engines over one hot-swappable store chain, a storage
+// NewServer starts the live serving daemon: admission control, one
+// continuous batcher over a hot-swappable store chain, a storage
 // circuit breaker, and graceful drain.
 var NewServer = server.New
 

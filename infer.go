@@ -77,30 +77,21 @@ func WriteWeightFile(w io.Writer, m Model, src *infer.MemStore, quantized bool) 
 // PrefetchStore wraps a WeightStore so layer L+1 is fetched (and
 // dequantized) on a background goroutine while layer L computes — the
 // executable form of the zig-zag schedule's load/compute overlap
-// (Listing 1). Close it (or the engine built over it) when done.
+// (Listing 1). It has one consumer: the engine built over it. Close it
+// (or that engine) when done.
 type PrefetchStore = infer.PrefetchStore
 
-// NewPrefetchStore builds a prefetching wrapper over a backing store.
+// NewPrefetchStore builds a prefetching wrapper over a backing store,
+// under a cancellation context and a foreground retry policy (the zero
+// RetryPolicy: no retries).
 var NewPrefetchStore = infer.NewPrefetch
 
-// NewPrefetchedEngine / NewPrefetchedBatchEngine build engines with the
-// prefetch pipeline already stacked in front of the backing store.
-var (
-	NewPrefetchedEngine      = infer.NewPrefetched
-	NewPrefetchedBatchEngine = infer.NewBatchPrefetched
-)
-
-// PrefetchOptions tunes an engine's prefetch pipeline: look-ahead depth
-// (how many layers stream in ahead of compute) and decode-buffer
-// recycling (see infer.PrefetchOpts for the single-consumer contract).
-type PrefetchOptions = infer.PrefetchOpts
-
-// NewPrefetchedEngineOpts / NewPrefetchedBatchEngineOpts build
-// prefetched engines with explicit prefetch tuning.
-var (
-	NewPrefetchedEngineOpts      = infer.NewPrefetchedOpts
-	NewPrefetchedBatchEngineOpts = infer.NewBatchPrefetchedOpts
-)
+// NewPrefetchedBatchEngine builds a lockstep batch engine with the
+// prefetch pipeline already stacked in front of the backing store; a
+// batch of one is the prefetched solo engine. A failed background
+// prefetch degrades to a foreground fetch retried under the policy
+// (counted by DegradedFetches) instead of failing the generation.
+var NewPrefetchedBatchEngine = infer.NewBatchPrefetched
 
 // SetInferenceParallelism sets the tensor-kernel worker count (n <= 0
 // resets to GOMAXPROCS) and returns the previous setting. Kernel outputs
@@ -120,15 +111,6 @@ type ResilientStore = infer.ResilientStore
 
 // NewResilientStore wraps a backing store with a retry policy.
 var NewResilientStore = infer.NewResilient
-
-// NewResilientPrefetchedEngine / NewResilientPrefetchedBatchEngine build
-// prefetched engines whose foreground paths retry transient failures: a
-// failed background prefetch degrades to a retried foreground fetch
-// (counted by DegradedFetches) instead of failing the generation.
-var (
-	NewResilientPrefetchedEngine      = infer.NewPrefetchedResilient
-	NewResilientPrefetchedBatchEngine = infer.NewBatchPrefetchedResilient
-)
 
 // FaultPlan is a seeded, reproducible fault-injection plan: transient
 // read errors, payload bit flips, and latency spikes at configured

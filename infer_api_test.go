@@ -1,6 +1,7 @@
 package helmsim_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,18 +77,18 @@ func TestPublicInferenceFlow(t *testing.T) {
 	// background pipeline, at an explicit parallelism setting.
 	prev := helmsim.SetInferenceParallelism(2)
 	defer helmsim.SetInferenceParallelism(prev)
-	eng3, err := helmsim.NewPrefetchedEngine(cfg, fs)
+	eng3, err := helmsim.NewPrefetchedBatchEngine(context.Background(), cfg, fs, 1, helmsim.RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng3.Close()
-	out3, err := eng3.Generate([]int{1, 2, 3}, 5)
+	out3, err := eng3.GenerateBatch([][]int{{1, 2, 3}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range out {
-		if out[i] != out3[i] {
-			t.Fatalf("prefetched serving diverged at %d: %v vs %v", i, out, out3)
+		if out[i] != out3[0][i] {
+			t.Fatalf("prefetched serving diverged at %d: %v vs %v", i, out, out3[0])
 		}
 	}
 	if hits, _ := eng3.PrefetchStats(); hits == 0 {

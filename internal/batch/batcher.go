@@ -25,6 +25,7 @@ import (
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 	"helmsim/internal/serve"
+	"helmsim/internal/tensor"
 )
 
 // ErrStopped rejects work submitted to a stopped batcher.
@@ -33,6 +34,13 @@ var ErrStopped = errors.New("batch: batcher stopped")
 // ErrBusy rejects work when the admission queue is at capacity — the
 // caller's cue to shed instead of queueing unboundedly.
 var ErrBusy = errors.New("batch: queue full")
+
+// ErrPanicked marks a step that panicked inside the engine or the store
+// chain under it. The step is never retried: its running requests fail
+// with this error and their pages return to the pool. The batcher keeps
+// serving, but the engine's scratch and weight memo were abandoned
+// mid-step, so an owner that can rebuild the engine should.
+var ErrPanicked = errors.New("batch: step panicked")
 
 // Options tunes a Batcher.
 type Options struct {
@@ -382,6 +390,18 @@ func (b *Batcher) buildStep() []*infer.StepSeq {
 	return seqs
 }
 
+// engineStep is the recovery boundary around one engine step: a panic
+// below it (kernel, store chain, injected fault) fails that step's
+// requests, not the process.
+func (b *Batcher) engineStep(seqs []*infer.StepSeq) (logits []tensor.Mat, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrPanicked, r)
+		}
+	}()
+	return b.se.Step(seqs)
+}
+
 // step advances every running sequence one iteration, handling
 // retries, page-pressure preemption, retirement, and cancellation.
 func (b *Batcher) step() {
@@ -392,7 +412,7 @@ func (b *Batcher) step() {
 	}
 
 	seqs := b.buildStep()
-	logits, err := b.se.Step(seqs)
+	logits, err := b.engineStep(seqs)
 	for retries := 0; err != nil; retries++ {
 		// The step rolled every view back to its pre-step length; free
 		// the pages the aborted step had claimed so the ledger reflects
@@ -413,7 +433,7 @@ func (b *Batcher) step() {
 			if len(b.running) == 0 {
 				return
 			}
-		} else if retries >= b.opts.StepRetries {
+		} else if retries >= b.opts.StepRetries || errors.Is(err, ErrPanicked) {
 			b.failAllRunning(err)
 			return
 		} else {
@@ -422,11 +442,27 @@ func (b *Batcher) step() {
 			b.mu.Unlock()
 		}
 		seqs = b.buildStep()
-		logits, err = b.se.Step(seqs)
+		logits, err = b.engineStep(seqs)
 	}
 
+	// Every running sequence emits one token this step, and the ones that
+	// reach their cap finish. The counters are committed before any
+	// result is delivered, so a submitter that reads Stats as soon as its
+	// Submit returns already sees its own completion.
+	finished := 0
+	for _, s := range b.running {
+		if len(s.req.out)+1 >= s.req.maxNew {
+			finished++
+		}
+	}
+	b.mu.Lock()
+	b.stats.Steps++
+	b.stats.OccupancySum += len(seqs)
+	b.stats.TokensOut += len(b.running)
+	b.stats.Completed += finished
+	b.mu.Unlock()
+
 	// Commit: advance positions, sample, retire finished sequences.
-	var tokensOut, finished int
 	kept := b.running[:0]
 	for i, s := range b.running {
 		s.pos += len(s.pending)
@@ -439,18 +475,15 @@ func (b *Batcher) step() {
 		}
 		next := logits[i].ArgmaxRow(0)
 		s.req.out = append(s.req.out, next)
-		tokensOut++
 		if len(s.req.out) >= s.req.maxNew {
 			if err := b.pool.Release(s.id); err != nil {
-				deliver(s.req, s.req.out, fmt.Errorf("batch: releasing finished sequence: %w", err))
 				b.mu.Lock()
 				b.stats.Failed++
 				b.mu.Unlock()
-				finished++
+				deliver(s.req, s.req.out, fmt.Errorf("batch: releasing finished sequence: %w", err))
 				continue
 			}
 			deliver(s.req, s.req.out, nil)
-			finished++
 			continue
 		}
 		s.tok[0] = next
@@ -461,13 +494,6 @@ func (b *Batcher) step() {
 		b.running[i] = nil
 	}
 	b.running = kept
-
-	b.mu.Lock()
-	b.stats.Steps++
-	b.stats.OccupancySum += len(seqs)
-	b.stats.TokensOut += tokensOut
-	b.stats.Completed += finished
-	b.mu.Unlock()
 }
 
 // retireCancelled releases running sequences whose contexts ended.
@@ -536,19 +562,16 @@ func (b *Batcher) preemptLowestYoungest() bool {
 }
 
 // failAllRunning fails every running request with err and releases
-// their pages.
+// their pages, counting them before the delivery like a step's
+// completions.
 func (b *Batcher) failAllRunning(err error) {
-	var failed int
-	for _, s := range b.running {
+	b.mu.Lock()
+	b.stats.Failed += len(b.running)
+	b.mu.Unlock()
+	for i, s := range b.running {
 		_ = b.pool.Release(s.id)
 		deliver(s.req, s.req.out, err)
-		failed++
-	}
-	for i := range b.running {
 		b.running[i] = nil
 	}
 	b.running = b.running[:0]
-	b.mu.Lock()
-	b.stats.Failed += failed
-	b.mu.Unlock()
 }

@@ -3,10 +3,13 @@ package batch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"helmsim/internal/fault"
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
@@ -100,9 +103,8 @@ func TestContinuousByteIdentity(t *testing.T) {
 		}
 	}
 
-	// A step delivers its results before it commits its counters, so the
-	// ledger is only settled once the loop has drained.
-	b.Stop()
+	// A step commits its counters before it delivers its results, so
+	// the ledger is settled the moment the last Submit returns.
 	st := b.Stats()
 	if st.Completed != len(jobs) {
 		t.Fatalf("completed: got %d, want %d", st.Completed, len(jobs))
@@ -240,7 +242,6 @@ func TestPageGateKeepsQueueTail(t *testing.T) {
 			t.Fatalf("request %d diverged: got %v, want %v", i, got[i], want[i])
 		}
 	}
-	b.Stop() // counters settle when the loop has drained, not at delivery
 	if st := b.Stats(); st.Completed != len(prompts) {
 		t.Fatalf("completed: got %d, want %d", st.Completed, len(prompts))
 	}
@@ -391,4 +392,124 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// panicStore panics on every read while armed.
+type panicStore struct {
+	backing infer.WeightStore
+	armed   atomic.Bool
+}
+
+func (p *panicStore) Tensor(layer int, name string) ([]float32, error) {
+	if p.armed.Load() {
+		panic("injected storage panic")
+	}
+	return p.backing.Tensor(layer, name)
+}
+
+// TestStepPanicFailsItsRequestsOnly: a panic under the engine step fails
+// the requests riding that step with ErrPanicked — not the process —
+// returns their pages, and leaves the batcher serving.
+func TestStepPanicFailsItsRequestsOnly(t *testing.T) {
+	cfg := batchConfig()
+	w, err := infer.RandomWeights(cfg, 37, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := &panicStore{backing: w}
+	se, err := infer.NewStepEngine(cfg, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := kvcache.NewPool(cfg, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(se, pool, Options{MaxSeqs: 2})
+	defer b.Stop()
+
+	ps.armed.Store(true)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = b.Submit(context.Background(), []int{1 + i, 2, 3}, 4)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrPanicked) {
+			t.Fatalf("request %d under a panicking store: got %v, want ErrPanicked", i, err)
+		}
+	}
+
+	ps.armed.Store(false)
+	prompt := []int{5, 6, 7}
+	got, err := b.Submit(context.Background(), prompt, 4)
+	if err != nil {
+		t.Fatalf("batcher did not survive the panic: %v", err)
+	}
+	if want := soloGenerate(t, cfg, w, prompt, 4); !equalInts(got, want) {
+		t.Fatalf("post-panic request diverged: got %v, want %v", got, want)
+	}
+	if st := b.Stats(); st.Failed != 2 || st.Completed != 1 || st.Retries != 0 {
+		t.Errorf("accounting (a panicked step is never retried): %+v", st)
+	}
+	b.Stop() // the loop owns the pool until it exits
+	if err := pool.Conserved(); err != nil {
+		t.Errorf("page ledger after a panicked step: %v", err)
+	}
+	if pool.Len() != 0 {
+		t.Errorf("%d sequences still hold pages", pool.Len())
+	}
+}
+
+// blackoutStore fails its first read transiently, then recovers.
+type blackoutStore struct {
+	backing infer.WeightStore
+	failed  atomic.Bool
+}
+
+func (s *blackoutStore) Tensor(layer int, name string) ([]float32, error) {
+	if s.failed.CompareAndSwap(false, true) {
+		return nil, fmt.Errorf("L%d/%s: %w", layer, name, fault.ErrTransient)
+	}
+	return s.backing.Tensor(layer, name)
+}
+
+// TestStorageBlackoutDoesNotPoisonBatcher: the step retry after a failed
+// weight fetch must reach the store again. A prefetched engine that
+// replayed its cached fetch error failed every retry, and every later
+// request, without a single read.
+func TestStorageBlackoutDoesNotPoisonBatcher(t *testing.T) {
+	cfg := batchConfig()
+	w, err := infer.RandomWeights(cfg, 41, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := infer.NewStepEnginePrefetched(context.Background(), cfg, &blackoutStore{backing: w}, infer.Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	pool, err := kvcache.NewPool(cfg, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(se, pool, Options{})
+	defer b.Stop()
+
+	prompt := []int{3, 1, 4}
+	got, err := b.Submit(context.Background(), prompt, 4)
+	if err != nil {
+		t.Fatalf("request across a one-read blackout: %v", err)
+	}
+	if want := soloGenerate(t, cfg, w, prompt, 4); !equalInts(got, want) {
+		t.Fatalf("diverged: got %v, want %v", got, want)
+	}
+	if st := b.Stats(); st.Retries != 1 {
+		t.Errorf("step retries = %d, want 1", st.Retries)
+	}
 }

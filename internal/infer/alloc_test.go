@@ -231,11 +231,12 @@ func TestTopKSampleAllocsZero(t *testing.T) {
 	}
 }
 
-// Prefetch depth and buffer recycling are pure performance knobs: at
-// every depth, with recycling on or off, over quantized and file
-// backings, the generated tokens must be byte-identical to the plain
-// (unprefetched) engine's.
-func TestPrefetchDepthRecycleIdentity(t *testing.T) {
+// Prefetching and its buffer recycling are pure performance mechanisms:
+// with recycling on (a backing that decodes into caller buffers) or off
+// (one that only serves Tensor), over read and mmap file stores, the
+// generated tokens must be byte-identical to the plain (unprefetched)
+// engine's.
+func TestPrefetchRecycleIdentity(t *testing.T) {
 	cfg := tinyLlama()
 	path := writeTestCheckpoint(t, cfg, 29)
 	prompt := []int{3, 11, 5}
@@ -255,36 +256,40 @@ func TestPrefetchDepthRecycleIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, depth := range []int{1, 2, 3} {
-		for _, recycle := range []bool{false, true} {
-			for _, mapped := range []bool{false, true} {
-				name := fmt.Sprintf("depth=%d recycle=%v mmap=%v", depth, recycle, mapped)
-				open := OpenFileStore
-				if mapped {
-					open = OpenFileStoreMmap
-				}
-				st, err := open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewPrefetchedOpts(context.Background(), cfg, st, Retry{}, PrefetchOpts{Depth: depth, Recycle: recycle})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.Generate(prompt, n)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: token %d = %d, want %d", name, i, got[i], want[i])
-					}
+	for _, recycle := range []bool{false, true} {
+		for _, mapped := range []bool{false, true} {
+			name := fmt.Sprintf("recycle=%v mmap=%v", recycle, mapped)
+			open := OpenFileStore
+			if mapped {
+				open = OpenFileStoreMmap
+			}
+			st, err := open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var backing WeightStore = st
+			if !recycle {
+				// Embedding the interface hides TensorInto, which is what
+				// the prefetch store keys recycling on.
+				backing = struct{ WeightStore }{st}
+			}
+			e := newPrefetchedSolo(t, cfg, backing, Retry{})
+			if (e.se.prefetch.into != nil) != recycle {
+				t.Fatalf("%s: recycling on = %v", name, e.se.prefetch.into != nil)
+			}
+			got, err := e.generate(context.Background(), prompt, n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: token %d = %d, want %d", name, i, got[i], want[i])
 				}
 			}
 		}
@@ -348,14 +353,14 @@ func TestSwappableMmapHotReloadRace(t *testing.T) {
 				// path (TensorInto straight out of the mapping); Close
 				// joins background fetches before the pin drops, so no
 				// read outlives the generation.
-				e, err := NewPrefetchedResilientContext(context.Background(), cfg, w, Retry{})
+				be, err := NewBatchPrefetched(context.Background(), cfg, w, 1, Retry{})
 				if err != nil {
 					release()
 					errs <- err
 					return
 				}
-				got, genErr := e.Generate(prompt, n)
-				closeErr := e.Close()
+				got, genErr := prefetchedSolo{be}.generate(context.Background(), prompt, n)
+				closeErr := be.Close()
 				release()
 				if genErr != nil {
 					errs <- genErr

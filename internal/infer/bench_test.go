@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -74,7 +75,7 @@ func benchGenerate(b *testing.B, store WeightStore) {
 			var be *BatchEngine
 			var err error
 			if prefetched {
-				be, err = NewBatchPrefetched(mc, store, batch)
+				be, err = NewBatchPrefetched(context.Background(), mc, store, batch, Retry{})
 			} else {
 				be, err = NewBatch(mc, store, batch)
 			}

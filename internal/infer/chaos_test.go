@@ -146,11 +146,8 @@ func TestChaosTransientFaultsAreAbsorbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	ref, err := NewPrefetched(mc, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Generate(prompt, gen)
+	ref := newPrefetchedSolo(t, mc, clean, Retry{})
+	want, err := ref.generate(context.Background(), prompt, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +165,9 @@ func TestChaosTransientFaultsAreAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPrefetchedResilient(mc, fs, Retry{Max: 12, Sleep: noSleep})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newPrefetchedSolo(t, mc, fs, Retry{Max: 12, Sleep: noSleep})
 	defer eng.Close()
-	got, err := eng.Generate(prompt, gen)
+	got, err := eng.generate(context.Background(), prompt, gen)
 	if err != nil {
 		t.Fatalf("generation failed under 5%% transient faults: %v", err)
 	}
@@ -257,12 +251,9 @@ func TestChaosCorruptionNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra.SetArmed(true)
-	eng, err := NewPrefetchedResilient(mc, store, Retry{Max: 4, Sleep: noSleep})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newPrefetchedSolo(t, mc, store, Retry{Max: 4, Sleep: noSleep})
 	defer eng.Close()
-	_, err = eng.Generate([]int{1, 2}, 4)
+	_, err = eng.generate(context.Background(), []int{1, 2}, 4)
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt through the resilient path, got %v", err)
 	}
@@ -306,13 +297,13 @@ func TestChaosSharedFaultStoreConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng, err := NewPrefetchedResilient(mc, fs, Retry{Max: 16, Sleep: noSleep})
+			be, err := NewBatchPrefetched(context.Background(), mc, fs, 1, Retry{Max: 16, Sleep: noSleep})
 			if err != nil {
 				errs[e] = err
 				return
 			}
-			defer eng.Close()
-			got, err := eng.Generate(prompt, gen)
+			defer be.Close()
+			got, err := prefetchedSolo{be}.generate(context.Background(), prompt, gen)
 			if err != nil {
 				errs[e] = fmt.Errorf("engine %d: %w", e, err)
 				return
@@ -346,17 +337,14 @@ func TestCloseOrderingSurfacesTypedClosedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPrefetched(mc, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Generate([]int{1, 2}, 2); err != nil {
+	eng := newPrefetchedSolo(t, mc, store, Retry{})
+	if _, err := eng.generate(context.Background(), []int{1, 2}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.Generate([]int{3}, 2)
+	_, err = eng.generate(context.Background(), []int{3}, 2)
 	if err == nil {
 		t.Fatal("generation over a closed store succeeded")
 	}

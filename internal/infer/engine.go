@@ -103,13 +103,12 @@ func (c *blockCache) Truncate(n int) {
 // matrices: they stay valid until the engine's next Forward, Step,
 // Generate, or Reset, and must be copied to outlive that.
 type Engine struct {
-	cfg      model.Config
-	weights  WeightStore
-	views    ViewStore // non-nil when weights serves zero-copy views
-	layers   []model.Layer
-	cache    []blockCache
-	pos      int            // positions already cached
-	prefetch *PrefetchStore // non-nil when built by NewPrefetched
+	cfg     model.Config
+	weights WeightStore
+	views   ViewStore // non-nil when weights serves zero-copy views
+	layers  []model.Layer
+	cache   []blockCache
+	pos     int // positions already cached
 
 	ar       *tensor.Arena
 	scores   []float32    // one attention-score row, MaxSeq wide
@@ -146,87 +145,6 @@ func New(cfg model.Config, w WeightStore) (*Engine, error) {
 		e.cache[b].maxRows = cfg.MaxSeq
 	}
 	return e, nil
-}
-
-// NewPrefetched is New with a PrefetchStore (and a per-layer memo, so
-// repeated same-layer tensor requests hit the bundle once) in front of
-// the backing store: layer L+1 streams in while layer L computes. Close
-// the engine to stop the prefetcher.
-func NewPrefetched(cfg model.Config, w WeightStore) (*Engine, error) {
-	return NewPrefetchedResilient(cfg, w, Retry{})
-}
-
-// NewPrefetchedResilient is NewPrefetched with a foreground retry
-// policy: a transiently failed background fetch degrades to a retried
-// foreground fetch instead of failing the generation.
-func NewPrefetchedResilient(cfg model.Config, w WeightStore, r Retry) (*Engine, error) {
-	//lint:helmvet-ignore ctxflow compatibility shim: the no-ctx constructor deliberately builds an uncancellable engine
-	return NewPrefetchedResilientContext(context.Background(), cfg, w, r)
-}
-
-// NewPrefetchedResilientContext is NewPrefetchedResilient under a
-// cancellation context: cancelling ctx aborts the engine's background
-// prefetch (the serving daemon ties every worker engine to its
-// lifecycle context this way, so shutdown joins in-flight fetches
-// instead of abandoning them).
-func NewPrefetchedResilientContext(ctx context.Context, cfg model.Config, w WeightStore, r Retry) (*Engine, error) {
-	return NewPrefetchedOpts(ctx, cfg, w, r, PrefetchOpts{Recycle: true})
-}
-
-// NewPrefetchedOpts is NewPrefetchedResilientContext with explicit
-// prefetch tuning (look-ahead depth, buffer recycling). The prefetch
-// store is private to the returned engine, so PrefetchOpts.Recycle is
-// safe here — it is how a prefetched engine reuses its dequantization
-// and decode buffers across the layer cycle instead of reallocating
-// them every layer.
-func NewPrefetchedOpts(ctx context.Context, cfg model.Config, w WeightStore, r Retry, opts PrefetchOpts) (*Engine, error) {
-	ps, err := NewPrefetchOpts(ctx, cfg, w, r, opts)
-	if err != nil {
-		return nil, err
-	}
-	e, err := New(cfg, newLayerMemo(ps))
-	if err != nil {
-		ps.Close()
-		return nil, err
-	}
-	e.prefetch = ps
-	return e, nil
-}
-
-// PrefetchStats reports (hits, misses) of the prefetcher, or zeros for a
-// plain New engine.
-func (e *Engine) PrefetchStats() (hits, misses int) {
-	if e.prefetch == nil {
-		return 0, 0
-	}
-	return e.prefetch.Stats()
-}
-
-// DegradedFetches reports how many background prefetches failed and
-// were absorbed by foreground retries (zero for a plain New engine).
-func (e *Engine) DegradedFetches() int {
-	if e.prefetch == nil {
-		return 0
-	}
-	return e.prefetch.DegradedFetches()
-}
-
-// SettlePrefetch joins any in-flight background prefetch without
-// consuming or cancelling it (no-op for a plain New engine): after it
-// returns, the engine issues no store fetches until the next Forward.
-func (e *Engine) SettlePrefetch() {
-	if e.prefetch != nil {
-		e.prefetch.Settle()
-	}
-}
-
-// Close stops the background prefetcher, if any. Engines over plain
-// stores need no teardown and return nil.
-func (e *Engine) Close() error {
-	if e.prefetch == nil {
-		return nil
-	}
-	return e.prefetch.Close()
 }
 
 // Reset clears the KV cache and position counter. The KV slabs and

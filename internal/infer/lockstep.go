@@ -100,9 +100,8 @@ type seqState struct {
 // a slot is held for a request's whole lifetime (the continuous batcher
 // in internal/batch lifts that restriction).
 type BatchEngine struct {
-	se       *StepEngine
-	seqs     []seqState
-	prefetch *PrefetchStore // non-nil when built by NewBatchPrefetched
+	se   *StepEngine
+	seqs []seqState
 	// step scratch reused across Step calls (steady-state decode makes
 	// no per-step slice allocations).
 	stepSeqs []StepSeq
@@ -111,81 +110,53 @@ type BatchEngine struct {
 
 // NewBatch builds a lockstep engine for nSeqs sequences.
 func NewBatch(cfg model.Config, w WeightStore, nSeqs int) (*BatchEngine, error) {
-	if nSeqs <= 0 {
-		return nil, fmt.Errorf("infer: non-positive sequence count %d", nSeqs)
-	}
 	se, err := NewStepEngine(cfg, w)
 	if err != nil {
 		return nil, err
 	}
+	return newBatch(se, nSeqs)
+}
+
+// NewBatchPrefetched is NewBatch over NewStepEnginePrefetched: while
+// Step computes layer L, layer L+1 is fetched (and dequantized) in the
+// background — Listing 1's overlap, executable — and a transiently
+// failed background fetch degrades to a foreground fetch retried under
+// r instead of failing the whole wave. Cancelling ctx aborts the
+// prefetcher; Close the engine to stop it.
+func NewBatchPrefetched(ctx context.Context, cfg model.Config, w WeightStore, nSeqs int, r Retry) (*BatchEngine, error) {
+	se, err := NewStepEnginePrefetched(ctx, cfg, w, r)
+	if err != nil {
+		return nil, err
+	}
+	return newBatch(se, nSeqs)
+}
+
+// newBatch gives nSeqs private KV caches to a step engine, which it
+// closes when the count is unusable.
+func newBatch(se *StepEngine, nSeqs int) (*BatchEngine, error) {
+	if nSeqs <= 0 {
+		se.Close()
+		return nil, fmt.Errorf("infer: non-positive sequence count %d", nSeqs)
+	}
 	b := &BatchEngine{se: se, seqs: make([]seqState, nSeqs)}
 	for i := range b.seqs {
-		b.seqs[i].kv = NewBlockCaches(cfg)
+		b.seqs[i].kv = NewBlockCaches(se.eng.cfg)
 	}
-	return b, nil
-}
-
-// NewBatchPrefetched is NewBatch with a PrefetchStore between the
-// per-layer memo and the backing store: while Step computes layer L,
-// layer L+1 is fetched (and dequantized) in the background — Listing 1's
-// overlap, executable. Close the engine to stop the prefetcher.
-func NewBatchPrefetched(cfg model.Config, w WeightStore, nSeqs int) (*BatchEngine, error) {
-	return NewBatchPrefetchedResilient(cfg, w, nSeqs, Retry{})
-}
-
-// NewBatchPrefetchedResilient is NewBatchPrefetched with a foreground
-// retry policy: a transiently failed background fetch degrades to a
-// retried foreground fetch instead of failing the whole wave.
-func NewBatchPrefetchedResilient(cfg model.Config, w WeightStore, nSeqs int, r Retry) (*BatchEngine, error) {
-	//lint:helmvet-ignore ctxflow compatibility shim: the no-ctx constructor deliberately builds an uncancellable engine
-	return NewBatchPrefetchedOpts(context.Background(), cfg, w, nSeqs, r, PrefetchOpts{Recycle: true})
-}
-
-// NewBatchPrefetchedOpts is NewBatchPrefetchedResilient with a
-// cancellation context and explicit prefetch tuning. The prefetch store
-// is private to the returned engine, so PrefetchOpts.Recycle is safe
-// here.
-func NewBatchPrefetchedOpts(ctx context.Context, cfg model.Config, w WeightStore, nSeqs int, r Retry, opts PrefetchOpts) (*BatchEngine, error) {
-	ps, err := NewPrefetchOpts(ctx, cfg, w, r, opts)
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewBatch(cfg, ps, nSeqs)
-	if err != nil {
-		ps.Close()
-		return nil, err
-	}
-	b.prefetch = ps
 	return b, nil
 }
 
 // PrefetchStats reports (hits, misses) of the prefetcher, or zeros for a
 // plain NewBatch engine.
-func (b *BatchEngine) PrefetchStats() (hits, misses int) {
-	if b.prefetch == nil {
-		return 0, 0
-	}
-	return b.prefetch.Stats()
-}
+func (b *BatchEngine) PrefetchStats() (hits, misses int) { return b.se.PrefetchStats() }
 
 // DegradedFetches reports how many background prefetches failed and
 // were absorbed by foreground retries (zero for a plain NewBatch
 // engine).
-func (b *BatchEngine) DegradedFetches() int {
-	if b.prefetch == nil {
-		return 0
-	}
-	return b.prefetch.DegradedFetches()
-}
+func (b *BatchEngine) DegradedFetches() int { return b.se.DegradedFetches() }
 
 // Close stops the background prefetcher, if any. The engine stays usable
 // for weight stores that need no teardown.
-func (b *BatchEngine) Close() error {
-	if b.prefetch == nil {
-		return nil
-	}
-	return b.prefetch.Close()
-}
+func (b *BatchEngine) Close() error { return b.se.Close() }
 
 // WeightFetches reports backing-store tensor fetches so far.
 func (b *BatchEngine) WeightFetches() int { return b.se.WeightFetches() }

@@ -9,38 +9,10 @@ import (
 	"helmsim/internal/model"
 )
 
-// PrefetchOpts tunes a PrefetchStore.
-type PrefetchOpts struct {
-	// Depth is how many layers ahead to keep in flight (1 = next layer
-	// only, the classic single-buffered overlap). Zero means 1; values
-	// are clamped to [1, 8] so the look-ahead budget stays a small
-	// constant number of layers regardless of caller arithmetic.
-	Depth int
-	// Recycle reuses fetched tensor buffers across the layer cycle,
-	// decoding each layer into the slabs of the layer the consumer just
-	// left (via the backing store's IntoStore path, when it has one).
-	// With Depth 1 this is double-buffered dequantization: two slab sets
-	// ping-pong between "being computed on" and "being decoded into".
-	// Only safe when the store has exactly ONE lockstep consumer — a
-	// recycled layer's slices are overwritten in the background as soon
-	// as the consumer moves past it, so a second reader at a different
-	// layer would see torn weights. The engine-private constructors
-	// (NewPrefetched*, NewStepEnginePrefetched*, NewBatchPrefetched*)
-	// enable it; the shared-store constructors (NewPrefetch*) never do.
-	Recycle bool
-}
-
-// depth returns the clamped look-ahead.
-func (o PrefetchOpts) depth() int {
-	d := o.Depth
-	if d <= 0 {
-		d = 1
-	}
-	if d > 8 {
-		d = 8
-	}
-	return d
-}
+// prefetchDepth is how many layers ahead the store keeps in flight: the
+// next layer only. The pending FIFO is written for any small depth;
+// nothing has yet shown a deeper pipeline paying for its resident layer.
+const prefetchDepth = 1
 
 // PrefetchStore overlaps the next layers' weight fetch — and, when the
 // backing store is quantized or on disk, their dequantization and I/O —
@@ -52,9 +24,10 @@ func (o PrefetchOpts) depth() int {
 // output-embed → input-embed (the zig-zag's per-step wrap), the output
 // layer's prefetch warms the next step's embedding.
 //
-// Bounded by construction: at most Depth layers are in flight, so peak
-// residency stays at Depth+1 layers (current + in-flight). Errors from a
-// background fetch surface on the first request for that layer, and
+// Bounded by construction: at most prefetchDepth layers are in flight,
+// so peak residency stays at prefetchDepth+1 layers (current +
+// in-flight). Errors from a background fetch — a panic in the backing
+// store included — surface on the first request for that layer, and
 // cancelling the construction context (or calling Close) stops the
 // prefetcher and fails subsequent fetches cleanly.
 //
@@ -65,17 +38,18 @@ func (o PrefetchOpts) depth() int {
 // records the event. Only when the foreground retry also fails does the
 // error surface to the engine.
 //
-// The store is safe for concurrent use; it is *tuned* for one lockstep
-// consumer walking layers in schedule order. Multiple engines at
-// different layers stay correct but evict each other's bundles — and
-// must never share a Recycle-enabled store (see PrefetchOpts).
+// The store has exactly ONE lockstep consumer, walking layers in
+// schedule order. When the backing store decodes into caller buffers
+// (IntoStore), each layer decodes into the slabs of the layer the
+// consumer just left: two slab sets ping-pong between "being computed
+// on" and "being decoded into". A second reader at another layer would
+// see torn weights, so every engine builds its own store.
 type PrefetchStore struct {
 	backing WeightStore
-	into    IntoStore        // non-nil only in recycle mode, when backing decodes into buffers
+	into    IntoStore        // non-nil when backing decodes into buffers: recycling is on
 	next    map[int]int      // layer index -> successor in the schedule cycle
 	names   map[int][]string // layer index -> tensor names, spec order
 	retry   Retry            // foreground re-attempt policy (zero: none)
-	depth   int              // in-flight layer budget, >= 1
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -104,41 +78,13 @@ type fetchTicket struct {
 	bundle *layerBundle // set before done closes
 }
 
-// NewPrefetch wraps a weight store with single-buffered next-layer
-// prefetch for the given model. Callers should Close it to stop the
-// background fetcher.
-func NewPrefetch(cfg model.Config, backing WeightStore) (*PrefetchStore, error) {
-	//lint:helmvet-ignore ctxflow compatibility shim: the no-ctx constructor deliberately builds an uncancellable store
-	return NewPrefetchContext(context.Background(), cfg, backing)
-}
-
-// NewPrefetchResilient is NewPrefetch with a foreground retry policy:
-// transiently failed fetches — background ones consumed by the engine,
-// and foreground misses — are re-attempted up to the policy's bound
-// with its deterministic backoff.
-func NewPrefetchResilient(cfg model.Config, backing WeightStore, r Retry) (*PrefetchStore, error) {
-	//lint:helmvet-ignore ctxflow compatibility shim: the no-ctx constructor deliberately builds an uncancellable store
-	return NewPrefetchResilientContext(context.Background(), cfg, backing, r)
-}
-
-// NewPrefetchContext is NewPrefetch under a cancellation context:
-// cancelling ctx aborts any in-flight fetch and fails later fetches.
-func NewPrefetchContext(ctx context.Context, cfg model.Config, backing WeightStore) (*PrefetchStore, error) {
-	return NewPrefetchResilientContext(ctx, cfg, backing, Retry{})
-}
-
-// NewPrefetchResilientContext combines a cancellation context with a
-// foreground retry policy. The store is safe to share between engines
-// (no Recycle, Depth 1); use NewPrefetchOpts for deeper pipelines or
-// buffer recycling.
-func NewPrefetchResilientContext(ctx context.Context, cfg model.Config, backing WeightStore, r Retry) (*PrefetchStore, error) {
-	return NewPrefetchOpts(ctx, cfg, backing, r, PrefetchOpts{})
-}
-
-// NewPrefetchOpts is the fully tunable constructor: cancellation
-// context, foreground retry policy, look-ahead depth, and buffer
-// recycling (see PrefetchOpts for the sharing caveat).
-func NewPrefetchOpts(ctx context.Context, cfg model.Config, backing WeightStore, r Retry, opts PrefetchOpts) (*PrefetchStore, error) {
+// NewPrefetch wraps a weight store with next-layer prefetch for the
+// given model. Cancelling ctx aborts any in-flight fetch and fails later
+// ones; transiently failed fetches — background ones consumed by the
+// engine, and foreground misses — are re-attempted up to r's bound with
+// its deterministic backoff (the zero Retry: none). Callers should Close
+// the store to stop the background fetcher.
+func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r Retry) (*PrefetchStore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -154,16 +100,13 @@ func NewPrefetchOpts(ctx context.Context, cfg model.Config, backing WeightStore,
 		next:    make(map[int]int, len(layers)),
 		names:   make(map[int][]string, len(layers)),
 		retry:   r,
-		depth:   opts.depth(),
 	}
-	if opts.Recycle {
-		// Recycling needs a decode-into path; a backing store without one
-		// (e.g. a plain MemStore) silently keeps the allocate-per-fetch
-		// behavior, which is already cheap there.
-		if is, ok := backing.(IntoStore); ok {
-			s.into = is
-			s.free = make(map[string][][]float32)
-		}
+	// Recycling needs a decode-into path; a backing store without one
+	// (e.g. a plain MemStore) keeps the allocate-per-fetch behavior,
+	// which is already cheap there.
+	if is, ok := backing.(IntoStore); ok {
+		s.into = is
+		s.free = make(map[string][][]float32)
 	}
 	for i, l := range layers {
 		s.next[l.Index] = layers[(i+1)%len(layers)].Index
@@ -197,9 +140,12 @@ func (s *PrefetchStore) Tensor(layer int, name string) ([]float32, error) {
 // way.
 func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 	s.mu.Lock()
-	if b := s.cur; b != nil && b.layer == layer {
+	// An errored bundle is never served from cur: the failure belonged to
+	// the call that fetched it. Replaying it would fail every later step
+	// after one storage blip, without a single read.
+	if b := s.cur; b != nil && b.layer == layer && b.err == nil {
 		s.mu.Unlock()
-		return b, b.err
+		return b, nil
 	}
 	idx := -1
 	for i, t := range s.pending {
@@ -252,7 +198,7 @@ func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 	}
 
 	// Foreground path: the prefetcher did not have this layer (first
-	// access, or a second consumer off-schedule).
+	// access, or the first after a failed fetch stopped the pipeline).
 	dsts := s.takeSlabsLocked(layer)
 	s.mu.Unlock()
 	b := s.fetchLayerRetry(layer, dsts)
@@ -294,15 +240,15 @@ func (s *PrefetchStore) installLocked(b *layerBundle) {
 	if old != nil && old != b {
 		// The consumer has moved past old's layer; in recycle mode its
 		// slabs become the decode targets of upcoming prefetches. The
-		// single-consumer contract (PrefetchOpts.Recycle) is what makes
-		// this safe: nobody still reads old's slices.
+		// single-consumer contract is what makes this safe: nobody still
+		// reads old's slices.
 		s.recycleBundleLocked(old)
 	}
 	s.scheduleLocked()
 }
 
-// scheduleLocked starts background fetches until Depth layers are in
-// flight, walking the schedule cycle from the last scheduled layer
+// scheduleLocked starts background fetches until prefetchDepth layers
+// are in flight, walking the schedule cycle from the last scheduled layer
 // (never after an error or cancellation). Caller holds mu.
 func (s *PrefetchStore) scheduleLocked() {
 	if s.cur == nil || s.cur.err != nil || s.ctx.Err() != nil {
@@ -312,7 +258,7 @@ func (s *PrefetchStore) scheduleLocked() {
 	if n := len(s.pending); n > 0 {
 		last = s.pending[n-1].layer
 	}
-	for len(s.pending) < s.depth {
+	for len(s.pending) < prefetchDepth {
 		next, ok := s.next[last]
 		if !ok {
 			return
@@ -324,9 +270,16 @@ func (s *PrefetchStore) scheduleLocked() {
 			// Background fetches take a single attempt per tensor: a failure
 			// here is recoverable (the consumer refetches in the foreground
 			// and the degraded counter records the fault), so the retry
-			// budget is saved for the path where failure is terminal.
+			// budget is saved for the path where failure is terminal. A
+			// panic in the backing store becomes the bundle's error too: no
+			// caller can recover it on this goroutine.
+			defer close(t.done)
+			defer func() {
+				if r := recover(); r != nil {
+					t.bundle = &layerBundle{layer: t.layer, err: fmt.Errorf("infer: prefetch L%d panicked: %v", t.layer, r)}
+				}
+			}()
 			t.bundle = s.fetchLayer(t.layer, false, dsts)
-			close(t.done)
 		}()
 		last = next
 	}
@@ -334,7 +287,8 @@ func (s *PrefetchStore) scheduleLocked() {
 
 // takeSlabsLocked prepares the decode-target map for a layer fetch from
 // the free pools: recycled buffers keyed by tensor name (absent names
-// decode into fresh allocations). Returns nil when recycling is off.
+// decode into fresh allocations). Returns nil when recycling is off (no
+// IntoStore backing).
 // Caller holds mu.
 func (s *PrefetchStore) takeSlabsLocked(layer int) map[string][]float32 {
 	if s.into == nil {
@@ -414,7 +368,7 @@ func (s *PrefetchStore) fetchLayer(layer int, retry bool, dsts map[string][]floa
 }
 
 // fetchTensor reads one tensor, decoding into dst through the backing
-// store's IntoStore path in recycle mode.
+// store's IntoStore path when it has one.
 func (s *PrefetchStore) fetchTensor(layer int, name string, dst []float32) ([]float32, error) {
 	if s.into != nil {
 		return s.into.TensorInto(layer, name, dst)

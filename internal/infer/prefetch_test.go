@@ -10,10 +10,32 @@ import (
 	"sync"
 	"testing"
 
+	"helmsim/internal/fault"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
+
+// prefetchedSolo is a prefetched batch of one: the engine that stands
+// where a prefetched solo Engine would.
+type prefetchedSolo struct{ *BatchEngine }
+
+func newPrefetchedSolo(t testing.TB, cfg model.Config, w WeightStore, r Retry) prefetchedSolo {
+	t.Helper()
+	be, err := NewBatchPrefetched(context.Background(), cfg, w, 1, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prefetchedSolo{be}
+}
+
+func (p prefetchedSolo) generate(ctx context.Context, prompt []int, n int) ([]int, error) {
+	out, err := p.GenerateBatchContext(ctx, [][]int{prompt}, n)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
 
 // Prefetched execution is a pure overlap optimization: greedy outputs
 // must match the plain engine exactly, for both architectures and for
@@ -45,11 +67,8 @@ func TestPrefetchMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pre, err := NewPrefetched(mc, store)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pre.Generate([]int{1, 2, 3}, 8)
+				pre := newPrefetchedSolo(t, mc, store, Retry{})
+				got, err := pre.generate(context.Background(), []int{1, 2, 3}, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +108,7 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 		prompts := [][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
 		var be *BatchEngine
 		if prefetched {
-			be, err = NewBatchPrefetched(mc, qs, len(prompts))
+			be, err = NewBatchPrefetched(context.Background(), mc, qs, len(prompts), Retry{})
 		} else {
 			be, err = NewBatch(mc, qs, len(prompts))
 		}
@@ -100,9 +119,7 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 		if _, err := be.GenerateBatch(prompts, 5); err != nil {
 			t.Fatal(err)
 		}
-		if be.prefetch != nil {
-			be.prefetch.Settle()
-		}
+		be.se.Settle()
 		h, m := be.PrefetchStats()
 		return qs.Dequants(), h, m
 	}
@@ -149,7 +166,7 @@ func TestGenerateBatchParallelismInvariance(t *testing.T) {
 		var be *BatchEngine
 		var err error
 		if prefetched {
-			be, err = NewBatchPrefetched(mc, qs, len(prompts))
+			be, err = NewBatchPrefetched(context.Background(), mc, qs, len(prompts), Retry{})
 		} else {
 			be, err = NewBatch(mc, qs, len(prompts))
 		}
@@ -203,17 +220,140 @@ func TestPrefetchErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPrefetched(mc, &failStore{backing: raw, layer: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newPrefetchedSolo(t, mc, &failStore{backing: raw, layer: 3}, Retry{})
 	defer eng.Close()
-	_, err = eng.Generate([]int{1, 2}, 2)
+	_, err = eng.generate(context.Background(), []int{1, 2}, 2)
 	if err == nil {
 		t.Fatal("background fetch failure did not surface")
 	}
 	if !errors.Is(err, errSynthetic) {
 		t.Errorf("error lost its cause: %v", err)
+	}
+}
+
+// tripStore misbehaves exactly once, on its n-th Tensor access
+// (1-based): it panics when boom is set and fails transiently otherwise.
+// Locked, because the prefetcher reads it from a background goroutine.
+type tripStore struct {
+	backing WeightStore
+	n       int
+	boom    bool
+	mu      sync.Mutex
+	calls   int
+}
+
+func (s *tripStore) Tensor(layer int, name string) ([]float32, error) {
+	s.mu.Lock()
+	s.calls++
+	trip := s.calls == s.n
+	s.mu.Unlock()
+	if trip && s.boom {
+		panic("injected storage panic")
+	}
+	if trip {
+		return nil, fmt.Errorf("L%d/%s: %w", layer, name, fault.ErrTransient)
+	}
+	return s.backing.Tensor(layer, name)
+}
+
+func (s *tripStore) reads() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+// stepOnce feeds one prompt through a fresh set of KV blocks and returns
+// the greedy token.
+func stepOnce(se *StepEngine, prompt []int) (int, error) {
+	seq := &StepSeq{Tokens: prompt, KV: NewBlockCaches(se.Config())}
+	logits, err := se.Step([]*StepSeq{seq})
+	if err != nil {
+		return 0, err
+	}
+	return logits[0].ArgmaxRow(0), nil
+}
+
+// A failed foreground fetch belongs to the step that issued it: once the
+// store recovers, the next step must read it again and succeed. Serving
+// the errored bundle from the current-layer slot instead failed every
+// later step with the stored error and zero store reads — one storage
+// blip wedged the engine for good.
+func TestPrefetchDoesNotReplayFetchError(t *testing.T) {
+	mc := tinyOPT()
+	raw, err := RandomWeights(mc, 2, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := []int{1, 2, 3}
+	plain, err := NewStepEngine(mc, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stepOnce(plain, prompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := &tripStore{backing: raw, n: 1} // the first layer-0 read fails, nothing retries it
+	se, err := NewStepEnginePrefetched(context.Background(), mc, store, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if _, err := stepOnce(se, prompt); !errors.Is(err, fault.ErrTransient) {
+		t.Fatalf("first step: got %v, want the injected transient", err)
+	}
+	before := store.reads()
+	got, err := stepOnce(se, prompt)
+	if err != nil {
+		t.Fatalf("step after the store recovered (%d store reads since the failure): %v", store.reads()-before, err)
+	}
+	if store.reads() == before {
+		t.Error("recovered step read nothing from the store")
+	}
+	if got != want {
+		t.Errorf("recovered step sampled %d, want %d", got, want)
+	}
+}
+
+// A backing store that panics on the prefetcher's goroutine must not
+// take the process down: no caller can recover there. The panic becomes
+// the bundle's error, and the consumer absorbs it like any other failed
+// background fetch — a degraded foreground refetch.
+func TestPrefetchBackgroundPanicBecomesFetchError(t *testing.T) {
+	mc := tinyOPT()
+	raw, err := RandomWeights(mc, 2, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := []int{1, 2, 3}
+	plain, err := NewStepEngine(mc, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stepOnce(plain, prompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Layer 0 is fetched in the foreground (the cold miss), tensor by
+	// tensor; the read after those is layer 1's background prefetch.
+	firstBackground := len(mc.Layers()[0].Weights) + 1
+	store := &tripStore{backing: raw, n: firstBackground, boom: true}
+	se, err := NewStepEnginePrefetched(context.Background(), mc, store, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	got, err := stepOnce(se, prompt)
+	if err != nil {
+		t.Fatalf("step over a background panic: %v", err)
+	}
+	if got != want {
+		t.Errorf("sampled %d, want %d", got, want)
+	}
+	if d := se.DegradedFetches(); d != 1 {
+		t.Errorf("degraded fetches = %d, want 1 (the panicked prefetch)", d)
 	}
 }
 
@@ -224,7 +364,7 @@ func TestPrefetchContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ps, err := NewPrefetchContext(ctx, mc, raw)
+	ps, err := NewPrefetch(ctx, mc, raw, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +388,24 @@ func TestPrefetchContextCancellation(t *testing.T) {
 
 func TestPrefetchValidation(t *testing.T) {
 	mc := tinyOPT()
-	if _, err := NewPrefetch(mc, nil); err == nil {
+	ctx := context.Background()
+	if _, err := NewPrefetch(ctx, mc, nil, Retry{}); err == nil {
 		t.Error("nil backing accepted")
 	}
 	bad := mc
 	bad.Hidden = 0
 	raw, _ := RandomWeights(mc, 1, 0.08)
-	if _, err := NewPrefetch(bad, raw); err == nil {
+	if _, err := NewPrefetch(ctx, bad, raw, Retry{}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	if _, err := NewPrefetch(ctx, mc, raw, Retry{Max: -1}); err == nil {
+		t.Error("invalid retry policy accepted")
+	}
+	if _, err := NewBatchPrefetched(ctx, mc, raw, 0, Retry{}); err == nil {
+		t.Error("empty prefetched batch accepted")
+	}
 	// Unknown layers error instead of deadlocking.
-	ps, err := NewPrefetch(mc, raw)
+	ps, err := NewPrefetch(ctx, mc, raw, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +415,11 @@ func TestPrefetchValidation(t *testing.T) {
 	}
 }
 
-// Two lockstep engines drive one shared PrefetchStore over one FileStore
-// concurrently — the -race gate for the whole fetch path (file reads,
-// dequantization, bundle swaps). Off-schedule interleaving may evict
-// bundles, but outputs must still match the serial reference exactly.
-func TestSharedPrefetchStoreConcurrentEngines(t *testing.T) {
+// Two prefetched lockstep engines, each over its own PrefetchStore, read
+// one shared FileStore concurrently — the -race gate for the whole fetch
+// path (file reads, dequantization into recycled buffers, bundle swaps).
+// Outputs must match the serial reference exactly.
+func TestPrefetchedEnginesShareFileStore(t *testing.T) {
 	mc := tinyOPT()
 	raw, err := RandomWeights(mc, 41, 0.08)
 	if err != nil {
@@ -308,22 +455,18 @@ func TestSharedPrefetchStoreConcurrentEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, err := NewPrefetch(mc, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for e := 0; e < 2; e++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			be, err := NewBatch(mc, ps, len(prompts))
+			be, err := NewBatchPrefetched(context.Background(), mc, fs, len(prompts), Retry{})
 			if err != nil {
 				errs[e] = err
 				return
 			}
+			defer be.Close()
 			got, err := be.GenerateBatch(prompts, 5)
 			if err != nil {
 				errs[e] = err

@@ -57,17 +57,11 @@ func NewStepEngine(cfg model.Config, w WeightStore) (*StepEngine, error) {
 // NewStepEnginePrefetched is NewStepEngine with a PrefetchStore between
 // the per-layer memo and the backing store (layer L+1 streams in while
 // layer L computes) and a foreground retry policy absorbing transient
-// background-fetch failures. Cancelling ctx aborts the prefetcher;
-// Close the engine to stop it.
+// background-fetch failures. The prefetch store is private to the
+// returned engine, its single consumer. Cancelling ctx aborts the
+// prefetcher; Close the engine to stop it.
 func NewStepEnginePrefetched(ctx context.Context, cfg model.Config, w WeightStore, r Retry) (*StepEngine, error) {
-	return NewStepEnginePrefetchedOpts(ctx, cfg, w, r, PrefetchOpts{Recycle: true})
-}
-
-// NewStepEnginePrefetchedOpts is NewStepEnginePrefetched with explicit
-// prefetch tuning. The prefetch store is private to the returned
-// engine, so PrefetchOpts.Recycle is safe here.
-func NewStepEnginePrefetchedOpts(ctx context.Context, cfg model.Config, w WeightStore, r Retry, opts PrefetchOpts) (*StepEngine, error) {
-	ps, err := NewPrefetchOpts(ctx, cfg, w, r, opts)
+	ps, err := NewPrefetch(ctx, cfg, w, r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,25 +1,23 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"helmsim/internal/batch"
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 )
 
-// BatchConfig enables continuous batching: instead of each worker
-// owning a private engine and serving one request end to end, all
-// workers feed one shared iteration-level batcher (internal/batch)
-// over a paged KV cache (kvcache.Pool). Requests join and leave the
-// running batch at decode-step granularity, so short generations stop
-// paying for long ones, and common prompt prefixes share KV pages.
+// BatchConfig sizes the serving core: all workers feed one shared
+// iteration-level batcher (internal/batch) over a paged KV cache
+// (kvcache.Pool). Each decode step fetches every layer's weights once
+// for the whole running batch; requests join and leave at step
+// granularity, so short generations stop paying for long ones, and
+// common prompt prefixes share KV pages. A solo request is a batch of
+// one.
 type BatchConfig struct {
-	// Enabled switches the serving core to the continuous batcher.
+	// Enabled is read by nothing: the batcher is the only serving path.
+	// The field stays because bench/stack.go sets it and bench/ is frozen.
 	Enabled bool
 	// MaxSeqs caps concurrently decoding sequences (default 8).
 	MaxSeqs int
@@ -47,9 +45,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 
 // Validate rejects unusable batch configurations (after defaulting).
 func (c BatchConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
 	c = c.withDefaults()
 	if c.MaxSeqs < 1 {
 		return fmt.Errorf("server: batch sequence cap %d < 1", c.MaxSeqs)
@@ -120,8 +115,9 @@ func (s *Server) newBatchState() (*batchState, error) {
 	}, nil
 }
 
-// stopBatchState quiesces a batcher: drain its queue, fold its final
-// prefetch counters, close its engine, release its generation pin.
+// stopBatchState quiesces a batcher: finish its queued and running
+// requests, fold its final prefetch counters, close its engine, release
+// its generation pin.
 func (s *Server) stopBatchState(bs *batchState) {
 	bs.b.Stop()
 	s.foldBatchPrefetch(bs)
@@ -130,7 +126,8 @@ func (s *Server) stopBatchState(bs *batchState) {
 }
 
 // foldBatchPrefetch folds the engine's prefetch counter deltas into the
-// server totals. Called under batchMu (or after the batcher stopped).
+// server totals. Called under batchMu (or on a replaced batcher, which
+// only its retiring goroutine still touches).
 func (s *Server) foldBatchPrefetch(bs *batchState) {
 	h, m := bs.se.PrefetchStats()
 	d := bs.se.DegradedFetches()
@@ -147,99 +144,47 @@ func (s *Server) currentBatch() *batchState {
 	return s.bat
 }
 
-// serveJobBatch runs one admitted job through the shared continuous
-// batcher — the batch-mode counterpart of serveJob. Generation pinning
-// is per-batcher, not per-request: the batcher's engine was built on
-// one generation, a hot reload installs a fresh batcher and quiesces
-// this one, and in-flight submissions finish on the generation they
-// started on.
-func (s *Server) serveJobBatch(j *job) {
-	j.queued = time.Since(j.arrived)
-	if j.ctx.Err() != nil {
-		s.shedClass(j.class, &s.shedClientGone)
-		if j.probe {
-			s.breaker.ProbeAbort()
-		}
-		j.status = http.StatusServiceUnavailable
-		j.err = fmt.Errorf("server: client disconnected after queueing %v", j.queued.Round(time.Millisecond))
-		return
-	}
-	if s.deadlinePassed(j) {
-		s.shedDeadlineJob(j)
-		return
-	}
-	if s.cfg.MaxWait > 0 && j.queued > s.cfg.MaxWait {
-		s.shedMaxWait.Add(1)
-		s.classes[j.class].shedMaxWait.Add(1)
-		if j.probe {
-			s.breaker.ProbeAbort()
-		}
-		j.status = http.StatusServiceUnavailable
-		j.retryAfter = time.Second
-		j.err = fmt.Errorf("server: reneged after queueing %v", j.queued.Round(time.Millisecond))
-		return
-	}
-	s.admitted.Add(1)
-	s.classes[j.class].admitted.Add(1)
-
-	ctx, cancel := s.requestContext(j)
-	stop := context.AfterFunc(s.genCtx, cancel)
-	defer func() {
-		stop()
-		cancel()
-	}()
-
-	start := time.Now()
-	var tokens []int
-	var gen int64
-	var err error
-	// A hot reload may stop the batcher between our snapshot and our
-	// Submit; the successor batcher serves the retry.
-	for attempt := 0; ; attempt++ {
-		bs := s.currentBatch()
-		gen = bs.gen
-		tokens, err = bs.b.SubmitClass(ctx, j.prompt, j.maxTokens, j.class)
-		if !errors.Is(err, batch.ErrStopped) || attempt >= 2 {
-			break
-		}
-	}
-	j.service = time.Since(start)
-
-	if err != nil {
-		s.fail(j, err)
-		if errors.Is(err, kvcache.ErrOutOfPages) {
-			// Page pressure the admission predicate could not foresee
-			// (competition, not request size). Conservation note: this
-			// request was already counted admitted, so it stays in the
-			// failed column, not a shed bucket.
-			j.status = http.StatusServiceUnavailable
-			j.retryAfter = time.Second
-		}
-		return
-	}
-	j.tokens = tokens
-	j.generation = gen
-	s.served.Add(1)
-	if j.probe {
-		s.breaker.ProbeDone(true)
-	}
-}
-
-// rebuildBatcher installs a fresh batcher on the (just swapped)
-// current generation and quiesces the old one: queued and in-flight
-// submissions drain on the generation they started on while new
-// arrivals land on the new one.
+// rebuildBatcher installs a fresh batcher on the current generation and
+// retires the old one in the background: its queued and in-flight
+// submissions finish on the generation they started on while new
+// arrivals land on the new one, and the caller — a SIGHUP handler — is
+// not held up by the longest generation in flight. Caller holds
+// reloadMu.
 func (s *Server) rebuildBatcher() error {
 	nbs, err := s.newBatchState()
 	if err != nil {
-		return fmt.Errorf("server: rebuilding batcher after reload: %w", err)
+		return fmt.Errorf("server: rebuilding batcher: %w", err)
 	}
 	s.batchMu.Lock()
 	old := s.bat
-	s.bat = nbs
-	s.batchMu.Unlock()
-	if old != nil {
-		s.stopBatchState(old)
+	if old == nil {
+		// Drain already tore the serving core down.
+		s.batchMu.Unlock()
+		s.stopBatchState(nbs)
+		return fmt.Errorf("server: rebuilding batcher: daemon stopped")
 	}
+	s.bat = nbs
+	s.retiring.Add(1)
+	s.batchMu.Unlock()
+	go func() {
+		defer s.retiring.Done()
+		s.stopBatchState(old)
+	}()
 	return nil
+}
+
+// replacePanicked follows a panicked decode step: the first of the
+// step's requests to get here counts the panic and installs a fresh
+// batcher — the engine's arena and weight memo were abandoned mid-step —
+// and its siblings find the batcher already replaced.
+func (s *Server) replacePanicked(bs *batchState) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	if s.currentBatch() != bs {
+		return
+	}
+	s.panics.Add(1)
+	// On failure the old batcher keeps serving: it survived the panic,
+	// only its scratch is suspect.
+	_ = s.rebuildBatcher()
 }

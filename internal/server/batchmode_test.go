@@ -1,86 +1,13 @@
 package server
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"helmsim/internal/infer"
 )
-
-// TestBatchModeMatchesDirectEngine: the continuous-batching daemon
-// returns byte-identical tokens to a solo engine for concurrent
-// requests of different lengths, and /statz carries the batch snapshot
-// with a conserved ledger.
-func TestBatchModeMatchesDirectEngine(t *testing.T) {
-	mc := tinyModel()
-	path, w := writeCheckpoint(t, mc, 3)
-	ref, err := infer.New(mc, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type jobCase struct {
-		prompt []int
-		n      int
-	}
-	jobs := []jobCase{
-		{[]int{1, 2, 3}, 8},
-		{[]int{4, 5}, 3},
-		{[]int{1, 2, 3, 4, 5, 6}, 5},
-		{[]int{7}, 10},
-		{[]int{1, 2, 3}, 2}, // same prefix as job 0: prefix-cache fodder
-	}
-	want := make([][]int, len(jobs))
-	for i, j := range jobs {
-		ref.Reset()
-		want[i], err = ref.Generate(j.prompt, j.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s, ts := startServer(t, Config{
-		Model: mc, OpenStore: fileOpener(path), Workers: 3,
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
-	})
-
-	var wg sync.WaitGroup
-	codes := make([]int, len(jobs))
-	got := make([]GenerateResponse, len(jobs))
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j jobCase) {
-			defer wg.Done()
-			codes[i], got[i], _ = postGenerate(t, ts.URL, GenerateRequest{Prompt: j.prompt, MaxTokens: j.n})
-		}(i, j)
-	}
-	wg.Wait()
-	for i := range jobs {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("job %d: status %d", i, codes[i])
-		}
-		if !equalTokenSlices(got[i].Tokens, want[i]) {
-			t.Fatalf("job %d diverged from solo engine: got %v, want %v", i, got[i].Tokens, want[i])
-		}
-	}
-
-	st := s.Stats()
-	if !st.Conserved() {
-		t.Fatalf("ledger not conserved: %+v", st)
-	}
-	if st.Batch == nil {
-		t.Fatal("batch mode must publish a batch snapshot")
-	}
-	if st.Batch.Completed != int(st.Served) || st.Batch.Steps == 0 {
-		t.Fatalf("batch snapshot inconsistent with server counters: %+v vs served %d", st.Batch, st.Served)
-	}
-	if st.Batch.Pool.TotalPages != 64 {
-		t.Fatalf("pool snapshot missing: %+v", st.Batch.Pool)
-	}
-}
 
 // TestBatchModePagePressureSheds: a request whose worst-case context
 // exceeds the whole page budget sheds at admission into its own
@@ -91,7 +18,7 @@ func TestBatchModePagePressureSheds(t *testing.T) {
 	s, ts := startServer(t, Config{
 		Model: mc, OpenStore: fileOpener(path), Workers: 1, MaxTokens: 64,
 		// 4 pages of 4 = 16 positions total.
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 4, PageTokens: 4},
+		Batch: BatchConfig{MaxSeqs: 2, KVPages: 4, PageTokens: 4},
 	})
 	code, _, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: []int{1, 2, 3, 4}, MaxTokens: 32})
 	if code != http.StatusServiceUnavailable {
@@ -111,7 +38,7 @@ func TestBatchModePagePressureSheds(t *testing.T) {
 	}
 }
 
-// TestBatchModeHotReload: a reload quiesces the old batcher and serves
+// TestBatchModeHotReload: a reload retires the old batcher and serves
 // later requests from the new generation's batcher, byte-identically
 // to a solo engine on the new weights.
 func TestBatchModeHotReload(t *testing.T) {
@@ -129,7 +56,7 @@ func TestBatchModeHotReload(t *testing.T) {
 			return fileOpener(p)()
 		},
 		Workers: 2,
-		Batch:   BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
+		Batch:   BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
 
 	prompt := []int{2, 4, 6}
@@ -166,32 +93,6 @@ func TestBatchModeHotReload(t *testing.T) {
 	// The new batcher starts with a cold prefix cache and pool.
 	if st := s.Stats(); st.Batch == nil || st.Batch.Pool.TotalPages != 64 {
 		t.Fatalf("batch snapshot after reload: %+v", st.Batch)
-	}
-}
-
-// TestBatchModeDrain: Drain completes in-flight batch requests and
-// tears the batcher down exactly once.
-func TestBatchModeDrain(t *testing.T) {
-	mc := tinyModel()
-	path, _ := writeCheckpoint(t, mc, 9)
-	s, err := New(context.Background(), Config{
-		Model: mc, OpenStore: fileOpener(path), Workers: 2,
-		Batch: BatchConfig{Enabled: true, MaxSeqs: 2, KVPages: 64, PageTokens: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// Idempotent.
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("second drain: %v", err)
-	}
-	if st := s.Stats(); st.State != "stopped" {
-		t.Fatalf("state after drain: %s", st.State)
 	}
 }
 

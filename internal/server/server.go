@@ -13,6 +13,7 @@ import (
 	"helmsim/internal/batch"
 	"helmsim/internal/fault"
 	"helmsim/internal/infer"
+	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
 	"helmsim/internal/serve"
 )
@@ -26,8 +27,11 @@ type Config struct {
 	// called once at startup and once per hot reload; the returned closer
 	// (nil allowed) runs after the store's last in-flight reader.
 	OpenStore func() (infer.WeightStore, io.Closer, error)
-	// Workers is the engine pool size (default 1). Each worker owns one
-	// prefetched engine; all share the store chain.
+	// Workers is how many goroutines dequeue admitted requests, run the
+	// pre-service shed checks (client gone, deadline, renege) and block
+	// in the batcher until their request completes — the cap on requests
+	// handed to the batcher at once. The default is Batch.MaxSeqs, enough
+	// to fill every decode step; fewer leaves batch slots idle.
 	Workers int
 	// MaxQueue bounds the waiting line, mirroring serve.QueueConfig: an
 	// arrival finding MaxQueue requests waiting is shed with 429
@@ -43,13 +47,12 @@ type Config struct {
 	// (0 = none); clients may request a tighter one.
 	RequestTimeout time.Duration
 	// Retry is the foreground retry policy absorbing transient storage
-	// faults under each engine.
+	// faults under the engine.
 	Retry infer.Retry
 	// Breaker tunes the storage circuit breaker (zero values default).
 	Breaker BreakerConfig
-	// Batch switches the serving core to continuous batching over a
-	// paged KV cache: workers feed one shared batcher instead of each
-	// owning a whole-request engine.
+	// Batch sizes the serving core: the continuous batcher and its
+	// paged KV cache.
 	Batch BatchConfig
 	// Cost tunes token-budget admission, per-class budgets, and
 	// brownout overload control (zero value: count-only admission, no
@@ -72,7 +75,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		c.Workers = 1
+		c.Workers = c.Batch.withDefaults().MaxSeqs
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 64
@@ -96,6 +99,10 @@ func (c Config) Validate() error {
 	if c.OpenStore == nil {
 		return fmt.Errorf("server: nil OpenStore")
 	}
+	// Before the worker count, whose default is the batch width.
+	if err := c.Batch.Validate(); err != nil {
+		return err
+	}
 	if c.Workers < 1 {
 		return fmt.Errorf("server: worker count %d < 1", c.Workers)
 	}
@@ -115,9 +122,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: negative drain retry-after %v", c.DrainRetryAfter)
 	}
 	if err := c.Retry.Validate(); err != nil {
-		return err
-	}
-	if err := c.Batch.Validate(); err != nil {
 		return err
 	}
 	if err := c.Cost.Validate(); err != nil {
@@ -156,16 +160,16 @@ type job struct {
 	done       chan struct{}
 }
 
-// Server is the live daemon: admission control in front of a worker
-// pool of prefetched engines over one swappable, breaker-observed,
-// retry-wrapped store chain.
+// Server is the live daemon: admission control in front of one
+// continuous batcher whose prefetched step engine reads a swappable,
+// breaker-observed, retry-wrapped store chain.
 type Server struct {
 	cfg     Config
 	store   *infer.SwappableStore
 	breaker *Breaker
 
-	// genCtx anchors every engine and in-flight generation; forceCancel
-	// fires when a drain deadline expires.
+	// genCtx anchors the engine and every in-flight generation;
+	// forceCancel fires when a drain deadline expires.
 	genCtx      context.Context
 	forceCancel context.CancelFunc
 
@@ -180,14 +184,19 @@ type Server struct {
 	drainDone   chan struct{} // closed after finalization; drainErr is set before
 	drainErr    error
 
-	// reloadMu serializes Reload calls: concurrent SIGHUPs must not
-	// interleave their open/swap pairs.
+	// reloadMu serializes everything that installs a batcher: Reload
+	// calls (concurrent SIGHUPs must not interleave their open/swap
+	// pairs) and the rebuild after a panicked step.
 	reloadMu sync.Mutex
 
-	// batchMu guards the active continuous batcher (batch mode only);
-	// a hot reload swaps in a successor built on the new generation.
-	batchMu sync.Mutex
-	bat     *batchState
+	// batchMu guards the active continuous batcher (nil once Drain tore
+	// it down); a hot reload or a panicked step swaps in a successor.
+	// retiring counts replaced batchers still finishing in-flight
+	// requests; Drain joins them before the store closes. Add happens
+	// under batchMu while bat is non-nil, so it never races that Wait.
+	batchMu  sync.Mutex
+	bat      *batchState
+	retiring sync.WaitGroup
 
 	// Conservation ledger: arrivals == admitted + every shed bucket, the
 	// same invariant serve.SimulateQueue's metrics satisfy, checked by
@@ -226,7 +235,7 @@ type Server struct {
 	degraded        atomic.Int64
 }
 
-// breakerStore sits between the retry layer and the worker's pinned
+// breakerStore sits between the retry layer and the batcher's pinned
 // generation: every raw storage attempt (including each retry) feeds
 // the breaker's failure window and the access counters.
 type breakerStore struct {
@@ -261,53 +270,9 @@ func (bs breakerStore) TensorInto(layer int, name string, dst []float32) ([]floa
 	return d, err
 }
 
-// pinStore is the indirection between a worker's engine (built once per
-// generation, reused across requests) and the per-request generation
-// pin: serveJob points it at the handle SwappableStore.Acquire returned
-// before running a request and clears it after the prefetcher settles,
-// so every fetch a request triggers — foreground, retry, or background
-// prefetch — reads the generation the request started on, and a
-// concurrent Reload can never mix checkpoints within one request.
-type pinStore struct {
-	mu  sync.Mutex
-	cur infer.WeightStore
-}
-
-func (p *pinStore) set(w infer.WeightStore) {
-	p.mu.Lock()
-	p.cur = w
-	p.mu.Unlock()
-}
-
-func (p *pinStore) Tensor(layer int, name string) ([]float32, error) {
-	p.mu.Lock()
-	c := p.cur
-	p.mu.Unlock()
-	if c == nil {
-		return nil, fmt.Errorf("server: L%d/%s fetched outside a pinned request", layer, name)
-	}
-	return c.Tensor(layer, name)
-}
-
-// TensorInto implements infer.IntoStore, passing the caller's buffer
-// through to the pinned generation (which keeps any mmap view under it
-// alive for the duration of the decode).
-func (p *pinStore) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
-	p.mu.Lock()
-	c := p.cur
-	p.mu.Unlock()
-	if c == nil {
-		return nil, fmt.Errorf("server: L%d/%s fetched outside a pinned request", layer, name)
-	}
-	if is, ok := c.(infer.IntoStore); ok {
-		return is.TensorInto(layer, name, dst)
-	}
-	return c.Tensor(layer, name)
-}
-
-// New opens the initial store via cfg.OpenStore and starts the worker
-// pool. ctx anchors the daemon: engines, prefetchers, and force-drain
-// all descend from it.
+// New opens the initial store via cfg.OpenStore, builds the batcher on
+// it and starts the workers. ctx anchors the daemon: the engine, its
+// prefetcher, and force-drain all descend from it.
 func New(ctx context.Context, cfg Config) (*Server, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("server: nil context")
@@ -348,14 +313,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		Sustain: cfg.Cost.BrownoutSustain,
 	}).Defaulted()
 	s.genCtx, s.forceCancel = context.WithCancel(ctx)
-	if cfg.Batch.Enabled {
-		bs, err := s.newBatchState()
-		if err != nil {
-			s.forceCancel()
-			sw.Close()
-			return nil, fmt.Errorf("server: building continuous batcher: %w", err)
-		}
-		s.bat = bs
+	if s.bat, err = s.newBatchState(); err != nil {
+		s.forceCancel()
+		sw.Close()
+		return nil, fmt.Errorf("server: building continuous batcher: %w", err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -392,7 +353,7 @@ func (s *Server) admit(ctx context.Context, prompt []int, maxTokens int, timeout
 	// Page pressure is a request-size verdict, not a load verdict: a
 	// context too large for the whole paged pool can never be served, no
 	// matter how long it waits, so it sheds before the queue bound.
-	if s.cfg.Batch.Enabled && s.cfg.Batch.pagesForContext(len(prompt)+maxTokens) > s.cfg.Batch.withDefaults().KVPages {
+	if s.cfg.Batch.pagesForContext(len(prompt)+maxTokens) > s.cfg.Batch.withDefaults().KVPages {
 		s.shedClass(class, &s.shedPagePressure)
 		return nil, http.StatusServiceUnavailable, 0, "context exceeds the paged KV budget"
 	}
@@ -444,53 +405,16 @@ func (s *Server) admit(ctx context.Context, prompt []int, maxTokens int, timeout
 	return j, 0, 0, ""
 }
 
-// workerState is one worker's engine and pin indirection, plus the
-// prefetch counter values already folded into the server totals (engine
-// counters are lifetime values; the server wants deltas).
-type workerState struct {
-	eng                   *infer.Engine
-	pin                   *pinStore
-	gen                   int64
-	hits, misses, degrade int
-}
-
-// closeEngine folds the engine's final counter deltas and releases it.
-// The pin indirection survives: the next engine is built over it again.
-func (s *Server) closeEngine(w *workerState) {
-	if w.eng == nil {
-		return
-	}
-	s.foldPrefetch(w)
-	w.eng.Close()
-	*w = workerState{pin: w.pin}
-}
-
-func (s *Server) foldPrefetch(w *workerState) {
-	h, m := w.eng.PrefetchStats()
-	d := w.eng.DegradedFetches()
-	s.prefetchHits.Add(int64(h - w.hits))
-	s.prefetchMisses.Add(int64(m - w.misses))
-	s.degraded.Add(int64(d - w.degrade))
-	w.hits, w.misses, w.degrade = h, m, d
-}
-
-// worker serves jobs until the queue closes, owning one engine that is
-// rebuilt on checkpoint swap (fresh weights, empty prefetch pipeline)
-// and after a panic.
+// worker hands admitted jobs to the batcher, one at a time, until the
+// queue closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	ws := workerState{pin: &pinStore{}}
-	defer s.closeEngine(&ws)
 	for j := range s.queue {
 		s.mu.Lock()
 		s.waiting--
 		s.cost.classWaiting[j.class]--
 		s.mu.Unlock()
-		if s.cfg.Batch.Enabled {
-			s.serveJobBatch(j)
-		} else {
-			s.serveJob(&ws, j)
-		}
+		s.serveJob(j)
 		// The job settled one way or another: its admitted cost leaves
 		// the backlog, and the brownout machine sees the drain.
 		s.releaseCost(j)
@@ -498,8 +422,13 @@ func (s *Server) worker() {
 	}
 }
 
-// serveJob runs one admitted job on the worker's engine.
-func (s *Server) serveJob(ws *workerState, j *job) {
+// serveJob runs one dequeued job: the pre-service shed checks, then the
+// shared continuous batcher. Generation pinning is per batcher, not per
+// request: the batcher's engine was built on one generation, a hot
+// reload installs a fresh batcher and retires this one in the
+// background, and in-flight submissions finish on the generation they
+// started on.
+func (s *Server) serveJob(j *job) {
 	j.queued = time.Since(j.arrived)
 	// A client that hung up while queued gets its own shed bucket:
 	// serving it is work nobody receives, but it is not a MaxWait renege
@@ -537,34 +466,6 @@ func (s *Server) serveJob(ws *workerState, j *job) {
 	s.admitted.Add(1)
 	s.classes[j.class].admitted.Add(1)
 
-	// Pin the serving generation for the whole request: every fetch the
-	// engine or its prefetcher issues below reads this generation, so a
-	// concurrent Reload cannot mix checkpoints within one request.
-	pinned, gen, release, err := s.store.Acquire()
-	if err != nil {
-		s.fail(j, err)
-		return
-	}
-	defer release()
-
-	// Rebuild the engine when the served generation changed: the layer
-	// memo and prefetch pipeline hold old-generation tensors, and the
-	// reload contract is that every post-swap request computes entirely
-	// on new weights.
-	if ws.eng != nil && ws.gen != gen {
-		s.closeEngine(ws)
-	}
-	ws.pin.set(pinned)
-	defer ws.pin.set(nil) // runs before the deferred release
-	if ws.eng == nil {
-		e, err := infer.NewPrefetchedResilientContext(s.genCtx, s.cfg.Model, breakerStore{s, ws.pin}, s.cfg.Retry)
-		if err != nil {
-			s.fail(j, err)
-			return
-		}
-		ws.eng, ws.gen = e, gen
-	}
-
 	ctx, cancel := s.requestContext(j)
 	// Force-drain reaches into in-flight generations through the daemon
 	// context without parenting every request under it.
@@ -575,24 +476,37 @@ func (s *Server) serveJob(ws *workerState, j *job) {
 	}()
 
 	start := time.Now()
-	tokens, err := s.generate(ws.eng, ctx, j)
+	var bs *batchState
+	var tokens []int
+	var err error
+	// A hot reload may stop the batcher between our snapshot and our
+	// Submit; the successor batcher serves the retry.
+	for attempt := 0; ; attempt++ {
+		bs = s.currentBatch()
+		tokens, err = bs.b.SubmitClass(ctx, j.prompt, j.maxTokens, j.class)
+		if !errors.Is(err, batch.ErrStopped) || attempt >= 2 {
+			break
+		}
+	}
 	j.service = time.Since(start)
-	// Join the background prefetch before the pin drops: no fetch issued
-	// under this request may outlive its generation pin.
-	ws.eng.SettlePrefetch()
-	s.foldPrefetch(ws)
 
 	if err != nil {
-		if errors.Is(err, errPanicked) {
-			// The engine's internal state is suspect; rebuild before the
-			// next request.
-			s.closeEngine(ws)
+		if errors.Is(err, batch.ErrPanicked) {
+			s.replacePanicked(bs)
 		}
 		s.fail(j, err)
+		if errors.Is(err, kvcache.ErrOutOfPages) {
+			// Page pressure the admission predicate could not foresee
+			// (competition, not request size). Conservation note: this
+			// request was already counted admitted, so it stays in the
+			// failed column, not a shed bucket.
+			j.status = http.StatusServiceUnavailable
+			j.retryAfter = time.Second
+		}
 		return
 	}
 	j.tokens = tokens
-	j.generation = gen
+	j.generation = bs.gen
 	s.served.Add(1)
 	if j.probe {
 		s.breaker.ProbeDone(true)
@@ -611,22 +525,6 @@ func (s *Server) requestContext(j *job) (context.Context, context.CancelFunc) {
 		return context.WithTimeout(j.ctx, timeout)
 	}
 	return context.WithCancel(j.ctx)
-}
-
-// errPanicked marks a recovered per-request panic.
-var errPanicked = errors.New("server: request panicked")
-
-// generate runs one generation with panic recovery; a panic fails the
-// request, not the daemon.
-func (s *Server) generate(eng *infer.Engine, ctx context.Context, j *job) (tokens []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			err = fmt.Errorf("%w: %v", errPanicked, r)
-		}
-	}()
-	eng.Reset()
-	return eng.GenerateContext(ctx, j.prompt, j.maxTokens)
 }
 
 // fail classifies an error into the job's response fields and settles
@@ -669,9 +567,10 @@ func (s *Server) fail(j *job, err error) {
 var ErrStaleClose = errors.New("server: old generation close failed after reload")
 
 // Reload hot-swaps the served checkpoint: open + verify a fresh store,
-// then atomically install it; the old generation closes after its last
-// pinned reader. In-flight requests finish on the generation they
-// started on; later requests (and rebuilt engines) see the new one.
+// then atomically install it and build a fresh batcher on it; the old
+// batcher finishes its in-flight requests in the background — Reload
+// does not wait for them — and the old generation closes after that
+// last pinned reader. Later requests see the new one.
 // A nil return means the new generation is serving; an ErrStaleClose
 // return means it is serving but the old store's close failed; any
 // other error means the serving generation is unchanged.
@@ -695,16 +594,11 @@ func (s *Server) Reload() error {
 		return fmt.Errorf("server: reload swap: %w", err)
 	}
 	s.reloads.Add(1)
-	if s.cfg.Batch.Enabled {
-		// Quiesce-and-replace: a fresh batcher is built on the new
-		// generation, then the old one drains its in-flight submissions
-		// on the generation they started on. On failure the swap stands
-		// (worker-mode semantics) but batch requests keep serving the old
-		// generation — surfaced as a reload failure.
-		if rerr := s.rebuildBatcher(); rerr != nil {
-			s.reloadFailures.Add(1)
-			return rerr
-		}
+	// On failure the swap stands but requests keep serving the old
+	// generation through the old batcher — surfaced as a reload failure.
+	if rerr := s.rebuildBatcher(); rerr != nil {
+		s.reloadFailures.Add(1)
+		return rerr
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStaleClose, err)
@@ -752,14 +646,14 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.state = stateStopped
 		s.mu.Unlock()
 		s.forceCancel() // release context resources even on a clean drain
-		// Workers have exited, so no submission can race the teardown.
+		// Workers have exited, so no submission can race the teardown;
+		// batchers a reload retired may still be closing their engines.
 		s.batchMu.Lock()
 		bs := s.bat
 		s.bat = nil
 		s.batchMu.Unlock()
-		if bs != nil {
-			s.stopBatchState(bs)
-		}
+		s.stopBatchState(bs)
+		s.retiring.Wait()
 		cerr := s.store.Close()
 		if derr == nil {
 			derr = cerr
@@ -817,9 +711,9 @@ type Stats struct {
 	// probers need not descend into the breaker snapshot.
 	BreakerState string `json:"breaker_state"`
 	// BatchGeneration is the checkpoint generation the active continuous
-	// batcher was built on (0 outside batch mode or after teardown). It
-	// trails Generation between a hot swap and the batcher rebuild, so a
-	// prober can observe reload convergence.
+	// batcher was built on (0 after teardown). It trails Generation
+	// between a hot swap and the batcher rebuild, so a prober can observe
+	// reload convergence.
 	BatchGeneration int64 `json:"batch_generation"`
 
 	Arrivals         int64 `json:"arrivals"`
@@ -863,7 +757,7 @@ type Stats struct {
 
 	Breaker BreakerSnapshot `json:"breaker"`
 	// Batch is the continuous batcher's snapshot — occupancy, page
-	// utilization, prefix-cache hit rate — present only in batch mode.
+	// utilization, prefix-cache hit rate — present until teardown.
 	Batch *batch.Stats `json:"batch,omitempty"`
 }
 

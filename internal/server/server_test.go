@@ -126,12 +126,23 @@ func TestConfigValidation(t *testing.T) {
 		{Model: mc, OpenStore: open, RequestTimeout: -1},
 		{Model: mc, OpenStore: open, Retry: infer.Retry{Max: -1}},
 		{Model: mc, OpenStore: open, Breaker: BreakerConfig{TripRate: 2}},
+		{Model: mc, OpenStore: open, Batch: BatchConfig{MaxSeqs: -1}},
+		{Model: mc, OpenStore: open, Batch: BatchConfig{KVPages: -1}},
+		{Model: mc, OpenStore: open, Batch: BatchConfig{PageTokens: -1}},
 		{OpenStore: open}, // invalid model
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	// Unset, the worker count follows the batch width, so a zero-value
+	// config can fill every decode step.
+	if got := (Config{}).withDefaults().Workers; got != 8 {
+		t.Errorf("default workers = %d, want the default batch width 8", got)
+	}
+	if got := (Config{Batch: BatchConfig{MaxSeqs: 3}}).withDefaults().Workers; got != 3 {
+		t.Errorf("default workers = %d, want Batch.MaxSeqs 3", got)
 	}
 	if _, err := New(nil, Config{Model: mc, OpenStore: open}); err == nil {
 		t.Error("nil context accepted")
@@ -144,6 +155,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestServeMatchesDirectEngine: the daemon returns byte-identical tokens
+// to a solo engine — for back-to-back requests and for concurrent ones
+// of different lengths riding the same decode steps — and /statz carries
+// the batch snapshot with a conserved ledger.
 func TestServeMatchesDirectEngine(t *testing.T) {
 	mc := tinyModel()
 	path, w := writeCheckpoint(t, mc, 1)
@@ -158,43 +173,86 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	}
 
 	s, ts := startServer(t, Config{
-		Model: mc, OpenStore: fileOpener(path), Workers: 2,
+		Model: mc, OpenStore: fileOpener(path), Workers: 3,
 		Retry: infer.Retry{Max: 2, Sleep: noSleep},
+		Batch: BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
 	status, gr, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: prompt, MaxTokens: 8})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, msg)
 	}
-	if len(gr.Tokens) != 8 {
-		t.Fatalf("got %d tokens, want 8", len(gr.Tokens))
-	}
-	for i := range want {
-		if gr.Tokens[i] != want[i] {
-			t.Fatalf("served tokens %v diverge from direct engine %v", gr.Tokens, want)
-		}
+	if !equalTokenSlices(gr.Tokens, want) {
+		t.Fatalf("served tokens %v diverge from direct engine %v", gr.Tokens, want)
 	}
 	if gr.Generation != 1 || gr.Model != mc.Name {
 		t.Errorf("response metadata %+v", gr)
 	}
-	// A second request on the same worker must not leak KV-cache state.
+	// A second request must not see the first one's KV state as anything
+	// but a shared prefix.
 	status, gr2, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: prompt, MaxTokens: 8})
 	if status != http.StatusOK {
 		t.Fatalf("second request status %d: %s", status, msg)
 	}
-	for i := range want {
-		if gr2.Tokens[i] != want[i] {
-			t.Fatalf("second serve diverged (stale KV cache?): %v vs %v", gr2.Tokens, want)
+	if !equalTokenSlices(gr2.Tokens, want) {
+		t.Fatalf("second serve diverged (stale KV cache?): %v vs %v", gr2.Tokens, want)
+	}
+
+	type jobCase struct {
+		prompt []int
+		n      int
+	}
+	jobs := []jobCase{
+		{[]int{1, 2, 3}, 8},
+		{[]int{4, 5}, 3},
+		{[]int{1, 2, 3, 4, 5, 6}, 5},
+		{[]int{7}, 10},
+		{[]int{1, 2, 3}, 2}, // same prefix as job 0: prefix-cache fodder
+	}
+	wants := make([][]int, len(jobs))
+	for i, j := range jobs {
+		ref.Reset()
+		if wants[i], err = ref.Generate(j.prompt, j.n); err != nil {
+			t.Fatal(err)
 		}
 	}
+	var wg sync.WaitGroup
+	codes := make([]int, len(jobs))
+	got := make([]GenerateResponse, len(jobs))
+	for i, j := range jobs {
+		wg.Add(1)
+		go func(i int, j jobCase) {
+			defer wg.Done()
+			codes[i], got[i], _ = postGenerate(t, ts.URL, GenerateRequest{Prompt: j.prompt, MaxTokens: j.n})
+		}(i, j)
+	}
+	wg.Wait()
+	for i := range jobs {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("job %d: status %d", i, codes[i])
+		}
+		if !equalTokenSlices(got[i].Tokens, wants[i]) {
+			t.Fatalf("job %d diverged from solo engine: got %v, want %v", i, got[i].Tokens, wants[i])
+		}
+	}
+
 	st := s.Stats()
 	if !st.Conserved() {
 		t.Errorf("ledger not conserved: %+v", st)
 	}
-	if st.Served != 2 || st.Arrivals != 2 {
-		t.Errorf("served %d / arrivals %d, want 2/2", st.Served, st.Arrivals)
+	if n := int64(2 + len(jobs)); st.Served != n || st.Arrivals != n {
+		t.Errorf("served %d / arrivals %d, want %d/%d", st.Served, st.Arrivals, n, n)
 	}
 	if st.PrefetchHits == 0 {
 		t.Errorf("prefetch pipeline unused: %+v", st)
+	}
+	if st.Batch == nil {
+		t.Fatal("/statz must publish the batch snapshot")
+	}
+	if st.Batch.Completed != int(st.Served) || st.Batch.Steps == 0 {
+		t.Errorf("batch snapshot inconsistent with server counters: %+v vs served %d", st.Batch, st.Served)
+	}
+	if st.Batch.Pool.TotalPages != 64 || st.BatchGeneration != 1 {
+		t.Errorf("pool snapshot missing: %+v (batch generation %d)", st.Batch.Pool, st.BatchGeneration)
 	}
 }
 
@@ -245,8 +303,8 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// blockStore lets a test hold worker engines mid-read to build up a
-// queue deterministically.
+// blockStore lets a test hold the engine mid-read to build up a queue
+// deterministically.
 type blockStore struct {
 	backing infer.WeightStore
 	mu      sync.Mutex
@@ -333,8 +391,8 @@ func TestQueueFullAndRenege(t *testing.T) {
 	}
 }
 
-// panicStore panics on request — the per-request recovery boundary must
-// turn that into a 500 and keep the daemon serving.
+// panicStore panics on request — the batcher's per-step recovery boundary
+// must turn that into a 500 and keep the daemon serving.
 type panicStore struct {
 	backing infer.WeightStore
 	arm     sync.Mutex
@@ -426,6 +484,9 @@ func TestHealthEndpointsAndDrain(t *testing.T) {
 	st := s.Stats()
 	if st.State != "stopped" || st.ShedDraining != 1 {
 		t.Errorf("post-drain stats: %+v", st)
+	}
+	if st.Batch != nil || st.BatchGeneration != 0 {
+		t.Errorf("batcher survived the drain: %+v (generation %d)", st.Batch, st.BatchGeneration)
 	}
 	if !st.Conserved() {
 		t.Errorf("ledger not conserved: %+v", st)
