@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-full fmt-check vet helmvet vulncheck bench bench-smoke daemon-smoke fleet-smoke overload-smoke
+.PHONY: all build test race lint lint-full fmt-check vet helmvet vulncheck bench bench-smoke kernel-oracles daemon-smoke fleet-smoke overload-smoke
 
 all: build lint test
 
@@ -49,6 +49,14 @@ bench:
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload ooc_latency --seed 1 --seconds 2 --trace 0
+
+# The CI chaos job's oracle step: the fused 4-bit kernels against
+# dequantize-then-matmul, the packed view against the dequantizer (fuzz
+# seeds included), a stacked step against one-sequence steps, and the
+# step's validate-first atomicity — all bit-for-bit, under the race
+# detector.
+kernel-oracles:
+	$(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 
 # The CI daemon-smoke job: full helmd lifecycle (signals, reload, drain)
 # plus the server chaos test, both under the race detector.

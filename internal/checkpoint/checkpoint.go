@@ -196,7 +196,7 @@ func decodePayload(name string, kind Kind, payload []byte) (*Entry, error) {
 
 // decodePayloadInto is decodePayload decoding into dst when its
 // capacity suffices (allocating otherwise). The Entry's Data never
-// aliases payload — quantized records are unmarshaled as a transient
+// aliases payload — quantized records are validated as a transient
 // view and fully dequantized — so payload may be a short-lived mmap
 // view.
 func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) (*Entry, error) {
@@ -217,15 +217,34 @@ func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) (*
 			e.Data[i] = quant.Float16(le.Uint16(payload[2*i:])).Float32()
 		}
 	case KindGWQ:
-		var t quant.Tensor
-		if err := t.UnmarshalBinaryView(payload); err != nil {
+		data, err := dequantPayload(payload, dst)
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
 		}
-		e.Data = t.DequantizeInto(dst)
+		e.Data = data
 	default:
 		return nil, fmt.Errorf("checkpoint: tensor %q has unknown kind %d: %w", name, kind, ErrCorrupt)
 	}
 	return e, nil
+}
+
+// dequantPayload decodes a quantized record into dst. 4-bit records
+// decode straight from the validated view; only the widths the view
+// cannot represent build a quant.Tensor and its per-group metadata
+// slices.
+func dequantPayload(payload []byte, dst []float32) ([]float32, error) {
+	p, ok, err := quant.ViewPacked(payload)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return p.DequantizeInto(dst), nil
+	}
+	var t quant.Tensor
+	if err := t.UnmarshalBinaryView(payload); err != nil {
+		return nil, err
+	}
+	return t.DequantizeInto(dst), nil
 }
 
 // readVersion parses and validates the version field.

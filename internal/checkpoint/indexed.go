@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+
+	"helmsim/internal/quant"
 )
 
 // entryMeta locates one tensor inside the file.
@@ -14,6 +16,11 @@ type entryMeta struct {
 	offset int64 // payload start
 	length int64
 	crc    uint32 // v2 record checksum; unused for v1
+	// packable is what the record's own header said at scan time: a
+	// 4-bit layout ReadPacked can hand out as a view. It routes a read
+	// before any payload work; the verdict that counts is ViewPacked's,
+	// on the CRC-checked payload.
+	packable bool
 }
 
 // Indexed is a random-access view of a checkpoint: the header and tensor
@@ -154,6 +161,10 @@ func (ix *Indexed) scan() error {
 			payloadOff += 4
 		}
 		m.offset = payloadOff
+		if m.kind == KindGWQ {
+			var qh [20]byte
+			m.packable = ix.readAt(qh[:], payloadOff) == nil && quant.HeaderPackable(qh[:])
+		}
 		key := string(tn)
 		if _, dup := ix.entries[key]; dup {
 			return fmt.Errorf("checkpoint: duplicate tensor %q", key)
@@ -187,22 +198,38 @@ type byteRanger interface {
 	Bytes() []byte
 }
 
-// payload returns the record's raw bytes: a bounds-checked view of the
-// backing mapping when the reader exposes one, a fresh copy read
-// through io.ReaderAt otherwise. Views are only valid while the index
-// stays open.
+// payload returns the record's bytes after the checks every read makes:
+// a bounds-checked view of the backing mapping when the reader exposes
+// one, a fresh copy read through io.ReaderAt otherwise, matched against
+// the record CRC on version-2 checkpoints. Views are only valid while the
+// index stays open.
 func (ix *Indexed) payload(name string, m entryMeta) ([]byte, error) {
+	var p, b []byte
 	if br, ok := ix.r.(byteRanger); ok {
-		if b := br.Bytes(); b != nil {
-			end := m.offset + m.length
-			if m.offset < 0 || end < m.offset || end > int64(len(b)) {
-				return nil, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", name, ErrCorrupt)
+		b = br.Bytes()
+	}
+	if b != nil {
+		end := m.offset + m.length
+		if m.offset < 0 || end < m.offset || end > int64(len(b)) {
+			return nil, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", name, ErrCorrupt)
+		}
+		p = b[m.offset:end:end]
+	} else {
+		var err error
+		if p, err = ix.payloadCopy(m); err != nil {
+			if ix.closed.Load() {
+				return nil, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
 			}
-			//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index, and every exported reader copies out (ReadTensorInto) before returning
-			return b[m.offset:end:end], nil
+			return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", name, corruptRead(err))
 		}
 	}
-	return ix.payloadCopy(m)
+	if ix.version >= versionCRC {
+		if got := recordCRC(name, m.kind, p); got != m.crc {
+			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", name, m.crc, got, ErrCorrupt)
+		}
+	}
+	//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index; ReadTensorInto copies out before returning, and ReadPacked hands the view on only as a quant.Packed, whose holders (DESIGN §3h) keep the index open through their generation pin
+	return p, nil
 }
 
 // payloadCopy reads the record's bytes through io.ReaderAt: one
@@ -233,6 +260,19 @@ func (ix *Indexed) Mapped() bool {
 	return ok && br.Bytes() != nil
 }
 
+// lookup returns the record's directory entry, or why no read can be
+// served: the index is closed, or holds no such tensor.
+func (ix *Indexed) lookup(name string) (entryMeta, error) {
+	if ix.closed.Load() {
+		return entryMeta{}, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
+	}
+	m, ok := ix.entries[name]
+	if !ok {
+		return entryMeta{}, fmt.Errorf("checkpoint: no tensor %q", name)
+	}
+	return m, nil
+}
+
 // ReadTensor fetches and decodes one tensor from storage, verifying the
 // record CRC on version-2 checkpoints. After Close it fails with
 // ErrClosed; corrupt records fail with ErrCorrupt.
@@ -246,26 +286,38 @@ func (ix *Indexed) ReadTensor(name string) (*Entry, error) {
 // the Entry is live. Data never aliases the checkpoint's backing
 // storage, even on mmap-backed indexes.
 func (ix *Indexed) ReadTensorInto(name string, dst []float32) (*Entry, error) {
-	if ix.closed.Load() {
-		return nil, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
-	}
-	m, ok := ix.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("checkpoint: no tensor %q", name)
+	m, err := ix.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	payload, err := ix.payload(name, m)
 	if err != nil {
-		if ix.closed.Load() {
-			return nil, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
-		}
-		return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", name, corruptRead(err))
-	}
-	if ix.version >= versionCRC {
-		if got := recordCRC(name, m.kind, payload); got != m.crc {
-			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", name, m.crc, got, ErrCorrupt)
-		}
+		return nil, err
 	}
 	return decodePayloadInto(name, m.kind, payload, dst)
+}
+
+// ReadPacked hands out a 4-bit record as a validated view of its bytes
+// instead of decoding it: a view of the mapping on an mmap-backed index,
+// of the freshly read copy otherwise. It performs the checks
+// ReadTensorInto performs — closed, bounds, per-read CRC, payload
+// validation — and the view stays valid only while the index is open.
+// ok is false, with a nil error and before any payload work, for records
+// that have no packed form (raw fp16, 2- and 8-bit, odd group sizes):
+// read those with ReadTensorInto.
+func (ix *Indexed) ReadPacked(name string) (p quant.Packed, ok bool, err error) {
+	m, err := ix.lookup(name)
+	if err != nil || !m.packable {
+		return quant.Packed{}, false, err
+	}
+	payload, err := ix.payload(name, m)
+	if err != nil {
+		return quant.Packed{}, false, err
+	}
+	if p, ok, err = quant.ViewPacked(payload); err != nil {
+		return quant.Packed{}, false, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
+	}
+	return p, ok, nil
 }
 
 // Verify re-reads and decodes every record in file order, validating

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -213,5 +214,113 @@ func TestMmapClosedIsTyped(t *testing.T) {
 	}
 	if _, err := ix.ReadTensor("raw"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close err = %v, want ErrClosed", err)
+	}
+}
+
+// ReadPacked on both index flavours: the view decodes to the bits
+// ReadTensor decodes, records with no packed form say so without being
+// read, and the view gets the checks every read gets — a flipped payload
+// bit is ErrCorrupt, a closed index ErrClosed.
+func TestReadPackedBothFlavours(t *testing.T) {
+	path := mmapFixture(t)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func(string) (*Indexed, error)
+	}{
+		{"readat", OpenIndexed},
+		{"mmap", OpenIndexedMmap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := tc.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ix.ReadTensor("quantized")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ok, err := ix.ReadPacked("quantized")
+			if err != nil || !ok {
+				t.Fatalf("ReadPacked(quantized): ok=%v err=%v", ok, err)
+			}
+			got := p.DequantizeInto(nil)
+			if len(got) != len(want.Data) {
+				t.Fatalf("view has %d elements, want %d", len(got), len(want.Data))
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("element %d: view %v, decode %v", i, got[i], want.Data[i])
+				}
+			}
+			if _, ok, err := ix.ReadPacked("raw"); ok || err != nil {
+				t.Fatalf("ReadPacked(raw): ok=%v err=%v, want not packable", ok, err)
+			}
+			if _, _, err := ix.ReadPacked("absent"); err == nil {
+				t.Fatal("ReadPacked of a missing tensor succeeded")
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ix.ReadPacked("quantized"); !errors.Is(err, ErrClosed) {
+				t.Fatalf("ReadPacked after Close err = %v, want ErrClosed", err)
+			}
+
+			bad := filepath.Join(t.TempDir(), "bad.hlmc")
+			flipped := append([]byte(nil), blob...)
+			flipped[len(flipped)-3] ^= 0x20 // tail of the quantized record's payload
+			if err := os.WriteFile(bad, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bx, err := tc.open(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bx.Close()
+			if _, _, err := bx.ReadPacked("quantized"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadPacked of a flipped record err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// Widths the view cannot represent are routed away from ReadPacked by
+// the record's own header, and still decode through ReadTensor.
+func TestReadPackedSkipsOtherWidths(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "widths", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float32, 130)
+	for i := range vals {
+		vals[i] = float32(i%17) - 8
+	}
+	for name, qc := range map[string]quant.Config{"eight": {Bits: 8, GroupSize: 64}, "odd": {Bits: 4, GroupSize: 7}} {
+		qt, err := quant.Quantize(vals, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteQuantized(name, qt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIndexed(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"eight", "odd"} {
+		if _, ok, err := ix.ReadPacked(name); ok || err != nil {
+			t.Errorf("ReadPacked(%s): ok=%v err=%v, want not packable", name, ok, err)
+		}
+		if e, err := ix.ReadTensor(name); err != nil || len(e.Data) != len(vals) {
+			t.Errorf("ReadTensor(%s): %v", name, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"helmsim/internal/checkpoint"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -81,13 +82,15 @@ func TestStepDecodeAllocsMemStoreZero(t *testing.T) {
 	}
 }
 
-// stepDecodeAllocs prefills a three-token prompt, warms the engine up
-// and reports steady-state allocations per single-token step at one
-// kernel worker.
-func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
+// stepDecode prefills a three-token prompt and returns the engine's
+// single-token step, already run enough times that the arena, KV slabs
+// and any recycled weight buffers have reached their steady-state
+// shapes. Kernel parallelism stays at one worker until the test ends:
+// the worker handoff allocates closures.
+func stepDecode(t *testing.T, cfg model.Config, se *StepEngine) func() {
 	t.Helper()
 	prev := tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
+	t.Cleanup(func() { tensor.SetParallelism(prev) })
 	seq := &StepSeq{Tokens: []int{1, 2, 3}, Pos: 0, KV: NewBlockCaches(cfg)}
 	seqs := []*StepSeq{seq}
 	var tok [1]int
@@ -102,7 +105,14 @@ func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
 	for i := 0; i < 4; i++ {
 		step()
 	}
-	return testing.AllocsPerRun(10, step)
+	return step
+}
+
+// stepDecodeAllocs reports stepDecode's steady-state allocations per
+// step.
+func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(10, stepDecode(t, cfg, se))
 }
 
 // A lockstep engine over a quantized store stops allocating once the
@@ -127,13 +137,41 @@ func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 	}
 }
 
+// oocShaped is bench-ooc's layer shapes (hidden 384, FFN 1536, vocab
+// 2048) at two blocks: 5.2M weights in 81k quantization groups, enough
+// that per-group or per-element garbage shows up in bytes per token.
+func oocShaped() model.Config {
+	return model.Config{Name: "ooc-shaped", Hidden: 384, Heads: 6, Blocks: 2, Vocab: 2048, MaxSeq: 64, DTypeBytes: 2}
+}
+
+// mmapBytesBudget bounds the heap bytes one decode token may allocate
+// over an mmap'd 4-bit checkpoint: record keys and the raw records'
+// entries, nothing that grows with the weights. Decoding every group's
+// fp16 metadata into fresh slices per fetch — 325 kB/token on oocShaped,
+// 813 kB on bench-ooc — is what this number is here to keep out.
+const mmapBytesBudget = 64 << 10
+
+// bytesPerCall is the mean heap bytes allocated by one call of step.
+func bytesPerCall(step func()) uint64 {
+	const calls = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / calls
+}
+
 // File-backed decode cannot be allocation-free (every fetch formats a
 // record key, and the non-mmap path reads each payload into a fresh
 // buffer), but its budget is pinned: a handful of objects per weight
-// fetch, nothing proportional to tokens or context length. A regression
-// that reintroduces per-activation allocation blows well past this.
+// fetch, nothing proportional to tokens or context length, and over mmap
+// a byte budget that nothing proportional to the weights fits in. A
+// regression that reintroduces per-activation, per-tensor or per-group
+// allocation blows well past these.
 func TestStepDecodeAllocsFileBudget(t *testing.T) {
-	cfg := tinyOPT()
+	cfg := oocShaped()
 	path := writeTestCheckpoint(t, cfg, 13)
 	budget := 6.0 * float64(weightCount(cfg))
 	for _, tc := range []struct {
@@ -153,19 +191,25 @@ func TestStepDecodeAllocsFileBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if allocs := stepDecodeAllocs(t, cfg, se); allocs > budget {
+			step := stepDecode(t, cfg, se)
+			if allocs := testing.AllocsPerRun(10, step); allocs > budget {
 				t.Errorf("file decode (%s) allocates %.1f objects/step, budget %.0f", tc.name, allocs, budget)
+			}
+			if !fs.Mapped() {
+				return
+			}
+			if got := bytesPerCall(step); got > mmapBytesBudget {
+				t.Errorf("mmap decode allocates %d B/step, budget %d", got, mmapBytesBudget)
 			}
 		})
 	}
 }
 
-// The solo engine over an mmap'd checkpoint fits the same per-fetch
-// budget: New reads a decode-into store through a layer memo, so decode
-// buffers are recycled instead of allocated per tensor per token — and
-// the store still sees each tensor exactly once per token.
+// The solo engine over an mmap'd checkpoint fits the same budgets — it
+// is the step engine at one sequence — and the store still sees each
+// tensor exactly once per token.
 func TestDecodeAllocsFileBudget(t *testing.T) {
-	cfg := tinyOPT()
+	cfg := oocShaped()
 	fs, err := OpenFileStoreMmap(writeTestCheckpoint(t, cfg, 13))
 	if err != nil {
 		t.Fatal(err)
@@ -187,24 +231,77 @@ func TestDecodeAllocsFileBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, step); allocs > budget {
 		t.Errorf("solo file decode allocates %.1f objects/token, budget %.0f", allocs, budget)
 	}
-	// The object budget would also admit one fresh slice per tensor; the
-	// bytes show whether the weights themselves are being reallocated.
-	var modelBytes uint64
-	for _, l := range cfg.Layers() {
-		for _, w := range l.Weights {
-			modelBytes += 4 * uint64(w.Elems)
+	if !fs.Mapped() {
+		return
+	}
+	if got := bytesPerCall(step); got > mmapBytesBudget {
+		t.Errorf("solo mmap decode allocates %d B/token, budget %d", got, mmapBytesBudget)
+	}
+}
+
+// Steady-state decode on the prefetched engine over the mmap'd 4-bit
+// checkpoint — the shape of the ooc_latency workload — writes no f32
+// copy of a quantized weight anywhere: the prefetcher's bundles carry
+// packed views for every quantized tensor and f32 only for the raw norm
+// and bias records, the engine's dequantization slab is never touched,
+// and the bytes allocated per token stay inside the mmap budget.
+func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
+	cfg := oocShaped()
+	fs, err := OpenFileStoreMmap(writeTestCheckpoint(t, cfg, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if !fs.Mapped() {
+		t.Skip("no mmap on this platform")
+	}
+	se, err := NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	step := stepDecode(t, cfg, se)
+	if got := bytesPerCall(step); got > mmapBytesBudget {
+		t.Errorf("prefetched mmap decode allocates %d B/step, budget %d", got, mmapBytesBudget)
+	}
+	if se.slab != nil {
+		t.Errorf("engine dequantized %d weights into its slab during fused-shape decode", len(se.slab))
+	}
+	se.Settle()
+	ps := se.prefetch
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	bundles := []*layerBundle{ps.cur}
+	for _, tk := range ps.pending {
+		bundles = append(bundles, tk.bundle)
+	}
+	for _, b := range bundles {
+		if b == nil || b.err != nil || len(b.data) == 0 {
+			t.Fatalf("prefetcher holds no clean bundle: %+v", b)
+		}
+		for name, w := range b.data {
+			raw := isNormParam(name) || isBiasParam(name)
+			if w.packed == raw || (w.f32 != nil) != raw {
+				t.Errorf("L%d/%s: packed=%v with %d f32 values (raw record: %v)", b.layer, name, w.packed, len(w.f32), raw)
+			}
 		}
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	const tokens = 10
-	for i := 0; i < tokens; i++ {
-		step()
+}
+
+// holdsPackedView reports whether the store's current bundle carries a
+// packed view.
+func holdsPackedView(ps *PrefetchStore) bool {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.cur == nil {
+		return false
 	}
-	runtime.ReadMemStats(&m1)
-	if perToken := (m1.TotalAlloc - m0.TotalAlloc) / tokens; perToken > modelBytes/4 {
-		t.Errorf("solo file decode allocates %d B/token against %d B of weights: decode buffers are not recycled", perToken, modelBytes)
+	for _, w := range ps.cur.data {
+		if w.packed {
+			return true
+		}
 	}
+	return false
 }
 
 // TopK keeps its sort and probability scratch between calls, so
@@ -303,7 +400,10 @@ func TestPrefetchRecycleIdentity(t *testing.T) {
 // still run exactly once. Run with -race this doubles as the
 // unmap-after-release ordering check.
 func TestSwappableMmapHotReloadRace(t *testing.T) {
-	cfg := tinyOPT()
+	// A width the fused kernels take, so the readers' engines hold packed
+	// views of the mapping in their prefetch bundles and layer memos and
+	// decode them inside the GEMMs while generations swap underneath.
+	cfg := stackOPT()
 	path := writeTestCheckpoint(t, cfg, 47)
 	prompt := []int{2, 9, 4}
 	const n = 6
@@ -349,10 +449,10 @@ func TestSwappableMmapHotReloadRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				// The prefetched engine exercises the recycling decode
-				// path (TensorInto straight out of the mapping); Close
+				// The prefetched engine holds packed views of the mapping
+				// (and decodes the raw records straight out of it); Close
 				// joins background fetches before the pin drops, so no
-				// read outlives the generation.
+				// read and no view outlives the generation.
 				be, err := NewBatchPrefetched(context.Background(), cfg, w, 1, Retry{})
 				if err != nil {
 					release()
@@ -361,6 +461,9 @@ func TestSwappableMmapHotReloadRace(t *testing.T) {
 				}
 				got, genErr := prefetchedSolo{be}.generate(context.Background(), prompt, n)
 				closeErr := be.Close()
+				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(be.se.prefetch) {
+					genErr = fmt.Errorf("prefetched engine over a pinned mmap generation holds no packed view")
+				}
 				release()
 				if genErr != nil {
 					errs <- genErr

@@ -102,6 +102,19 @@ func (s *FileStore) TensorInto(layer int, name string, dst []float32) ([]float32
 	return e.Data, nil
 }
 
+// TensorPacked implements PackedStore: a 4-bit record comes back as a
+// bounds-, CRC- and metadata-checked view of its stored bytes — of the
+// mapping on an mmap-backed store — valid until the store is closed.
+// Records with no packed form report ok false from the directory, unread
+// and uncounted: the caller's TensorInto is their one read.
+func (s *FileStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	p, ok, err := s.ix.ReadPacked(TensorKey(layer, name))
+	if ok {
+		s.reads.Add(1)
+	}
+	return p, ok, err
+}
+
 // ModelName reports the checkpoint's model.
 func (s *FileStore) ModelName() string { return s.ix.ModelName() }
 

@@ -10,27 +10,31 @@ import (
 )
 
 // layerMemo caches the tensors of one layer at a time in front of a
-// backing store. In lockstep batched execution every sequence visits the
-// same layer before anyone moves on, so the memo turns B weight fetches
-// (and B dequantizations) per layer into one — the executable counterpart
-// of the zig-zag schedule's weight reuse (§II-B).
+// backing store. A step visits each layer once for every sequence
+// together, so the memo is what makes a weight cross the store boundary
+// once per layer per step however the engine asks for it — the executable
+// counterpart of the zig-zag schedule's weight reuse (§II-B). It is the
+// engine's one view of the store: the optional fetch paths of the backing
+// store are resolved here, once, in order of preference.
 type layerMemo struct {
-	backing WeightStore
-	// into is backing's decode-into path, when it has one: evicted layers'
-	// buffers are then kept (keyed by tensor name) and the next layer
-	// decodes into them, so the memo stops allocating once it has seen
-	// one full layer cycle. The memo is single-consumer (one lockstep
-	// engine), which is what makes reuse safe: a recycled buffer is only
+	// storePaths are the backing store's fetch paths. packed: 4-bit
+	// tensors arrive as validated views of their stored bytes and are
+	// never decoded here; the memo holds a view only while its layer is
+	// current, inside the lifetime DESIGN §3h gives packed views (the
+	// index stays open for the life of the engine). into: evicted layers'
+	// buffers are kept (keyed by tensor name) and the next layer decodes
+	// into them, so the memo stops allocating once it has seen one full
+	// layer cycle. The memo is single-consumer (one lockstep engine),
+	// which is what makes reuse safe: a recycled buffer is only
 	// overwritten after its layer was evicted, i.e. after the engine
 	// moved past it. A PrefetchStore backing never implements IntoStore —
-	// it owns (and recycles) its bundle buffers itself.
-	into IntoStore
-	// views is backing's zero-copy path, used when it has no decode-into
-	// path: a resident MemStore then serves its own storage (read-only,
-	// like every weight the engine sees) instead of a copy per fetch.
-	views ViewStore
+	// it owns (and recycles) its bundle buffers itself. views, used only
+	// when there is no decode-into path: a resident MemStore serves its
+	// own storage (read-only, like every weight the engine sees) instead
+	// of a copy per fetch.
+	storePaths
 	layer int
-	cache map[string][]float32
+	cache map[string]weight
 	free  map[string][]float32
 	// fetches counts backing-store accesses (observable reuse); atomic so
 	// counter reads stay well-defined while a prefetching backing store
@@ -40,7 +44,8 @@ type layerMemo struct {
 
 // newLayerMemo wraps a store.
 func newLayerMemo(backing WeightStore) *layerMemo {
-	m := &layerMemo{backing: backing, layer: -1, cache: map[string][]float32{}}
+	m := &layerMemo{storePaths: storePaths{backing: backing}, layer: -1, cache: map[string]weight{}}
+	m.packed, _ = backing.(PackedStore)
 	if is, ok := backing.(IntoStore); ok {
 		m.into = is
 		m.free = map[string][]float32{}
@@ -50,40 +55,34 @@ func newLayerMemo(backing WeightStore) *layerMemo {
 	return m
 }
 
-// Tensor implements WeightStore: a request for a new layer evicts the
-// previous layer's tensors (the maps are cleared and reused, not
-// reallocated — the memo changes layer once per layer per step), whose
-// buffers become the new layer's decode targets when the backing store
-// decodes into buffers.
-func (m *layerMemo) Tensor(layer int, name string) ([]float32, error) {
+// fetch returns the named tensor of the layer, from the backing store on
+// the first request of a layer visit and from the memo after. A request
+// for a new layer evicts the previous layer's tensors (the map is cleared
+// and reused, not reallocated — the memo changes layer once per layer per
+// step); evicted f32 buffers become the new layer's decode targets when
+// the backing store decodes into buffers.
+func (m *layerMemo) fetch(layer int, name string) (weight, error) {
 	if layer != m.layer {
 		m.layer = layer
 		if m.into != nil {
-			for n, d := range m.cache {
-				m.free[n] = d
+			for n, w := range m.cache {
+				if w.f32 != nil {
+					m.free[n] = w.f32
+				}
 			}
 		}
 		clear(m.cache)
 	}
-	if d, ok := m.cache[name]; ok {
-		return d, nil
+	if w, ok := m.cache[name]; ok {
+		return w, nil
 	}
-	var d []float32
-	var err error
-	switch {
-	case m.into != nil:
-		d, err = m.into.TensorInto(layer, name, m.free[name])
-	case m.views != nil:
-		d, err = m.views.TensorView(layer, name)
-	default:
-		d, err = m.backing.Tensor(layer, name)
-	}
+	w, err := m.storePaths.fetch(layer, name, m.free[name])
 	if err != nil {
-		return nil, err
+		return weight{}, err
 	}
 	m.fetches.Add(1)
-	m.cache[name] = d
-	return d, nil
+	m.cache[name] = w
+	return w, nil
 }
 
 // seqState is one sequence's decoding state.
@@ -92,13 +91,13 @@ type seqState struct {
 	pos int
 }
 
-// BatchEngine decodes several sequences in lockstep: each step walks the
-// layers once, advancing every sequence through layer L before touching
-// layer L+1, so each layer's weights are fetched (and dequantized) exactly
-// once per step regardless of the batch size. It is the fixed-membership
-// wrapper over StepEngine: the sequence set is chosen at construction and
-// a slot is held for a request's whole lifetime (the continuous batcher
-// in internal/batch lifts that restriction).
+// BatchEngine decodes a fixed set of sequences together: each step is one
+// StepEngine pass over the layers with every sequence's rows stacked, so
+// each layer's weights are fetched and consumed exactly once per step
+// regardless of the batch size. It is the fixed-membership wrapper over
+// StepEngine: the sequence set is chosen at construction and a slot is
+// held for a request's whole lifetime (the continuous batcher in
+// internal/batch lifts that restriction).
 type BatchEngine struct {
 	se   *StepEngine
 	seqs []seqState
@@ -118,10 +117,10 @@ func NewBatch(cfg model.Config, w WeightStore, nSeqs int) (*BatchEngine, error) 
 }
 
 // NewBatchPrefetched is NewBatch over NewStepEnginePrefetched: while
-// Step computes layer L, layer L+1 is fetched (and dequantized) in the
-// background — Listing 1's overlap, executable — and a transiently
-// failed background fetch degrades to a foreground fetch retried under
-// r instead of failing the whole wave. Cancelling ctx aborts the
+// Step computes layer L, layer L+1 is fetched in the background —
+// Listing 1's overlap, executable — and a transiently failed background
+// fetch degrades to a foreground fetch retried under r instead of
+// failing the whole wave. Cancelling ctx aborts the
 // prefetcher; Close the engine to stop it.
 func NewBatchPrefetched(ctx context.Context, cfg model.Config, w WeightStore, nSeqs int, r Retry) (*BatchEngine, error) {
 	se, err := NewStepEnginePrefetched(ctx, cfg, w, r)
@@ -140,7 +139,7 @@ func newBatch(se *StepEngine, nSeqs int) (*BatchEngine, error) {
 	}
 	b := &BatchEngine{se: se, seqs: make([]seqState, nSeqs)}
 	for i := range b.seqs {
-		b.seqs[i].kv = NewBlockCaches(se.eng.cfg)
+		b.seqs[i].kv = NewBlockCaches(se.cfg)
 	}
 	return b, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"helmsim/internal/fault"
 	"helmsim/internal/model"
+	"helmsim/internal/quant"
 )
 
 // prefetchDepth is how many layers ahead the store keeps in flight: the
@@ -14,10 +15,14 @@ import (
 // nothing has yet shown a deeper pipeline paying for its resident layer.
 const prefetchDepth = 1
 
-// PrefetchStore overlaps the next layers' weight fetch — and, when the
-// backing store is quantized or on disk, their dequantization and I/O —
-// with the current layer's compute: the executable counterpart of
-// Listing 1's load_weight(i, j+1) ∥ compute(i, j). The first request for
+// PrefetchStore overlaps the next layers' weight fetch with the current
+// layer's compute: the executable counterpart of Listing 1's
+// load_weight(i, j+1) ∥ compute(i, j). Over a backing store that hands
+// out packed views (PackedStore) the background work is a transfer, as
+// in the paper — page-in or read, CRC, metadata validation — and 4-bit
+// tensors stay packed until a kernel consumes them; only tensors with
+// no packed form (raw records, or any tensor of a store that can only
+// decode) are decoded here, in the background. The first request for
 // a tensor of layer L hands back the prefetched bundle (or fetches it
 // synchronously on a miss) and immediately tops the pipeline back up to
 // its depth; because the schedule cycles input-embed → blocks →
@@ -45,11 +50,14 @@ const prefetchDepth = 1
 // on" and "being decoded into". A second reader at another layer would
 // see torn weights, so every engine builds its own store.
 type PrefetchStore struct {
-	backing WeightStore
-	into    IntoStore        // non-nil when backing decodes into buffers: recycling is on
-	next    map[int]int      // layer index -> successor in the schedule cycle
-	names   map[int][]string // layer index -> tensor names, spec order
-	retry   Retry            // foreground re-attempt policy (zero: none)
+	// storePaths are the backing store's fetch paths: packed is set when
+	// it hands out packed views, into when it decodes into buffers
+	// (recycling is then on); views stays unset — the bundles of a store
+	// that only serves Tensor hold its copies.
+	storePaths
+	next  map[int]int      // layer index -> successor in the schedule cycle
+	names map[int][]string // layer index -> tensor names, spec order
+	retry Retry            // foreground re-attempt policy (zero: none)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -58,16 +66,18 @@ type PrefetchStore struct {
 	cur          *layerBundle
 	pending      []*fetchTicket // FIFO of in-flight fetches, schedule order
 	free         map[string][][]float32
-	freeMaps     []map[string][]float32
+	freeMaps     []map[string]weight
 	hits, misses int
 	degraded     int // background fetches that failed and were retried in the foreground
 }
 
 // layerBundle is one layer's tensors, fully fetched (or the error that
-// interrupted the fetch).
+// interrupted the fetch): packed views for the tensors the backing store
+// serves packed, f32 slabs for the rest. It is one of the two holders of
+// packed views (DESIGN §3h).
 type layerBundle struct {
 	layer int
-	data  map[string][]float32
+	data  map[string]weight
 	err   error
 }
 
@@ -96,10 +106,10 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 	}
 	layers := cfg.Layers()
 	s := &PrefetchStore{
-		backing: backing,
-		next:    make(map[int]int, len(layers)),
-		names:   make(map[int][]string, len(layers)),
-		retry:   r,
+		storePaths: storePaths{backing: backing},
+		next:       make(map[int]int, len(layers)),
+		names:      make(map[int][]string, len(layers)),
+		retry:      r,
 	}
 	// Recycling needs a decode-into path; a backing store without one
 	// (e.g. a plain MemStore) keeps the allocate-per-fetch behavior,
@@ -108,6 +118,7 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 		s.into = is
 		s.free = make(map[string][][]float32)
 	}
+	s.packed, _ = backing.(PackedStore)
 	for i, l := range layers {
 		s.next[l.Index] = layers[(i+1)%len(layers)].Index
 		names := make([]string, len(l.Weights))
@@ -122,16 +133,37 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 
 // Tensor implements WeightStore. Requests for names outside the model's
 // layer specs pass through to the backing store so its error surfaces
-// unchanged.
+// unchanged. A tensor the bundle holds packed is dequantized into a
+// fresh slice: engines ask TensorPacked first and never get here for
+// one.
 func (s *PrefetchStore) Tensor(layer int, name string) ([]float32, error) {
 	b, err := s.bundle(layer)
 	if err != nil {
 		return nil, err
 	}
-	if d, ok := b.data[name]; ok {
-		return d, nil
+	w, ok := b.data[name]
+	switch {
+	case !ok:
+		return s.backing.Tensor(layer, name)
+	case w.packed:
+		return w.q.DequantizeInto(nil), nil
 	}
-	return s.backing.Tensor(layer, name)
+	return w.f32, nil
+}
+
+// TensorPacked implements PackedStore from the same bundles: the view
+// the background fetch validated, when the backing store served the
+// tensor packed.
+func (s *PrefetchStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	if s.packed == nil {
+		return quant.Packed{}, false, nil
+	}
+	b, err := s.bundle(layer)
+	if err != nil {
+		return quant.Packed{}, false, err
+	}
+	w := b.data[name]
+	return w.q, w.packed, nil
 }
 
 // bundle returns the requested layer's tensors, consuming the matching
@@ -219,7 +251,7 @@ func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 // modest injected fault rate. The outer layer-level loop remains as a
 // second line of defense. Re-attempts reuse the failed bundle's buffers
 // (every IntoStore fully overwrites a buffer before success).
-func (s *PrefetchStore) fetchLayerRetry(layer int, dsts map[string][]float32) *layerBundle {
+func (s *PrefetchStore) fetchLayerRetry(layer int, dsts map[string]weight) *layerBundle {
 	b := s.fetchLayer(layer, true, dsts)
 	for attempt := 1; b.err != nil && attempt <= s.retry.Max; attempt++ {
 		if !fault.IsTransient(b.err) || s.ctx.Err() != nil {
@@ -290,37 +322,37 @@ func (s *PrefetchStore) scheduleLocked() {
 // decode into fresh allocations). Returns nil when recycling is off (no
 // IntoStore backing).
 // Caller holds mu.
-func (s *PrefetchStore) takeSlabsLocked(layer int) map[string][]float32 {
+func (s *PrefetchStore) takeSlabsLocked(layer int) map[string]weight {
 	if s.into == nil {
 		return nil
 	}
 	names := s.names[layer]
-	var dsts map[string][]float32
+	var dsts map[string]weight
 	if n := len(s.freeMaps); n > 0 {
 		dsts = s.freeMaps[n-1]
 		s.freeMaps = s.freeMaps[:n-1]
 	} else {
-		dsts = make(map[string][]float32, len(names))
+		dsts = make(map[string]weight, len(names))
 	}
 	for _, name := range names {
 		if bufs := s.free[name]; len(bufs) > 0 {
-			dsts[name] = bufs[len(bufs)-1]
+			dsts[name] = weight{f32: bufs[len(bufs)-1]}
 			s.free[name] = bufs[:len(bufs)-1]
 		}
 	}
 	return dsts
 }
 
-// recycleBundleLocked returns a bundle's buffers (and its map) to the
-// free pools for upcoming fetches. No-op when recycling is off. Caller
-// holds mu.
+// recycleBundleLocked returns a bundle's f32 buffers (and its map) to
+// the free pools for upcoming fetches; packed views are simply dropped.
+// No-op when recycling is off. Caller holds mu.
 func (s *PrefetchStore) recycleBundleLocked(b *layerBundle) {
 	if s.into == nil || b == nil || b.data == nil {
 		return
 	}
-	for name, d := range b.data {
-		if cap(d) > 0 {
-			s.free[name] = append(s.free[name], d)
+	for name, w := range b.data {
+		if cap(w.f32) > 0 {
+			s.free[name] = append(s.free[name], w.f32)
 		}
 	}
 	clear(b.data)
@@ -333,14 +365,14 @@ func (s *PrefetchStore) recycleBundleLocked(b *layerBundle) {
 // transiently failed tensor read is re-attempted individually under the
 // store's retry policy before it fails the bundle. dsts, when non-nil,
 // supplies recycled decode targets (and becomes the bundle's data map).
-func (s *PrefetchStore) fetchLayer(layer int, retry bool, dsts map[string][]float32) *layerBundle {
+func (s *PrefetchStore) fetchLayer(layer int, retry bool, dsts map[string]weight) *layerBundle {
 	names, ok := s.names[layer]
 	if !ok {
 		return &layerBundle{layer: layer, err: fmt.Errorf("infer: prefetch: unknown layer %d", layer)}
 	}
 	data := dsts
 	if data == nil {
-		data = make(map[string][]float32, len(names))
+		data = make(map[string]weight, len(names))
 	}
 	b := &layerBundle{layer: layer, data: data}
 	for _, name := range names {
@@ -348,32 +380,23 @@ func (s *PrefetchStore) fetchLayer(layer int, retry bool, dsts map[string][]floa
 			b.err = fmt.Errorf("infer: prefetch L%d cancelled: %w", layer, err)
 			return b
 		}
-		d, err := s.fetchTensor(layer, name, data[name])
+		w, err := s.storePaths.fetch(layer, name, data[name].f32)
 		if retry {
 			for attempt := 1; err != nil && attempt <= s.retry.Max; attempt++ {
 				if !fault.IsTransient(err) || s.ctx.Err() != nil {
 					break
 				}
 				s.retry.pause(attempt)
-				d, err = s.fetchTensor(layer, name, data[name])
+				w, err = s.storePaths.fetch(layer, name, data[name].f32)
 			}
 		}
 		if err != nil {
 			b.err = fmt.Errorf("infer: prefetch L%d/%s: %w", layer, name, err)
 			return b
 		}
-		b.data[name] = d
+		b.data[name] = w
 	}
 	return b
-}
-
-// fetchTensor reads one tensor, decoding into dst through the backing
-// store's IntoStore path when it has one.
-func (s *PrefetchStore) fetchTensor(layer int, name string, dst []float32) ([]float32, error) {
-	if s.into != nil {
-		return s.into.TensorInto(layer, name, dst)
-	}
-	return s.backing.Tensor(layer, name)
 }
 
 // Stats reports prefetch hits (layer was ready or in flight when first

@@ -3,8 +3,10 @@ package infer
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"helmsim/internal/model"
+	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
 
@@ -26,32 +28,76 @@ type StepSeq struct {
 	KV []KVBlock
 }
 
+// fusedMaxRows is the tallest stacked activation the engine runs through
+// the fused 4-bit kernels; anything taller (a prefill, a step that mixes
+// one in) dequantizes the tensor once into the engine's slab and runs
+// the dense kernel, whose row split uses both cores on a tall input
+// where the fused kernel's column split has three groups a worker to
+// share. Measured with tensor.BenchmarkQ4Crossover on the three
+// bench-ooc shapes (384x384 four times a block, 384x1536, 1536x384) at
+// two workers, per block: fused 1.2 ms against slab 1.7 ms at one row,
+// 4.2 against 4.9 at 8, a tie (7.0, 7.2) at 16, slab ahead from 32 (11.2
+// against 13.0) to 128 (37.7 against 44.1); end to end the fused kernel
+// at 128 rows cost ooc_latency 7 % of its TTFT (323 ms against 301).
+// 8 is also the widest decode step the daemons ship with.
+const fusedMaxRows = 8
+
 // StepEngine advances an arbitrary set of sequences one iteration at a
-// time, in lockstep over layers: every sequence finishes layer L before
-// any touches L+1, so each layer's weights are fetched (and dequantized)
-// exactly once per step regardless of how many sequences ride it. It is
-// the substrate of both the fixed-batch BatchEngine and the continuous
-// batcher: the engine holds no sequence state, so the set of sequences
-// may change freely between calls.
+// time. A step stacks the rows of every active sequence into one
+// activation matrix, so each layer's weights are fetched once and each
+// normalization, projection, FFN and logit kernel runs once per step,
+// over all sequences' rows together; only what depends on a sequence's
+// own history — rotary position, KV append, the attention core — runs per
+// sequence, on its row range. Every kernel involved computes an output
+// row from its own input row alone (DESIGN §3c), so a sequence's logits
+// carry the same bits whoever shares its step. It is the substrate of the
+// solo Engine, the fixed-batch BatchEngine and the continuous batcher:
+// the engine holds no sequence state, so the set of sequences may change
+// freely between calls.
+//
+// All per-step scratch — activations, attention scores, logits — comes
+// from a per-engine arena and is recycled across steps, so steady-state
+// decode performs no heap allocation (a measured invariant over a
+// MemStore; quantized and file-backed stores add only their decode
+// path's small pinned budget).
 type StepEngine struct {
-	eng      *Engine
+	cfg      model.Config
+	layers   []model.Layer
 	memo     *layerMemo
 	prefetch *PrefetchStore // non-nil when built by NewStepEnginePrefetched
-	// xs and out are per-step scratch reused across Step calls so the
-	// steady-state decode loop performs no per-step slice allocation.
-	xs  []tensor.Mat
-	out []tensor.Mat
+
+	ar     *tensor.Arena
+	scores []float32  // one attention-score row, MaxSeq wide
+	logits tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
+	// slab is the dequantization target for packed tensors the fused
+	// kernels do not take; it grows to the largest such tensor and holds
+	// one tensor at a time.
+	slab []float32
+	// rows and out are per-step scratch reused across Step calls:
+	// sequence i owns rows [rows[i], rows[i+1]) of the stacked matrices.
+	rows []int
+	out  []tensor.Mat
 }
 
 // NewStepEngine builds an iteration-level engine over the model and
-// weight store.
+// weight store. The store is read through a per-layer memo, which asks
+// it for a tensor once per layer visit — by the cheapest path the store
+// offers: packed views, decode-into recycled buffers, zero-copy views,
+// plain copies.
 func NewStepEngine(cfg model.Config, w WeightStore) (*StepEngine, error) {
-	memo := newLayerMemo(w)
-	eng, err := New(cfg, memo)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &StepEngine{eng: eng, memo: memo}, nil
+	if w == nil {
+		return nil, fmt.Errorf("infer: nil weight store")
+	}
+	return &StepEngine{
+		cfg:    cfg,
+		layers: cfg.Layers(),
+		memo:   newLayerMemo(w),
+		ar:     tensor.NewArena(),
+		scores: make([]float32, cfg.MaxSeq),
+	}, nil
 }
 
 // NewStepEnginePrefetched is NewStepEngine with a PrefetchStore between
@@ -75,7 +121,7 @@ func NewStepEnginePrefetched(ctx context.Context, cfg model.Config, w WeightStor
 }
 
 // Config reports the model the engine serves.
-func (se *StepEngine) Config() model.Config { return se.eng.cfg }
+func (se *StepEngine) Config() model.Config { return se.cfg }
 
 // WeightFetches reports backing-store tensor fetches so far.
 func (se *StepEngine) WeightFetches() int { return int(se.memo.fetches.Load()) }
@@ -114,27 +160,56 @@ func (se *StepEngine) Close() error {
 	return se.prefetch.Close()
 }
 
+// reclaim recycles the logits handed out by the previous step — the
+// other half of the "logits valid until the next call" contract.
+func (se *StepEngine) reclaim() {
+	se.ar.Put(se.logits)
+	se.logits = tensor.Mat{}
+}
+
 // Step advances every sequence with non-empty Tokens by one iteration
 // and returns the last-position logits per advanced sequence (zero Mat
-// for skipped ones). Position bookkeeping stays with the caller: on
-// success each advanced sequence has len(Tokens) new positions cached
-// and the caller advances Pos; on error the step is atomic — every
-// sequence's KV is truncated back to its Pos, so a retried or
-// rescheduled step cannot double-append and no two blocks ever disagree
-// on cache length.
+// for skipped ones). The logits are row views of one arena matrix: they
+// stay valid until the engine's next Step and must be copied to outlive
+// it. Position bookkeeping stays with the caller: on success each
+// advanced sequence has len(Tokens) new positions cached and the caller
+// advances Pos; on error the step is atomic — every sequence's KV is
+// truncated back to its Pos, so a retried or rescheduled step cannot
+// double-append and no two blocks ever disagree on cache length.
 func (se *StepEngine) Step(seqs []*StepSeq) ([]tensor.Mat, error) {
-	cfg := se.eng.cfg
-	se.eng.reclaim()
-	if cap(se.xs) < len(seqs) {
-		se.xs = make([]tensor.Mat, len(seqs))
+	se.reclaim()
+	rows, err := se.layout(seqs)
+	if err != nil {
+		return nil, err
 	}
-	xs := se.xs[:len(seqs)]
-	clear(xs)
-	active := 0
-	// Validate and embed every active sequence first (layer 0 weights
-	// fetched once). Nothing is appended to any KV cache yet, so errors
-	// here need no rollback.
+	out, err := se.forward(seqs, rows)
+	if err != nil {
+		for i, s := range seqs {
+			if rows[i+1] == rows[i] {
+				continue
+			}
+			for _, kb := range s.KV {
+				kb.Truncate(s.Pos)
+			}
+		}
+		return nil, err
+	}
+	return out, nil
+}
+
+// layout validates every sequence of the step — before anything is
+// allocated, fetched or appended, so a bad sequence costs the others
+// nothing — and assigns each active one its row range in the stacked
+// activation matrices: sequence i owns rows [rows[i], rows[i+1]).
+func (se *StepEngine) layout(seqs []*StepSeq) ([]int, error) {
+	cfg := se.cfg
+	if cap(se.rows) <= len(seqs) {
+		se.rows = make([]int, len(seqs)+1)
+	}
+	rows := se.rows[:len(seqs)+1]
+	total := 0
 	for i, s := range seqs {
+		rows[i] = total
 		if s == nil || len(s.Tokens) == 0 {
 			continue
 		}
@@ -147,76 +222,467 @@ func (se *StepEngine) Step(seqs []*StepSeq) ([]tensor.Mat, error) {
 		if s.Pos+len(s.Tokens) > cfg.MaxSeq {
 			return nil, fmt.Errorf("infer: sequence %d context overflow (%d + %d > %d)", i, s.Pos, len(s.Tokens), cfg.MaxSeq)
 		}
-		x, err := se.eng.embed(s.Tokens, s.Pos)
+		for _, tok := range s.Tokens {
+			if tok < 0 || tok >= cfg.Vocab {
+				return nil, fmt.Errorf("infer: sequence %d: token %d outside vocab %d", i, tok, cfg.Vocab)
+			}
+		}
+		total += len(s.Tokens)
+	}
+	rows[len(seqs)] = total
+	if total == 0 {
+		return nil, fmt.Errorf("infer: empty step")
+	}
+	return rows, nil
+}
+
+// forward is the one forward pass of the package: embed, then per block
+// attention and FFN over the stacked rows, then logits. On error the KV
+// caches may hold this step's partial appends; Step truncates them.
+func (se *StepEngine) forward(seqs []*StepSeq, rows []int) ([]tensor.Mat, error) {
+	x, err := se.embed(seqs, rows)
+	if err != nil {
+		return nil, err
+	}
+	for blk := 0; blk < se.cfg.Blocks; blk++ {
+		nx, err := se.attention(se.layers[1+2*blk], blk, seqs, rows, x)
+		se.ar.Put(x)
 		if err != nil {
 			return nil, err
 		}
-		xs[i] = x
-		active++
+		x = nx
+		nx, err = se.ffnBlock(se.layers[2+2*blk], x)
+		se.ar.Put(x)
+		if err != nil {
+			return nil, err
+		}
+		x = nx
 	}
-	if active == 0 {
-		return nil, fmt.Errorf("infer: empty step")
+	out, err := se.output(seqs, rows, x)
+	se.ar.Put(x)
+	return out, err
+}
+
+// mat is a fetched tensor with its matrix shape checked.
+func (se *StepEngine) mat(layer int, name string, r, c int) (weight, error) {
+	w, err := se.memo.fetch(layer, name)
+	if err != nil {
+		return weight{}, err
+	}
+	if n := w.len(); n != r*c {
+		return weight{}, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", layer, name, r, c, r*c, n)
+	}
+	return w, nil
+}
+
+// vec fetches a tensor as a length-n f32 vector. Norm gains and biases
+// are stored raw by this repo's writer; one that arrives packed anyway
+// gets a slice of its own, because a norm holds two vectors at once and
+// the slab holds one tensor.
+func (se *StepEngine) vec(layer int, name string, n int) ([]float32, error) {
+	w, err := se.mat(layer, name, 1, n)
+	if err != nil {
+		return nil, err
+	}
+	if w.packed {
+		return w.q.DequantizeInto(nil), nil
+	}
+	return w.f32, nil
+}
+
+// dense returns the tensor's f32 values: its own when it was fetched
+// decoded, the engine's slab — overwritten by the next call — when it
+// arrived packed.
+func (se *StepEngine) dense(w weight) []float32 {
+	if !w.packed {
+		return w.f32
+	}
+	se.slab = w.q.DequantizeInto(se.slab)
+	return se.slab
+}
+
+// tableRows reads single rows of an r x c lookup table. A packed table
+// whose rows are whole groups decodes just the row asked for — the
+// embedding tables are the largest tensors of a small model, and a
+// decode step reads one row of each; any other table is read from its
+// dense form (for a packed one: the engine's slab, so one table at a
+// time).
+type tableRows struct {
+	c     int
+	q     quant.Packed
+	byRow bool
+	full  []float32
+}
+
+func (se *StepEngine) tableRows(t weight, c int) tableRows {
+	if t.packed && c%t.q.GroupSize() == 0 {
+		return tableRows{c: c, q: t.q, byRow: true}
+	}
+	return tableRows{c: c, full: se.dense(t)}
+}
+
+// read fills dst (length c) with row r.
+func (t tableRows) read(dst []float32, r int) {
+	if t.byRow {
+		t.q.DecodeRange(dst, r*t.c)
+		return
+	}
+	copy(dst, t.full[r*t.c:(r+1)*t.c])
+}
+
+// embed builds the stacked hidden states of every active sequence's new
+// tokens: sequence i's token j lands in row rows[i]+j, at absolute
+// position Pos+j.
+func (se *StepEngine) embed(seqs []*StepSeq, rows []int) (tensor.Mat, error) {
+	l := se.layers[0]
+	h := se.cfg.Hidden
+	w, err := se.mat(l.Index, "w_token", se.cfg.Vocab, h)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	x := se.ar.Get(rows[len(seqs)], h)
+	table := se.tableRows(w, h)
+	for i, s := range seqs {
+		for j := range rows[i+1] - rows[i] {
+			table.read(x.Row(rows[i]+j), s.Tokens[j])
+		}
+	}
+	if se.cfg.Arch != model.ArchOPT {
+		return x, nil
+	}
+	if w, err = se.mat(l.Index, "w_pos", se.cfg.MaxSeq+2, h); err != nil {
+		se.ar.Put(x)
+		return tensor.Mat{}, err
+	}
+	table = se.tableRows(w, h)
+	prow := se.ar.Get(1, h)
+	defer se.ar.Put(prow)
+	for i, s := range seqs {
+		for j := range rows[i+1] - rows[i] {
+			// OPT offsets learned positions by 2.
+			table.read(prow.Data, s.Pos+j+2)
+			row := x.Row(rows[i] + j)
+			for d := range row {
+				row[d] += prow.Data[d]
+			}
+		}
+	}
+	return x, nil
+}
+
+// normGainName resolves which gain tensor the layer carries: decoder
+// blocks use "w_norm" under Llama, while the output layer's final norm
+// is stored as "w_ln" for both architectures. Consulting the layer spec
+// (instead of probing the store and falling back on error) keeps the
+// hot path from fabricating error values every pass.
+func normGainName(layer model.Layer) string {
+	for _, w := range layer.Weights {
+		if w.Name == "w_norm" {
+			return "w_norm"
+		}
+	}
+	return "w_ln"
+}
+
+// norm applies the architecture's normalization using the layer's
+// params, into a fresh arena matrix the caller owns.
+func (se *StepEngine) norm(layer model.Layer, x tensor.Mat) (tensor.Mat, error) {
+	h := se.cfg.Hidden
+	if se.cfg.Arch == model.ArchLlama {
+		gamma, err := se.vec(layer.Index, normGainName(layer), h)
+		if err != nil {
+			return tensor.Mat{}, err
+		}
+		out := se.ar.Get(x.R, x.C)
+		if err := tensor.RMSNormInto(x, gamma, normEps, out); err != nil {
+			se.ar.Put(out)
+			return tensor.Mat{}, err
+		}
+		return out, nil
+	}
+	gamma, err := se.vec(layer.Index, "w_ln", h)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	beta, err := se.vec(layer.Index, "b_ln", h)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	out := se.ar.Get(x.R, x.C)
+	if err := tensor.LayerNormInto(x, gamma, beta, normEps, out); err != nil {
+		se.ar.Put(out)
+		return tensor.Mat{}, err
+	}
+	return out, nil
+}
+
+// proj computes x @ W (+ bias for OPT) into a fresh arena matrix the
+// caller owns. A packed W under a short x is decoded tile by tile inside
+// the GEMM, once for all of x's rows; otherwise it is dequantized into
+// the slab first. Which kernel runs depends on what was fetched and on
+// x's height, never on a setting, and both store the same bits.
+func (se *StepEngine) proj(layer model.Layer, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
+	w, err := se.mat(layer.Index, wName, x.C, outDim)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	out := se.ar.Get(x.R, outDim)
+	if w.packed && x.R <= fusedMaxRows && tensor.Q4Fusable(w.q, outDim) {
+		err = tensor.MatMulQ4Into(x, w.q, outDim, out)
+	} else {
+		err = tensor.MatMulInto(x, tensor.Mat{R: x.C, C: outDim, Data: se.dense(w)}, out)
+	}
+	if err == nil && bName != "" && se.cfg.Arch == model.ArchOPT {
+		var b []float32
+		if b, err = se.vec(layer.Index, bName, outDim); err == nil {
+			err = out.AddBias(b)
+		}
+	}
+	if err != nil {
+		se.ar.Put(out)
+		return tensor.Mat{}, err
+	}
+	return out, nil
+}
+
+// rowRange is the view of rows [r0, r1) of m.
+func rowRange(m tensor.Mat, r0, r1 int) tensor.Mat {
+	return tensor.Mat{R: r1 - r0, C: m.C, Data: m.Data[r0*m.C : r1*m.C]}
+}
+
+// attention runs one block's pre-norm attention with a residual
+// connection: normalization and the Q/K/V and output projections once
+// over the stacked rows, the attention core once per sequence over its
+// own rows and KV cache.
+func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, rows []int, x tensor.Mat) (tensor.Mat, error) {
+	h := se.cfg.Hidden
+	kvDim := se.cfg.KVWidth()
+	hn, err := se.norm(layer, x)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	defer se.ar.Put(hn)
+	q, err := se.proj(layer, hn, "w_q", "b_q", h)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	defer se.ar.Put(q)
+	k, err := se.proj(layer, hn, "w_k", "b_k", kvDim)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	defer se.ar.Put(k)
+	v, err := se.proj(layer, hn, "w_v", "b_v", kvDim)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	defer se.ar.Put(v)
+
+	// out comes from the arena zeroed, which attend's accumulation
+	// relies on.
+	out := se.ar.Get(x.R, h)
+	defer se.ar.Put(out)
+	for i, s := range seqs {
+		r0, r1 := rows[i], rows[i+1]
+		if r0 == r1 {
+			continue
+		}
+		if err := se.attend(s.KV[blk], s.Pos, rowRange(q, r0, r1), rowRange(k, r0, r1), rowRange(v, r0, r1), rowRange(out, r0, r1)); err != nil {
+			return tensor.Mat{}, err
+		}
+	}
+	attnOut, err := se.proj(layer, out, "w_out", "b_out", h)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	if err := attnOut.Add(x); err != nil {
+		se.ar.Put(attnOut)
+		return tensor.Mat{}, err
+	}
+	return attnOut, nil
+}
+
+// attend is the per-sequence part of attention: rotate the sequence's
+// new q and k rows to their positions, append k and v to its cache
+// (whose entries cover positions [0, pos)), and accumulate into out —
+// zeroed on entry — each new position's attention over the cache.
+func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) error {
+	nHeads := se.cfg.Heads
+	headDim := se.cfg.Hidden / nHeads
+	group := nHeads / (k.C / headDim)
+
+	// Rotary position embedding for LLaMA (applied to q and k).
+	if se.cfg.Arch == model.ArchLlama {
+		for i := 0; i < q.R; i++ {
+			applyRoPE(q.Row(i), headDim, pos+i)
+			applyRoPE(k.Row(i), headDim, pos+i)
+		}
+	}
+	// AppendRow copies the rows, so k and v stay the caller's.
+	for i := 0; i < k.R; i++ {
+		if err := cache.AppendRow(k.Row(i), v.Row(i)); err != nil {
+			return err
+		}
 	}
 
-	rollback := func() {
-		for i, s := range seqs {
-			if s == nil || xs[i].R == 0 {
-				continue
+	// Attention per query position and head, causally masked by
+	// construction: query at absolute position pos+i sees cache entries
+	// [0, pos+i].
+	scale := 1 / float32(math.Sqrt(float64(headDim)))
+	for i := 0; i < q.R; i++ {
+		limit := pos + i + 1
+		qrow := q.Row(i)
+		orow := out.Row(i)
+		for head := 0; head < nHeads; head++ {
+			qh := qrow[head*headDim : (head+1)*headDim]
+			off := head / group * headDim
+			// Scores over the visible cache, in the engine's reusable
+			// score row (every scores[p] is assigned before it is read,
+			// so stale values from the previous head never leak).
+			scores := se.scores[:limit]
+			var maxS float32 = float32(math.Inf(-1))
+			for p := 0; p < limit; p++ {
+				krow := cache.KRow(p)[off : off+headDim]
+				var s float32
+				for d := range qh {
+					s += qh[d] * krow[d]
+				}
+				s *= scale
+				scores[p] = s
+				if s > maxS {
+					maxS = s
+				}
 			}
-			for _, kb := range s.KV {
-				kb.Truncate(s.Pos)
+			var sum float32
+			for p := range scores {
+				ev := float32(math.Exp(float64(scores[p] - maxS)))
+				scores[p] = ev
+				sum += ev
+			}
+			inv := float32(1)
+			if sum > 0 {
+				inv = 1 / sum
+			}
+			dst := orow[head*headDim : (head+1)*headDim]
+			for p := 0; p < limit; p++ {
+				wgt := scores[p] * inv
+				vrow := cache.VRow(p)[off : off+headDim]
+				for d := range dst {
+					dst[d] += wgt * vrow[d]
+				}
 			}
 		}
 	}
+	return nil
+}
 
-	// Lockstep over layers: every sequence finishes layer L before any
-	// touches L+1, keeping the one-layer weight memo hot.
-	for blk := 0; blk < cfg.Blocks; blk++ {
-		mha := se.eng.layers[1+2*blk]
-		for i, s := range seqs {
-			if xs[i].R == 0 {
-				continue
-			}
-			x, err := se.eng.attentionBlock(mha, s.KV[blk], s.Pos, xs[i])
-			if err != nil {
-				rollback()
-				return nil, err
-			}
-			se.eng.ar.Put(xs[i])
-			xs[i] = x
+// ffnWidth is the FFN intermediate width.
+func (se *StepEngine) ffnWidth() int {
+	if se.cfg.Arch == model.ArchLlama && se.cfg.FFNDim > 0 {
+		return se.cfg.FFNDim
+	}
+	return 4 * se.cfg.Hidden
+}
+
+// ffnBlock runs the pre-norm feed-forward network with a residual.
+func (se *StepEngine) ffnBlock(layer model.Layer, x tensor.Mat) (tensor.Mat, error) {
+	h := se.cfg.Hidden
+	f := se.ffnWidth()
+	hn, err := se.norm(layer, x)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
+	defer se.ar.Put(hn)
+	var out tensor.Mat
+	if se.cfg.Arch == model.ArchLlama {
+		gate, err := se.proj(layer, hn, "w_gate", "", f)
+		if err != nil {
+			return tensor.Mat{}, err
 		}
-		ffn := se.eng.layers[2+2*blk]
-		for i := range seqs {
-			if xs[i].R == 0 {
-				continue
-			}
-			x, err := se.eng.ffnBlock(ffn, xs[i])
-			if err != nil {
-				rollback()
-				return nil, err
-			}
-			se.eng.ar.Put(xs[i])
-			xs[i] = x
+		defer se.ar.Put(gate)
+		up, err := se.proj(layer, hn, "w_up", "", f)
+		if err != nil {
+			return tensor.Mat{}, err
+		}
+		defer se.ar.Put(up)
+		gate.SiLU()
+		if err := gate.Mul(up); err != nil {
+			return tensor.Mat{}, err
+		}
+		if out, err = se.proj(layer, gate, "w_down", "", h); err != nil {
+			return tensor.Mat{}, err
+		}
+	} else {
+		mid, err := se.proj(layer, hn, "w_fc1", "b_fc1", f)
+		if err != nil {
+			return tensor.Mat{}, err
+		}
+		defer se.ar.Put(mid)
+		mid.GELU()
+		if out, err = se.proj(layer, mid, "w_fc2", "b_fc2", h); err != nil {
+			return tensor.Mat{}, err
 		}
 	}
+	if err := out.Add(x); err != nil {
+		se.ar.Put(out)
+		return tensor.Mat{}, err
+	}
+	return out, nil
+}
+
+// output gathers every advanced sequence's last row, applies the final
+// norm and the logit projection to them together, and hands each
+// sequence its row of the result. The logits matrix is retained arena
+// storage: it stays valid until the engine's next step.
+func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tensor.Mat, error) {
+	l := se.layers[len(se.layers)-1]
+	active := 0
+	for i := range seqs {
+		if rows[i+1] > rows[i] {
+			active++
+		}
+	}
+	last := se.ar.Get(active, x.C)
+	defer se.ar.Put(last)
+	a := 0
+	for i := range seqs {
+		if rows[i+1] > rows[i] {
+			copy(last.Row(a), x.Row(rows[i+1]-1))
+			a++
+		}
+	}
+	hn, err := se.norm(l, last)
+	if err != nil {
+		return nil, err
+	}
+	defer se.ar.Put(hn)
+	table, err := se.mat(l.Index, "w_token", se.cfg.Vocab, se.cfg.Hidden)
+	if err != nil {
+		return nil, err
+	}
+	logits := se.ar.Get(active, se.cfg.Vocab)
+	if table.packed && active <= fusedMaxRows && tensor.Q4Fusable(table.q, se.cfg.Hidden) {
+		err = tensor.MatMulTQ4Into(hn, table.q, logits)
+	} else {
+		err = tensor.MatMulTInto(hn, tensor.Mat{R: se.cfg.Vocab, C: se.cfg.Hidden, Data: se.dense(table)}, logits)
+	}
+	if err != nil {
+		se.ar.Put(logits)
+		return nil, err
+	}
+	se.logits = logits
 
 	if cap(se.out) < len(seqs) {
 		se.out = make([]tensor.Mat, len(seqs))
 	}
 	out := se.out[:len(seqs)]
 	clear(out)
+	a = 0
 	for i := range seqs {
-		if xs[i].R == 0 {
-			continue
+		if rows[i+1] > rows[i] {
+			out[i] = rowRange(logits, a, a+1)
+			a++
 		}
-		logits, err := se.eng.output(xs[i])
-		if err != nil {
-			rollback()
-			return nil, err
-		}
-		se.eng.ar.Put(xs[i])
-		xs[i] = logits // keep non-zero: later sequences still gate on xs[i].R
-		out[i] = logits
 	}
 	return out, nil
 }

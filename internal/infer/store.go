@@ -59,6 +59,68 @@ type IntoStore interface {
 	TensorInto(layer int, name string, dst []float32) ([]float32, error)
 }
 
+// PackedStore is an optional WeightStore extension that hands 4-bit
+// tensors out as validated views of their stored bytes instead of
+// decoding them, so a weight crosses the store chain at 4.5 bits per
+// element and is decoded where it is consumed. ok is false, with a nil
+// error and without the store having read anything, for tensors that
+// have no packed form (raw records, other bit widths): fetch those
+// through the other paths. A view is valid while the checkpoint index
+// under it stays open — DESIGN §3h names who may hold one.
+type PackedStore interface {
+	WeightStore
+	// TensorPacked returns the packed view of the named tensor.
+	TensorPacked(layer int, name string) (p quant.Packed, ok bool, err error)
+}
+
+// weight is one fetched tensor as the engine consumes it: decoded f32
+// values, or — when packed is set — the packed 4-bit view the kernels
+// decode tile by tile.
+type weight struct {
+	f32    []float32
+	q      quant.Packed
+	packed bool
+}
+
+// len is the tensor's element count.
+func (w weight) len() int {
+	if w.packed {
+		return w.q.Len()
+	}
+	return len(w.f32)
+}
+
+// storePaths is a backing store with the optional fetch paths its
+// consumer uses resolved once. fetch tries them in order of preference.
+type storePaths struct {
+	backing WeightStore
+	packed  PackedStore // validated packed views of 4-bit tensors
+	into    IntoStore   // decode into the consumer's recycled buffer
+	views   ViewStore   // zero-copy f32 views of the store's own storage
+}
+
+// fetch reads one tensor by the best path the store offers for it: a
+// packed view when the store serves the tensor packed, else decoded —
+// into dst, as a borrowed view, or as a plain copy.
+func (p storePaths) fetch(layer int, name string, dst []float32) (weight, error) {
+	if p.packed != nil {
+		if q, ok, err := p.packed.TensorPacked(layer, name); ok || err != nil {
+			return weight{q: q, packed: ok}, err
+		}
+	}
+	var d []float32
+	var err error
+	switch {
+	case p.into != nil:
+		d, err = p.into.TensorInto(layer, name, dst)
+	case p.views != nil:
+		d, err = p.views.TensorView(layer, name)
+	default:
+		d, err = p.backing.Tensor(layer, name)
+	}
+	return weight{f32: d}, err
+}
+
 // tensorInto fetches through the store's IntoStore fast path when it
 // has one, falling back to a plain (copying) Tensor call.
 func tensorInto(w WeightStore, layer int, name string, dst []float32) ([]float32, error) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"helmsim/internal/checkpoint"
+	"helmsim/internal/quant"
 )
 
 // SwappableStore is a weight store whose backing store can be replaced
@@ -123,6 +124,18 @@ func (p pinnedGen) Tensor(layer int, name string) ([]float32, error) {
 // under it) stays open, so the into path needs no extra bookkeeping.
 func (p pinnedGen) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
 	return tensorInto(p.g.store, layer, name, dst)
+}
+
+// TensorPacked implements PackedStore for the pinned generation. Only
+// here — not on SwappableStore's per-call-pin methods — can a view be
+// handed out: it stays valid while the index is open, which the Acquire
+// pin guarantees until release, and a per-call pin would be gone before
+// the view was used.
+func (p pinnedGen) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	if ps, ok := p.g.store.(PackedStore); ok {
+		return ps.TensorPacked(layer, name)
+	}
+	return quant.Packed{}, false, nil
 }
 
 // unpin releases one reader's pin and runs the generation's closer if

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,4 +163,74 @@ func assertIdentical(t *testing.T, name string, want, got []float32) {
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
+}
+
+// FuzzPackedView holds the packed view to the decoder it stands in for.
+// Whatever UnmarshalBinaryView accepts, ViewPacked accepts or reports as
+// not packable (by the header's own width, as HeaderPackable predicts),
+// and an accepted view decodes — whole, and in group-aligned ranges — to
+// DequantizeInto's bits; whatever the decoder rejects (truncation, bad
+// magic, Inf/NaN metadata, length mismatch) the view rejects too.
+func FuzzPackedView(f *testing.F) {
+	for _, cfg := range []Config{{4, 64}, {4, 2}, {4, 6}, {4, 128}, {4, 3}, {2, 64}, {8, 6}} {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = float32(i%17) - 8
+			}
+			tt, err := Quantize(x, cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blob, err := tt.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+			if len(blob) > 20 {
+				f.Add(blob[:len(blob)-1])                                 // truncated
+				f.Add(append(bytes.Clone(blob), 0))                       // overlong
+				f.Add(append(bytes.Clone(blob[:len(blob)-1]), 0x7c))      // last scale's exponent all ones
+				f.Add(append([]byte{^blob[0]}, bytes.Clone(blob[1:])...)) // bad magic
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var tt Tensor
+		uerr := tt.UnmarshalBinaryView(blob)
+		p, ok, verr := ViewPacked(blob)
+		if uerr != nil {
+			// A width the view cannot represent may stop it at "not
+			// packable" before the check the decoder failed; a 4-bit blob
+			// the decoder rejects is an error from the view too.
+			if ok || (verr == nil && HeaderPackable(blob)) {
+				t.Fatalf("ViewPacked (ok=%v, err=%v) took what UnmarshalBinaryView rejects: %v", ok, verr, uerr)
+			}
+			return
+		}
+		if verr != nil {
+			t.Fatalf("ViewPacked rejected what UnmarshalBinaryView accepts: %v", verr)
+		}
+		packable := tt.cfg.Bits == 4 && tt.cfg.GroupSize%2 == 0
+		if ok != packable || HeaderPackable(blob) != packable {
+			t.Fatalf("packable: view %v, header %v, want %v for %+v", ok, HeaderPackable(blob), packable, tt.cfg)
+		}
+		if !ok {
+			return
+		}
+		want := tt.DequantizeInto(nil)
+		if p.Len() != len(want) || p.GroupSize() != tt.cfg.GroupSize {
+			t.Fatalf("view is %d elements in groups of %d, tensor %d in %d", p.Len(), p.GroupSize(), len(want), tt.cfg.GroupSize)
+		}
+		assertIdentical(t, "Packed.DequantizeInto", want, p.DequantizeInto(nil))
+		// One group at a time, into a poisoned buffer.
+		got := make([]float32, len(want))
+		for i := range got {
+			got[i] = -1e30
+		}
+		for lo := 0; lo < len(got); lo += p.GroupSize() {
+			p.DecodeRange(got[lo:min(lo+p.GroupSize(), len(got))], lo)
+		}
+		assertIdentical(t, "DecodeRange by group", want, got)
+	})
 }

@@ -50,25 +50,11 @@ func (t *Tensor) UnmarshalBinaryView(data []byte) error {
 
 func (t *Tensor) unmarshal(data []byte, copyPacked bool) error {
 	le := binary.LittleEndian
-	if len(data) < 20 {
-		return fmt.Errorf("quant: truncated tensor header (%d bytes)", len(data))
-	}
-	if got := le.Uint32(data[0:]); got != marshalMagic {
-		return fmt.Errorf("quant: bad magic %#x", got)
-	}
-	cfg := Config{Bits: int(le.Uint32(data[4:])), GroupSize: int(le.Uint32(data[8:]))}
-	if err := cfg.Validate(); err != nil {
+	cfg, n, err := header(data)
+	if err != nil {
 		return err
 	}
-	n := int(le.Uint64(data[12:]))
-	if n < 0 {
-		return fmt.Errorf("quant: negative element count")
-	}
-	packedLen := (n*cfg.Bits + 7) / 8
-	groups := 0
-	if n > 0 {
-		groups = (n + cfg.GroupSize - 1) / cfg.GroupSize
-	}
+	packedLen, groups := cfg.layout(n)
 	want := 20 + packedLen + 4*groups
 	if len(data) != want {
 		return fmt.Errorf("quant: tensor payload is %d bytes, want %d", len(data), want)

@@ -187,12 +187,10 @@ func (t *Tensor) DequantizeInto(dst []float32) []float32 {
 	} else {
 		out = make([]float32, t.n)
 	}
-	// ~16Ki elements per tile at the default group size keeps tiny
-	// tensors (biases, norms) on the calling goroutine. The serial path
-	// skips closure construction: building the func literal for the pool
-	// would heap-allocate on every decode, and recycled-buffer decodes
-	// sit on the engine's allocation-free hot path.
-	grain := 1 + (1<<14)/t.cfg.GroupSize
+	// The serial path skips closure construction: building the func
+	// literal for the pool would heap-allocate on every decode, and
+	// recycled-buffer decodes sit on the engine's allocation-free hot path.
+	grain := dequantGrain(t.cfg.GroupSize)
 	if len(t.mins) <= grain || parallel.N() == 1 {
 		t.dequantGroups(out, 0, len(t.mins))
 		return out
@@ -200,6 +198,11 @@ func (t *Tensor) DequantizeInto(dst []float32) []float32 {
 	parallel.For(len(t.mins), grain, func(glo, ghi int) { t.dequantGroups(out, glo, ghi) })
 	return out
 }
+
+// dequantGrain is the fewest groups a pool worker takes: ~16Ki elements
+// per tile at the default group size keeps tiny tensors (biases, norms)
+// on the calling goroutine.
+func dequantGrain(groupSize int) int { return 1 + (1<<14)/groupSize }
 
 // dequantGroups decodes groups [glo, ghi) into out — each group owns a
 // disjoint output range, so any split over groups is bit-identical.
@@ -213,7 +216,7 @@ func (t *Tensor) DequantizeInto(dst []float32) []float32 {
 // generic per-element loop.
 func (t *Tensor) dequantGroups(out []float32, glo, ghi int) {
 	gs := t.cfg.GroupSize
-	table := t.cfg.Bits == 4 && gs%2 == 0
+	table := t.cfg.packable()
 	for g := glo; g < ghi; g++ {
 		lo := g * gs
 		hi := lo + gs
@@ -224,21 +227,29 @@ func (t *Tensor) dequantGroups(out []float32, glo, ghi int) {
 		scale := t.scales[g].Float32()
 		i := lo
 		if table {
-			// The generic expression with q written out: a loop over q
-			// converts an integer per entry and costs a fifth of the
-			// whole decode.
-			tab := [16]float32{
-				gmin + float32(0)*scale, gmin + float32(1)*scale, gmin + float32(2)*scale, gmin + float32(3)*scale,
-				gmin + float32(4)*scale, gmin + float32(5)*scale, gmin + float32(6)*scale, gmin + float32(7)*scale,
-				gmin + float32(8)*scale, gmin + float32(9)*scale, gmin + float32(10)*scale, gmin + float32(11)*scale,
-				gmin + float32(12)*scale, gmin + float32(13)*scale, gmin + float32(14)*scale, gmin + float32(15)*scale,
-			}
-			i += unpack4(out[lo:hi], t.packed[lo/2:], &tab)
+			i += decode4(out[lo:hi], t.packed[lo/2:], gmin, scale)
 		}
 		for ; i < hi; i++ {
 			out[i] = gmin + float32(t.getQ(i))*scale
 		}
 	}
+}
+
+// decode4 decodes the whole bytes of one 4-bit group that starts on a
+// byte boundary and returns the number of elements written (len(out)
+// rounded down to even). The 16 values a group can take are computed
+// once — the generic expression with q written out, since a loop over q
+// converts an integer per entry and costs a fifth of the whole decode —
+// so each entry carries the bits the per-element loop would store. Every
+// 4-bit decode in the package goes through this one expression.
+func decode4(out []float32, packed []byte, gmin, scale float32) int {
+	tab := [16]float32{
+		gmin + float32(0)*scale, gmin + float32(1)*scale, gmin + float32(2)*scale, gmin + float32(3)*scale,
+		gmin + float32(4)*scale, gmin + float32(5)*scale, gmin + float32(6)*scale, gmin + float32(7)*scale,
+		gmin + float32(8)*scale, gmin + float32(9)*scale, gmin + float32(10)*scale, gmin + float32(11)*scale,
+		gmin + float32(12)*scale, gmin + float32(13)*scale, gmin + float32(14)*scale, gmin + float32(15)*scale,
+	}
+	return unpack4(out, packed, &tab)
 }
 
 // unpack4 decodes the whole bytes of a 4-bit run — element 2j is the low

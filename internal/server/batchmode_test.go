@@ -1,12 +1,19 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"helmsim/internal/infer"
+	"helmsim/internal/model"
+	"helmsim/internal/quant"
 )
 
 // TestBatchModePagePressureSheds: a request whose worst-case context
@@ -106,4 +113,85 @@ func equalTokenSlices(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestBatchModePackedFetchAccounting: over an mmap'd 4-bit checkpoint
+// the serving chain (pinned generation → breaker accounting → prefetcher
+// → engine) moves packed views, and the breaker layer counts them like
+// any other fetch — one access per tensor the file served, whether it
+// came back packed or (norm gains, biases) decoded, none for the "no
+// packed form" answer that reads nothing. Tokens stay the solo engine's.
+func TestBatchModePackedFetchAccounting(t *testing.T) {
+	mc := model.Config{Name: "packed-opt", Hidden: 64, Heads: 4, Blocks: 2, Vocab: 96, MaxSeq: 64, DTypeBytes: 2}
+	w, err := infer.RandomWeights(mc, 9, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "packed.hlmc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := quant.Default()
+	if err := infer.WriteCheckpoint(f, mc, w, &qc); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := infer.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	solo, err := infer.New(mc, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := []int{5, 6, 7}
+	want, err := solo.Generate(prompt, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var served *infer.FileStore
+	s, err := New(context.Background(), Config{
+		Model: mc,
+		OpenStore: func() (infer.WeightStore, io.Closer, error) {
+			fs, err := infer.OpenFileStoreMmap(path)
+			served = fs
+			return fs, fs, err
+		},
+		Workers: 1,
+		Batch:   BatchConfig{MaxSeqs: 2, KVPages: 32, PageTokens: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, ok := infer.WeightStore(served).(infer.PackedStore); !ok {
+		t.Fatal("file store does not serve packed views")
+	}
+	code, gr, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: prompt, MaxTokens: 6})
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, msg)
+	}
+	if !equalTokenSlices(gr.Tokens, want) {
+		t.Fatalf("served tokens %v diverge from the solo engine's %v", gr.Tokens, want)
+	}
+	// Drain joins the prefetcher, so both counters are final.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if reads := int64(served.Reads()); st.StoreAccesses != reads || reads == 0 {
+		t.Errorf("breaker layer counted %d accesses for %d file reads", st.StoreAccesses, reads)
+	}
+	if st.StoreTransients != 0 || st.Failed != 0 {
+		t.Errorf("clean run recorded transients/failures: %+v", st)
+	}
 }

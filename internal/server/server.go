@@ -15,6 +15,7 @@ import (
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
+	"helmsim/internal/quant"
 	"helmsim/internal/serve"
 )
 
@@ -245,12 +246,17 @@ type breakerStore struct {
 
 func (bs breakerStore) Tensor(layer int, name string) ([]float32, error) {
 	d, err := bs.backing.Tensor(layer, name)
+	bs.record(err)
+	return d, err
+}
+
+// record accounts one raw storage attempt.
+func (bs breakerStore) record(err error) {
 	bs.s.storeAccesses.Add(1)
 	if err != nil && fault.IsTransient(err) {
 		bs.s.storeTransients.Add(1)
 	}
 	bs.s.breaker.Record(err)
-	return d, err
 }
 
 // TensorInto implements infer.IntoStore so the engines' buffer
@@ -262,12 +268,25 @@ func (bs breakerStore) TensorInto(layer int, name string, dst []float32) ([]floa
 		return bs.Tensor(layer, name)
 	}
 	d, err := is.TensorInto(layer, name, dst)
-	bs.s.storeAccesses.Add(1)
-	if err != nil && fault.IsTransient(err) {
-		bs.s.storeTransients.Add(1)
-	}
-	bs.s.breaker.Record(err)
+	bs.record(err)
 	return d, err
+}
+
+// TensorPacked implements infer.PackedStore so packed views survive the
+// instrumentation layer too. A packed fetch is one storage attempt,
+// accounted like any other; "no packed form" (ok false, nil error) read
+// nothing, and the TensorInto the caller falls back to is the attempt
+// that counts.
+func (bs breakerStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	ps, ok := bs.backing.(infer.PackedStore)
+	if !ok {
+		return quant.Packed{}, false, nil
+	}
+	p, ok, err := ps.TensorPacked(layer, name)
+	if ok || err != nil {
+		bs.record(err)
+	}
+	return p, ok, err
 }
 
 // New opens the initial store via cfg.OpenStore, builds the batcher on

@@ -50,3 +50,14 @@ func (a *Arena) Put(m Mat) {
 	}
 	a.free[n] = append(a.free[n], m.Data[:n])
 }
+
+// Idle reports how many matrices wait on the free list. An owner whose
+// every Get is paired with a Put sees the same count whenever it holds
+// nothing, so a count that drifts down is a leak.
+func (a *Arena) Idle() int {
+	n := 0
+	for _, list := range a.free {
+		n += len(list)
+	}
+	return n
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -138,5 +139,69 @@ func BenchmarkBenchOOCShapes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// The decode GEMVs of bench-ooc (Q/K/V/out 384x384, FFN up 384x1536, FFN
+// down 1536x384) on one goroutine against the column split over the pool
+// — dense, and fused over the packed weights. EXPERIMENTS.md records why
+// this is here: on two cores waking the pool worker costs more than the
+// half of a decode GEMV it takes.
+func BenchmarkGemvSplit(b *testing.B) {
+	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
+		a := randMat(1, shape.k, 14)
+		p, w := packMat(b, randMat(shape.k, shape.c, 15), 64)
+		out := New(1, shape.c)
+		for _, kernel := range []struct {
+			name string
+			run  func() error
+		}{
+			{"dense", func() error { return MatMulInto(a, w, out) }},
+			{"fused", func() error { return MatMulQ4Into(a, p, shape.c, out) }},
+		} {
+			b.Run(fmt.Sprintf("1x%dx%d/%s", shape.k, shape.c, kernel.name), func(b *testing.B) {
+				benchAtParallelism(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := kernel.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// Where the fused kernel stops paying: per stacked-row count, decoding
+// each tile inside the GEMM against dequantizing the tensor once into a
+// slab and running the dense kernel — the engine's two ways through a
+// packed projection.
+func BenchmarkQ4Crossover(b *testing.B) {
+	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
+		p, _ := packMat(b, randMat(shape.k, shape.c, 16), 64)
+		slab := make([]float32, shape.k*shape.c)
+		for _, r := range []int{1, 4, 8, 16, 32, 128} {
+			a := randMat(r, shape.k, 17)
+			out := New(r, shape.c)
+			for _, path := range []struct {
+				name string
+				run  func() error
+			}{
+				{"fused", func() error { return MatMulQ4Into(a, p, shape.c, out) }},
+				{"slab", func() error {
+					return MatMulInto(a, Mat{R: shape.k, C: shape.c, Data: p.DequantizeInto(slab)}, out)
+				}},
+			} {
+				b.Run(fmt.Sprintf("%dx%dx%d/%s", r, shape.k, shape.c, path.name), func(b *testing.B) {
+					benchAtParallelism(b, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if err := path.run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				})
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"helmsim/internal/quant"
 )
 
 // The oracles are the loops the unrolled kernels replaced, reduced to
@@ -136,6 +138,134 @@ func TestMatMulTMatchesScalarOracle(t *testing.T) {
 				}
 				assertSameMat(t, "matmulT", want, got)
 			}
+		}
+	}
+}
+
+// packMat quantizes m to 4 bits in groups of gs and returns the packed
+// view of its serialized form beside the matrix the dequantizer makes of
+// it — the fused kernels' oracle input.
+func packMat(t testing.TB, m Mat, gs int) (quant.Packed, Mat) {
+	t.Helper()
+	qt, err := quant.Quantize(m.Data, quant.Config{Bits: 4, GroupSize: gs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := qt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := quant.ViewPacked(blob)
+	if err != nil || !ok {
+		t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	}
+	return p, Mat{R: m.R, C: m.C, Data: qt.Dequantize()}
+}
+
+// dirty returns an r x c matrix of NaNs: an output buffer whose previous
+// contents must not leak into the result.
+func dirty(r, c int) Mat {
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = float32(math.NaN())
+	}
+	return m
+}
+
+// The fused 4-bit GEMM stores the bits of dequantize-then-MatMulInto:
+// for one row, a few, the widest fused batch and a tall one, every
+// remainder of K mod 4, column counts of one tile, a tile and a half and
+// many, group sizes that divide a tile differently, worker counts that
+// engage the serial and group-aligned split paths, NaN/Inf activations,
+// into a dirty output.
+func TestMatMulQ4MatchesDequantOracle(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	rng := rand.New(rand.NewSource(23))
+	for _, r := range []int{1, 3, 5, 8, 128} {
+		for kmod := 0; kmod < 4; kmod++ {
+			for _, cols := range []int{64, 192, 384, 1536} {
+				k, gs := 64+kmod, 64
+				if r == 128 {
+					k = 8 + kmod
+				}
+				if cols == 192 {
+					gs = 32
+				}
+				p, w := packMat(t, randMat(k, cols, int64(r+kmod+cols)), gs)
+				for _, special := range []bool{false, true} {
+					a := randMat(r, k, int64(r*7+kmod))
+					if special {
+						a = specialMat(r, k, rng)
+					}
+					want := New(r, cols)
+					if err := MatMulInto(a, w, want); err != nil {
+						t.Fatal(err)
+					}
+					for _, par := range []int{1, 2, 3, 8} {
+						SetParallelism(par)
+						got := dirty(r, cols)
+						if err := MatMulQ4Into(a, p, cols, got); err != nil {
+							t.Fatal(err)
+						}
+						assertSameMat(t, "matmulQ4", want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The fused logits kernel stores the bits of dequantize-then-MatMulTInto
+// when the inner dimension is one decode run, several, or several and a
+// part, with a table tail that is not a multiple of four.
+func TestMatMulTQ4MatchesDequantOracle(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	rng := rand.New(rand.NewSource(24))
+	for _, shape := range []struct{ r, k, n, gs int }{
+		{1, 64, 3, 64}, {1, 384, 259, 64}, {3, 512, 517, 32}, {8, 640, 130, 128}, {128, 64, 37, 2},
+	} {
+		p, table := packMat(t, randMat(shape.n, shape.k, 43), shape.gs)
+		for _, special := range []bool{false, true} {
+			a := randMat(shape.r, shape.k, 44)
+			if special {
+				a = specialMat(shape.r, shape.k, rng)
+			}
+			want := New(shape.r, shape.n)
+			if err := MatMulTInto(a, table, want); err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 2, 3, 8} {
+				SetParallelism(par)
+				got := dirty(shape.r, shape.n)
+				if err := MatMulTQ4Into(a, p, got); err != nil {
+					t.Fatal(err)
+				}
+				assertSameMat(t, "matmulTQ4", want, got)
+			}
+		}
+	}
+}
+
+// Shapes the tile cannot cover are refused, not mis-decoded: rows that
+// straddle a group, groups wider than a tile, and mismatched operands.
+func TestMatMulQ4RejectsUntileableShapes(t *testing.T) {
+	a := randMat(2, 8, 51)
+	straddle, _ := packMat(t, randMat(8, 96, 52), 64)
+	wide, _ := packMat(t, randMat(8, 512, 53), 512)
+	ok, _ := packMat(t, randMat(8, 64, 54), 64)
+	if Q4Fusable(straddle, 96) || Q4Fusable(wide, 512) || !Q4Fusable(ok, 64) {
+		t.Fatal("Q4Fusable disagrees with the tile rules")
+	}
+	for name, err := range map[string]error{
+		"straddling rows":  MatMulQ4Into(a, straddle, 96, New(2, 96)),
+		"wide groups":      MatMulQ4Into(a, wide, 512, New(2, 512)),
+		"wrong cols":       MatMulQ4Into(a, ok, 32, New(2, 32)),
+		"wrong out":        MatMulQ4Into(a, ok, 64, New(3, 64)),
+		"T straddling":     MatMulTQ4Into(randMat(2, 96, 55), straddle, New(2, 8)),
+		"T wrong elements": MatMulTQ4Into(randMat(2, 64, 56), ok, New(2, 9)),
+	} {
+		if err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -119,27 +119,36 @@ func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 		o := out.Row(i)[clo:chi]
 		k := 0
 		for ; k+4 <= a.C; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Row(k)[clo:][:len(o)]
-			b1 := b.Row(k + 1)[clo:][:len(o)]
-			b2 := b.Row(k + 2)[clo:][:len(o)]
-			b3 := b.Row(k + 3)[clo:][:len(o)]
-			for j := range o {
-				t := o[j]
-				t += a0 * b0[j]
-				t += a1 * b1[j]
-				t += a2 * b2[j]
-				t += a3 * b3[j]
-				o[j] = t
-			}
+			axpy4(o, arow[k], arow[k+1], arow[k+2], arow[k+3],
+				b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
 		}
 		for ; k < a.C; k++ {
-			av := arow[k]
-			brow := b.Row(k)[clo:][:len(o)]
-			for j := range o {
-				o[j] += av * brow[j]
-			}
+			axpy(o, arow[k], b.Row(k)[clo:])
 		}
+	}
+}
+
+// axpy4 adds four terms to every element of o — a0*b0[j], then a1*b1[j],
+// a2*b2[j], a3*b3[j] — with the running sum in a register. It is the one
+// accumulate every matmul in the package runs, dense or fused, which is
+// what makes their outputs agree bit for bit.
+func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		t := o[j]
+		t += a0 * b0[j]
+		t += a1 * b1[j]
+		t += a2 * b2[j]
+		t += a3 * b3[j]
+		o[j] = t
+	}
+}
+
+// axpy adds the single term av*b[j] to every element of o: the k tail.
+func axpy(o []float32, av float32, b []float32) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += av * b[j]
 	}
 }
 
@@ -195,8 +204,12 @@ func matMulTTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 }
 
 // dot is the serial inner product: one sum, terms added in ascending k.
-func dot(x, y []float32) float32 {
-	var s float32
+func dot(x, y []float32) float32 { return dotFrom(0, x, y) }
+
+// dotFrom continues an inner product from the partial sum s, so a dot
+// taken in k-chunks adds the same terms in the same order as one taken
+// whole.
+func dotFrom(s float32, x, y []float32) float32 {
 	for k := range x {
 		s += x[k] * y[k]
 	}
@@ -208,6 +221,11 @@ func dot(x, y []float32) float32 {
 // independent chains keep the adder busy. Each sum is still its own
 // ascending-k chain, so every result carries the bits dot returns.
 func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+	return dot4From(0, 0, 0, 0, x, y0, y1, y2, y3)
+}
+
+// dot4From is dot4 continuing from four partial sums (see dotFrom).
+func dot4From(s0, s1, s2, s3 float32, x, y0, y1, y2, y3 []float32) (float32, float32, float32, float32) {
 	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
 	for k, xv := range x {
 		s0 += xv * y0[k]
@@ -215,7 +233,7 @@ func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 		s2 += xv * y2[k]
 		s3 += xv * y3[k]
 	}
-	return
+	return s0, s1, s2, s3
 }
 
 // AddBias adds a length-C bias vector to every row in place.
