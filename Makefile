@@ -39,7 +39,7 @@ vulncheck:
 	sh scripts/vulncheck.sh
 
 bench:
-	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/tensor/... ./internal/quant/... ./internal/infer/...
+	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/parallel/... ./internal/tensor/... ./internal/quant/... ./internal/infer/...
 
 # The CI bench-smoke job's harness steps: the benchmark harness is its
 # own module (outside `go test ./...`), so its tests run from bench/;
@@ -52,11 +52,17 @@ bench-smoke:
 
 # The CI chaos job's oracle step: the fused 4-bit kernels against
 # dequantize-then-matmul, the packed view against the dequantizer (fuzz
-# seeds included), a stacked step against one-sequence steps, and the
-# step's validate-first atomicity — all bit-for-bit, under the race
-# detector.
+# seeds included), a stacked step against one-sequence steps and against
+# itself at 1 / 2 / 3 / 8 workers, every kernel against its serial bits
+# at those worker counts and from concurrent callers, and the step's
+# validate-first atomicity — all bit-for-bit, under the race detector.
+# Run twice: at the host's GOMAXPROCS, and at 3 (an odd split, and on a
+# two-core box more pool workers than cores; -count=1 because the test
+# cache does not see GOMAXPROCS and would replay the first run).
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
-	$(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+	$(KERNEL_ORACLES)
+	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1
 
 # The CI daemon-smoke job: full helmd lifecycle (signals, reload, drain)
 # plus the server chaos test, both under the race detector.

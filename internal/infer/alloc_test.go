@@ -91,21 +91,30 @@ func stepDecode(t *testing.T, cfg model.Config, se *StepEngine) func() {
 	t.Helper()
 	prev := tensor.SetParallelism(1)
 	t.Cleanup(func() { tensor.SetParallelism(prev) })
-	seq := &StepSeq{Tokens: []int{1, 2, 3}, Pos: 0, KV: NewBlockCaches(cfg)}
+	step, _ := decodeStepper(t, cfg, se, []int{1, 2, 3}, 3)
+	return step
+}
+
+// decodeStepper prefills prompt on a fresh sequence and returns the
+// engine's single-token step for it, already run warm times, with the
+// sequence (for callers that rewind it).
+func decodeStepper(tb testing.TB, cfg model.Config, se *StepEngine, prompt []int, warm int) (func(), *StepSeq) {
+	tb.Helper()
+	seq := &StepSeq{Tokens: prompt, Pos: 0, KV: NewBlockCaches(cfg)}
 	seqs := []*StepSeq{seq}
 	var tok [1]int
 	step := func() {
 		if _, err := se.Step(seqs); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		seq.Pos += len(seq.Tokens)
 		tok[0] = 7
 		seq.Tokens = tok[:]
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i <= warm; i++ { // the prefill, then warm decode steps
 		step()
 	}
-	return step
+	return step, seq
 }
 
 // stepDecodeAllocs reports stepDecode's steady-state allocations per
@@ -134,6 +143,52 @@ func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 	}
 	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
 		t.Errorf("quant lockstep decode allocates %.1f objects/step, want 0", allocs)
+	}
+}
+
+// The zero-allocation gates above pin one worker, where no kernel forks.
+// This one runs where they all do: on a fork-width model (hidden 384:
+// every GEMV, the decode-width GELU, and — past 43 cached positions —
+// the attention core split over the pool) at two workers on two
+// processors, with the pool's worker really taking chunks. A decode step
+// must still allocate nothing: the pool's descriptor is reused, and the
+// kernels and attend hand it func values they built once, not per-call
+// closures. Counted from the runtime's malloc counter, because
+// testing.AllocsPerRun drops GOMAXPROCS to 1 and so never lets a worker
+// in.
+func TestStepDecodeAllocsForkedZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer tensor.SetParallelism(tensor.SetParallelism(2))
+	cfg := oocShaped()
+	raw, err := RandomWeights(cfg, 13, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewStepEngine(cfg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := make([]int, 44)
+	for i := range prompt {
+		prompt[i] = 1 + i
+	}
+	step, _ := decodeStepper(t, cfg, se, prompt, 2)
+	// The counter is process-wide, so a runtime goroutine's stray
+	// allocation could land in one window; a real per-step allocation
+	// lands in all of them. (44 + 2 + 3*5 positions fit MaxSeq 64.)
+	const steps = 5
+	best := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("forked decode allocates %.1f objects/step at two workers, want 0", float64(best)/steps)
 	}
 }
 

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -105,4 +106,100 @@ func BenchmarkGenerateBatchQuantStore(b *testing.B) {
 func BenchmarkGenerateBatchFileStore(b *testing.B) {
 	_, _, fs := benchStores(b, benchModel())
 	benchGenerate(b, fs)
+}
+
+// benchOOC is bench/'s out-of-core model: the shapes internal/tensor's
+// BenchmarkGemvSplit takes its GEMVs from.
+func benchOOC() model.Config {
+	return model.Config{Name: "bench-ooc", Hidden: 384, Heads: 6, Blocks: 6, Vocab: 2048, MaxSeq: 256, DTypeBytes: 2}
+}
+
+// atWorkers runs body as sub-benchmarks p1 (one worker) and pN
+// (GOMAXPROCS workers).
+func atWorkers(b *testing.B, body func(b *testing.B)) {
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(map[bool]string{true: "p1", false: "pN"}[par == 1], func(b *testing.B) {
+			defer tensor.SetParallelism(tensor.SetParallelism(par))
+			body(b)
+		})
+		if par == 1 && runtime.GOMAXPROCS(0) == 1 {
+			return
+		}
+	}
+}
+
+// The attention row beside tensor.BenchmarkGemvSplit: one block's decode
+// attention core (one query row, six heads) over 150 cached positions —
+// resident_latency's mid-decode shape — serial against forked over
+// (row, head) ranges. Like the GEMV table it wants -benchtime 2s or more.
+func BenchmarkAttendSplit(b *testing.B) {
+	cfg := benchOOC()
+	raw, err := RandomWeights(cfg, 5, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	se, err := NewStepEngine(cfg, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cached = 150
+	cache := &blockCache{maxRows: cfg.MaxSeq}
+	rng := rand.New(rand.NewSource(6))
+	row := func() tensor.Mat {
+		m := tensor.New(1, cfg.Hidden)
+		for i := range m.Data {
+			m.Data[i] = float32(rng.NormFloat64())
+		}
+		return m
+	}
+	for p := 0; p < cached; p++ {
+		if err := cache.AppendRow(row().Data, row().Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q, k, v, out := row(), row(), row(), tensor.New(1, cfg.Hidden)
+	atWorkers(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cache.Truncate(cached)
+			clear(out.Data)
+			if err := se.attend(cache, cached, q, k, v, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// One whole resident decode step on bench-ooc after a 128-token prompt:
+// the stream of forks (37 GEMVs, 6 attention cores, 6 activations) the
+// pool's hot budget is sized to keep a worker awake through.
+func BenchmarkDecodeStepSplit(b *testing.B) {
+	cfg := benchOOC()
+	raw, err := RandomWeights(cfg, 5, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	atWorkers(b, func(b *testing.B) {
+		se, err := NewStepEngine(cfg, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prompt := make([]int, 128)
+		for i := range prompt {
+			prompt[i] = 1 + i%97
+		}
+		step, seq := decodeStepper(b, cfg, se, prompt, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if seq.Pos == cfg.MaxSeq {
+				// Context full: rewind to the end of the prompt.
+				seq.Pos = len(prompt)
+				for _, kv := range seq.KV {
+					kv.Truncate(seq.Pos)
+				}
+			}
+			step()
+		}
+	})
 }

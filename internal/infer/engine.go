@@ -23,6 +23,8 @@ type KVBlock interface {
 	// aliased). It may fail — a paged backend can run out of pages.
 	AppendRow(k, v []float32) error
 	// KRow and VRow return the cached rows of position p (read-only).
+	// Between appends they are called from several goroutines at once:
+	// the attention core reads the cache from the worker pool.
 	KRow(p int) []float32
 	VRow(p int) []float32
 	// Len reports cached positions.

@@ -135,6 +135,100 @@ func TestStackedStepMatchesSoloSteps(t *testing.T) {
 	}
 }
 
+// forkOPT and forkLlama are wide enough that a step forks everything
+// that can fork — the dense and fused GEMVs (256x256 and up), the
+// decode-width activation, and, with prompts past 64 tokens, the
+// attention core of a single decode row — at one block, to stay small
+// enough to sweep stores and worker counts under the race detector. The Llama variant is grouped-query:
+// four query heads share each K/V slice, so forked attention items on
+// different goroutines read the same cache rows.
+func forkOPT() model.Config {
+	return model.Config{Name: "OPT-fork", Hidden: 256, Heads: 8, Blocks: 1, Vocab: 512, MaxSeq: 96, DTypeBytes: 2}
+}
+
+func forkLlama() model.Config {
+	c := model.Config{Name: "Llama-fork", Hidden: 256, Heads: 8, Blocks: 1, Vocab: 512, MaxSeq: 96, DTypeBytes: 2}
+	return c.WithLlama(2, 512)
+}
+
+// forkSchedule is stackSchedule at fork width: two long prefills, a
+// third riding with two decode rows, then all-decode steps over 66-73
+// cached positions.
+func forkSchedule() [][3][]int {
+	prompt := func(n, salt int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = 1 + (i*7+salt)%500
+		}
+		return p
+	}
+	return [][3][]int{
+		{prompt(70, 1), prompt(65, 2), nil},
+		{{0}, {0}, prompt(68, 3)},
+		{{0}, {0}, {0}},
+		{{0}, {0}, {0}},
+	}
+}
+
+// Forked execution is pinned to the serial loop: the same mixed prefill
+// + decode schedule gives every sequence the same logits, bit for bit,
+// at one worker (where nothing forks) and at 2, 3 and 8 — even and odd
+// splits, and more chunks than this host has cores — over OPT and
+// grouped-query Llama, on f32 weights (the dense kernels) and the mmap'd
+// 4-bit checkpoint (fused kernels at decode, the slab under prefills).
+func TestStackedStepParallelismInvariance(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	for _, cfg := range []model.Config{forkOPT(), forkLlama()} {
+		stores := stackStores(t, cfg, 73)
+		for _, name := range []string{"raw", "mmap"} {
+			store := stores[name]
+			t.Run(cfg.Name+"/"+name, func(t *testing.T) {
+				// run drives the schedule at one worker count and returns
+				// every advanced sequence's logits, step by step.
+				run := func(par int) [][]float32 {
+					tensor.SetParallelism(par)
+					se, err := NewStepEngine(cfg, store)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var seqs [3]*StepSeq
+					var last [3]int
+					for i := range seqs {
+						seqs[i] = &StepSeq{KV: NewBlockCaches(cfg)}
+					}
+					var all [][]float32
+					for step, entries := range forkSchedule() {
+						for i, entry := range entries {
+							seqs[i].Tokens = feed(entry, last[i])
+						}
+						out, err := se.Step(seqs[:])
+						if err != nil {
+							t.Fatalf("par %d step %d: %v", par, step, err)
+						}
+						for i, s := range seqs {
+							if len(s.Tokens) == 0 {
+								continue
+							}
+							all = append(all, append([]float32(nil), out[i].Data...))
+							s.Pos += len(s.Tokens)
+							last[i] = out[i].ArgmaxRow(0)
+						}
+					}
+					return all
+				}
+				want := run(1)
+				for _, par := range []int{2, 3, 8} {
+					got := run(par)
+					for i := range want {
+						sameLogits(t, fmt.Sprintf("par %d, logits row %d", par, i),
+							tensor.Mat{R: 1, C: len(want[i]), Data: want[i]}, tensor.Mat{R: 1, C: len(got[i]), Data: got[i]})
+					}
+				}
+			})
+		}
+	}
+}
+
 // faultyFile fails its n-th access (1-based), whichever fetch path it
 // arrives on, and otherwise forwards every path of the file store under
 // it — so the engine above keeps its packed views and fused kernels

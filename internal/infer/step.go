@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"helmsim/internal/model"
+	"helmsim/internal/parallel"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
@@ -31,15 +32,19 @@ type StepSeq struct {
 // fusedMaxRows is the tallest stacked activation the engine runs through
 // the fused 4-bit kernels; anything taller (a prefill, a step that mixes
 // one in) dequantizes the tensor once into the engine's slab and runs
-// the dense kernel, whose row split uses both cores on a tall input
-// where the fused kernel's column split has three groups a worker to
-// share. Measured with tensor.BenchmarkQ4Crossover on the three
-// bench-ooc shapes (384x384 four times a block, 384x1536, 1536x384) at
-// two workers, per block: fused 1.2 ms against slab 1.7 ms at one row,
-// 4.2 against 4.9 at 8, a tie (7.0, 7.2) at 16, slab ahead from 32 (11.2
-// against 13.0) to 128 (37.7 against 44.1); end to end the fused kernel
-// at 128 rows cost ooc_latency 7 % of its TTFT (323 ms against 301).
-// 8 is also the widest decode step the daemons ship with.
+// the dense kernel, whose row split shares a tall input evenly where the
+// fused kernel re-decodes each tile per column share. Measured with
+// tensor.BenchmarkQ4Crossover (-benchtime 2s, the hot self-scheduled
+// pool) on the three bench-ooc shapes (384x384 four times a block,
+// 384x1536, 1536x384) at two workers, per block: fused 0.90 ms against
+// slab 1.05 ms at one row, 1.82 against 1.94 at 4, a tie (3.10, 3.05) at
+// 8, slab ahead from 16 (5.1 against 5.5) through 32 (8.8 against 10.6)
+// to 128 (33.1 against 42.4). With the channel-dispatch pool the tie sat
+// at 16 (7.0, 7.2) and 8 read 4.2 against 4.9: the crossover moved half a
+// step toward the slab, not past 8, which writes no f32 copy of the
+// weight and is also the widest decode step the daemons ship with. End
+// to end the fused kernel at 128 rows cost ooc_latency 7 % of its TTFT
+// (323 ms against 301).
 const fusedMaxRows = 8
 
 // StepEngine advances an arbitrary set of sequences one iteration at a
@@ -66,9 +71,15 @@ type StepEngine struct {
 	memo     *layerMemo
 	prefetch *PrefetchStore // non-nil when built by NewStepEnginePrefetched
 
-	ar     *tensor.Arena
-	scores []float32  // one attention-score row, MaxSeq wide
-	logits tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
+	ar *tensor.Arena
+	// scores holds one MaxSeq-wide attention-score row per item range a
+	// forked attend can have running — a handful, set by the worker
+	// count, never by the step's height. att and attendFn are attend's
+	// fork: the current call's operands, and the range body bound once.
+	scores   []float32
+	att      attendCall
+	attendFn func(lo, hi int)
+	logits   tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
 	// slab is the dequantization target for packed tensors the fused
 	// kernels do not take; it grows to the largest such tensor and holds
 	// one tensor at a time.
@@ -91,13 +102,15 @@ func NewStepEngine(cfg model.Config, w WeightStore) (*StepEngine, error) {
 	if w == nil {
 		return nil, fmt.Errorf("infer: nil weight store")
 	}
-	return &StepEngine{
+	se := &StepEngine{
 		cfg:    cfg,
 		layers: cfg.Layers(),
 		memo:   newLayerMemo(w),
 		ar:     tensor.NewArena(),
 		scores: make([]float32, cfg.MaxSeq),
-	}, nil
+	}
+	se.attendFn = se.attendRanges
+	return se, nil
 }
 
 // NewStepEnginePrefetched is NewStepEngine with a PrefetchStore between
@@ -527,22 +540,74 @@ func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) er
 
 	// Attention per query position and head, causally masked by
 	// construction: query at absolute position pos+i sees cache entries
-	// [0, pos+i].
+	// [0, pos+i]. Each (row, head) item reads the cache and writes its own
+	// headDim slice of out, so the items are split over the worker pool;
+	// below minAttendWork the fork would cost more than it shares out.
+	items := q.R * nHeads
+	ranges := 1
+	if items*(pos+q.R)*headDim >= minAttendWork {
+		ranges = min(items, attendRangesPerWorker*parallel.N())
+	}
+	if need := ranges * se.cfg.MaxSeq; len(se.scores) < need {
+		se.scores = make([]float32, need)
+	}
+	se.att = attendCall{cache: cache, pos: pos, group: group, q: q, out: out, items: items, ranges: ranges}
+	parallel.For(ranges, 1, se.attendFn)
+	se.att = attendCall{}
+	return nil
+}
+
+const (
+	// attendRangesPerWorker is how many item ranges attend cuts per
+	// configured worker — the pool's own chunks-per-worker, so each chunk
+	// is one range and one MaxSeq-wide score row serves it.
+	attendRangesPerWorker = 2
+	// minAttendWork is the (row, head) items x visible positions x head
+	// width below which attend stays on the calling goroutine: an item
+	// costs ~1 ns per position and dimension (two multiply-adds and a
+	// share of an exp), so 1<<14 is ~16 µs — internal/tensor's fork
+	// threshold, for its reasons. bench-ooc's decode attention (6 heads x
+	// 64 wide) forks from 43 cached positions and is ~80 µs per block at
+	// 150 (BenchmarkAttendSplit: 45 µs forked); bench-tiny's (4 x 16)
+	// would need 256 and its traffic stops at 144.
+	minAttendWork = 1 << 14
+)
+
+// attendCall carries one attend's operands to its forked ranges; the
+// engine keeps the body, a method value, so forking allocates nothing.
+type attendCall struct {
+	cache         KVBlock
+	pos, group    int // cached positions before this step; query heads per K/V head
+	q, out        tensor.Mat
+	items, ranges int
+}
+
+// attendRanges runs the attention core for item ranges [lo, hi) of the
+// engine's current attendCall. Range r takes items r, r+ranges,
+// r+2*ranges, ... — under the causal mask later rows see more positions,
+// and striding spreads them evenly where contiguous blocks would not —
+// and scores them in its own row of se.scores. An item — query row i,
+// head — accumulates into its own headDim slice of out and touches no
+// other, so which goroutine runs which range cannot change a bit of it.
+func (se *StepEngine) attendRanges(lo, hi int) {
+	c := &se.att
+	nHeads := se.cfg.Heads
+	headDim := se.cfg.Hidden / nHeads
 	scale := 1 / float32(math.Sqrt(float64(headDim)))
-	for i := 0; i < q.R; i++ {
-		limit := pos + i + 1
-		qrow := q.Row(i)
-		orow := out.Row(i)
-		for head := 0; head < nHeads; head++ {
-			qh := qrow[head*headDim : (head+1)*headDim]
-			off := head / group * headDim
-			// Scores over the visible cache, in the engine's reusable
-			// score row (every scores[p] is assigned before it is read,
-			// so stale values from the previous head never leak).
-			scores := se.scores[:limit]
+	for r := lo; r < hi; r++ {
+		row := se.scores[r*se.cfg.MaxSeq : (r+1)*se.cfg.MaxSeq]
+		for item := r; item < c.items; item += c.ranges {
+			i, head := item/nHeads, item%nHeads
+			limit := c.pos + i + 1
+			qh := c.q.Row(i)[head*headDim : (head+1)*headDim]
+			off := head / c.group * headDim
+			// Scores over the visible cache, in the range's reusable score
+			// row (every scores[p] is assigned before it is read, so stale
+			// values from the previous item never leak).
+			scores := row[:limit]
 			var maxS float32 = float32(math.Inf(-1))
 			for p := 0; p < limit; p++ {
-				krow := cache.KRow(p)[off : off+headDim]
+				krow := c.cache.KRow(p)[off : off+headDim]
 				var s float32
 				for d := range qh {
 					s += qh[d] * krow[d]
@@ -563,17 +628,16 @@ func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) er
 			if sum > 0 {
 				inv = 1 / sum
 			}
-			dst := orow[head*headDim : (head+1)*headDim]
+			dst := c.out.Row(i)[head*headDim : (head+1)*headDim]
 			for p := 0; p < limit; p++ {
 				wgt := scores[p] * inv
-				vrow := cache.VRow(p)[off : off+headDim]
+				vrow := c.cache.VRow(p)[off : off+headDim]
 				for d := range dst {
 					dst[d] += wgt * vrow[d]
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // ffnWidth is the FFN intermediate width.

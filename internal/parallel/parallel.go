@@ -1,120 +1,294 @@
-// Package parallel is the shared worker pool the executable engine's
-// compute kernels run on: internal/tensor's matmuls/norms/activations and
-// internal/quant's group dequantization all split their index spaces over
-// one process-wide set of long-lived workers, so no kernel call ever
-// spawns goroutines of its own.
+// Package parallel is the shared fork-join the executable engine's
+// compute kernels run on: internal/tensor's matmuls/norms/activations,
+// internal/quant's group dequantization and internal/infer's attention
+// core all split their index spaces over one process-wide set of
+// long-lived workers, so no kernel call ever spawns goroutines of its own.
 //
 // The contract that makes parallel execution safe to adopt everywhere is
 // determinism: For splits [0, n) into contiguous chunks and every index
 // belongs to exactly one chunk, so a kernel whose chunk body performs the
 // same per-index arithmetic as its serial loop produces bit-identical
-// output at any worker count. The worker count is a process-wide knob
-// (Set/N, surfaced as tensor.SetParallelism) defaulting to GOMAXPROCS.
+// output at any worker count, whichever goroutine ends up running which
+// chunk. The worker count is a process-wide knob (Set/N, surfaced as
+// tensor.SetParallelism) defaulting to GOMAXPROCS.
+//
+// Dispatch is built for forks as short as a 40 µs decode GEMV, where a
+// thread wake-up costs more than the work it would take over:
+//
+//   - Self-scheduled. A fork publishes one job descriptor — body, range,
+//     chunk size, a count of unclaimed chunks and a count of unfinished
+//     ones — in the pool's single slot. The caller and every hot worker
+//     claim chunks off the first count until it runs out, and the caller
+//     returns when the second reaches zero. The caller therefore never
+//     waits for a worker that has not started: a parked, late or
+//     descheduled worker costs nothing, the caller simply runs the whole
+//     range; it only ever waits for a chunk some worker is in the middle
+//     of. There are more chunks than workers, so a worker that joins late
+//     still finds work and an uneven pair of cores still ends together.
+//   - Hot, bounded. After its last chunk a worker keeps polling the slot
+//     for hotPolls iterations before it parks on the wake channel, so a
+//     decode step — a stream of forks a few microseconds apart — is
+//     served by a worker that never sleeps, while a process that stops
+//     forking has every worker parked one budget later. A fork that finds
+//     workers parked signals them without blocking. At most
+//     GOMAXPROCS-1 workers are ever woken, whatever Set says.
+//   - Inline when busy. One slot means one fork in flight. A caller that
+//     finds it taken — a second engine, the prefetcher's dequantization
+//     beside the engine's GEMM, a For inside a For body — runs its range
+//     on its own goroutine: two callers on two cores are already
+//     parallel, and a nested call cannot wait on the pool it runs on.
+//   - Allocation-free. The descriptor is the slot itself, reused by every
+//     fork; For allocates nothing. (Whether the body does is the caller's
+//     business: a func literal that captures variables is heap-allocated
+//     where it is built once it is handed to For, so kernels on the
+//     engine's decode path pass a func value they built once.)
 package parallel
 
 import (
 	"runtime"
-	"sync"
+	"sync/atomic"
 )
 
-var (
-	confMu  sync.RWMutex
-	workers = runtime.GOMAXPROCS(0)
+// The constants below were sized with BenchmarkForkJoin on the reference
+// guest (2 vCPUs, -benchtime 2s; µs of the caller's time in For for a fork
+// of 8 items totalling the given arithmetic):
+//
+//	arithmetic   one worker   two, hot   two, every worker parked first
+//	0 µs           0.07         0.85       0.93
+//	15 µs         14.8          8.6       18.5
+//	75 µs         74           38.7       91
+//	300 µs       295          155        239
+//
+// A hot fork costs under a microsecond and halves anything from ~10 µs
+// up; a fork that must wake its worker pays ~1 µs for the signal and then
+// waits for a late arrival's chunk, so it can cost more than the serial
+// loop — which is why workers stay hot across a step, and why the caller
+// at least never waits for one that has not arrived at all.
+const (
+	// chunksPerWorker is how many chunks a fork cuts per configured
+	// worker when the grain allows. One per worker makes the slower of
+	// two cores the critical path; two lets whichever finishes first take
+	// the remainder, and gives a worker that arrives late something to
+	// find. A claim is one atomic add.
+	chunksPerWorker = 2
+
+	// hotPolls is how many times an idle worker polls the slot before it
+	// parks: a budget counted in polls, not wall time, so nothing in this
+	// package reads a clock. A poll is one atomic load, 0.7–1.0 ns
+	// (BenchmarkForkJoin/poll), which makes the budget 20–30 µs — the
+	// order of one park/unpark round trip (the table's last column).
+	// Long enough to ride out the serial stretches inside a decode step
+	// (norms, bias adds, KV append: a few µs each); short enough that a
+	// worker is off its processor before the goroutines waiting for one
+	// notice — at 400 µs the two-replica fleet workload's median reply
+	// time rose by two thirds.
+	hotPolls = 30000
+
+	// flightCheck is how often, in polls, an idle worker looks at the slot
+	// state to see whether a fork is in flight. The owner writes that
+	// cache line three times per fork; a worker reading it on every poll
+	// pulled it away between those writes and made an empty fork cost the
+	// caller 0.93 µs instead of 0.59.
+	flightCheck = 1024
+
+	// flightWeight stretches the hot budget while a fork is in flight:
+	// those polls count one in flightWeight, so a worker waits ~8 budgets
+	// (~200 µs) for the caller's last chunk — every decode-sized chunk —
+	// but not without bound: a caller descheduled mid-fork on a busy host
+	// must get the processor back from it, and behind a prefill-sized
+	// chunk (milliseconds) one wake-up is noise.
+	flightWeight = 8
+
+	// waitPolls is how long the caller polls for in-flight chunks before
+	// it starts yielding the processor between polls.
+	waitPolls = 2000
+
+	// maxSpawn bounds the worker count against pathological Set values.
+	maxSpawn = 256
 )
+
+var workers atomic.Int32
+
+func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // Set configures the worker count used by For; n <= 0 resets to
 // GOMAXPROCS. It returns the previous setting so callers can restore it.
 func Set(n int) int {
-	confMu.Lock()
-	defer confMu.Unlock()
-	prev := workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	workers = n
-	return prev
+	return int(workers.Swap(int32(n)))
 }
 
 // N reports the configured worker count.
-func N() int {
-	confMu.RLock()
-	defer confMu.RUnlock()
-	return workers
-}
+func N() int { return int(workers.Load()) }
 
-// The pool: long-lived goroutines blocked on an unbounded-in-practice
-// buffered channel. Workers are spawned lazily up to the largest chunk
-// count ever requested and then reused for the life of the process; an
-// idle worker costs one parked goroutine.
-var (
-	poolMu  sync.Mutex
-	tasks   chan func()
-	spawned int
+// Slot states, the high bits of pool.state; the low 32 bits count the
+// workers currently inside the job. The slot is free only at zero, so a
+// worker that lingers inside a finished job (it has no chunk, it just
+// has not left yet) keeps the descriptor from being rewritten under it.
+const (
+	slotOwned = 1 << 33 // a caller holds the descriptor
+	slotOpen  = 1 << 32 // ... and has published it: workers may enter
 )
 
-// maxSpawn bounds the worker count against pathological Set values.
-const maxSpawn = 256
+// pool is one fork-join: the job slot, the workers serving it and the
+// channel they park on. The package runs on one shared instance.
+type pool struct {
+	state   atomic.Uint64 // slotOwned | slotOpen | workers inside
+	pending atomic.Int32  // chunks not yet finished
+	// The descriptor proper: written by the slot's owner before slotOpen
+	// is set, read by workers only between entering and leaving.
+	body            func(lo, hi int)
+	n, size, chunks int
 
-func ensureWorkers(n int) {
-	if n > maxSpawn {
-		n = maxSpawn
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if tasks == nil {
-		tasks = make(chan func(), 4*maxSpawn)
-	}
-	for spawned < n {
-		go func() {
-			for f := range tasks {
-				f()
-			}
-		}()
-		spawned++
-	}
+	_ [64]byte // idle workers poll unclaimed; keep the owner's writes above off its line
+
+	unclaimed atomic.Int32 // chunks nobody has taken yet (<= 0: none)
+
+	_ [64]byte
+
+	spawned atomic.Int32  // worker goroutines started; grown by the slot's owner only
+	parked  atomic.Int32  // workers on (or headed for) the wake channel and not yet signalled
+	wake    chan struct{} // one token per signalled worker; capacity maxSpawn, so a send never blocks
 }
 
-// For runs body over the contiguous chunks of [0, n), at most N() of
-// them and each at least grain indices long (so small inputs stay on the
-// calling goroutine with zero synchronization). The caller's goroutine
-// executes the first chunk itself and For returns only when every chunk
-// has finished.
+var shared = newPool()
+
+func newPool() *pool { return &pool{wake: make(chan struct{}, maxSpawn)} }
+
+// For runs body over contiguous chunks of [0, n) — at most
+// chunksPerWorker*N() of them, each at least grain indices long (so
+// small inputs stay on the calling goroutine with zero synchronization)
+// — and returns when every index has been covered exactly once. The
+// caller's goroutine works through the chunks itself, sharing them with
+// whichever pool workers are awake; see the package comment for the
+// dispatch. For does not allocate.
 //
-// body must not call For recursively: nested calls would have pool
-// workers waiting on pool workers.
-func For(n, grain int, body func(lo, hi int)) {
+// body may call For: while a fork is in flight — this one included —
+// every other For runs inline on its caller. If body panics on the
+// calling goroutine the fork is retired (its remaining chunks dropped,
+// chunks already running elsewhere joined) before the panic continues; a
+// panic on a pool worker is fatal to the process, as any unrecovered
+// goroutine panic is.
+func For(n, grain int, body func(lo, hi int)) { shared.run(n, grain, body) }
+
+func (p *pool) run(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := N()
-	if maxChunks := (n + grain - 1) / grain; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks <= 1 {
+	w := N()
+	chunks := min(chunksPerWorker*w, n/grain)
+	if w == 1 || chunks <= 1 || !p.state.CompareAndSwap(0, slotOwned) {
 		body(0, n)
 		return
 	}
-	ensureWorkers(chunks - 1)
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
+	chunks = (n + size - 1) / size
+	p.body, p.n, p.size, p.chunks = body, n, size, chunks
+	p.pending.Store(int32(chunks))
+	p.state.Store(slotOwned | slotOpen)
+	p.unclaimed.Store(int32(chunks))
+	p.rouse()
+
+	finished := false
+	defer func() {
+		if !finished {
+			p.abandon()
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		tasks <- func() {
-			defer wg.Done()
-			body(lo, hi)
+	}()
+	p.work()
+	p.join()
+	finished = true
+}
+
+// join waits for the chunks other goroutines are still running and
+// frees the slot.
+func (p *pool) join() {
+	for polls := 0; p.pending.Load() > 0; polls++ {
+		if polls >= waitPolls {
+			runtime.Gosched()
 		}
 	}
-	body(0, size)
-	wg.Wait()
+	p.body = nil
+	p.state.Add(^uint64(slotOwned|slotOpen) + 1)
+}
+
+// abandon retires a fork whose body panicked on the calling goroutine:
+// the chunks nobody has claimed are dropped, the panicking chunk is
+// counted finished, and the slot is freed once the workers' chunks are.
+func (p *pool) abandon() {
+	for p.unclaimed.Add(-1) >= 0 {
+		p.pending.Add(-1)
+	}
+	p.pending.Add(-1)
+	p.join()
+}
+
+// work claims and runs chunks until none are left. The caller must own
+// the slot or have entered it. The descriptor is read only under a
+// claimed chunk: until that chunk is counted finished the owner cannot
+// get past join, so nothing rewrites the fields meanwhile.
+func (p *pool) work() {
+	for {
+		c := int(p.unclaimed.Add(-1))
+		if c < 0 {
+			return
+		}
+		lo := (p.chunks - 1 - c) * p.size
+		p.body(lo, min(lo+p.size, p.n))
+		p.pending.Add(-1)
+	}
+}
+
+// rouse brings the number of hot workers up to what the configured
+// worker count and GOMAXPROCS allow, signalling parked workers first and
+// starting new ones when there are none to signal. Only the slot's owner
+// calls it, so spawned has one writer. It never blocks.
+func (p *pool) rouse() {
+	spawned := p.spawned.Load()
+	if p.parked.Load() == 0 && int(spawned) >= N()-1 {
+		return // everyone who could help is already polling
+	}
+	want := int32(min(N(), runtime.GOMAXPROCS(0), maxSpawn+1) - 1)
+	for {
+		idle := p.parked.Load()
+		if spawned-idle >= want {
+			return
+		}
+		if idle == 0 {
+			spawned = p.spawned.Add(1)
+			go p.worker()
+		} else if p.parked.CompareAndSwap(idle, idle-1) {
+			p.wake <- struct{}{}
+		}
+	}
+}
+
+// worker is the life of one pool goroutine: serve the slot while it
+// keeps filling, park when it has stayed empty for hotPolls polls. Polls
+// made while a fork is in flight — its last chunks running elsewhere —
+// count 1/flightWeight: that fork's caller is about to issue the next
+// one, and a worker that parked behind every uneven split would miss it.
+func (p *pool) worker() {
+	for {
+		for idle := 0; idle < hotPolls; idle++ {
+			if p.unclaimed.Load() <= 0 {
+				if idle%flightCheck == flightCheck-1 && p.state.Load() != 0 {
+					idle -= flightCheck - flightCheck/flightWeight
+				}
+				continue
+			}
+			if s := p.state.Load(); s&slotOpen != 0 && p.state.CompareAndSwap(s, s+1) {
+				p.work()
+				p.state.Add(^uint64(0))
+				idle = 0
+			}
+		}
+		p.parked.Add(1)
+		<-p.wake
+	}
 }

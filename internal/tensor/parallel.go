@@ -1,21 +1,48 @@
 package tensor
 
-import "helmsim/internal/parallel"
+import (
+	"sync/atomic"
+
+	"helmsim/internal/parallel"
+	"helmsim/internal/quant"
+)
 
 // Parallelism thresholds: kernels below these sizes run on the calling
-// goroutine — the crossover where splitting pays for its synchronization.
+// goroutine. They are derived from what a fork costs, measured by
+// parallel.BenchmarkForkJoin on the 2-vCPU reference guest: ~0.6 µs of
+// the caller's time when the pool's worker is hot (forks arriving back to
+// back, as inside a decode step), a few µs and a worker that arrives tens
+// of µs late when it has to be woken (the first fork after a pause) — and
+// one more cost that is not the caller's: a step that forks at all keeps
+// a second processor polling between its forks, which on a busy host is
+// taken from another goroutine (at an ~8 µs threshold bench-tiny's decode
+// forked only its logits and long-context attention, and the two-replica
+// fleet workload's median reply time rose 5–10 %). So a kernel forks from
+// ~16 µs of serial work up: the hot fork then saves 7 µs or more, and a
+// model whose decode kernels are all smaller than that never wakes the
+// pool outside prefill.
 const (
-	// minParallelFlops gates the matmuls (R*K*C multiply-adds).
+	// minParallelFlops gates the matmuls (R*K*C multiply-adds). The dense
+	// inner loop runs ~4 multiply-adds per ns, so 1<<16 is ~16 µs. The
+	// smallest decode GEMV of bench-ooc (1x384x384, 147k) is 38 µs serial
+	// and 30 µs split over two hot workers, the largest (1x384x1536) 156
+	// against 89 (BenchmarkGemvSplit).
 	minParallelFlops = 1 << 16
-	// minColTile is the narrowest output-column tile a worker takes, so
-	// column splits keep streaming cache lines.
+	// minColTile is the narrowest output-column tile a chunk takes: four
+	// cache lines of each weight row, so column splits keep streaming.
 	minColTile = 64
-	// minParallelElems gates the element-wise and per-row kernels.
-	minParallelElems = 1 << 15
-	// rowGrain batches rows for the per-row kernels (norms, softmax).
+	// minParallelElems gates the per-row kernels (norms, softmax), which
+	// cost 2–3 ns per element: 1<<13 is ~20 µs. A decode step's norms
+	// (one row of 384) stay serial; a 128-row prefill's split.
+	minParallelElems = 1 << 13
+	// rowGrain batches rows for the per-row kernels.
 	rowGrain = 4
-	// elemGrain batches elements for the activations.
-	elemGrain = 1 << 12
+	// minParallelActs gates GELU and SiLU, which cost ~40 ns per element
+	// (math.Tanh, math.Exp): 512 is ~20 µs. The decode-width FFN
+	// activation of bench-ooc (1x1536, ~60 µs) splits.
+	minParallelActs = 512
+	// actGrain is the fewest activation elements a chunk takes (~5 µs).
+	actGrain = 128
 )
 
 // SetParallelism sets the worker count shared by every kernel in this
@@ -27,3 +54,110 @@ func SetParallelism(n int) int { return parallel.Set(n) }
 
 // Parallelism reports the configured worker count.
 func Parallelism() int { return parallel.N() }
+
+// kernel names the chunk body a forked call runs.
+type kernel uint8
+
+const (
+	kMatMulRows kernel = iota
+	kMatMulCols
+	kMatMulTRows
+	kMatMulTCols
+	kMatMulQ4
+	kMatMulTQ4
+	kSoftmax
+	kLayerNorm
+	kRMSNorm
+	kGELU
+	kSiLU
+)
+
+// forkCall is the package's one forked kernel call: the operands its
+// chunks need, and the chunk body handed to parallel.For. A func literal
+// capturing the operands would be heap-allocated on every call once For
+// publishes it to the pool, and the kernels sit on the engine's
+// zero-allocation decode path; so the body is a method value bound once
+// and the operands travel in this struct. One instance suffices because
+// the pool runs one fork at a time anyway: a kernel that finds the call
+// taken (another engine's kernel is mid-fork) runs serially, which is
+// what parallel.For would have made of it.
+type forkCall struct {
+	busy atomic.Bool
+	body func(lo, hi int)
+	forkOperands
+}
+
+type forkOperands struct {
+	kernel      kernel
+	a, b, out   Mat
+	w           quant.Packed
+	cols, tile  int
+	gamma, beta []float32
+	eps         float32
+}
+
+var fork = newForkCall()
+
+func newForkCall() *forkCall {
+	f := &forkCall{}
+	f.body = f.chunk
+	return f
+}
+
+// take claims the call for a kernel that wants to fork; false means run
+// serially: one worker configured, or another fork is in flight.
+func (f *forkCall) take() bool {
+	return parallel.N() > 1 && f.busy.CompareAndSwap(false, true)
+}
+
+// run forks [0, n) over the pool with the operands the caller has set,
+// then releases the call (dropping the operand references with it).
+func (f *forkCall) run(k kernel, n, grain int) {
+	f.kernel = k
+	parallel.For(n, grain, f.body)
+	f.forkOperands = forkOperands{}
+	f.busy.Store(false)
+}
+
+// chunk runs indices [lo, hi) of the current call: rows, output columns,
+// quantization groups or elements, as the kernel splits.
+func (f *forkCall) chunk(lo, hi int) {
+	switch f.kernel {
+	case kMatMulRows:
+		matMulTile(f.a, f.b, f.out, lo, hi, 0, f.b.C)
+	case kMatMulCols:
+		matMulTile(f.a, f.b, f.out, 0, f.a.R, lo, hi)
+	case kMatMulTRows:
+		matMulTTile(f.a, f.b, f.out, lo, hi, 0, f.b.R)
+	case kMatMulTCols:
+		matMulTTile(f.a, f.b, f.out, 0, f.a.R, lo, hi)
+	case kMatMulQ4:
+		gs := f.w.GroupSize()
+		matMulQ4Tile(f.a, f.w, f.cols, f.tile, f.out, lo*gs, hi*gs)
+	case kMatMulTQ4:
+		matMulTQ4Tile(f.a, f.w, f.tile, f.out, lo, hi)
+	case kSoftmax:
+		f.a.softmaxRows(lo, hi)
+	case kLayerNorm:
+		layerNormRows(f.a, f.gamma, f.beta, f.eps, f.out, lo, hi)
+	case kRMSNorm:
+		rmsNormRows(f.a, f.gamma, f.eps, f.out, lo, hi)
+	case kGELU:
+		geluElems(f.a.Data[lo:hi])
+	case kSiLU:
+		siluElems(f.a.Data[lo:hi])
+	}
+}
+
+// shareGrain is the grain that makes the pool cut n column-like items
+// into one equal share per worker instead of its usual two chunks each.
+// A column tile re-reads every weight row, a narrow strip of it at a
+// time, so halving a tile costs streaming efficiency (1x1536x384 dense on
+// two workers: 134 µs cut 192+192, 157 µs cut 4x96, 169 µs serial), and
+// quantization groups are too coarse for small chunks to even out (6
+// groups cut 2+2+2 leave one of two workers idle for a third of the
+// kernel; 3+3 does not).
+func shareGrain(n, floor int) int {
+	w := parallel.N()
+	return max(floor, (n+w-1)/w)
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,25 +64,24 @@ func TestMatMulZeroTimesNaN(t *testing.T) {
 	}
 }
 
-// parLevels are the worker counts the invariance tests sweep.
+// parLevels are the worker counts the invariance tests sweep: serial,
+// the even and odd splits, more workers than any test host has cores
+// (more chunks, the same few goroutines), and GOMAXPROCS itself.
 func parLevels() []int {
-	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
-	if levels[2] < 2 {
-		levels[2] = 4 // still exercise multi-worker splits on 1-CPU hosts
-	}
-	return levels
+	return []int{1, 2, 3, 8, runtime.GOMAXPROCS(0)}
 }
 
-// Kernels must be bit-identical at parallelism 1, 2 and GOMAXPROCS, on
-// shapes large enough to actually engage the parallel paths (tall for row
-// tiles, single-row for column tiles).
+// Kernels must be bit-identical at every worker count, on shapes large
+// enough to actually engage the parallel paths (tall for row tiles,
+// single-row for column tiles and for the element-wise activations).
 func TestKernelParallelismInvariance(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ r, k, c int }{
-		{64, 96, 80},  // row-tiled
+		{128, 96, 80}, // row-tiled (and tall enough that the norms and softmax fork)
 		{1, 256, 512}, // column-tiled (decode shape)
 		{3, 128, 300}, // fewer rows than workers
+		{1, 1536, 64}, // GELU / SiLU at decode width (the FFN activation of a 384-wide model)
 	}
 	for _, sh := range shapes {
 		a, b := New(sh.r, sh.k), New(sh.k, sh.c)
@@ -160,5 +160,51 @@ func TestSetParallelismRoundTrip(t *testing.T) {
 	}
 	if got := SetParallelism(prev); got != 5 {
 		t.Errorf("SetParallelism returned %d, want 5", got)
+	}
+}
+
+// The package has one forked-call descriptor. Kernels called from
+// several goroutines at once — two engines in one process — must each
+// still produce the serial bits: whoever finds the descriptor taken runs
+// serially, and nobody runs with another call's operands.
+func TestKernelsConcurrentCallers(t *testing.T) {
+	defer SetParallelism(SetParallelism(2))
+	const callers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, b := randMat(1+g, 128+64*g, int64(g)), randMat(128+64*g, 256, int64(100+g))
+			want := refMatMul(a, b)
+			out := New(a.R, b.C)
+			act := randMat(1, 1536, int64(200+g))
+			wantAct := act.Clone()
+			geluElems(wantAct.Data)
+			for round := 0; round < 50; round++ {
+				if err := MatMulInto(a, b, out); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want.Data {
+					if !sameBits(out.Data[i], want.Data[i]) {
+						t.Errorf("caller %d round %d: matmul elem %d = %v, want %v", g, round, i, out.Data[i], want.Data[i])
+						return
+					}
+				}
+				got := act.Clone()
+				got.GELU()
+				for i := range wantAct.Data {
+					if !sameBits(got.Data[i], wantAct.Data[i]) {
+						t.Errorf("caller %d round %d: gelu elem %d = %v, want %v", g, round, i, got.Data[i], wantAct.Data[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if fork.busy.Load() {
+		t.Error("forked-call descriptor left taken")
 	}
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 
-	"helmsim/internal/parallel"
 	"helmsim/internal/quant"
 )
 
@@ -52,12 +51,13 @@ func MatMulQ4Into(a Mat, w quant.Packed, cols int, out Mat) error {
 		return fmt.Errorf("tensor: matmulQ4 cannot tile %d columns in groups of %d", cols, w.GroupSize())
 	}
 	clear(out.Data)
-	if a.R*a.C*cols < minParallelFlops || parallel.N() == 1 {
+	if a.R*a.C*cols < minParallelFlops || !fork.take() {
 		matMulQ4Tile(a, w, cols, run, out, 0, cols)
 		return nil
 	}
+	fork.a, fork.w, fork.cols, fork.tile, fork.out = a, w, cols, run, out
 	gs := w.GroupSize()
-	parallel.For(cols/gs, (minColTile+gs-1)/gs, func(lo, hi int) { matMulQ4Tile(a, w, cols, run, out, lo*gs, hi*gs) })
+	fork.run(kMatMulQ4, cols/gs, shareGrain(cols/gs, (minColTile+gs-1)/gs))
 	return nil
 }
 
@@ -109,11 +109,12 @@ func MatMulTQ4Into(a Mat, w quant.Packed, out Mat) error {
 		return fmt.Errorf("tensor: matmulTQ4 cannot tile rows of %d in groups of %d", a.C, w.GroupSize())
 	}
 	clear(out.Data)
-	if a.R*a.C*out.C < minParallelFlops || parallel.N() == 1 {
+	if a.R*a.C*out.C < minParallelFlops || !fork.take() {
 		matMulTQ4Tile(a, w, run, out, 0, out.C)
 		return nil
 	}
-	parallel.For(out.C, minColTile, func(lo, hi int) { matMulTQ4Tile(a, w, run, out, lo, hi) })
+	fork.a, fork.w, fork.tile, fork.out = a, w, run, out
+	fork.run(kMatMulTQ4, out.C, minColTile)
 	return nil
 }
 

@@ -8,11 +8,16 @@
 // pipeline — the matmul accumulate takes four k per pass with the running
 // sum in a register, the transposed matmul runs four dot products at once
 // so the adds overlap — and parallelism: the matmuls, norms and
-// activations split their index spaces over the shared worker pool of
-// internal/parallel (rows when the batch is tall, output columns when it
-// is not). Neither changes what an output element computes — its terms,
-// one at a time, in ascending k — so output is bit-identical to the
-// textbook loop at any SetParallelism value (DESIGN §3c). The engine
+// activations split their index spaces over the shared fork-join of
+// internal/parallel (rows when the batch is tall, one tile of output
+// columns per worker when it is not), at decode as well as at prefill: a
+// fork costs the caller well under a microsecond while a decode step
+// keeps the pool's worker awake, so anything from ~16 µs of work up is
+// split (the thresholds in parallel.go carry their measured crossovers).
+// Neither changes what an output element computes — its terms, one at a
+// time, in ascending k — so output is bit-identical to the textbook loop
+// at any SetParallelism value, whichever goroutine ran which chunk
+// (DESIGN §3c). The engine
 // exists to execute the paper's computation faithfully at laptop scale,
 // while the performance questions are answered by the calibrated
 // simulator; fast kernels are what make the executable grounding usable
@@ -94,14 +99,15 @@ func MatMulInto(a, b, out Mat) error {
 		return fmt.Errorf("tensor: matmul output %dx%d for (%dx%d)@(%dx%d)", out.R, out.C, a.R, a.C, b.R, b.C)
 	}
 	clear(out.Data)
-	if a.R*a.C*b.C < minParallelFlops || parallel.N() == 1 {
+	if a.R*a.C*b.C < minParallelFlops || !fork.take() {
 		matMulTile(a, b, out, 0, a.R, 0, b.C)
 		return nil
 	}
+	fork.a, fork.b, fork.out = a, b, out
 	if a.R >= parallel.N() {
-		parallel.For(a.R, 1, func(lo, hi int) { matMulTile(a, b, out, lo, hi, 0, b.C) })
+		fork.run(kMatMulRows, a.R, 1)
 	} else {
-		parallel.For(b.C, minColTile, func(lo, hi int) { matMulTile(a, b, out, 0, a.R, lo, hi) })
+		fork.run(kMatMulCols, b.C, shareGrain(b.C, minColTile))
 	}
 	return nil
 }
@@ -174,15 +180,16 @@ func MatMulTInto(a, b, out Mat) error {
 	if out.R != a.R || out.C != b.R {
 		return fmt.Errorf("tensor: matmulT output %dx%d for (%dx%d)@(%dx%d)T", out.R, out.C, a.R, a.C, b.R, b.C)
 	}
-	if a.R*a.C*b.R < minParallelFlops || parallel.N() == 1 {
+	if a.R*a.C*b.R < minParallelFlops || !fork.take() {
 		matMulTTile(a, b, out, 0, a.R, 0, b.R)
 		return nil
 	}
+	fork.a, fork.b, fork.out = a, b, out
 	if a.R >= parallel.N() {
-		parallel.For(a.R, 1, func(lo, hi int) { matMulTTile(a, b, out, lo, hi, 0, b.R) })
+		fork.run(kMatMulTRows, a.R, 1)
 	} else {
 		// One query row against a large token table: split the table.
-		parallel.For(b.R, minColTile, func(lo, hi int) { matMulTTile(a, b, out, 0, a.R, lo, hi) })
+		fork.run(kMatMulTCols, b.R, minColTile)
 	}
 	return nil
 }
@@ -271,14 +278,12 @@ func (m Mat) Scale(s float32) {
 // SoftmaxRows applies a numerically stable softmax to each row in place
 // (rows are independent, so row tiles parallelize bit-identically).
 func (m Mat) SoftmaxRows() {
-	// The serial bypass skips closure construction entirely: building the
-	// func literal for the pool would heap-allocate every call, and the
-	// per-row kernels sit on the engine's zero-alloc decode path.
-	if len(m.Data) < minParallelElems || parallel.N() == 1 {
+	if len(m.Data) < minParallelElems || !fork.take() {
 		m.softmaxRows(0, m.R)
 		return
 	}
-	parallel.For(m.R, rowGrain, func(lo, hi int) { m.softmaxRows(lo, hi) })
+	fork.a = m
+	fork.run(kSoftmax, m.R, rowGrain)
 }
 
 func (m Mat) softmaxRows(lo, hi int) {
@@ -323,11 +328,12 @@ func LayerNormInto(x Mat, gamma, beta []float32, eps float32, out Mat) error {
 	if out.R != x.R || out.C != x.C {
 		return fmt.Errorf("tensor: layernorm output %dx%d for input %dx%d", out.R, out.C, x.R, x.C)
 	}
-	if len(x.Data) < minParallelElems || parallel.N() == 1 {
+	if len(x.Data) < minParallelElems || !fork.take() {
 		layerNormRows(x, gamma, beta, eps, out, 0, x.R)
 		return nil
 	}
-	parallel.For(x.R, rowGrain, func(lo, hi int) { layerNormRows(x, gamma, beta, eps, out, lo, hi) })
+	fork.a, fork.out, fork.gamma, fork.beta, fork.eps = x, out, gamma, beta, eps
+	fork.run(kLayerNorm, x.R, rowGrain)
 	return nil
 }
 
@@ -372,11 +378,12 @@ func RMSNormInto(x Mat, gamma []float32, eps float32, out Mat) error {
 	if out.R != x.R || out.C != x.C {
 		return fmt.Errorf("tensor: rmsnorm output %dx%d for input %dx%d", out.R, out.C, x.R, x.C)
 	}
-	if len(x.Data) < minParallelElems || parallel.N() == 1 {
+	if len(x.Data) < minParallelElems || !fork.take() {
 		rmsNormRows(x, gamma, eps, out, 0, x.R)
 		return nil
 	}
-	parallel.For(x.R, rowGrain, func(lo, hi int) { rmsNormRows(x, gamma, eps, out, lo, hi) })
+	fork.a, fork.out, fork.gamma, fork.eps = x, out, gamma, eps
+	fork.run(kRMSNorm, x.R, rowGrain)
 	return nil
 }
 
@@ -399,11 +406,12 @@ func rmsNormRows(x Mat, gamma []float32, eps float32, out Mat, lo, hi int) {
 // GELU applies the tanh-approximated Gaussian error linear unit in place
 // (OPT's FFN activation).
 func (m Mat) GELU() {
-	if len(m.Data) < minParallelElems || parallel.N() == 1 {
+	if len(m.Data) < minParallelActs || !fork.take() {
 		geluElems(m.Data)
 		return
 	}
-	parallel.For(len(m.Data), elemGrain, func(lo, hi int) { geluElems(m.Data[lo:hi]) })
+	fork.a = m
+	fork.run(kGELU, len(m.Data), actGrain)
 }
 
 func geluElems(data []float32) {
@@ -416,11 +424,12 @@ func geluElems(data []float32) {
 
 // SiLU applies x*sigmoid(x) in place (LLaMA's gate activation).
 func (m Mat) SiLU() {
-	if len(m.Data) < minParallelElems || parallel.N() == 1 {
+	if len(m.Data) < minParallelActs || !fork.take() {
 		siluElems(m.Data)
 		return
 	}
-	parallel.For(len(m.Data), elemGrain, func(lo, hi int) { siluElems(m.Data[lo:hi]) })
+	fork.a = m
+	fork.run(kSiLU, len(m.Data), actGrain)
 }
 
 func siluElems(data []float32) {
