@@ -26,10 +26,9 @@ func weightCount(cfg model.Config) int {
 // Steady-state single-token decode over an in-memory store must not
 // touch the heap at all: activations come from the engine's arena, KV
 // rows land in preallocated slabs, scores use the engine's scratch row,
-// and MemStore serves zero-copy views. Parallel kernel dispatch is
-// pinned to 1 because the worker handoff allocates closures; outputs
-// are bit-identical at any setting, so the single-worker measurement
-// bounds the engine's own behavior.
+// and MemStore serves zero-copy views. Kernel parallelism is pinned to
+// 1 because testing.AllocsPerRun runs at GOMAXPROCS 1 anyway; the forked
+// gates below count where the pool's worker really takes chunks.
 func TestDecodeAllocsMemStoreZero(t *testing.T) {
 	for _, cfg := range []model.Config{tinyOPT(), tinyLlama()} {
 		prev := tensor.SetParallelism(1)
@@ -85,8 +84,8 @@ func TestStepDecodeAllocsMemStoreZero(t *testing.T) {
 // stepDecode prefills a three-token prompt and returns the engine's
 // single-token step, already run enough times that the arena, KV slabs
 // and any recycled weight buffers have reached their steady-state
-// shapes. Kernel parallelism stays at one worker until the test ends:
-// the worker handoff allocates closures.
+// shapes. Kernel parallelism stays at one worker until the test ends
+// (see TestDecodeAllocsMemStoreZero).
 func stepDecode(t *testing.T, cfg model.Config, se *StepEngine) func() {
 	t.Helper()
 	prev := tensor.SetParallelism(1)
@@ -173,10 +172,17 @@ func TestStepDecodeAllocsForkedZero(t *testing.T) {
 		prompt[i] = 1 + i
 	}
 	step, _ := decodeStepper(t, cfg, se, prompt, 2)
-	// The counter is process-wide, so a runtime goroutine's stray
-	// allocation could land in one window; a real per-step allocation
-	// lands in all of them. (44 + 2 + 3*5 positions fit MaxSeq 64.)
-	const steps = 5
+	// 44 + 2 + 3*5 positions fit MaxSeq 64.
+	if got := mallocsPerStep(step, 5); got != 0 {
+		t.Errorf("forked decode allocates %.1f objects/step at two workers, want 0", got)
+	}
+}
+
+// mallocsPerStep is the fewest heap objects allocated per call of step
+// over three windows of steps calls each, from the runtime's counter. The
+// counter is process-wide, so a runtime goroutine's stray allocation
+// could land in one window; a real per-step allocation lands in all.
+func mallocsPerStep(step func(), steps int) float64 {
 	best := ^uint64(0)
 	for try := 0; try < 3; try++ {
 		var m0, m1 runtime.MemStats
@@ -187,8 +193,94 @@ func TestStepDecodeAllocsForkedZero(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		best = min(best, m1.Mallocs-m0.Mallocs)
 	}
-	if best != 0 {
-		t.Errorf("forked decode allocates %.1f objects/step at two workers, want 0", float64(best)/steps)
+	return float64(best) / float64(steps)
+}
+
+// packedMemStore serves a MemStore's matrices as packed 4-bit views of
+// in-memory blobs and its norm and bias vectors as the MemStore's own
+// views: the packed path with no file (and so no record keys) under it,
+// which lets a step over packed weights be held to zero allocations.
+type packedMemStore struct {
+	*MemStore
+	packed map[storeKey]quant.Packed
+}
+
+func newPackedMemStore(t *testing.T, cfg model.Config, raw *MemStore) packedMemStore {
+	t.Helper()
+	s := packedMemStore{raw, make(map[storeKey]quant.Packed)}
+	for _, l := range cfg.Layers() {
+		for _, w := range l.Weights {
+			if isNormParam(w.Name) || isBiasParam(w.Name) {
+				continue
+			}
+			data, err := raw.TensorView(l.Index, w.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qt, err := quant.Quantize(data, quant.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := qt.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ok, err := quant.ViewPacked(blob)
+			if err != nil || !ok {
+				t.Fatalf("ViewPacked L%d/%s: ok=%v err=%v", l.Index, w.Name, ok, err)
+			}
+			s.packed[storeKey{l.Index, w.Name}] = p
+		}
+	}
+	return s
+}
+
+// TensorPacked implements PackedStore.
+func (s packedMemStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	p, ok := s.packed[storeKey{layer, name}]
+	return p, ok, nil
+}
+
+// The forked gate at a prefill's shape: twelve rows — past fusedMaxRows,
+// so every packed projection is dequantized whole into the engine's slab
+// and run through the dense kernel — at two workers on two processors.
+// The slab decode forks like the kernels do, through a descriptor built
+// once; when it handed the pool a func literal instead, each of the
+// step's packed tensors cost a heap object and this read 12 per step.
+func TestStepPrefillAllocsForkedZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer tensor.SetParallelism(tensor.SetParallelism(2))
+	cfg := oocShaped()
+	raw, err := RandomWeights(cfg, 13, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewStepEngine(cfg, newPackedMemStore(t, cfg, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := make([]int, fusedMaxRows+4)
+	for i := range prompt {
+		prompt[i] = 1 + i
+	}
+	seq := &StepSeq{KV: NewBlockCaches(cfg)}
+	seqs := []*StepSeq{seq}
+	prefill := func() {
+		seq.Tokens, seq.Pos = prompt, 0
+		for _, kv := range seq.KV {
+			kv.Truncate(0)
+		}
+		if _, err := se.Step(seqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefill()
+	prefill()
+	if se.slab == nil {
+		t.Fatal("a step taller than fusedMaxRows did not dequantize into the slab")
+	}
+	if got := mallocsPerStep(prefill, 3); got != 0 {
+		t.Errorf("forked prefill over packed weights allocates %.1f objects/step at two workers, want 0", got)
 	}
 }
 

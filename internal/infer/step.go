@@ -34,17 +34,18 @@ type StepSeq struct {
 // one in) dequantizes the tensor once into the engine's slab and runs
 // the dense kernel, whose row split shares a tall input evenly where the
 // fused kernel re-decodes each tile per column share. Measured with
-// tensor.BenchmarkQ4Crossover (-benchtime 2s, the hot self-scheduled
-// pool) on the three bench-ooc shapes (384x384 four times a block,
-// 384x1536, 1536x384) at two workers, per block: fused 0.90 ms against
-// slab 1.05 ms at one row, 1.82 against 1.94 at 4, a tie (3.10, 3.05) at
-// 8, slab ahead from 16 (5.1 against 5.5) through 32 (8.8 against 10.6)
-// to 128 (33.1 against 42.4). With the channel-dispatch pool the tie sat
-// at 16 (7.0, 7.2) and 8 read 4.2 against 4.9: the crossover moved half a
-// step toward the slab, not past 8, which writes no f32 copy of the
-// weight and is also the widest decode step the daemons ship with. End
-// to end the fused kernel at 128 rows cost ooc_latency 7 % of its TTFT
-// (323 ms against 301).
+// tensor.BenchmarkQ4Crossover (-benchtime 2s) on the three bench-ooc
+// shapes (384x384 four times a block, 384x1536, 1536x384) at two
+// workers, per block, with the SSE2 accumulate and decode: fused 0.62 ms
+// against slab 0.88 ms at one row, 1.20 against 1.54 at 4, 1.66 against
+// 1.83 at 8, slab ahead from 16 (2.51 against 2.84) through 32 (4.5
+// against 5.1) to 128 (13.2 against 20.7). With the scalar kernels the
+// same table read 0.90/1.05, 1.82/1.94, a tie (3.10, 3.05) at 8, and
+// 33.1 against 42.4 at 128: both paths got about twice as fast and the
+// crossover stayed between 8 and 16, so 8 — which writes no f32 copy of
+// the weight and is also the widest decode step the daemons ship with —
+// stays. End to end the fused kernel at 128 rows cost ooc_latency 7 % of
+// its TTFT when that was measured (323 ms against 301, scalar kernels).
 const fusedMaxRows = 8
 
 // StepEngine advances an arbitrary set of sequences one iteration at a
@@ -563,13 +564,15 @@ const (
 	// is one range and one MaxSeq-wide score row serves it.
 	attendRangesPerWorker = 2
 	// minAttendWork is the (row, head) items x visible positions x head
-	// width below which attend stays on the calling goroutine: an item
-	// costs ~1 ns per position and dimension (two multiply-adds and a
-	// share of an exp), so 1<<14 is ~16 µs — internal/tensor's fork
-	// threshold, for its reasons. bench-ooc's decode attention (6 heads x
-	// 64 wide) forks from 43 cached positions and is ~80 µs per block at
-	// 150 (BenchmarkAttendSplit: 45 µs forked); bench-tiny's (4 x 16)
-	// would need 256 and its traffic stops at 144.
+	// width below which attend stays on the calling goroutine. On the
+	// shared kernels (four positions per pass) an item costs ~0.75 ns per
+	// position and dimension plus an exp per position, so 1<<14 is where
+	// bench-ooc's decode attention (6 heads x 64 wide) reaches 43 cached
+	// positions and ~19 µs serial — internal/tensor's ~16 µs fork floor,
+	// for its reasons — against 13 µs forked; at 150 positions it is 43 µs
+	// against 24 (BenchmarkAttendSplit; 117 against 61 before the shared
+	// kernels). bench-tiny's (4 x 16) would need 256 positions and its
+	// traffic stops at 144.
 	minAttendWork = 1 << 14
 )
 
@@ -604,14 +607,25 @@ func (se *StepEngine) attendRanges(lo, hi int) {
 			// Scores over the visible cache, in the range's reusable score
 			// row (every scores[p] is assigned before it is read, so stale
 			// values from the previous item never leak).
+			// The dots go four cached positions per pass through the kernel
+			// the logits use (four independent ascending-d chains, where a
+			// lone chain waits out the add latency on every term).
 			scores := row[:limit]
-			var maxS float32 = float32(math.Inf(-1))
-			for p := 0; p < limit; p++ {
+			p := 0
+			for ; p+4 <= limit; p += 4 {
+				scores[p], scores[p+1], scores[p+2], scores[p+3] = tensor.Dot4(qh,
+					c.cache.KRow(p)[off:], c.cache.KRow(p + 1)[off:], c.cache.KRow(p + 2)[off:], c.cache.KRow(p + 3)[off:])
+			}
+			for ; p < limit; p++ {
 				krow := c.cache.KRow(p)[off : off+headDim]
 				var s float32
 				for d := range qh {
-					s += qh[d] * krow[d]
+					s += float32(qh[d] * krow[d])
 				}
+				scores[p] = s
+			}
+			var maxS float32 = float32(math.Inf(-1))
+			for p, s := range scores {
 				s *= scale
 				scores[p] = s
 				if s > maxS {
@@ -628,12 +642,20 @@ func (se *StepEngine) attendRanges(lo, hi int) {
 			if sum > 0 {
 				inv = 1 / sum
 			}
+			// The weighted sum of V rows is the matmuls' accumulate over
+			// four positions at a time: dst[d] still adds its terms one by
+			// one in ascending p, so the bits are the one-position loop's.
 			dst := c.out.Row(i)[head*headDim : (head+1)*headDim]
-			for p := 0; p < limit; p++ {
+			p = 0
+			for ; p+4 <= limit; p += 4 {
+				tensor.Axpy4(dst, scores[p]*inv, scores[p+1]*inv, scores[p+2]*inv, scores[p+3]*inv,
+					c.cache.VRow(p)[off:], c.cache.VRow(p + 1)[off:], c.cache.VRow(p + 2)[off:], c.cache.VRow(p + 3)[off:])
+			}
+			for ; p < limit; p++ {
 				wgt := scores[p] * inv
 				vrow := c.cache.VRow(p)[off : off+headDim]
 				for d := range dst {
-					dst[d] += wgt * vrow[d]
+					dst[d] += float32(wgt * vrow[d])
 				}
 			}
 		}

@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package quant
+
+// decode4 decodes the whole bytes of one 4-bit group that starts on a
+// byte boundary and returns the number of elements written (len(out)
+// rounded down to even). Every 4-bit decode in the package goes through
+// it. Off amd64 it is the reference table decode (see decode4_amd64.go).
+func decode4(out []float32, packed []byte, gmin, scale float32) int {
+	return decode4Ref(out, packed, gmin, scale)
+}

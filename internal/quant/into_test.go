@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"helmsim/internal/parallel"
 )
 
 // TestDequantizeIntoMatchesDequantize sweeps bit widths, group sizes,
@@ -233,4 +236,53 @@ func FuzzPackedView(f *testing.F) {
 		}
 		assertIdentical(t, "DecodeRange by group", want, got)
 	})
+}
+
+// A decode wide enough to fork must not allocate when it does: both
+// DequantizeInto forms hand the pool a body bound once, not a func
+// literal per call (which cost a heap object per packed tensor per
+// prefill). Counted from the runtime's malloc counter at two workers on
+// two processors, because testing.AllocsPerRun drops GOMAXPROCS to 1 and
+// so never lets a pool worker in.
+func TestDequantizeIntoForkedAllocsZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer parallel.Set(parallel.Set(2))
+	x := make([]float32, 384*1536)
+	for i := range x {
+		x[i] = float32(i%509)/509 - 0.5
+	}
+	tt, err := Quantize(x, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := tt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := ViewPacked(blob)
+	if err != nil || !ok {
+		t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	}
+	dst := make([]float32, len(x))
+	for name, decode := range map[string]func(){
+		"Tensor": func() { dst = tt.DequantizeInto(dst) },
+		"Packed": func() { dst = p.DequantizeInto(dst) },
+	} {
+		decode()
+		// The counter is process-wide: a stray runtime allocation lands in
+		// one window, a per-call one in all of them.
+		best := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 10; i++ {
+				decode()
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.Mallocs-m0.Mallocs)
+		}
+		if best != 0 {
+			t.Errorf("%s.DequantizeInto allocates %.1f objects/call when it forks, want 0", name, float64(best)/10)
+		}
+	}
 }

@@ -22,7 +22,7 @@ func dequantRef(t *Tensor) []float32 {
 		gmin := t.mins[g].Float32()
 		scale := t.scales[g].Float32()
 		for i := lo; i < hi; i++ {
-			out[i] = gmin + float32(t.getQ(i))*scale
+			out[i] = gmin + float32(float32(t.getQ(i))*scale) // converted: no FMA on any GOARCH
 		}
 	}
 	return out

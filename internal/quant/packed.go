@@ -3,8 +3,6 @@ package quant
 import (
 	"encoding/binary"
 	"fmt"
-
-	"helmsim/internal/parallel"
 )
 
 // Packed is a validated, read-only view of a serialized 4-bit tensor: it
@@ -118,7 +116,7 @@ func (p Packed) DecodeRange(dst []float32, lo int) {
 		if i < n {
 			// The odd last element of the tensor: the low nibble of the
 			// final byte, through the generic expression.
-			dst[i] = gmin + float32(p.nib[(at+i)/2]&15)*scale
+			dst[i] = gmin + float32(float32(p.nib[(at+i)/2]&15)*scale)
 		}
 		dst = dst[n:]
 	}
@@ -137,12 +135,11 @@ func (p Packed) DequantizeInto(dst []float32) []float32 {
 	}
 	groups := len(p.meta) / 4
 	grain := dequantGrain(p.gs)
-	if groups <= grain || parallel.N() == 1 {
+	if groups <= grain || !fork.take() {
 		p.DecodeRange(out, 0)
 		return out
 	}
-	parallel.For(groups, grain, func(glo, ghi int) {
-		p.DecodeRange(out[glo*p.gs:min(ghi*p.gs, p.n)], glo*p.gs)
-	})
+	fork.p, fork.out = p, out
+	fork.run(groups, grain)
 	return out
 }

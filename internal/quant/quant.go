@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"helmsim/internal/parallel"
 	"helmsim/internal/units"
@@ -187,16 +188,63 @@ func (t *Tensor) DequantizeInto(dst []float32) []float32 {
 	} else {
 		out = make([]float32, t.n)
 	}
-	// The serial path skips closure construction: building the func
-	// literal for the pool would heap-allocate on every decode, and
-	// recycled-buffer decodes sit on the engine's allocation-free hot path.
 	grain := dequantGrain(t.cfg.GroupSize)
-	if len(t.mins) <= grain || parallel.N() == 1 {
+	if len(t.mins) <= grain || !fork.take() {
 		t.dequantGroups(out, 0, len(t.mins))
 		return out
 	}
-	parallel.For(len(t.mins), grain, func(glo, ghi int) { t.dequantGroups(out, glo, ghi) })
+	fork.t, fork.out = t, out
+	fork.run(len(t.mins), grain)
 	return out
+}
+
+// forkCall is the package's one forked decode: the operands its chunks
+// need and the chunk body handed to parallel.For. A func literal
+// capturing the operands would be heap-allocated on every call once For
+// publishes it to the pool — 36 times per prefill over a packed store —
+// so, as in internal/tensor, the body is a method value bound once and
+// the operands travel in this struct. One instance suffices because the
+// pool runs one fork at a time: a decode that finds the call taken (a
+// prefetcher's, beside the engine's) runs serially, which is what
+// parallel.For would have made of it.
+type forkCall struct {
+	busy atomic.Bool
+	body func(glo, ghi int)
+	t    *Tensor // the tensor being decoded, or nil: then p is
+	p    Packed
+	out  []float32
+}
+
+var fork = newForkCall()
+
+func newForkCall() *forkCall {
+	f := &forkCall{}
+	f.body = f.chunk
+	return f
+}
+
+// take claims the call for a decode that wants to fork; false means run
+// serially: one worker configured, or another decode is mid-fork.
+func (f *forkCall) take() bool {
+	return parallel.N() > 1 && f.busy.CompareAndSwap(false, true)
+}
+
+// run forks groups [0, groups) over the pool with the operands the
+// caller has set, then releases the call and its references.
+func (f *forkCall) run(groups, grain int) {
+	parallel.For(groups, grain, f.body)
+	f.t, f.p, f.out = nil, Packed{}, nil
+	f.busy.Store(false)
+}
+
+// chunk decodes groups [glo, ghi) of the current call.
+func (f *forkCall) chunk(glo, ghi int) {
+	if f.t != nil {
+		f.t.dequantGroups(f.out, glo, ghi)
+		return
+	}
+	gs := f.p.gs
+	f.p.DecodeRange(f.out[glo*gs:min(ghi*gs, f.p.n)], glo*gs)
 }
 
 // dequantGrain is the fewest groups a pool worker takes: ~16Ki elements
@@ -230,24 +278,26 @@ func (t *Tensor) dequantGroups(out []float32, glo, ghi int) {
 			i += decode4(out[lo:hi], t.packed[lo/2:], gmin, scale)
 		}
 		for ; i < hi; i++ {
-			out[i] = gmin + float32(t.getQ(i))*scale
+			out[i] = gmin + float32(float32(t.getQ(i))*scale)
 		}
 	}
 }
 
-// decode4 decodes the whole bytes of one 4-bit group that starts on a
-// byte boundary and returns the number of elements written (len(out)
-// rounded down to even). The 16 values a group can take are computed
-// once — the generic expression with q written out, since a loop over q
+// decode4Ref is the reference body of decode4: the whole implementation
+// off amd64, the sub-block tail on it, and what the differential tests
+// hold the assembly to. The 16 values a group can take are computed once
+// — the generic expression with q written out, since a loop over q
 // converts an integer per entry and costs a fifth of the whole decode —
-// so each entry carries the bits the per-element loop would store. Every
-// 4-bit decode in the package goes through this one expression.
-func decode4(out []float32, packed []byte, gmin, scale float32) int {
+// so each entry carries the bits the per-element loop would store. The
+// product is written float32(q*scale): the Go spec lets a compiler fuse
+// x*y + z into one rounding (arm64's does) and an explicit conversion
+// forbids it, so every GOARCH rounds twice, like the SSE2 body.
+func decode4Ref(out []float32, packed []byte, gmin, scale float32) int {
 	tab := [16]float32{
-		gmin + float32(0)*scale, gmin + float32(1)*scale, gmin + float32(2)*scale, gmin + float32(3)*scale,
-		gmin + float32(4)*scale, gmin + float32(5)*scale, gmin + float32(6)*scale, gmin + float32(7)*scale,
-		gmin + float32(8)*scale, gmin + float32(9)*scale, gmin + float32(10)*scale, gmin + float32(11)*scale,
-		gmin + float32(12)*scale, gmin + float32(13)*scale, gmin + float32(14)*scale, gmin + float32(15)*scale,
+		gmin + float32(0*scale), gmin + float32(1*scale), gmin + float32(2*scale), gmin + float32(3*scale),
+		gmin + float32(4*scale), gmin + float32(5*scale), gmin + float32(6*scale), gmin + float32(7*scale),
+		gmin + float32(8*scale), gmin + float32(9*scale), gmin + float32(10*scale), gmin + float32(11*scale),
+		gmin + float32(12*scale), gmin + float32(13*scale), gmin + float32(14*scale), gmin + float32(15*scale),
 	}
 	return unpack4(out, packed, &tab)
 }

@@ -19,7 +19,7 @@ func matMulTScalar(a, b Mat) Mat {
 		for j := 0; j < b.R; j++ {
 			var s float32
 			for k, x := range a.Row(i) {
-				s += x * b.Row(j)[k]
+				s += float32(x * b.Row(j)[k]) // converted: no FMA on any GOARCH
 			}
 			out.Set(i, j, s)
 		}

@@ -9,37 +9,55 @@ import (
 
 // Parallelism thresholds: kernels below these sizes run on the calling
 // goroutine. They are derived from what a fork costs, measured by
-// parallel.BenchmarkForkJoin on the 2-vCPU reference guest: ~0.6 µs of
-// the caller's time when the pool's worker is hot (forks arriving back to
+// parallel.BenchmarkForkJoin on the 2-vCPU reference guest (re-taken with
+// the SSE2 kernels; the pool did not change and neither did its numbers:
+// an empty hot fork 0.87 µs, 15 µs of work 8.5 µs forked): ~0.6 µs of the
+// caller's time when the pool's worker is hot (forks arriving back to
 // back, as inside a decode step), a few µs and a worker that arrives tens
 // of µs late when it has to be woken (the first fork after a pause) — and
 // one more cost that is not the caller's: a step that forks at all keeps
 // a second processor polling between its forks, which on a busy host is
 // taken from another goroutine (at an ~8 µs threshold bench-tiny's decode
 // forked only its logits and long-context attention, and the two-replica
-// fleet workload's median reply time rose 5–10 %). So a kernel forks from
-// ~16 µs of serial work up: the hot fork then saves 7 µs or more, and a
-// model whose decode kernels are all smaller than that never wakes the
-// pool outside prefill.
+// fleet workload's median reply time rose 5–10 %). So a model whose
+// decode kernels are all small never wakes the pool outside prefill.
+//
+// Every constant here was measured against the scalar kernels and
+// re-measured against the vectorised ones; each kept its value, for the
+// reason beside it.
 const (
 	// minParallelFlops gates the matmuls (R*K*C multiply-adds). The dense
-	// inner loop runs ~4 multiply-adds per ns, so 1<<16 is ~16 µs. The
-	// smallest decode GEMV of bench-ooc (1x384x384, 147k) is 38 µs serial
-	// and 30 µs split over two hot workers, the largest (1x384x1536) 156
-	// against 89 (BenchmarkGemvSplit).
+	// kernel now runs ~11 multiply-adds per ns from cache (it was ~4), so
+	// 1<<16 is ~6 µs of cached work, not 16 — and from cache the smallest
+	// decode GEMV of bench-ooc (1x384x384, 147k) is a tie, 13 µs serial
+	// against 13 split over two hot workers (1x384x1536: 64 against 37;
+	// 1x1536x384: 95 against 52; BenchmarkGemvSplit, -benchtime 2s). But a
+	// decode step does not run from cache: it streams 42 MB of weights,
+	// which one core pulls at ~12 GB/s and two at ~17, and the small forks
+	// are what keep the worker awake between the large ones. Raised to
+	// 1<<18 (the 147k GEMVs serial), BenchmarkDecodeStepSplit at two
+	// workers went from 2.5–2.7 ms a step to 3.0–4.6; so it stays. The
+	// fused kernels share the gate and are decode-bound, ~1.8 multiply-adds
+	// per ns at one row: for them 1<<16 is ~37 µs (1x384x384 fused: 83 µs
+	// against 51, 1x384x1536: 249 against 136, 1x1536x384: 269 against 157).
+	// bench-tiny's widest decode kernel (64x512 logits, 32k) stays under it.
 	minParallelFlops = 1 << 16
 	// minColTile is the narrowest output-column tile a chunk takes: four
-	// cache lines of each weight row, so column splits keep streaming.
+	// cache lines of each weight row — sixteen vectors — so column splits
+	// keep streaming. At two workers shareGrain cuts every shipped shape
+	// wider than this (192 columns and up).
 	minColTile = 64
 	// minParallelElems gates the per-row kernels (norms, softmax), which
 	// cost 2–3 ns per element: 1<<13 is ~20 µs. A decode step's norms
-	// (one row of 384) stay serial; a 128-row prefill's split.
+	// (one row of 384) stay serial; a 128-row prefill's split. (Scalar
+	// float64 loops, untouched by the vector kernels.)
 	minParallelElems = 1 << 13
 	// rowGrain batches rows for the per-row kernels.
 	rowGrain = 4
 	// minParallelActs gates GELU and SiLU, which cost ~40 ns per element
-	// (math.Tanh, math.Exp): 512 is ~20 µs. The decode-width FFN
-	// activation of bench-ooc (1x1536, ~60 µs) splits.
+	// (math.Tanh, math.Exp — pinned to the standard library by
+	// bit-identity): 512 is ~20 µs. The decode-width FFN activation of
+	// bench-ooc (1x1536, ~60 µs) splits.
 	minParallelActs = 512
 	// actGrain is the fewest activation elements a chunk takes (~5 µs).
 	actGrain = 128

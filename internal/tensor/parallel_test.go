@@ -17,7 +17,7 @@ func refMatMul(a, b Mat) Mat {
 		for j := 0; j < b.C; j++ {
 			var s float32
 			for k := 0; k < a.C; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float32(a.At(i, k) * b.At(k, j)) // converted: no FMA on any GOARCH
 			}
 			out.Set(i, j, s)
 		}

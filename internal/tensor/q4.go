@@ -63,7 +63,7 @@ func MatMulQ4Into(a Mat, w quant.Packed, cols int, out Mat) error {
 
 // matMulQ4Tile accumulates output columns [clo, chi), run columns at a
 // time: decode four k-rows of the run, then matMulTile's four-k pass over
-// every row of a.
+// every row of a, two rows at a time like matMulTile's.
 func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 	var scratch [4 * q4Tile]float32
 	for c0 := clo; c0 < chi; c0 += run {
@@ -76,9 +76,13 @@ func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 			w.DecodeRange(b1, (k+1)*cols+c0)
 			w.DecodeRange(b2, (k+2)*cols+c0)
 			w.DecodeRange(b3, (k+3)*cols+c0)
-			for i := 0; i < a.R; i++ {
+			i := 0
+			for ; i+2 <= a.R; i += 2 {
+				axpy4x2(out.Row(i)[c0:c1], out.Row(i + 1)[c0:c1], a.Row(i)[k:k+4], a.Row(i + 1)[k:k+4], b0, b1, b2, b3)
+			}
+			if i < a.R {
 				arow := a.Row(i)
-				axpy4(out.Row(i)[c0:c1], arow[k], arow[k+1], arow[k+2], arow[k+3], b0, b1, b2, b3)
+				Axpy4(out.Row(i)[c0:c1], arow[k], arow[k+1], arow[k+2], arow[k+3], b0, b1, b2, b3)
 			}
 		}
 		for ; k < a.C; k++ {

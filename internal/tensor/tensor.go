@@ -3,25 +3,37 @@
 // matrices, matmul, softmax, layer/RMS norm, and the GELU/SiLU
 // activations of the OPT and LLaMA decoder blocks.
 //
-// These are plain row-major loops, not a BLAS: there is no cache blocking
-// and no assembly. What they do have is inner loops written for the
-// pipeline — the matmul accumulate takes four k per pass with the running
-// sum in a register, the transposed matmul runs four dot products at once
-// so the adds overlap — and parallelism: the matmuls, norms and
-// activations split their index spaces over the shared fork-join of
-// internal/parallel (rows when the batch is tall, one tile of output
-// columns per worker when it is not), at decode as well as at prefill: a
-// fork costs the caller well under a microsecond while a decode step
-// keeps the pool's worker awake, so anything from ~16 µs of work up is
-// split (the thresholds in parallel.go carry their measured crossovers).
-// Neither changes what an output element computes — its terms, one at a
-// time, in ascending k — so output is bit-identical to the textbook loop
-// at any SetParallelism value, whichever goroutine ran which chunk
-// (DESIGN §3c). The engine
-// exists to execute the paper's computation faithfully at laptop scale,
-// while the performance questions are answered by the calibrated
-// simulator; fast kernels are what make the executable grounding usable
-// for real batch/seq sweeps (cf. HeteGen's multi-core CPU path).
+// These are plain row-major loops, not a BLAS: there is no cache blocking.
+// What they do have is inner loops written for the pipeline — the matmul
+// accumulate takes four k per pass with the running sum in a register and
+// two output rows per pass where there are two, the transposed matmul
+// runs four dot products at once so the adds overlap — and parallelism:
+// the matmuls, norms and activations split their index spaces over the
+// shared fork-join of internal/parallel (rows when the batch is tall, one
+// tile of output columns per worker when it is not), at decode as well as
+// at prefill: a fork costs the caller well under a microsecond while a
+// decode step keeps the pool's worker awake, so anything from ~16 µs of
+// work up is split (the thresholds in parallel.go carry their measured
+// crossovers). None of it changes what an output element computes — its
+// terms, one at a time, in ascending k — so output is bit-identical to
+// the textbook loop at any SetParallelism value, whichever goroutine ran
+// which chunk (DESIGN §3c).
+//
+// One leaf is assembly: on amd64 the accumulate (Axpy4, axpy4x2) runs in
+// baseline SSE2, four output columns per vector (kernels_amd64.s). A lane
+// is one output element keeping its own chain, each product and each sum
+// rounded as the scalar instructions round them, so the bits are those of
+// the Go loop — which stays in the package as axpy4Ref: the whole
+// implementation on every other GOARCH, and the reference the differential,
+// guard-page and fuzz tests in asm_test.go hold the assembly to. That is
+// the rule for assembly here: only for a leaf loop with an untagged Go
+// twin and a differential test, one path per platform, no CPU probe.
+//
+// The engine exists to execute the paper's computation faithfully at
+// laptop scale, while the performance questions are answered by the
+// calibrated simulator; fast kernels are what make the executable
+// grounding usable for real batch/seq sweeps (cf. HeteGen's multi-core,
+// vector-wide CPU path).
 package tensor
 
 import (
@@ -116,16 +128,33 @@ func MatMulInto(a, b, out Mat) error {
 // [clo, chi) — a row tile when the batch is tall, a column tile when it
 // has fewer rows than workers. It consumes four k per pass with the
 // running sum in a register, so an output element is loaded and stored
-// once per four terms instead of once per term; each element still adds
-// its terms one at a time in ascending k, which is what keeps the result
-// bit-identical to the one-k-per-pass loop and independent of the tiling.
+// once per four terms instead of once per term, and two output rows per
+// pass where the tile has them, so each weight vector is loaded once for
+// both (the vectorised accumulate is bound by re-streaming b, not by
+// arithmetic). Each element still adds its terms one at a time in
+// ascending k, which is what keeps the result bit-identical to the
+// one-k-per-pass loop and independent of the tiling and of the pairing.
 func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
-	for i := rlo; i < rhi; i++ {
+	i := rlo
+	for ; i+2 <= rhi; i += 2 {
+		a0, a1 := a.Row(i), a.Row(i+1)
+		o0, o1 := out.Row(i)[clo:chi], out.Row(i + 1)[clo:chi]
+		k := 0
+		for ; k+4 <= a.C; k += 4 {
+			axpy4x2(o0, o1, a0[k:k+4], a1[k:k+4],
+				b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
+		}
+		for ; k < a.C; k++ {
+			axpy(o0, a0[k], b.Row(k)[clo:])
+			axpy(o1, a1[k], b.Row(k)[clo:])
+		}
+	}
+	for ; i < rhi; i++ { // the odd last row
 		arow := a.Row(i)
 		o := out.Row(i)[clo:chi]
 		k := 0
 		for ; k+4 <= a.C; k += 4 {
-			axpy4(o, arow[k], arow[k+1], arow[k+2], arow[k+3],
+			Axpy4(o, arow[k], arow[k+1], arow[k+2], arow[k+3],
 				b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
 		}
 		for ; k < a.C; k++ {
@@ -134,27 +163,37 @@ func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 	}
 }
 
-// axpy4 adds four terms to every element of o — a0*b0[j], then a1*b1[j],
-// a2*b2[j], a3*b3[j] — with the running sum in a register. It is the one
-// accumulate every matmul in the package runs, dense or fused, which is
-// what makes their outputs agree bit for bit.
-func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+// axpy4Ref is the reference body of Axpy4: the whole implementation off
+// amd64, and what the differential tests hold the assembly to. Each
+// product is written float32(a*b): the Go spec lets a compiler fuse
+// x*y + z into one rounding (arm64's does) and an explicit conversion
+// forbids it, so every GOARCH rounds the product and then the sum, as the
+// SSE2 body does. The conversion costs nothing where nothing fuses.
+func axpy4Ref(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	for j := range o {
 		t := o[j]
-		t += a0 * b0[j]
-		t += a1 * b1[j]
-		t += a2 * b2[j]
-		t += a3 * b3[j]
+		t += float32(a0 * b0[j])
+		t += float32(a1 * b1[j])
+		t += float32(a2 * b2[j])
+		t += float32(a3 * b3[j])
 		o[j] = t
 	}
 }
 
-// axpy adds the single term av*b[j] to every element of o: the k tail.
+// axpy4x2Ref is the reference body of axpy4x2: two independent rows.
+func axpy4x2Ref(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
+	axpy4Ref(o0, a0[0], a0[1], a0[2], a0[3], b0, b1, b2, b3)
+	axpy4Ref(o1[:len(o0)], a1[0], a1[1], a1[2], a1[3], b0, b1, b2, b3)
+}
+
+// axpy adds the single term av*b[j] to every element of o: the k tail
+// (K mod 4 terms of a row; none on any shipped shape, so it stays Go on
+// every architecture). The product is converted for axpy4Ref's reason.
 func axpy(o []float32, av float32, b []float32) {
 	b = b[:len(o)]
 	for j := range o {
-		o[j] += av * b[j]
+		o[j] += float32(av * b[j])
 	}
 }
 
@@ -195,14 +234,14 @@ func MatMulTInto(a, b, out Mat) error {
 }
 
 // matMulTTile fills output rows [rlo, rhi) x columns [clo, chi) of
-// a @ bᵀ, four columns per pass (see dot4).
+// a @ bᵀ, four columns per pass (see Dot4).
 func matMulTTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 	for i := rlo; i < rhi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		j := clo
 		for ; j+4 <= chi; j += 4 {
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = Dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 		}
 		for ; j < chi; j++ {
 			orow[j] = dot(arow, b.Row(j))
@@ -215,30 +254,34 @@ func dot(x, y []float32) float32 { return dotFrom(0, x, y) }
 
 // dotFrom continues an inner product from the partial sum s, so a dot
 // taken in k-chunks adds the same terms in the same order as one taken
-// whole.
+// whole. The product is converted so that no GOARCH fuses it into the
+// add (see axpy4Ref).
 func dotFrom(s float32, x, y []float32) float32 {
 	for k := range x {
-		s += x[k] * y[k]
+		s += float32(x[k] * y[k])
 	}
 	return s
 }
 
-// dot4 computes four inner products against one x in a single pass. A
+// Dot4 computes four inner products against one x in a single pass. A
 // lone s += x*y chain waits out the add latency on every term; four
 // independent chains keep the adder busy. Each sum is still its own
-// ascending-k chain, so every result carries the bits dot returns.
-func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+// ascending-k chain, so every result carries the bits dot returns. Only
+// the first len(x) elements of each y are read. (Exported for the
+// attention core in internal/infer, which scores four cached positions
+// per pass with it.)
+func Dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	return dot4From(0, 0, 0, 0, x, y0, y1, y2, y3)
 }
 
-// dot4From is dot4 continuing from four partial sums (see dotFrom).
+// dot4From is Dot4 continuing from four partial sums (see dotFrom).
 func dot4From(s0, s1, s2, s3 float32, x, y0, y1, y2, y3 []float32) (float32, float32, float32, float32) {
 	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
 	for k, xv := range x {
-		s0 += xv * y0[k]
-		s1 += xv * y1[k]
-		s2 += xv * y2[k]
-		s3 += xv * y3[k]
+		s0 += float32(xv * y0[k])
+		s1 += float32(xv * y1[k])
+		s2 += float32(xv * y2[k])
+		s3 += float32(xv * y3[k])
 	}
 	return s0, s1, s2, s3
 }
