@@ -201,7 +201,9 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		store.Reads(), float64(gen*batch)/elapsed.Seconds(), tensor.Parallelism())
 	if prefetch {
 		hits, misses := be.PrefetchStats()
-		fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses\n", hits, misses)
+		byWorker, byConsumer := be.LaneStats()
+		fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses; %d tensors fetched by pool workers, %d by the engine at the join\n",
+			hits, misses, byWorker, byConsumer)
 	}
 	if faults != nil {
 		st := faults.Stats()

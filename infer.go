@@ -74,10 +74,10 @@ func WriteWeightFile(w io.Writer, m Model, src *infer.MemStore, quantized bool) 
 	return infer.WriteCheckpoint(w, m, src, qc)
 }
 
-// PrefetchStore wraps a WeightStore so layer L+1 is fetched (and
-// dequantized) on a background goroutine while layer L computes — the
-// executable form of the zig-zag schedule's load/compute overlap
-// (Listing 1). It has one consumer: the engine built over it. Close it
+// PrefetchStore wraps a WeightStore so layer L+1 is fetched (and, where
+// the store can only decode, dequantized) by the kernel pool's idle
+// workers while layer L computes — the executable form of the zig-zag
+// schedule's load/compute overlap (Listing 1). It has one consumer: the engine built over it. Close it
 // (or that engine) when done.
 type PrefetchStore = infer.PrefetchStore
 

@@ -419,8 +419,8 @@ func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	bundles := []*layerBundle{ps.cur}
-	for _, tk := range ps.pending {
-		bundles = append(bundles, tk.bundle)
+	if ps.next != nil {
+		bundles = append(bundles, ps.next.collect())
 	}
 	for _, b := range bundles {
 		if b == nil || b.err != nil || len(b.data) == 0 {
@@ -475,65 +475,77 @@ func TestTopKSampleAllocsZero(t *testing.T) {
 	}
 }
 
-// Prefetching and its buffer recycling are pure performance mechanisms:
-// with recycling on (a backing that decodes into caller buffers) or off
-// (one that only serves Tensor), over read and mmap file stores, the
-// generated tokens must be byte-identical to the plain (unprefetched)
-// engine's.
+// Prefetching, its buffer recycling and who runs the load lane are pure
+// performance mechanisms: with recycling on (a backing that decodes into
+// caller buffers) or off (one that only serves Tensor), over read and
+// mmap file stores, at one, two and three workers — on a model too small
+// to fork, whose fetches all run on the engine at the join, and on one
+// whose forks keep a pool worker hot to take them — the generated tokens
+// must be byte-identical to the plain (unprefetched) engine's.
 func TestPrefetchRecycleIdentity(t *testing.T) {
-	cfg := tinyLlama()
-	path := writeTestCheckpoint(t, cfg, 29)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	defer tensor.SetParallelism(tensor.Parallelism())
 	prompt := []int{3, 11, 5}
 	const n = 10
+	for _, cfg := range []model.Config{tinyLlama(), oocShaped()} {
+		path := writeTestCheckpoint(t, cfg, 29)
+		fs, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		tensor.SetParallelism(1)
+		plain, err := New(cfg, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Generate(prompt, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	plain, err := New(cfg, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Generate(prompt, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, recycle := range []bool{false, true} {
-		for _, mapped := range []bool{false, true} {
-			name := fmt.Sprintf("recycle=%v mmap=%v", recycle, mapped)
-			open := OpenFileStore
-			if mapped {
-				open = OpenFileStoreMmap
-			}
-			st, err := open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var backing WeightStore = st
-			if !recycle {
-				// Embedding the interface hides TensorInto, which is what
-				// the prefetch store keys recycling on.
-				backing = struct{ WeightStore }{st}
-			}
-			e := newPrefetchedSolo(t, cfg, backing, Retry{})
-			if (e.se.prefetch.into != nil) != recycle {
-				t.Fatalf("%s: recycling on = %v", name, e.se.prefetch.into != nil)
-			}
-			got, err := e.generate(context.Background(), prompt, n)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: token %d = %d, want %d", name, i, got[i], want[i])
+		for _, par := range []int{1, 2, 3} {
+			for _, recycle := range []bool{false, true} {
+				for _, mapped := range []bool{false, true} {
+					name := fmt.Sprintf("%s workers=%d recycle=%v mmap=%v", cfg.Name, par, recycle, mapped)
+					tensor.SetParallelism(par)
+					open := OpenFileStore
+					if mapped {
+						open = OpenFileStoreMmap
+					}
+					st, err := open(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var backing WeightStore = st
+					if !recycle {
+						// Embedding the interface hides TensorInto, which is
+						// what the prefetch store keys recycling on (and
+						// TensorPacked: every tensor arrives decoded).
+						backing = struct{ WeightStore }{st}
+					}
+					e := newPrefetchedSolo(t, cfg, backing, Retry{})
+					if (e.se.prefetch.into != nil) != recycle {
+						t.Fatalf("%s: recycling on = %v", name, e.se.prefetch.into != nil)
+					}
+					got, err := e.generate(context.Background(), prompt, n)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if byWorker, _ := e.LaneStats(); par == 1 && byWorker != 0 {
+						t.Errorf("%s: %d tensors fetched by pool workers at one worker", name, byWorker)
+					}
+					if err := e.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: token %d = %d, want %d", name, i, got[i], want[i])
+						}
+					}
 				}
 			}
 		}

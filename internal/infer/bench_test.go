@@ -203,3 +203,60 @@ func BenchmarkDecodeStepSplit(b *testing.B) {
 		}
 	})
 }
+
+// benchTiny is bench/'s fleet model — what helmd and helmgw boot: too
+// small for any decode kernel to fork, so the load lane gets no worker.
+func benchTiny() model.Config {
+	return model.Config{Name: "bench-tiny", Hidden: 64, Heads: 4, Blocks: 4, Vocab: 512, MaxSeq: 2048, DTypeBytes: 2}
+}
+
+// One decode step after the prompt over the mmap'd 4-bit checkpoint, on
+// the plain file engine and on the prefetched one — the engine the
+// daemons and ooc_latency build. The load lane earns its code when the
+// prefetched row is under the plain one at GOMAXPROCS workers and not
+// over it at one (run with GOMAXPROCS=1 for the one-processor row);
+// worker-share is LaneStats' byWorker / (byWorker + byConsumer).
+func BenchmarkFileDecodeStep(b *testing.B) {
+	for _, cfg := range []model.Config{benchTiny(), benchOOC()} {
+		path := writeTestCheckpoint(b, cfg, 5)
+		for _, prefetched := range []bool{false, true} {
+			b.Run(cfg.Name+map[bool]string{false: "/plain", true: "/prefetched"}[prefetched], func(b *testing.B) {
+				fs, err := OpenFileStoreMmap(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer fs.Close()
+				var se *StepEngine
+				if prefetched {
+					se, err = NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+				} else {
+					se, err = NewStepEngine(cfg, fs)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer se.Close()
+				prompt := make([]int, 32)
+				for i := range prompt {
+					prompt[i] = 1 + i%97
+				}
+				step, seq := decodeStepper(b, cfg, se, prompt, 3)
+				w0, c0 := se.LaneStats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if seq.Pos == cfg.MaxSeq {
+						seq.Pos = len(prompt)
+						for _, kv := range seq.KV {
+							kv.Truncate(seq.Pos)
+						}
+					}
+					step()
+				}
+				if w, c := se.LaneStats(); w+c > w0+c0 {
+					b.ReportMetric(float64(w-w0)/float64(w+c-w0-c0), "worker-share")
+				}
+			})
+		}
+	}
+}

@@ -108,23 +108,23 @@ func TestResilientStoreExhaustionStaysTyped(t *testing.T) {
 
 // writeTestCheckpoint stores quantized weights for mc and returns the
 // path.
-func writeTestCheckpoint(t *testing.T, mc model.Config, seed int64) string {
-	t.Helper()
+func writeTestCheckpoint(tb testing.TB, mc model.Config, seed int64) string {
+	tb.Helper()
 	raw, err := RandomWeights(mc, seed, 0.08)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "chaos.hlmc")
+	path := filepath.Join(tb.TempDir(), "chaos.hlmc")
 	f, err := os.Create(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	qc := quant.Default()
 	if err := WriteCheckpoint(f, mc, raw, &qc); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return path
 }

@@ -36,7 +36,7 @@ func TensorKey(layer int, name string) string {
 type FileStore struct {
 	ix *checkpoint.Indexed
 	// reads counts tensor fetches (observable I/O); atomic because the
-	// prefetcher reads the file from a background goroutine.
+	// prefetcher's items read the file from pool workers.
 	reads atomic.Int64
 }
 

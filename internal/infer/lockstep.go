@@ -153,6 +153,10 @@ func (b *BatchEngine) PrefetchStats() (hits, misses int) { return b.se.PrefetchS
 // engine).
 func (b *BatchEngine) DegradedFetches() int { return b.se.DegradedFetches() }
 
+// LaneStats reports the prefetched tensors fetched by pool workers and
+// by the engine itself (zeros for a plain NewBatch engine).
+func (b *BatchEngine) LaneStats() (byWorker, byConsumer int) { return b.se.LaneStats() }
+
 // Close stops the background prefetcher, if any. The engine stays usable
 // for weight stores that need no teardown.
 func (b *BatchEngine) Close() error { return b.se.Close() }

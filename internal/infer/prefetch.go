@@ -4,44 +4,50 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"helmsim/internal/fault"
 	"helmsim/internal/model"
+	"helmsim/internal/parallel"
 	"helmsim/internal/quant"
 )
 
-// prefetchDepth is how many layers ahead the store keeps in flight: the
-// next layer only. The pending FIFO is written for any small depth;
-// nothing has yet shown a deeper pipeline paying for its resident layer.
-const prefetchDepth = 1
-
-// PrefetchStore overlaps the next layers' weight fetch with the current
+// PrefetchStore overlaps the next layer's weight fetch with the current
 // layer's compute: the executable counterpart of Listing 1's
 // load_weight(i, j+1) ∥ compute(i, j). Over a backing store that hands
-// out packed views (PackedStore) the background work is a transfer, as
+// out packed views (PackedStore) the overlapped work is a transfer, as
 // in the paper — page-in or read, CRC, metadata validation — and 4-bit
 // tensors stay packed until a kernel consumes them; only tensors with
 // no packed form (raw records, or any tensor of a store that can only
-// decode) are decoded here, in the background. The first request for
-// a tensor of layer L hands back the prefetched bundle (or fetches it
-// synchronously on a miss) and immediately tops the pipeline back up to
-// its depth; because the schedule cycles input-embed → blocks →
-// output-embed → input-embed (the zig-zag's per-step wrap), the output
-// layer's prefetch warms the next step's embedding.
+// decode) are decoded here. The first request for a tensor of layer L
+// hands back the prefetched bundle (or fetches it synchronously on a
+// miss) and immediately posts the fetch of L's successor; because the
+// schedule cycles input-embed → blocks → output-embed → input-embed (the
+// zig-zag's per-step wrap), the output layer's prefetch warms the next
+// step's embedding.
 //
-// Bounded by construction: at most prefetchDepth layers are in flight,
-// so peak residency stays at prefetchDepth+1 layers (current +
-// in-flight). Errors from a background fetch — a panic in the backing
-// store included — surface on the first request for that layer, and
-// cancelling the construction context (or calling Close) stops the
-// prefetcher and fails subsequent fetches cleanly.
+// The load lane runs on the compute lane's pool (DESIGN §3h): a posted
+// fetch is a parallel.Task of one item per tensor, so there is no
+// goroutine to start, wake or wait for. Pool workers take tensors off it
+// whenever the engine's forks leave them idle; when the engine asks for
+// the layer it fetches what is still unclaimed itself and waits only for
+// a tensor a worker is in the middle of — on one processor, or under a
+// model too small to fork, the plain engine's fetch loop at its cost.
+// LaneStats counts who fetched what. One ticket is in flight, so peak
+// residency is two layers; a second layer ahead would be a second
+// background slot, worth asking for only on more than two cores.
 //
-// The store degrades gracefully under storage faults: a failed
-// *background* fetch does not poison the generation — the consuming
-// call retries the layer in the foreground (with the store's bounded
-// Retry policy when one is configured) and the DegradedFetches counter
-// records the event. Only when the foreground retry also fails does the
-// error surface to the engine.
+// Errors from a posted fetch — a panic in the backing store included —
+// surface on the first request for that layer, and cancelling the
+// construction context (or calling Close) stops the prefetcher and fails
+// subsequent fetches cleanly.
+//
+// The store degrades gracefully under storage faults: a failed *posted*
+// fetch does not poison the generation — the consuming call retries the
+// layer in the foreground (with the store's bounded Retry policy when
+// one is configured) and the DegradedFetches counter records the event.
+// Only when the foreground retry also fails does the error surface to
+// the engine.
 //
 // The store has exactly ONE lockstep consumer, walking layers in
 // schedule order. When the backing store decodes into caller buffers
@@ -55,20 +61,29 @@ type PrefetchStore struct {
 	// (recycling is then on); views stays unset — the bundles of a store
 	// that only serves Tensor hold its copies.
 	storePaths
-	next  map[int]int      // layer index -> successor in the schedule cycle
+	succ  map[int]int      // layer index -> successor in the schedule cycle
 	names map[int][]string // layer index -> tensor names, spec order
 	retry Retry            // foreground re-attempt policy (zero: none)
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// ticket is the one posted fetch, reused layer after layer; item is
+	// its body, bound once. Its fields are written by the consumer between
+	// a Join and the next Post and read by whoever runs an item.
+	ticket fetchTicket
+	item   func(i int)
+
 	mu           sync.Mutex
 	cur          *layerBundle
-	pending      []*fetchTicket // FIFO of in-flight fetches, schedule order
+	next         *fetchTicket // &ticket while a fetch is posted and unconsumed
 	free         map[string][][]float32
 	freeMaps     []map[string]weight
 	hits, misses int
-	degraded     int // background fetches that failed and were retried in the foreground
+	degraded     int // posted fetches that failed and were retried in the foreground
+	// byWorker and byConsumer split the tensors of consumed tickets by who
+	// fetched them: a pool worker, or a goroutine inside the join.
+	byWorker, byConsumer int
 }
 
 // layerBundle is one layer's tensors, fully fetched (or the error that
@@ -81,11 +96,25 @@ type layerBundle struct {
 	err   error
 }
 
-// fetchTicket tracks one in-flight background fetch.
+// fetchTicket is one posted layer fetch: item i fetches names[i] into
+// res[i], decoding into the recycled buffer dsts holds under that name.
+// Items only read dsts; the consumer folds res into it after the join,
+// so the buffers a fetch was handed come back whatever its items did.
 type fetchTicket struct {
+	task   parallel.Task
 	layer  int
-	done   chan struct{}
-	bundle *layerBundle // set before done closes
+	names  []string
+	dsts   map[string]weight // recycled decode targets; nil when recycling is off
+	res    []fetchResult
+	failed atomic.Bool // an item failed: the ones not yet started skip
+}
+
+// fetchResult is one item's outcome; the zero value is an item that
+// skipped because a sibling had failed.
+type fetchResult struct {
+	w   weight
+	ok  bool
+	err error
 }
 
 // NewPrefetch wraps a weight store with next-layer prefetch for the
@@ -93,7 +122,7 @@ type fetchTicket struct {
 // ones; transiently failed fetches — background ones consumed by the
 // engine, and foreground misses — are re-attempted up to r's bound with
 // its deterministic backoff (the zero Retry: none). Callers should Close
-// the store to stop the background fetcher.
+// the store to stop the prefetcher.
 func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r Retry) (*PrefetchStore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -107,7 +136,7 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 	layers := cfg.Layers()
 	s := &PrefetchStore{
 		storePaths: storePaths{backing: backing},
-		next:       make(map[int]int, len(layers)),
+		succ:       make(map[int]int, len(layers)),
 		names:      make(map[int][]string, len(layers)),
 		retry:      r,
 	}
@@ -120,7 +149,7 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 	}
 	s.packed, _ = backing.(PackedStore)
 	for i, l := range layers {
-		s.next[l.Index] = layers[(i+1)%len(layers)].Index
+		s.succ[l.Index] = layers[(i+1)%len(layers)].Index
 		names := make([]string, len(l.Weights))
 		for j, w := range l.Weights {
 			names[j] = w.Name
@@ -128,6 +157,7 @@ func NewPrefetch(ctx context.Context, cfg model.Config, backing WeightStore, r R
 		s.names[l.Index] = names
 	}
 	s.ctx, s.cancel = context.WithCancel(ctx)
+	s.item = s.fetchItem
 	return s, nil
 }
 
@@ -166,10 +196,9 @@ func (s *PrefetchStore) TensorPacked(layer int, name string) (quant.Packed, bool
 	return w.q, w.packed, nil
 }
 
-// bundle returns the requested layer's tensors, consuming the matching
-// in-flight prefetch when there is one, fetching in the foreground when
-// there is not, and topping the pipeline back up to its depth either
-// way.
+// bundle returns the requested layer's tensors, consuming the posted
+// prefetch when it is this layer's, fetching in the foreground when it is
+// not, and posting the successor's fetch either way.
 func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 	s.mu.Lock()
 	// An errored bundle is never served from cur: the failure belonged to
@@ -179,63 +208,51 @@ func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 		s.mu.Unlock()
 		return b, nil
 	}
-	idx := -1
-	for i, t := range s.pending {
-		if t.layer == layer {
-			idx = i
-			break
-		}
-	}
-	if idx >= 0 {
-		// Tickets ahead of the match were skipped by the consumer (an
-		// off-schedule jump); they are drained and recycled without ever
-		// being exposed. In lockstep order idx is 0 and heads is empty.
-		var heads []*fetchTicket
-		if idx > 0 {
-			heads = append(heads, s.pending[:idx]...)
-		}
-		t := s.pending[idx]
-		n := copy(s.pending, s.pending[idx+1:])
-		s.pending = s.pending[:n]
-		s.mu.Unlock()
-		for _, h := range heads {
-			<-h.done
-		}
-		<-t.done
+	t := s.next
+	s.mu.Unlock()
+
+	var b *layerBundle
+	if t != nil {
+		// The ticket stays in next across the join, so a Close from
+		// another goroutine joins the same round.
+		byWorkers := t.task.Join()
+		b = t.collect()
 		s.mu.Lock()
-		for _, h := range heads {
-			s.recycleBundleLocked(h.bundle)
-		}
-		b := t.bundle
-		if b.err != nil && s.ctx.Err() == nil {
-			// Graceful degradation: the background fetch failed, but the
+		s.next = nil
+		s.byWorker += byWorkers
+		s.byConsumer += len(t.names) - byWorkers
+		switch {
+		case b.layer != layer:
+			// An off-schedule jump: the posted layer was skipped by the
+			// consumer. It is recycled without ever being exposed, and the
+			// requested layer is a plain miss.
+			s.recycleBundleLocked(b)
+			b = nil
+			s.misses++
+		case b.err != nil && s.ctx.Err() == nil:
+			// Graceful degradation: the posted fetch failed, but the
 			// generation is not poisoned — re-fetch the layer in the
 			// foreground (with retries, when configured) and only
 			// surface an error if that fails too. Whatever the failed
 			// fetch produced is recycled first.
 			s.recycleBundleLocked(b)
-			dsts := s.takeSlabsLocked(layer)
+			b = nil
 			s.degraded++
-			s.mu.Unlock()
-			b = s.fetchLayerRetry(layer, dsts)
-			s.mu.Lock()
-			s.installLocked(b)
-			s.mu.Unlock()
-			return b, b.err
+		default:
+			s.hits++
 		}
-		s.hits++
-		s.installLocked(b)
-		s.mu.Unlock()
-		return b, b.err
+	} else {
+		// The prefetcher did not have this layer: first access, or the
+		// first after a failed fetch stopped the pipeline.
+		s.mu.Lock()
+		s.misses++
 	}
-
-	// Foreground path: the prefetcher did not have this layer (first
-	// access, or the first after a failed fetch stopped the pipeline).
-	dsts := s.takeSlabsLocked(layer)
-	s.mu.Unlock()
-	b := s.fetchLayerRetry(layer, dsts)
-	s.mu.Lock()
-	s.misses++
+	if b == nil {
+		dsts := s.takeSlabsLocked(layer)
+		s.mu.Unlock()
+		b = s.fetchLayerRetry(layer, dsts)
+		s.mu.Lock()
+	}
 	s.installLocked(b)
 	s.mu.Unlock()
 	return b, b.err
@@ -252,20 +269,21 @@ func (s *PrefetchStore) bundle(layer int) (*layerBundle, error) {
 // second line of defense. Re-attempts reuse the failed bundle's buffers
 // (every IntoStore fully overwrites a buffer before success).
 func (s *PrefetchStore) fetchLayerRetry(layer int, dsts map[string]weight) *layerBundle {
-	b := s.fetchLayer(layer, true, dsts)
+	b := s.fetchLayer(layer, dsts)
 	for attempt := 1; b.err != nil && attempt <= s.retry.Max; attempt++ {
 		if !fault.IsTransient(b.err) || s.ctx.Err() != nil {
 			break
 		}
 		s.retry.pause(attempt)
-		b = s.fetchLayer(layer, true, b.data)
+		b = s.fetchLayer(layer, b.data)
 	}
 	return b
 }
 
 // installLocked publishes a fetched bundle as current, recycles the
-// bundle it displaces, and tops the prefetch pipeline back up to the
-// store's depth. Caller holds mu.
+// bundle it displaces, and posts the fetch of the next layer in the
+// schedule cycle (never after an error or cancellation) on the ticket,
+// whose previous round has been joined and collected. Caller holds mu.
 func (s *PrefetchStore) installLocked(b *layerBundle) {
 	old := s.cur
 	s.cur = b
@@ -276,45 +294,95 @@ func (s *PrefetchStore) installLocked(b *layerBundle) {
 		// reads old's slices.
 		s.recycleBundleLocked(old)
 	}
-	s.scheduleLocked()
-}
-
-// scheduleLocked starts background fetches until prefetchDepth layers
-// are in flight, walking the schedule cycle from the last scheduled layer
-// (never after an error or cancellation). Caller holds mu.
-func (s *PrefetchStore) scheduleLocked() {
-	if s.cur == nil || s.cur.err != nil || s.ctx.Err() != nil {
+	layer, ok := s.succ[b.layer]
+	if !ok || b.err != nil || s.ctx.Err() != nil {
 		return
 	}
-	last := s.cur.layer
-	if n := len(s.pending); n > 0 {
-		last = s.pending[n-1].layer
+	t := &s.ticket
+	t.layer, t.names = layer, s.names[layer]
+	t.dsts = s.takeSlabsLocked(layer)
+	if cap(t.res) < len(t.names) {
+		t.res = make([]fetchResult, len(t.names))
 	}
-	for len(s.pending) < prefetchDepth {
-		next, ok := s.next[last]
-		if !ok {
-			return
+	t.res = t.res[:len(t.names)]
+	clear(t.res)
+	t.failed.Store(false)
+	s.next = t
+	t.task.Post(len(t.names), s.item)
+}
+
+// fetchItem is the body of a posted fetch: tensor i of the ticket's
+// layer, a single attempt — a failure here is recoverable (the consumer
+// refetches in the foreground and the degraded counter records the
+// fault), so the retry budget is saved for the path where failure is
+// terminal. Like the foreground loop the fetch stops at the first
+// failure: items that start after one skip. A panic in the backing store
+// becomes the item's error too: on a pool worker no caller could recover
+// it.
+func (s *PrefetchStore) fetchItem(i int) {
+	t := &s.ticket
+	fail := func(err error) {
+		t.res[i] = fetchResult{err: err}
+		t.failed.Store(true)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			fail(fmt.Errorf("infer: prefetch L%d panicked: %v", t.layer, r))
 		}
-		dsts := s.takeSlabsLocked(next)
-		t := &fetchTicket{layer: next, done: make(chan struct{})}
-		s.pending = append(s.pending, t)
-		go func() {
-			// Background fetches take a single attempt per tensor: a failure
-			// here is recoverable (the consumer refetches in the foreground
-			// and the degraded counter records the fault), so the retry
-			// budget is saved for the path where failure is terminal. A
-			// panic in the backing store becomes the bundle's error too: no
-			// caller can recover it on this goroutine.
-			defer close(t.done)
-			defer func() {
-				if r := recover(); r != nil {
-					t.bundle = &layerBundle{layer: t.layer, err: fmt.Errorf("infer: prefetch L%d panicked: %v", t.layer, r)}
-				}
-			}()
-			t.bundle = s.fetchLayer(t.layer, false, dsts)
-		}()
-		last = next
+	}()
+	if t.failed.Load() {
+		return
 	}
+	name := t.names[i]
+	w, err := s.fetchTensor(t.layer, name, t.dsts[name].f32, false)
+	if err != nil {
+		fail(err)
+		return
+	}
+	t.res[i] = fetchResult{w: w, ok: true}
+}
+
+// fetchTensor reads one tensor of a layer fetch from the backing store,
+// checking for cancellation first. With retry set, a transiently failed
+// read is re-attempted under the store's retry policy before it fails.
+func (s *PrefetchStore) fetchTensor(layer int, name string, dst []float32, retry bool) (weight, error) {
+	if err := s.ctx.Err(); err != nil {
+		return weight{}, fmt.Errorf("infer: prefetch L%d cancelled: %w", layer, err)
+	}
+	w, err := s.storePaths.fetch(layer, name, dst)
+	for attempt := 1; retry && err != nil && attempt <= s.retry.Max; attempt++ {
+		if !fault.IsTransient(err) || s.ctx.Err() != nil {
+			break
+		}
+		s.retry.pause(attempt)
+		w, err = s.storePaths.fetch(layer, name, dst)
+	}
+	if err != nil {
+		return weight{}, fmt.Errorf("infer: prefetch L%d/%s: %w", layer, name, err)
+	}
+	return w, nil
+}
+
+// collect folds a joined ticket's results into a bundle, on the calling
+// goroutine: the data map is the ticket's decode-target map (fresh when
+// recycling is off) with every fetched tensor stored over its target, so
+// the buffers of items that failed or skipped are still in it; the error
+// is the first in spec order.
+func (t *fetchTicket) collect() *layerBundle {
+	b := &layerBundle{layer: t.layer, data: t.dsts}
+	if b.data == nil {
+		b.data = make(map[string]weight, len(t.names))
+	}
+	t.dsts = nil
+	for i, name := range t.names {
+		switch r := &t.res[i]; {
+		case r.ok:
+			b.data[name] = r.w
+		case r.err != nil && b.err == nil:
+			b.err = r.err
+		}
+	}
+	return b
 }
 
 // takeSlabsLocked prepares the decode-target map for a layer fetch from
@@ -360,38 +428,24 @@ func (s *PrefetchStore) recycleBundleLocked(b *layerBundle) {
 	b.data = nil
 }
 
-// fetchLayer reads every tensor of a layer from the backing store,
-// checking for cancellation between tensors. With retry set, each
-// transiently failed tensor read is re-attempted individually under the
-// store's retry policy before it fails the bundle. dsts, when non-nil,
-// supplies recycled decode targets (and becomes the bundle's data map).
-func (s *PrefetchStore) fetchLayer(layer int, retry bool, dsts map[string]weight) *layerBundle {
+// fetchLayer reads every tensor of a layer from the backing store in the
+// foreground, stopping at the first that fails: each transiently failed
+// tensor read is re-attempted individually under the store's retry
+// policy before it fails the bundle. dsts, when non-nil, supplies
+// recycled decode targets (and becomes the bundle's data map).
+func (s *PrefetchStore) fetchLayer(layer int, dsts map[string]weight) *layerBundle {
 	names, ok := s.names[layer]
 	if !ok {
 		return &layerBundle{layer: layer, err: fmt.Errorf("infer: prefetch: unknown layer %d", layer)}
 	}
-	data := dsts
-	if data == nil {
-		data = make(map[string]weight, len(names))
+	b := &layerBundle{layer: layer, data: dsts}
+	if b.data == nil {
+		b.data = make(map[string]weight, len(names))
 	}
-	b := &layerBundle{layer: layer, data: data}
 	for _, name := range names {
-		if err := s.ctx.Err(); err != nil {
-			b.err = fmt.Errorf("infer: prefetch L%d cancelled: %w", layer, err)
-			return b
-		}
-		w, err := s.storePaths.fetch(layer, name, data[name].f32)
-		if retry {
-			for attempt := 1; err != nil && attempt <= s.retry.Max; attempt++ {
-				if !fault.IsTransient(err) || s.ctx.Err() != nil {
-					break
-				}
-				s.retry.pause(attempt)
-				w, err = s.storePaths.fetch(layer, name, data[name].f32)
-			}
-		}
+		w, err := s.fetchTensor(layer, name, b.data[name].f32, true)
 		if err != nil {
-			b.err = fmt.Errorf("infer: prefetch L%d/%s: %w", layer, name, err)
+			b.err = err
 			return b
 		}
 		b.data[name] = w
@@ -416,30 +470,32 @@ func (s *PrefetchStore) DegradedFetches() int {
 	return s.degraded
 }
 
-// Settle blocks until no background fetch is in flight, leaving the
-// completed prefetches pending for the next consumer. Serving workers
-// call it between requests so no fetch issued under one request's
-// generation pin outlives that pin.
-func (s *PrefetchStore) Settle() {
+// LaneStats splits the tensors of the posted fetches consumed so far by
+// who ran them: pool workers, beside the engine's compute — the overlap,
+// counted — or a goroutine inside the join, on the engine's time.
+// Foreground fetches (misses, degraded retries) are in neither.
+func (s *PrefetchStore) LaneStats() (byWorker, byConsumer int) {
 	s.mu.Lock()
-	ts := append([]*fetchTicket(nil), s.pending...)
-	s.mu.Unlock()
-	for _, t := range ts {
-		<-t.done
-	}
+	defer s.mu.Unlock()
+	return s.byWorker, s.byConsumer
 }
 
-// Close cancels the prefetcher and waits for every in-flight fetch, so
-// no background work outlives the store. Fetches after Close fail with
-// the cancellation error.
+// Settle blocks until no posted fetch is in flight, leaving the
+// completed prefetch for the next consumer; the calling goroutine
+// fetches what no worker has claimed. Serving workers call it between
+// requests so no fetch issued under one request's generation pin outlives
+// that pin; beside a consumer that keeps stepping there is nearly always
+// a fetch posted, and Settle returns when the consumer pauses.
+func (s *PrefetchStore) Settle() { s.ticket.task.Join() }
+
+// Close cancels the prefetcher, drops the posted fetch and waits for its
+// in-flight tensors, so no store access outlives the call. Fetches after
+// Close fail with the cancellation error.
 func (s *PrefetchStore) Close() error {
 	s.cancel()
 	s.mu.Lock()
-	ts := s.pending
-	s.pending = nil
+	s.next = nil
 	s.mu.Unlock()
-	for _, t := range ts {
-		<-t.done
-	}
+	s.Settle()
 	return nil
 }

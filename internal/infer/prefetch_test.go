@@ -243,6 +243,14 @@ type tripStore struct {
 }
 
 func (s *tripStore) Tensor(layer int, name string) ([]float32, error) {
+	if err := s.trip(layer, name); err != nil {
+		return nil, err
+	}
+	return s.backing.Tensor(layer, name)
+}
+
+// trip counts one access and misbehaves if it is the n-th.
+func (s *tripStore) trip(layer int, name string) error {
 	s.mu.Lock()
 	s.calls++
 	trip := s.calls == s.n
@@ -251,9 +259,16 @@ func (s *tripStore) Tensor(layer int, name string) ([]float32, error) {
 		panic("injected storage panic")
 	}
 	if trip {
-		return nil, fmt.Errorf("L%d/%s: %w", layer, name, fault.ErrTransient)
+		return fmt.Errorf("L%d/%s: %w", layer, name, fault.ErrTransient)
 	}
-	return s.backing.Tensor(layer, name)
+	return nil
+}
+
+// armAt moves the misbehaving access.
+func (s *tripStore) armAt(n int) {
+	s.mu.Lock()
+	s.n = n
+	s.mu.Unlock()
 }
 
 func (s *tripStore) reads() int {

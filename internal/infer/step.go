@@ -158,6 +158,17 @@ func (se *StepEngine) DegradedFetches() int {
 	return se.prefetch.DegradedFetches()
 }
 
+// LaneStats reports how many prefetched tensors pool workers fetched
+// beside the engine's compute and how many the engine fetched itself
+// when it reached their layer (zeros for a plain NewStepEngine): the
+// load lane's measured overlap, byWorker / (byWorker + byConsumer).
+func (se *StepEngine) LaneStats() (byWorker, byConsumer int) {
+	if se.prefetch == nil {
+		return 0, 0
+	}
+	return se.prefetch.LaneStats()
+}
+
 // Settle joins any in-flight background prefetch without consuming or
 // cancelling it (no-op for a plain NewStepEngine).
 func (se *StepEngine) Settle() {

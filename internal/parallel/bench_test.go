@@ -74,7 +74,12 @@ func BenchmarkForkJoin(b *testing.B) {
 		resets := 0
 		for idle := 0; idle < b.N; idle++ {
 			if shared.unclaimed.Load() <= 0 {
-				if idle%flightCheck == flightCheck-1 && shared.state.Load() != 0 {
+				if idle%taskCheck != taskCheck-1 {
+					continue
+				}
+				if shared.task.Load() != nil {
+					resets++
+				} else if idle%flightCheck == flightCheck-1 && shared.state.Load() != 0 {
 					resets++
 				}
 				continue
@@ -82,4 +87,42 @@ func BenchmarkForkJoin(b *testing.B) {
 		}
 		spinSink[0] = uint64(resets)
 	})
+}
+
+// BenchmarkTaskPostJoin is one background round of 8 items totalling the
+// given arithmetic, beside forks that keep the pool's worker hot (hot) or
+// with every worker left to park first (parked: the owner runs it all).
+// ns/op is the owner's time in Post and Join — what the round costs the
+// goroutine that needs its result; worker-share is the fraction of items
+// pool workers ran.
+func BenchmarkTaskPostJoin(b *testing.B) {
+	const items = 8
+	noop := func(lo, hi int) {}
+	for _, us := range []int{0, 15, 75} {
+		iters := us * spinPerMicro / items
+		body := func(i int) { spin(i, iters) }
+		for _, start := range []string{"hot", "parked"} {
+			b.Run(fmt.Sprintf("work=%dus/%s", us, start), func(b *testing.B) {
+				defer Set(Set(runtime.GOMAXPROCS(0)))
+				var task Task
+				var owner time.Duration
+				helped := 0
+				for i := 0; i < b.N; i++ {
+					if start == "parked" {
+						for shared.parked.Load() < shared.spawned.Load() {
+							runtime.Gosched()
+						}
+					} else {
+						For(items, 1, noop)
+					}
+					t0 := time.Now()
+					task.Post(items, body)
+					helped += task.Join()
+					owner += time.Since(t0)
+				}
+				b.ReportMetric(float64(owner.Nanoseconds())/float64(b.N), "ns/op")
+				b.ReportMetric(float64(helped)/float64(items*b.N), "worker-share")
+			})
+		}
+	}
 }

@@ -33,15 +33,45 @@
 //     workers parked signals them without blocking. At most
 //     GOMAXPROCS-1 workers are ever woken, whatever Set says.
 //   - Inline when busy. One slot means one fork in flight. A caller that
-//     finds it taken — a second engine, the prefetcher's dequantization
-//     beside the engine's GEMM, a For inside a For body — runs its range
-//     on its own goroutine: two callers on two cores are already
-//     parallel, and a nested call cannot wait on the pool it runs on.
+//     finds it taken — a second engine, a dequantization inside a
+//     background item beside the engine's GEMM, a For inside a For body —
+//     runs its range on its own goroutine: two callers on two cores are
+//     already parallel, and a nested call cannot wait on the pool it runs
+//     on.
 //   - Allocation-free. The descriptor is the slot itself, reused by every
 //     fork; For allocates nothing. (Whether the body does is the caller's
 //     business: a func literal that captures variables is heap-allocated
 //     where it is built once it is handed to For, so kernels on the
 //     engine's decode path pass a func value they built once.)
+//
+// Beside that foreground slot the pool has one background slot, for work
+// that is worth overlapping with the forks but that nothing waits for
+// yet: the engine's next-layer weight fetch. A Task is n items and a body;
+// Post publishes it, Join returns once every item has run exactly once.
+// Its rules are the fork's, turned around so the background never costs
+// the foreground anything:
+//
+//   - Posting wakes nobody and never blocks. Post is a few stores: no
+//     signal, no worker started. A parked worker stays parked, and a
+//     process whose forks never leave the calling goroutine (a model too
+//     small to split, one processor, Set(1)) runs every item on the owner
+//     at Join, at the cost of the plain loop.
+//   - Foreground first. A hot worker looks at the background slot only
+//     when no chunk is waiting, takes one item, then looks for chunks
+//     again: a fork never finds the workers more than one item away, and
+//     since its caller self-schedules it does not wait even for that.
+//   - Join is work. The owner claims the items nobody has taken and runs
+//     them itself; it waits only for items a worker is in the middle of.
+//   - One slot. A second poster (two engines share the pool) displaces
+//     the pointer; the displaced task is finished by its owner at Join —
+//     inline when busy, again.
+//   - Allocation-free, clock-free, reusable. The caller owns the
+//     descriptor and may Post it again as soon as Join has returned: a
+//     worker reads a Task's fields only under an item it has claimed, and
+//     Join does not return while a claimed item is unfinished.
+//
+// An item body must recover its own panics: on a pool worker nothing else
+// can.
 package parallel
 
 import (
@@ -103,9 +133,21 @@ const (
 	// it starts yielding the processor between polls.
 	waitPolls = 2000
 
+	// taskCheck is how often, in polls, an idle worker looks at the
+	// background slot: one pointer load per 64 polls (~50 ns), which is
+	// as long as a posted item waits for a worker that has nothing else
+	// to do. It divides flightCheck, so the idle loop still tests one
+	// counter per poll and stays at its 0.7–1.0 ns (a second test per
+	// poll read 1.17 ns, which would have stretched the hot budget by
+	// half).
+	taskCheck = 64
+
 	// maxSpawn bounds the worker count against pathological Set values.
 	maxSpawn = 256
 )
+
+// The flight check rides on the task check's counter test.
+const _ uint = -(flightCheck % taskCheck)
 
 var workers atomic.Int32
 
@@ -145,6 +187,10 @@ type pool struct {
 	_ [64]byte // idle workers poll unclaimed; keep the owner's writes above off its line
 
 	unclaimed atomic.Int32 // chunks nobody has taken yet (<= 0: none)
+
+	_ [64]byte
+
+	task atomic.Pointer[Task] // the background slot: the latest posted, unjoined Task
 
 	_ [64]byte
 
@@ -273,11 +319,18 @@ func (p *pool) rouse() {
 // made while a fork is in flight — its last chunks running elsewhere —
 // count 1/flightWeight: that fork's caller is about to issue the next
 // one, and a worker that parked behind every uneven split would miss it.
+// With no chunk waiting it takes one item of the posted Task, if there is
+// one, and then looks for chunks again.
 func (p *pool) worker() {
 	for {
 		for idle := 0; idle < hotPolls; idle++ {
 			if p.unclaimed.Load() <= 0 {
-				if idle%flightCheck == flightCheck-1 && p.state.Load() != 0 {
+				if idle%taskCheck != taskCheck-1 {
+					continue
+				}
+				if t := p.task.Load(); t != nil && t.help() {
+					idle = 0
+				} else if idle%flightCheck == flightCheck-1 && p.state.Load() != 0 {
 					idle -= flightCheck - flightCheck/flightWeight
 				}
 				continue
@@ -291,4 +344,91 @@ func (p *pool) worker() {
 		p.parked.Add(1)
 		<-p.wake
 	}
+}
+
+// Task is a detached fork: n items and a body, each item run exactly
+// once — by a pool worker that had no chunk to run, or by the goroutine
+// that calls Join. The zero Task is ready to Post; the descriptor is the
+// caller's and is meant to be reused, one Post/Join round after another.
+// A Task must not be copied after first use.
+//
+// Nothing is read from a Task but its counters except under a claimed
+// item, and Join outlasts every claimed item, so a worker that still
+// holds a pointer to a joined Task — or to one that has since been posted
+// again — either claims nothing or claims an item of the round it finds.
+type Task struct {
+	body func(i int)
+	n    int
+
+	left    atomic.Int32 // items nobody has taken yet (<= 0: none)
+	pending atomic.Int32 // items not yet finished
+	helped  atomic.Int32 // items pool workers ran this round
+}
+
+// Post publishes n items of body on the shared pool's background slot
+// and returns at once: it wakes no worker and starts none. Items run in
+// index order as they are claimed, body(i) once for every i in [0, n).
+// body must recover its own panics. Every Post is followed by a Join
+// before the Task is posted again; Post panics on a Task still in flight.
+func (t *Task) Post(n int, body func(i int)) { shared.post(t, n, body) }
+
+func (p *pool) post(t *Task, n int, body func(i int)) {
+	if t.pending.Load() != 0 {
+		panic("parallel: Post on a Task that has not been joined")
+	}
+	if n <= 0 {
+		return
+	}
+	t.body, t.n = body, n
+	t.helped.Store(0)
+	t.pending.Store(int32(n))
+	t.left.Store(int32(n))
+	if N() > 1 {
+		p.task.Store(t)
+	}
+}
+
+// Join runs the items nobody has claimed on the calling goroutine, waits
+// for the ones pool workers are in the middle of, and reports how many
+// of the round's items workers ran. It may be called from several
+// goroutines at once and on a Task that was never posted; it returns
+// only when the round is complete.
+func (t *Task) Join() (byWorkers int) { return shared.finish(t) }
+
+func (p *pool) finish(t *Task) (byWorkers int) {
+	for i, ok := t.claim(); ok; i, ok = t.claim() {
+		t.body(i)
+		t.pending.Add(-1)
+	}
+	p.task.CompareAndSwap(t, nil)
+	for polls := 0; t.pending.Load() > 0; polls++ {
+		if polls >= waitPolls {
+			runtime.Gosched()
+		}
+	}
+	return int(t.helped.Load())
+}
+
+// claim takes the next unclaimed item, if any is left.
+func (t *Task) claim() (i int, ok bool) {
+	if t.left.Load() <= 0 {
+		return 0, false
+	}
+	c := int(t.left.Add(-1))
+	if c < 0 {
+		return 0, false
+	}
+	return t.n - 1 - c, true
+}
+
+// help runs one item on a pool worker and reports whether there was one.
+func (t *Task) help() bool {
+	i, ok := t.claim()
+	if !ok {
+		return false
+	}
+	t.body(i)
+	t.helped.Add(1)
+	t.pending.Add(-1)
+	return true
 }

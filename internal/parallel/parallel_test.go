@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -318,4 +319,298 @@ func TestForBodyPanicFreesSlot(t *testing.T) {
 	if chunks < 2 {
 		t.Errorf("the fork after a panic ran as %d chunk(s): the slot stayed taken", chunks)
 	}
+}
+
+// taskCounts is a Task body that counts how often each item ran. An item
+// is a fraction of a microsecond of arithmetic, so that an owner working
+// through a Join leaves a hot worker time to claim the next one.
+type taskCounts struct {
+	counts []atomic.Int32
+	body   func(i int)
+}
+
+func newTaskCounts(n int) *taskCounts {
+	c := &taskCounts{counts: make([]atomic.Int32, n)}
+	c.body = func(i int) {
+		spin(i, spinPerMicro/4)
+		c.counts[i].Add(1)
+	}
+	return c
+}
+
+// check fails unless items [0, n) have each run exactly rounds times and
+// no other item has run at all.
+func (c *taskCounts) check(t *testing.T, what string, n, rounds int) {
+	t.Helper()
+	for i := range c.counts {
+		want := 0
+		if i < n {
+			want = rounds
+		}
+		if got := int(c.counts[i].Load()); got != want {
+			t.Fatalf("%s: item %d ran %d times, want %d", what, i, got, want)
+		}
+	}
+}
+
+// Every item of a posted Task runs exactly once per round — on a pool
+// worker kept hot by forks between the rounds, or on the owner at Join —
+// at any worker count, on one processor, and for the degenerate sizes.
+func TestTaskRunsEachItemOnce(t *testing.T) {
+	for _, tc := range []struct{ procs, workers int }{{2, 1}, {2, 2}, {3, 3}, {1, 2}} {
+		t.Run(fmt.Sprintf("procs=%d/workers=%d", tc.procs, tc.workers), func(t *testing.T) {
+			atProcs(t, tc.procs, tc.workers)
+			p := newPool()
+			rounds := 2000
+			if testing.Short() {
+				rounds = 200
+			}
+			helped := 0
+			for _, n := range []int{0, 1, 7, 64} {
+				c := newTaskCounts(64)
+				var task Task
+				for r := 0; r < rounds; r++ {
+					p.post(&task, n, c.body)
+					coverOnce(t, "fork beside a posted task", 256, 1, p.run)
+					got := p.finish(&task)
+					if got < 0 || got > n {
+						t.Fatalf("n=%d: Join reports %d items run by workers", n, got)
+					}
+					helped += got
+				}
+				c.check(t, fmt.Sprintf("n=%d", n), n, rounds)
+			}
+			if p.task.Load() != nil {
+				t.Error("background slot still holds a joined task")
+			}
+			if (tc.workers == 1 || tc.procs == 1) && helped != 0 {
+				t.Errorf("%d items ran on pool workers, want every item on the owner", helped)
+			}
+			t.Logf("%d items ran on pool workers", helped)
+		})
+	}
+}
+
+// Posting wakes nobody and Join is work: with the pool's only worker
+// parked and never scheduled (it does not exist, only its bookkeeping
+// does) a posted Task sits untouched through a For — the fork's caller
+// runs chunks, never items — and the owner runs every item at Join.
+func TestTaskJoinWithNoWorker(t *testing.T) {
+	atProcs(t, 2, 2)
+	p := newPool()
+	p.spawned.Store(1)
+	p.parked.Store(1)
+	c := newTaskCounts(8)
+	var task Task
+	p.post(&task, 8, c.body)
+	if got := len(p.wake); got != 0 || p.parked.Load() != 1 {
+		t.Fatalf("Post signalled the parked worker (%d tokens, %d parked)", got, p.parked.Load())
+	}
+	within(t, "For beside a posted task", func() { coverOnce(t, "fork", 1000, 1, p.run) })
+	c.check(t, "after the For, before Join", 0, 0)
+	within(t, "Join with no worker", func() {
+		if got := p.finish(&task); got != 0 {
+			t.Errorf("Join reports %d items run by workers that do not exist", got)
+		}
+	})
+	c.check(t, "after Join", 8, 1)
+	// A second Join, and a Join of a Task never posted, return at once.
+	var fresh Task
+	within(t, "idle Joins", func() { p.finish(&task); p.finish(&fresh) })
+	c.check(t, "after the idle Joins", 8, 1)
+}
+
+// Foreground first, one item at a time. A worker that has just finished
+// an item finds a fork with unclaimed chunks and a Task with unclaimed
+// items: it must run the chunks, all of them, before it starts another
+// item.
+func TestForDuringTaskForegroundFirst(t *testing.T) {
+	atProcs(t, 2, 2)
+	p := newPool()
+	const items = 8
+	var started atomic.Int32
+	firstIn, firstOut := make(chan struct{}), make(chan struct{})
+	c := newTaskCounts(items)
+	body := func(i int) {
+		c.body(i)
+		if started.Add(1) == 1 {
+			close(firstIn)
+			<-firstOut
+		}
+	}
+	var task Task
+	p.post(&task, items, body)
+	// A fork wakes the worker; with no chunk left it takes one item and
+	// blocks inside it.
+	coverOnce(t, "warm-up fork", 64, 1, p.run)
+	select {
+	case <-firstIn:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no hot worker took an item of the posted task")
+	}
+
+	// The fork: its caller blocks inside the first chunk it claims, so the
+	// other three stay unclaimed until the worker comes for them.
+	const n = 4
+	var callerIn atomic.Bool
+	callerChunk, release := make(chan struct{}), make(chan struct{})
+	var chunksOnWorker, itemsSeen atomic.Int32
+	var counts [n]atomic.Int32
+	forked := make(chan struct{})
+	go func() {
+		defer close(forked)
+		p.run(n, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				counts[i].Add(1)
+			}
+			if callerIn.CompareAndSwap(false, true) {
+				close(callerChunk)
+				<-release
+				return
+			}
+			if s := started.Load(); s > itemsSeen.Load() {
+				itemsSeen.Store(s)
+			}
+			chunksOnWorker.Add(1)
+		})
+	}()
+	<-callerChunk
+	close(firstOut) // the worker's item ends: chunks and items are both waiting
+	for deadline := time.Now().Add(10 * time.Second); chunksOnWorker.Load() < n-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker ran %d of the %d waiting chunks", chunksOnWorker.Load(), n-1)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if got := itemsSeen.Load(); got != 1 {
+		t.Errorf("%d items had started when the worker ran the fork's chunks, want only the one in flight before it", got)
+	}
+	close(release)
+	<-forked
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Errorf("fork index %d visited %d times", i, got)
+		}
+	}
+	within(t, "Join", func() { p.finish(&task) })
+	c.check(t, "after Join", items, 1)
+}
+
+// One slot: a second poster displaces the first, whose owner finishes it
+// at Join; joining either leaves the other's items alone.
+func TestTaskDisplacedFinishedByOwner(t *testing.T) {
+	atProcs(t, 2, 2)
+	p := newPool()
+	ca, cb := newTaskCounts(5), newTaskCounts(9)
+	var a, b Task
+	p.post(&a, 5, ca.body)
+	p.post(&b, 9, cb.body)
+	if p.task.Load() != &b {
+		t.Fatal("the second Post did not take the slot")
+	}
+	within(t, "Join of the displaced task", func() { p.finish(&a) })
+	ca.check(t, "displaced task", 5, 1)
+	cb.check(t, "displacing task, before its Join", 0, 0)
+	if p.task.Load() != &b {
+		t.Error("joining the displaced task emptied the slot under the other")
+	}
+	within(t, "Join of the displacing task", func() { p.finish(&b) })
+	cb.check(t, "displacing task", 9, 1)
+	if p.task.Load() != nil {
+		t.Error("slot not emptied by its task's Join")
+	}
+}
+
+// The descriptor is the caller's, reused round after round with
+// alternating sizes and bodies while a worker kept hot by forks helps:
+// a worker slow to leave one round must never run the next round's items
+// with the old body or bounds, and no item may run twice or be lost. Run
+// under -race this is also what shows no field is rewritten under a
+// reader.
+func TestTaskDescriptorReuse(t *testing.T) {
+	atProcs(t, 2, 3)
+	rounds := 100000
+	if testing.Short() {
+		rounds = 10000
+	}
+	small, large := newTaskCounts(3), newTaskCounts(11)
+	bounded := func(c *taskCounts) func(i int) {
+		return func(i int) {
+			if i >= len(c.counts) {
+				panic("item index belongs to another round")
+			}
+			c.body(i)
+		}
+	}
+	smallBody, largeBody := bounded(small), bounded(large)
+	var task Task
+	helped := 0
+	noop := func(lo, hi int) {}
+	for r := 1; r <= rounds; r++ {
+		task.Post(len(small.counts), smallBody)
+		For(16, 1, noop)
+		helped += task.Join()
+		task.Post(len(large.counts), largeBody)
+		For(16, 1, noop)
+		helped += task.Join()
+		if r%1000 == 0 {
+			small.check(t, "small rounds", len(small.counts), r)
+			large.check(t, "large rounds", len(large.counts), r)
+		}
+	}
+	t.Logf("%d of %d items ran on pool workers", helped, rounds*(len(small.counts)+len(large.counts)))
+}
+
+// Join may be called from several goroutines at once — the consumer and a
+// Settle or Close beside it: together they run every item once, and each
+// returns only when the round is complete.
+func TestTaskConcurrentJoins(t *testing.T) {
+	atProcs(t, 2, 2)
+	c := newTaskCounts(32)
+	var task Task
+	for r := 1; r <= 500; r++ {
+		task.Post(32, c.body)
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				task.Join()
+				for i := range c.counts {
+					if got := int(c.counts[i].Load()); got != r {
+						t.Errorf("round %d: a Join returned with item %d run %d times", r, i, got)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// Post and Join allocate nothing, and posting a Task that is still in
+// flight is a bug the package reports.
+func TestTaskAllocsZeroAndDoublePostPanics(t *testing.T) {
+	defer Set(Set(2))
+	c := newTaskCounts(8)
+	var task Task
+	if allocs := testing.AllocsPerRun(100, func() {
+		task.Post(8, c.body)
+		task.Join()
+	}); allocs != 0 {
+		t.Errorf("a Post/Join round allocates %.1f objects, want 0", allocs)
+	}
+	task.Post(8, c.body)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Post on an unjoined Task did not panic")
+			}
+		}()
+		task.Post(8, c.body)
+	}()
+	task.Join()
 }

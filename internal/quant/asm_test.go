@@ -146,3 +146,116 @@ func FuzzDecode4(f *testing.F) {
 		checkDecode4(t, packed, int(n), int(off%4), math.Float32frombits(gmin), math.Float32frombits(scale))
 	})
 }
+
+// decodeGroups against a per-element oracle — Float16.Float32 and the
+// generic expression, nothing shared with either body — and against its
+// reference loop. Off amd64 decodeGroups is decodeGroupsRef and the
+// second comparison passes trivially.
+
+// decodeGroupsOracle decodes whole groups one element at a time.
+func decodeGroupsOracle(dst []float32, nib, mins, scales []byte, gs int) {
+	for i := range dst {
+		gmin, scale := halfAt(mins, i/gs), halfAt(scales, i/gs)
+		dst[i] = gmin + float32(float32(nib[i/2]>>(4*(i%2))&15)*scale)
+	}
+}
+
+// checkDecodeGroups runs decodeGroups, decodeGroupsRef and the oracle
+// over the same operands, each of which starts off bytes (or elements)
+// into its backing array, and compares every decoded element and the
+// sentinels on both sides of the output.
+func checkDecodeGroups(t *testing.T, nib, mins, scales []byte, gs, groups, off int) {
+	t.Helper()
+	const margin = 8
+	shift := func(b []byte) []byte { return append(make([]byte, off), b...)[off:] }
+	nib, mins, scales = shift(nib), shift(mins), shift(scales)
+	n := gs * groups
+	var backing [3][]float32
+	for side, decode := range []func([]float32, []byte, []byte, []byte, int){decodeGroupsOracle, decodeGroupsRef, decodeGroups} {
+		backing[side] = make([]float32, margin+off+n+margin)
+		for i := range backing[side] {
+			backing[side][i] = sentinel
+		}
+		decode(backing[side][margin+off:margin+off+n:margin+off+n], nib, mins, scales, gs)
+	}
+	for side, name := range []string{1: "decodeGroupsRef", 2: "decodeGroups"} {
+		if side == 0 {
+			continue
+		}
+		for i := range backing[0] {
+			if !sameBits(backing[0][i], backing[side][i]) {
+				g := (i - margin - off) / gs
+				t.Fatalf("gs=%d groups=%d off=%d: %s wrote backing[%d] (group %d: min %#04x scale %#04x) = %v (%#08x), oracle %v (%#08x)",
+					gs, groups, off, name, i, g, mins[2*g:2*g+2], scales[2*g:2*g+2],
+					backing[side][i], math.Float32bits(backing[side][i]), backing[0][i], math.Float32bits(backing[0][i]))
+			}
+		}
+	}
+}
+
+// awkwardHalves are the finite halves a conversion gets wrong first:
+// both zeros, the smallest and largest subnormals, the smallest normal,
+// one, the largest finite value, and their negatives.
+var awkwardHalves = []uint16{0x0000, 0x8000, 0x0001, 0x8001, 0x03ff, 0x83ff, 0x0400, 0x8400, 0x3c00, 0xbc00, 0x7bff, 0xfbff}
+
+func TestDecode4GroupsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	le := func(h uint16) []byte { return []byte{byte(h), byte(h >> 8)} }
+	for _, gs := range []int{2, 6, 16, 32, 48, 64, 128, 256} {
+		for groups := 0; groups <= 5; groups++ {
+			for off := 0; off < 4; off++ {
+				for mode := 0; mode < 2; mode++ {
+					nib := make([]byte, gs*groups/2)
+					rng.Read(nib)
+					var mins, scales []byte
+					for g := 0; g < groups; g++ {
+						lo, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
+						if mode == 1 {
+							lo, sc = awkwardHalves[rng.Intn(len(awkwardHalves))], awkwardHalves[rng.Intn(len(awkwardHalves))]
+						}
+						mins, scales = append(mins, le(lo)...), append(scales, le(sc)...)
+					}
+					checkDecodeGroups(t, nib, mins, scales, gs, groups, off)
+				}
+			}
+		}
+	}
+}
+
+// Every finite half, as a group minimum and as a group scale, widens to
+// the bits Float16.Float32 gives it — under every nibble value, so a
+// conversion that is off by an ulp shows in a product or a sum even where
+// the other operand hides it.
+func TestDecode4GroupsEveryFiniteHalf(t *testing.T) {
+	var all, ones, nib []byte
+	for h := 0; h < 1<<16; h++ {
+		if !finite16(Float16(h)) {
+			continue
+		}
+		all = append(all, byte(h), byte(h>>8))
+		ones = append(ones, 0x00, 0x3c)                                   // 1.0
+		nib = append(nib, 0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe) // 0..15
+	}
+	checkDecodeGroups(t, nib, all, ones, 16, len(all)/2, 0)
+	checkDecodeGroups(t, nib, ones, all, 16, len(all)/2, 0)
+	checkDecodeGroups(t, nib, all, all, 16, len(all)/2, 1)
+}
+
+// Operands shorter than the groups need are refused by the bounds checks
+// in front of the assembly, not read past.
+func TestDecode4GroupsShortOperandsPanic(t *testing.T) {
+	for name, call := range map[string]func(){
+		"packed": func() { decodeGroups(make([]float32, 128), make([]byte, 63), make([]byte, 4), make([]byte, 4), 64) },
+		"mins":   func() { decodeGroups(make([]float32, 128), make([]byte, 64), make([]byte, 3), make([]byte, 4), 64) },
+		"scales": func() { decodeGroups(make([]float32, 128), make([]byte, 64), make([]byte, 4), make([]byte, 3), 64) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("decodeGroups read two groups out of a short %s operand", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

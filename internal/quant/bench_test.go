@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"helmsim/internal/parallel"
@@ -57,4 +58,68 @@ func BenchmarkDequantizeIntoFFN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = t.DequantizeInto(dst)
 	}
+}
+
+// ffnPacked is the bench-ooc FFN matrix (384 x 1536, 4-bit group-64) as
+// the store chain carries it: the serialized blob and its packed view.
+func ffnPacked(b *testing.B) (blob []byte, p Packed) {
+	b.Helper()
+	x := make([]float32, 384*1536)
+	for i := range x {
+		x[i] = float32(i%509)/509 - 0.5
+	}
+	t, err := Quantize(x, Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if blob, err = t.MarshalBinary(); err != nil {
+		b.Fatal(err)
+	}
+	p, ok, err := ViewPacked(blob)
+	if !ok || err != nil {
+		b.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	}
+	return blob, p
+}
+
+// What the load lane pays per fetch of that tensor besides the CRC: the
+// header and length checks and 18432 metadata halves checked for
+// finiteness (30–50 µs a half at a time, ~14 µs four to a word).
+func BenchmarkViewPackedFFN(b *testing.B) {
+	blob, _ := ffnPacked(b)
+	b.SetBytes(int64(len(blob)))
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := ViewPacked(blob); !ok || err != nil {
+			b.Fatal(ok, err)
+		}
+	}
+}
+
+// The fused kernels' access pattern over that tensor — DecodeRange in
+// 256-element runs (tensor.q4Tile), four groups each — beside the leaf
+// decode alone on the same bytes with the metadata already converted:
+// the difference is what a run pays per group in Go around the decode
+// (two Float16.Float32, the calls down to the leaf).
+func BenchmarkDecodeRangeTile(b *testing.B) {
+	_, p := ffnPacked(b)
+	const run = 256
+	var buf [run]float32
+	b.Run("DecodeRange", func(b *testing.B) {
+		b.SetBytes(int64(p.Len()) * 4)
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < p.Len(); lo += run {
+				p.DecodeRange(buf[:], lo)
+			}
+		}
+	})
+	b.Run("decode4", func(b *testing.B) {
+		gmin := Float16(binary.LittleEndian.Uint16(p.meta)).Float32()
+		scale := Float16(binary.LittleEndian.Uint16(p.meta[len(p.meta)/2:])).Float32()
+		b.SetBytes(int64(p.Len()) * 4)
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < p.Len(); lo += run {
+				decode4(buf[:], p.nib[lo/2:], gmin, scale)
+			}
+		}
+	})
 }

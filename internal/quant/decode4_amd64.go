@@ -24,3 +24,25 @@ func decode4(out []float32, packed []byte, gmin, scale float32) int {
 
 //go:noescape
 func decode4SSE(out *float32, packed *byte, blocks int, gmin, scale float32)
+
+// decodeGroups decodes consecutive whole groups of gs elements:
+// len(dst)/gs of them, the first starting at nib[0], with their fp16
+// minimums and scales starting at mins[0] and scales[0]. Groups made of
+// whole 16-element blocks — every group at the usual sizes — go through
+// decodeGroupsSSE in one call, metadata conversion included; any other
+// size takes the reference loop.
+func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
+	groups := len(dst) / gs
+	if groups == 0 {
+		return
+	}
+	if gs%16 != 0 {
+		decodeGroupsRef(dst, nib, mins, scales, gs)
+		return
+	}
+	_, _, _ = nib[groups*gs/2-1], mins[2*groups-1], scales[2*groups-1]
+	decodeGroupsSSE(&dst[0], &nib[0], &mins[0], &scales[0], groups, gs/16)
+}
+
+//go:noescape
+func decodeGroupsSSE(out *float32, packed, mins, scales *byte, groups, blocks int)

@@ -9,3 +9,9 @@ package quant
 func decode4(out []float32, packed []byte, gmin, scale float32) int {
 	return decode4Ref(out, packed, gmin, scale)
 }
+
+// decodeGroups decodes consecutive whole groups of gs elements; off amd64
+// it is the reference loop (see decode4_amd64.go).
+func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
+	decodeGroupsRef(dst, nib, mins, scales, gs)
+}

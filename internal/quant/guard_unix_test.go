@@ -58,3 +58,32 @@ func TestDecode4GuardPage(t *testing.T) {
 		}
 	}
 }
+
+// A run of groups whose output, packed bytes, minimums and scales each
+// end exactly at a guard page: the last group's metadata is the last two
+// bytes of the checkpoint record, so a conversion that loads four bytes
+// for a half, or a block loop that runs one group too far, faults here.
+func TestDecode4GroupsGuardPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for _, gs := range []int{16, 64, 256} {
+		for groups := 1; groups <= 4; groups++ {
+			n := gs * groups
+			nib, mins, scales := guarded(t, n/2), guarded(t, 2*groups), guarded(t, 2*groups)
+			rng.Read(nib)
+			for g := 0; g < groups; g++ {
+				lo, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
+				mins[2*g], mins[2*g+1], scales[2*g], scales[2*g+1] = byte(lo), byte(lo>>8), byte(sc), byte(sc>>8)
+			}
+			raw := guarded(t, 4*n)
+			out := unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
+			want := make([]float32, n)
+			decodeGroups(out, nib, mins, scales, gs)
+			decodeGroupsOracle(want, nib, mins, scales, gs)
+			for i := range want {
+				if !sameBits(want[i], out[i]) {
+					t.Fatalf("gs=%d groups=%d: out[%d] = %v, oracle %v", gs, groups, i, out[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -236,6 +238,78 @@ func FuzzPackedView(f *testing.F) {
 		}
 		assertIdentical(t, "DecodeRange by group", want, got)
 	})
+}
+
+// firstNonFiniteScalar is the half-at-a-time loop firstNonFinite
+// replaced: the oracle for which half a metadata error names.
+func firstNonFiniteScalar(meta []byte) int {
+	for h := 0; 2*h+2 <= len(meta); h++ {
+		if !finite16(Float16(binary.LittleEndian.Uint16(meta[2*h:]))) {
+			return h
+		}
+	}
+	return -1
+}
+
+// The word-at-a-time metadata check finds the same first offender as the
+// scalar loop, wherever an Inf or NaN half sits: every position of the
+// first words, the tail behind the last whole word, with and without a
+// second bad half after it; and ViewPacked and both unmarshal forms
+// reject exactly the blobs it flags. Metadata with every finite exponent
+// (0x7bff: the largest half, one below the flagged pattern) passes.
+func TestMetadataCheckNamesFirstNonFinite(t *testing.T) {
+	for _, groups := range []int{5, 7, 8} { // 10, 14, 16 halves: tails of 2, 2 and 0
+		x := make([]float32, 64*groups)
+		for i := range x {
+			x[i] = float32(i%23) - 11
+		}
+		tt, err := Quantize(x, Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := tt.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		metaAt := len(clean) - 4*groups
+		check := func(what string, blob []byte) {
+			t.Helper()
+			want := firstNonFiniteScalar(blob[metaAt:])
+			if got := firstNonFinite(blob[metaAt:]); got != want {
+				t.Errorf("%d groups, %s: first non-finite half %d, the scalar loop finds %d", groups, what, got, want)
+			}
+			_, ok, verr := ViewPacked(blob)
+			var a, b Tensor
+			for name, err := range map[string]error{
+				"checkMeta": checkMeta(blob[metaAt:], groups), "ViewPacked": verr,
+				"UnmarshalBinary": a.UnmarshalBinary(blob), "UnmarshalBinaryView": b.UnmarshalBinaryView(blob),
+			} {
+				if (err != nil) != (want >= 0) {
+					t.Errorf("%d groups, %s: %s returned %v with the first non-finite half at %d", groups, what, name, err, want)
+				}
+			}
+			if ok != (want < 0) {
+				t.Errorf("%d groups, %s: ViewPacked ok=%v with the first non-finite half at %d", groups, what, ok, want)
+			}
+		}
+		check("clean", clean)
+		finite := bytes.Clone(clean)
+		for h := 0; h < 2*groups; h++ {
+			binary.LittleEndian.PutUint16(finite[metaAt+2*h:], 0x7bff|uint16(h&1)<<15)
+		}
+		check("every half ±65504", finite)
+		for h := 0; h < 2*groups; h++ {
+			for _, bad := range []uint16{0x7c00, 0xfc00, 0x7e01, 0xffff} {
+				blob := bytes.Clone(finite)
+				binary.LittleEndian.PutUint16(blob[metaAt+2*h:], bad)
+				check(fmt.Sprintf("half %d = %#04x", h, bad), blob)
+				if h+3 < 2*groups {
+					binary.LittleEndian.PutUint16(blob[metaAt+2*(h+3):], 0x7c00)
+					check(fmt.Sprintf("halves %d and %d", h, h+3), blob)
+				}
+			}
+		}
+	}
 }
 
 // A decode wide enough to fork must not allocate when it does: both

@@ -49,7 +49,6 @@ func (t *Tensor) UnmarshalBinaryView(data []byte) error {
 }
 
 func (t *Tensor) unmarshal(data []byte, copyPacked bool) error {
-	le := binary.LittleEndian
 	cfg, n, err := header(data)
 	if err != nil {
 		return err
@@ -66,31 +65,28 @@ func (t *Tensor) unmarshal(data []byte, copyPacked bool) error {
 	} else {
 		t.packed = data[20 : 20+packedLen : 20+packedLen]
 	}
-	off := 20 + packedLen
-	if cap(t.mins) >= groups {
-		t.mins = t.mins[:groups]
-	} else {
-		t.mins = make([]Float16, groups)
+	meta := data[20+packedLen:]
+	if err := checkMeta(meta, groups); err != nil {
+		return err
 	}
-	for i := range t.mins {
-		t.mins[i] = Float16(le.Uint16(data[off+2*i:]))
-		if !finite16(t.mins[i]) {
-			return fmt.Errorf("quant: non-finite group minimum at group %d", i)
-		}
-	}
-	off += 2 * groups
-	if cap(t.scales) >= groups {
-		t.scales = t.scales[:groups]
-	} else {
-		t.scales = make([]Float16, groups)
-	}
-	for i := range t.scales {
-		t.scales[i] = Float16(le.Uint16(data[off+2*i:]))
-		if !finite16(t.scales[i]) {
-			return fmt.Errorf("quant: non-finite group scale at group %d", i)
-		}
-	}
+	t.mins = halves(t.mins, meta[:2*groups])
+	t.scales = halves(t.scales, meta[2*groups:])
 	return nil
+}
+
+// halves decodes a little-endian fp16 array into dst's storage when its
+// capacity suffices.
+func halves(dst []Float16, src []byte) []Float16 {
+	n := len(src) / 2
+	if cap(dst) >= n {
+		dst = dst[:n]
+	} else {
+		dst = make([]Float16, n)
+	}
+	for i := range dst {
+		dst[i] = Float16(binary.LittleEndian.Uint16(src[2*i:]))
+	}
+	return dst
 }
 
 // finite16 reports whether the half is neither Inf nor NaN (exponent field

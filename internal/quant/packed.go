@@ -3,6 +3,7 @@ package quant
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Packed is a validated, read-only view of a serialized 4-bit tensor: it
@@ -12,9 +13,14 @@ import (
 // they need them, with DecodeRange. The view is valid for as long as the
 // payload is (for an mmap-backed checkpoint: while the index is open).
 type Packed struct {
-	gs  int    // group size, even
-	n   int    // element count
-	nib []byte // packed nibbles: element 2j low, 2j+1 high, of byte j
+	gs int // group size, even
+	// shift is log2(gs) when gs is a power of two — every shipped size —
+	// and zero otherwise: DecodeRange is called once per 256-element run
+	// of every weight of every step, and two 64-bit divisions were a fifth
+	// of such a call.
+	shift uint8
+	n     int    // element count
+	nib   []byte // packed nibbles: element 2j low, 2j+1 high, of byte j
 	// meta is the raw little-endian fp16 block: every group's minimum,
 	// then every group's scale.
 	meta []byte
@@ -80,15 +86,51 @@ func ViewPacked(data []byte) (p Packed, ok bool, err error) {
 		return Packed{}, false, fmt.Errorf("quant: tensor payload is %d bytes, want %d", len(data), want)
 	}
 	meta := data[20+packedLen:]
-	for g := 0; g < 2*groups; g++ {
-		if !finite16(Float16(binary.LittleEndian.Uint16(meta[2*g:]))) {
-			if g < groups {
-				return Packed{}, false, fmt.Errorf("quant: non-finite group minimum at group %d", g)
-			}
-			return Packed{}, false, fmt.Errorf("quant: non-finite group scale at group %d", g-groups)
+	if err := checkMeta(meta, groups); err != nil {
+		return Packed{}, false, err
+	}
+	p = Packed{gs: cfg.GroupSize, n: n, nib: data[20 : 20+packedLen : 20+packedLen], meta: meta}
+	if p.gs&(p.gs-1) == 0 {
+		p.shift = uint8(bits.TrailingZeros(uint(p.gs)))
+	}
+	return p, true, nil
+}
+
+// checkMeta verifies that every half of a metadata block — groups
+// minimums, then groups scales, little-endian fp16 — is finite, and names
+// the first that is not.
+func checkMeta(meta []byte, groups int) error {
+	h := firstNonFinite(meta)
+	switch {
+	case h < 0:
+		return nil
+	case h < groups:
+		return fmt.Errorf("quant: non-finite group minimum at group %d", h)
+	}
+	return fmt.Errorf("quant: non-finite group scale at group %d", h-groups)
+}
+
+// firstNonFinite is the index of the first Inf or NaN half in a
+// little-endian fp16 array, or -1. It runs once per tensor fetch on the
+// load lane, over 2/64 of a tensor's elements, so it looks at four halves
+// per load: adding 0x0400 to a half's exponent field carries into the
+// lane's top bit exactly when the field is all ones, and into nothing
+// else. The half-at-a-time loop takes over at the first flagged word (and
+// the tail), so the index is the scalar loop's.
+func firstNonFinite(meta []byte) int {
+	le := binary.LittleEndian
+	i := 0
+	for ; i+8 <= len(meta); i += 8 {
+		if (le.Uint64(meta[i:])&0x7c007c007c007c00+0x0400040004000400)&0x8000800080008000 != 0 {
+			break
 		}
 	}
-	return Packed{gs: cfg.GroupSize, n: n, nib: data[20 : 20+packedLen : 20+packedLen], meta: meta}, true, nil
+	for ; i+2 <= len(meta); i += 2 {
+		if !finite16(Float16(le.Uint16(meta[i:]))) {
+			return i / 2
+		}
+	}
+	return -1
 }
 
 // layout is the packed-byte and group counts of an n-element tensor.
@@ -105,21 +147,39 @@ func (c Config) layout(n int) (packedLen, groups int) {
 // of its group's value table exactly as Tensor.DequantizeInto computes
 // it.
 func (p Packed) DecodeRange(dst []float32, lo int) {
-	le := binary.LittleEndian
-	scales := p.meta[len(p.meta)/2:]
-	for g := lo / p.gs; len(dst) > 0; g++ {
-		n := min(p.gs, len(dst))
-		gmin := Float16(le.Uint16(p.meta[2*g:])).Float32()
-		scale := Float16(le.Uint16(scales[2*g:])).Float32()
-		at := g * p.gs
-		i := decode4(dst[:n], p.nib[at/2:], gmin, scale)
-		if i < n {
-			// The odd last element of the tensor: the low nibble of the
-			// final byte, through the generic expression.
-			dst[i] = gmin + float32(float32(p.nib[(at+i)/2]&15)*scale)
-		}
-		dst = dst[n:]
+	var g, whole int
+	if p.shift != 0 {
+		g, whole = lo>>p.shift, len(dst)>>p.shift<<p.shift
+	} else {
+		g, whole = lo/p.gs, len(dst)/p.gs*p.gs
 	}
+	mins, scales := p.meta[2*g:len(p.meta)/2], p.meta[len(p.meta)/2+2*g:]
+	nib := p.nib[lo/2:]
+	decodeGroups(dst[:whole], nib, mins, scales, p.gs)
+	if dst = dst[whole:]; len(dst) > 0 {
+		// The tensor's last, short group; its odd last element is the low
+		// nibble of the final byte, through the generic expression.
+		gmin, scale := halfAt(mins, whole/p.gs), halfAt(scales, whole/p.gs)
+		nib = nib[whole/2:]
+		if i := decode4(dst, nib, gmin, scale); i < len(dst) {
+			dst[i] = gmin + float32(float32(nib[i/2]&15)*scale)
+		}
+	}
+}
+
+// decodeGroupsRef is the reference body of decodeGroups: the whole
+// implementation off amd64 and for group sizes that are not whole blocks,
+// and what the differential tests hold the assembly to.
+func decodeGroupsRef(dst []float32, nib, mins, scales []byte, gs int) {
+	for g := 0; len(dst) >= gs; g++ {
+		decode4(dst[:gs], nib[g*gs/2:], halfAt(mins, g), halfAt(scales, g))
+		dst = dst[gs:]
+	}
+}
+
+// halfAt is element i of a little-endian fp16 array, widened.
+func halfAt(meta []byte, i int) float32 {
+	return Float16(binary.LittleEndian.Uint16(meta[2*i:])).Float32()
 }
 
 // DequantizeInto decodes the whole tensor into dst when its capacity

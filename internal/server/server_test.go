@@ -371,6 +371,9 @@ func TestQueueFullAndRenege(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Errorf("queue-full arrival got %d, want 429", status)
 	}
+	// Hold the worker until the queued request is well past MaxWait: the
+	// two tokens left to serve take less than a millisecond.
+	time.Sleep(20 * time.Millisecond)
 	close(gate)
 	bs.setGate(nil)
 	wg.Wait()
