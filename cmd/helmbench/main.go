@@ -1,5 +1,7 @@
-// Command helmbench regenerates the paper's tables and figures on the
-// simulated platform.
+// Command helmbench is the simulator's command line. With no
+// subcommand it regenerates the paper's tables and figures on the
+// simulated platform; sim, tune and serve run one configuration, the
+// QoS autotuner and the online-serving simulator.
 //
 // Usage:
 //
@@ -8,12 +10,20 @@
 //	helmbench -run fig11   # one experiment
 //	helmbench -list        # list experiment ids
 //	helmbench -csv         # CSV instead of aligned tables
+//	helmbench sim -model OPT-175B -mem NVDRAM -policy helm -batch 1 -compress
+//	helmbench tune -objective qos -tbt 6.5s
+//	helmbench serve -rate 2 -cap 44 -slo 90s
+//
+// The exit status is 0 on success, 1 when a run fails and 2 on bad
+// usage.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"helmsim/internal/experiments"
@@ -21,67 +31,101 @@ import (
 	"helmsim/internal/tensor"
 )
 
-func main() {
-	var (
-		runID      = flag.String("run", "", "experiment id to run (default: all)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel   = flag.Int("parallel", 0, "worker count (<=0: GOMAXPROCS); results print in id order regardless")
-		cacheStats = flag.Bool("cachestats", false, "print run-cache hit/miss/dedup counts to stderr")
-		threads    = flag.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); results are identical at any setting")
-	)
-	flag.Parse()
-	tensor.SetParallelism(*threads)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+// A command registers its flags and returns its body, which runs once
+// they have parsed.
+type command func(fs *flag.FlagSet) func(stdout, stderr io.Writer) error
+
+// subcommands are the commands named by the first argument; without
+// one, helmbench runs experiments.
+var subcommands = map[string]command{
+	"sim":   simCommand,
+	"tune":  tuneCommand,
+	"serve": serveCommand,
+}
+
+// run is the whole command: it parses args, runs the selected command
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	name, cmd := "helmbench", command(experimentsCommand)
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			name, cmd, args = "helmbench "+args[0], sub, args[1:]
 		}
-		return
 	}
-
-	var todo []experiments.Experiment
-	if *runID == "" {
-		todo = experiments.All()
-	} else {
-		e, err := experiments.ByID(*runID)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "helmbench:", err)
-			os.Exit(1)
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	body := cmd(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		todo = []experiments.Experiment{e}
+		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: unexpected argument %q (subcommands: sim, tune, serve)\n", name, fs.Arg(0))
+		return 2
+	}
+	if err := body(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	return 0
+}
 
-	outcomes := experiments.RunSet(context.Background(), todo, *parallel)
-
-	failed := false
-	for _, o := range outcomes {
-		fmt.Printf("=== %s: %s ===\n", o.Experiment.ID, o.Experiment.Title)
-		if o.Err != nil {
-			fmt.Fprintf(os.Stderr, "helmbench: %s: %v\n", o.Experiment.ID, o.Err)
-			failed = true
-			continue
-		}
-		for _, t := range o.Tables {
-			var err error
-			if *csv {
-				err = t.RenderCSV(os.Stdout)
-			} else {
-				err = t.Render(os.Stdout)
+// experimentsCommand regenerates the paper's artifacts by experiment id.
+func experimentsCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
+	runID := fs.String("run", "", "experiment id to run (default: all)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	parallel := fs.Int("parallel", 0, "worker count (<=0: GOMAXPROCS); results print in id order regardless")
+	cacheStats := fs.Bool("cachestats", false, "print run-cache hit/miss/dedup counts to stderr")
+	threads := fs.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); results are identical at any setting")
+	return func(stdout, stderr io.Writer) error {
+		tensor.SetParallelism(*threads)
+		if *list {
+			for _, e := range experiments.All() {
+				fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 			}
+			return nil
+		}
+		todo := experiments.All()
+		if *runID != "" {
+			e, err := experiments.ByID(*runID)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "helmbench: render %s: %v\n", o.Experiment.ID, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Println()
+			todo = []experiments.Experiment{e}
 		}
-	}
-	if *cacheStats {
-		s := runcache.Shared().Stats()
-		fmt.Fprintf(os.Stderr, "helmbench: run cache: %d entries, %d misses, %d hits, %d deduped\n",
-			runcache.Shared().Len(), s.Misses, s.Hits, s.Dedups)
-	}
-	if failed {
-		os.Exit(1)
+
+		failed := 0
+		for _, o := range experiments.RunSet(context.Background(), todo, *parallel) {
+			fmt.Fprintf(stdout, "=== %s: %s ===\n", o.Experiment.ID, o.Experiment.Title)
+			if o.Err != nil {
+				fmt.Fprintf(stderr, "helmbench: %s: %v\n", o.Experiment.ID, o.Err)
+				failed++
+				continue
+			}
+			for _, t := range o.Tables {
+				render := t.Render
+				if *csv {
+					render = t.RenderCSV
+				}
+				if err := render(stdout); err != nil {
+					return fmt.Errorf("render %s: %w", o.Experiment.ID, err)
+				}
+				fmt.Fprintln(stdout)
+			}
+		}
+		if *cacheStats {
+			s := runcache.Shared().Stats()
+			fmt.Fprintf(stderr, "helmbench: run cache: %d entries, %d misses, %d hits, %d deduped\n",
+				runcache.Shared().Len(), s.Misses, s.Hits, s.Dedups)
+		}
+		if failed > 0 {
+			return fmt.Errorf("%d of %d experiments failed", failed, len(todo))
+		}
+		return nil
 	}
 }

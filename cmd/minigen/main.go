@@ -1,7 +1,8 @@
 // Command minigen runs the executable inference engine end to end at
 // laptop scale: synthesize a model, write its checkpoint to disk (raw FP16
 // or 4-bit quantized), serve it out-of-core — every layer's weights read
-// from the file per use — and generate tokens greedily.
+// from the file per use — and generate tokens greedily through the
+// continuous batcher, the serving path helmd runs.
 //
 // Usage:
 //
@@ -20,11 +21,14 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
+	"helmsim/internal/batch"
 	"helmsim/internal/fault"
 	"helmsim/internal/infer"
+	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -42,7 +46,7 @@ func main() {
 		gen      = flag.Int("gen", 16, "tokens to generate")
 		quantize = flag.Bool("quantize", false, "store the checkpoint 4-bit quantized")
 		ckpt     = flag.String("ckpt", "", "checkpoint path (default: temp file)")
-		batch    = flag.Int("batch", 1, "sequences decoded in lockstep (weights fetched once per layer per step; 1 is a batch of one)")
+		seqs     = flag.Int("batch", 1, "sequences submitted together (weights fetched once per layer per step; 1 is a batch of one)")
 		threads  = flag.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); output is identical at any setting")
 		prefetch = flag.Bool("prefetch", true, "fetch+dequantize layer L+1 in the background while layer L computes")
 
@@ -58,7 +62,7 @@ func main() {
 	// checkpoint teardown still runs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Stdout, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *batch, *prefetch,
+	if err := run(ctx, os.Stdout, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *seqs, *prefetch,
 		*faultRate, *faultSeed, *retries, *timeout); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "minigen: interrupted")
@@ -69,10 +73,13 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, batch int, prefetch bool,
+// pageTokens is the KV page size of the batcher's pool (helmd's default).
+const pageTokens = 16
+
+func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, seqs int, prefetch bool,
 	faultRate float64, faultSeed int64, retries int, timeout time.Duration) error {
-	if batch < 1 {
-		return fmt.Errorf("non-positive batch %d", batch)
+	if seqs < 1 {
+		return fmt.Errorf("non-positive batch %d", seqs)
 	}
 	cfg := model.Config{
 		Name: "mini-" + arch, Hidden: hidden, Heads: heads, Blocks: blocks,
@@ -163,52 +170,65 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		defer cancel()
 	}
 
-	// Lockstep batch: every sequence shares one weight fetch per layer per
-	// step (vary the prompts slightly so the outputs differ). A solo
-	// generation is a batch of one.
+	// The batcher stacks every running sequence into one step, so they
+	// share one weight fetch per layer per step (vary the prompts slightly
+	// so the outputs differ). A solo generation is a batch of one.
 	start := time.Now()
-	var be *infer.BatchEngine
+	var se *infer.StepEngine
 	if prefetch {
-		be, err = infer.NewBatchPrefetched(ctx, cfg, weightSrc, batch, retry)
+		se, err = infer.NewStepEnginePrefetched(ctx, cfg, weightSrc, retry)
 	} else {
 		rs, rerr := infer.NewResilient(weightSrc, retry)
 		if rerr != nil {
 			return rerr
 		}
-		be, err = infer.NewBatch(cfg, rs, batch)
+		se, err = infer.NewStepEngine(cfg, rs)
 	}
 	if err != nil {
 		return err
 	}
-	defer be.Close()
-	prompts := make([][]int, batch)
-	for i := range prompts {
+	defer se.Close()
+	pages := seqs * ((len(prompt) + gen + pageTokens - 1) / pageTokens)
+	pool, err := kvcache.NewPool(cfg, pages, pageTokens, true)
+	if err != nil {
+		return err
+	}
+	b := batch.New(se, pool, batch.Options{MaxSeqs: seqs, MaxQueue: seqs})
+	outputs := make([][]int, seqs)
+	errs := make([]error, seqs)
+	var wg sync.WaitGroup
+	for i := range outputs {
 		p := append([]int(nil), prompt...)
 		p[len(p)-1] = (p[len(p)-1] + i) % vocab
-		prompts[i] = p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outputs[i], errs[i] = b.Submit(ctx, p, gen)
+		}()
 	}
-	outputs, err := be.GenerateBatchContext(ctx, prompts, gen)
-	if err != nil {
+	wg.Wait()
+	b.Stop()
+	if err := errors.Join(append(errs, pool.Conserved())...); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(stdout, "prompt:    %v (batch %d)\n", prompt, batch)
+	fmt.Fprintf(stdout, "prompt:    %v (batch %d)\n", prompt, seqs)
 	for i, out := range outputs {
 		fmt.Fprintf(stdout, "seq %d:     %v\n", i, out)
 	}
 	fmt.Fprintf(stdout, "served out-of-core: %d tensor reads from disk, %.1f tok/s wall (threads=%d)\n",
-		store.Reads(), float64(gen*batch)/elapsed.Seconds(), tensor.Parallelism())
+		store.Reads(), float64(gen*seqs)/elapsed.Seconds(), tensor.Parallelism())
 	if prefetch {
-		hits, misses := be.PrefetchStats()
-		byWorker, byConsumer := be.LaneStats()
+		hits, misses := se.PrefetchStats()
+		byWorker, byConsumer := se.LaneStats()
 		fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses; %d tensors fetched by pool workers, %d by the engine at the join\n",
 			hits, misses, byWorker, byConsumer)
 	}
 	if faults != nil {
 		st := faults.Stats()
 		fmt.Fprintf(stdout, "chaos: %d/%d reads failed transiently (seed %d), %d degraded fetches, output unharmed\n",
-			st.Transients, st.Accesses, faultSeed, be.DegradedFetches())
+			st.Transients, st.Accesses, faultSeed, se.DegradedFetches())
 	}
 	return nil
 }

@@ -57,9 +57,10 @@ func sequences(t *testing.T, out string) [][]int {
 	return seqs
 }
 
-// reference decodes the prompt on the solo engine, straight from the
-// checkpoint a minigen run left behind.
-func reference(t *testing.T, ckpt string) []int {
+// reference decodes the prompt of each of n sequences (minigen shifts
+// the last token by the sequence number) on the solo engine, straight
+// from the checkpoint a minigen run left behind.
+func reference(t *testing.T, ckpt string, n int) [][]int {
 	t.Helper()
 	cfg := model.Config{
 		Name: "mini-opt", Hidden: tHidden, Heads: tHeads, Blocks: tBlocks,
@@ -74,33 +75,38 @@ func reference(t *testing.T, ckpt string) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Generate([]int{1, 2, 3}, tGen)
-	if err != nil {
-		t.Fatal(err)
+	want := make([][]int, n)
+	for i := range want {
+		eng.Reset()
+		if want[i], err = eng.Generate([]int{1, 2, 3 + i}, tGen); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return want
 }
 
 // Every way of running the same generation — prefetch on or off, alone
-// or as sequence 0 of a lockstep batch — prints the solo engine's
-// tokens, over a raw and over a 4-bit checkpoint.
+// or beside other sequences in the batcher — prints the solo engine's
+// tokens for every sequence, over a raw and over a 4-bit checkpoint.
 func TestMinigenTokensMatchSoloEngine(t *testing.T) {
 	for _, quantize := range []bool{false, true} {
 		ckpt := filepath.Join(t.TempDir(), "m.hlmc")
-		var want []int
+		var want [][]int
 		for _, prefetch := range []bool{true, false} {
 			for _, batch := range []int{1, 3} {
 				name := fmt.Sprintf("quantize=%v prefetch=%v batch=%d", quantize, prefetch, batch)
 				out := minigen(t, ckpt, quantize, batch, prefetch, 0, 3)
 				if want == nil {
-					want = reference(t, ckpt)
+					want = reference(t, ckpt, 3)
 				}
 				seqs := sequences(t, out)
 				if len(seqs) != batch {
 					t.Fatalf("%s: printed %d sequences\n%s", name, len(seqs), out)
 				}
-				if !slices.Equal(seqs[0], want) {
-					t.Errorf("%s: sequence 0 = %v, solo engine says %v", name, seqs[0], want)
+				for i := range seqs {
+					if !slices.Equal(seqs[i], want[i]) {
+						t.Errorf("%s: sequence %d = %v, solo engine says %v", name, i, seqs[i], want[i])
+					}
 				}
 				if !strings.Contains(out, fmt.Sprintf("quantized=%v)", quantize)) || !strings.Contains(out, "tensor reads from disk") {
 					t.Errorf("%s: report lines missing:\n%s", name, out)
@@ -124,7 +130,7 @@ var chaosLine = regexp.MustCompile(`chaos: (\d+)/\d+ reads failed transiently \(
 func TestMinigenChaosOutputUnharmed(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "m.hlmc")
 	out := minigen(t, ckpt, false, 1, true, 0.05, 8)
-	want := reference(t, ckpt)
+	want := reference(t, ckpt, 1)[0]
 	if seqs := sequences(t, out); len(seqs) != 1 || !slices.Equal(seqs[0], want) {
 		t.Errorf("tokens under faults = %v, want %v", seqs, want)
 	}

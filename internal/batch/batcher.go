@@ -1,9 +1,9 @@
 // Package batch is the continuous (iteration-level) batcher: requests
 // join and leave the running batch at step granularity instead of
-// waiting for a fixed wave to drain. The fixed-membership BatchEngine
-// holds a slot for a request's whole lifetime, so one long generation
-// pins the wave while finished slots idle; here every decode step
-// retires finished sequences, admits queued ones against the paged KV
+// waiting for a fixed wave to drain. A fixed-membership batch holds a
+// slot for a request's whole lifetime, so one long generation pins the
+// wave while finished slots idle; here every decode step retires
+// finished sequences, admits queued ones against the paged KV
 // pool's free-page ledger by estimated cost (prompt plus the
 // output-length predictor's decode bucket, when one is configured),
 // and sheds pressure by preempting the lowest-class-youngest sequence

@@ -102,7 +102,7 @@ type Writer struct {
 // NewWriter starts a checkpoint for the named model holding exactly
 // tensors entries.
 func NewWriter(w io.Writer, modelName string, tensors int) (*Writer, error) {
-	if tensors < 0 || tensors > math.MaxUint32 {
+	if tensors < 0 || uint64(tensors) > math.MaxUint32 {
 		return nil, fmt.Errorf("checkpoint: bad tensor count %d", tensors)
 	}
 	if len(modelName) > math.MaxUint16 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"helmsim/internal/quant"
@@ -104,6 +105,13 @@ func TestWriterCountEnforcement(t *testing.T) {
 	}
 	if _, err := NewWriter(&buf, "m", -1); err == nil {
 		t.Errorf("negative count accepted")
+	}
+	// One past the header's uint32 count: only representable in a 64-bit int.
+	if strconv.IntSize == 64 {
+		tooMany := uint64(math.MaxUint32) + 1
+		if _, err := NewWriter(&buf, "m", int(tooMany)); err == nil {
+			t.Errorf("count %d accepted", tooMany)
+		}
 	}
 }
 

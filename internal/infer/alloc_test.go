@@ -14,7 +14,7 @@ import (
 )
 
 // weightCount is the total tensor count across the model's layers — the
-// per-step backing-store fetch count of a lockstep engine.
+// per-step backing-store fetch count of a step engine.
 func weightCount(cfg model.Config) int {
 	n := 0
 	for _, l := range cfg.Layers() {
@@ -62,7 +62,7 @@ func soloDecodeStep(t *testing.T, e *Engine) func() {
 	return step
 }
 
-// The lockstep engine reads a resident MemStore through its layer memo;
+// The step engine reads a resident MemStore through its layer memo;
 // the memo must take the store's zero-copy views there, not the copying
 // Tensor path (which cost a full copy of the model per token). No
 // objects per step means no bytes per step.
@@ -77,7 +77,7 @@ func TestStepDecodeAllocsMemStoreZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
-		t.Errorf("resident lockstep decode allocates %.1f objects/step, want 0", allocs)
+		t.Errorf("resident step decode allocates %.1f objects/step, want 0", allocs)
 	}
 }
 
@@ -123,7 +123,7 @@ func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
 	return testing.AllocsPerRun(10, stepDecode(t, cfg, se))
 }
 
-// A lockstep engine over a quantized store stops allocating once the
+// A step engine over a quantized store stops allocating once the
 // layer-memo's recycled buffers have seen one full layer cycle: every
 // dequantization decodes into the buffer evicted two layers earlier.
 func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
@@ -141,7 +141,7 @@ func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
-		t.Errorf("quant lockstep decode allocates %.1f objects/step, want 0", allocs)
+		t.Errorf("quant step decode allocates %.1f objects/step, want 0", allocs)
 	}
 }
 
@@ -525,8 +525,8 @@ func TestPrefetchRecycleIdentity(t *testing.T) {
 						backing = struct{ WeightStore }{st}
 					}
 					e := newPrefetchedSolo(t, cfg, backing, Retry{})
-					if (e.se.prefetch.into != nil) != recycle {
-						t.Fatalf("%s: recycling on = %v", name, e.se.prefetch.into != nil)
+					if (e.prefetch.into != nil) != recycle {
+						t.Fatalf("%s: recycling on = %v", name, e.prefetch.into != nil)
 					}
 					got, err := e.generate(context.Background(), prompt, n)
 					if err != nil {
@@ -612,15 +612,15 @@ func TestSwappableMmapHotReloadRace(t *testing.T) {
 				// (and decodes the raw records straight out of it); Close
 				// joins background fetches before the pin drops, so no
 				// read and no view outlives the generation.
-				be, err := NewBatchPrefetched(context.Background(), cfg, w, 1, Retry{})
+				se, err := NewStepEnginePrefetched(context.Background(), cfg, w, Retry{})
 				if err != nil {
 					release()
 					errs <- err
 					return
 				}
-				got, genErr := prefetchedSolo{be}.generate(context.Background(), prompt, n)
-				closeErr := be.Close()
-				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(be.se.prefetch) {
+				got, genErr := prefetchedSolo{se}.generate(context.Background(), prompt, n)
+				closeErr := se.Close()
+				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(se.prefetch) {
 					genErr = fmt.Errorf("prefetched engine over a pinned mmap generation holds no packed view")
 				}
 				release()

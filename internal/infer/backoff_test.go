@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -86,10 +87,10 @@ func TestJitteredBackoffBoundedSeededDivergent(t *testing.T) {
 }
 
 // The batch path must not retry permanent errors either: a lockstep
-// wave over a ResilientStore whose backing store fails permanently
+// step over a ResilientStore whose backing store fails permanently
 // gives up after exactly one attempt — retrying corruption or missing
 // tensors B times per layer would turn one bad record into a stall for
-// the whole wave.
+// every sequence of the step.
 func TestResilientStoreBatchPathNeverRetriesPermanent(t *testing.T) {
 	mc := tinyOPT()
 	ps := &permStore{}
@@ -97,12 +98,11 @@ func TestResilientStoreBatchPathNeverRetriesPermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := NewBatch(mc, rs, 3)
+	se, err := NewStepEngine(mc, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer be.Close()
-	if _, err := be.GenerateBatch([][]int{{1}, {2}, {3}}, 2); err == nil {
+	if _, err := lockstep(context.Background(), se, [][]int{{1}, {2}, {3}}, 2); err == nil {
 		t.Fatal("batch generation over a permanently failing store succeeded")
 	}
 	if ps.calls != 1 {

@@ -73,37 +73,37 @@ func benchGenerate(b *testing.B, store WeightStore) {
 		defer tensor.SetParallelism(prev)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var be *BatchEngine
+			var se *StepEngine
 			var err error
 			if prefetched {
-				be, err = NewBatchPrefetched(context.Background(), mc, store, batch, Retry{})
+				se, err = NewStepEnginePrefetched(context.Background(), mc, store, Retry{})
 			} else {
-				be, err = NewBatch(mc, store, batch)
+				se, err = NewStepEngine(mc, store)
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := be.GenerateBatch(prompts, gen); err != nil {
+			if _, err := lockstep(context.Background(), se, prompts, gen); err != nil {
 				b.Fatal(err)
 			}
-			be.Close()
+			se.Close()
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1, false) })
 	b.Run("parallel", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0), true) })
 }
 
-func BenchmarkGenerateBatchMemStore(b *testing.B) {
+func BenchmarkLockstepMemStore(b *testing.B) {
 	mem, _, _ := benchStores(b, benchModel())
 	benchGenerate(b, mem)
 }
 
-func BenchmarkGenerateBatchQuantStore(b *testing.B) {
+func BenchmarkLockstepQuantStore(b *testing.B) {
 	_, qs, _ := benchStores(b, benchModel())
 	benchGenerate(b, qs)
 }
 
-func BenchmarkGenerateBatchFileStore(b *testing.B) {
+func BenchmarkLockstepFileStore(b *testing.B) {
 	_, _, fs := benchStores(b, benchModel())
 	benchGenerate(b, fs)
 }

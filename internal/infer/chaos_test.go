@@ -297,13 +297,13 @@ func TestChaosSharedFaultStoreConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			be, err := NewBatchPrefetched(context.Background(), mc, fs, 1, Retry{Max: 16, Sleep: noSleep})
+			se, err := NewStepEnginePrefetched(context.Background(), mc, fs, Retry{Max: 16, Sleep: noSleep})
 			if err != nil {
 				errs[e] = err
 				return
 			}
-			defer be.Close()
-			got, err := prefetchedSolo{be}.generate(context.Background(), prompt, gen)
+			defer se.Close()
+			got, err := prefetchedSolo{se}.generate(context.Background(), prompt, gen)
 			if err != nil {
 				errs[e] = fmt.Errorf("engine %d: %w", e, err)
 				return
@@ -427,13 +427,8 @@ func TestGenerateContextDeadline(t *testing.T) {
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	be, err := NewBatch(mc, raw, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = be.GenerateBatchContext(dctx, [][]int{{1}, {2}}, 4)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("expired batch generation err = %v, want context.DeadlineExceeded", err)
+	if _, err := eng.GenerateContext(dctx, []int{1, 2}, 4); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired generation err = %v, want context.DeadlineExceeded", err)
 	}
 	// An unexpired context changes nothing.
 	ok, err := eng.GenerateContext(context.Background(), []int{1, 2}, 2)

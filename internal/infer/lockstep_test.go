@@ -1,11 +1,41 @@
 package infer
 
 import (
+	"context"
 	"testing"
 
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 )
+
+// lockstep greedily decodes n tokens for every prompt on se, all
+// sequences in one Step per token over private block caches: the fixed
+// batch the tests hold against the solo Engine. Like Engine's loop it
+// checks ctx between steps and reuses one token array per sequence.
+func lockstep(ctx context.Context, se *StepEngine, prompts [][]int, n int) ([][]int, error) {
+	seqs := make([]*StepSeq, len(prompts))
+	toks := make([][1]int, len(prompts))
+	out := make([][]int, len(prompts))
+	for i, p := range prompts {
+		seqs[i] = &StepSeq{Tokens: p, KV: NewBlockCaches(se.Config())}
+	}
+	for t := 0; t < n; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		logits, err := se.Step(seqs)
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range seqs {
+			toks[i][0] = logits[i].ArgmaxRow(0)
+			out[i] = append(out[i], toks[i][0])
+			s.Pos += len(s.Tokens)
+			s.Tokens = toks[i][:]
+		}
+	}
+	return out, nil
+}
 
 // Lockstep batched decoding is exactly equivalent to running each sequence
 // on its own engine: the KV caches are independent, only the weight
@@ -26,11 +56,11 @@ func TestLockstepMatchesIndependentEngines(t *testing.T) {
 			}
 			prompts := [][]int{{1, 2, 3}, {9, 4}, {7, 7, 7, 7}}
 
-			be, err := NewBatch(mc, ws, len(prompts))
+			se, err := NewStepEngine(mc, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := be.GenerateBatch(prompts, 6)
+			batched, err := lockstep(context.Background(), se, prompts, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +98,7 @@ func TestLockstepWeightReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be, err := NewBatch(mc, qs, nSeqs)
+		se, err := NewStepEngine(mc, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,10 +106,10 @@ func TestLockstepWeightReuse(t *testing.T) {
 		for i := range prompts {
 			prompts[i] = []int{1, 2}
 		}
-		if _, err := be.GenerateBatch(prompts, 4); err != nil {
+		if _, err := lockstep(context.Background(), se, prompts, 4); err != nil {
 			t.Fatal(err)
 		}
-		return be.WeightFetches(), qs.Dequants()
+		return se.WeightFetches(), qs.Dequants()
 	}
 	f1, d1 := fetchesFor(1)
 	f8, d8 := fetchesFor(8)
@@ -91,45 +121,33 @@ func TestLockstepWeightReuse(t *testing.T) {
 	}
 }
 
+// Step's own argument checks: a step with no tokens is refused,
+// sequences with no tokens sit it out, and one sequence's context
+// overflow fails the step.
 func TestLockstepValidation(t *testing.T) {
 	mc := tinyOPT()
 	ws, _ := RandomWeights(mc, 1, 0.08)
-	if _, err := NewBatch(mc, ws, 0); err == nil {
-		t.Errorf("zero sequences accepted")
-	}
-	be, err := NewBatch(mc, ws, 2)
+	se, err := NewStepEngine(mc, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Len() != 2 {
-		t.Errorf("Len = %d", be.Len())
-	}
-	if _, err := be.Step([][]int{{1}}); err == nil {
-		t.Errorf("mismatched step width accepted")
-	}
-	if _, err := be.Step([][]int{nil, nil}); err == nil {
+	a := &StepSeq{KV: NewBlockCaches(mc)}
+	b := &StepSeq{KV: NewBlockCaches(mc)}
+	if _, err := se.Step([]*StepSeq{a, b}); err == nil {
 		t.Errorf("empty step accepted")
 	}
-	if _, err := be.GenerateBatch([][]int{{1}}, 3); err == nil {
-		t.Errorf("mismatched prompt count accepted")
-	}
-	if _, err := be.GenerateBatch([][]int{{1}, {}}, 3); err == nil {
-		t.Errorf("empty prompt accepted")
-	}
-	if _, err := be.GenerateBatch([][]int{{1}, {2}}, 0); err == nil {
-		t.Errorf("zero generation accepted")
-	}
 	// Skipped sequences keep their state: advance only sequence 0.
-	logits, err := be.Step([][]int{{1, 2}, nil})
+	a.Tokens = []int{1, 2}
+	logits, err := se.Step([]*StepSeq{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if logits[0].R != 1 || logits[1].R != 0 {
+	if logits[0].R != 1 || logits[1].R != 0 || b.KV[0].Len() != 0 {
 		t.Errorf("skip semantics broken")
 	}
 	// Context overflow per sequence.
-	long := make([]int, mc.MaxSeq+1)
-	if _, err := be.Step([][]int{long, nil}); err == nil {
+	a.Pos, a.Tokens = 2, make([]int, mc.MaxSeq-1)
+	if _, err := se.Step([]*StepSeq{a, b}); err == nil {
 		t.Errorf("overflow accepted")
 	}
 }

@@ -49,7 +49,7 @@ import (
 // Only when the foreground retry also fails does the error surface to
 // the engine.
 //
-// The store has exactly ONE lockstep consumer, walking layers in
+// The store has exactly ONE consumer, a step engine walking layers in
 // schedule order. When the backing store decodes into caller buffers
 // (IntoStore), each layer decodes into the slabs of the layer the
 // consumer just left: two slab sets ping-pong between "being computed

@@ -16,21 +16,21 @@ import (
 	"helmsim/internal/tensor"
 )
 
-// prefetchedSolo is a prefetched batch of one: the engine that stands
-// where a prefetched solo Engine would.
-type prefetchedSolo struct{ *BatchEngine }
+// prefetchedSolo is a prefetched step engine decoding one sequence: the
+// engine that stands where a prefetched solo Engine would.
+type prefetchedSolo struct{ *StepEngine }
 
 func newPrefetchedSolo(t testing.TB, cfg model.Config, w WeightStore, r Retry) prefetchedSolo {
 	t.Helper()
-	be, err := NewBatchPrefetched(context.Background(), cfg, w, 1, r)
+	se, err := NewStepEnginePrefetched(context.Background(), cfg, w, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prefetchedSolo{be}
+	return prefetchedSolo{se}
 }
 
 func (p prefetchedSolo) generate(ctx context.Context, prompt []int, n int) ([]int, error) {
-	out, err := p.GenerateBatchContext(ctx, [][]int{prompt}, n)
+	out, err := lockstep(ctx, p.StepEngine, [][]int{prompt}, n)
 	if err != nil {
 		return nil, err
 	}
@@ -106,21 +106,21 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		prompts := [][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-		var be *BatchEngine
+		var se *StepEngine
 		if prefetched {
-			be, err = NewBatchPrefetched(context.Background(), mc, qs, len(prompts), Retry{})
+			se, err = NewStepEnginePrefetched(context.Background(), mc, qs, Retry{})
 		} else {
-			be, err = NewBatch(mc, qs, len(prompts))
+			se, err = NewStepEngine(mc, qs)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer be.Close()
-		if _, err := be.GenerateBatch(prompts, 5); err != nil {
+		defer se.Close()
+		if _, err := lockstep(context.Background(), se, prompts, 5); err != nil {
 			t.Fatal(err)
 		}
-		be.se.Settle()
-		h, m := be.PrefetchStats()
+		se.Settle()
+		h, m := se.PrefetchStats()
 		return qs.Dequants(), h, m
 	}
 	lookAhead := 0
@@ -142,10 +142,10 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 	}
 }
 
-// GenerateBatch output must be byte-identical at parallelism 1, 2 and
+// Lockstep output must be byte-identical at parallelism 1, 2 and
 // GOMAXPROCS, with and without prefetch, on a model large enough to
 // engage the parallel kernel paths.
-func TestGenerateBatchParallelismInvariance(t *testing.T) {
+func TestLockstepParallelismInvariance(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	mc := model.Config{
 		Name: "OPT-par", Hidden: 96, Heads: 4, Blocks: 2,
@@ -163,18 +163,18 @@ func TestGenerateBatchParallelismInvariance(t *testing.T) {
 	run := func(par int, prefetched bool) [][]int {
 		prev := tensor.SetParallelism(par)
 		defer tensor.SetParallelism(prev)
-		var be *BatchEngine
+		var se *StepEngine
 		var err error
 		if prefetched {
-			be, err = NewBatchPrefetched(context.Background(), mc, qs, len(prompts), Retry{})
+			se, err = NewStepEnginePrefetched(context.Background(), mc, qs, Retry{})
 		} else {
-			be, err = NewBatch(mc, qs, len(prompts))
+			se, err = NewStepEngine(mc, qs)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer be.Close()
-		out, err := be.GenerateBatch(prompts, 6)
+		defer se.Close()
+		out, err := lockstep(context.Background(), se, prompts, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,9 +416,6 @@ func TestPrefetchValidation(t *testing.T) {
 	if _, err := NewPrefetch(ctx, mc, raw, Retry{Max: -1}); err == nil {
 		t.Error("invalid retry policy accepted")
 	}
-	if _, err := NewBatchPrefetched(ctx, mc, raw, 0, Retry{}); err == nil {
-		t.Error("empty prefetched batch accepted")
-	}
 	// Unknown layers error instead of deadlocking.
 	ps, err := NewPrefetch(ctx, mc, raw, Retry{})
 	if err != nil {
@@ -430,7 +427,7 @@ func TestPrefetchValidation(t *testing.T) {
 	}
 }
 
-// Two prefetched lockstep engines, each over its own PrefetchStore, read
+// Two prefetched step engines, each over its own PrefetchStore, read
 // one shared FileStore concurrently — the -race gate for the whole fetch
 // path (file reads, dequantization into recycled buffers, bundle swaps).
 // Outputs must match the serial reference exactly.
@@ -461,11 +458,11 @@ func TestPrefetchedEnginesShareFileStore(t *testing.T) {
 
 	prompts := [][]int{{1, 2, 3}, {9, 4}}
 	// Serial reference over the same checkpoint.
-	ref, err := NewBatch(mc, fs, len(prompts))
+	ref, err := NewStepEngine(mc, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.GenerateBatch(prompts, 5)
+	want, err := lockstep(context.Background(), ref, prompts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,13 +473,13 @@ func TestPrefetchedEnginesShareFileStore(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			be, err := NewBatchPrefetched(context.Background(), mc, fs, len(prompts), Retry{})
+			se, err := NewStepEnginePrefetched(context.Background(), mc, fs, Retry{})
 			if err != nil {
 				errs[e] = err
 				return
 			}
-			defer be.Close()
-			got, err := be.GenerateBatch(prompts, 5)
+			defer se.Close()
+			got, err := lockstep(context.Background(), se, prompts, 5)
 			if err != nil {
 				errs[e] = err
 				return

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -118,10 +119,10 @@ func TestForwardRollbackMidStep(t *testing.T) {
 	}
 }
 
-// TestBatchStepRollback does the same sweep through BatchEngine.Step:
-// a failed lockstep step must leave every sequence's position and
-// every block's cache exactly as before the step, so retrying the step
-// reproduces the fault-free wave byte for byte.
+// TestBatchStepRollback does the same sweep through a stacked
+// StepEngine.Step: a failed step must leave every block's cache exactly
+// as before the step, so retrying the step reproduces the fault-free
+// lockstep batch byte for byte.
 func TestBatchStepRollback(t *testing.T) {
 	cfg := rollbackConfig()
 	w, err := RandomWeights(cfg, 7, 0.1)
@@ -131,51 +132,51 @@ func TestBatchStepRollback(t *testing.T) {
 	prompts := [][]int{{3, 1, 4, 1, 5}, {9, 2, 6}}
 	const gen = 5
 
-	clean, err := NewBatch(cfg, w, len(prompts))
+	clean, err := NewStepEngine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clean.GenerateBatch(prompts, gen)
+	want, err := lockstep(context.Background(), clean, prompts, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	counter := &failNthStore{backing: w, n: -1}
-	probe, err := NewBatch(cfg, counter, len(prompts))
+	probe, err := NewStepEngine(cfg, counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := probe.GenerateBatch(prompts, 2); err != nil {
+	if _, err := lockstep(context.Background(), probe, prompts, 2); err != nil {
 		t.Fatal(err)
 	}
 	sweep := counter.count
 
 	for n := 1; n <= sweep; n += 3 {
-		fs := &failNthStore{backing: w, n: n}
-		b, err := NewBatch(cfg, fs, len(prompts))
+		se, err := NewStepEngine(cfg, &failNthStore{backing: w, n: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := make([][]int, len(prompts))
+		seqs := make([]*StepSeq, len(prompts))
 		for i, p := range prompts {
-			step[i] = p
+			seqs[i] = &StepSeq{Tokens: p, KV: NewBlockCaches(cfg)}
 		}
 		out := make([][]int, len(prompts))
 		for tok := 0; tok < gen; tok++ {
-			logits, err := b.Step(step)
+			logits, err := se.Step(seqs)
 			if err != nil {
 				if !errors.Is(err, errRollbackFault) {
 					t.Fatalf("fault at access %d: unexpected step error: %v", n, err)
 				}
 				// Retry the identical step; rollback must have made it safe.
-				if logits, err = b.Step(step); err != nil {
+				if logits, err = se.Step(seqs); err != nil {
 					t.Fatalf("fault at access %d: retry failed: %v", n, err)
 				}
 			}
-			for i := range step {
+			for i, s := range seqs {
 				next := logits[i].ArgmaxRow(0)
 				out[i] = append(out[i], next)
-				step[i] = []int{next}
+				s.Pos += len(s.Tokens)
+				s.Tokens = []int{next}
 			}
 		}
 		for i := range out {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"helmsim/internal/model"
 	"helmsim/internal/parallel"
@@ -15,9 +16,9 @@ import (
 // the tokens it feeds this step (empty = sit the step out), the number
 // of positions it already has cached, and its per-block KV storage.
 // The storage is owned by the caller — a continuous batcher hands in
-// paged views, the fixed lockstep engine hands in its private caches —
-// so sequences can join and leave between steps without the engine
-// holding any per-sequence state.
+// paged views, the solo Engine hands in its private caches — so
+// sequences can join and leave between steps without the engine holding
+// any per-sequence state.
 type StepSeq struct {
 	// Tokens are the positions to feed this step: the uncached prompt
 	// suffix at prefill, one sampled token per decode step.
@@ -57,9 +58,8 @@ const fusedMaxRows = 8
 // sequence, on its row range. Every kernel involved computes an output
 // row from its own input row alone (DESIGN §3c), so a sequence's logits
 // carry the same bits whoever shares its step. It is the substrate of the
-// solo Engine, the fixed-batch BatchEngine and the continuous batcher:
-// the engine holds no sequence state, so the set of sequences may change
-// freely between calls.
+// solo Engine and the continuous batcher: the engine holds no sequence
+// state, so the set of sequences may change freely between calls.
 //
 // All per-step scratch — activations, attention scores, logits — comes
 // from a per-engine arena and is recycled across steps, so steady-state
@@ -132,6 +132,82 @@ func NewStepEnginePrefetched(ctx context.Context, cfg model.Config, w WeightStor
 	}
 	se.prefetch = ps
 	return se, nil
+}
+
+// layerMemo caches the tensors of one layer at a time in front of a
+// backing store. A step visits each layer once for every sequence
+// together, so the memo is what makes a weight cross the store boundary
+// once per layer per step however the engine asks for it — the executable
+// counterpart of the zig-zag schedule's weight reuse (§II-B). It is the
+// engine's one view of the store: the optional fetch paths of the backing
+// store are resolved here, once, in order of preference.
+type layerMemo struct {
+	// storePaths are the backing store's fetch paths. packed: 4-bit
+	// tensors arrive as validated views of their stored bytes and are
+	// never decoded here; the memo holds a view only while its layer is
+	// current, inside the lifetime DESIGN §3h gives packed views (the
+	// index stays open for the life of the engine). into: evicted layers'
+	// buffers are kept (keyed by tensor name) and the next layer decodes
+	// into them, so the memo stops allocating once it has seen one full
+	// layer cycle. The memo is single-consumer (one step engine),
+	// which is what makes reuse safe: a recycled buffer is only
+	// overwritten after its layer was evicted, i.e. after the engine
+	// moved past it. A PrefetchStore backing never implements IntoStore —
+	// it owns (and recycles) its bundle buffers itself. views, used only
+	// when there is no decode-into path: a resident MemStore serves its
+	// own storage (read-only, like every weight the engine sees) instead
+	// of a copy per fetch.
+	storePaths
+	layer int
+	cache map[string]weight
+	free  map[string][]float32
+	// fetches counts backing-store accesses (observable reuse); atomic so
+	// counter reads stay well-defined while a prefetching backing store
+	// runs in the background.
+	fetches atomic.Int64
+}
+
+// newLayerMemo wraps a store.
+func newLayerMemo(backing WeightStore) *layerMemo {
+	m := &layerMemo{storePaths: storePaths{backing: backing}, layer: -1, cache: map[string]weight{}}
+	m.packed, _ = backing.(PackedStore)
+	if is, ok := backing.(IntoStore); ok {
+		m.into = is
+		m.free = map[string][]float32{}
+	} else {
+		m.views, _ = backing.(ViewStore)
+	}
+	return m
+}
+
+// fetch returns the named tensor of the layer, from the backing store on
+// the first request of a layer visit and from the memo after. A request
+// for a new layer evicts the previous layer's tensors (the map is cleared
+// and reused, not reallocated — the memo changes layer once per layer per
+// step); evicted f32 buffers become the new layer's decode targets when
+// the backing store decodes into buffers.
+func (m *layerMemo) fetch(layer int, name string) (weight, error) {
+	if layer != m.layer {
+		m.layer = layer
+		if m.into != nil {
+			for n, w := range m.cache {
+				if w.f32 != nil {
+					m.free[n] = w.f32
+				}
+			}
+		}
+		clear(m.cache)
+	}
+	if w, ok := m.cache[name]; ok {
+		return w, nil
+	}
+	w, err := m.storePaths.fetch(layer, name, m.free[name])
+	if err != nil {
+		return weight{}, err
+	}
+	m.fetches.Add(1)
+	m.cache[name] = w
+	return w, nil
 }
 
 // Config reports the model the engine serves.
