@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -293,28 +292,22 @@ func serveCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 
 	return func(stdout, _ io.Writer) error {
 		rc.Policy = pol.pol
-		if !*mix {
-			return serveQueue(stdout, serve.QueueConfig{
-				Run:         *rc,
-				ArrivalRate: *rate,
-				NumPrompts:  *n,
-				Seed:        *seed,
-				SLO:         units.Duration(slo.Seconds()),
-				MaxQueue:    *maxQueue,
-				MaxWait:     units.Duration(maxWait.Seconds()),
-			}, pol.name, *slo)
-		}
 		mc := serve.MixConfig{
-			Run:             *rc,
-			NumPrompts:      *n,
-			Seed:            *seed,
-			MaxQueue:        *maxQueue,
-			MaxWait:         units.Duration(maxWait.Seconds()),
-			TokenBudget:     *tokenBudget,
-			BrownoutHigh:    *brownHigh,
-			BrownoutLow:     *brownLow,
-			BrownoutSustain: *brownSus,
+			Run:      *rc,
+			Seed:     *seed,
+			MaxQueue: *maxQueue,
+			MaxWait:  units.Duration(maxWait.Seconds()),
 		}
+		if !*mix {
+			// The count mode is one class at the canonical lengths.
+			canon := rc.Canonical()
+			const class = serve.ClassInteractive
+			mc.Classes = []serve.ClassSpec{{Class: class, ArrivalRate: *rate,
+				PromptLen: canon.PromptLen, MaxNew: canon.GenLen, SLO: units.Duration(slo.Seconds())}}
+			return serveQueue(stdout, mc, serve.PoissonArrivals(class, *rate, *n, *seed), pol.name, *slo)
+		}
+		mc.TokenBudget = *tokenBudget
+		mc.BrownoutHigh, mc.BrownoutLow, mc.BrownoutSustain = *brownHigh, *brownLow, *brownSus
 		for _, s := range specs {
 			if s.flag.spec != nil {
 				cs := *s.flag.spec
@@ -322,40 +315,42 @@ func serveCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				mc.Classes = append(mc.Classes, cs)
 			}
 		}
-		return serveMix(stdout, mc, pol.name)
+		return serveMix(stdout, mc, serve.MixArrivals(mc.Classes, *n, *seed), pol.name)
 	}
 }
 
 // serveQueue runs the one-class queueing simulation and prints its
 // metric table.
-func serveQueue(stdout io.Writer, qc serve.QueueConfig, polName string, slo time.Duration) error {
-	m, err := serve.SimulateQueue(qc)
+func serveQueue(stdout io.Writer, mc serve.MixConfig, arrivals []serve.Arrival, polName string, slo time.Duration) error {
+	m, err := serve.SimulateMix(mc, arrivals)
 	if err != nil {
 		return err
 	}
+	c := mc.Classes[0].Class
 	t := &report.Table{
 		Title: fmt.Sprintf("online serving: %s on %s, %s, cap %d, %.2f req/s",
-			qc.Run.Model.Name, qc.Run.Memory, polName, qc.Run.Batch, qc.ArrivalRate),
+			mc.Run.Model.Name, mc.Run.Memory, polName, mc.Run.Batch, mc.Classes[0].ArrivalRate),
 		Headers: []string{"metric", "value"},
 	}
 	t.AddRow("waves", m.Waves)
 	t.AddRow("mean wave occupancy", fmt.Sprintf("%.1f", m.MeanBatch))
 	t.AddRow("server utilization", fmt.Sprintf("%.1f%%", m.Utilization*100))
 	t.AddRow("throughput", fmt.Sprintf("%.3f prompts/s", m.PromptsPerSec))
-	t.AddRow("queue delay mean / p99", fmt.Sprintf("%.1fs / %.1fs", m.MeanQueueDelay.Seconds(), m.P99QueueDelay.Seconds()))
-	t.AddRow("E2E latency mean / p99", fmt.Sprintf("%.1fs / %.1fs", m.MeanE2E.Seconds(), m.P99E2E.Seconds()))
-	if qc.MaxQueue > 0 || qc.MaxWait > 0 {
+	t.AddRow("queue delay mean / p99", fmt.Sprintf("%.1fs / %.1fs", m.MeanQueueDelay[c].Seconds(), m.P99QueueDelay[c].Seconds()))
+	t.AddRow("E2E latency mean / p99", fmt.Sprintf("%.1fs / %.1fs", m.MeanE2E[c].Seconds(), m.P99E2E[c].Seconds()))
+	if mc.MaxQueue > 0 || mc.MaxWait > 0 {
+		row := m.Classes[c].Buckets
 		t.AddRow("admitted / shed (queue full / max wait)",
-			fmt.Sprintf("%d / %d / %d", m.Admitted, m.ShedQueueFull, m.ShedMaxWait))
+			fmt.Sprintf("%d / %d / %d", row[serve.Admitted], row[serve.ShedQueueFull], row[serve.ShedMaxWait]))
 	}
-	t.AddRow(fmt.Sprintf("SLO (%v) attainment", slo), m.SLOAttainmentString())
+	t.AddRow(fmt.Sprintf("SLO (%v) attainment", slo), m.SLOAttainmentString(c))
 	return t.Render(stdout)
 }
 
 // serveMix runs the mixed-class simulation and prints its per-class
 // ledger.
-func serveMix(stdout io.Writer, mc serve.MixConfig, polName string) error {
-	m, err := serve.SimulateMix(mc)
+func serveMix(stdout io.Writer, mc serve.MixConfig, arrivals []serve.Arrival, polName string) error {
+	m, err := serve.SimulateMix(mc, arrivals)
 	if err != nil {
 		return err
 	}
@@ -364,22 +359,20 @@ func serveMix(stdout io.Writer, mc serve.MixConfig, polName string) error {
 			mc.Run.Model.Name, mc.Run.Memory, polName, mc.Run.Batch, mc.TokenBudget),
 		Headers: []string{"class", "arrivals", "admitted", "shed (brown/budget/queue/deadline/wait/other)", "E2E mean/p99", "SLO"},
 	}
-	for c := serve.NumClasses - 1; c >= 0; c-- { // highest class first
+	for c := serve.Class(serve.NumClasses - 1); c >= 0; c-- { // highest class first
 		row := m.Classes[c]
 		if row.Arrivals == 0 {
 			continue
 		}
-		att := "n/a"
-		if !math.IsNaN(m.SLOAttainment[c]) {
-			att = fmt.Sprintf("%.1f%%", m.SLOAttainment[c]*100)
-		}
-		t.AddRow(row.Class,
-			row.Arrivals, row.Admitted,
+		b := row.Buckets
+		t.AddRow(c.String(),
+			row.Arrivals, b[serve.Admitted],
+			// The simulator reaches one more shed bucket: page pressure.
 			fmt.Sprintf("%d/%d/%d/%d/%d/%d",
-				row.ShedBrownout, row.ShedCostBudget, row.ShedQueueFull,
-				row.ShedDeadline, row.ShedMaxWait, row.ShedOther),
+				b[serve.ShedBrownout], b[serve.ShedCostBudget], b[serve.ShedQueueFull],
+				b[serve.ShedDeadline], b[serve.ShedMaxWait], b[serve.ShedPagePressure]),
 			fmt.Sprintf("%.1fs / %.1fs", m.MeanE2E[c].Seconds(), m.P99E2E[c].Seconds()),
-			att)
+			m.SLOAttainmentString(c))
 	}
 	if err := t.Render(stdout); err != nil {
 		return err

@@ -345,11 +345,10 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	}
 	<-serveErr // Serve has returned http.ErrServerClosed
 
+	// Drained, every arrival has its bucket: the ones not admitted shed.
 	st := s.Stats()
-	shed := st.ShedQueueFull + st.ShedMaxWait + st.ShedClientGone + st.ShedBreakerOpen +
-		st.ShedDraining + st.ShedPagePressure + st.ShedDeadline + st.ShedBrownout + st.ShedCostBudget
 	fmt.Fprintf(stdout, "helmd: drained: served %d, failed %d, shed %d, force-cancelled %d, reloads %d, transients absorbed %d\n",
-		st.Served, st.Failed, shed, st.ForceCancelled, st.Reloads, st.StoreTransients)
+		st.Served, st.Failed, st.Arrivals-st.Admitted, st.ForceCancelled, st.Reloads, st.StoreTransients)
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)
 	}

@@ -182,9 +182,8 @@ func (b *Backend) queueDepth() int {
 
 // costBacklog is the replica's advertised admitted-cost backlog in
 // estimated tokens — the fine-grained headroom signal the least-load
-// router folds in. 0 before the first probe and from v2 replicas (the
-// field decodes zero), so mixed-version fleets degrade to count-based
-// routing rather than misrouting.
+// router folds in. 0 before the first probe, so an unprobed replica is
+// scored on request counts alone.
 func (b *Backend) costBacklog() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -195,8 +194,7 @@ func (b *Backend) costBacklog() int64 {
 }
 
 // brownoutLevel is the replica's advertised brownout level (classes
-// below it are rejected at its admission). 0 before the first probe and
-// from v2 replicas.
+// below it are rejected at its admission). 0 before the first probe.
 func (b *Backend) brownoutLevel() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -11,18 +11,18 @@ import (
 	"helmsim/internal/server"
 )
 
-// TestStatzVersionGate pins the prober's schema window: the current
-// version and the previous one both decode (a v2 replica simply carries
-// no cost signal), anything outside the window is discarded unread.
+// TestStatzVersionGate pins the prober's schema gate: only the current
+// version decodes; an older one (whose class rows have another shape)
+// or a newer one is discarded unread.
 func TestStatzVersionGate(t *testing.T) {
 	cases := []struct {
 		version int
 		want    bool
 	}{
-		{server.StatzSchemaVersionMin, true},      // v2: previous schema still spoken
-		{server.StatzSchemaVersion, true},         // v3: current
-		{server.StatzSchemaVersionMin - 1, false}, // v1: below the window
-		{server.StatzSchemaVersion + 1, false},    // v4: from the future
+		{server.StatzSchemaVersion, true},      // current
+		{server.StatzSchemaVersion - 1, false}, // previous: shed_other class rows
+		{server.StatzSchemaVersion + 1, false}, // from the future
+		{0, false},                             // no version at all
 	}
 	for _, tc := range cases {
 		r := newStubReplica()
@@ -45,7 +45,7 @@ func TestStatzVersionGate(t *testing.T) {
 
 // TestLeastLoadCostAware pins the routing score: with equal request
 // counts the advertised cost backlog breaks the tie, and a replica
-// without a cost signal (v2, or pre-probe) scores on counts alone.
+// without a cost signal scores on counts alone.
 func TestLeastLoadCostAware(t *testing.T) {
 	mk := func(name string, depth int, backlog int64, have bool) *Backend {
 		b := &Backend{name: name}
@@ -65,7 +65,7 @@ func TestLeastLoadCostAware(t *testing.T) {
 	if got := (leastLoad{}).Pick([]*Backend{deep, heavy}); got != heavy {
 		t.Errorf("depth 3 vs 1: picked %s, want the shallower replica", got.name)
 	}
-	// A v2 replica (zero cost fields) is indistinguishable from an empty
+	// A replica advertising zero cost is indistinguishable from an empty
 	// one on cost — ties break toward configuration order.
 	if got := (leastLoad{}).Pick([]*Backend{v2, mk("v2b", 1, 0, true)}); got != v2 {
 		t.Errorf("v2 tie: picked %s, want configuration order", got.name)
@@ -121,14 +121,14 @@ func TestFleetBrownoutShedsAtEdge(t *testing.T) {
 	}
 
 	st := g.Stats()
-	if st.ShedBrownout != 1 || st.Classes[serve.ClassBatch].ShedBrownout != 1 {
-		t.Fatalf("brownout sheds global %d batch-row %d, want 1/1", st.ShedBrownout, st.Classes[serve.ClassBatch].ShedBrownout)
+	if st.ShedBrownout != 1 || st.Classes[serve.ClassBatch].Ledger.Buckets[serve.ShedBrownout] != 1 {
+		t.Fatalf("brownout sheds global %d batch-row %d, want 1/1", st.ShedBrownout, st.Classes[serve.ClassBatch].Ledger.Buckets[serve.ShedBrownout])
 	}
 	if st.BadRequests != 1 {
 		t.Fatalf("bad requests %d, want 1", st.BadRequests)
 	}
-	if st.Classes[serve.ClassInteractive].Admitted != 2 { // explicit + defaulted ""
-		t.Fatalf("interactive admitted %d, want 2", st.Classes[serve.ClassInteractive].Admitted)
+	if st.Classes[serve.ClassInteractive].Ledger.Buckets[serve.Admitted] != 2 { // explicit + defaulted ""
+		t.Fatalf("interactive admitted %d, want 2", st.Classes[serve.ClassInteractive].Ledger.Buckets[serve.Admitted])
 	}
 	if !st.Conserved() {
 		t.Fatalf("fleet ledger not conserved: %+v", st)

@@ -13,8 +13,8 @@
 // retries a transiently failed forward on a different healthy replica,
 // never the one that just failed. The fleet ledger conserves: every
 // arrival is finalized by exactly one replica or lands in exactly one
-// gateway shed bucket (serve.FleetConserved), composing with each
-// replica's own serve.Conserved admission ledger.
+// gateway shed bucket (FleetStats.Conserved), composing with each
+// replica's own admission ledger (server.Stats.Conserved).
 package gateway
 
 import (
@@ -156,28 +156,14 @@ type Gateway struct {
 	drainOnce sync.Once
 	drainDone chan struct{}
 
-	// Fleet ledger: arrivals == routed + every gateway shed bucket, and
-	// routed == Σ per-backend finalized (serve.FleetConserved).
-	arrivals        atomic.Int64
-	routed          atomic.Int64
-	retriedFailover atomic.Int64
-	shedNoHealthy   atomic.Int64
-	shedDraining    atomic.Int64
-	shedBrownout    atomic.Int64
+	// ledger is the fleet ledger, one serve.Ledger row per class
+	// (guarded by mu); "admitted" means routed to a replica that
+	// finalized the response, whose own ledger then itemizes its
+	// verdict. Rows count only classified arrivals: bad requests are
+	// rejected before a class is known and counted in badRequests.
+	ledger          [serve.NumClasses]serve.Ledger
 	badRequests     atomic.Int64
-	// classes is the fleet's per-class ledger: one row per service
-	// class, conserved by the same shared predicate the replica rows
-	// satisfy. Rows count only classified arrivals — bad requests are
-	// rejected before a class is known.
-	classes [serve.NumClasses]fleetClassLedger
-}
-
-// fleetClassLedger is one class's fleet-level counters, mirroring
-// serve.ClassCounts bucket for bucket ("admitted" here means routed to
-// a replica that finalized the response — the replica's own ledger then
-// itemizes its verdict).
-type fleetClassLedger struct {
-	arrivals, admitted, shedBrownout, shedOther atomic.Int64
+	retriedFailover atomic.Int64
 }
 
 // New builds a gateway. ctx anchors every forward: cancelling it (or a
@@ -233,8 +219,8 @@ func (g *Gateway) Draining() bool {
 // replica that could take the request would reject it anyway — shedding
 // at the edge then saves the forward, the failover sweep, and the
 // replica work, while a single replica with headroom keeps the class
-// alive. Replicas without a cost signal (pre-probe, v2) advertise 0, so
-// a mixed fleet never browns out at the edge.
+// alive. Replicas not yet probed advertise 0, so a fleet never browns
+// out at the edge before it has heard from every replica.
 func (g *Gateway) fleetBrownoutLevel() int {
 	level := -1
 	for _, b := range g.backends {
@@ -436,10 +422,10 @@ func (g *Gateway) DrainIn(name string) (wasOut bool, err error) {
 }
 
 // FleetSchemaVersion identifies the /fleetz JSON schema, on the same
-// contract as server.StatzSchemaVersion. v2 adds the brownout shed
-// bucket and per-class rows — additive fields, but they extend the
-// conservation identity, so the version bumps.
-const FleetSchemaVersion = 2
+// contract as server.StatzSchemaVersion. v3 carries each class row as a
+// serve.Ledger under "ledger", every bucket itemized, where v2 folded
+// the class-blind ones into shed_other.
+const FleetSchemaVersion = 3
 
 // BackendStats is one replica's slice of the /fleetz document.
 type BackendStats struct {
@@ -480,47 +466,51 @@ type FleetStats struct {
 	ShedBrownout         int64 `json:"shed_brownout"`
 	BadRequests          int64 `json:"bad_requests"`
 
-	// Classes is the fleet's per-class ledger: classified arrivals only
-	// (Σ rows' arrivals == Arrivals - BadRequests), each row conserved.
-	Classes []serve.ClassCounts `json:"classes"`
+	// Classes is the fleet's per-class ledger: classified arrivals only,
+	// so the global ledger above is the rows' sum plus BadRequests.
+	Classes []serve.ClassRow `json:"classes"`
 
 	Backends []BackendStats `json:"backends"`
 }
 
-// Conserved checks the fleet ledger: every gateway arrival must have
-// been finalized by exactly one replica or landed in exactly one
-// gateway shed bucket, with the per-replica attributions summing to the
-// routed total. Like the replica predicate, it is guaranteed only at
-// quiescence — under live traffic an arrival may not have settled into
-// its bucket yet.
+// Conserved checks the fleet ledger: every class row conserves, the
+// global ledger is the rows' sum plus the class-less bad requests, and
+// the per-replica attributions sum to the routed total. Like the
+// replica's, it is guaranteed only at quiescence — an arrival being
+// routed has no bucket yet.
 func (fs FleetStats) Conserved() bool {
-	finals := make([]int, len(fs.Backends))
-	total := int64(0)
-	for i, b := range fs.Backends {
-		finals[i] = int(b.Finalized)
-		total += b.Finalized
+	var finalized int64
+	for _, b := range fs.Backends {
+		finalized += b.Finalized
 	}
-	if total != fs.Routed ||
-		!serve.FleetConserved(int(fs.Arrivals), finals,
-			int(fs.ShedNoHealthyBackend), int(fs.ShedDraining), int(fs.ShedBrownout), int(fs.BadRequests)) {
-		return false
-	}
-	// The class rows must conserve individually and sum back to the
-	// classified arrival count (bad requests never reach a class row).
-	if !serve.ClassLedgerConserved(fs.Classes) {
-		return false
-	}
-	var classArrivals int64
+	var sum serve.Ledger
 	for _, row := range fs.Classes {
-		classArrivals += row.Arrivals
+		if !row.Ledger.Conserved() {
+			return false
+		}
+		sum.Add(row.Ledger)
 	}
-	return classArrivals == fs.Arrivals-fs.BadRequests
+	return finalized == fs.Routed && fs.BadRequests >= 0 &&
+		sum == serve.Ledger{Arrivals: fs.Arrivals - fs.BadRequests, Buckets: [serve.NumBuckets]int64{
+			serve.Admitted:             fs.Routed,
+			serve.ShedDraining:         fs.ShedDraining,
+			serve.ShedBrownout:         fs.ShedBrownout,
+			serve.ShedNoHealthyBackend: fs.ShedNoHealthyBackend,
+		}}
+}
+
+// record counts one classified request's bucket.
+func (g *Gateway) record(class serve.Class, b serve.Bucket) {
+	g.mu.Lock()
+	g.ledger[class].Buckets[b]++
+	g.mu.Unlock()
 }
 
 // Stats snapshots the gateway's counters and every replica's state.
 func (g *Gateway) Stats() FleetStats {
 	g.mu.Lock()
 	state := g.state
+	ledger := g.ledger
 	g.mu.Unlock()
 	name := "serving"
 	switch state {
@@ -529,25 +519,23 @@ func (g *Gateway) Stats() FleetStats {
 	case stateStopped:
 		name = "stopped"
 	}
+	var total serve.Ledger
+	for _, l := range ledger {
+		total.Add(l)
+	}
+	bad := g.badRequests.Load()
 	fs := FleetStats{
 		SchemaVersion:        FleetSchemaVersion,
 		State:                name,
 		Route:                g.router.Name(),
-		Arrivals:             g.arrivals.Load(),
-		Routed:               g.routed.Load(),
+		Arrivals:             total.Arrivals + bad,
+		Routed:               total.Buckets[serve.Admitted],
 		RetriedFailover:      g.retriedFailover.Load(),
-		ShedNoHealthyBackend: g.shedNoHealthy.Load(),
-		ShedDraining:         g.shedDraining.Load(),
-		ShedBrownout:         g.shedBrownout.Load(),
-		BadRequests:          g.badRequests.Load(),
-		Classes:              serve.NewClassLedger(),
-	}
-	for c := range g.classes {
-		l := &g.classes[c]
-		fs.Classes[c].Arrivals = l.arrivals.Load()
-		fs.Classes[c].Admitted = l.admitted.Load()
-		fs.Classes[c].ShedBrownout = l.shedBrownout.Load()
-		fs.Classes[c].ShedOther = l.shedOther.Load()
+		ShedNoHealthyBackend: total.Buckets[serve.ShedNoHealthyBackend],
+		ShedDraining:         total.Buckets[serve.ShedDraining],
+		ShedBrownout:         total.Buckets[serve.ShedBrownout],
+		BadRequests:          bad,
+		Classes:              serve.ClassRows(ledger),
 	}
 	for _, b := range g.backends {
 		b.mu.Lock()

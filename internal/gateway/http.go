@@ -62,7 +62,6 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // is deliberately model-agnostic so heterogeneous fleets need no
 // config duplication.
 func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	g.arrivals.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBody))
 	if err != nil {
 		g.badRequests.Add(1)
@@ -89,15 +88,15 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	g.classes[class].arrivals.Add(1)
 
 	// Admission: the in-flight count may only grow while serving, so
-	// Drain's Wait cannot race a late arrival.
+	// Drain's Wait cannot race a late arrival. The arrival is counted in
+	// the same critical section.
 	g.mu.Lock()
+	g.ledger[class].Arrivals++
 	if g.state != stateServing {
+		g.ledger[class].Buckets[serve.ShedDraining]++
 		g.mu.Unlock()
-		g.shedDraining.Add(1)
-		g.classes[class].shedOther.Add(1)
 		setRetryAfter(w, g.cfg.DrainRetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "gateway draining"})
 		return
@@ -110,10 +109,11 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// would reject this class anyway, shed at the edge — honest 503 with
 	// Retry-After, without burning a forward and a failover sweep on a
 	// foregone conclusion. A single replica with headroom keeps the
-	// class flowing (its own admission stays the authority).
+	// class flowing (its own admission stays the authority). This
+	// two-line check is the edge's own, not serve.Admit's: the edge has
+	// no backlog, budget or queue of its own to decide on.
 	if level := g.fleetBrownoutLevel(); int(class) < level {
-		g.shedBrownout.Add(1)
-		g.classes[class].shedBrownout.Add(1)
+		g.record(class, serve.ShedBrownout)
 		setRetryAfter(w, g.cfg.BrownoutRetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorResponse{Error: fmt.Sprintf("fleet brownout: %s class shed under sustained overload", class)})
@@ -122,14 +122,12 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	rl, b := g.route(r.Context(), body)
 	if rl == nil {
-		g.shedNoHealthy.Add(1)
-		g.classes[class].shedOther.Add(1)
+		g.record(class, serve.ShedNoHealthyBackend)
 		setRetryAfter(w, g.cfg.DrainRetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no healthy replica"})
 		return
 	}
-	g.routed.Add(1)
-	g.classes[class].admitted.Add(1)
+	g.record(class, serve.Admitted)
 	b.finalized.Add(1)
 	if rl.status == http.StatusOK {
 		b.served.Add(1)

@@ -303,7 +303,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	if !st.Conserved() {
 		t.Errorf("fleet ledger not conserved: %+v", st)
 	}
-	if row := st.Classes[serve.ClassInteractive]; row.Arrivals != row.Admitted {
+	if row := st.Classes[serve.ClassInteractive].Ledger; row.Arrivals != row.Buckets[serve.Admitted] {
 		t.Errorf("fleet interactive row shed: %+v", row)
 	}
 	for _, r := range replicas {
@@ -311,13 +311,13 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 		if !rs.Conserved() {
 			t.Errorf("replica %s ledger not conserved: %+v", r.name, rs)
 		}
-		ir := rs.Classes[serve.ClassInteractive]
-		if ir.Arrivals != ir.Admitted {
+		ir := rs.Classes[serve.ClassInteractive].Ledger
+		if ir.Arrivals != ir.Buckets[serve.Admitted] {
 			t.Errorf("replica %s shed interactive traffic: %+v", r.name, ir)
 		}
 		// Documented brownout order: rag browns out only after batch
 		// (level 2 is reachable only through level 1).
-		if rs.Classes[serve.ClassRAG].ShedBrownout > 0 && rs.Classes[serve.ClassBatch].ShedBrownout == 0 {
+		if rs.Classes[serve.ClassRAG].Ledger.Buckets[serve.ShedBrownout] > 0 && rs.Classes[serve.ClassBatch].Ledger.Buckets[serve.ShedBrownout] == 0 {
 			t.Errorf("replica %s browned out rag before batch: %+v", r.name, rs.Classes)
 		}
 	}

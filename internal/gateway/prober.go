@@ -189,7 +189,7 @@ func (g *Gateway) probeReadyz(ctx context.Context, b *Backend) (status int, retr
 }
 
 // probeStatz fetches the replica's /statz snapshot, or nil when it
-// cannot be read or speaks an incompatible schema. A stats failure
+// cannot be read or speaks another schema version. A stats failure
 // never flips health on its own — readiness already answered — it only
 // leaves the snapshot stale.
 func (g *Gateway) probeStatz(ctx context.Context, b *Backend) *server.Stats {
@@ -212,11 +212,8 @@ func (g *Gateway) probeStatz(ctx context.Context, b *Backend) *server.Stats {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRelayBody)).Decode(&st); err != nil {
 		return nil
 	}
-	// Version-gated, not version-pinned: any schema in the supported
-	// window decodes — a v2 replica simply leaves the v3 cost/brownout
-	// fields zero, which every consumer treats as "no signal". Outside
-	// the window the snapshot is discarded rather than misread.
-	if st.SchemaVersion < server.StatzSchemaVersionMin || st.SchemaVersion > server.StatzSchemaVersion {
+	// Any other schema is discarded rather than misread.
+	if st.SchemaVersion != server.StatzSchemaVersion {
 		return nil
 	}
 	return &st

@@ -78,7 +78,7 @@ func (leastLoad) Pick(cands []*Backend) *Backend {
 // dominates (scaled so one queued request outweighs any realistic
 // per-request token estimate) and the advertised cost backlog breaks
 // ties between equally-deep replicas; a replica that advertises no cost
-// signal (pre-probe, or a v2 replica) scores on counts alone.
+// signal (not yet probed) scores on counts alone.
 func load(b *Backend) int64 {
 	return (b.inflight.Load()+int64(b.queueDepth()))<<10 + b.costBacklog()
 }

@@ -72,93 +72,3 @@ func MaxBatch(cfg model.Config, promptLen, genLen int, b Budget) (int, error) {
 	}
 	return int(b.Free() / per), nil
 }
-
-// ---------------------------------------------------------------------------
-// Cache manager
-// ---------------------------------------------------------------------------
-
-// Entry is one prompt's cache state.
-type Entry struct {
-	// Ctx is the number of cached positions.
-	Ctx int
-}
-
-// Cache tracks the KV blocks of a batch of prompts against a byte budget,
-// growing each prompt's context as tokens are generated.
-type Cache struct {
-	cfg     model.Config
-	budget  units.Bytes
-	used    units.Bytes
-	entries map[int]*Entry
-}
-
-// NewCache returns a cache manager with the given byte budget.
-func NewCache(cfg model.Config, budget units.Bytes) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("kvcache: negative budget %d", budget)
-	}
-	return &Cache{cfg: cfg, budget: budget, entries: make(map[int]*Entry)}, nil
-}
-
-// Admit reserves cache space for a new prompt with the given initial
-// context (its prompt length). It fails if the prompt is already admitted
-// or the budget is exhausted.
-func (c *Cache) Admit(promptID, ctx int) error {
-	if ctx <= 0 {
-		return fmt.Errorf("kvcache: non-positive context %d", ctx)
-	}
-	if _, ok := c.entries[promptID]; ok {
-		return fmt.Errorf("kvcache: prompt %d already admitted", promptID)
-	}
-	need := c.cfg.KVBytesPerPrompt(ctx)
-	if c.used+need > c.budget {
-		return fmt.Errorf("kvcache: budget exhausted admitting prompt %d: %v used + %v needed > %v",
-			promptID, c.used, need, c.budget)
-	}
-	c.entries[promptID] = &Entry{Ctx: ctx}
-	c.used += need
-	return nil
-}
-
-// Extend grows one prompt's cache by a single generated token.
-func (c *Cache) Extend(promptID int) error {
-	e, ok := c.entries[promptID]
-	if !ok {
-		return fmt.Errorf("kvcache: prompt %d not admitted", promptID)
-	}
-	need := c.cfg.KVBytesPerPrompt(e.Ctx+1) - c.cfg.KVBytesPerPrompt(e.Ctx)
-	if c.used+need > c.budget {
-		return fmt.Errorf("kvcache: budget exhausted extending prompt %d", promptID)
-	}
-	e.Ctx++
-	c.used += need
-	return nil
-}
-
-// Release frees one prompt's cache.
-func (c *Cache) Release(promptID int) error {
-	e, ok := c.entries[promptID]
-	if !ok {
-		return fmt.Errorf("kvcache: prompt %d not admitted", promptID)
-	}
-	c.used -= c.cfg.KVBytesPerPrompt(e.Ctx)
-	delete(c.entries, promptID)
-	return nil
-}
-
-// Used reports the bytes currently reserved.
-func (c *Cache) Used() units.Bytes { return c.used }
-
-// Len reports the number of admitted prompts.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Ctx reports one prompt's current context length (0 if unknown).
-func (c *Cache) Ctx(promptID int) int {
-	if e, ok := c.entries[promptID]; ok {
-		return e.Ctx
-	}
-	return 0
-}

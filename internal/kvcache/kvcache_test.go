@@ -80,114 +80,6 @@ func TestMaxBatchOPT30B(t *testing.T) {
 	}
 }
 
-func TestCacheLifecycle(t *testing.T) {
-	cfg := model.OPT1B3()
-	perPrompt := cfg.KVBytesPerPrompt(149)
-	c, err := NewCache(cfg, 3*perPrompt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 3; id++ {
-		if err := c.Admit(id, 149); err != nil {
-			t.Fatalf("Admit(%d): %v", id, err)
-		}
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	if c.Used() != 3*perPrompt {
-		t.Errorf("Used = %v, want %v", c.Used(), 3*perPrompt)
-	}
-	// Budget exhausted.
-	if err := c.Admit(99, 149); err == nil {
-		t.Errorf("over-budget admit accepted")
-	}
-	// Duplicate admit.
-	if err := c.Admit(0, 149); err == nil {
-		t.Errorf("duplicate admit accepted")
-	}
-	// Extension fails at the brim, succeeds after release.
-	if err := c.Extend(0); err == nil {
-		t.Errorf("over-budget extend accepted")
-	}
-	if err := c.Release(2); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if err := c.Extend(0); err != nil {
-		t.Errorf("Extend after release: %v", err)
-	}
-	if got := c.Ctx(0); got != 150 {
-		t.Errorf("Ctx(0) = %d, want 150", got)
-	}
-	if got := c.Ctx(42); got != 0 {
-		t.Errorf("Ctx(unknown) = %d, want 0", got)
-	}
-	// Unknown prompt operations fail.
-	if err := c.Extend(42); err == nil {
-		t.Errorf("extend of unknown prompt accepted")
-	}
-	if err := c.Release(42); err == nil {
-		t.Errorf("release of unknown prompt accepted")
-	}
-	// Bad admissions fail.
-	if err := c.Admit(7, 0); err == nil {
-		t.Errorf("zero-context admit accepted")
-	}
-}
-
-func TestNewCacheValidation(t *testing.T) {
-	if _, err := NewCache(model.Config{}, units.GB); err == nil {
-		t.Errorf("invalid config accepted")
-	}
-	if _, err := NewCache(model.OPT1B3(), -1); err == nil {
-		t.Errorf("negative budget accepted")
-	}
-}
-
-// Property: admit/extend/release conserve the used-bytes accounting — after
-// releasing everything, usage returns to zero.
-func TestCacheConservationProperty(t *testing.T) {
-	cfg := model.OPT1B3()
-	f := func(ops []uint8) bool {
-		c, err := NewCache(cfg, 100*cfg.KVBytesPerPrompt(256))
-		if err != nil {
-			return false
-		}
-		live := map[int]bool{}
-		for i, op := range ops {
-			id := i % 10
-			switch op % 3 {
-			case 0:
-				if !live[id] {
-					if err := c.Admit(id, 16+int(op)); err == nil {
-						live[id] = true
-					}
-				}
-			case 1:
-				if live[id] {
-					_ = c.Extend(id)
-				}
-			case 2:
-				if live[id] {
-					if err := c.Release(id); err != nil {
-						return false
-					}
-					delete(live, id)
-				}
-			}
-		}
-		for id := range live {
-			if err := c.Release(id); err != nil {
-				return false
-			}
-		}
-		return c.Used() == 0 && c.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: MaxBatch is monotone — more GPU weights never increase the
 // batch cap.
 func TestMaxBatchMonotoneProperty(t *testing.T) {

@@ -204,29 +204,3 @@ func (p *PagedCache) InternalFragmentation() float64 {
 	}
 	return float64(slots-used) / float64(slots)
 }
-
-// MaxBatchPaged reports how many prompts of the given prompt length a
-// paged allocator admits at admission time within the budget — the
-// headroom over MaxBatch's full prompt+generation reservation. Generation
-// then grows page by page, evicting or queueing when pages run out.
-// Inputs are validated before any allocator is constructed.
-func MaxBatchPaged(cfg model.Config, promptLen, pageTokens int, budget units.Bytes) (int, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if promptLen <= 0 {
-		return 0, fmt.Errorf("kvcache: non-positive prompt length %d", promptLen)
-	}
-	if promptLen > cfg.MaxSeq {
-		return 0, fmt.Errorf("kvcache: prompt length %d exceeds model max sequence %d", promptLen, cfg.MaxSeq)
-	}
-	p, err := NewPagedCache(cfg, budget, pageTokens)
-	if err != nil {
-		return 0, err
-	}
-	perPrompt := p.pagesFor(promptLen)
-	if perPrompt == 0 {
-		return 0, nil
-	}
-	return p.totalPages / perPrompt, nil
-}

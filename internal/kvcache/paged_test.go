@@ -111,9 +111,13 @@ func TestPagedExhaustion(t *testing.T) {
 func TestPagedAdmitsMoreThanReservation(t *testing.T) {
 	cfg := model.OPT175B()
 	budget := 33 * units.GB
-	paged, err := MaxBatchPaged(cfg, 128, 16, budget)
+	p, err := NewPagedCache(cfg, budget, 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	paged := 0
+	for p.Admit(paged, 128) == nil {
+		paged++
 	}
 	reserve := int(budget / PerPromptBytes(cfg, 128, 21))
 	if paged <= reserve {
@@ -122,7 +126,10 @@ func TestPagedAdmitsMoreThanReservation(t *testing.T) {
 	if float64(paged)/float64(reserve) > 1.35 {
 		t.Errorf("paged headroom %.2fx implausibly large", float64(paged)/float64(reserve))
 	}
-	if _, err := MaxBatchPaged(cfg, 0, 16, budget); err == nil {
+	if !p.Conserved() {
+		t.Errorf("page ledger unbalanced after filling the budget")
+	}
+	if err := p.Admit(paged, 0); err == nil {
 		t.Errorf("zero prompt length accepted")
 	}
 }

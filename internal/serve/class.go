@@ -59,76 +59,6 @@ func ParseClass(s string) (Class, error) {
 // Valid reports whether c is one of the declared classes.
 func (c Class) Valid() bool { return c >= 0 && c < NumClasses }
 
-// ClassCounts is one per-class row of the conserved admission ledger,
-// shared verbatim by the simulator (MixMetrics), the daemon
-// (/statz v3), and the gateway (/fleetz): for each class,
-// Admitted plus every shed bucket equals Arrivals. QueueDepth and
-// CostBacklog are instantaneous gauges, not ledger buckets — they move
-// in both directions and are excluded from conservation.
-type ClassCounts struct {
-	// Class is the row's wire name (see Class.String).
-	Class string `json:"class"`
-	// QueueDepth is the number of requests of this class waiting now.
-	QueueDepth int64 `json:"queue_depth"`
-	// CostBacklog is the estimated tokens (prefill + predicted decode)
-	// admitted for this class and not yet settled.
-	CostBacklog int64 `json:"cost_backlog"`
-	// Arrivals is the conservation base for this class.
-	Arrivals int64 `json:"arrivals"`
-	// Admitted counts requests of this class actually served to
-	// completion or failure after admission.
-	Admitted int64 `json:"admitted"`
-	// ShedQueueFull counts rejections because the waiting line was full.
-	ShedQueueFull int64 `json:"shed_queue_full"`
-	// ShedMaxWait counts reneges after waiting past MaxWait.
-	ShedMaxWait int64 `json:"shed_max_wait"`
-	// ShedDeadline counts requests never started because their deadline
-	// had already passed when a worker picked them up — serving them
-	// would burn capacity on work nobody is waiting for.
-	ShedDeadline int64 `json:"shed_deadline"`
-	// ShedBrownout counts admission rejections while brownout shed this
-	// class (rejected with Retry-After before queues saturate).
-	ShedBrownout int64 `json:"shed_brownout"`
-	// ShedCostBudget counts admission rejections because the estimated
-	// token cost did not fit the total or per-class budget.
-	ShedCostBudget int64 `json:"shed_cost_budget"`
-	// ShedOther collapses the class-blind shed reasons (draining,
-	// breaker open, client gone before start, page pressure) that the
-	// global ledger itemizes; the class rows only need them to conserve.
-	ShedOther int64 `json:"shed_other"`
-}
-
-// Conserved applies the conservation predicate to one class row.
-func (c ClassCounts) Conserved() bool {
-	return Conserved(int(c.Arrivals), int(c.Admitted),
-		int(c.ShedQueueFull), int(c.ShedMaxWait), int(c.ShedDeadline),
-		int(c.ShedBrownout), int(c.ShedCostBudget), int(c.ShedOther))
-}
-
-// ClassLedgerConserved reports whether every per-class row conserves.
-// It is the per-class extension of Conserved/FleetConserved: the
-// simulator, the daemon, and the gateway all check their class rows
-// against this one predicate, exactly as their global ledgers share
-// Conserved.
-func ClassLedgerConserved(rows []ClassCounts) bool {
-	for _, r := range rows {
-		if !r.Conserved() {
-			return false
-		}
-	}
-	return true
-}
-
-// NewClassLedger returns one zeroed row per class, indexed by Class,
-// with the Class names filled in.
-func NewClassLedger() []ClassCounts {
-	rows := make([]ClassCounts, NumClasses)
-	for c := Class(0); c < NumClasses; c++ {
-		rows[c].Class = c.String()
-	}
-	return rows
-}
-
 // Predictor estimates decode length for admission-cost purposes. The
 // paper's cost model (and the repo's engine) make token throughput
 // memory-bound and near-linear in tokens processed, so "estimated
@@ -202,7 +132,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Brownout is the overload state machine shared by the simulator and
-// the daemon (the same one-predicate discipline as Conserved). It
+// the daemon, observed by Admit on both. It
 // watches the admitted-cost backlog as a fraction of the token budget:
 // when the fraction stays at or above High for Sustain consecutive
 // arrival observations, the level rises by one — and every class whose

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"helmsim/internal/core"
@@ -123,24 +125,49 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 }
 
+// TestClassLedgerConserved pins the row every layer reports per class:
+// named by ClassRows, conserved by Ledger.Conserved, and carried on the
+// wire under the bucket names.
 func TestClassLedgerConserved(t *testing.T) {
-	rows := NewClassLedger()
-	if !ClassLedgerConserved(rows) {
-		t.Fatal("zero ledger must conserve")
+	var ledgers [NumClasses]Ledger
+	for c, row := range ClassRows(ledgers) {
+		if row.Class != Class(c).String() || !row.Ledger.Conserved() {
+			t.Fatalf("zero row %d must be named and conserve: %+v", c, row)
+		}
 	}
-	rows[ClassBatch] = ClassCounts{Class: "batch", Arrivals: 10, Admitted: 4,
-		ShedQueueFull: 1, ShedMaxWait: 1, ShedDeadline: 1, ShedBrownout: 1, ShedCostBudget: 1, ShedOther: 1}
-	if !ClassLedgerConserved(rows) {
-		t.Fatalf("full row must conserve: %+v", rows[ClassBatch])
+	l := &ledgers[ClassBatch]
+	l.Arrivals = 10
+	l.Buckets[Admitted] = 4
+	for _, b := range []Bucket{ShedQueueFull, ShedMaxWait, ShedDeadline, ShedBrownout, ShedCostBudget, ShedPagePressure} {
+		l.Buckets[b] = 1
 	}
-	rows[ClassBatch].ShedBrownout++
-	if ClassLedgerConserved(rows) {
+	if !l.Conserved() {
+		t.Fatalf("full row must conserve: %+v", *l)
+	}
+	js, err := json.Marshal(ClassRows(ledgers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"class":"batch"`, `"arrivals":10`, `"admitted":4`, `"shed_page_pressure":1`, `"shed_no_healthy_backend":0`} {
+		if !strings.Contains(string(js), key) {
+			t.Errorf("wire form lacks %s: %s", key, js)
+		}
+	}
+	var back []ClassRow
+	if err := json.Unmarshal(js, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back[ClassBatch].Ledger != *l {
+		t.Fatalf("round trip changed the row: %+v vs %+v", back[ClassBatch].Ledger, *l)
+	}
+	l.Buckets[ShedBrownout]++
+	if l.Conserved() {
 		t.Fatal("over-counted row conserved")
 	}
 	// A negative bucket never conserves, even when the sums match.
-	rows[ClassBatch].ShedBrownout = -1
-	rows[ClassBatch].Arrivals = 8
-	if ClassLedgerConserved(rows) {
+	l.Buckets[ShedBrownout] = -1
+	l.Arrivals = 8
+	if l.Conserved() {
 		t.Fatal("negative bucket conserved")
 	}
 }
@@ -156,41 +183,45 @@ func mixCfg(batchCap int) MixConfig {
 			{Class: ClassRAG, ArrivalRate: 0.5, PromptLen: 512, MaxNew: 64},
 			{Class: ClassBatch, ArrivalRate: 0.5, PromptLen: 256, MaxNew: 128},
 		},
-		NumPrompts: 120,
-		Seed:       1,
+		Seed: 1,
 	}
+}
+
+// simulateMix runs mc over n arrivals split across its classes.
+func simulateMix(mc MixConfig, n int) (*MixMetrics, error) {
+	return SimulateMix(mc, MixArrivals(mc.Classes, n, mc.Seed))
 }
 
 func TestSimulateMixValidation(t *testing.T) {
 	bad := mixCfg(8)
 	bad.Run.Batch = 0
-	if _, err := SimulateMix(bad); err == nil {
+	if _, err := simulateMix(bad, 120); err == nil {
 		t.Error("zero wave cap accepted")
 	}
 	bad = mixCfg(8)
 	bad.Classes = nil
-	if _, err := SimulateMix(bad); err == nil {
+	if _, err := simulateMix(bad, 120); err == nil {
 		t.Error("empty class list accepted")
 	}
 	bad = mixCfg(8)
 	bad.Classes = append(bad.Classes, bad.Classes[0])
-	if _, err := SimulateMix(bad); err == nil {
+	if _, err := simulateMix(bad, 120); err == nil {
 		t.Error("duplicate class accepted")
 	}
 	bad = mixCfg(8)
 	bad.Classes[0].ArrivalRate = 0
-	if _, err := SimulateMix(bad); err == nil {
+	if _, err := simulateMix(bad, 120); err == nil {
 		t.Error("zero class rate accepted")
 	}
 	bad = mixCfg(8)
 	bad.TokenBudget = -1
-	if _, err := SimulateMix(bad); err == nil {
+	if _, err := simulateMix(bad, 120); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
 
 func TestSimulateMixUnconstrainedServesEverything(t *testing.T) {
-	m, err := SimulateMix(mixCfg(16))
+	m, err := simulateMix(mixCfg(16), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +231,7 @@ func TestSimulateMixUnconstrainedServesEverything(t *testing.T) {
 	var arrivals, admitted int64
 	for _, row := range m.Classes {
 		arrivals += row.Arrivals
-		admitted += row.Admitted
+		admitted += row.Buckets[Admitted]
 	}
 	if arrivals != 120 || admitted != 120 {
 		t.Fatalf("unconstrained run shed work: arrivals %d admitted %d", arrivals, admitted)
@@ -221,12 +252,11 @@ func TestSimulateMixBrownoutShedsLowestFirst(t *testing.T) {
 	// Heavy low-class pressure against a small budget.
 	mc.Classes[1].ArrivalRate = 4
 	mc.Classes[2].ArrivalRate = 4
-	mc.NumPrompts = 300
 	mc.TokenBudget = 4096
 	mc.BrownoutHigh = 0.6
 	mc.BrownoutLow = 0.3
 	mc.BrownoutSustain = 2
-	m, err := SimulateMix(mc)
+	m, err := simulateMix(mc, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +264,7 @@ func TestSimulateMixBrownoutShedsLowestFirst(t *testing.T) {
 		t.Fatalf("ledger not conserved: %+v", m.Classes)
 	}
 	inter := m.Classes[ClassInteractive]
-	if inter.ShedBrownout != 0 {
+	if inter.Buckets[ShedBrownout] != 0 {
 		t.Fatalf("interactive shed by brownout: %+v", inter)
 	}
 	if m.BrownoutEntries == 0 {
@@ -243,12 +273,12 @@ func TestSimulateMixBrownoutShedsLowestFirst(t *testing.T) {
 	if m.BrownoutExits == 0 {
 		t.Fatal("brownout never exited after the load drained")
 	}
-	batch := m.Classes[ClassBatch]
-	rag := m.Classes[ClassRAG]
-	if batch.ShedBrownout == 0 {
-		t.Fatalf("lowest class not shed under brownout: %+v", batch)
+	batch := m.Classes[ClassBatch].Buckets[ShedBrownout]
+	rag := m.Classes[ClassRAG].Buckets[ShedBrownout]
+	if batch == 0 {
+		t.Fatalf("lowest class not shed under brownout: %+v", m.Classes[ClassBatch])
 	}
-	if rag.ShedBrownout > 0 && batch.ShedBrownout == 0 {
+	if rag > 0 && batch == 0 {
 		t.Fatal("rag shed before batch: order violated")
 	}
 	if m.MaxBacklog > mc.TokenBudget {
@@ -265,8 +295,7 @@ func TestSimulateMixDeadlineShedding(t *testing.T) {
 		{Class: ClassInteractive, ArrivalRate: 6, PromptLen: 64, MaxNew: 32, Deadline: 30},
 		{Class: ClassBatch, ArrivalRate: 6, PromptLen: 512, MaxNew: 128},
 	}
-	mc.NumPrompts = 200
-	m, err := SimulateMix(mc)
+	m, err := simulateMix(mc, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +303,10 @@ func TestSimulateMixDeadlineShedding(t *testing.T) {
 		t.Fatalf("ledger not conserved: %+v", m.Classes)
 	}
 	inter := m.Classes[ClassInteractive]
-	if inter.ShedDeadline == 0 {
+	if inter.Buckets[ShedDeadline] == 0 {
 		t.Fatalf("tight deadline under overload shed nothing: %+v", inter)
 	}
-	if m.Classes[ClassBatch].ShedDeadline != 0 {
+	if m.Classes[ClassBatch].Buckets[ShedDeadline] != 0 {
 		t.Fatalf("deadline-less class shed on deadline: %+v", m.Classes[ClassBatch])
 	}
 }
@@ -287,21 +316,16 @@ func TestSimulateMixDeterministic(t *testing.T) {
 	mc.TokenBudget = 8192
 	mc.MaxQueue = 32
 	mc.MaxWait = 400
-	a, err := SimulateMix(mc)
+	a, err := simulateMix(mc, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateMix(mc)
+	b, err := simulateMix(mc, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < NumClasses; c++ {
-		if a.Classes[c] != b.Classes[c] {
-			t.Fatalf("class %d rows diverge across identical runs:\n%+v\n%+v", c, a.Classes[c], b.Classes[c])
-		}
-	}
-	if a.Waves != b.Waves || a.MaxBacklog != b.MaxBacklog {
-		t.Fatalf("run shape diverges: %+v vs %+v", a, b)
+	if !sameMetrics(a, b) {
+		t.Fatalf("identical runs diverge:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -309,8 +333,9 @@ func TestSimulateMixDeterministic(t *testing.T) {
 // random per-class load shapes, budgets, and brownout tunings and
 // asserts the invariant helmd's /statz class rows are held to as well:
 // every arrival of every class is admitted or lands in exactly one
-// per-class shed bucket, and every reported metric is finite. It is
-// FuzzQueueConservation lifted to the per-class ledger.
+// per-class shed bucket, the global ledger is the rows' sum, and every
+// reported metric is finite. It is FuzzQueueConservation lifted to
+// three classes.
 func FuzzClassLedgerConservation(f *testing.F) {
 	f.Add(int64(1), 1.0, 0.5, 0.5, 100, 4, 0, 0.0, 0, 0.8, 0.5, 2, 0.0)
 	f.Add(int64(7), 4.0, 2.0, 3.0, 200, 2, 16, 60.0, 4096, 0.6, 0.3, 3, 90.0)
@@ -324,7 +349,6 @@ func FuzzClassLedgerConservation(f *testing.F) {
 		}
 		mc := mixCfg(1 + abs(batch)%6)
 		mc.Seed = seed
-		mc.NumPrompts = 1 + abs(n)%150
 		mc.MaxQueue = abs(maxQueue) % 24
 		mc.MaxWait = units.Duration(math.Mod(math.Abs(maxWait), 300))
 		mc.TokenBudget = abs(budget) % 10000
@@ -335,20 +359,12 @@ func FuzzClassLedgerConservation(f *testing.F) {
 		mc.Classes[1].ArrivalRate = 0.05 + math.Mod(math.Abs(rR), 12)
 		mc.Classes[2].ArrivalRate = 0.05 + math.Mod(math.Abs(rB), 12)
 		mc.Classes[0].Deadline = units.Duration(math.Mod(math.Abs(deadline), 500))
-		m, err := SimulateMix(mc)
+		prompts := 1 + abs(n)%150
+		m, err := simulateMix(mc, prompts)
 		if err != nil {
 			t.Fatalf("valid config rejected: %v (%+v)", err, mc)
 		}
-		if !m.Conserved() {
-			t.Fatalf("class ledger broken (cfg %+v): %+v", mc, m.Classes)
-		}
-		var arrivals int64
-		for _, row := range m.Classes {
-			arrivals += row.Arrivals
-		}
-		if arrivals != int64(mc.NumPrompts) {
-			t.Fatalf("class arrivals %d != configured prompts %d", arrivals, mc.NumPrompts)
-		}
+		conservedAgainst(t, m, prompts)
 		if m.MaxBacklog < 0 || (mc.TokenBudget > 0 && m.MaxBacklog > mc.TokenBudget) {
 			t.Fatalf("backlog %d outside [0,%d]", m.MaxBacklog, mc.TokenBudget)
 		}
@@ -359,7 +375,8 @@ func FuzzClassLedgerConservation(f *testing.F) {
 		}
 		finite("MeanBatch", m.MeanBatch)
 		finite("Utilization", m.Utilization)
-		for c := 0; c < NumClasses; c++ {
+		for c := range NumClasses {
+			finite("MeanQueueDelay", m.MeanQueueDelay[c].Seconds())
 			finite("MeanE2E", m.MeanE2E[c].Seconds())
 			finite("P99E2E", m.P99E2E[c].Seconds())
 		}

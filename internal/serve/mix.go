@@ -12,7 +12,7 @@ import (
 	"helmsim/internal/units"
 )
 
-// ClassSpec describes one class's slice of a mixed workload.
+// ClassSpec describes one class's slice of a workload.
 type ClassSpec struct {
 	// Class tags every request this spec generates.
 	Class Class
@@ -32,20 +32,20 @@ type ClassSpec struct {
 	Deadline units.Duration
 }
 
-// MixConfig describes a mixed-class, cost-aware serving simulation: the
-// per-count admission of QueueConfig replaced by token-budget admission
-// with per-class priorities and brownout, mirroring exactly the
-// admission pipeline helmd runs live (same Brownout machine, same
-// Predictor, same shedding order).
+// MixConfig describes an online-serving simulation: arrivals pass the
+// admission pipeline helmd runs live (Admit at arrival, Renege at
+// dispatch, the same Brownout machine and Predictor) and are served in
+// waves. It extends the paper's offline protocol to the serving regime
+// its QoS discussion (§VII) targets: the throughput-optimal All-CPU
+// placement serves big waves cheaply but makes every request wait for
+// the wave. One class with no token budget is the count-only queueing
+// model; more classes and a budget make admission cost-aware.
 type MixConfig struct {
 	// Run is the engine configuration; Run.Batch is the wave-size cap.
 	Run core.RunConfig
 	// Classes lists the workload slices; at most one spec per class.
 	Classes []ClassSpec
-	// NumPrompts is the total arrivals across classes, split
-	// proportionally to the arrival rates.
-	NumPrompts int
-	// Seed drives the per-class arrival streams and the predictor.
+	// Seed drives the predictor.
 	Seed int64
 	// MaxQueue bounds the waiting line across classes (0 = unbounded).
 	MaxQueue int
@@ -59,12 +59,25 @@ type MixConfig struct {
 	// machine (zero values take its documented defaults).
 	BrownoutHigh, BrownoutLow float64
 	BrownoutSustain           int
+	// PageBudget caps the KV pages a wave holds at once, modeling the
+	// paged cache (kvcache.Pool) under the wave dispatcher: each request
+	// pins ceil((PromptLen+MaxNew)/pageTokens) pages for its service
+	// time, so a wave takes head-of-line requests while both Run.Batch
+	// and the page budget allow. A request too large for the whole
+	// budget sheds at admission (ShedPagePressure). 0 means unbounded.
+	PageBudget int
 }
 
-// MixMetrics aggregates a mixed-class simulation. Per-class latency
-// slices are indexed by Class, like the ledger rows.
+// pageTokens is the simulated page granularity: vLLM's, and helmd's
+// default.
+const pageTokens = 16
+
+// MixMetrics aggregates a serving simulation. Per-class arrays are
+// indexed by Class, like the ledger rows; latencies cover admitted
+// requests only (zero where a class had none).
 type MixMetrics struct {
-	// Waves and MeanBatch describe wave occupancy, as in QueueMetrics.
+	// Waves is the number of batch executions; MeanBatch their average
+	// occupancy.
 	Waves     int
 	MeanBatch float64
 	// BrownoutEntries and BrownoutExits count level escalations and
@@ -72,77 +85,148 @@ type MixMetrics struct {
 	BrownoutEntries, BrownoutExits int64
 	// MaxBacklog is the peak admitted-cost backlog in estimated tokens.
 	MaxBacklog int
-	// Classes is the per-class conserved ledger (one row per Class,
-	// indexed by Class).
-	Classes []ClassCounts
-	// MeanE2E and P99E2E are per-class arrival-to-completion latency,
-	// admitted requests only (zero where a class had none).
-	MeanE2E, P99E2E []units.Duration
-	// SLOAttainment is the per-class fraction of admitted requests
-	// finishing within that class's SLO (NaN when unset for the class).
-	SLOAttainment []float64
-	// Utilization is the busy fraction over first arrival to last
-	// completion.
+	// Classes is the per-class conserved ledger.
+	Classes [NumClasses]Ledger
+	// MeanQueueDelay and P99QueueDelay describe time spent waiting to be
+	// scheduled.
+	MeanQueueDelay, P99QueueDelay [NumClasses]units.Duration
+	// MeanE2E and P99E2E describe arrival-to-completion latency.
+	MeanE2E, P99E2E [NumClasses]units.Duration
+	// SLOAttainment is the fraction of admitted requests finishing
+	// within the class's SLO (NaN when the class has no SLO or served
+	// nothing). Shed requests are excluded: admission control trades
+	// completeness for the latency of what it does serve, and the
+	// attainment figure reports exactly that.
+	SLOAttainment [NumClasses]float64
+	// Utilization is the server's busy fraction over the serving window
+	// — first arrival to last completion; the idle lead-in before the
+	// first request says nothing about the server.
 	Utilization float64
+	// PromptsPerSec is admitted completions per second over the same
+	// window. Note the unit: this is request throughput, not the
+	// tokens-per-second Throughput of sched.Result.
+	PromptsPerSec float64
 }
 
-// Conserved checks the mixed ledger: every per-class row conserves, and
-// the rows cross-foot — summed class arrivals, admissions, and sheds
-// are the whole story (there is no class-blind column to hide in).
+// Conserved reports whether every class row conserves.
 func (m *MixMetrics) Conserved() bool {
-	return ClassLedgerConserved(m.Classes)
+	for _, l := range m.Classes {
+		if !l.Conserved() {
+			return false
+		}
+	}
+	return true
 }
 
-// mixReq is one simulated arrival.
+// SLOAttainmentString formats a class's attainment for reports: "n/a"
+// when it is NaN, a percentage otherwise.
+func (m *MixMetrics) SLOAttainmentString(c Class) string {
+	if math.IsNaN(m.SLOAttainment[c]) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f%%", 100*m.SLOAttainment[c])
+}
+
+// Arrival is one simulated request reaching admission.
+type Arrival struct {
+	Class Class
+	// At is the arrival time in seconds from the start of the run.
+	At float64
+}
+
+// PoissonArrivals draws n arrivals of one class as a Poisson process of
+// the given rate (prompts per second) from rand.NewSource(seed); none
+// when n is not positive.
+func PoissonArrivals(class Class, rate float64, n int, seed int64) []Arrival {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Arrival, max(n, 0))
+	t := 0.0
+	for i := range out {
+		t += rng.ExpFloat64() / rate
+		out[i] = Arrival{Class: class, At: t}
+	}
+	return out
+}
+
+// MixArrivals splits n arrivals across the specs in proportion to
+// their rates (the rounding remainder goes to the last spec), draws
+// each class's Poisson stream from its own seeded source — so adding a
+// class never perturbs another's stream — and merges the streams in
+// time order, ties broken by class.
+func MixArrivals(specs []ClassSpec, n int, seed int64) []Arrival {
+	totalRate := 0.0
+	for _, cs := range specs {
+		totalRate += cs.ArrivalRate
+	}
+	var out []Arrival
+	assigned := 0
+	for i, cs := range specs {
+		k := int(math.Round(float64(n) * cs.ArrivalRate / totalRate))
+		if i == len(specs)-1 {
+			k = n - assigned
+		}
+		assigned += k
+		out = append(out, PoissonArrivals(cs.Class, cs.ArrivalRate, k, seed+7919*int64(cs.Class)+1)...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		return out[i].Class < out[j].Class
+	})
+	return out
+}
+
+// mixReq is one simulated arrival, priced.
 type mixReq struct {
-	class   Class
-	arrival float64
-	est     int // admission estimate: prompt + predicted decode
-	actual  int // tokens actually processed: prompt + full MaxNew
-	sloSec  float64
-	dlSec   float64
+	class    Class
+	arrival  float64
+	est      int // admission estimate: prompt + predicted decode
+	actual   int // tokens actually processed: prompt + full MaxNew
+	pages    int // KV pages the full context pins
+	slo      float64
+	deadline units.Duration
 }
 
-// SimulateMix runs the mixed-class, cost-aware serving simulation.
+// SimulateMix runs the serving simulation over arrivals (in time order,
+// every class with a spec). Each arrival passes Admit; a request
+// leaving the line passes Renege; the head of the line is served FIFO
+// across classes in waves — priority acts at admission (who gets in),
+// not dispatch (no overtaking), the same no-starvation discipline as
+// the live batcher.
 //
-// The shedding order it implements — and that helmd mirrors live — is:
-//
-//  1. Deadline sheds trump class: work whose deadline passed is never
-//     started, whatever its class (it is already worthless).
-//  2. Brownout rejects the lowest classes at admission, with headroom
-//     to spare, before any hard cap is hit.
-//  3. Hard caps (token budget, queue bound) reject whatever arrives
-//     while they bind, regardless of class.
-//
-// Within a class, reneges (deadline, MaxWait — processed at dispatch)
-// are preferred to rejections: a request already waiting has paid its
-// queueing cost, so fresh arrivals shed first when the line is full.
-func SimulateMix(mc MixConfig) (*MixMetrics, error) {
+// Wave costs come from the engine through the shared run cache (one
+// solve per batch size, process-wide), scaled by the wave's token
+// volume relative to the canonical homogeneous wave — the engine is
+// memory-bound, so wave time is near-linear in tokens processed. The
+// queueing dynamics therefore sit on exactly the cost model of the
+// paper's offline numbers, and concurrent simulations are safe.
+func SimulateMix(mc MixConfig, arrivals []Arrival) (*MixMetrics, error) {
 	if mc.Run.Batch <= 0 {
 		return nil, fmt.Errorf("serve: non-positive wave cap %d", mc.Run.Batch)
 	}
-	if mc.NumPrompts <= 0 {
-		return nil, fmt.Errorf("serve: non-positive prompt count %d", mc.NumPrompts)
+	if len(arrivals) == 0 {
+		return nil, fmt.Errorf("serve: no arrivals")
 	}
 	if len(mc.Classes) == 0 {
 		return nil, fmt.Errorf("serve: no class specs")
 	}
-	if mc.MaxQueue < 0 || mc.TokenBudget < 0 {
-		return nil, fmt.Errorf("serve: negative bound (queue %d, budget %d)", mc.MaxQueue, mc.TokenBudget)
+	if mc.MaxQueue < 0 || mc.TokenBudget < 0 || mc.PageBudget < 0 {
+		return nil, fmt.Errorf("serve: negative bound (queue %d, budget %d, pages %d)", mc.MaxQueue, mc.TokenBudget, mc.PageBudget)
 	}
 	if mc.MaxWait < 0 {
 		return nil, fmt.Errorf("serve: negative wait bound %v", mc.MaxWait)
 	}
-	var seen [NumClasses]bool
-	totalRate := 0.0
-	for _, cs := range mc.Classes {
+	var specs [NumClasses]*ClassSpec
+	for i := range mc.Classes {
+		cs := &mc.Classes[i]
 		if !cs.Class.Valid() {
 			return nil, fmt.Errorf("serve: invalid class %d", int(cs.Class))
 		}
-		if seen[cs.Class] {
+		if specs[cs.Class] != nil {
 			return nil, fmt.Errorf("serve: duplicate spec for class %s", cs.Class)
 		}
-		seen[cs.Class] = true
+		specs[cs.Class] = cs
 		if cs.ArrivalRate <= 0 {
 			return nil, fmt.Errorf("serve: non-positive arrival rate %v for class %s", cs.ArrivalRate, cs.Class)
 		}
@@ -152,51 +236,31 @@ func SimulateMix(mc MixConfig) (*MixMetrics, error) {
 		if cs.SLO < 0 || cs.Deadline < 0 {
 			return nil, fmt.Errorf("serve: negative SLO/deadline for class %s", cs.Class)
 		}
-		totalRate += cs.ArrivalRate
 	}
-
-	// Split the prompt count proportionally to rates (remainder to the
-	// first spec) and generate each class's Poisson stream from its own
-	// seeded source, so adding a class never perturbs another's stream.
 	pred := NewPredictor(mc.Seed)
-	var reqs []mixReq
-	assigned := 0
-	for i, cs := range mc.Classes {
-		n := int(math.Round(float64(mc.NumPrompts) * cs.ArrivalRate / totalRate))
-		if i == len(mc.Classes)-1 {
-			n = mc.NumPrompts - assigned
+	reqs := make([]mixReq, len(arrivals))
+	prev := 0.0
+	for i, a := range arrivals {
+		if !a.Class.Valid() || specs[a.Class] == nil {
+			return nil, fmt.Errorf("serve: arrival %d of class %s has no spec", i, a.Class)
 		}
-		if n < 0 {
-			n = 0
+		if !(a.At >= prev) || math.IsInf(a.At, 1) {
+			return nil, fmt.Errorf("serve: arrival %d at %v s is out of order or not finite", i, a.At)
 		}
-		assigned += n
-		rng := rand.New(rand.NewSource(mc.Seed + 7919*int64(cs.Class) + 1))
-		t := 0.0
-		for j := 0; j < n; j++ {
-			t += rng.ExpFloat64() / cs.ArrivalRate
-			reqs = append(reqs, mixReq{
-				class:   cs.Class,
-				arrival: t,
-				est:     pred.EstimateCost(cs.Class, cs.PromptLen, cs.MaxNew),
-				actual:  cs.PromptLen + cs.MaxNew,
-				sloSec:  cs.SLO.Seconds(),
-				dlSec:   cs.Deadline.Seconds(),
-			})
+		prev = a.At
+		cs := specs[a.Class]
+		context := cs.PromptLen + cs.MaxNew
+		reqs[i] = mixReq{
+			class:    a.Class,
+			arrival:  a.At,
+			est:      pred.EstimateCost(cs.Class, cs.PromptLen, cs.MaxNew),
+			actual:   context,
+			pages:    (context + pageTokens - 1) / pageTokens,
+			slo:      cs.SLO.Seconds(),
+			deadline: cs.Deadline,
 		}
 	}
-	// Merge the class streams into one arrival order; ties break by
-	// class index so the order is fully deterministic.
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].arrival != reqs[j].arrival {
-			return reqs[i].arrival < reqs[j].arrival
-		}
-		return reqs[i].class < reqs[j].class
-	})
 
-	// The wave cost model is QueueConfig's (one run-cache solve per
-	// batch size), scaled by the wave's actual token volume relative to
-	// the canonical homogeneous wave: the engine is memory-bound, so
-	// wave time is near-linear in tokens processed.
 	rcCanon := mc.Run.Canonical()
 	nominalPerReq := rcCanon.PromptLen + rcCanon.GenLen
 	cost := func(batch, tokens int) (float64, error) {
@@ -206,7 +270,7 @@ func SimulateMix(mc MixConfig) (*MixMetrics, error) {
 		if err != nil {
 			return 0, err
 		}
-		return res.TotalTime.Seconds() * float64(tokens) / float64(batch*nominalPerReq), nil
+		return res.TotalTime.Seconds() * (float64(tokens) / float64(batch*nominalPerReq)), nil
 	}
 
 	bo := (&Brownout{
@@ -216,103 +280,86 @@ func SimulateMix(mc MixConfig) (*MixMetrics, error) {
 		Sustain: mc.BrownoutSustain,
 	}).Defaulted()
 
-	m := &MixMetrics{
-		Classes:       NewClassLedger(),
-		MeanE2E:       make([]units.Duration, NumClasses),
-		P99E2E:        make([]units.Duration, NumClasses),
-		SLOAttainment: make([]float64, NumClasses),
-	}
-	e2es := make([][]float64, NumClasses)
-	met := make([]int, NumClasses)
-	sloSet := make([]bool, NumClasses)
-
+	m := &MixMetrics{}
+	var queueDelays, e2es [NumClasses][]float64
+	var met [NumClasses]int
 	backlog := 0
 	busy := 0.0
 	clock := 0.0
-	queue := make([]int, 0, mc.Run.Batch)
-	next := 0
+	queue := make([]int, 0, mc.Run.Batch) // admitted, waiting arrivals
+	next := 0                             // next unprocessed arrival
 	for next < len(reqs) || len(queue) > 0 {
 		if len(queue) == 0 && clock < reqs[next].arrival {
-			clock = reqs[next].arrival
+			clock = reqs[next].arrival // idle until work exists
 		}
-		// Admission: brownout observes the backlog per arrival, then the
-		// verdicts run in the documented order. An estimate larger than
-		// the whole budget can never be admitted, whatever the load — it
-		// sheds immediately (the class rows fold it into ShedOther, as
-		// helmd folds its class-blind reasons).
+		// Admit everything that has arrived by now. The line only grows
+		// between waves, so processing arrivals in order shows each one
+		// exactly the state it arrived to.
 		for next < len(reqs) && reqs[next].arrival <= clock {
 			r := reqs[next]
 			row := &m.Classes[r.class]
 			row.Arrivals++
-			level := bo.Observe(backlog)
-			switch {
-			case mc.TokenBudget > 0 && r.est > mc.TokenBudget:
-				row.ShedOther++
-			case int(r.class) < level:
-				row.ShedBrownout++
-			case mc.TokenBudget > 0 && backlog+r.est > mc.TokenBudget:
-				row.ShedCostBudget++
-			case mc.MaxQueue > 0 && len(queue) >= mc.MaxQueue:
-				row.ShedQueueFull++
-			default:
+			b := Admit(AdmitState{
+				PagesFit:    mc.PageBudget == 0 || r.pages <= mc.PageBudget,
+				Backlog:     backlog,
+				Waiting:     len(queue),
+				TokenBudget: mc.TokenBudget,
+				MaxQueue:    mc.MaxQueue,
+				Brownout:    bo,
+			}, r.class, r.est)
+			if b == Admitted {
 				queue = append(queue, next)
 				backlog += r.est
-				if backlog > m.MaxBacklog {
-					m.MaxBacklog = backlog
-				}
+				m.MaxBacklog = max(m.MaxBacklog, backlog)
+			} else {
+				row.Buckets[b]++
 			}
 			next++
 		}
-		// Reneges at dispatch: deadline first (the work is hopeless),
-		// then patience.
+		// Reneges as the wave is assembled.
 		kept := queue[:0]
 		for _, i := range queue {
 			r := reqs[i]
-			switch {
-			case r.dlSec > 0 && clock-r.arrival > r.dlSec:
-				m.Classes[r.class].ShedDeadline++
+			if b := Renege(false, units.Duration(clock-r.arrival), r.deadline, mc.MaxWait); b != Admitted {
+				m.Classes[r.class].Buckets[b]++
 				backlog -= r.est
-			case mc.MaxWait > 0 && clock-r.arrival > mc.MaxWait.Seconds():
-				m.Classes[r.class].ShedMaxWait++
-				backlog -= r.est
-			default:
+			} else {
 				kept = append(kept, i)
 			}
 		}
 		queue = kept
 		if len(queue) == 0 {
 			bo.Release(backlog)
-			continue
+			continue // everything waiting reneged; idle to the next arrival
 		}
-		// Serve the head of the line FIFO across classes: priority acts
-		// at admission (who gets in), not dispatch (no overtaking), the
-		// same no-starvation discipline as the live batcher.
-		batch := len(queue)
-		if batch > mc.Run.Batch {
-			batch = mc.Run.Batch
-		}
-		tokens := 0
-		for _, i := range queue[:batch] {
-			tokens += reqs[i].actual
+		// Serve the head of the line while the wave cap and the page
+		// budget allow; every admitted request fits an empty wave alone.
+		batch, tokens, pages := 0, 0, 0
+		for _, i := range queue {
+			r := reqs[i]
+			if batch == mc.Run.Batch || (mc.PageBudget > 0 && pages+r.pages > mc.PageBudget) {
+				break
+			}
+			batch++
+			tokens += r.actual
+			pages += r.pages
 		}
 		c, err := cost(batch, tokens)
 		if err != nil {
 			return nil, err
 		}
+		start := clock
 		clock += c
 		busy += c
 		for _, i := range queue[:batch] {
 			r := reqs[i]
-			row := &m.Classes[r.class]
-			row.Admitted++
+			m.Classes[r.class].Buckets[Admitted]++
 			backlog -= r.est
 			e2e := clock - r.arrival
+			queueDelays[r.class] = append(queueDelays[r.class], start-r.arrival)
 			e2es[r.class] = append(e2es[r.class], e2e)
-			if r.sloSec > 0 {
-				sloSet[r.class] = true
-				if e2e <= r.sloSec {
-					met[r.class]++
-				}
+			if r.slo > 0 && e2e <= r.slo {
+				met[r.class]++
 			}
 		}
 		bo.Release(backlog)
@@ -325,21 +372,28 @@ func SimulateMix(mc MixConfig) (*MixMetrics, error) {
 	}
 	m.BrownoutEntries = bo.Entries()
 	m.BrownoutExits = bo.Exits()
-	for c := 0; c < NumClasses; c++ {
-		if len(e2es[c]) > 0 {
-			m.MeanE2E[c] = units.Duration(stats.Mean(e2es[c]))
-			m.P99E2E[c] = units.Duration(stats.Percentile(e2es[c], 99))
+	admitted := 0
+	for c := range NumClasses {
+		m.SLOAttainment[c] = math.NaN()
+		n := len(e2es[c])
+		if n == 0 {
+			continue
 		}
-		if sloSet[c] && len(e2es[c]) > 0 {
-			m.SLOAttainment[c] = float64(met[c]) / float64(len(e2es[c]))
-		} else {
-			m.SLOAttainment[c] = math.NaN()
+		admitted += n
+		m.MeanQueueDelay[c] = units.Duration(stats.Mean(queueDelays[c]))
+		m.P99QueueDelay[c] = units.Duration(stats.Percentile(queueDelays[c], 99))
+		m.MeanE2E[c] = units.Duration(stats.Mean(e2es[c]))
+		m.P99E2E[c] = units.Duration(stats.Percentile(e2es[c], 99))
+		if specs[c].SLO > 0 {
+			m.SLOAttainment[c] = float64(met[c]) / float64(n)
 		}
 	}
-	if len(reqs) > 0 {
-		if makespan := clock - reqs[0].arrival; makespan > 0 {
-			m.Utilization = busy / makespan
-		}
+	// Rates are over the first-arrival-to-completion makespan: dividing
+	// by the clock from t=0 would fold the idle interval before the first
+	// arrival in, deflating both at low arrival rates.
+	if makespan := clock - reqs[0].arrival; makespan > 0 {
+		m.Utilization = busy / makespan
+		m.PromptsPerSec = float64(admitted) / makespan
 	}
 	return m, nil
 }

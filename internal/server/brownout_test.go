@@ -94,11 +94,11 @@ func TestBrownoutEntersShedsAndExits(t *testing.T) {
 	if st.BrownoutLevel != 2 || st.BrownoutEntries != 2 {
 		t.Fatalf("brownout level %d entries %d, want 2/2", st.BrownoutLevel, st.BrownoutEntries)
 	}
-	if st.ShedBrownout != 1 || st.Classes[serve.ClassBatch].ShedBrownout != 1 {
-		t.Fatalf("brownout sheds global %d batch-row %d, want 1/1", st.ShedBrownout, st.Classes[serve.ClassBatch].ShedBrownout)
+	if st.ShedBrownout != 1 || st.Classes[serve.ClassBatch].Ledger.Buckets[serve.ShedBrownout] != 1 {
+		t.Fatalf("brownout sheds global %d batch-row %d, want 1/1", st.ShedBrownout, st.Classes[serve.ClassBatch].Ledger.Buckets[serve.ShedBrownout])
 	}
 	for _, c := range []serve.Class{serve.ClassRAG, serve.ClassInteractive} {
-		if st.Classes[c].ShedBrownout != 0 {
+		if st.Classes[c].Ledger.Buckets[serve.ShedBrownout] != 0 {
 			t.Fatalf("class %v brownout-shed during level 1", c)
 		}
 	}
@@ -136,7 +136,7 @@ func TestBrownoutEntersShedsAndExits(t *testing.T) {
 	if !st.Conserved() {
 		t.Fatalf("final ledger not conserved: %+v", st)
 	}
-	if st.Classes[serve.ClassBatch].Admitted != 1 || st.Classes[serve.ClassInteractive].Admitted != 1 {
+	if st.Classes[serve.ClassBatch].Ledger.Buckets[serve.Admitted] != 1 || st.Classes[serve.ClassInteractive].Ledger.Buckets[serve.Admitted] != 1 {
 		t.Fatalf("per-class admits wrong: %+v", st.Classes)
 	}
 }
@@ -180,8 +180,8 @@ func TestDeadlineShedNeverStartsWork(t *testing.T) {
 		t.Fatalf("expired job settled with status %d err %v, want 504", j2.status, j2.err)
 	}
 	st := s.Stats()
-	if st.ShedDeadline != 1 || st.Classes[serve.ClassRAG].ShedDeadline != 1 {
-		t.Fatalf("deadline sheds global %d rag-row %d, want 1/1", st.ShedDeadline, st.Classes[serve.ClassRAG].ShedDeadline)
+	if st.ShedDeadline != 1 || st.Classes[serve.ClassRAG].Ledger.Buckets[serve.ShedDeadline] != 1 {
+		t.Fatalf("deadline sheds global %d rag-row %d, want 1/1", st.ShedDeadline, st.Classes[serve.ClassRAG].Ledger.Buckets[serve.ShedDeadline])
 	}
 	if st.Served != 1 {
 		t.Fatalf("served %d, want 1 (expired work must not run)", st.Served)

@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/http"
-	"sync/atomic"
 	"time"
 
 	"helmsim/internal/serve"
@@ -87,42 +85,26 @@ func (c CostConfig) Validate() error {
 	return nil
 }
 
-// classLedger is one class's live counters. The fields mirror
-// serve.ClassCounts bucket for bucket; Stats() assembles the rows the
-// shared ClassLedgerConserved predicate checks.
-type classLedger struct {
-	arrivals, admitted                                                                atomic.Int64
-	shedQueueFull, shedMaxWait, shedDeadline, shedBrownout, shedCostBudget, shedOther atomic.Int64
-}
-
 // costState is the server's admission-cost bookkeeping, guarded by the
 // server's own mu (the brownout machine must observe a consistent
 // backlog, and admission already holds the lock).
 type costState struct {
-	backlog      int64
-	classBacklog [serve.NumClasses]int64
+	backlog      int
+	classBacklog [serve.NumClasses]int
 	classWaiting [serve.NumClasses]int
 	brown        *serve.Brownout
 }
 
 // resolveClassBudgets turns the name-keyed config map into a
 // class-indexed array.
-func resolveClassBudgets(m map[string]int) [serve.NumClasses]int64 {
-	var out [serve.NumClasses]int64
+func resolveClassBudgets(m map[string]int) [serve.NumClasses]int {
+	var out [serve.NumClasses]int
 	for name, b := range m {
 		if c, err := serve.ParseClass(name); err == nil && name != "" {
-			out[c] = int64(b)
+			out[c] = b
 		}
 	}
 	return out
-}
-
-// shedClass folds a class-blind shed reason into the class row's
-// ShedOther bucket, keeping the per-class ledger conserved without
-// duplicating the global ledger's itemization.
-func (s *Server) shedClass(class serve.Class, bucket *atomic.Int64) {
-	bucket.Add(1)
-	s.classes[class].shedOther.Add(1)
 }
 
 // releaseCost settles a job's admitted cost exactly once (the worker
@@ -134,55 +116,8 @@ func (s *Server) releaseCost(j *job) {
 		return
 	}
 	s.mu.Lock()
-	s.cost.backlog -= int64(j.est)
-	s.cost.classBacklog[j.class] -= int64(j.est)
-	s.cost.brown.Release(int(s.cost.backlog))
+	s.cost.backlog -= j.est
+	s.cost.classBacklog[j.class] -= j.est
+	s.cost.brown.Release(s.cost.backlog)
 	s.mu.Unlock()
-}
-
-// classRows assembles the /statz per-class ledger rows.
-func (s *Server) classRows() []serve.ClassCounts {
-	rows := serve.NewClassLedger()
-	s.mu.Lock()
-	for c := range rows {
-		rows[c].QueueDepth = int64(s.cost.classWaiting[c])
-		rows[c].CostBacklog = s.cost.classBacklog[c]
-	}
-	s.mu.Unlock()
-	for c := range rows {
-		l := &s.classes[c]
-		rows[c].Arrivals = l.arrivals.Load()
-		rows[c].Admitted = l.admitted.Load()
-		rows[c].ShedQueueFull = l.shedQueueFull.Load()
-		rows[c].ShedMaxWait = l.shedMaxWait.Load()
-		rows[c].ShedDeadline = l.shedDeadline.Load()
-		rows[c].ShedBrownout = l.shedBrownout.Load()
-		rows[c].ShedCostBudget = l.shedCostBudget.Load()
-		rows[c].ShedOther = l.shedOther.Load()
-	}
-	return rows
-}
-
-// shedDeadlineJob settles a job whose deadline passed while it queued:
-// the work is never started (it is already worthless to its client),
-// the breaker probe — if this job carried one — is returned unused,
-// and the shed lands in its own conserved bucket.
-func (s *Server) shedDeadlineJob(j *job) {
-	s.shedDeadline.Add(1)
-	s.classes[j.class].shedDeadline.Add(1)
-	if j.probe {
-		s.breaker.ProbeAbort()
-	}
-	j.status = http.StatusGatewayTimeout
-	j.err = fmt.Errorf("server: deadline passed after queueing %v; not started", j.queued.Round(time.Millisecond))
-}
-
-// deadlinePassed reports whether j's effective deadline (the tighter of
-// the server-side and client-requested timeouts) elapsed while queued.
-func (s *Server) deadlinePassed(j *job) bool {
-	eff := s.cfg.RequestTimeout
-	if j.timeout > 0 && (eff == 0 || j.timeout < eff) {
-		eff = j.timeout
-	}
-	return eff > 0 && j.queued >= eff
 }

@@ -17,6 +17,7 @@ import (
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/serve"
+	"helmsim/internal/units"
 )
 
 // Config describes a serving daemon.
@@ -34,13 +35,13 @@ type Config struct {
 	// handed to the batcher at once. The default is Batch.MaxSeqs, enough
 	// to fill every decode step; fewer leaves batch slots idle.
 	Workers int
-	// MaxQueue bounds the waiting line, mirroring serve.QueueConfig: an
-	// arrival finding MaxQueue requests waiting is shed with 429
-	// (default 64).
+	// MaxQueue bounds the waiting line, the same serve.Admit bound as
+	// serve.MixConfig's: an arrival finding MaxQueue requests waiting is
+	// shed with 429 (default 64).
 	MaxQueue int
-	// MaxWait bounds queueing delay, mirroring serve.QueueConfig: a
-	// request that waited longer reneges with 503 when a worker finally
-	// reaches it (0 = unbounded patience).
+	// MaxWait bounds queueing delay, the same serve.Renege bound as
+	// serve.MixConfig's: a request that waited longer reneges with 503
+	// when a worker finally reaches it (0 = unbounded patience).
 	MaxWait time.Duration
 	// MaxTokens caps per-request generation length (default 64).
 	MaxTokens int
@@ -199,26 +200,14 @@ type Server struct {
 	bat      *batchState
 	retiring sync.WaitGroup
 
-	// Conservation ledger: arrivals == admitted + every shed bucket, the
-	// same invariant serve.SimulateQueue's metrics satisfy, checked by
-	// the same predicate.
-	arrivals         atomic.Int64
-	admitted         atomic.Int64
-	shedQueueFull    atomic.Int64
-	shedMaxWait      atomic.Int64
-	shedClientGone   atomic.Int64
-	shedBreakerOpen  atomic.Int64
-	shedDraining     atomic.Int64
-	shedPagePressure atomic.Int64
-	shedDeadline     atomic.Int64
-	shedBrownout     atomic.Int64
-	shedCostBudget   atomic.Int64
-
-	// Per-class ledger rows (indexed by serve.Class) and the cost/
-	// brownout state behind the token-budget admission pipeline.
-	classes     [serve.NumClasses]classLedger
+	// ledger is the conservation ledger, one serve.Ledger row per class
+	// (guarded by mu): a request's arrival and its one bucket are
+	// counted into its class's row, and /statz derives the global
+	// ledger as the rows' sum.
+	ledger [serve.NumClasses]serve.Ledger
+	// The cost/brownout state behind the token-budget admission.
 	cost        costState // guarded by mu
-	classBudget [serve.NumClasses]int64
+	classBudget [serve.NumClasses]int
 	pred        *serve.Predictor
 
 	served         atomic.Int64
@@ -348,80 +337,84 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// admit runs the admission pipeline under the lock, in the documented
-// shedding order: drain state and page pressure (request-size and
-// lifecycle verdicts), then brownout (class-aware early rejection with
-// headroom to spare), then the cost budgets, then the queue bound, then
-// the breaker — so a shed request never consumes a probe slot. Every
-// verdict lands in one global bucket and one per-class bucket; both
-// ledgers conserve. It returns the job on success, or (status,
-// retryAfter, reason) on shed.
+// admit runs serve.Admit under the lock — draining, page pressure,
+// brownout, the cost budgets, the queue bound — and then the breaker,
+// last because Allow hands out a half-open probe slot that a request
+// shed by any earlier verdict must not consume. The arrival and any
+// shed land in the class's ledger row in this one critical section. It
+// returns the job on success, or (status, retryAfter, reason) on shed.
 func (s *Server) admit(ctx context.Context, prompt []int, maxTokens int, timeout time.Duration, class serve.Class) (*job, int, time.Duration, string) {
-	est := s.pred.EstimateCost(class, len(prompt), maxTokens)
-	s.arrivals.Add(1)
-	s.classes[class].arrivals.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != stateServing {
-		// Queue-closed sheds carry the same Retry-After contract as
-		// breaker-open ones: a prober or client that sees the header backs
-		// off uniformly, whatever the daemon's reason for refusing.
-		s.shedClass(class, &s.shedDraining)
-		return nil, http.StatusServiceUnavailable, s.cfg.DrainRetryAfter, "draining"
-	}
-	// Page pressure is a request-size verdict, not a load verdict: a
-	// context too large for the whole paged pool can never be served, no
-	// matter how long it waits, so it sheds before the queue bound.
-	if s.cfg.Batch.pagesForContext(len(prompt)+maxTokens) > s.cfg.Batch.withDefaults().KVPages {
-		s.shedClass(class, &s.shedPagePressure)
-		return nil, http.StatusServiceUnavailable, 0, "context exceeds the paged KV budget"
-	}
-	// Brownout observes every arrival and rejects classes below its
-	// level before any hard cap binds: degrade by class, with an honest
-	// Retry-After, instead of saturating and shedding blindly.
-	if level := s.cost.brown.Observe(int(s.cost.backlog)); int(class) < level {
-		s.shedBrownout.Add(1)
-		s.classes[class].shedBrownout.Add(1)
-		return nil, http.StatusServiceUnavailable, s.cfg.Cost.BrownoutRetryAfter,
-			fmt.Sprintf("brownout: %s class shed under sustained overload", class)
-	}
-	// Token budgets price admission in estimated tokens: the total
-	// backlog cap first, then the class's own share when configured.
-	if s.cfg.Cost.TokenBudget > 0 && s.cost.backlog+int64(est) > int64(s.cfg.Cost.TokenBudget) {
-		s.shedCostBudget.Add(1)
-		s.classes[class].shedCostBudget.Add(1)
-		return nil, http.StatusTooManyRequests, time.Second,
-			fmt.Sprintf("estimated cost %d tokens exceeds remaining budget", est)
-	}
-	if cb := s.classBudget[class]; cb > 0 && s.cost.classBacklog[class]+int64(est) > cb {
-		s.shedCostBudget.Add(1)
-		s.classes[class].shedCostBudget.Add(1)
-		return nil, http.StatusTooManyRequests, time.Second,
-			fmt.Sprintf("estimated cost %d tokens exceeds the %s class budget", est, class)
-	}
-	if s.waiting >= s.cfg.MaxQueue {
-		s.shedQueueFull.Add(1)
-		s.classes[class].shedQueueFull.Add(1)
-		return nil, http.StatusTooManyRequests, time.Second, "queue full"
-	}
-	probe, ok := s.breaker.Allow()
-	if !ok {
-		s.shedClass(class, &s.shedBreakerOpen)
-		return nil, http.StatusServiceUnavailable, s.breaker.RetryAfter(), "storage circuit breaker open"
-	}
 	j := &job{
 		ctx: ctx, prompt: prompt, maxTokens: maxTokens, timeout: timeout,
-		probe: probe, arrived: time.Now(), done: make(chan struct{}),
-		class: class, est: est,
+		arrived: time.Now(), done: make(chan struct{}),
+		class: class, est: s.pred.EstimateCost(class, len(prompt), maxTokens),
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	row := &s.ledger[class]
+	row.Arrivals++
+	b := serve.Admit(serve.AdmitState{
+		Draining:     s.state != stateServing,
+		PagesFit:     s.cfg.Batch.pagesForContext(len(prompt)+maxTokens) <= s.cfg.Batch.withDefaults().KVPages,
+		Backlog:      s.cost.backlog,
+		ClassBacklog: s.cost.classBacklog[class],
+		Waiting:      s.waiting,
+		TokenBudget:  s.cfg.Cost.TokenBudget,
+		ClassBudget:  s.classBudget[class],
+		MaxQueue:     s.cfg.MaxQueue,
+		Brownout:     s.cost.brown,
+	}, class, j.est)
+	if b == serve.Admitted {
+		var ok bool
+		if j.probe, ok = s.breaker.Allow(); !ok {
+			b = serve.ShedBreakerOpen
+		}
+	}
+	if b != serve.Admitted {
+		row.Buckets[b]++
+		status, retryAfter, reason := s.shedReply(b, j)
+		return nil, status, retryAfter, reason
 	}
 	s.waiting++
 	s.cost.classWaiting[class]++
-	s.cost.backlog += int64(est)
-	s.cost.classBacklog[class] += int64(est)
+	s.cost.backlog += j.est
+	s.cost.classBacklog[class] += j.est
 	// Channel capacity equals the queue bound and waiting is tracked
 	// under the same lock, so this send cannot block.
 	s.queue <- j
 	return j, 0, 0, ""
+}
+
+// shedReply is the one table from shed bucket to HTTP answer: status,
+// Retry-After (0 for none) and the reason in the error body.
+func (s *Server) shedReply(b serve.Bucket, j *job) (status int, retryAfter time.Duration, reason string) {
+	waited := j.queued.Round(time.Millisecond)
+	switch b {
+	case serve.ShedDraining:
+		// Queue-closed sheds carry the same Retry-After contract as
+		// breaker-open ones: a prober or client that sees the header backs
+		// off uniformly, whatever the daemon's reason for refusing.
+		return http.StatusServiceUnavailable, s.cfg.DrainRetryAfter, "draining"
+	case serve.ShedPagePressure:
+		return http.StatusServiceUnavailable, 0, "context exceeds the paged KV budget"
+	case serve.ShedBrownout:
+		return http.StatusServiceUnavailable, s.cfg.Cost.BrownoutRetryAfter,
+			fmt.Sprintf("brownout: %s class shed under sustained overload", j.class)
+	case serve.ShedCostBudget:
+		return http.StatusTooManyRequests, time.Second,
+			fmt.Sprintf("estimated cost %d tokens exceeds the remaining %s or total token budget", j.est, j.class)
+	case serve.ShedQueueFull:
+		return http.StatusTooManyRequests, time.Second, "queue full"
+	case serve.ShedBreakerOpen:
+		return http.StatusServiceUnavailable, s.breaker.RetryAfter(), "storage circuit breaker open"
+	case serve.ShedClientGone:
+		return http.StatusServiceUnavailable, 0, fmt.Sprintf("server: client disconnected after queueing %v", waited)
+	case serve.ShedDeadline:
+		return http.StatusGatewayTimeout, 0, fmt.Sprintf("server: deadline passed after queueing %v; not started", waited)
+	case serve.ShedMaxWait:
+		return http.StatusServiceUnavailable, time.Second, fmt.Sprintf("server: reneged after queueing %v", waited)
+	}
+	return http.StatusInternalServerError, 0, fmt.Sprintf("server: no reply for admission verdict %v", b)
 }
 
 // worker hands admitted jobs to the batcher, one at a time, until the
@@ -429,10 +422,6 @@ func (s *Server) admit(ctx context.Context, prompt []int, maxTokens int, timeout
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		s.mu.Lock()
-		s.waiting--
-		s.cost.classWaiting[j.class]--
-		s.mu.Unlock()
 		s.serveJob(j)
 		// The job settled one way or another: its admitted cost leaves
 		// the backlog, and the brownout machine sees the drain.
@@ -441,49 +430,32 @@ func (s *Server) worker() {
 	}
 }
 
-// serveJob runs one dequeued job: the pre-service shed checks, then the
-// shared continuous batcher. Generation pinning is per batcher, not per
-// request: the batcher's engine was built on one generation, a hot
-// reload installs a fresh batcher and retires this one in the
-// background, and in-flight submissions finish on the generation they
-// started on.
+// seconds converts a wall-clock duration to serve's unit.
+func seconds(d time.Duration) units.Duration { return units.Duration(d.Seconds()) }
+
+// serveJob runs one dequeued job: serve.Renege (client gone, deadline,
+// MaxWait), then the shared continuous batcher. Generation pinning is
+// per batcher, not per request: the batcher's engine was built on one
+// generation, a hot reload installs a fresh batcher and retires this
+// one in the background, and in-flight submissions finish on the
+// generation they started on.
 func (s *Server) serveJob(j *job) {
 	j.queued = time.Since(j.arrived)
-	// A client that hung up while queued gets its own shed bucket:
-	// serving it is work nobody receives, but it is not a MaxWait renege
-	// — that mechanism may be disabled entirely (MaxWait 0 = unbounded
-	// patience) while clients still disconnect.
-	if j.ctx.Err() != nil {
-		s.shedClass(j.class, &s.shedClientGone)
+	b := serve.Renege(j.ctx.Err() != nil, seconds(j.queued), seconds(s.timeout(j)), seconds(s.cfg.MaxWait))
+	s.mu.Lock()
+	s.waiting--
+	s.cost.classWaiting[j.class]--
+	s.ledger[j.class].Buckets[b]++
+	s.mu.Unlock()
+	if b != serve.Admitted {
 		if j.probe {
 			s.breaker.ProbeAbort()
 		}
-		j.status = http.StatusServiceUnavailable
-		j.err = fmt.Errorf("server: client disconnected after queueing %v", j.queued.Round(time.Millisecond))
+		var reason string
+		j.status, j.retryAfter, reason = s.shedReply(b, j)
+		j.err = errors.New(reason)
 		return
 	}
-	// Deadline-aware early shed: work whose effective deadline already
-	// passed while it queued is never started — serving it would burn
-	// capacity on an answer nobody is waiting for.
-	if s.deadlinePassed(j) {
-		s.shedDeadlineJob(j)
-		return
-	}
-	// Renege: the request waited past its patience — the simulator's
-	// MaxWait semantics live.
-	if s.cfg.MaxWait > 0 && j.queued > s.cfg.MaxWait {
-		s.shedMaxWait.Add(1)
-		s.classes[j.class].shedMaxWait.Add(1)
-		if j.probe {
-			s.breaker.ProbeAbort()
-		}
-		j.status = http.StatusServiceUnavailable
-		j.retryAfter = time.Second
-		j.err = fmt.Errorf("server: reneged after queueing %v", j.queued.Round(time.Millisecond))
-		return
-	}
-	s.admitted.Add(1)
-	s.classes[j.class].admitted.Add(1)
 
 	ctx, cancel := s.requestContext(j)
 	// Force-drain reaches into in-flight generations through the daemon
@@ -532,15 +504,21 @@ func (s *Server) serveJob(j *job) {
 	}
 }
 
-// requestContext derives the per-request context: the client's context,
-// tightened by the server-side deadline and any (clamped) client-asked
-// timeout.
-func (s *Server) requestContext(j *job) (context.Context, context.CancelFunc) {
+// timeout is j's effective deadline: the tighter of the server-side
+// and the client-requested timeout (0 = none).
+func (s *Server) timeout(j *job) time.Duration {
 	timeout := s.cfg.RequestTimeout
 	if j.timeout > 0 && (timeout == 0 || j.timeout < timeout) {
 		timeout = j.timeout
 	}
-	if timeout > 0 {
+	return timeout
+}
+
+// requestContext derives the per-request context: the client's context,
+// tightened by the server-side deadline and any (clamped) client-asked
+// timeout.
+func (s *Server) requestContext(j *job) (context.Context, context.CancelFunc) {
+	if timeout := s.timeout(j); timeout > 0 {
 		return context.WithTimeout(j.ctx, timeout)
 	}
 	return context.WithCancel(j.ctx)
@@ -700,18 +678,10 @@ func (s *Server) Draining() bool {
 // fields do not bump it — so a prober can refuse a replica speaking an
 // incompatible schema instead of misreading it.
 //
-// v3 adds the cost-admission fields (cost backlog, brownout state, the
-// deadline/brownout/cost-budget shed buckets, and per-class ledger
-// rows). That is additive on the wire, but it changes the meaning of
-// the conservation identity — a v2 reader summing the v2 shed buckets
-// against arrivals would conclude a healthy v3 replica leaks requests —
-// so the version bumps. Probers accept the window
-// [StatzSchemaVersionMin, StatzSchemaVersion] and must simply treat the
-// v3 fields as zero on a v2 document.
-const (
-	StatzSchemaVersion    = 3
-	StatzSchemaVersionMin = 2
-)
+// v4 itemizes every shed bucket in each class row (a serve.Ledger under
+// "ledger") where v3 folded the class-blind ones into shed_other.
+// Probers accept only the current version.
+const StatzSchemaVersion = 4
 
 // Stats is the /statz document. The machine-readable fields a fleet
 // prober keys on — schema version, lifecycle state, checkpoint
@@ -764,9 +734,8 @@ type Stats struct {
 	BrownoutEntries int64 `json:"brownout_entries"`
 	BrownoutExits   int64 `json:"brownout_exits"`
 	// Classes is the per-class admission ledger, one row per service
-	// class, each row conserved by the same predicate the mixed-class
-	// simulator satisfies (serve.ClassLedgerConserved).
-	Classes []serve.ClassCounts `json:"classes"`
+	// class; the global ledger above is the rows' sum.
+	Classes []serve.ClassRow `json:"classes"`
 
 	StoreAccesses   int64 `json:"store_accesses"`
 	StoreTransients int64 `json:"store_transients"`
@@ -780,37 +749,41 @@ type Stats struct {
 	Batch *batch.Stats `json:"batch,omitempty"`
 }
 
-// Conserved checks the live ledger against the exact predicate the
-// queueing simulator's metrics satisfy: every arrival is admitted or
-// lands in exactly one shed bucket — globally, and again within every
-// class row, with the class rows' arrivals summing back to the global
-// arrival count (no request changes class between ledgers).
+// Conserved checks the live ledger: every class row conserves
+// (serve.Ledger.Conserved), and the global ledger is the rows' sum —
+// no request changes class or bucket between the two.
 func (st Stats) Conserved() bool {
-	if !serve.Conserved(int(st.Arrivals), int(st.Admitted),
-		int(st.ShedQueueFull), int(st.ShedMaxWait), int(st.ShedClientGone),
-		int(st.ShedBreakerOpen), int(st.ShedDraining), int(st.ShedPagePressure),
-		int(st.ShedDeadline), int(st.ShedBrownout), int(st.ShedCostBudget)) {
-		return false
-	}
-	if !serve.ClassLedgerConserved(st.Classes) {
-		return false
-	}
-	var classArrivals int64
+	var sum serve.Ledger
 	for _, row := range st.Classes {
-		classArrivals += row.Arrivals
+		if !row.Ledger.Conserved() {
+			return false
+		}
+		sum.Add(row.Ledger)
 	}
-	return classArrivals == st.Arrivals
+	return sum == serve.Ledger{Arrivals: st.Arrivals, Buckets: [serve.NumBuckets]int64{
+		serve.Admitted:         st.Admitted,
+		serve.ShedDraining:     st.ShedDraining,
+		serve.ShedPagePressure: st.ShedPagePressure,
+		serve.ShedBrownout:     st.ShedBrownout,
+		serve.ShedCostBudget:   st.ShedCostBudget,
+		serve.ShedQueueFull:    st.ShedQueueFull,
+		serve.ShedBreakerOpen:  st.ShedBreakerOpen,
+		serve.ShedClientGone:   st.ShedClientGone,
+		serve.ShedDeadline:     st.ShedDeadline,
+		serve.ShedMaxWait:      st.ShedMaxWait,
+	}}
 }
 
-// Stats snapshots the daemon's counters. Note the snapshot is not
-// atomic across counters: under live traffic, arrivals may be ahead of
-// the bucket that arrival will land in, so Conserved is guaranteed only
-// at quiescence.
+// Stats snapshots the daemon's counters. The ledger rows are copied in
+// one critical section, but a request admitted to the queue is an
+// arrival without a bucket until a worker takes it, so Conserved is
+// guaranteed only at quiescence.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	state := s.state
 	depth := s.waiting
-	costBacklog := s.cost.backlog
+	ledger := s.ledger
+	cost := s.cost
 	brownLevel := s.cost.brown.Level()
 	brownEntries := s.cost.brown.Entries()
 	brownExits := s.cost.brown.Exits()
@@ -821,6 +794,15 @@ func (s *Server) Stats() Stats {
 		name = "draining"
 	case stateStopped:
 		name = "stopped"
+	}
+	var total serve.Ledger
+	for _, l := range ledger {
+		total.Add(l)
+	}
+	classes := serve.ClassRows(ledger)
+	for c := range classes {
+		classes[c].QueueDepth = int64(cost.classWaiting[c])
+		classes[c].CostBacklog = int64(cost.classBacklog[c])
 	}
 	var bst *batch.Stats
 	var batchGen int64
@@ -842,25 +824,25 @@ func (s *Server) Stats() Stats {
 		RetiredGenerations: s.store.RetiredGenerations(),
 		BreakerState:       s.breaker.State().String(),
 		BatchGeneration:    batchGen,
-		Arrivals:           s.arrivals.Load(),
-		Admitted:           s.admitted.Load(),
+		Arrivals:           total.Arrivals,
+		Admitted:           total.Buckets[serve.Admitted],
 		Served:             s.served.Load(),
 		Failed:             s.failed.Load(),
-		ShedQueueFull:      s.shedQueueFull.Load(),
-		ShedMaxWait:        s.shedMaxWait.Load(),
-		ShedClientGone:     s.shedClientGone.Load(),
-		ShedBreakerOpen:    s.shedBreakerOpen.Load(),
-		ShedDraining:       s.shedDraining.Load(),
-		ShedPagePressure:   s.shedPagePressure.Load(),
-		ShedDeadline:       s.shedDeadline.Load(),
-		ShedBrownout:       s.shedBrownout.Load(),
-		ShedCostBudget:     s.shedCostBudget.Load(),
-		CostBacklog:        costBacklog,
+		ShedQueueFull:      total.Buckets[serve.ShedQueueFull],
+		ShedMaxWait:        total.Buckets[serve.ShedMaxWait],
+		ShedClientGone:     total.Buckets[serve.ShedClientGone],
+		ShedBreakerOpen:    total.Buckets[serve.ShedBreakerOpen],
+		ShedDraining:       total.Buckets[serve.ShedDraining],
+		ShedPagePressure:   total.Buckets[serve.ShedPagePressure],
+		ShedDeadline:       total.Buckets[serve.ShedDeadline],
+		ShedBrownout:       total.Buckets[serve.ShedBrownout],
+		ShedCostBudget:     total.Buckets[serve.ShedCostBudget],
+		CostBacklog:        int64(cost.backlog),
 		TokenBudget:        s.cfg.Cost.TokenBudget,
 		BrownoutLevel:      brownLevel,
 		BrownoutEntries:    brownEntries,
 		BrownoutExits:      brownExits,
-		Classes:            s.classRows(),
+		Classes:            classes,
 		BadRequests:        s.badRequests.Load(),
 		Panics:             s.panics.Load(),
 		ForceCancelled:     s.forceCancelled.Load(),
