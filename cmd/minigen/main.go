@@ -48,7 +48,6 @@ func main() {
 		ckpt     = flag.String("ckpt", "", "checkpoint path (default: temp file)")
 		seqs     = flag.Int("batch", 1, "sequences submitted together (weights fetched once per layer per step; 1 is a batch of one)")
 		threads  = flag.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); output is identical at any setting")
-		prefetch = flag.Bool("prefetch", true, "fetch+dequantize layer L+1 in the background while layer L computes")
 
 		faultRate = flag.Float64("fault-rate", 0, "inject transient read errors at this per-tensor probability (chaos mode)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault plan (reproducible chaos)")
@@ -62,7 +61,7 @@ func main() {
 	// checkpoint teardown still runs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Stdout, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *seqs, *prefetch,
+	if err := run(ctx, os.Stdout, *arch, *hidden, *heads, *blocks, *vocab, *seed, *prompt, *gen, *quantize, *ckpt, *seqs,
 		*faultRate, *faultSeed, *retries, *timeout); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "minigen: interrupted")
@@ -76,7 +75,7 @@ func main() {
 // pageTokens is the KV page size of the batcher's pool (helmd's default).
 const pageTokens = 16
 
-func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, seqs int, prefetch bool,
+func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, seqs int,
 	faultRate float64, faultSeed int64, retries int, timeout time.Duration) error {
 	if seqs < 1 {
 		return fmt.Errorf("non-positive batch %d", seqs)
@@ -162,7 +161,6 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		}
 		weightSrc = faults
 	}
-	retry := infer.Retry{Max: retries}
 
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -172,18 +170,10 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 
 	// The batcher stacks every running sequence into one step, so they
 	// share one weight fetch per layer per step (vary the prompts slightly
-	// so the outputs differ). A solo generation is a batch of one.
+	// so the outputs differ). A solo generation is a batch of one. The
+	// engine prefetches layer L+1 while layer L computes, as helmd's does.
 	start := time.Now()
-	var se *infer.StepEngine
-	if prefetch {
-		se, err = infer.NewStepEnginePrefetched(ctx, cfg, weightSrc, retry)
-	} else {
-		rs, rerr := infer.NewResilient(weightSrc, retry)
-		if rerr != nil {
-			return rerr
-		}
-		se, err = infer.NewStepEngine(cfg, rs)
-	}
+	se, err := infer.NewStepEnginePrefetched(ctx, cfg, weightSrc, infer.Retry{Max: retries})
 	if err != nil {
 		return err
 	}
@@ -219,12 +209,10 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 	}
 	fmt.Fprintf(stdout, "served out-of-core: %d tensor reads from disk, %.1f tok/s wall (threads=%d)\n",
 		store.Reads(), float64(gen*seqs)/elapsed.Seconds(), tensor.Parallelism())
-	if prefetch {
-		hits, misses := se.PrefetchStats()
-		byWorker, byConsumer := se.LaneStats()
-		fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses; %d tensors fetched by pool workers, %d by the engine at the join\n",
-			hits, misses, byWorker, byConsumer)
-	}
+	hits, misses := se.PrefetchStats()
+	byWorker, byConsumer := se.LaneStats()
+	fmt.Fprintf(stdout, "layer prefetch: %d background hits, %d foreground misses; %d tensors fetched by pool workers, %d by the engine at the join\n",
+		hits, misses, byWorker, byConsumer)
 	if faults != nil {
 		st := faults.Stats()
 		fmt.Fprintf(stdout, "chaos: %d/%d reads failed transiently (seed %d), %d degraded fetches, output unharmed\n",

@@ -26,13 +26,13 @@ const (
 
 // minigen runs the command body with the test model and returns its
 // stdout.
-func minigen(t *testing.T, ckpt string, quantize bool, batch int, prefetch bool, faultRate float64, retries int) string {
+func minigen(t *testing.T, ckpt string, quantize bool, batch int, faultRate float64, retries int) string {
 	t.Helper()
 	var out bytes.Buffer
 	err := run(context.Background(), &out, "opt", tHidden, tHeads, tBlocks, tVocab, tSeed, tPrompt, tGen,
-		quantize, ckpt, batch, prefetch, faultRate, 1, retries, 0)
+		quantize, ckpt, batch, faultRate, 1, retries, 0)
 	if err != nil {
-		t.Fatalf("quantize=%v batch=%d prefetch=%v fault-rate=%v: %v", quantize, batch, prefetch, faultRate, err)
+		t.Fatalf("quantize=%v batch=%d fault-rate=%v: %v", quantize, batch, faultRate, err)
 	}
 	return out.String()
 }
@@ -85,38 +85,34 @@ func reference(t *testing.T, ckpt string, n int) [][]int {
 	return want
 }
 
-// Every way of running the same generation — prefetch on or off, alone
-// or beside other sequences in the batcher — prints the solo engine's
-// tokens for every sequence, over a raw and over a 4-bit checkpoint.
+// Every way of running the same generation — alone or beside other
+// sequences in the batcher — prints the solo engine's tokens for every
+// sequence, over a raw and over a 4-bit checkpoint, and the prefetch
+// report shows only the cold-start miss.
 func TestMinigenTokensMatchSoloEngine(t *testing.T) {
 	for _, quantize := range []bool{false, true} {
 		ckpt := filepath.Join(t.TempDir(), "m.hlmc")
 		var want [][]int
-		for _, prefetch := range []bool{true, false} {
-			for _, batch := range []int{1, 3} {
-				name := fmt.Sprintf("quantize=%v prefetch=%v batch=%d", quantize, prefetch, batch)
-				out := minigen(t, ckpt, quantize, batch, prefetch, 0, 3)
-				if want == nil {
-					want = reference(t, ckpt, 3)
+		for _, batch := range []int{1, 3} {
+			name := fmt.Sprintf("quantize=%v batch=%d", quantize, batch)
+			out := minigen(t, ckpt, quantize, batch, 0, 3)
+			if want == nil {
+				want = reference(t, ckpt, 3)
+			}
+			seqs := sequences(t, out)
+			if len(seqs) != batch {
+				t.Fatalf("%s: printed %d sequences\n%s", name, len(seqs), out)
+			}
+			for i := range seqs {
+				if !slices.Equal(seqs[i], want[i]) {
+					t.Errorf("%s: sequence %d = %v, solo engine says %v", name, i, seqs[i], want[i])
 				}
-				seqs := sequences(t, out)
-				if len(seqs) != batch {
-					t.Fatalf("%s: printed %d sequences\n%s", name, len(seqs), out)
-				}
-				for i := range seqs {
-					if !slices.Equal(seqs[i], want[i]) {
-						t.Errorf("%s: sequence %d = %v, solo engine says %v", name, i, seqs[i], want[i])
-					}
-				}
-				if !strings.Contains(out, fmt.Sprintf("quantized=%v)", quantize)) || !strings.Contains(out, "tensor reads from disk") {
-					t.Errorf("%s: report lines missing:\n%s", name, out)
-				}
-				if got := strings.Contains(out, "layer prefetch:"); got != prefetch {
-					t.Errorf("%s: prefetch report present = %v", name, got)
-				}
-				if prefetch && !strings.Contains(out, ", 1 foreground misses") {
-					t.Errorf("%s: want exactly the cold-start miss:\n%s", name, out)
-				}
+			}
+			if !strings.Contains(out, fmt.Sprintf("quantized=%v)", quantize)) || !strings.Contains(out, "tensor reads from disk") {
+				t.Errorf("%s: report lines missing:\n%s", name, out)
+			}
+			if !strings.Contains(out, ", 1 foreground misses") {
+				t.Errorf("%s: want exactly the cold-start miss:\n%s", name, out)
 			}
 		}
 	}
@@ -129,7 +125,7 @@ var chaosLine = regexp.MustCompile(`chaos: (\d+)/\d+ reads failed transiently \(
 // the fault-free ones.
 func TestMinigenChaosOutputUnharmed(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "m.hlmc")
-	out := minigen(t, ckpt, false, 1, true, 0.05, 8)
+	out := minigen(t, ckpt, false, 1, 0.05, 8)
 	want := reference(t, ckpt, 1)[0]
 	if seqs := sequences(t, out); len(seqs) != 1 || !slices.Equal(seqs[0], want) {
 		t.Errorf("tokens under faults = %v, want %v", seqs, want)
@@ -155,7 +151,7 @@ func TestMinigenRejectsBadInput(t *testing.T) {
 	for _, c := range bad {
 		var out bytes.Buffer
 		err := run(context.Background(), &out, c.arch, tHidden, tHeads, tBlocks, tVocab, tSeed, c.prompt, tGen,
-			false, filepath.Join(t.TempDir(), "m.hlmc"), c.batch, true, 0, 1, 3, 0)
+			false, filepath.Join(t.TempDir(), "m.hlmc"), c.batch, 0, 1, 3, 0)
 		if err == nil {
 			t.Errorf("%s accepted:\n%s", c.name, out.String())
 		}

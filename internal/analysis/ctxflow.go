@@ -6,7 +6,7 @@ import (
 )
 
 // CtxFlow enforces context discipline around the engine's cancellable
-// paths (GenerateContext, the prefetcher, ResilientStore): a
+// paths (GenerateContext, the batcher's Submit, the prefetching loader): a
 // context.Context must flow from the caller down, because a callee
 // that quietly substitutes context.Background() detaches itself from
 // the caller's deadline — a generation the serve layer sheds for

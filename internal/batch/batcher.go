@@ -38,7 +38,7 @@ var ErrBusy = errors.New("batch: queue full")
 // ErrPanicked marks a step that panicked inside the engine or the store
 // chain under it. The step is never retried: its running requests fail
 // with this error and their pages return to the pool. The batcher keeps
-// serving, but the engine's scratch and weight memo were abandoned
+// serving, but the engine's scratch and weight loader were abandoned
 // mid-step, so an owner that can rebuild the engine should.
 var ErrPanicked = errors.New("batch: step panicked")
 

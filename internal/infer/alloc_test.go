@@ -62,10 +62,10 @@ func soloDecodeStep(t *testing.T, e *Engine) func() {
 	return step
 }
 
-// The step engine reads a resident MemStore through its layer memo;
-// the memo must take the store's zero-copy views there, not the copying
-// Tensor path (which cost a full copy of the model per token). No
-// objects per step means no bytes per step.
+// The step engine reads a resident MemStore through its loader; the
+// loader must take the store's zero-copy views there, not the copying
+// Tensor path (which cost a full copy of the model per token), and
+// recycle its bundle maps. No objects per step means no bytes per step.
 func TestStepDecodeAllocsMemStoreZero(t *testing.T) {
 	cfg := tinyOPT()
 	raw, err := RandomWeights(cfg, 13, 0.08)
@@ -124,8 +124,8 @@ func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
 }
 
 // A step engine over a quantized store stops allocating once the
-// layer-memo's recycled buffers have seen one full layer cycle: every
-// dequantization decodes into the buffer evicted two layers earlier.
+// loader's recycled buffers have seen one full layer cycle: every
+// dequantization decodes into a buffer of a layer the engine has left.
 func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 	cfg := tinyOPT()
 	raw, err := RandomWeights(cfg, 13, 0.08)
@@ -388,7 +388,7 @@ func TestDecodeAllocsFileBudget(t *testing.T) {
 
 // Steady-state decode on the prefetched engine over the mmap'd 4-bit
 // checkpoint — the shape of the ooc_latency workload — writes no f32
-// copy of a quantized weight anywhere: the prefetcher's bundles carry
+// copy of a quantized weight anywhere: the loader's bundles carry
 // packed views for every quantized tensor and f32 only for the raw norm
 // and bias records, the engine's dequantization slab is never touched,
 // and the bytes allocated per token stay inside the mmap budget.
@@ -415,16 +415,16 @@ func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
 		t.Errorf("engine dequantized %d weights into its slab during fused-shape decode", len(se.slab))
 	}
 	se.Settle()
-	ps := se.prefetch
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	bundles := []*layerBundle{ps.cur}
-	if ps.next != nil {
-		bundles = append(bundles, ps.next.collect())
+	ld := se.ld
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	bundles := []layerBundle{ld.cur}
+	if ld.next != nil {
+		bundles = append(bundles, ld.next.collect())
 	}
 	for _, b := range bundles {
-		if b == nil || b.err != nil || len(b.data) == 0 {
-			t.Fatalf("prefetcher holds no clean bundle: %+v", b)
+		if b.err != nil || len(b.data) == 0 {
+			t.Fatalf("loader holds no clean bundle: %+v", b)
 		}
 		for name, w := range b.data {
 			raw := isNormParam(name) || isBiasParam(name)
@@ -435,15 +435,12 @@ func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
 	}
 }
 
-// holdsPackedView reports whether the store's current bundle carries a
+// holdsPackedView reports whether the loader's current bundle carries a
 // packed view.
-func holdsPackedView(ps *PrefetchStore) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.cur == nil {
-		return false
-	}
-	for _, w := range ps.cur.data {
+func holdsPackedView(ld *loader) bool {
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	for _, w := range ld.cur.data {
 		if w.packed {
 			return true
 		}
@@ -520,13 +517,13 @@ func TestPrefetchRecycleIdentity(t *testing.T) {
 					var backing WeightStore = st
 					if !recycle {
 						// Embedding the interface hides TensorInto, which is
-						// what the prefetch store keys recycling on (and
-						// TensorPacked: every tensor arrives decoded).
+						// what the loader keys recycling on (and TensorPacked:
+						// every tensor arrives decoded).
 						backing = struct{ WeightStore }{st}
 					}
 					e := newPrefetchedSolo(t, cfg, backing, Retry{})
-					if (e.prefetch.into != nil) != recycle {
-						t.Fatalf("%s: recycling on = %v", name, e.prefetch.into != nil)
+					if (e.ld.into != nil) != recycle {
+						t.Fatalf("%s: recycling on = %v", name, e.ld.into != nil)
 					}
 					got, err := e.generate(context.Background(), prompt, n)
 					if err != nil {
@@ -560,8 +557,8 @@ func TestPrefetchRecycleIdentity(t *testing.T) {
 // unmap-after-release ordering check.
 func TestSwappableMmapHotReloadRace(t *testing.T) {
 	// A width the fused kernels take, so the readers' engines hold packed
-	// views of the mapping in their prefetch bundles and layer memos and
-	// decode them inside the GEMMs while generations swap underneath.
+	// views of the mapping in their loaders' bundles and decode them inside
+	// the GEMMs while generations swap underneath.
 	cfg := stackOPT()
 	path := writeTestCheckpoint(t, cfg, 47)
 	prompt := []int{2, 9, 4}
@@ -620,7 +617,7 @@ func TestSwappableMmapHotReloadRace(t *testing.T) {
 				}
 				got, genErr := prefetchedSolo{se}.generate(context.Background(), prompt, n)
 				closeErr := se.Close()
-				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(se.prefetch) {
+				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(se.ld) {
 					genErr = fmt.Errorf("prefetched engine over a pinned mmap generation holds no packed view")
 				}
 				release()

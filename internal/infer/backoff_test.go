@@ -87,28 +87,26 @@ func TestJitteredBackoffBoundedSeededDivergent(t *testing.T) {
 }
 
 // The batch path must not retry permanent errors either: a lockstep
-// step over a ResilientStore whose backing store fails permanently
-// gives up after exactly one attempt — retrying corruption or missing
-// tensors B times per layer would turn one bad record into a stall for
-// every sequence of the step.
+// step on a retrying engine whose store fails permanently gives up after
+// exactly one attempt — retrying corruption or missing tensors B times
+// per layer would turn one bad record into a stall for every sequence of
+// the step.
 func TestResilientStoreBatchPathNeverRetriesPermanent(t *testing.T) {
 	mc := tinyOPT()
 	ps := &permStore{}
-	rs, err := NewResilient(ps, Retry{Max: 5, Sleep: noSleep})
+	r, pauses := pauseCounter(5)
+	se, err := NewStepEnginePrefetched(context.Background(), mc, ps, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewStepEngine(mc, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer se.Close()
 	if _, err := lockstep(context.Background(), se, [][]int{{1}, {2}, {3}}, 2); err == nil {
 		t.Fatal("batch generation over a permanently failing store succeeded")
 	}
 	if ps.calls != 1 {
 		t.Errorf("permanent error hit the backing store %d times on the batch path, want 1", ps.calls)
 	}
-	if rs.Retries() != 0 {
-		t.Errorf("batch path retried a permanent error %d times", rs.Retries())
+	if *pauses != 0 {
+		t.Errorf("batch path retried a permanent error %d times", *pauses)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"helmsim/internal/fault"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
+	"helmsim/internal/tensor"
 )
 
 // noSleep is the injectable clock for retry backoff in tests.
@@ -43,65 +44,98 @@ func (p *permStore) Tensor(layer int, name string) ([]float32, error) {
 	return nil, errors.New("disk on fire")
 }
 
+// pauseCounter is a Retry whose injectable clock counts the backoff
+// pauses — one per re-attempt — instead of sleeping.
+func pauseCounter(max int) (Retry, *int) {
+	pauses := new(int)
+	return Retry{Max: max, Sleep: func(time.Duration) { *pauses++ }}, pauses
+}
+
+// The engine's foreground retry absorbs transient store errors: the cold
+// fetch of layer 0 fails twice, is re-attempted under the policy's
+// backoff, recovers, and the step samples the plain engine's token.
 func TestResilientStoreRetriesTransients(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1)) // flakyStore counts unlocked: keep every read on this goroutine
 	mc := tinyOPT()
 	raw, err := RandomWeights(mc, 3, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewResilient(&flakyStore{backing: raw, failures: 2}, Retry{Max: 3, Sleep: noSleep})
+	prompt := []int{1, 2, 3}
+	plain, err := NewStepEngine(mc, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := rs.Tensor(0, "w_token")
+	want, err := stepOnce(plain, prompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, pauses := pauseCounter(3)
+	se, err := NewStepEnginePrefetched(context.Background(), mc, &flakyStore{backing: raw, failures: 2}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	got, err := stepOnce(se, prompt)
 	if err != nil {
 		t.Fatalf("transient failures not absorbed: %v", err)
 	}
-	if len(d) == 0 {
-		t.Fatal("empty tensor")
+	if got != want {
+		t.Errorf("recovered step sampled %d, want %d", got, want)
 	}
-	if rs.Retries() != 2 || rs.Recovered() != 1 {
-		t.Errorf("retries = %d, recovered = %d; want 2, 1", rs.Retries(), rs.Recovered())
+	if *pauses != 2 {
+		t.Errorf("retries = %d; want 2", *pauses)
 	}
 }
 
 func TestResilientStoreDoesNotRetryPermanentErrors(t *testing.T) {
+	mc := tinyOPT()
 	ps := &permStore{}
-	rs, err := NewResilient(ps, Retry{Max: 5, Sleep: noSleep})
+	r, pauses := pauseCounter(5)
+	se, err := NewStepEnginePrefetched(context.Background(), mc, ps, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Tensor(0, "w_q"); err == nil {
+	defer se.Close()
+	if _, err := stepOnce(se, []int{1}); err == nil {
 		t.Fatal("permanent error swallowed")
 	}
 	if ps.calls != 1 {
 		t.Errorf("permanent error was retried %d times", ps.calls-1)
 	}
-	if rs.Retries() != 0 {
-		t.Errorf("retries = %d, want 0", rs.Retries())
+	if *pauses != 0 {
+		t.Errorf("retries = %d, want 0", *pauses)
 	}
 }
 
+// A store that never recovers exhausts the budget and the step fails
+// with the transient error still typed — a caller above (the batcher's
+// step retry, a client) can still tell a flaky tier from a broken one.
+// The failing tensor is read 1 + Max times per layer attempt, and the
+// layer is re-attempted Max times on top.
 func TestResilientStoreExhaustionStaysTyped(t *testing.T) {
+	mc := tinyOPT()
 	fs := &flakyStore{backing: nil, failures: 1 << 30} // never recovers
-	rs, err := NewResilient(fs, Retry{Max: 2, Sleep: noSleep})
+	r, _ := pauseCounter(2)
+	se, err := NewStepEnginePrefetched(context.Background(), mc, fs, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = rs.Tensor(1, "w_k")
+	defer se.Close()
+	_, err = stepOnce(se, []int{1})
 	if err == nil {
 		t.Fatal("exhausted retries returned success")
 	}
 	if !fault.IsTransient(err) {
 		t.Errorf("exhaustion lost transient typing: %v", err)
 	}
-	if fs.calls != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", fs.calls)
+	if want := (1 + r.Max) * (1 + r.Max); fs.calls != want {
+		t.Errorf("attempts = %d, want %d ((1 + 2 retries) per layer attempt, 1 + 2 layer attempts)", fs.calls, want)
 	}
-	if _, err := NewResilient(nil, Retry{}); err == nil {
-		t.Error("nil backing accepted")
+	if _, err := NewStepEnginePrefetched(context.Background(), mc, nil, Retry{}); err == nil {
+		t.Error("nil store accepted")
 	}
-	if _, err := NewResilient(fs, Retry{Max: -1}); err == nil {
+	if _, err := NewStepEnginePrefetched(context.Background(), mc, fs, Retry{Max: -1}); err == nil {
 		t.Error("negative retry accepted")
 	}
 }
@@ -226,9 +260,9 @@ func TestChaosCorruptionIsDetectedNeverWrongTokens(t *testing.T) {
 	}
 }
 
-// A resilient engine must also refuse corrupt data rather than retry it
-// into the output: ErrCorrupt is permanent, so the retry layer gives up
-// immediately.
+// A retrying engine must also refuse corrupt data rather than retry it
+// into the output: ErrCorrupt is permanent, so the foreground retry gives
+// up immediately.
 func TestChaosCorruptionNotRetried(t *testing.T) {
 	mc := tinyOPT()
 	path := writeTestCheckpoint(t, mc, 29)
@@ -255,7 +289,7 @@ func TestChaosCorruptionNotRetried(t *testing.T) {
 	defer eng.Close()
 	_, err = eng.generate(context.Background(), []int{1, 2}, 4)
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt through the resilient path, got %v", err)
+		t.Fatalf("want ErrCorrupt through the retrying engine, got %v", err)
 	}
 }
 

@@ -138,12 +138,13 @@ func TestLaneFirstErrorInSpecOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &orderStore{backing: raw, layer: 1, early: "w_k", late: "w_out", lateFailed: make(chan struct{})}
-	ps, err := NewPrefetch(context.Background(), mc, store, Retry{})
+	se, err := NewStepEnginePrefetched(context.Background(), mc, store, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if _, err := ps.Tensor(0, "w_token"); err != nil { // installs layer 0, posts layer 1
+	defer se.Close()
+	ld := se.ld
+	if _, err := ld.layer(0); err != nil { // installs layer 0, posts layer 1
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -151,14 +152,14 @@ func TestLaneFirstErrorInSpecOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ps.Settle()
+			se.Settle()
 		}()
 	}
 	wg.Wait()
-	ps.mu.Lock()
-	res := append([]fetchResult(nil), ps.next.res...)
-	names := ps.next.names
-	ps.mu.Unlock()
+	ld.mu.Lock()
+	res := append([]fetchResult(nil), ld.next.res...)
+	names := ld.next.names
+	ld.mu.Unlock()
 	for i, name := range names {
 		switch r := res[i]; {
 		case name == "w_k" && !errors.Is(r.err, errEarly), name == "w_out" && !errors.Is(r.err, errLate):
@@ -169,15 +170,15 @@ func TestLaneFirstErrorInSpecOrder(t *testing.T) {
 	}
 	// The consumer sees the ticket's error only as a degraded fetch; its
 	// foreground retry stops at the same tensor.
-	_, err = ps.Tensor(1, "w_q")
+	_, err = ld.layer(1)
 	if !errors.Is(err, errEarly) {
 		t.Errorf("layer 1 failed with %v, want the early tensor's error", err)
 	}
-	if d := ps.DegradedFetches(); d != 1 {
+	if d := se.DegradedFetches(); d != 1 {
 		t.Errorf("degraded fetches = %d, want 1", d)
 	}
 	// White box: the posted ticket itself named the early tensor.
-	tk := fetchTicket{layer: 1, names: names, res: res}
+	tk := fetchTicket{layer: 1, names: names, dsts: map[string]weight{}, res: res}
 	if b := tk.collect(); !errors.Is(b.err, errEarly) {
 		t.Errorf("the ticket collected %v, want the first error in spec order", b.err)
 	}
@@ -197,20 +198,21 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPrefetch(context.Background(), mc, qs, Retry{})
+	se, err := NewStepEnginePrefetched(context.Background(), mc, qs, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if ps.into == nil {
+	defer se.Close()
+	ld := se.ld
+	if ld.into == nil {
 		t.Fatal("recycling is off over a QuantStore")
 	}
-	if _, err := ps.Tensor(0, "w_token"); err != nil {
+	if _, err := ld.layer(0); err != nil {
 		t.Fatal(err)
 	}
-	ps.Settle()
-	posted := slabSet(ps)
-	got, err := ps.Tensor(3, "w_q") // layer 1 is posted; nobody asked for 2 or 3
+	se.Settle()
+	posted := slabSet(ld)
+	b, err := ld.layer(3) // layer 1 is posted; nobody asked for 2 or 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,50 +220,48 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(b.data["w_q"].f32, want) {
 		t.Error("off-schedule layer came back with another layer's contents")
 	}
-	if hits, misses := ps.Stats(); hits != 0 || misses != 2 {
+	if hits, misses := se.PrefetchStats(); hits != 0 || misses != 2 {
 		t.Errorf("hits, misses = %d, %d; want 0, 2 (cold start and the jump)", hits, misses)
 	}
-	ps.Settle()
-	after := slabSet(ps)
+	se.Settle()
+	after := slabSet(ld)
 	for p := range posted {
 		if !after[p] {
 			t.Error("a slab of the skipped layer's fetch was dropped instead of recycled")
 			break
 		}
 	}
-	if _, err := ps.Tensor(4, "w_fc1"); err != nil {
+	if _, err := ld.layer(4); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := ps.Stats(); hits != 1 {
+	if hits, _ := se.PrefetchStats(); hits != 1 {
 		t.Errorf("the layer after the jump was not prefetched (hits = %d)", hits)
 	}
 }
 
-// slabSet is the identity of every f32 buffer the store owns: in its free
-// pools, in the current bundle, and in the hands of a settled ticket.
-func slabSet(ps *PrefetchStore) map[*float32]bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+// slabSet is the identity of every f32 buffer the loader owns: in its
+// free pools, in the current bundle, and in the hands of a settled ticket.
+func slabSet(ld *loader) map[*float32]bool {
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
 	set := map[*float32]bool{}
 	add := func(b []float32) {
 		if cap(b) > 0 {
 			set[&b[:1][0]] = true
 		}
 	}
-	for _, bufs := range ps.free {
+	for _, bufs := range ld.free {
 		for _, b := range bufs {
 			add(b)
 		}
 	}
-	if ps.cur != nil {
-		for _, w := range ps.cur.data {
-			add(w.f32)
-		}
+	for _, w := range ld.cur.data {
+		add(w.f32)
 	}
-	if tk := ps.next; tk != nil {
+	if tk := ld.next; tk != nil {
 		for i, name := range tk.names {
 			if tk.res[i].ok {
 				add(tk.res[i].w.f32)
@@ -285,7 +285,7 @@ func (s tripInto) TensorInto(layer int, name string, dst []float32) ([]float32, 
 
 // A posted fetch that panics gives its recycled slabs back. The buffers
 // a fetch decodes into belong to the ticket, not to what its items
-// return, so after a backing-store panic on a pool item the store owns
+// return, so after a backing-store panic on a pool item the loader owns
 // exactly the buffers it owned before — the degraded retry decodes into
 // them — and the steps that follow allocate what they allocate when
 // nothing ever went wrong. (The goroutine-per-layer prefetcher built an
@@ -318,7 +318,7 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 		defer se.Close()
 		step, seq := decodeStepper(t, mc, se, []int{1, 2, 3}, 3)
 		se.Settle()
-		before := slabSet(se.prefetch)
+		before := slabSet(se.ld)
 		if boom {
 			// The next read is the first tensor of the fetch layer 0's
 			// install posts: layer 1's.
@@ -326,7 +326,7 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 		}
 		step()
 		se.Settle()
-		after := slabSet(se.prefetch)
+		after := slabSet(se.ld)
 		var o outcome
 		for p := range after {
 			if before[p] {
@@ -334,16 +334,16 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 			}
 		}
 		if len(after) != len(before) || o.identical != len(before) {
-			t.Errorf("boom=%v: the store owned %d slabs before the step and %d after, %d of them the same", boom, len(before), len(after), o.identical)
+			t.Errorf("boom=%v: the loader owned %d slabs before the step and %d after, %d of them the same", boom, len(before), len(after), o.identical)
 		}
 		o.slabs = len(after)
 		o.degraded = se.DegradedFetches()
 		o.allocs = testing.AllocsPerRun(5, step)
 		se.Settle()
-		ps := se.prefetch
-		ps.mu.Lock()
-		o.maps = len(ps.freeMaps)
-		ps.mu.Unlock()
+		ld := se.ld
+		ld.mu.Lock()
+		o.maps = len(ld.freeMaps)
+		ld.mu.Unlock()
 		logits, err := se.Step([]*StepSeq{seq})
 		if err != nil {
 			t.Fatal(err)

@@ -84,7 +84,7 @@ func TestLockstepMatchesIndependentEngines(t *testing.T) {
 	}
 }
 
-// The weight-reuse property: with quantized weights, the per-layer memo
+// The weight-reuse property: with quantized weights, the engine's loader
 // makes backing fetches (and dequantizations) independent of the batch
 // size — FlexGen's zig-zag reuse, executable.
 func TestLockstepWeightReuse(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestPrefetchMatchesDirect(t *testing.T) {
 // the very first layer, then every layer arrives via the background
 // fetch — including across step boundaries (output-embed wraps to
 // input-embed). And the weight traffic must be unchanged: one dequant
-// per quantized tensor per layer visit, same as the plain memo path —
+// per quantized tensor per layer visit, same as the plain engine —
 // plus the one look-ahead the pipeline has in flight when generation
 // stops (the next step's input embedding), which is joined before
 // counting so the comparison does not depend on how far a background
@@ -379,56 +380,87 @@ func TestPrefetchContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ps, err := NewPrefetch(ctx, mc, raw, Retry{})
+	se, err := NewStepEnginePrefetched(ctx, mc, raw, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if _, err := ps.Tensor(0, "w_token"); err != nil {
+	defer se.Close()
+	if _, err := stepOnce(se, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	// A fresh layer after cancellation must fail with the context error.
-	if _, err := ps.Tensor(3, "w_q"); err == nil {
-		t.Error("fetch after cancellation succeeded")
+	// A step after cancellation must fail with the context error.
+	if _, err := stepOnce(se, []int{3}); !errors.Is(err, context.Canceled) {
+		t.Errorf("step after cancellation: %v, want context.Canceled", err)
 	}
 	// Close after cancel is clean and idempotent.
-	if err := ps.Close(); err != nil {
+	if err := se.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Close(); err != nil {
+	if err := se.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A posted fetch that failed because the engine's context was cancelled
+// prefetched nothing: it is a miss, not a hit. helmd folds these counts
+// into /statz prefetch_hits, so a force-cancelled drain must not read as
+// prefetcher success. At one worker nothing runs the posted layer-0 fetch
+// before the engine joins it, after the cancel.
+func TestPrefetchCancelledFetchCountsAsMiss(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	mc := tinyOPT()
+	raw, err := RandomWeights(mc, 2, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	se, err := NewStepEnginePrefetched(ctx, mc, raw, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if _, err := stepOnce(se, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := se.PrefetchStats()
+	cancel()
+	if _, err := stepOnce(se, []int{3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("step after cancellation: %v, want context.Canceled", err)
+	}
+	if h, m := se.PrefetchStats(); h != hits || m != misses+1 {
+		t.Errorf("after a cancelled prefetch: hits, misses = %d, %d; want %d, %d", h, m, hits, misses+1)
 	}
 }
 
 func TestPrefetchValidation(t *testing.T) {
 	mc := tinyOPT()
 	ctx := context.Background()
-	if _, err := NewPrefetch(ctx, mc, nil, Retry{}); err == nil {
+	if _, err := NewStepEnginePrefetched(ctx, mc, nil, Retry{}); err == nil {
 		t.Error("nil backing accepted")
 	}
 	bad := mc
 	bad.Hidden = 0
 	raw, _ := RandomWeights(mc, 1, 0.08)
-	if _, err := NewPrefetch(ctx, bad, raw, Retry{}); err == nil {
+	if _, err := NewStepEnginePrefetched(ctx, bad, raw, Retry{}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewPrefetch(ctx, mc, raw, Retry{Max: -1}); err == nil {
+	if _, err := NewStepEnginePrefetched(ctx, mc, raw, Retry{Max: -1}); err == nil {
 		t.Error("invalid retry policy accepted")
 	}
 	// Unknown layers error instead of deadlocking.
-	ps, err := NewPrefetch(ctx, mc, raw, Retry{})
+	se, err := NewStepEnginePrefetched(ctx, mc, raw, Retry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if _, err := ps.Tensor(999, "w_q"); err == nil {
+	defer se.Close()
+	if _, err := se.ld.layer(999); err == nil {
 		t.Error("unknown layer accepted")
 	}
 }
 
-// Two prefetched step engines, each over its own PrefetchStore, read
-// one shared FileStore concurrently — the -race gate for the whole fetch
+// Two prefetched step engines, each with its own loader, read one shared
+// FileStore concurrently — the -race gate for the whole fetch
 // path (file reads, dequantization into recycled buffers, bundle swaps).
 // Outputs must match the serial reference exactly.
 func TestPrefetchedEnginesShareFileStore(t *testing.T) {
@@ -499,5 +531,75 @@ func TestPrefetchedEnginesShareFileStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// bench's exact rows, held in tier-1: over one FileStore a plain and a
+// prefetched engine each read exactly weightCount(cfg) tensors per decode
+// step — step.weight_fetches_per_step from WeightFetches, and
+// store.fetch_calls_per_step from the store's own count once the
+// prefetch in flight has landed — the plain engine reports no prefetch
+// and no lane, and both sample the solo engine's tokens.
+func TestPrefetchExactFetchRows(t *testing.T) {
+	cfg := tinyOPT()
+	fs, err := OpenFileStore(writeTestCheckpoint(t, cfg, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	prompt := []int{1, 2, 3}
+	const n = 6
+	solo, err := New(cfg, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solo.Generate(prompt, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewStepEngine(cfg, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefetched, err := NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prefetched.Close()
+	perStep := weightCount(cfg)
+	for _, tc := range []struct {
+		name string
+		se   *StepEngine
+	}{{"plain", plain}, {"prefetched", prefetched}} {
+		seq := &StepSeq{Tokens: prompt, KV: NewBlockCaches(cfg)}
+		var got []int
+		for i := 0; i < n; i++ {
+			fetches, reads := tc.se.WeightFetches(), fs.Reads()
+			logits, err := tc.se.Step([]*StepSeq{seq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.se.Settle()
+			seq.Pos += len(seq.Tokens)
+			got = append(got, logits[0].ArgmaxRow(0))
+			seq.Tokens = got[len(got)-1:]
+			if d := tc.se.WeightFetches() - fetches; d != perStep {
+				t.Errorf("%s step %d: WeightFetches grew by %d, want %d", tc.name, i, d, perStep)
+			}
+			// The prefetched prefill also reads layer 0 twice: its cold
+			// miss, and the next step's look-ahead.
+			if d := fs.Reads() - reads; d != perStep && i > 0 {
+				t.Errorf("%s decode step %d: the store served %d reads, want %d", tc.name, i, d, perStep)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: tokens %v, solo engine says %v", tc.name, got, want)
+		}
+	}
+	if h, m := plain.PrefetchStats(); h != 0 || m != 0 {
+		t.Errorf("plain engine reports prefetch hits, misses = %d, %d", h, m)
+	}
+	if w, c := plain.LaneStats(); w != 0 || c != 0 {
+		t.Errorf("plain engine reports lane counts %d, %d", w, c)
 	}
 }

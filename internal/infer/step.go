@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"helmsim/internal/model"
 	"helmsim/internal/parallel"
@@ -67,10 +66,9 @@ const fusedMaxRows = 8
 // MemStore; quantized and file-backed stores add only their decode
 // path's small pinned budget).
 type StepEngine struct {
-	cfg      model.Config
-	layers   []model.Layer
-	memo     *layerMemo
-	prefetch *PrefetchStore // non-nil when built by NewStepEnginePrefetched
+	cfg    model.Config
+	layers []model.Layer
+	ld     *loader
 
 	ar *tensor.Arena
 	// scores holds one MaxSeq-wide attention-score row per item range a
@@ -92,21 +90,40 @@ type StepEngine struct {
 }
 
 // NewStepEngine builds an iteration-level engine over the model and
-// weight store. The store is read through a per-layer memo, which asks
-// it for a tensor once per layer visit — by the cheapest path the store
-// offers: packed views, decode-into recycled buffers, zero-copy views,
-// plain copies.
+// weight store. Its loader reads each layer's tensors once per layer
+// visit, in the foreground, by the cheapest path the store offers:
+// packed views, decode-into recycled buffers, zero-copy views, plain
+// copies.
 func NewStepEngine(cfg model.Config, w WeightStore) (*StepEngine, error) {
+	return newStepEngine(cfg, w, Retry{})
+}
+
+// NewStepEnginePrefetched is NewStepEngine with a prefetching loader —
+// layer L+1 streams in while layer L computes — and a foreground retry
+// policy absorbing transient fetch failures. Cancelling ctx aborts the
+// prefetcher; Close the engine to stop it.
+func NewStepEnginePrefetched(ctx context.Context, cfg model.Config, w WeightStore, r Retry) (*StepEngine, error) {
+	se, err := newStepEngine(cfg, w, r)
+	if err != nil {
+		return nil, err
+	}
+	se.ld.ctx, se.ld.cancel = context.WithCancel(ctx)
+	return se, nil
+}
+
+func newStepEngine(cfg model.Config, w WeightStore, r Retry) (*StepEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if w == nil {
-		return nil, fmt.Errorf("infer: nil weight store")
+	layers := cfg.Layers()
+	ld, err := newLoader(layers, w, r)
+	if err != nil {
+		return nil, err
 	}
 	se := &StepEngine{
 		cfg:    cfg,
-		layers: cfg.Layers(),
-		memo:   newLayerMemo(w),
+		layers: layers,
+		ld:     ld,
 		ar:     tensor.NewArena(),
 		scores: make([]float32, cfg.MaxSeq),
 	}
@@ -114,152 +131,8 @@ func NewStepEngine(cfg model.Config, w WeightStore) (*StepEngine, error) {
 	return se, nil
 }
 
-// NewStepEnginePrefetched is NewStepEngine with a PrefetchStore between
-// the per-layer memo and the backing store (layer L+1 streams in while
-// layer L computes) and a foreground retry policy absorbing transient
-// background-fetch failures. The prefetch store is private to the
-// returned engine, its single consumer. Cancelling ctx aborts the
-// prefetcher; Close the engine to stop it.
-func NewStepEnginePrefetched(ctx context.Context, cfg model.Config, w WeightStore, r Retry) (*StepEngine, error) {
-	ps, err := NewPrefetch(ctx, cfg, w, r)
-	if err != nil {
-		return nil, err
-	}
-	se, err := NewStepEngine(cfg, ps)
-	if err != nil {
-		ps.Close()
-		return nil, err
-	}
-	se.prefetch = ps
-	return se, nil
-}
-
-// layerMemo caches the tensors of one layer at a time in front of a
-// backing store. A step visits each layer once for every sequence
-// together, so the memo is what makes a weight cross the store boundary
-// once per layer per step however the engine asks for it — the executable
-// counterpart of the zig-zag schedule's weight reuse (§II-B). It is the
-// engine's one view of the store: the optional fetch paths of the backing
-// store are resolved here, once, in order of preference.
-type layerMemo struct {
-	// storePaths are the backing store's fetch paths. packed: 4-bit
-	// tensors arrive as validated views of their stored bytes and are
-	// never decoded here; the memo holds a view only while its layer is
-	// current, inside the lifetime DESIGN §3h gives packed views (the
-	// index stays open for the life of the engine). into: evicted layers'
-	// buffers are kept (keyed by tensor name) and the next layer decodes
-	// into them, so the memo stops allocating once it has seen one full
-	// layer cycle. The memo is single-consumer (one step engine),
-	// which is what makes reuse safe: a recycled buffer is only
-	// overwritten after its layer was evicted, i.e. after the engine
-	// moved past it. A PrefetchStore backing never implements IntoStore —
-	// it owns (and recycles) its bundle buffers itself. views, used only
-	// when there is no decode-into path: a resident MemStore serves its
-	// own storage (read-only, like every weight the engine sees) instead
-	// of a copy per fetch.
-	storePaths
-	layer int
-	cache map[string]weight
-	free  map[string][]float32
-	// fetches counts backing-store accesses (observable reuse); atomic so
-	// counter reads stay well-defined while a prefetching backing store
-	// runs in the background.
-	fetches atomic.Int64
-}
-
-// newLayerMemo wraps a store.
-func newLayerMemo(backing WeightStore) *layerMemo {
-	m := &layerMemo{storePaths: storePaths{backing: backing}, layer: -1, cache: map[string]weight{}}
-	m.packed, _ = backing.(PackedStore)
-	if is, ok := backing.(IntoStore); ok {
-		m.into = is
-		m.free = map[string][]float32{}
-	} else {
-		m.views, _ = backing.(ViewStore)
-	}
-	return m
-}
-
-// fetch returns the named tensor of the layer, from the backing store on
-// the first request of a layer visit and from the memo after. A request
-// for a new layer evicts the previous layer's tensors (the map is cleared
-// and reused, not reallocated — the memo changes layer once per layer per
-// step); evicted f32 buffers become the new layer's decode targets when
-// the backing store decodes into buffers.
-func (m *layerMemo) fetch(layer int, name string) (weight, error) {
-	if layer != m.layer {
-		m.layer = layer
-		if m.into != nil {
-			for n, w := range m.cache {
-				if w.f32 != nil {
-					m.free[n] = w.f32
-				}
-			}
-		}
-		clear(m.cache)
-	}
-	if w, ok := m.cache[name]; ok {
-		return w, nil
-	}
-	w, err := m.storePaths.fetch(layer, name, m.free[name])
-	if err != nil {
-		return weight{}, err
-	}
-	m.fetches.Add(1)
-	m.cache[name] = w
-	return w, nil
-}
-
 // Config reports the model the engine serves.
 func (se *StepEngine) Config() model.Config { return se.cfg }
-
-// WeightFetches reports backing-store tensor fetches so far.
-func (se *StepEngine) WeightFetches() int { return int(se.memo.fetches.Load()) }
-
-// PrefetchStats reports (hits, misses) of the prefetcher, or zeros for
-// a plain NewStepEngine.
-func (se *StepEngine) PrefetchStats() (hits, misses int) {
-	if se.prefetch == nil {
-		return 0, 0
-	}
-	return se.prefetch.Stats()
-}
-
-// DegradedFetches reports background prefetches absorbed by foreground
-// retries (zero for a plain NewStepEngine).
-func (se *StepEngine) DegradedFetches() int {
-	if se.prefetch == nil {
-		return 0
-	}
-	return se.prefetch.DegradedFetches()
-}
-
-// LaneStats reports how many prefetched tensors pool workers fetched
-// beside the engine's compute and how many the engine fetched itself
-// when it reached their layer (zeros for a plain NewStepEngine): the
-// load lane's measured overlap, byWorker / (byWorker + byConsumer).
-func (se *StepEngine) LaneStats() (byWorker, byConsumer int) {
-	if se.prefetch == nil {
-		return 0, 0
-	}
-	return se.prefetch.LaneStats()
-}
-
-// Settle joins any in-flight background prefetch without consuming or
-// cancelling it (no-op for a plain NewStepEngine).
-func (se *StepEngine) Settle() {
-	if se.prefetch != nil {
-		se.prefetch.Settle()
-	}
-}
-
-// Close stops the background prefetcher, if any.
-func (se *StepEngine) Close() error {
-	if se.prefetch == nil {
-		return nil
-	}
-	return se.prefetch.Close()
-}
 
 // reclaim recycles the logits handed out by the previous step — the
 // other half of the "logits valid until the next call" contract.
@@ -364,24 +237,21 @@ func (se *StepEngine) forward(seqs []*StepSeq, rows []int) ([]tensor.Mat, error)
 	return out, err
 }
 
-// mat is a fetched tensor with its matrix shape checked.
-func (se *StepEngine) mat(layer int, name string, r, c int) (weight, error) {
-	w, err := se.memo.fetch(layer, name)
-	if err != nil {
-		return weight{}, err
-	}
+// mat is one of the layer's tensors with its matrix shape checked.
+func (b layerBundle) mat(name string, r, c int) (weight, error) {
+	w := b.data[name]
 	if n := w.len(); n != r*c {
-		return weight{}, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", layer, name, r, c, r*c, n)
+		return weight{}, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", b.layer, name, r, c, r*c, n)
 	}
 	return w, nil
 }
 
-// vec fetches a tensor as a length-n f32 vector. Norm gains and biases
-// are stored raw by this repo's writer; one that arrives packed anyway
-// gets a slice of its own, because a norm holds two vectors at once and
-// the slab holds one tensor.
-func (se *StepEngine) vec(layer int, name string, n int) ([]float32, error) {
-	w, err := se.mat(layer, name, 1, n)
+// vec is one of the layer's tensors as a length-n f32 vector. Norm gains
+// and biases are stored raw by this repo's writer; one that arrives
+// packed anyway gets a slice of its own, because a norm holds two vectors
+// at once and the slab holds one tensor.
+func (b layerBundle) vec(name string, n int) ([]float32, error) {
+	w, err := b.mat(name, 1, n)
 	if err != nil {
 		return nil, err
 	}
@@ -435,9 +305,12 @@ func (t tableRows) read(dst []float32, r int) {
 // tokens: sequence i's token j lands in row rows[i]+j, at absolute
 // position Pos+j.
 func (se *StepEngine) embed(seqs []*StepSeq, rows []int) (tensor.Mat, error) {
-	l := se.layers[0]
+	b, err := se.ld.layer(se.layers[0].Index)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
 	h := se.cfg.Hidden
-	w, err := se.mat(l.Index, "w_token", se.cfg.Vocab, h)
+	w, err := b.mat("w_token", se.cfg.Vocab, h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -451,7 +324,7 @@ func (se *StepEngine) embed(seqs []*StepSeq, rows []int) (tensor.Mat, error) {
 	if se.cfg.Arch != model.ArchOPT {
 		return x, nil
 	}
-	if w, err = se.mat(l.Index, "w_pos", se.cfg.MaxSeq+2, h); err != nil {
+	if w, err = b.mat("w_pos", se.cfg.MaxSeq+2, h); err != nil {
 		se.ar.Put(x)
 		return tensor.Mat{}, err
 	}
@@ -471,26 +344,18 @@ func (se *StepEngine) embed(seqs []*StepSeq, rows []int) (tensor.Mat, error) {
 	return x, nil
 }
 
-// normGainName resolves which gain tensor the layer carries: decoder
-// blocks use "w_norm" under Llama, while the output layer's final norm
-// is stored as "w_ln" for both architectures. Consulting the layer spec
-// (instead of probing the store and falling back on error) keeps the
-// hot path from fabricating error values every pass.
-func normGainName(layer model.Layer) string {
-	for _, w := range layer.Weights {
-		if w.Name == "w_norm" {
-			return "w_norm"
-		}
-	}
-	return "w_ln"
-}
-
 // norm applies the architecture's normalization using the layer's
 // params, into a fresh arena matrix the caller owns.
-func (se *StepEngine) norm(layer model.Layer, x tensor.Mat) (tensor.Mat, error) {
+func (se *StepEngine) norm(b layerBundle, x tensor.Mat) (tensor.Mat, error) {
 	h := se.cfg.Hidden
 	if se.cfg.Arch == model.ArchLlama {
-		gamma, err := se.vec(layer.Index, normGainName(layer), h)
+		// Decoder blocks carry their gain as "w_norm"; the output layer's
+		// final norm is stored as "w_ln" for both architectures.
+		gain := "w_norm"
+		if _, ok := b.data[gain]; !ok {
+			gain = "w_ln"
+		}
+		gamma, err := b.vec(gain, h)
 		if err != nil {
 			return tensor.Mat{}, err
 		}
@@ -501,11 +366,11 @@ func (se *StepEngine) norm(layer model.Layer, x tensor.Mat) (tensor.Mat, error) 
 		}
 		return out, nil
 	}
-	gamma, err := se.vec(layer.Index, "w_ln", h)
+	gamma, err := b.vec("w_ln", h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
-	beta, err := se.vec(layer.Index, "b_ln", h)
+	beta, err := b.vec("b_ln", h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -522,8 +387,8 @@ func (se *StepEngine) norm(layer model.Layer, x tensor.Mat) (tensor.Mat, error) 
 // the GEMM, once for all of x's rows; otherwise it is dequantized into
 // the slab first. Which kernel runs depends on what was fetched and on
 // x's height, never on a setting, and both store the same bits.
-func (se *StepEngine) proj(layer model.Layer, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
-	w, err := se.mat(layer.Index, wName, x.C, outDim)
+func (se *StepEngine) proj(b layerBundle, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
+	w, err := b.mat(wName, x.C, outDim)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -534,9 +399,9 @@ func (se *StepEngine) proj(layer model.Layer, x tensor.Mat, wName, bName string,
 		err = tensor.MatMulInto(x, tensor.Mat{R: x.C, C: outDim, Data: se.dense(w)}, out)
 	}
 	if err == nil && bName != "" && se.cfg.Arch == model.ArchOPT {
-		var b []float32
-		if b, err = se.vec(layer.Index, bName, outDim); err == nil {
-			err = out.AddBias(b)
+		var bias []float32
+		if bias, err = b.vec(bName, outDim); err == nil {
+			err = out.AddBias(bias)
 		}
 	}
 	if err != nil {
@@ -556,24 +421,28 @@ func rowRange(m tensor.Mat, r0, r1 int) tensor.Mat {
 // over the stacked rows, the attention core once per sequence over its
 // own rows and KV cache.
 func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, rows []int, x tensor.Mat) (tensor.Mat, error) {
+	b, err := se.ld.layer(layer.Index)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
 	h := se.cfg.Hidden
 	kvDim := se.cfg.KVWidth()
-	hn, err := se.norm(layer, x)
+	hn, err := se.norm(b, x)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
 	defer se.ar.Put(hn)
-	q, err := se.proj(layer, hn, "w_q", "b_q", h)
+	q, err := se.proj(b, hn, "w_q", "b_q", h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
 	defer se.ar.Put(q)
-	k, err := se.proj(layer, hn, "w_k", "b_k", kvDim)
+	k, err := se.proj(b, hn, "w_k", "b_k", kvDim)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
 	defer se.ar.Put(k)
-	v, err := se.proj(layer, hn, "w_v", "b_v", kvDim)
+	v, err := se.proj(b, hn, "w_v", "b_v", kvDim)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -592,7 +461,7 @@ func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, row
 			return tensor.Mat{}, err
 		}
 	}
-	attnOut, err := se.proj(layer, out, "w_out", "b_out", h)
+	attnOut, err := se.proj(b, out, "w_out", "b_out", h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -759,21 +628,25 @@ func (se *StepEngine) ffnWidth() int {
 
 // ffnBlock runs the pre-norm feed-forward network with a residual.
 func (se *StepEngine) ffnBlock(layer model.Layer, x tensor.Mat) (tensor.Mat, error) {
+	b, err := se.ld.layer(layer.Index)
+	if err != nil {
+		return tensor.Mat{}, err
+	}
 	h := se.cfg.Hidden
 	f := se.ffnWidth()
-	hn, err := se.norm(layer, x)
+	hn, err := se.norm(b, x)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
 	defer se.ar.Put(hn)
 	var out tensor.Mat
 	if se.cfg.Arch == model.ArchLlama {
-		gate, err := se.proj(layer, hn, "w_gate", "", f)
+		gate, err := se.proj(b, hn, "w_gate", "", f)
 		if err != nil {
 			return tensor.Mat{}, err
 		}
 		defer se.ar.Put(gate)
-		up, err := se.proj(layer, hn, "w_up", "", f)
+		up, err := se.proj(b, hn, "w_up", "", f)
 		if err != nil {
 			return tensor.Mat{}, err
 		}
@@ -782,17 +655,17 @@ func (se *StepEngine) ffnBlock(layer model.Layer, x tensor.Mat) (tensor.Mat, err
 		if err := gate.Mul(up); err != nil {
 			return tensor.Mat{}, err
 		}
-		if out, err = se.proj(layer, gate, "w_down", "", h); err != nil {
+		if out, err = se.proj(b, gate, "w_down", "", h); err != nil {
 			return tensor.Mat{}, err
 		}
 	} else {
-		mid, err := se.proj(layer, hn, "w_fc1", "b_fc1", f)
+		mid, err := se.proj(b, hn, "w_fc1", "b_fc1", f)
 		if err != nil {
 			return tensor.Mat{}, err
 		}
 		defer se.ar.Put(mid)
 		mid.GELU()
-		if out, err = se.proj(layer, mid, "w_fc2", "b_fc2", h); err != nil {
+		if out, err = se.proj(b, mid, "w_fc2", "b_fc2", h); err != nil {
 			return tensor.Mat{}, err
 		}
 	}
@@ -808,7 +681,10 @@ func (se *StepEngine) ffnBlock(layer model.Layer, x tensor.Mat) (tensor.Mat, err
 // sequence its row of the result. The logits matrix is retained arena
 // storage: it stays valid until the engine's next step.
 func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tensor.Mat, error) {
-	l := se.layers[len(se.layers)-1]
+	b, err := se.ld.layer(se.layers[len(se.layers)-1].Index)
+	if err != nil {
+		return nil, err
+	}
 	active := 0
 	for i := range seqs {
 		if rows[i+1] > rows[i] {
@@ -824,12 +700,12 @@ func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tenso
 			a++
 		}
 	}
-	hn, err := se.norm(l, last)
+	hn, err := se.norm(b, last)
 	if err != nil {
 		return nil, err
 	}
 	defer se.ar.Put(hn)
-	table, err := se.mat(l.Index, "w_token", se.cfg.Vocab, se.cfg.Hidden)
+	table, err := b.mat("w_token", se.cfg.Vocab, se.cfg.Hidden)
 	if err != nil {
 		return nil, err
 	}

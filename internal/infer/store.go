@@ -90,46 +90,6 @@ func (w weight) len() int {
 	return len(w.f32)
 }
 
-// storePaths is a backing store with the optional fetch paths its
-// consumer uses resolved once. fetch tries them in order of preference.
-type storePaths struct {
-	backing WeightStore
-	packed  PackedStore // validated packed views of 4-bit tensors
-	into    IntoStore   // decode into the consumer's recycled buffer
-	views   ViewStore   // zero-copy f32 views of the store's own storage
-}
-
-// fetch reads one tensor by the best path the store offers for it: a
-// packed view when the store serves the tensor packed, else decoded —
-// into dst, as a borrowed view, or as a plain copy.
-func (p storePaths) fetch(layer int, name string, dst []float32) (weight, error) {
-	if p.packed != nil {
-		if q, ok, err := p.packed.TensorPacked(layer, name); ok || err != nil {
-			return weight{q: q, packed: ok}, err
-		}
-	}
-	var d []float32
-	var err error
-	switch {
-	case p.into != nil:
-		d, err = p.into.TensorInto(layer, name, dst)
-	case p.views != nil:
-		d, err = p.views.TensorView(layer, name)
-	default:
-		d, err = p.backing.Tensor(layer, name)
-	}
-	return weight{f32: d}, err
-}
-
-// tensorInto fetches through the store's IntoStore fast path when it
-// has one, falling back to a plain (copying) Tensor call.
-func tensorInto(w WeightStore, layer int, name string, dst []float32) ([]float32, error) {
-	if is, ok := w.(IntoStore); ok {
-		return is.TensorInto(layer, name, dst)
-	}
-	return w.Tensor(layer, name)
-}
-
 // MemStore holds raw float32 weights in memory.
 type MemStore struct {
 	m map[storeKey][]float32

@@ -6,22 +6,20 @@ import (
 	"sync"
 
 	"helmsim/internal/checkpoint"
-	"helmsim/internal/quant"
 )
 
-// SwappableStore is a weight store whose backing store can be replaced
+// SwappableStore holds a weight store whose generation can be replaced
 // atomically while readers are in flight — the hot-checkpoint-reload
-// primitive of the serving daemon. Each Tensor call pins the generation
-// it started on, and Acquire pins one for a whole multi-fetch sequence
-// (a serving request and its prefetches); Swap installs the new
-// generation immediately for subsequent calls and retires the old one,
-// whose closer runs only after its last pin — per-call or acquired — is
-// released. A reload therefore never yanks the file out from under a
-// running fetch, and never blocks the serving path waiting for
-// stragglers.
+// primitive of the serving daemon. It is read only through Acquire,
+// which pins one generation for a whole multi-fetch reader (an engine
+// and its prefetches); Swap installs the new generation immediately for
+// later Acquires and retires the old one, whose closer runs only after
+// its last pin is released. A reload therefore never yanks the file out
+// from under a running fetch, and never blocks the serving path waiting
+// for stragglers.
 type SwappableStore struct {
 	mu sync.Mutex
-	// cur is the generation new Tensor calls pin. nil only after Close.
+	// cur is the generation Acquire pins. nil only after Close.
 	cur *storeGen
 	// gen counts installed generations (1 for the initial store).
 	gen int64
@@ -38,13 +36,13 @@ type SwappableStore struct {
 type storeGen struct {
 	store   WeightStore
 	closer  io.Closer // nil when the caller owns the store's lifetime
-	refs    int       // in-flight Tensor calls and Acquire pins on this generation
+	refs    int       // Acquire pins on this generation
 	retired bool      // swapped out (or store closed); close when refs hit 0
 }
 
 // NewSwappable wraps an initial backing store. closer, when non-nil, is
 // run once the generation is swapped out (or the store closed) and its
-// last in-flight reader has finished.
+// last pin has been released.
 func NewSwappable(w WeightStore, closer io.Closer) (*SwappableStore, error) {
 	if w == nil {
 		return nil, fmt.Errorf("infer: nil weight store")
@@ -52,51 +50,15 @@ func NewSwappable(w WeightStore, closer io.Closer) (*SwappableStore, error) {
 	return &SwappableStore{cur: &storeGen{store: w, closer: closer}, gen: 1}, nil
 }
 
-// Tensor implements WeightStore over the current generation. The call
-// pins the generation for its duration, so a concurrent Swap cannot
-// close the backing store mid-read.
-func (s *SwappableStore) Tensor(layer int, name string) ([]float32, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("infer: swappable store: L%d/%s: %w", layer, name, checkpoint.ErrClosed)
-	}
-	g := s.cur
-	g.refs++
-	s.mu.Unlock()
-	d, err := g.store.Tensor(layer, name)
-	s.unpin(g)
-	return d, err
-}
-
-// TensorInto implements IntoStore over the current generation with the
-// same per-call pin, delegating to the backing store's into path when
-// it has one. The pin is what makes buffer-recycling readers safe over
-// an mmap-backed generation: the mapping cannot be unmapped while the
-// decode is mid-flight.
-func (s *SwappableStore) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("infer: swappable store: L%d/%s: %w", layer, name, checkpoint.ErrClosed)
-	}
-	g := s.cur
-	g.refs++
-	s.mu.Unlock()
-	d, err := tensorInto(g.store, layer, name, dst)
-	s.unpin(g)
-	return d, err
-}
-
-// Acquire pins the current generation for a multi-call reader: the
-// returned store reads that generation directly for as long as the pin
-// is held, so a sequence of fetches — a serving request's foreground
-// reads, retries, and background prefetches — can never straddle a
-// Swap. gen identifies the pinned generation; release (idempotent)
-// drops the pin, and a retired generation's closer runs once every pin
-// on it is gone. This is what makes "in-flight requests finish on the
-// generation they started on" true for requests that fetch more than
-// once.
+// Acquire pins the current generation and returns its store itself —
+// every optional fetch path included — for as long as the pin is held,
+// so a sequence of fetches — an engine's foreground reads, retries and
+// background prefetches, and the packed views it holds — can never
+// straddle a Swap. gen identifies the pinned generation; release
+// (idempotent) drops the pin, and a retired generation's closer runs
+// once every pin on it is gone. This is what makes "in-flight requests
+// finish on the generation they started on" true for requests that
+// fetch more than once.
 func (s *SwappableStore) Acquire() (w WeightStore, gen int64, release func(), err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -108,38 +70,11 @@ func (s *SwappableStore) Acquire() (w WeightStore, gen int64, release func(), er
 	gen = s.gen
 	s.mu.Unlock()
 	var once sync.Once
-	return pinnedGen{g}, gen, func() { once.Do(func() { s.unpin(g) }) }, nil
+	return g.store, gen, func() { once.Do(func() { s.unpin(g) }) }, nil
 }
 
-// pinnedGen reads one acquired generation directly; the Acquire pin
-// keeps its backing store open until released.
-type pinnedGen struct{ g *storeGen }
-
-func (p pinnedGen) Tensor(layer int, name string) ([]float32, error) {
-	return p.g.store.Tensor(layer, name)
-}
-
-// TensorInto implements IntoStore for the pinned generation: the
-// Acquire pin already guarantees the backing store (and any mmap view
-// under it) stays open, so the into path needs no extra bookkeeping.
-func (p pinnedGen) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
-	return tensorInto(p.g.store, layer, name, dst)
-}
-
-// TensorPacked implements PackedStore for the pinned generation. Only
-// here — not on SwappableStore's per-call-pin methods — can a view be
-// handed out: it stays valid while the index is open, which the Acquire
-// pin guarantees until release, and a per-call pin would be gone before
-// the view was used.
-func (p pinnedGen) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
-	if ps, ok := p.g.store.(PackedStore); ok {
-		return ps.TensorPacked(layer, name)
-	}
-	return quant.Packed{}, false, nil
-}
-
-// unpin releases one reader's pin and runs the generation's closer if
-// it was the last reader of a retired generation.
+// unpin releases one pin and runs the generation's closer if it was the
+// last pin on a retired generation.
 func (s *SwappableStore) unpin(g *storeGen) {
 	s.mu.Lock()
 	g.refs--
@@ -168,8 +103,8 @@ func (s *SwappableStore) takeCloserLocked(g *storeGen) io.Closer {
 	return c
 }
 
-// Swap atomically installs a new backing store: calls that start after
-// Swap returns read the new generation, pins already in flight finish
+// Swap atomically installs a new backing store: Acquires that start after
+// Swap returns pin the new generation, pins already in flight finish
 // on the old one, and the old generation's closer runs after its last
 // pin. installed reports whether the new generation took: when false
 // (nil store, or Swap after Close) the caller keeps ownership of w and
@@ -217,17 +152,16 @@ func (s *SwappableStore) RetiredGenerations() int64 {
 }
 
 // DeferredCloseErr reports the most recent error from a generation
-// closer that ran off the swap path (after its last in-flight reader),
-// or nil.
+// closer that ran off the swap path (after its last pin), or nil.
 func (s *SwappableStore) DeferredCloseErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deferredCloseErr
 }
 
-// Close retires the current generation and fails subsequent Tensor and
+// Close retires the current generation and fails subsequent Acquire and
 // Swap calls with checkpoint.ErrClosed. Like Swap, the closer runs
-// synchronously only when no reader is in flight. Close is idempotent.
+// synchronously only when no pin is held. Close is idempotent.
 func (s *SwappableStore) Close() error {
 	s.mu.Lock()
 	if s.closed {

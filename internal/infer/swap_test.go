@@ -47,6 +47,18 @@ func (c *closeRecorder) count() int {
 	return c.closes
 }
 
+// readPinned reads one tensor the way every reader of a SwappableStore
+// does: through an Acquire pin of the current generation, released after
+// the read.
+func readPinned(s *SwappableStore, layer int, name string) ([]float32, error) {
+	w, _, release, err := s.Acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return w.Tensor(layer, name)
+}
+
 func TestSwappableStoreServesAndSwaps(t *testing.T) {
 	mc := tinyOPT()
 	a, err := RandomWeights(mc, 1, 0.08)
@@ -65,7 +77,7 @@ func TestSwappableStoreServesAndSwaps(t *testing.T) {
 	if g := s.Generation(); g != 1 {
 		t.Fatalf("initial generation = %d, want 1", g)
 	}
-	fromA, err := s.Tensor(0, "w_token")
+	fromA, err := readPinned(s, 0, "w_token")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,7 @@ func TestSwappableStoreServesAndSwaps(t *testing.T) {
 	if ca.count() != 1 {
 		t.Fatalf("idle old generation closed %d times, want 1 (synchronously on swap)", ca.count())
 	}
-	fromB, err := s.Tensor(0, "w_token")
+	fromB, err := readPinned(s, 0, "w_token")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +145,7 @@ func TestSwappableStoreClosesOldGenerationAfterLastReader(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Tensor(0, "w_token")
+		_, err := readPinned(s, 0, "w_token")
 		done <- err
 	}()
 	<-gate.enter // reader is pinned to generation A
@@ -183,7 +195,7 @@ func TestSwappableStoreConcurrentSwapAndClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := s.Tensor(0, "w_token"); err != nil && !errors.Is(err, checkpoint.ErrClosed) {
+				if _, err := readPinned(s, 0, "w_token"); err != nil && !errors.Is(err, checkpoint.ErrClosed) {
 					errs <- fmt.Errorf("read %d: %w", i, err)
 					return
 				}
@@ -208,7 +220,7 @@ func TestSwappableStoreConcurrentSwapAndClose(t *testing.T) {
 			t.Errorf("generation %d closed %d times, want exactly 1", i, c.count())
 		}
 	}
-	if _, err := s.Tensor(0, "w_token"); !errors.Is(err, checkpoint.ErrClosed) {
+	if _, err := readPinned(s, 0, "w_token"); !errors.Is(err, checkpoint.ErrClosed) {
 		t.Errorf("read after Close = %v, want checkpoint.ErrClosed", err)
 	}
 	if ok, err := s.Swap(stores[0], nil); !errors.Is(err, checkpoint.ErrClosed) || ok {
@@ -255,7 +267,7 @@ func TestSwappableStoreCloseErrors(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s2.Tensor(0, "w_token")
+		_, err := readPinned(s2, 0, "w_token")
 		done <- err
 	}()
 	<-gate.enter
@@ -271,9 +283,9 @@ func TestSwappableStoreCloseErrors(t *testing.T) {
 	}
 }
 
-// Acquire is the per-request pin: a handle acquired before a swap keeps
+// Acquire is the per-reader pin: a store acquired before a swap keeps
 // reading — and keeps open — the generation it started on across any
-// number of fetches, while unpinned reads already see the new one, and
+// number of fetches, while a fresh Acquire already reads the new one, and
 // the old generation's closer runs only when the pin is released.
 func TestSwappableStoreAcquirePinsGeneration(t *testing.T) {
 	mc := tinyOPT()
@@ -315,7 +327,7 @@ func TestSwappableStoreAcquirePinsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pinned read after swap: %v", err)
 	}
-	fromCur, err := s.Tensor(0, "w_token")
+	fromCur, err := readPinned(s, 0, "w_token")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +336,7 @@ func TestSwappableStoreAcquirePinsGeneration(t *testing.T) {
 			t.Fatalf("pinned read elem %d = %v, want old generation's %v", i, fromPin[i], wantA[i])
 		}
 		if fromCur[i] != wantB[i] {
-			t.Fatalf("unpinned read elem %d = %v, want new generation's %v", i, fromCur[i], wantB[i])
+			t.Fatalf("freshly pinned read elem %d = %v, want new generation's %v", i, fromCur[i], wantB[i])
 		}
 	}
 	release()
@@ -346,10 +358,12 @@ func TestSwappableStoreAcquirePinsGeneration(t *testing.T) {
 	}
 }
 
-// An engine generating across a hot swap keeps working, and when the
-// two checkpoints hold identical weights the tokens are identical to a
-// swap-free run — the serving daemon's reload-under-traffic guarantee
-// at the store level.
+// Generations keep working across hot swaps, and when the checkpoints
+// hold identical weights the tokens are identical to a swap-free run —
+// the serving daemon's reload-under-traffic guarantee at the store
+// level. Each generation pins the checkpoint current when it starts and
+// builds its engine over it, as the server's batcher does on a reload,
+// while another goroutine swaps as fast as it can.
 func TestSwappableStoreHotSwapUnderGeneration(t *testing.T) {
 	mc := tinyOPT()
 	w, err := RandomWeights(mc, 7, 0.08)
@@ -371,10 +385,6 @@ func TestSwappableStoreHotSwapUnderGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(mc, s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stop := make(chan struct{})
 	var swaps int
 	swapDone := make(chan struct{})
@@ -393,15 +403,35 @@ func TestSwappableStoreHotSwapUnderGeneration(t *testing.T) {
 			swaps++
 		}
 	}()
-	got, err := eng.Generate(prompt, n)
+	generate := func() ([]int, error) {
+		pinned, _, release, err := s.Acquire()
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		eng, err := New(mc, pinned)
+		if err != nil {
+			return nil, err
+		}
+		return eng.Generate(prompt, n)
+	}
+	var got [4][]int
+	var genErr error
+	for i := range got {
+		if got[i], genErr = generate(); genErr != nil {
+			break
+		}
+	}
 	close(stop)
 	<-swapDone
-	if err != nil {
-		t.Fatalf("generation across %d hot swaps failed: %v", swaps, err)
+	if genErr != nil {
+		t.Fatalf("generation across %d hot swaps failed: %v", swaps, genErr)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("token %d diverged across hot swaps: %v vs %v", i, got, want)
+	for g := range got {
+		for i := range want {
+			if got[g][i] != want[i] {
+				t.Fatalf("generation %d: token %d diverged across hot swaps: %v vs %v", g, i, got[g], want)
+			}
 		}
 	}
 }

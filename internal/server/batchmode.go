@@ -175,7 +175,7 @@ func (s *Server) rebuildBatcher() error {
 
 // replacePanicked follows a panicked decode step: the first of the
 // step's requests to get here counts the panic and installs a fresh
-// batcher — the engine's arena and weight memo were abandoned mid-step —
+// batcher — the engine's arena and weight loader were abandoned mid-step —
 // and its siblings find the batcher already replaced.
 func (s *Server) replacePanicked(bs *batchState) {
 	s.reloadMu.Lock()

@@ -163,8 +163,8 @@ type job struct {
 }
 
 // Server is the live daemon: admission control in front of one
-// continuous batcher whose prefetched step engine reads a swappable,
-// breaker-observed, retry-wrapped store chain.
+// continuous batcher whose prefetched step engine — foreground retries
+// included — reads a breaker-observed, swappable checkpoint store.
 type Server struct {
 	cfg     Config
 	store   *infer.SwappableStore
@@ -225,7 +225,7 @@ type Server struct {
 	degraded        atomic.Int64
 }
 
-// breakerStore sits between the retry layer and the batcher's pinned
+// breakerStore sits between the engine's loader and the batcher's pinned
 // generation: every raw storage attempt (including each retry) feeds
 // the breaker's failure window and the access counters.
 type breakerStore struct {
