@@ -55,13 +55,16 @@ bench-smoke:
 # seeds included), a stacked step against one-sequence steps and against
 # itself at 1 / 2 / 3 / 8 workers, every kernel against its serial bits
 # at those worker counts and from concurrent callers, the step's
-# validate-first atomicity, and the assembly leaf kernels against their
+# validate-first atomicity, the assembly leaf kernels against their
 # Go reference bodies (every length and start offset, operands ending at
-# a guard page, fuzz seeds) — all bit-for-bit, under the race detector.
+# a guard page, fuzz seeds), GELU's integer float32 widening against the
+# conversion and GELU against its one-expression oracle, and RoPE's
+# per-position angles against the per-head loop — all bit-for-bit,
+# under the race detector.
 # Run twice: at the host's GOMAXPROCS, and at 3 (an odd split, and on a
 # two-core box more pool workers than cores; -count=1 because the test
 # cache does not see GOMAXPROCS and would replay the first run).
-KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Axpy4|Decode4|MatMulNaNInf|MatMulZeroTimesNaN' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Axpy4|Decode4|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
 	$(KERNEL_ORACLES)
 	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1

@@ -306,4 +306,12 @@ func TestFlagErrors(t *testing.T) {
 	if code := realMain([]string{"-arch", "bogus"}, &out3, &errBuf3); code != 1 {
 		t.Errorf("bad arch exit = %d, want 1", code)
 	}
+	// A LLaMA head width must be even (RoPE rotates pairs): 20/4 = 5.
+	var out4, errBuf4 syncBuffer
+	if code := realMain([]string{"-arch", "llama", "-hidden", "20", "-heads", "4"}, &out4, &errBuf4); code != 1 {
+		t.Errorf("odd llama head width exit = %d, want 1", code)
+	}
+	if !strings.Contains(errBuf4.String(), "rotary") {
+		t.Errorf("odd llama head width: stderr %q does not name the rotary pairs", errBuf4.String())
+	}
 }

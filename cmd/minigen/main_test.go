@@ -142,18 +142,21 @@ func TestMinigenChaosOutputUnharmed(t *testing.T) {
 func TestMinigenRejectsBadInput(t *testing.T) {
 	bad := []struct {
 		name, arch, prompt string
+		hidden, heads      int
 		batch              int
 	}{
-		{"empty batch", "opt", tPrompt, 0},
-		{"unknown arch", "bogus", tPrompt, 1},
-		{"prompt not numbers", "opt", "1,x", 1},
+		{"empty batch", "opt", tPrompt, tHidden, tHeads, 0},
+		{"unknown arch", "bogus", tPrompt, tHidden, tHeads, 1},
+		{"prompt not numbers", "opt", "1,x", tHidden, tHeads, 1},
+		{"odd llama head width", "llama", tPrompt, 20, 4, 1}, // RoPE rotates pairs; 20/4 = 5
 	}
 	for _, c := range bad {
 		var out bytes.Buffer
-		err := run(context.Background(), &out, c.arch, tHidden, tHeads, tBlocks, tVocab, tSeed, c.prompt, tGen,
+		err := run(context.Background(), &out, c.arch, c.hidden, c.heads, tBlocks, tVocab, tSeed, c.prompt, tGen,
 			false, filepath.Join(t.TempDir(), "m.hlmc"), c.batch, 0, 1, 3, 0)
-		if err == nil {
-			t.Errorf("%s accepted:\n%s", c.name, out.String())
+		// Rejected up front: before a checkpoint is written or a token run.
+		if err == nil || out.Len() > 0 {
+			t.Errorf("%s: err = %v after output:\n%s", c.name, err, out.String())
 		}
 	}
 }

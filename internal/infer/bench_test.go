@@ -204,6 +204,34 @@ func BenchmarkDecodeStepSplit(b *testing.B) {
 	})
 }
 
+// A 128-token prefill of bench-ooc's shapes as a LLaMA (three KV heads,
+// gated FFN of 1024) on f32 weights: where RoPE's cost shows, since no
+// bench workload runs LLaMA.
+func BenchmarkLlamaPrefill(b *testing.B) {
+	cfg := benchOOC().WithLlama(3, 1024)
+	raw, err := RandomWeights(cfg, 5, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(cfg, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prompt := make([]int, 128)
+	for i := range prompt {
+		prompt[i] = 1 + i%97
+	}
+	atWorkers(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.Reset()
+			if _, err := e.Forward(prompt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // benchTiny is bench/'s fleet model — what helmd and helmgw boot: too
 // small for any decode kernel to fork, so the load lane gets no worker.
 func benchTiny() model.Config {

@@ -158,13 +158,25 @@ func (e *Engine) Forward(tokens []int) (tensor.Mat, error) {
 	return out[0], nil
 }
 
-// applyRoPE rotates each head's even/odd pairs by the position-dependent
-// angles of rotary position embedding.
-func applyRoPE(row []float32, headDim, pos int) {
+// ropeAngles fills sc, one head wide, with the rotary angles of position
+// pos: sc[d], sc[d+1] = sin, cos of pos·10000^(−d/len(sc)) for each even
+// d. They depend on the position and the pair alone, so one fill serves
+// every q and k head of a row.
+func ropeAngles(sc []float64, pos int) {
+	headDim := len(sc)
+	for d := 0; d < headDim; d += 2 {
+		theta := float64(pos) * math.Pow(10000, -float64(d)/float64(headDim))
+		sc[d], sc[d+1] = math.Sincos(theta)
+	}
+}
+
+// applyRoPE rotates each head's even/odd pairs of row by the angles in sc
+// (ropeAngles; the head width is len(sc)).
+func applyRoPE(row []float32, sc []float64) {
+	headDim := len(sc)
 	for off := 0; off+headDim <= len(row); off += headDim {
 		for d := 0; d < headDim; d += 2 {
-			theta := float64(pos) * math.Pow(10000, -float64(d)/float64(headDim))
-			sin, cos := math.Sincos(theta)
+			sin, cos := sc[d], sc[d+1]
 			a, b := row[off+d], row[off+d+1]
 			row[off+d] = float32(float64(a)*cos - float64(b)*sin)
 			row[off+d+1] = float32(float64(a)*sin + float64(b)*cos)

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"helmsim/internal/model"
@@ -289,6 +290,13 @@ func TestStoreMissingTensor(t *testing.T) {
 	}
 }
 
+// rope rotates row's heads of width headDim to position pos.
+func rope(row []float32, headDim, pos int) {
+	sc := make([]float64, headDim)
+	ropeAngles(sc, pos)
+	applyRoPE(row, sc)
+}
+
 // RoPE preserves vector norms (it is a rotation).
 func TestRoPEIsRotation(t *testing.T) {
 	row := []float32{1, 2, 3, 4, 5, 6, 7, 8}
@@ -296,7 +304,7 @@ func TestRoPEIsRotation(t *testing.T) {
 	for _, v := range row {
 		before += float64(v) * float64(v)
 	}
-	applyRoPE(row, 4, 13)
+	rope(row, 4, 13)
 	var after float64
 	for _, v := range row {
 		after += float64(v) * float64(v)
@@ -306,11 +314,71 @@ func TestRoPEIsRotation(t *testing.T) {
 	}
 	// Position 0 is the identity rotation.
 	id := []float32{1, 2, 3, 4}
-	applyRoPE(id, 4, 0)
+	rope(id, 4, 0)
 	want := []float32{1, 2, 3, 4}
 	for i := range id {
 		if math.Abs(float64(id[i]-want[i])) > 1e-6 {
 			t.Errorf("RoPE at pos 0 not identity: %v", id)
+		}
+	}
+}
+
+// ropePerHead is the rotation as it was first written — angles recomputed
+// for every pair of every head — kept as the reference for the angles
+// computed once per position.
+func ropePerHead(row []float32, headDim, pos int) {
+	for off := 0; off+headDim <= len(row); off += headDim {
+		for d := 0; d < headDim; d += 2 {
+			theta := float64(pos) * math.Pow(10000, -float64(d)/float64(headDim))
+			sin, cos := math.Sincos(theta)
+			a, b := row[off+d], row[off+d+1]
+			row[off+d] = float32(float64(a)*cos - float64(b)*sin)
+			row[off+d+1] = float32(float64(a)*sin + float64(b)*cos)
+		}
+	}
+}
+
+// One angle fill per position, applied to every q and KV head, stores
+// the per-head loop's bits: MHA and GQA shapes, every position below the
+// daemons' MaxSeq.
+func TestRoPEMatchesPerHeadLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range []struct{ hidden, heads, kvHeads int }{
+		{64, 4, 4},   // MHA
+		{64, 4, 2},   // GQA
+		{384, 6, 3},  // bench-ooc as LLaMA
+		{256, 8, 2},  // 4 query heads per KV head
+		{32, 16, 16}, // two-wide heads
+	} {
+		headDim := shape.hidden / shape.heads
+		sc := make([]float64, headDim)
+		q := make([]float32, shape.hidden)
+		k := make([]float32, headDim*shape.kvHeads)
+		wantQ, wantK := make([]float32, len(q)), make([]float32, len(k))
+		for pos := range 2048 {
+			for _, row := range [][]float32{q, k} {
+				for i := range row {
+					row[i] = float32(rng.NormFloat64())
+				}
+			}
+			copy(wantQ, q)
+			copy(wantK, k)
+			ropePerHead(wantQ, headDim, pos)
+			ropePerHead(wantK, headDim, pos)
+			ropeAngles(sc, pos)
+			applyRoPE(q, sc)
+			applyRoPE(k, sc)
+			for _, c := range []struct {
+				name      string
+				got, want []float32
+			}{{"q", q, wantQ}, {"k", k, wantK}} {
+				for i := range c.got {
+					if math.Float32bits(c.got[i]) != math.Float32bits(c.want[i]) {
+						t.Fatalf("%d/%d/%d pos %d: %s[%d] = %g, per-head loop %g", shape.hidden, shape.heads, shape.kvHeads,
+							pos, c.name, i, c.got[i], c.want[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -78,6 +78,7 @@ type StepEngine struct {
 	scores   []float32
 	att      attendCall
 	attendFn func(lo, hi int)
+	rope     []float64  // one head's rotary (sin, cos) pairs at the row being rotated (LLaMA only)
 	logits   tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
 	// slab is the dequantization target for packed tensors the fused
 	// kernels do not take; it grows to the largest such tensor and holds
@@ -128,6 +129,9 @@ func newStepEngine(cfg model.Config, w WeightStore, r Retry) (*StepEngine, error
 		scores: make([]float32, cfg.MaxSeq),
 	}
 	se.attendFn = se.attendRanges
+	if cfg.Arch == model.ArchLlama {
+		se.rope = make([]float64, cfg.Hidden/cfg.Heads)
+	}
 	return se, nil
 }
 
@@ -484,8 +488,9 @@ func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) er
 	// Rotary position embedding for LLaMA (applied to q and k).
 	if se.cfg.Arch == model.ArchLlama {
 		for i := 0; i < q.R; i++ {
-			applyRoPE(q.Row(i), headDim, pos+i)
-			applyRoPE(k.Row(i), headDim, pos+i)
+			ropeAngles(se.rope, pos+i)
+			applyRoPE(q.Row(i), se.rope)
+			applyRoPE(k.Row(i), se.rope)
 		}
 	}
 	// AppendRow copies the rows, so k and v stay the caller's.

@@ -118,6 +118,18 @@ func TestLlamaValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Errorf("zero FFN dim accepted")
 	}
+	// RoPE rotates dimension pairs within a head, so an odd head width
+	// would pair one head's last dimension with the next head's first.
+	for _, hh := range [][2]int{{6, 2}, {20, 4}} {
+		odd := Config{Name: "odd", Hidden: hh[0], Heads: hh[1], Blocks: 1, Vocab: 8, MaxSeq: 8, DTypeBytes: 2}.WithLlama(hh[1], 8)
+		if err := odd.Validate(); err == nil {
+			t.Errorf("LLaMA hidden %d / heads %d: odd head width accepted", hh[0], hh[1])
+		}
+		odd.Arch = ArchOPT // OPT has no rotary embedding: the same shape is fine
+		if err := odd.Validate(); err != nil {
+			t.Errorf("OPT hidden %d / heads %d: %v", hh[0], hh[1], err)
+		}
+	}
 }
 
 func TestArchString(t *testing.T) {

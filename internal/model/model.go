@@ -167,6 +167,9 @@ func (c Config) Validate() error {
 		if c.FFNDim <= 0 {
 			return fmt.Errorf("model %s: non-positive FFN dim %d", c.Name, c.FFNDim)
 		}
+		if hd := c.Hidden / c.Heads; hd%2 != 0 {
+			return fmt.Errorf("model %s: head width %d (hidden %d / heads %d) is odd; rotary embedding rotates pairs of dimensions", c.Name, hd, c.Hidden, c.Heads)
+		}
 	}
 	return nil
 }

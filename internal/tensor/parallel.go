@@ -54,12 +54,14 @@ const (
 	minParallelElems = 1 << 13
 	// rowGrain batches rows for the per-row kernels.
 	rowGrain = 4
-	// minParallelActs gates GELU and SiLU, which cost ~40 ns per element
-	// (math.Tanh, math.Exp — pinned to the standard library by
-	// bit-identity): 512 is ~20 µs. The decode-width FFN activation of
-	// bench-ooc (1x1536, ~60 µs) splits.
+	// minParallelActs gates GELU and SiLU, each element a math.Tanh or
+	// math.Exp call (pinned to the standard library by bit-identity). The
+	// decode-width FFN activation of bench-ooc (1x1536) splits, and wins by
+	// it; bench-tiny's (1x256) does not, so its decode never wakes the pool
+	// for an activation. The per-element costs and the crossover are in
+	// EXPERIMENTS.md ("GELU at throughput").
 	minParallelActs = 512
-	// actGrain is the fewest activation elements a chunk takes (~5 µs).
+	// actGrain is the fewest activation elements a chunk takes.
 	actGrain = 128
 )
 

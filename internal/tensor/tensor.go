@@ -457,12 +457,41 @@ func (m Mat) GELU() {
 	fork.run(kGELU, len(m.Data), actGrain)
 }
 
+// geluElems takes two elements per pass, both tanh arguments formed
+// before either call, so the core runs one element's arithmetic under the
+// other's math.Tanh. Each element's float64 operations are those of the
+// one-element tail, in the same order.
 func geluElems(data []float32) {
 	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range data {
-		x := float64(v)
+	i := 0
+	for ; i+2 <= len(data); i += 2 {
+		x0, x1 := widen(data[i]), widen(data[i+1])
+		u0, u1 := c*(x0+0.044715*x0*x0*x0), c*(x1+0.044715*x1*x1*x1)
+		t0 := math.Tanh(u0)
+		t1 := math.Tanh(u1)
+		data[i], data[i+1] = float32(0.5*x0*(1+t0)), float32(0.5*x1*(1+t1))
+	}
+	if i < len(data) {
+		x := widen(data[i])
 		data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 	}
+}
+
+// widen is float64(v), bit for bit (TestWidenExhaustive holds it to that
+// over every float32). It exists for its instruction, not its value: on
+// amd64 float64(v) is CVTSS2SD, which writes only the low half of its
+// destination register and so waits for whatever last wrote that register
+// — in geluElems, a register holding the previous element's result, which
+// put every element behind the previous math.Tanh. A normal number widens
+// exactly in integer registers (sign kept, exponent rebiased by 1023-127
+// = 896, mantissa shifted up 29 bits) and enters the float unit by a
+// full-register move; zero, subnormals, Inf and NaN take the conversion.
+func widen(v float32) float64 {
+	b := math.Float32bits(v)
+	if e := b >> 23 & 0xff; e == 0 || e == 0xff {
+		return float64(v)
+	}
+	return math.Float64frombits(uint64(b>>31)<<63 | (uint64(b&0x7fffffff)<<29 + 896<<52))
 }
 
 // SiLU applies x*sigmoid(x) in place (LLaMA's gate activation).
