@@ -145,8 +145,11 @@ func (in *injector) Stats() Stats {
 }
 
 // decide consumes one access, sampling the plan. It never sleeps while
-// holding the lock; the caller applies the spike.
-func (in *injector) decide() (outcome, bool) {
+// holding the lock; the caller applies the spike. An access whose payload
+// cannot be flipped (corruptible false) still draws its corruption
+// sample, so the rng stream is the same whichever accesses those are,
+// but never comes back corrupt and is not counted as a corruption.
+func (in *injector) decide(corruptible bool) (outcome, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.disarmed {
@@ -168,9 +171,11 @@ func (in *injector) decide() (outcome, bool) {
 		return o, true
 	}
 	if (p.CorruptRate > 0 && in.rng.Float64() < p.CorruptRate) || p.CorruptAtAccess == o.access {
-		o.corrupt = true
 		o.bitIndex = in.rng.Int63()
-		in.stats.Corruptions++
+		if corruptible {
+			o.corrupt = true
+			in.stats.Corruptions++
+		}
 	}
 	return o, true
 }

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"helmsim/internal/quant"
 )
 
 // memStore is a trivial backing store for injection tests.
@@ -247,5 +250,129 @@ func TestErrorMessagesCarryContext(t *testing.T) {
 	//lint:helmvet-ignore errcheckwrap this test asserts the human-readable message carries tensor identity, not classification
 	if err == nil || !strings.Contains(err.Error(), "L7/w_q") {
 		t.Errorf("injected error lost tensor identity: %v", err)
+	}
+}
+
+// packedMem serves "w" as a packed 4-bit view and everything else as f32
+// only, as a checkpoint store serves a projection and a norm gain.
+type packedMem struct {
+	memStore
+	p            quant.Packed
+	packedCalls  int
+	tensorCalled []string
+}
+
+func (m *packedMem) Tensor(layer int, name string) ([]float32, error) {
+	m.tensorCalled = append(m.tensorCalled, name)
+	return m.memStore.Tensor(layer, name)
+}
+
+func (m *packedMem) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	m.packedCalls++
+	if name != "w" {
+		return quant.Packed{}, false, nil
+	}
+	return m.p, true, nil
+}
+
+func testPacked(t *testing.T) quant.Packed {
+	t.Helper()
+	x := make([]float32, 128)
+	for i := range x {
+		x[i] = float32(i%13) - 6
+	}
+	qt, err := quant.Quantize(x, quant.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := qt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok, err := quant.ViewPacked(blob)
+	if !ok || err != nil {
+		t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	}
+	return p
+}
+
+// TensorPacked forwards the backing store's views. A fetch the backing
+// serves packed is one access: spikes and transients apply, a corrupt
+// outcome is neither applied nor counted. A tensor with no packed form,
+// or a backing with no packed path, is not an access at all — the
+// caller's Tensor fallback is.
+func TestStorePackedForwarding(t *testing.T) {
+	pm := &packedMem{p: testPacked(t)}
+	var slept int
+	s, err := NewStore(pm, Plan{CorruptAtAccess: 1, FailAtAccess: 2, SpikeRate: 1, Spike: time.Millisecond, Sleep: func(time.Duration) { slept++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.TensorPacked(0, "b"); ok || err != nil {
+		t.Fatalf("f32 record: ok=%v err=%v, want not packed", ok, err)
+	}
+	if st := s.Stats(); st.Accesses != 0 {
+		t.Fatalf("a tensor with no packed form counted as an access: %+v", st)
+	}
+	p, ok, err := s.TensorPacked(0, "w") // access 1: corrupt, not applied
+	if !ok || err != nil {
+		t.Fatalf("packed record: ok=%v err=%v", ok, err)
+	}
+	want, got := pm.p.DequantizeInto(nil), p.DequantizeInto(nil)
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("packed view altered at %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if _, ok, err := s.TensorPacked(0, "w"); ok || !IsTransient(err) { // access 2: fails
+		t.Fatalf("access 2: ok=%v err=%v, want a transient failure", ok, err)
+	}
+	if _, err := s.Tensor(0, "b"); err != nil { // access 3: the f32 fallback
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st != (Stats{Accesses: 3, Transients: 1, Corruptions: 0, Spikes: 3}) || slept != 3 {
+		t.Errorf("stats = %+v, %d sleeps; want 3 accesses, 1 transient, 0 corruptions, 3 spikes and sleeps", st, slept)
+	}
+	if len(pm.tensorCalled) != 1 || pm.packedCalls != 3 {
+		t.Errorf("backing saw Tensor %v and %d packed fetches, want [b] and 3", pm.tensorCalled, pm.packedCalls)
+	}
+
+	plain, err := NewStore(&memStore{}, Plan{TransientRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := plain.TensorPacked(0, "w"); ok || err != nil {
+		t.Fatalf("backing without a packed path: ok=%v err=%v", ok, err)
+	}
+	if st := plain.Stats(); st.Accesses != 0 {
+		t.Errorf("a store with no packed path counted an access: %+v", st)
+	}
+}
+
+// A packed access draws the same samples as a Tensor access, so a seeded
+// plan fails the same access numbers whichever path each access takes.
+func TestStorePackedAccessesKeepTheFaultSequence(t *testing.T) {
+	plan := Plan{Seed: 3, TransientRate: 0.3, CorruptRate: 0.4}
+	run := func(packed func(i int) bool) []bool {
+		s, err := NewStore(&packedMem{p: testPacked(t)}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fails []bool
+		for i := 0; i < 200; i++ {
+			if packed(i) {
+				_, _, err = s.TensorPacked(0, "w")
+			} else {
+				_, err = s.Tensor(0, "w")
+			}
+			fails = append(fails, err != nil)
+		}
+		return fails
+	}
+	tensor, mixed := run(func(int) bool { return false }), run(func(i int) bool { return i%3 != 0 })
+	for i := range tensor {
+		if tensor[i] != mixed[i] {
+			t.Fatalf("access %d failed on one path and not the other", i+1)
+		}
 	}
 }

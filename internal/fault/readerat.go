@@ -28,7 +28,7 @@ func NewReaderAt(r io.ReaderAt, plan Plan) (*ReaderAt, error) {
 
 // ReadAt implements io.ReaderAt with injection.
 func (f *ReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	o, armed := f.decide()
+	o, armed := f.decide(true)
 	if !armed {
 		return f.r.ReadAt(p, off)
 	}

@@ -56,7 +56,7 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if rt.down.Load() {
 		return nil, fmt.Errorf("fault: replica blackout (%s %s): %w", req.Method, req.URL.Path, ErrTransient)
 	}
-	o, armed := rt.decide()
+	o, armed := rt.decide(true)
 	if !armed {
 		return rt.base.RoundTrip(req)
 	}

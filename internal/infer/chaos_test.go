@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +219,81 @@ func TestChaosTransientFaultsAreAbsorbed(t *testing.T) {
 		t.Errorf("transients injected (%d) but DegradedFetches = 0", st.Transients)
 	}
 	t.Logf("chaos: %d accesses, %d transients, %d degraded fetches", st.Accesses, st.Transients, eng.DegradedFetches())
+}
+
+// countingFile counts the f32 fetches (Tensor, TensorInto) that reach
+// the file store for records it holds packed.
+type countingFile struct {
+	*FileStore
+	f32Packed atomic.Int64
+}
+
+func (c *countingFile) count(layer int, name string) {
+	if _, ok, _ := c.FileStore.TensorPacked(layer, name); ok {
+		c.f32Packed.Add(1)
+	}
+}
+
+func (c *countingFile) Tensor(layer int, name string) ([]float32, error) {
+	c.count(layer, name)
+	return c.FileStore.Tensor(layer, name)
+}
+
+func (c *countingFile) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
+	c.count(layer, name)
+	return c.FileStore.TensorInto(layer, name, dst)
+}
+
+// An engine behind the fault injector runs the product path: every 4-bit
+// record crosses the injector as a packed view (no Tensor or TensorInto
+// call for one reaches the file store), the transients the plan throws
+// at packed fetches are absorbed, and the tokens are the fault-free
+// engine's.
+func TestChaosFaultStoreKeepsPackedPath(t *testing.T) {
+	mc := tinyOPT()
+	path := writeTestCheckpoint(t, mc, 19)
+	prompt := []int{1, 2, 3}
+	const gen = 12
+
+	clean, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	ref := newPrefetchedSolo(t, mc, clean, Retry{})
+	want, err := ref.generate(context.Background(), prompt, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	file, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	counted := &countingFile{FileStore: file}
+	fs, err := fault.NewStore(counted, fault.Plan{Seed: 31, TransientRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newPrefetchedSolo(t, mc, fs, Retry{Max: 12, Sleep: noSleep})
+	defer eng.Close()
+	got, err := eng.generate(context.Background(), prompt, gen)
+	if err != nil {
+		t.Fatalf("generation failed under 5%% transient faults: %v", err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("tokens under faults %v, fault-free %v", got, want)
+	}
+	if n := counted.f32Packed.Load(); n != 0 {
+		t.Errorf("%d f32 fetches of 4-bit records reached the file store: the injector dropped the packed path", n)
+	}
+	if st := fs.Stats(); st.Transients == 0 {
+		t.Error("plan injected no faults — chaos run proved nothing")
+	}
 }
 
 // Silent storage-tier bit flips must surface as checkpoint.ErrCorrupt —

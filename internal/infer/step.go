@@ -33,19 +33,13 @@ type StepSeq struct {
 // the fused 4-bit kernels; anything taller (a prefill, a step that mixes
 // one in) dequantizes the tensor once into the engine's slab and runs
 // the dense kernel, whose row split shares a tall input evenly where the
-// fused kernel re-decodes each tile per column share. Measured with
-// tensor.BenchmarkQ4Crossover (-benchtime 2s) on the three bench-ooc
-// shapes (384x384 four times a block, 384x1536, 1536x384) at two
-// workers, per block, with the SSE2 accumulate and decode: fused 0.62 ms
-// against slab 0.88 ms at one row, 1.20 against 1.54 at 4, 1.66 against
-// 1.83 at 8, slab ahead from 16 (2.51 against 2.84) through 32 (4.5
-// against 5.1) to 128 (13.2 against 20.7). With the scalar kernels the
-// same table read 0.90/1.05, 1.82/1.94, a tie (3.10, 3.05) at 8, and
-// 33.1 against 42.4 at 128: both paths got about twice as fast and the
-// crossover stayed between 8 and 16, so 8 — which writes no f32 copy of
-// the weight and is also the widest decode step the daemons ship with —
-// stays. End to end the fused kernel at 128 rows cost ooc_latency 7 % of
-// its TTFT when that was measured (323 ms against 301, scalar kernels).
+// fused kernel re-decodes each tile per column share. On the bench-ooc
+// shapes (tensor.BenchmarkQ4Crossover) the crossover has stayed between
+// 8 and 16 rows with the scalar kernels and with the SSE2 ones; decoding
+// in registers runs only one-row steps and leaves it there. So 8 — which
+// writes no f32 copy of the weight and is also the widest decode step the
+// daemons ship with — stays. The tables are in EXPERIMENTS.md ("decode in
+// registers").
 const fusedMaxRows = 8
 
 // StepEngine advances an arbitrary set of sequences one iteration at a

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,5 +258,343 @@ func TestDecode4GroupsShortOperandsPanic(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// axpyRows against its reference body and a per-element oracle
+// (Float16.Float32, the generic decode expression and the accumulate
+// chain, written out element by element), over every operand the
+// assembly takes: group sizes that are and are not whole blocks, one to
+// five groups a call, rows one to three calls' widths apart, metadata
+// that includes both zeros, subnormal halves, negative minimums and
+// ±65504, activations and running sums with NaN, Inf and subnormals.
+// Off amd64 axpyRows is axpyRowsRef and the second comparison passes
+// trivially.
+
+// rows are the operands of one axpyRows call: four rows of groups*gs
+// elements, each stride elements after the one before — four k-rows of a
+// k x stride matrix — as nibbles and the two fp16 metadata arrays.
+type rows struct {
+	nib, mins, scales  []byte
+	gs, groups, stride int
+}
+
+func (r rows) nibStride() int  { return r.stride / 2 }
+func (r rows) metaStride() int { return 2 * r.stride / r.gs }
+
+// newRows allocates the operands with every byte a row can reach, each
+// array starting off bytes into its backing, the nibbles random and each
+// half drawn by half.
+func newRows(rng *rand.Rand, gs, groups, stride, off int, half func() uint16) rows {
+	r := rows{gs: gs, groups: groups, stride: stride}
+	shifted := func(n int) []byte { return make([]byte, off+n)[off:] }
+	r.nib = shifted(3*r.nibStride() + groups*gs/2)
+	rng.Read(r.nib)
+	r.mins, r.scales = shifted(3*r.metaStride()+2*groups), shifted(3*r.metaStride()+2*groups)
+	for i := 0; i < len(r.mins); i += 2 {
+		binary.LittleEndian.PutUint16(r.mins[i:], half())
+		binary.LittleEndian.PutUint16(r.scales[i:], half())
+	}
+	return r
+}
+
+// axpyRowsOracle adds the four rows' terms to every element of o one
+// element at a time, with nothing shared with either body.
+func axpyRowsOracle(o []float32, r rows, a [4]float32) {
+	for j := range o {
+		t := o[j]
+		for k := range a {
+			q := r.nib[k*r.nibStride()+j/2] >> (4 * (j % 2)) & 15
+			meta := k*r.metaStride() + 2*(j/r.gs)
+			gmin := Float16(binary.LittleEndian.Uint16(r.mins[meta:])).Float32()
+			scale := Float16(binary.LittleEndian.Uint16(r.scales[meta:])).Float32()
+			w := gmin + float32(float32(q)*scale)
+			t += float32(a[k] * w)
+		}
+		o[j] = t
+	}
+}
+
+// checkAxpyRows runs the oracle, axpyRowsRef and axpyRows from the same
+// running sums o0, each into its own copy starting off elements into a
+// sentinel-filled backing array, and compares the whole backings.
+func checkAxpyRows(t *testing.T, r rows, a [4]float32, o0 []float32, off int) {
+	t.Helper()
+	const margin = 8
+	n := r.gs * r.groups
+	var backing [3][]float32
+	for side := range backing {
+		backing[side] = make([]float32, margin+off+n+margin)
+		for i := range backing[side] {
+			backing[side][i] = sentinel
+		}
+		o := backing[side][margin+off : margin+off+n : margin+off+n]
+		copy(o, o0)
+		switch side {
+		case 0:
+			axpyRowsOracle(o, r, a)
+		case 1:
+			axpyRowsRef(o, r.nib, r.mins, r.scales, r.gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
+		case 2:
+			axpyRows(o, r.nib, r.mins, r.scales, r.gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
+		}
+	}
+	for side, name := range []string{1: "axpyRowsRef", 2: "axpyRows"} {
+		if side == 0 {
+			continue
+		}
+		for i := range backing[0] {
+			if !sameBits(backing[0][i], backing[side][i]) {
+				t.Fatalf("gs=%d groups=%d stride=%d off=%d a=%v: %s wrote backing[%d] (o starts at %d) = %v (%#08x), oracle %v (%#08x)",
+					r.gs, r.groups, r.stride, off, a, name, i, margin+off,
+					backing[side][i], math.Float32bits(backing[side][i]), backing[0][i], math.Float32bits(backing[0][i]))
+			}
+		}
+	}
+}
+
+func TestAxpyRowsMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	finiteHalf := func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
+	awkwardHalf := func() uint16 { return awkwardHalves[rng.Intn(len(awkwardHalves))] }
+	value := func(awkward bool) float32 {
+		if awkward {
+			return awkwardMeta[rng.Intn(len(awkwardMeta))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	for _, gs := range []int{2, 6, 16, 32, 48, 64, 128, 256} {
+		for groups := 1; groups <= 5; groups++ {
+			for tiles := 1; tiles <= 3; tiles++ {
+				for mode := 0; mode < 3; mode++ {
+					half := finiteHalf
+					if mode == 2 {
+						half = awkwardHalf
+					}
+					off := (gs + groups + tiles + mode) % 4
+					r := newRows(rng, gs, groups, tiles*gs*groups, off, half)
+					var a [4]float32
+					for k := range a {
+						a[k] = value(mode >= 1)
+					}
+					o := make([]float32, gs*groups)
+					for i := range o {
+						o[i] = value(mode >= 1 && rng.Intn(3) == 0)
+					}
+					checkAxpyRows(t, r, a, o, off)
+				}
+			}
+		}
+	}
+}
+
+// Every nibble value in every position of a 16-column block — each of the
+// four lanes of each of the four vectors, in each of the four rows —
+// comes out as the oracle's expression. Lane i multiplies q·16^i by
+// scale·16^-i, so a mask, shift or lane scale that is off shows here.
+func TestAxpyRowsEveryNibbleEveryLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	r := newRows(rng, 16, 1, 16, 0, func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 })
+	for row := 0; row < 4; row++ {
+		var a [4]float32
+		a[row] = 1
+		for pos := 0; pos < 16; pos++ {
+			for q := 0; q < 16; q++ {
+				clear(r.nib)
+				r.nib[row*r.nibStride()+pos/2] = byte(q) << (4 * (pos % 2))
+				checkAxpyRows(t, r, a, make([]float32, 16), 0)
+			}
+		}
+	}
+}
+
+// Every finite half, as a group minimum and as a group scale, in every
+// row — under every nibble value in every lane — gives the oracle's
+// bits: the in-register widening (HALF) and the lane scales hold for the
+// whole fp16 range, subnormals included. One row's activation is one and
+// the others zero, so that row's weights reach the sum unrounded.
+func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
+	var all []uint16
+	for h := 0; h < 1<<16; h++ {
+		if finite16(Float16(h)) {
+			all = append(all, uint16(h))
+		}
+	}
+	groups := len(all)
+	for _, c := range []struct{ mins, scales func(g int) uint16 }{
+		{func(g int) uint16 { return all[g] }, func(int) uint16 { return 0x3c00 }},
+		{func(int) uint16 { return 0x3c00 }, func(g int) uint16 { return all[g] }},
+		{func(g int) uint16 { return all[g] }, func(g int) uint16 { return all[(g*7919)%groups] }},
+	} {
+		r := rows{gs: 16, groups: groups, stride: 16 * groups}
+		r.nib = make([]byte, 4*8*groups)
+		r.mins, r.scales = make([]byte, 4*2*groups), make([]byte, 4*2*groups)
+		for row := 0; row < 4; row++ {
+			for g := 0; g < groups; g++ {
+				for b := 0; b < 8; b++ {
+					// Nibbles 0..15 rotated by the group, so each value
+					// meets each half in a different lane.
+					lo, hi := (2*b+g+row)%16, (2*b+1+g+row)%16
+					r.nib[row*r.nibStride()+8*g+b] = byte(lo | hi<<4)
+				}
+				binary.LittleEndian.PutUint16(r.mins[row*r.metaStride()+2*g:], c.mins(g))
+				binary.LittleEndian.PutUint16(r.scales[row*r.metaStride()+2*g:], c.scales(g))
+			}
+		}
+		for row := 0; row < 4; row++ {
+			var a [4]float32
+			a[row] = 1
+			checkAxpyRows(t, r, a, make([]float32, 16*groups), 0)
+		}
+	}
+}
+
+// Operands shorter than four rows of the groups need — the fourth row's
+// last byte of nibbles, minimums or scales missing — are refused by the
+// bounds checks in front of the assembly, not read past.
+func TestAxpyRowsShortOperandsPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	r := newRows(rng, 64, 2, 256, 0, func() uint16 { return 0x3c00 })
+	o := make([]float32, 128)
+	for name, call := range map[string]func(){
+		"nibbles": func() {
+			axpyRows(o, r.nib[:len(r.nib)-1], r.mins, r.scales, 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+		},
+		"mins": func() {
+			axpyRows(o, r.nib, r.mins[:len(r.mins)-1], r.scales, 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+		},
+		"scales": func() {
+			axpyRows(o, r.nib, r.mins, r.scales[:len(r.scales)-1], 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("axpyRows read four rows out of a short %s operand", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzAxpyRows is the differential target: arbitrary nibbles, metadata
+// (any finite half: a Packed never carries another), activation and
+// running-sum bit patterns, group size, group count, row stride and start
+// offset.
+func FuzzAxpyRows(f *testing.F) {
+	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x00, 0x3c, 0x00, 0xbc}, uint8(2), uint8(1), uint8(1), uint8(0))
+	f.Add([]byte{0xff, 0x7b, 0x01, 0x80, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x7f}, uint8(3), uint8(2), uint8(2), uint8(3))
+	f.Add([]byte{0x0f, 0xf0, 0xff, 0x03, 0x00, 0x84}, uint8(0), uint8(4), uint8(3), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, gsSel, groups, tiles, off uint8) {
+		gs := []int{2, 16, 32, 64, 48, 6}[int(gsSel)%6]
+		ng, nt := 1+int(groups)%4, 1+int(tiles)%3
+		at := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			at++
+			return data[(at-1)%len(data)]
+		}
+		half := func() uint16 {
+			h := uint16(next()) | uint16(next())<<8
+			if !finite16(Float16(h)) {
+				h &^= 0x4000 // an all-ones exponent becomes a finite one
+			}
+			return h
+		}
+		bits := func() float32 {
+			return math.Float32frombits(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
+		}
+		r := rows{gs: gs, groups: ng, stride: nt * gs * ng}
+		shifted := func(n int) []byte { return make([]byte, int(off%4)+n)[off%4:] }
+		r.nib = shifted(3*r.nibStride() + ng*gs/2)
+		for i := range r.nib {
+			r.nib[i] = next()
+		}
+		r.mins, r.scales = shifted(3*r.metaStride()+2*ng), shifted(3*r.metaStride()+2*ng)
+		for i := 0; i < len(r.mins); i += 2 {
+			binary.LittleEndian.PutUint16(r.mins[i:], half())
+			binary.LittleEndian.PutUint16(r.scales[i:], half())
+		}
+		a := [4]float32{bits(), bits(), bits(), bits()}
+		o := make([]float32, gs*ng)
+		for i := range o {
+			o[i] = bits()
+		}
+		checkAxpyRows(t, r, a, o, int(off%4))
+	})
+}
+
+// Packed.AxpyRows over a k x cols tensor stores what decoding the four
+// rows with DecodeRange and adding their terms in order stores, for
+// every group-aligned column range of every k-quad; and it refuses
+// ranges that are not whole groups or run past the tensor.
+func TestPackedAxpyRowsMatchesDecodeRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, shape := range []struct{ k, cols, gs int }{{8, 384, 64}, {12, 192, 32}, {4, 96, 48}, {8, 12, 2}} {
+		x := make([]float32, shape.k*shape.cols)
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		qt, err := Quantize(x, Config{Bits: 4, GroupSize: shape.gs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := qt.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok, err := ViewPacked(blob)
+		if !ok || err != nil {
+			t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+		}
+		for k := 0; k+4 <= shape.k; k += 4 {
+			for c0 := 0; c0 < shape.cols; c0 += shape.gs {
+				for c1 := c0 + shape.gs; c1 <= shape.cols; c1 += shape.gs {
+					a := [4]float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+					want := make([]float32, c1-c0)
+					for i := range want {
+						want[i] = float32(rng.NormFloat64())
+					}
+					got := append([]float32(nil), want...)
+					var w [4][]float32
+					for r := range w {
+						w[r] = make([]float32, c1-c0)
+						p.DecodeRange(w[r], (k+r)*shape.cols+c0)
+					}
+					for i := range want {
+						for r := range w {
+							want[i] += float32(a[r] * w[r][i])
+						}
+					}
+					p.AxpyRows(got, a[0], a[1], a[2], a[3], k*shape.cols+c0, shape.cols)
+					for i := range want {
+						if !sameBits(want[i], got[i]) {
+							t.Fatalf("%dx%d gs=%d k=%d columns [%d,%d): got[%d] = %v, DecodeRange then add %v", shape.k, shape.cols, shape.gs, k, c0, c1, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		gs, cols := shape.gs, shape.cols
+		for name, call := range map[string]func(){
+			"lo inside a group":       func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 1, cols) },
+			"stride inside a group":   func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 0, cols+1) },
+			"width inside a group":    func() { p.AxpyRows(make([]float32, gs+1), 1, 1, 1, 1, 0, cols) },
+			"negative stride":         func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 3*cols, -cols) },
+			"fourth row past the end": func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, (shape.k-3)*cols, cols) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%dx%d gs=%d: AxpyRows accepted %s", shape.k, cols, gs, name)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"helmsim/internal/parallel"
@@ -95,11 +96,11 @@ func BenchmarkViewPackedFFN(b *testing.B) {
 	}
 }
 
-// The fused kernels' access pattern over that tensor — DecodeRange in
-// 256-element runs (tensor.q4Tile), four groups each — beside the leaf
-// decode alone on the same bytes with the metadata already converted:
-// the difference is what a run pays per group in Go around the decode
-// (two Float16.Float32, the calls down to the leaf).
+// The stacked and table paths' access pattern over that tensor —
+// DecodeRange in 256-element runs (tensor.q4Tile), four groups each —
+// beside the leaf decode alone on the same bytes with the metadata
+// already converted: the difference is what a run pays per group in Go
+// around the decode (two Float16.Float32, the calls down to the leaf).
 func BenchmarkDecodeRangeTile(b *testing.B) {
 	_, p := ffnPacked(b)
 	const run = 256
@@ -122,4 +123,59 @@ func BenchmarkDecodeRangeTile(b *testing.B) {
 			}
 		}
 	})
+}
+
+// packedMat is a k x cols matrix of bench-ooc's weight scale, 4-bit in
+// groups of 64, as the store chain carries it.
+func packedMat(b *testing.B, k, cols int) Packed {
+	b.Helper()
+	x := make([]float32, k*cols)
+	for i := range x {
+		x[i] = float32(i%509)/509 - 0.5
+	}
+	t, err := Quantize(x, Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := t.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, ok, err := ViewPacked(blob)
+	if !ok || err != nil {
+		b.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	}
+	return p
+}
+
+// The one-row GEMV at the three bench-ooc shapes as one worker runs it,
+// in ns per weight: every k-quad across the whole row through AxpyRows
+// (nibbles decoded in registers where they are multiplied), beside the
+// Go twin — the decode-then-accumulate composition, which off amd64 is
+// the body.
+func BenchmarkAxpyRows(b *testing.B) {
+	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
+		p := packedMat(b, shape.k, shape.c)
+		half := len(p.meta) / 2
+		o := make([]float32, shape.c)
+		for _, leaf := range []struct {
+			name string
+			run  func(o []float32, lo int)
+		}{
+			{"registers", func(o []float32, lo int) { p.AxpyRows(o, 0.5, -0.25, 0.125, 1, lo, shape.c) }},
+			{"twin", func(o []float32, lo int) {
+				g := lo / p.gs
+				axpyRowsRef(o, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, shape.c/2, 2*shape.c/p.gs, 0.5, -0.25, 0.125, 1)
+			}},
+		} {
+			b.Run(fmt.Sprintf("%dx%d/%s", shape.k, shape.c, leaf.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < shape.k; k += 4 {
+						leaf.run(o, k*shape.c)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.Len()), "ns/weight")
+			})
+		}
+	}
 }

@@ -46,3 +46,25 @@ func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
 
 //go:noescape
 func decodeGroupsSSE(out *float32, packed, mins, scales *byte, groups, blocks int)
+
+// axpyRows adds four rows of len(o)/gs whole groups, scaled by a0..a3,
+// to o: row i's nibbles start at nib[i*nibStride], its fp16 minimums and
+// scales at mins[i*metaStride] and scales[i*metaStride]. Groups made of
+// whole 16-element blocks — every group at the usual sizes — go through
+// axpyRowsSSE in one call, metadata conversion included; any other size
+// takes the reference body.
+func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
+	groups := len(o) / gs
+	if groups == 0 {
+		return
+	}
+	if gs%16 != 0 {
+		axpyRowsRef(o, nib, mins, scales, gs, nibStride, metaStride, a0, a1, a2, a3)
+		return
+	}
+	_, _, _ = nib[3*nibStride+groups*gs/2-1], mins[3*metaStride+2*groups-1], scales[3*metaStride+2*groups-1]
+	axpyRowsSSE(&o[0], &nib[0], &mins[0], &scales[0], nibStride, metaStride, groups, gs/16, a0, a1, a2, a3)
+}
+
+//go:noescape
+func axpyRowsSSE(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)

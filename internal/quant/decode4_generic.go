@@ -15,3 +15,9 @@ func decode4(out []float32, packed []byte, gmin, scale float32) int {
 func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
 	decodeGroupsRef(dst, nib, mins, scales, gs)
 }
+
+// axpyRows adds four rows of whole groups, scaled, to o; off amd64 it is
+// the reference body (see decode4_amd64.go).
+func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
+	axpyRowsRef(o, nib, mins, scales, gs, nibStride, metaStride, a0, a1, a2, a3)
+}

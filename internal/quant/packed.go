@@ -10,8 +10,10 @@ import (
 // aliases the payload it was built from and owns nothing, so moving one
 // through a store chain moves 4.5 bits per element instead of the 32 a
 // dequantized copy costs. Consumers decode the groups they need, when
-// they need them, with DecodeRange. The view is valid for as long as the
-// payload is (for an mmap-backed checkpoint: while the index is open).
+// they need them, with DecodeRange — or, for a one-row GEMV, multiply
+// them straight out of the nibbles with AxpyRows. The view is valid for
+// as long as the payload is (for an mmap-backed checkpoint: while the
+// index is open).
 type Packed struct {
 	gs int // group size, even
 	// shift is log2(gs) when gs is a power of two — every shipped size —
@@ -163,6 +165,65 @@ func (p Packed) DecodeRange(dst []float32, lo int) {
 		nib = nib[whole/2:]
 		if i := decode4(dst, nib, gmin, scale); i < len(dst) {
 			dst[i] = gmin + float32(float32(nib[i/2]&15)*scale)
+		}
+	}
+}
+
+// AxpyRows adds four weight rows, scaled, to o without decoding them into
+// memory: for every j it adds a0·w[lo+j], then a1·w[lo+stride+j],
+// a2·w[lo+2·stride+j] and a3·w[lo+3·stride+j] to o[j], where w is the
+// decoded tensor — one k-quad of a k x stride GEMV for one activation
+// row, over the columns from lo%stride. Each weight is DecodeRange's
+// value, gmin + float32(float32(q)*scale), and each product is rounded
+// and added in that order as tensor.Axpy4 adds it, so o ends with the
+// bits DecodeRange-then-Axpy4 stores; but at batch one every decoded
+// value is used once, and here it goes from its nibble to the sum in
+// registers. lo, stride and len(o) must be whole groups, and the four
+// rows must lie inside the tensor.
+func (p Packed) AxpyRows(o []float32, a0, a1, a2, a3 float32, lo, stride int) {
+	g, lok := p.groupsIn(lo)
+	sg, sok := p.groupsIn(stride)
+	if _, ook := p.groupsIn(len(o)); !lok || !sok || !ook || lo < 0 || stride < 0 {
+		panic(fmt.Sprintf("quant: AxpyRows over %d elements at %d, stride %d, is not whole groups of %d", len(o), lo, stride, p.gs))
+	}
+	half := len(p.meta) / 2
+	axpyRows(o, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, stride/2, 2*sg, a0, a1, a2, a3)
+}
+
+// groupsIn is n/gs, and whether n is a whole number of groups.
+func (p Packed) groupsIn(n int) (int, bool) {
+	if p.shift != 0 {
+		return n >> p.shift, n&(p.gs-1) == 0
+	}
+	return n / p.gs, n%p.gs == 0
+}
+
+// axpyRowsRef is the reference body of axpyRows: the whole implementation
+// off amd64 and for group sizes that are not whole blocks, and what the
+// differential tests hold the assembly to. It is the composition the
+// one-row GEMV ran before decoding in registers: sixteen elements of each
+// row's group decoded (decode4), then the four terms added to each output
+// element in a0..a3 order, every product converted to float32 so that no
+// compiler may fuse it into the add.
+func axpyRowsRef(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
+	var w [4][16]float32
+	for g := 0; g < len(o)/gs; g++ {
+		var gmin, scale [4]float32
+		for r := range w {
+			gmin[r], scale[r] = halfAt(mins[r*metaStride:], g), halfAt(scales[r*metaStride:], g)
+		}
+		for j := g * gs; j < (g+1)*gs; j += 16 {
+			n := min(16, (g+1)*gs-j)
+			for r := range w {
+				decode4(w[r][:n], nib[r*nibStride+j/2:], gmin[r], scale[r])
+			}
+			for i, t := range o[j : j+n] {
+				t += float32(a0 * w[0][i])
+				t += float32(a1 * w[1][i])
+				t += float32(a2 * w[2][i])
+				t += float32(a3 * w[3][i])
+				o[j+i] = t
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"helmsim/internal/fault"
 	"helmsim/internal/infer"
+	"helmsim/internal/quant"
 )
 
 // brownoutStore is a blackout switch over a backing store: while the
@@ -28,6 +29,20 @@ func (b *brownoutStore) Tensor(layer int, name string) ([]float32, error) {
 		return nil, fmt.Errorf("brownout L%d/%s: %w", layer, name, fault.ErrTransient)
 	}
 	return b.backing.Tensor(layer, name)
+}
+
+// TensorPacked keeps the served chain on the packed path; a blackout
+// fails a packed fetch like any other read.
+func (b *brownoutStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	ps, ok := b.backing.(infer.PackedStore)
+	if !ok {
+		return quant.Packed{}, false, nil
+	}
+	p, ok, err := ps.TensorPacked(layer, name)
+	if ok && b.down.Load() {
+		return quant.Packed{}, false, fmt.Errorf("brownout L%d/%s: %w", layer, name, fault.ErrTransient)
+	}
+	return p, ok, err
 }
 
 // TestChaosLifecycle is the PR's acceptance test: one daemon driven

@@ -37,9 +37,10 @@ const (
 	// are what keep the worker awake between the large ones. Raised to
 	// 1<<18 (the 147k GEMVs serial), BenchmarkDecodeStepSplit at two
 	// workers went from 2.5–2.7 ms a step to 3.0–4.6; so it stays. The
-	// fused kernels share the gate and are decode-bound, ~1.8 multiply-adds
-	// per ns at one row: for them 1<<16 is ~37 µs (1x384x384 fused: 83 µs
-	// against 51, 1x384x1536: 249 against 136, 1x1536x384: 269 against 157).
+	// fused kernels share the gate. Each of their multiply-adds also
+	// decodes its weight, so at the gate they carry more time than the
+	// dense kernel and every bench-ooc fused GEMV splits with a clear win
+	// (EXPERIMENTS.md, "decode in registers", has the table).
 	// bench-tiny's widest decode kernel (64x512 logits, 32k) stays under it.
 	minParallelFlops = 1 << 16
 	// minColTile is the narrowest output-column tile a chunk takes: four

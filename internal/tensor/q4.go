@@ -34,7 +34,9 @@ func Q4Fusable(w quant.Packed, rowLen int) bool { return q4Run(w, rowLen) > 0 }
 // W (k x cols) without materializing W: each group-aligned column tile
 // of four k-rows is decoded once into stack scratch and accumulated into
 // every row of a from there, so one decode is shared by the whole
-// stacked batch. An output element still adds its terms one at a time in
+// stacked batch; a single row, where a decoded weight would be used
+// once, is decoded in registers instead (quant.Packed.AxpyRows). An
+// output element still adds its terms one at a time in
 // ascending k through the accumulate MatMulInto uses, from weights the
 // dequantizer's own table expression produced, so out is bit-identical
 // to dequantize-then-MatMulInto. The column split over the worker pool
@@ -63,8 +65,13 @@ func MatMulQ4Into(a Mat, w quant.Packed, cols int, out Mat) error {
 
 // matMulQ4Tile accumulates output columns [clo, chi), run columns at a
 // time: decode four k-rows of the run, then matMulTile's four-k pass over
-// every row of a, two rows at a time like matMulTile's.
+// every row of a, two rows at a time like matMulTile's. One row of a
+// takes gemvQ4Tile instead.
 func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
+	if a.R == 1 {
+		gemvQ4Tile(a.Data, w, cols, run, out.Data, clo, chi)
+		return
+	}
 	var scratch [4 * q4Tile]float32
 	for c0 := clo; c0 < chi; c0 += run {
 		c1 := min(c0+run, chi)
@@ -90,6 +97,31 @@ func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 			for i := 0; i < a.R; i++ {
 				axpy(out.Row(i)[c0:c1], a.Row(i)[k], b0)
 			}
+		}
+	}
+}
+
+// gemvQ4Tile is matMulQ4Tile for one activation row x, where every
+// decoded weight is used exactly once: each k-quad is decoded in
+// registers where it is multiplied (quant.Packed.AxpyRows), one call
+// across all of [clo, chi), instead of into scratch and read back; only
+// the K mod 4 tail rows take the scratch. An output element still adds
+// its terms in ascending k with Axpy4's roundings, so the bits are the
+// scratch path's.
+func gemvQ4Tile(x []float32, w quant.Packed, cols, run int, o []float32, clo, chi int) {
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		w.AxpyRows(o[clo:chi], x[k], x[k+1], x[k+2], x[k+3], k*cols+clo, cols)
+	}
+	if k == len(x) {
+		return
+	}
+	var b [q4Tile]float32
+	for c0 := clo; c0 < chi; c0 += run {
+		c1 := min(c0+run, chi)
+		for k := k; k < len(x); k++ {
+			w.DecodeRange(b[:c1-c0], k*cols+c0)
+			axpy(o[c0:c1], x[k], b[:c1-c0])
 		}
 	}
 }
