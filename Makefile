@@ -57,17 +57,18 @@ bench-smoke:
 # at those worker counts and from concurrent callers, the step's
 # validate-first atomicity, the assembly leaf kernels against their
 # Go reference bodies (every length and start offset, operands ending at
-# a guard page, fuzz seeds), the in-register one-row GEMV leaf against
-# its decode-then-accumulate twin and a per-element oracle (every nibble
-# in every lane, every finite half, a guard page, fuzz seeds), the
-# pinned token digests, GELU's integer float32 widening against the
-# conversion and GELU against its one-expression oracle, and RoPE's
-# per-position angles against the per-head loop — all bit-for-bit,
-# under the race detector.
+# a guard page, fuzz seeds; both two-row bodies, SSE2 and AVX, by name),
+# the AVX probe against /proc/cpuinfo, the in-register one-row GEMV leaf
+# against its decode-then-accumulate twin and a per-element oracle (every
+# nibble in every lane, every finite half, a guard page, fuzz seeds), the
+# pinned token digests (with the AVX body on and off), GELU's integer
+# float32 widening against the conversion and GELU against its
+# one-expression oracle, and RoPE's per-position angles against the
+# per-head loop — all bit-for-bit, under the race detector.
 # Run twice: at the host's GOMAXPROCS, and at 3 (an odd split, and on a
 # two-core box more pool workers than cores; -count=1 because the test
 # cache does not see GOMAXPROCS and would replay the first run).
-KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Axpy4|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Axpy4|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
 	$(KERNEL_ORACLES)
 	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1

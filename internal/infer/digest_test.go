@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"helmsim/internal/model"
 	"helmsim/internal/tensor"
@@ -22,6 +23,13 @@ var pinnedDigests = map[string]string{
 	"bench-ooc/f32":  "9b3d4f8f63202a715bf680f22d4d70d46081af22620ec3414979b60f9633c856",
 	"bench-ooc/q4":   "e22dcc4011e9b8f2bb229f3da4f5deeaf67b6b1625d591ef9518fe16aa160869",
 }
+
+// wideAccumulate is tensor's switch for the tall GEMM's wide two-row body
+// (AVX where the CPU probe found it; always false off amd64). The test
+// turns it off to run the same cases on the SSE2 body alone.
+//
+//go:linkname wideAccumulate helmsim/internal/tensor.wideAccumulate
+var wideAccumulate bool
 
 // digestTokens generates the pinned cases' tokens: a 48-token prompt,
 // then 24 greedy tokens.
@@ -44,9 +52,13 @@ func digestTokens(t *testing.T, cfg model.Config, w WeightStore) []int {
 
 // Greedy tokens from the RandomWeights(cfg, 5, 0.08) weights carry the
 // committed digests: in f32, and over the 4-bit checkpoint at one worker
-// (every projection serial) and at two (the group-aligned column split).
+// (every projection serial) and at two (the group-aligned column split)
+// — each case with the prefill's wide accumulate as the host probed it,
+// and again with it forced off.
 func TestPinnedTokenDigests(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
+	probed := wideAccumulate
+	defer func() { wideAccumulate = probed }()
 	for _, cfg := range []model.Config{benchTiny(), benchOOC()} {
 		raw, err := RandomWeights(cfg, 5, 0.08)
 		if err != nil {
@@ -66,11 +78,14 @@ func TestPinnedTokenDigests(t *testing.T) {
 			{"q4", fs, 1},
 			{"q4", fs, 2},
 		} {
-			tensor.SetParallelism(c.workers)
-			sum := sha256.Sum256([]byte(fmt.Sprint(digestTokens(t, cfg, c.store))))
-			got, want := hex.EncodeToString(sum[:]), pinnedDigests[cfg.Name+"/"+c.name]
-			if got != want {
-				t.Errorf("%s/%s at %d workers: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, got, want)
+			for _, wide := range []bool{probed, false} {
+				wideAccumulate = wide
+				tensor.SetParallelism(c.workers)
+				sum := sha256.Sum256([]byte(fmt.Sprint(digestTokens(t, cfg, c.store))))
+				got, want := hex.EncodeToString(sum[:]), pinnedDigests[cfg.Name+"/"+c.name]
+				if got != want {
+					t.Errorf("%s/%s at %d workers, wide accumulate %v: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, wide, got, want)
+				}
 			}
 		}
 	}

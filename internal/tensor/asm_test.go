@@ -116,31 +116,77 @@ func TestAxpy4MatchesRef(t *testing.T) {
 	}
 }
 
+// pairBody is one body of the two-row accumulate, run through its Go
+// wrapper.
+type pairBody struct {
+	name string
+	run  func(o0, o1, a0, a1, b0, b1, b2, b3 []float32)
+	// skip, when set, is why this host cannot run the body.
+	skip string
+}
+
+// pairBodies are the two two-row bodies, each named: axpy4x2 (SSE2 on
+// amd64, the Go twin elsewhere) and axpy4x2Wide with its wide body on
+// (AVX in whole sixteens of columns, SSE2 for the rest). Where the probe
+// found no AVX, or off amd64, the wide case says so instead of running.
+func pairBodies() []pairBody {
+	wide := pairBody{name: "avx", run: axpy4x2Wide}
+	if !wideAccumulate {
+		wide.skip = "no AVX here (CPUID.1:ECX OSXSAVE/AVX or XCR0 YMM state missing, or GOARCH is not amd64): axpy4x2Wide would run the SSE2 body"
+	}
+	return []pairBody{{name: "sse2", run: axpy4x2}, wide}
+}
+
+// Both bodies against the reference; the wide body also against the SSE2
+// body bit for bit, NaN payloads included, because its operands sit where
+// the SSE2 body's do.
 func TestAxpy4x2MatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for _, n := range kernelLengths() {
-		for off := 0; off < 4; off++ {
-			for mode := 0; mode < 3; mode++ {
-				o0, o1 := randOperand(rng, n, off, mode), randOperand(rng, n, (off+2)%4, mode)
-				var b [4]operand
-				for k := range b {
-					b[k] = randOperand(rng, n, (off+k+1)%4, mode)
-				}
-				var a0, a1 [4]float32
-				fillKernel(rng, a0[:], mode)
-				fillKernel(rng, a1[:], mode)
-				want0, want1, bWant := o0.clone(), o1.clone(), b
-				for k := range b {
-					bWant[k] = b[k].clone()
-				}
-				axpy4x2Ref(want0.s, want1.s, a0[:], a1[:], bWant[0].s, bWant[1].s, bWant[2].s, bWant[3].s)
-				axpy4x2(o0.s, o1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
-				assertSameBacking(t, "o0", want0, o0)
-				assertSameBacking(t, "o1", want1, o1)
-				for k := range b {
-					assertSameBacking(t, "b", bWant[k], b[k])
+	for _, body := range pairBodies() {
+		t.Run(body.name, func(t *testing.T) {
+			if body.skip != "" {
+				t.Skip(body.skip)
+			}
+			rng := rand.New(rand.NewSource(62))
+			for _, n := range kernelLengths() {
+				for off := 0; off < 4; off++ {
+					for mode := 0; mode < 3; mode++ {
+						o0, o1 := randOperand(rng, n, off, mode), randOperand(rng, n, (off+2)%4, mode)
+						var b [4]operand
+						for k := range b {
+							b[k] = randOperand(rng, n, (off+k+1)%4, mode)
+						}
+						var a0, a1 [4]float32
+						fillKernel(rng, a0[:], mode)
+						fillKernel(rng, a1[:], mode)
+						want0, want1, bWant := o0.clone(), o1.clone(), b
+						for k := range b {
+							bWant[k] = b[k].clone()
+						}
+						sse0, sse1 := o0.clone(), o1.clone()
+						axpy4x2Ref(want0.s, want1.s, a0[:], a1[:], bWant[0].s, bWant[1].s, bWant[2].s, bWant[3].s)
+						axpy4x2(sse0.s, sse1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
+						body.run(o0.s, o1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
+						assertSameBacking(t, "o0", want0, o0)
+						assertSameBacking(t, "o1", want1, o1)
+						assertSamePayload(t, "o0 against axpy4x2", sse0, o0)
+						assertSamePayload(t, "o1 against axpy4x2", sse1, o1)
+						for k := range b {
+							assertSameBacking(t, "b", bWant[k], b[k])
+						}
+					}
 				}
 			}
+		})
+	}
+}
+
+// assertSamePayload is assertSameBacking without the NaN leniency: every
+// bit of every element, payload and quiet bit included.
+func assertSamePayload(t *testing.T, name string, want, got operand) {
+	t.Helper()
+	for i := range want.backing {
+		if w, g := math.Float32bits(want.backing[i]), math.Float32bits(got.backing[i]); w != g {
+			t.Fatalf("%s: backing[%d] = %#08x, want %#08x", name, i, g, w)
 		}
 	}
 }
@@ -181,8 +227,15 @@ func floatsFromBytes(data []byte, at *int, dst []float32) {
 }
 
 // FuzzAxpy4 is the differential target: arbitrary bit patterns, length
-// and start offset through both accumulate kernels and their references.
+// and start offset through Axpy4 and both two-row bodies against their
+// references, and the two-row bodies against each other to the NaN
+// payload.
 func FuzzAxpy4(f *testing.F) {
+	for _, body := range pairBodies() {
+		if body.skip != "" {
+			f.Logf("%s body not fuzzed: %s", body.name, body.skip)
+		}
+	}
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64}, uint8(9), uint8(1))
 	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 1, 0, 0, 0, 0, 0, 0, 128}, uint8(23), uint8(3))
 	f.Add([]byte{255, 255, 127, 127, 255, 255, 127, 255, 0, 0, 128, 0}, uint8(70), uint8(2))
@@ -205,10 +258,19 @@ func FuzzAxpy4(f *testing.F) {
 		Axpy4(got.s, a0[0], a0[1], a0[2], a0[3], b[0].s, b[1].s, b[2].s, b[3].s)
 		assertSameBacking(t, "axpy4", want, got)
 
-		want1 := o1.clone()
+		want1, sse0, sse1 := o1.clone(), o0.clone(), o1.clone()
 		axpy4x2Ref(o0.clone().s, want1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
-		axpy4x2(o0.s, o1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
-		assertSameBacking(t, "axpy4x2 row 0", want, o0)
-		assertSameBacking(t, "axpy4x2 row 1", want1, o1)
+		axpy4x2(sse0.s, sse1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
+		for _, body := range pairBodies() {
+			if body.skip != "" {
+				continue
+			}
+			got0, got1 := o0.clone(), o1.clone()
+			body.run(got0.s, got1.s, a0[:], a1[:], b[0].s, b[1].s, b[2].s, b[3].s)
+			assertSameBacking(t, body.name+" row 0", want, got0)
+			assertSameBacking(t, body.name+" row 1", want1, got1)
+			assertSamePayload(t, body.name+" row 0 against axpy4x2", sse0, got0)
+			assertSamePayload(t, body.name+" row 1 against axpy4x2", sse1, got1)
+		}
 	})
 }

@@ -153,6 +153,37 @@ func BenchmarkBenchOOCShapes(b *testing.B) {
 	}
 }
 
+// The three 128-token prefill GEMMs of bench-ooc at one worker, the tall
+// GEMM's two-row pass on each body: SSE2 alone, and AVX where the host
+// has it. Reported in G multiply-adds/s.
+func BenchmarkPrefillBodies(b *testing.B) {
+	prev := SetParallelism(1)
+	defer SetParallelism(prev)
+	probed := wideAccumulate
+	defer func() { wideAccumulate = probed }()
+	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
+		a, w := randMat(128, shape.k, 18), randMat(shape.k, shape.c, 19)
+		out := New(a.R, w.C)
+		for _, body := range []struct {
+			name string
+			wide bool
+		}{{"sse2", false}, {"avx", true}} {
+			b.Run(fmt.Sprintf("128x%dx%d/%s", shape.k, shape.c, body.name), func(b *testing.B) {
+				if body.wide && !probed {
+					b.Skip("no AVX on this host")
+				}
+				wideAccumulate = body.wide
+				for i := 0; i < b.N; i++ {
+					if err := MatMulInto(a, w, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(a.R*a.C*w.C)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+			})
+		}
+	}
+}
+
 // The decode GEMVs of bench-ooc (Q/K/V/out 384x384, FFN up 384x1536, FFN
 // down 1536x384) on one goroutine against the column split over the pool
 // — dense, and fused over the packed weights. EXPERIMENTS.md records why

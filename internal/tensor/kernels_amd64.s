@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// The accumulate kernels of kernels_amd64.go in baseline SSE2: four
-// output columns per vector, one lane per column. A lane does what the
+// The accumulate kernels of kernels_amd64.go in baseline SSE2 (and one
+// two-row body in AVX, below): four output columns per vector, one lane
+// per column. A lane does what the
 // scalar reference does to its column — MULPS rounds each product as
 // MULSS would, ADDPS adds it to the running sum as ADDSS would, the four
 // terms in a0, a1, a2, a3 order — so no bit can differ. Nothing is
@@ -273,4 +274,111 @@ pair1:
 	JMP    pair1
 
 pairdone:
+	RET
+
+// func axpy4x2AVX(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *float32)
+//
+// axpy4x2SSE at 256 bits, for n a positive multiple of 16 (the wrapper
+// hands the rest to axpy4x2SSE): sixteen columns of both rows per pass,
+// eight lanes per vector. VEX-encoded VMULPS/VADDPS round a lane as
+// MULPS/ADDPS do, and every operand sits where axpy4x2SSE puts it — b is
+// the first source of every VMULPS, the running sum the first source of
+// every VADDPS — so even a NaN payload comes from the same operand. No
+// VFMADD, nothing summed across lanes. AVX only (VBROADCASTSS from
+// memory, no AVX2), and VZEROUPPER before returning to SSE code.
+TEXT ·axpy4x2AVX(SB), NOSPLIT, $0-72
+	MOVQ         o0+0(FP), DI
+	MOVQ         o1+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         a0+24(FP), AX
+	MOVQ         a1+32(FP), BX
+	MOVQ         b0+40(FP), R8
+	MOVQ         b1+48(FP), R9
+	MOVQ         b2+56(FP), R10
+	MOVQ         b3+64(FP), R11
+	TESTQ        CX, CX
+	JEQ          widedone
+	VBROADCASTSS 0(AX), Y0
+	VBROADCASTSS 4(AX), Y1
+	VBROADCASTSS 8(AX), Y2
+	VBROADCASTSS 12(AX), Y3
+	VBROADCASTSS 0(BX), Y4
+	VBROADCASTSS 4(BX), Y5
+	VBROADCASTSS 8(BX), Y6
+	VBROADCASTSS 12(BX), Y7
+	XORQ         AX, AX
+
+wide16:
+	VMOVUPS (DI)(AX*1), Y8
+	VMOVUPS 32(DI)(AX*1), Y9
+	VMOVUPS (SI)(AX*1), Y10
+	VMOVUPS 32(SI)(AX*1), Y11
+	VMOVUPS (R8)(AX*1), Y12
+	VMOVUPS 32(R8)(AX*1), Y13
+	VMULPS  Y0, Y12, Y14
+	VMULPS  Y0, Y13, Y15
+	VMULPS  Y4, Y12, Y12
+	VMULPS  Y4, Y13, Y13
+	VADDPS  Y14, Y8, Y8
+	VADDPS  Y15, Y9, Y9
+	VADDPS  Y12, Y10, Y10
+	VADDPS  Y13, Y11, Y11
+	VMOVUPS (R9)(AX*1), Y12
+	VMOVUPS 32(R9)(AX*1), Y13
+	VMULPS  Y1, Y12, Y14
+	VMULPS  Y1, Y13, Y15
+	VMULPS  Y5, Y12, Y12
+	VMULPS  Y5, Y13, Y13
+	VADDPS  Y14, Y8, Y8
+	VADDPS  Y15, Y9, Y9
+	VADDPS  Y12, Y10, Y10
+	VADDPS  Y13, Y11, Y11
+	VMOVUPS (R10)(AX*1), Y12
+	VMOVUPS 32(R10)(AX*1), Y13
+	VMULPS  Y2, Y12, Y14
+	VMULPS  Y2, Y13, Y15
+	VMULPS  Y6, Y12, Y12
+	VMULPS  Y6, Y13, Y13
+	VADDPS  Y14, Y8, Y8
+	VADDPS  Y15, Y9, Y9
+	VADDPS  Y12, Y10, Y10
+	VADDPS  Y13, Y11, Y11
+	VMOVUPS (R11)(AX*1), Y12
+	VMOVUPS 32(R11)(AX*1), Y13
+	VMULPS  Y3, Y12, Y14
+	VMULPS  Y3, Y13, Y15
+	VMULPS  Y7, Y12, Y12
+	VMULPS  Y7, Y13, Y13
+	VADDPS  Y14, Y8, Y8
+	VADDPS  Y15, Y9, Y9
+	VADDPS  Y12, Y10, Y10
+	VADDPS  Y13, Y11, Y11
+	VMOVUPS Y8, (DI)(AX*1)
+	VMOVUPS Y9, 32(DI)(AX*1)
+	VMOVUPS Y10, (SI)(AX*1)
+	VMOVUPS Y11, 32(SI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $16, CX
+	JNE     wide16
+	VZEROUPPER
+
+widedone:
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

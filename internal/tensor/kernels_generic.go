@@ -14,3 +14,12 @@ func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 	axpy4x2Ref(o0, o1, a0, a1, b0, b1, b2, b3)
 }
+
+// wideAccumulate is always false off amd64: there is no wide body.
+var wideAccumulate bool
+
+// axpy4x2Wide is axpy4x2 for the tall GEMM; off amd64 it is the
+// reference loop too.
+func axpy4x2Wide(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
+	axpy4x2Ref(o0, o1, a0, a1, b0, b1, b2, b3)
+}

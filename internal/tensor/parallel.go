@@ -8,50 +8,46 @@ import (
 )
 
 // Parallelism thresholds: kernels below these sizes run on the calling
-// goroutine. They are derived from what a fork costs, measured by
-// parallel.BenchmarkForkJoin on the 2-vCPU reference guest (re-taken with
-// the SSE2 kernels; the pool did not change and neither did its numbers:
-// an empty hot fork 0.87 µs, 15 µs of work 8.5 µs forked): ~0.6 µs of the
-// caller's time when the pool's worker is hot (forks arriving back to
-// back, as inside a decode step), a few µs and a worker that arrives tens
-// of µs late when it has to be woken (the first fork after a pause) — and
-// one more cost that is not the caller's: a step that forks at all keeps
-// a second processor polling between its forks, which on a busy host is
-// taken from another goroutine (at an ~8 µs threshold bench-tiny's decode
-// forked only its logits and long-context attention, and the two-replica
-// fleet workload's median reply time rose 5–10 %). So a model whose
-// decode kernels are all small never wakes the pool outside prefill.
+// goroutine. They weigh what a fork costs (parallel.BenchmarkForkJoin):
+// well under a microsecond of the caller's time when the pool's worker is
+// hot (forks arriving back to back, as inside a decode step), several
+// microseconds and a worker that arrives late when it has to be woken (the
+// first fork after a pause) — and one more cost that is not the caller's:
+// a step that forks at all keeps a second processor polling between its
+// forks, which on a busy host is taken from another goroutine (a lower
+// gate that let bench-tiny's decode fork its logits and long-context
+// attention slowed the two-replica fleet workload's replies). So a model
+// whose decode kernels are all small never wakes the pool outside prefill.
 //
-// Every constant here was measured against the scalar kernels and
-// re-measured against the vectorised ones; each kept its value, for the
-// reason beside it.
+// Every constant here has been re-measured as the kernels under it
+// changed, and each kept its value for the reason beside it. The
+// measurements live in EXPERIMENTS.md ("fork thresholds"), not here,
+// because the next kernel change makes them stale.
 const (
-	// minParallelFlops gates the matmuls (R*K*C multiply-adds). The dense
-	// kernel now runs ~11 multiply-adds per ns from cache (it was ~4), so
-	// 1<<16 is ~6 µs of cached work, not 16 — and from cache the smallest
-	// decode GEMV of bench-ooc (1x384x384, 147k) is a tie, 13 µs serial
-	// against 13 split over two hot workers (1x384x1536: 64 against 37;
-	// 1x1536x384: 95 against 52; BenchmarkGemvSplit, -benchtime 2s). But a
-	// decode step does not run from cache: it streams 42 MB of weights,
-	// which one core pulls at ~12 GB/s and two at ~17, and the small forks
-	// are what keep the worker awake between the large ones. Raised to
-	// 1<<18 (the 147k GEMVs serial), BenchmarkDecodeStepSplit at two
-	// workers went from 2.5–2.7 ms a step to 3.0–4.6; so it stays. The
-	// fused kernels share the gate. Each of their multiply-adds also
-	// decodes its weight, so at the gate they carry more time than the
-	// dense kernel and every bench-ooc fused GEMV splits with a clear win
-	// (EXPERIMENTS.md, "decode in registers", has the table).
-	// bench-tiny's widest decode kernel (64x512 logits, 32k) stays under it.
+	// minParallelFlops gates the matmuls (R*K*C multiply-adds). From cache
+	// the smallest decode GEMV of bench-ooc (1x384x384, 147k) is about a tie
+	// split over two hot workers, and the wider ones win clearly. But a
+	// decode step does not run from cache: it streams its weights, which two
+	// cores pull only a little faster than one, and the small forks are what
+	// keep the worker awake between the large ones — with the gate raised so
+	// that the 147k GEMVs ran serially, BenchmarkDecodeStepSplit's
+	// two-worker step got slower. So it stays. The fused kernels share the
+	// gate. Each of their multiply-adds also decodes its weight, so at the
+	// gate they carry more time than the dense kernel and every bench-ooc
+	// fused GEMV splits with a clear win (EXPERIMENTS.md, "decode in
+	// registers", has the table). bench-tiny's widest decode kernel (64x512
+	// logits, 32k) stays under it. Prefill's tall GEMMs are far above it
+	// on either accumulate body.
 	minParallelFlops = 1 << 16
 	// minColTile is the narrowest output-column tile a chunk takes: four
 	// cache lines of each weight row — sixteen vectors — so column splits
 	// keep streaming. At two workers shareGrain cuts every shipped shape
 	// wider than this (192 columns and up).
 	minColTile = 64
-	// minParallelElems gates the per-row kernels (norms, softmax), which
-	// cost 2–3 ns per element: 1<<13 is ~20 µs. A decode step's norms
-	// (one row of 384) stay serial; a 128-row prefill's split. (Scalar
-	// float64 loops, untouched by the vector kernels.)
+	// minParallelElems gates the per-row kernels (norms, softmax), scalar
+	// float64 loops whose per-element cost puts 1<<13 elements well past
+	// a fork's. A decode step's norms (one row of 384) stay serial; a
+	// 128-row prefill's split.
 	minParallelElems = 1 << 13
 	// rowGrain batches rows for the per-row kernels.
 	rowGrain = 4
@@ -173,11 +169,11 @@ func (f *forkCall) chunk(lo, hi int) {
 // shareGrain is the grain that makes the pool cut n column-like items
 // into one equal share per worker instead of its usual two chunks each.
 // A column tile re-reads every weight row, a narrow strip of it at a
-// time, so halving a tile costs streaming efficiency (1x1536x384 dense on
-// two workers: 134 µs cut 192+192, 157 µs cut 4x96, 169 µs serial), and
-// quantization groups are too coarse for small chunks to even out (6
-// groups cut 2+2+2 leave one of two workers idle for a third of the
-// kernel; 3+3 does not).
+// time, so halving a tile costs streaming efficiency (on the 1x1536x384
+// dense GEMV at two workers, quarter shares give back most of what the
+// split won; EXPERIMENTS.md, "fork thresholds"), and quantization groups
+// are too coarse for small chunks to even out (6 groups cut 2+2+2 leave
+// one of two workers idle for a third of the kernel; 3+3 does not).
 func shareGrain(n, floor int) int {
 	w := parallel.N()
 	return max(floor, (n+w-1)/w)

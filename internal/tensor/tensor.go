@@ -20,14 +20,18 @@
 // which chunk (DESIGN §3c).
 //
 // One leaf is assembly: on amd64 the accumulate (Axpy4, axpy4x2) runs in
-// baseline SSE2, four output columns per vector (kernels_amd64.s). A lane
-// is one output element keeping its own chain, each product and each sum
-// rounded as the scalar instructions round them, so the bits are those of
-// the Go loop — which stays in the package as axpy4Ref: the whole
-// implementation on every other GOARCH, and the reference the differential,
-// guard-page and fuzz tests in asm_test.go hold the assembly to. That is
-// the rule for assembly here: only for a leaf loop with an untagged Go
-// twin and a differential test, one path per platform, no CPU probe.
+// baseline SSE2, four output columns per vector (kernels_amd64.s), and
+// the tall GEMM's two-row pass (axpy4x2Wide) in AVX, eight columns per
+// vector, where CPUID says the host has it. A lane is one output element
+// keeping its own chain, each product and each sum rounded as the scalar
+// instructions round them, so the bits are those of the Go loop — which
+// stays in the package as axpy4Ref: the whole implementation on every
+// other GOARCH, and the reference the differential, guard-page and fuzz
+// tests in asm_test.go hold every body to. That is the rule for assembly here:
+// only for a leaf loop with an untagged Go twin and a differential test;
+// one body per CPU level, chosen once from CPUID and taken only where a
+// workload shows the win; SSE2 the tail handler and the only body on a
+// host without AVX.
 //
 // The engine exists to execute the paper's computation faithfully at
 // laptop scale, while the performance questions are answered by the
@@ -124,6 +128,18 @@ func MatMulInto(a, b, out Mat) error {
 	return nil
 }
 
+// tallGEMMRows is the most rows a dense GEMM may have and still run its
+// two-row pass in SSE2; a taller one takes axpy4x2Wide. It is the
+// engine's fusedMaxRows (internal/infer): the GEMMs above it are prefill
+// and the steps that mix a prefill in, which reach MatMulInto through the
+// slab and run long unbroken streams of two-row passes. At or below it are
+// decode steps, whose GEMVs and small stacked GEMMs are short, sparse
+// bursts between attention, norms and fetches; there 256-bit code pays
+// the core's upper-lane warm-up again and again, and taking it there too
+// measured slower on the fleet workload's small model (EXPERIMENTS.md,
+// "prefill at the core's vector width").
+const tallGEMMRows = 8
+
 // matMulTile accumulates the output tile rows [rlo, rhi) x columns
 // [clo, chi) — a row tile when the batch is tall, a column tile when it
 // has fewer rows than workers. It consumes four k per pass with the
@@ -134,15 +150,22 @@ func MatMulInto(a, b, out Mat) error {
 // arithmetic). Each element still adds its terms one at a time in
 // ascending k, which is what keeps the result bit-identical to the
 // one-k-per-pass loop and independent of the tiling and of the pairing.
+// A GEMM taller than tallGEMMRows takes the two-row pass at the core's
+// vector width (axpy4x2Wide), which is the same chain per lane.
 func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
+	wide := a.R > tallGEMMRows
 	i := rlo
 	for ; i+2 <= rhi; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		o0, o1 := out.Row(i)[clo:chi], out.Row(i + 1)[clo:chi]
 		k := 0
 		for ; k+4 <= a.C; k += 4 {
-			axpy4x2(o0, o1, a0[k:k+4], a1[k:k+4],
-				b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
+			b0, b1, b2, b3 := b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:]
+			if wide {
+				axpy4x2Wide(o0, o1, a0[k:k+4], a1[k:k+4], b0, b1, b2, b3)
+			} else {
+				axpy4x2(o0, o1, a0[k:k+4], a1[k:k+4], b0, b1, b2, b3)
+			}
 		}
 		for ; k < a.C; k++ {
 			axpy(o0, a0[k], b.Row(k)[clo:])
