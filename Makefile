@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-full fmt-check vet helmvet vulncheck bench bench-smoke kernel-oracles daemon-smoke fleet-smoke overload-smoke
+.PHONY: all build test race lint lint-full fmt-check vet helmvet vulncheck mutants bench bench-smoke kernel-oracles daemon-smoke fleet-smoke overload-smoke
 
 all: build lint test
 
@@ -17,7 +17,7 @@ race:
 	$(GO) test -race ./...
 
 # lint = the offline blocking checks of the CI lint job: gofmt, go vet,
-# and the full eight-analyzer helmvet suite.
+# and the five-analyzer helmvet suite.
 lint: fmt-check vet helmvet
 
 # lint-full = everything the CI lint job enforces, including the
@@ -37,6 +37,13 @@ helmvet:
 # stdlib advisories; CI runs the same script. Needs network.
 vulncheck:
 	sh scripts/vulncheck.sh
+
+# The CI test job's mutant step: every committed mutant
+# (scripts/mutants/*.patch) is applied to a temporary copy of the tree,
+# never to the working tree, and each test or vet check its header
+# names must fail on it.
+mutants:
+	bash scripts/mutants/run.sh
 
 bench:
 	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/parallel/... ./internal/tensor/... ./internal/quant/... ./internal/infer/...

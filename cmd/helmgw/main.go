@@ -282,7 +282,6 @@ func buildFleet(o options, ckpt string, gw *atomic.Pointer[gateway.Gateway], std
 		}
 		// The replica anchors on Background like helmd's daemon: SIGTERM
 		// must drain it gracefully, not cancel it outright.
-		//lint:helmvet-ignore ctxflow replicas must outlive the signal ctx; force-cancel is reserved for the drain deadline
 		s, err := server.New(context.Background(), server.Config{
 			Model:           cfg,
 			OpenStore:       openStore,
@@ -328,7 +327,8 @@ func drainFleet(f *fleet, budget time.Duration, stderr io.Writer) {
 		wg.Add(1)
 		go func(name string, s *server.Server) {
 			defer wg.Done()
-			//lint:helmvet-ignore ctxflow drains run after the signal ctx has ended; the budget must be a fresh deadline
+			// Drains run after the signal ctx has ended, so the budget
+			// is a fresh deadline.
 			ctx, cancel := context.WithTimeout(context.Background(), budget)
 			defer cancel()
 			if err := s.Drain(ctx); err != nil {

@@ -1,23 +1,18 @@
 // Command helmvet runs the helmvet static-analysis suite — the
-// project's mechanical enforcement of its concurrency, error-handling,
-// determinism, and resource-lifecycle invariants (DESIGN.md §3e) —
+// project's mechanical enforcement of its error-handling, determinism,
+// mmap-lifetime and goroutine-lifecycle invariants (DESIGN.md §3e) —
 // over the named package patterns.
 //
 // Usage:
 //
-//	go run ./cmd/helmvet [-<analyzer>=false ...] [-json]
-//	                     [-strict-directives] [patterns]
+//	go run ./cmd/helmvet [-json] [patterns]
 //
-// Patterns default to ./... . Each of the eight analyzers (atomiccheck,
-// errcheckwrap, determinism, ctxflow, paircheck, mmapalias,
-// ledgerscope, goleak) has a boolean flag (default true) so a single
-// check can be switched off. -json emits the findings as a JSON array
-// of {file, line, col, analyzer, message, ignored} objects — including
-// directive-suppressed findings, marked ignored — for machine
-// consumers such as the CI annotation step. -strict-directives
-// additionally reports ignore directives that name an analyzer
-// disabled in this run: such a directive suppresses nothing and would
-// otherwise rot silently.
+// Patterns default to ./... . Every run is the whole five-analyzer
+// suite (errcheckwrap, determinism, ctxflow, mmapalias, goleak).
+// -json emits the findings as a JSON array of {file, line, col,
+// analyzer, message, ignored} objects — including directive-suppressed
+// findings, marked ignored — for machine consumers such as the CI
+// annotation step.
 //
 // Exit status is a contract CI relies on: 0 the analyzed packages are
 // clean (ignored findings do not count), 1 at least one active
@@ -26,6 +21,9 @@
 // Intentional exceptions are annotated in source:
 //
 //	//lint:helmvet-ignore <analyzer> <reason>
+//
+// A malformed directive, or a dead one that suppresses no finding, is
+// itself a finding.
 package main
 
 import (
@@ -45,12 +43,7 @@ func main() {
 func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("helmvet", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	enabled := make(map[string]*bool)
-	for _, a := range analysis.Suite() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+a.Doc)
-	}
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message/ignored), including directive-suppressed findings")
-	strict := fs.Bool("strict-directives", false, "report helmvet-ignore directives naming analyzers disabled in this run as dead")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -58,8 +51,7 @@ func run(args []string, out, errw io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := analysis.Options{StrictDirectives: *strict, IncludeIgnored: *jsonOut}
-	diags, err := analysis.RunOpts(".", patterns, selectAnalyzers(enabled), opts)
+	diags, err := analysis.RunOpts(".", patterns, analysis.Suite(), analysis.Options{IncludeIgnored: *jsonOut})
 	if err != nil {
 		fmt.Fprintln(errw, err)
 		return 2
@@ -113,16 +105,4 @@ func writeJSON(out io.Writer, diags []analysis.Diagnostic) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(findings)
-}
-
-// selectAnalyzers returns the suite filtered to the enabled flags, in
-// suite order.
-func selectAnalyzers(enabled map[string]*bool) []*analysis.Analyzer {
-	var as []*analysis.Analyzer
-	for _, a := range analysis.Suite() {
-		if on := enabled[a.Name]; on == nil || *on {
-			as = append(as, a)
-		}
-	}
-	return as
 }

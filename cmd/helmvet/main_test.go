@@ -4,70 +4,22 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"helmsim/internal/analysis"
 )
 
 const (
-	simpkg     = "../../internal/analysis/testdata/src/simpkg"
-	ctxtest    = "../../internal/analysis/testdata/src/ctxtest"
+	otherpkg   = "../../internal/analysis/testdata/src/otherpkg"
 	ignoretest = "../../internal/analysis/testdata/src/ignoretest"
 )
 
-// TestFlagDisablesExactlyOneAnalyzer runs the CLI entry point over
-// golden packages that trip determinism and ctxflow, and checks that
-// -determinism=false silences determinism findings and nothing else.
-func TestFlagDisablesExactlyOneAnalyzer(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{simpkg, ctxtest}, &out, &errw); code != 1 {
-		t.Fatalf("exit code %d, want 1 (findings expected)\nstderr: %s", code, errw.String())
-	}
-	full := out.String()
-	if !strings.Contains(full, "determinism:") || !strings.Contains(full, "ctxflow:") {
-		t.Fatalf("baseline run should report determinism and ctxflow findings, got:\n%s", full)
-	}
-
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-determinism=false", simpkg, ctxtest}, &out, &errw); code != 1 {
-		t.Fatalf("exit code %d, want 1 (ctxflow findings remain)\nstderr: %s", code, errw.String())
-	}
-	filtered := out.String()
-	if strings.Contains(filtered, "determinism:") {
-		t.Errorf("-determinism=false still reports determinism findings:\n%s", filtered)
-	}
-	if !strings.Contains(filtered, "ctxflow:") {
-		t.Errorf("-determinism=false silenced ctxflow too:\n%s", filtered)
-	}
-
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-determinism=false", simpkg}, &out, &errw); code != 0 {
-		t.Errorf("exit code %d, want 0 — simpkg has only determinism findings\noutput: %s\nstderr: %s",
-			code, out.String(), errw.String())
-	}
-}
-
-func TestSelectAnalyzers(t *testing.T) {
-	off, on := false, true
-	enabled := map[string]*bool{"determinism": &off, "ctxflow": &on}
-	var names []string
-	for _, a := range selectAnalyzers(enabled) {
-		names = append(names, a.Name)
-	}
-	want := []string{"atomiccheck", "errcheckwrap", "ctxflow", "paircheck", "mmapalias", "ledgerscope", "goleak"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("selectAnalyzers = %v, want %v", names, want)
-	}
-	if got := len(selectAnalyzers(nil)); got != len(analysis.Suite()) {
-		t.Errorf("nil flag map selects %d analyzers, want the full suite (%d)", got, len(analysis.Suite()))
-	}
-}
-
+// TestBadFlagExitsUsage pins -json as the only flag: the per-analyzer
+// switches and -strict-directives are gone, so passing one is a usage
+// error like any unknown flag.
 func TestBadFlagExitsUsage(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
-		t.Errorf("exit code %d, want 2 for unknown flag", code)
+	for _, flag := range []string{"-no-such-flag", "-determinism=false", "-strict-directives"} {
+		var out, errw strings.Builder
+		if code := run([]string{flag}, &out, &errw); code != 2 {
+			t.Errorf("%s: exit code %d, want 2 for unknown flag", flag, code)
+		}
 	}
 }
 
@@ -118,7 +70,7 @@ func TestJSONOutput(t *testing.T) {
 	// A clean run still emits valid JSON (an empty array) and exits 0.
 	out.Reset()
 	errw.Reset()
-	if code := run([]string{"-json", "-determinism=false", simpkg}, &out, &errw); code != 0 {
+	if code := run([]string{"-json", otherpkg}, &out, &errw); code != 0 {
 		t.Fatalf("clean -json run exited %d\nstderr: %s", code, errw.String())
 	}
 	if s := strings.TrimSpace(out.String()); s != "[]" {
@@ -126,21 +78,15 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestStrictDirectives checks that disabling an analyzer turns its
-// ignore directives into dead-directive findings under
-// -strict-directives, and only then.
+// TestStrictDirectives checks that directives are held strictly on
+// every run: ignoretest's stale directive, which suppresses nothing, is
+// an active finding, so the run exits 1 and names it.
 func TestStrictDirectives(t *testing.T) {
 	var out, errw strings.Builder
-	if code := run([]string{"-strict-directives", "-determinism=false", ignoretest}, &out, &errw); code != 1 {
-		t.Fatalf("exit code %d, want 1 (dead directives)\nstderr: %s", code, errw.String())
+	if code := run([]string{ignoretest}, &out, &errw); code != 1 {
+		t.Fatalf("exit code %d, want 1 (dead directive)\nstderr: %s", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "is dead: analyzer determinism is disabled") {
+	if !strings.Contains(out.String(), "directive for determinism is dead") {
 		t.Errorf("no dead-directive finding in output:\n%s", out.String())
-	}
-
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-determinism=false", ignoretest}, &out, &errw); code != 0 {
-		t.Errorf("without -strict-directives the same run should be clean, exited %d:\n%s", code, out.String())
 	}
 }

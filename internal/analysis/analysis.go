@@ -1,19 +1,15 @@
 // Package analysis implements helmvet, a static-analysis suite that
-// mechanically enforces the engine's concurrency, error-handling and
-// determinism invariants (DESIGN.md §3e). The framework mirrors the
-// shape of golang.org/x/tools/go/analysis — an Analyzer receives a
-// typechecked Pass and reports Diagnostics — but is built on the
-// standard library only, because this module carries no external
-// dependencies. Packages are loaded via `go list -export` and
+// mechanically enforces the engine's error-handling, determinism,
+// mmap-lifetime and goroutine-lifecycle invariants (DESIGN.md §3e). The
+// framework mirrors the shape of golang.org/x/tools/go/analysis — an
+// Analyzer receives a typechecked Pass and reports Diagnostics — but is
+// built on the standard library only, because this module carries no
+// external dependencies. Packages are loaded via `go list -export` and
 // typechecked with the gc export-data importer, so the driver works
 // offline and needs nothing beyond the Go toolchain.
 //
-// Invariants enforced (one analyzer each). The first four are
-// convention checks over single expressions and statements:
+// Invariants enforced (one analyzer each):
 //
-//   - atomiccheck: a variable accessed through sync/atomic anywhere is
-//     never read or written plainly elsewhere, and atomic.Int64-style
-//     fields are never copied or assigned as values.
 //   - errcheckwrap: sentinel errors (ErrTransient, ErrCorrupt, ...) are
 //     wrapped with %w and classified with errors.Is, never compared
 //     with == or matched as strings.
@@ -22,31 +18,25 @@
 //     way that can leak into results.
 //   - ctxflow: non-main packages never mint context.Background(); a
 //     function that receives a ctx passes it on.
-//
-// The second four are invariant-aware: they run on the flow layer
-// (flow.go — a per-function CFG with path queries) and the fact store
-// (facts.go — cross-package object facts computed bottom-up over the
-// module):
-//
-//   - paircheck: acquire/release pairs close on every path —
-//     SwappableStore.Acquire's release func, Arena.Get/Put, kvcache
-//     Admit/Release, Breaker probe settling — driven by a declarative
-//     table of pair signatures.
 //   - mmapalias: slices derived from mmap'd checkpoints never escape
 //     the fetching frame (no field stores, channel sends, goroutine
 //     captures, or returns), with view-returning functions propagated
-//     across packages as "mmapview" facts (DESIGN §3h).
-//   - ledgerscope: every shed bucket appears in its struct's
-//     Conserved/FleetConserved sum, is populated somewhere, and is
-//     serialized when its siblings are.
+//     across packages as "mmapview" facts (facts.go, DESIGN §3h).
 //   - goleak: goroutines in library code carry a lifecycle tie
 //     (channel, select, context, WaitGroup) back to their spawner.
+//
+// Only checks no other tool makes live here: a copied atomic value is
+// go vet's copylocks, a ledger bucket left out of a wire struct's
+// Conserved is TestLedgerFieldsConserve (internal/gateway), and an
+// unreleased arena matrix, pool page, generation pin or breaker probe
+// is caught by the runtime oracles the patches in scripts/mutants/
+// name.
 //
 // Intentional exceptions carry a
 // `//lint:helmvet-ignore <analyzer> <reason>` directive on or directly
 // above the flagged line; the driver suppresses the finding and fails
-// if the directive is malformed. Options.StrictDirectives additionally
-// rejects directives naming an analyzer excluded from the run.
+// if the directive is malformed, or dead: one that suppresses no
+// finding of an analyzer that ran.
 package analysis
 
 import (
@@ -69,14 +59,9 @@ type Analyzer struct {
 	FactRun func(*Pass) error
 }
 
-// Suite returns the full helmvet analyzer suite in stable order: the
-// four first-generation convention checks, then the four
-// invariant-aware analyzers built on the flow layer.
+// Suite returns the full helmvet analyzer suite in stable order.
 func Suite() []*Analyzer {
-	return []*Analyzer{
-		AtomicCheck, ErrCheckWrap, Determinism, CtxFlow,
-		PairCheck, MmapAlias, LedgerScope, GoLeak,
-	}
+	return []*Analyzer{ErrCheckWrap, Determinism, CtxFlow, MmapAlias, GoLeak}
 }
 
 // A Pass carries one typechecked package to an Analyzer.
@@ -137,5 +122,43 @@ func WithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 			stack = append(stack, n)
 		}
 		return descend
+	})
+}
+
+// funcBody pairs one analyzable function body with its declaration
+// node (a FuncDecl or FuncLit).
+type funcBody struct {
+	node ast.Node
+	body *ast.BlockStmt
+}
+
+// functionsOf enumerates every function body in f — declarations and
+// literals — each exactly once. Nested literals are their own entries;
+// inspectOwnStmts keeps a body's walk out of the literals inside it.
+func functionsOf(f *ast.File) []funcBody {
+	var fns []funcBody
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			if fn.Body != nil {
+				fns = append(fns, funcBody{fn, fn.Body})
+			}
+		case *ast.FuncLit:
+			fns = append(fns, funcBody{fn, fn.Body})
+		}
+		return true
+	})
+	return fns
+}
+
+// inspectOwnStmts walks fn's body, skipping nested function literals —
+// their bodies are separate funcBody entries.
+func inspectOwnStmts(fn funcBody, visit func(ast.Node)) {
+	ast.Inspect(fn.body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && lit != fn.node {
+			return false
+		}
+		visit(n)
+		return true
 	})
 }

@@ -17,35 +17,31 @@ import (
 // safe, not a mute button. Malformed directives are themselves
 // findings, so a typoed analyzer name cannot silently disable a check.
 //
-// A well-formed directive can still be dead: it names a suite analyzer
-// that this run excluded by flag, so it suppresses nothing and would
-// rot unnoticed if the analyzer were ever retired from the default
-// set. Under Options.StrictDirectives such directives are findings
-// too.
+// A well-formed directive can still be dead: the code it excused was
+// fixed or moved, and it now suppresses nothing — until some later,
+// unrelated finding lands on its line and is silenced unread. A
+// directive that suppresses no finding of an analyzer that ran is
+// therefore a finding too.
 var directiveRE = regexp.MustCompile(`^//lint:helmvet-ignore(?:\s+(\S+))?\s*(.*)$`)
 
 type directive struct {
 	analyzer string
-	line     int
+	pos      token.Position
+	used     bool
 }
 
-type directiveSet struct {
-	// byFileLine keys are "filename:line" of the directive comment.
-	dirs map[string][]directive
-	fset *token.FileSet
-}
+// directiveSet holds one package's well-formed directives in source
+// order.
+type directiveSet []*directive
 
 // parseDirectives scans the comments of files for ignore directives.
-// It returns the set plus diagnostics for malformed ones — and, under
-// strict, for well-formed ones naming an analyzer disabled this run.
-// enabled holds the names of the analyzers actually running; nil means
-// the full suite.
-func parseDirectives(fset *token.FileSet, files []*ast.File, enabled map[string]bool, strict bool) (*directiveSet, []Diagnostic) {
+// It returns the set plus diagnostics for malformed ones.
+func parseDirectives(fset *token.FileSet, files []*ast.File) (directiveSet, []Diagnostic) {
 	known := map[string]bool{"all": true}
 	for _, a := range Suite() {
 		known[a.Name] = true
 	}
-	set := &directiveSet{dirs: make(map[string][]directive), fset: fset}
+	var set directiveSet
 	var diags []Diagnostic
 	bad := func(pos token.Pos, msg string) {
 		diags = append(diags, Diagnostic{Analyzer: "helmvet", Pos: fset.Position(pos), Message: msg})
@@ -66,12 +62,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, enabled map[string]
 				case reason == "":
 					bad(c.Pos(), "helmvet-ignore directive is missing a reason")
 				default:
-					if strict && name != "all" && enabled != nil && !enabled[name] {
-						bad(c.Pos(), "helmvet-ignore directive is dead: analyzer "+name+" is disabled in this run")
-					}
-					p := fset.Position(c.Pos())
-					key := p.Filename
-					set.dirs[key] = append(set.dirs[key], directive{analyzer: name, line: p.Line})
+					set = append(set, &directive{analyzer: name, pos: fset.Position(c.Pos())})
 				}
 			}
 		}
@@ -80,15 +71,36 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, enabled map[string]
 }
 
 // suppresses reports whether a well-formed directive on d's line, or
-// the line directly above it, covers d's analyzer.
-func (s *directiveSet) suppresses(d Diagnostic) bool {
-	for _, dir := range s.dirs[d.Pos.Filename] {
-		if dir.analyzer != d.Analyzer && dir.analyzer != "all" {
+// the line directly above it, covers d's analyzer, and marks every
+// such directive used.
+func (s directiveSet) suppresses(d Diagnostic) bool {
+	hit := false
+	for _, dir := range s {
+		if dir.pos.Filename != d.Pos.Filename || dir.analyzer != d.Analyzer && dir.analyzer != "all" {
 			continue
 		}
-		if dir.line == d.Pos.Line || dir.line == d.Pos.Line-1 {
-			return true
+		if dir.pos.Line == d.Pos.Line || dir.pos.Line == d.Pos.Line-1 {
+			dir.used = true
+			hit = true
 		}
 	}
-	return false
+	return hit
+}
+
+// dead reports every directive that suppressed nothing although its
+// analyzer ran ("all" runs whenever any analyzer does). A directive
+// naming an analyzer outside this run is not judged.
+func (s directiveSet) dead(ran []*Analyzer) []Diagnostic {
+	judged := map[string]bool{"all": len(ran) > 0}
+	for _, a := range ran {
+		judged[a.Name] = true
+	}
+	var diags []Diagnostic
+	for _, dir := range s {
+		if !dir.used && judged[dir.analyzer] {
+			diags = append(diags, Diagnostic{Analyzer: "helmvet", Pos: dir.pos,
+				Message: "helmvet-ignore directive for " + dir.analyzer + " is dead: it suppresses no finding"})
+		}
+	}
+	return diags
 }

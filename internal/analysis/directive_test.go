@@ -32,7 +32,7 @@ func TestDirectiveMalformed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fset, files := parseOne(t, "package p\n\n"+tc.comment+"\nvar X int\n")
-			_, diags := parseDirectives(fset, files, nil, false)
+			_, diags := parseDirectives(fset, files)
 			if len(diags) != 1 {
 				t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 			}
@@ -46,22 +46,32 @@ func TestDirectiveMalformed(t *testing.T) {
 	}
 }
 
-// TestDirectiveDead checks strict mode: a well-formed directive naming
-// an analyzer excluded from this run is reported as dead, but only
-// under strict, never for "all", and never when the analyzer runs.
+// TestDirectiveDead checks that a directive which suppressed nothing
+// is reported once its analyzer has run — "all" whenever any analyzer
+// ran — and that a used directive, or one naming an analyzer outside
+// the run, is not.
 func TestDirectiveDead(t *testing.T) {
 	src := "package p\n\n//lint:helmvet-ignore determinism seam\nvar a int\n\n//lint:helmvet-ignore all seam\nvar b int\n"
 	fset, files := parseOne(t, src)
-	enabled := map[string]bool{"ctxflow": true}
-	_, diags := parseDirectives(fset, files, enabled, true)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "dead: analyzer determinism") {
-		t.Fatalf("strict run over disabled analyzer: got %v, want one dead-directive finding", diags)
+	set, diags := parseDirectives(fset, files)
+	if len(diags) != 0 {
+		t.Fatalf("unexpected diagnostics: %v", diags)
 	}
-	if _, diags := parseDirectives(fset, files, enabled, false); len(diags) != 0 {
-		t.Fatalf("non-strict run reported dead directives: %v", diags)
+	if got := set.dead(nil); len(got) != 0 {
+		t.Errorf("no analyzer ran, yet dead directives reported: %v", got)
 	}
-	if _, diags := parseDirectives(fset, files, map[string]bool{"determinism": true}, true); len(diags) != 0 {
-		t.Fatalf("strict run with analyzer enabled reported: %v", diags)
+	got := set.dead([]*Analyzer{CtxFlow})
+	if len(got) != 1 || got[0].Pos.Line != 6 || !strings.Contains(got[0].Message, "for all is dead") {
+		t.Errorf("ctxflow ran: got %v, want only the unused all directive on line 6", got)
+	}
+	got = set.dead([]*Analyzer{Determinism})
+	if len(got) != 2 || got[0].Analyzer != "helmvet" || !strings.Contains(got[0].Message, "for determinism is dead") {
+		t.Errorf("determinism ran: got %v, want both directives dead, determinism first", got)
+	}
+	set.suppresses(Diagnostic{Analyzer: "determinism", Pos: token.Position{Filename: "dir_test_src.go", Line: 4}})
+	set.suppresses(Diagnostic{Analyzer: "ctxflow", Pos: token.Position{Filename: "dir_test_src.go", Line: 7}})
+	if got := set.dead([]*Analyzer{Determinism, CtxFlow}); len(got) != 0 {
+		t.Errorf("both directives suppressed a finding, yet reported dead: %v", got)
 	}
 }
 
@@ -78,7 +88,7 @@ var a int
 var b int
 `
 	fset, files := parseOne(t, src)
-	set, diags := parseDirectives(fset, files, nil, false)
+	set, diags := parseDirectives(fset, files)
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics: %v", diags)
 	}

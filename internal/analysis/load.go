@@ -39,20 +39,17 @@ type listedError struct {
 
 // Options tunes one Run of the suite.
 type Options struct {
-	// StrictDirectives reports //lint:helmvet-ignore directives that
-	// name an analyzer excluded from this run as dead: such a
-	// directive suppresses nothing and rots silently otherwise.
-	StrictDirectives bool
 	// IncludeIgnored keeps directive-suppressed findings in the result,
 	// marked Ignored, instead of dropping them.
 	IncludeIgnored bool
 }
 
 // Run loads the packages matched by patterns (relative to dir), runs
-// every analyzer over each, applies //lint:helmvet-ignore directives,
-// and returns the surviving findings sorted by position. Test files
-// are included: in-package _test.go files are analyzed together with
-// the package, external _test packages separately.
+// every analyzer over each, applies //lint:helmvet-ignore directives
+// (reporting malformed and dead ones), and returns the surviving
+// findings sorted by position. Test files are included: in-package
+// _test.go files are analyzed together with the package, external
+// _test packages separately.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunOpts(dir, patterns, analyzers, Options{})
 }
@@ -94,14 +91,10 @@ func RunOpts(dir string, patterns []string, analyzers []*Analyzer, opts Options)
 			}
 		}
 	}
-	enabled := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		enabled[a.Name] = true
-	}
 	absDir, _ := filepath.Abs(dir)
 	var diags []Diagnostic
 	for _, lp := range targets {
-		ds, err := analyzePackage(ld, lp, analyzers, enabled, facts, opts)
+		ds, err := analyzePackage(ld, lp, analyzers, facts, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -303,14 +296,13 @@ func (ld *loader) check(lp *listedPackage) (*checkedPackage, error) {
 
 // analyzePackage runs the analyzers over one target package, applying
 // ignore directives: suppressed findings are dropped (or kept, marked
-// Ignored), malformed or — under StrictDirectives — dead directives
-// are findings of their own.
-func analyzePackage(ld *loader, lp *listedPackage, analyzers []*Analyzer, enabled map[string]bool, facts *FactStore, opts Options) ([]Diagnostic, error) {
+// Ignored), malformed and dead directives are findings of their own.
+func analyzePackage(ld *loader, lp *listedPackage, analyzers []*Analyzer, facts *FactStore, opts Options) ([]Diagnostic, error) {
 	cp, err := ld.check(lp)
 	if err != nil {
 		return nil, err
 	}
-	dirs, diags := parseDirectives(cp.fset, cp.files, enabled, opts.StrictDirectives)
+	dirs, diags := parseDirectives(cp.fset, cp.files)
 	for _, a := range analyzers {
 		pass := cp.newPass(a, facts, func(d Diagnostic) {
 			if dirs.suppresses(d) {
@@ -326,7 +318,7 @@ func analyzePackage(ld *loader, lp *listedPackage, analyzers []*Analyzer, enable
 			return nil, fmt.Errorf("helmvet: %s on %s: %v", a.Name, lp.ImportPath, err)
 		}
 	}
-	return diags, nil
+	return append(diags, dirs.dead(analyzers)...), nil
 }
 
 // exportImporter resolves imports of the package under analysis from

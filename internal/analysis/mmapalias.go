@@ -314,3 +314,13 @@ func identObj(pass *Pass, id *ast.Ident) types.Object {
 	}
 	return pass.TypesInfo.Defs[id]
 }
+
+func namedTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}

@@ -23,6 +23,11 @@ func unprotected() int64 {
 }
 
 func wrongAnalyzer() int64 {
-	//lint:helmvet-ignore atomiccheck directive names a different analyzer
+	//lint:helmvet-ignore ctxflow directive names a different analyzer
 	return time.Now().UnixNano() // want "time.Now reads the wall clock"
 }
+
+// A directive whose finding went away suppresses nothing; it is dead.
+//
+//lint:helmvet-ignore determinism stale seam, the clock read below was removed // want "directive for determinism is dead"
+func fixedSeam() int64 { return 42 }

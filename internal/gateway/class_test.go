@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 
 	"helmsim/internal/serve"
@@ -132,5 +134,96 @@ func TestFleetBrownoutShedsAtEdge(t *testing.T) {
 	}
 	if !st.Conserved() {
 		t.Fatalf("fleet ledger not conserved: %+v", st)
+	}
+}
+
+// TestLedgerFieldsConserve holds both flat wire ledgers, server.Stats
+// and FleetStats, to their Conserved methods by reflection over the
+// live types. Every bucket a layer can reach has exactly one int64
+// field tagged with its wire name (the gateway's Admitted is "routed"),
+// a snapshot filled through those fields conserves, and adding one to
+// any admitted, routed or shed_* field, arrivals unchanged, must make
+// it stop conserving: a bucket left out of a Conserved identity
+// survives the bump.
+func TestLedgerFieldsConserve(t *testing.T) {
+	var replica []serve.Bucket
+	for b := serve.Bucket(0); b < serve.NumBuckets; b++ {
+		if b != serve.ShedNoHealthyBackend { // only the gateway finds no replica
+			replica = append(replica, b)
+		}
+	}
+	cases := []struct {
+		name     string
+		admitted string // wire name standing for serve.Admitted
+		reach    []serve.Bucket
+		// snapshot returns a pointer to a wire struct whose arrivals,
+		// class rows and attributions are row's; bucket fields zero.
+		snapshot  func(row serve.Ledger) any
+		conserved func(any) bool
+	}{
+		{
+			name: "server.Stats", admitted: "admitted", reach: replica,
+			snapshot: func(row serve.Ledger) any {
+				return &server.Stats{Arrivals: row.Arrivals, Classes: []serve.ClassRow{{Ledger: row}}}
+			},
+			conserved: func(p any) bool { return p.(*server.Stats).Conserved() },
+		},
+		{
+			name: "gateway.FleetStats", admitted: "routed",
+			reach: []serve.Bucket{serve.Admitted, serve.ShedDraining, serve.ShedBrownout, serve.ShedNoHealthyBackend},
+			snapshot: func(row serve.Ledger) any {
+				return &FleetStats{Arrivals: row.Arrivals, Classes: []serve.ClassRow{{Ledger: row}},
+					Backends: []BackendStats{{Finalized: row.Buckets[serve.Admitted]}}}
+			},
+			conserved: func(p any) bool { return p.(*FleetStats).Conserved() },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var row serve.Ledger
+			for i, b := range tc.reach {
+				row.Buckets[b] = int64(i + 1) // distinct, so a swapped field shows
+				row.Arrivals += int64(i + 1)
+			}
+			p := tc.snapshot(row)
+			v := reflect.ValueOf(p).Elem()
+			fieldsTagged := func(name string) []int {
+				var idx []int
+				for i := 0; i < v.NumField(); i++ {
+					tag, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+					if tag == name && v.Field(i).Kind() == reflect.Int64 {
+						idx = append(idx, i)
+					}
+				}
+				return idx
+			}
+			for _, b := range tc.reach {
+				name := b.String()
+				if b == serve.Admitted {
+					name = tc.admitted
+				}
+				idx := fieldsTagged(name)
+				if len(idx) != 1 {
+					t.Fatalf("bucket %s: %d int64 fields tagged %q, want exactly one", b, len(idx), name)
+				}
+				v.Field(idx[0]).SetInt(row.Buckets[b])
+			}
+			if !tc.conserved(p) {
+				t.Fatalf("snapshot filled bucket by bucket does not conserve: %+v", p)
+			}
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				if f.Type.Kind() != reflect.Int64 || tag != tc.admitted && !strings.HasPrefix(tag, "shed_") {
+					continue
+				}
+				bumped := reflect.New(v.Type())
+				bumped.Elem().Set(v)
+				bumped.Elem().Field(i).SetInt(v.Field(i).Int() + 1)
+				if tc.conserved(bumped.Interface()) {
+					t.Errorf("%s one above the class rows still conserves: Conserved ignores %s", tag, f.Name)
+				}
+			}
+		})
 	}
 }

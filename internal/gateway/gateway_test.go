@@ -313,6 +313,39 @@ func TestNoHealthyBackendSheds(t *testing.T) {
 	}
 }
 
+// TestRecoveredReplicaProbeClosesBreaker drives the gateway's probe
+// accounting: a replica whose transport died trips its breaker; after
+// the cooldown the next attempt is the half-open probe, and its answer
+// must settle the slot (ProbeDone) and close the breaker. A probe left
+// unsettled would hold the only slot and keep the replica out for good.
+func TestRecoveredReplicaProbeClosesBreaker(t *testing.T) {
+	a, rt := stubBackend(t, "r", newStubReplica(), 1)
+	// One transport failure in any window of four trips it.
+	a.Breaker = server.BreakerConfig{Window: 4, MinSamples: 1, TripRate: 0.25, Cooldown: time.Millisecond, Probes: 1}
+	g, ts := startGateway(t, Config{Backends: []BackendConfig{a}})
+	rt.SetDown(true)
+	if resp, body := postGenerate(t, ts.URL, []int{1}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request to a dead replica: %d (%s), want 503", resp.StatusCode, body)
+	}
+	if br := g.Stats().Backends[0].Breaker; br.State != "open" {
+		t.Fatalf("breaker after a transport failure: %+v, want open", br)
+	}
+	rt.SetDown(false)
+	time.Sleep(10 * time.Millisecond) // past the cooldown: the next attempt probes
+	for i := 0; i < 2; i++ {
+		if resp, body := postGenerate(t, ts.URL, []int{1}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d to the recovered replica: %d (%s)", i, resp.StatusCode, body)
+		}
+	}
+	st := g.Stats()
+	if br := st.Backends[0].Breaker; br.State != "closed" || br.Recoveries != 1 || br.Probing != 0 {
+		t.Errorf("breaker after the probe answered: %+v, want closed, one recovery, no probe held", br)
+	}
+	if !st.Conserved() {
+		t.Errorf("fleet ledger not conserved: %+v", st)
+	}
+}
+
 func TestSaturatedFleetRelaysReplicaShed(t *testing.T) {
 	full1 := newStubReplica()
 	full1.set(http.StatusTooManyRequests, `{"error":"queue full"}`)

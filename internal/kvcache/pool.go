@@ -3,14 +3,37 @@ package kvcache
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"helmsim/internal/model"
 )
 
+// Typed ledger errors. "Released twice" (a live double-free — the
+// ledger has already been corrupted once) and "never admitted" (a
+// caller-side ID mix-up) demand different responses, and the
+// prefix-shared pages amplify exactly this class of bug, so the Pool
+// distinguishes them and fails stop after a double release.
+var (
+	// ErrUnknownSequence marks an operation on an ID that was never
+	// admitted (or whose admission predates this allocator).
+	ErrUnknownSequence = errors.New("kvcache: sequence never admitted")
+	// ErrDoubleRelease marks a second Release of the same admitted ID —
+	// evidence of a refcount bug in the caller.
+	ErrDoubleRelease = errors.New("kvcache: sequence already released")
+	// ErrPoisoned marks an allocator that observed a double release:
+	// its ledger can no longer be trusted, so further admissions are
+	// refused (fail stop beats silently corrupt accounting).
+	ErrPoisoned = errors.New("kvcache: ledger poisoned by a double release")
+	// ErrOutOfPages marks an allocation that found no free page. The
+	// continuous batcher keys its preempt-and-requeue policy off it.
+	ErrOutOfPages = errors.New("kvcache: out of pages")
+)
+
 // Pool is the real paged KV cache: block-granular storage of K/V rows
-// in fixed-size pages, with a page table per sequence — PagedCache
-// grown from a cost model into the engine's actual memory. One
+// in fixed-size pages, with a page table per sequence — the
+// PagedAttention scheme of vLLM (Kwon et al. [63], discussed in the
+// paper's related work) as the engine's actual memory. One
 // physical page ID addresses pageTokens rows in every decoder block's
 // slab (all blocks of a sequence advance in lockstep, so one page
 // table serves them all), memory is committed by actual context

@@ -3,10 +3,13 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"testing"
 	"time"
 
 	"helmsim/internal/fault"
+	"helmsim/internal/infer"
 )
 
 // fakeClock is an injectable breaker clock (single-goroutine tests).
@@ -153,6 +156,43 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 	if probe, ok := b.Allow(); !ok || !probe {
 		t.Fatal("slot not released by ProbeAbort")
+	}
+}
+
+// TestAbortedProbeFreesItsSlot drives the daemon's probe accounting: a
+// half-open probe that fails for a non-storage reason (a step panic)
+// says nothing about storage health, so its request must give the slot
+// back with ProbeAbort. The next request then probes and, succeeding,
+// closes the breaker; a probe that kept its slot would leave the
+// breaker half-open with nothing free, shedding every later request.
+func TestAbortedProbeFreesItsSlot(t *testing.T) {
+	mc := tinyModel()
+	_, w := writeCheckpoint(t, mc, 4)
+	ps := &panicStore{backing: w}
+	s, ts := startServer(t, Config{
+		Model:     mc,
+		OpenStore: func() (infer.WeightStore, io.Closer, error) { return ps, nil, nil },
+		// One transient in any window of four trips it.
+		Breaker: BreakerConfig{Window: 4, MinSamples: 1, TripRate: 0.25, Cooldown: time.Millisecond, Probes: 1},
+	})
+	s.breaker.Record(errTransientTest)
+	if st := s.breaker.State(); st != BreakerOpen {
+		t.Fatalf("breaker %v after a transient, want open", st)
+	}
+	time.Sleep(10 * time.Millisecond) // past the cooldown: the next request probes
+	ps.setPanics(true)
+	if status, _, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: []int{1}, MaxTokens: 2}); status != http.StatusInternalServerError {
+		t.Fatalf("panicked probe got %d (%s), want 500", status, msg)
+	}
+	if b := s.Stats().Breaker; b.State != "half-open" || b.Probing != 0 {
+		t.Fatalf("after the aborted probe: %+v, want half-open with no probe held", b)
+	}
+	ps.setPanics(false)
+	if status, _, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: []int{1}, MaxTokens: 2}); status != http.StatusOK {
+		t.Fatalf("request after the aborted probe got %d (%s), want 200 as the next probe", status, msg)
+	}
+	if b := s.Stats().Breaker; b.State != "closed" || b.Recoveries != 1 {
+		t.Errorf("after the second probe succeeded: %+v, want closed with one recovery", b)
 	}
 }
 
