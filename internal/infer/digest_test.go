@@ -24,9 +24,9 @@ var pinnedDigests = map[string]string{
 	"bench-ooc/q4":   "e22dcc4011e9b8f2bb229f3da4f5deeaf67b6b1625d591ef9518fe16aa160869",
 }
 
-// wideAccumulate is tensor's switch for the tall GEMM's wide two-row body
+// wideAccumulate is tensor's switch for the tall GEMM's register tiles
 // (AVX where the CPU probe found it; always false off amd64). The test
-// turns it off to run the same cases on the SSE2 body alone.
+// turns it off to run the same cases on the SSE2 two-row passes alone.
 //
 //go:linkname wideAccumulate helmsim/internal/tensor.wideAccumulate
 var wideAccumulate bool
@@ -53,8 +53,8 @@ func digestTokens(t *testing.T, cfg model.Config, w WeightStore) []int {
 // Greedy tokens from the RandomWeights(cfg, 5, 0.08) weights carry the
 // committed digests: in f32, and over the 4-bit checkpoint at one worker
 // (every projection serial) and at two (the group-aligned column split)
-// — each case with the prefill's wide accumulate as the host probed it,
-// and again with it forced off.
+// — each case with the prefill's register tiles as the host probed
+// them, and again with them forced off.
 func TestPinnedTokenDigests(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	probed := wideAccumulate
@@ -84,7 +84,7 @@ func TestPinnedTokenDigests(t *testing.T) {
 				sum := sha256.Sum256([]byte(fmt.Sprint(digestTokens(t, cfg, c.store))))
 				got, want := hex.EncodeToString(sum[:]), pinnedDigests[cfg.Name+"/"+c.name]
 				if got != want {
-					t.Errorf("%s/%s at %d workers, wide accumulate %v: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, wide, got, want)
+					t.Errorf("%s/%s at %d workers, register tiles %v: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, wide, got, want)
 				}
 			}
 		}

@@ -519,14 +519,12 @@ const (
 	// is one range and one MaxSeq-wide score row serves it.
 	attendRangesPerWorker = 2
 	// minAttendWork is the (row, head) items x visible positions x head
-	// width below which attend stays on the calling goroutine. On the
-	// shared kernels (four positions per pass) an item costs ~0.75 ns per
-	// position and dimension plus an exp per position, so 1<<14 is where
-	// bench-ooc's decode attention (6 heads x 64 wide) reaches 43 cached
-	// positions and ~19 µs serial — internal/tensor's ~16 µs fork floor,
-	// for its reasons — against 13 µs forked; at 150 positions it is 43 µs
-	// against 24 (BenchmarkAttendSplit; 117 against 61 before the shared
-	// kernels). bench-tiny's (4 x 16) would need 256 positions and its
+	// width below which attend stays on the calling goroutine: where the
+	// serial attention costs about internal/tensor's fork floor, for its
+	// reasons. bench-ooc's decode attention (6 heads x 64 wide) reaches it
+	// at 43 cached positions and wins by forking from there on
+	// (BenchmarkAttendSplit; the timings are in EXPERIMENTS.md, "fork
+	// thresholds"). bench-tiny's (4 x 16) would need 256 positions and its
 	// traffic stops at 144.
 	minAttendWork = 1 << 14
 )

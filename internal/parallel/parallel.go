@@ -79,21 +79,13 @@ import (
 	"sync/atomic"
 )
 
-// The constants below were sized with BenchmarkForkJoin on the reference
-// guest (2 vCPUs, -benchtime 2s; µs of the caller's time in For for a fork
-// of 8 items totalling the given arithmetic):
-//
-//	arithmetic   one worker   two, hot   two, every worker parked first
-//	0 µs           0.07         0.85       0.93
-//	15 µs         14.8          8.6       18.5
-//	75 µs         74           38.7       91
-//	300 µs       295          155        239
-//
-// A hot fork costs under a microsecond and halves anything from ~10 µs
-// up; a fork that must wake its worker pays ~1 µs for the signal and then
-// waits for a late arrival's chunk, so it can cost more than the serial
-// loop — which is why workers stay hot across a step, and why the caller
-// at least never waits for one that has not arrived at all.
+// The constants below were sized with BenchmarkForkJoin (its table is in
+// EXPERIMENTS.md, "fork thresholds"). A fork to a hot worker costs the
+// caller far less than it saves; a fork that must wake its worker pays
+// for the signal and then waits for a late arrival's chunk, so it can
+// cost more than the serial loop — which is why workers stay hot across a
+// step, and why the caller at least never waits for one that has not
+// arrived at all.
 const (
 	// chunksPerWorker is how many chunks a fork cuts per configured
 	// worker when the grain allows. One per worker makes the slower of

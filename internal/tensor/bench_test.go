@@ -153,26 +153,28 @@ func BenchmarkBenchOOCShapes(b *testing.B) {
 	}
 }
 
-// The three 128-token prefill GEMMs of bench-ooc at one worker, the tall
-// GEMM's two-row pass on each body: SSE2 alone, and AVX where the host
-// has it. Reported in G multiply-adds/s.
+// The three 128-token prefill GEMMs of bench-ooc through MatMulInto, in
+// G multiply-adds/s: the two-row SSE2 path and the register tiles at one
+// worker, and the tiles at two, split over columns — half of the tiles'
+// win is that each worker streams only its share of the weights.
 func BenchmarkPrefillBodies(b *testing.B) {
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
+	defer SetParallelism(Parallelism())
 	probed := wideAccumulate
 	defer func() { wideAccumulate = probed }()
 	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
 		a, w := randMat(128, shape.k, 18), randMat(shape.k, shape.c, 19)
 		out := New(a.R, w.C)
 		for _, body := range []struct {
-			name string
-			wide bool
-		}{{"sse2", false}, {"avx", true}} {
+			name    string
+			tile    bool
+			workers int
+		}{{"sse2", false, 1}, {"tile", true, 1}, {"tile-p2", true, 2}} {
 			b.Run(fmt.Sprintf("128x%dx%d/%s", shape.k, shape.c, body.name), func(b *testing.B) {
-				if body.wide && !probed {
+				if body.tile && !probed {
 					b.Skip("no AVX on this host")
 				}
-				wideAccumulate = body.wide
+				wideAccumulate = body.tile
+				SetParallelism(body.workers)
 				for i := 0; i < b.N; i++ {
 					if err := MatMulInto(a, w, out); err != nil {
 						b.Fatal(err)

@@ -16,8 +16,8 @@ package tensor
 // reorders the sum. No fused multiply-add for the same reason (one
 // rounding, not two). Axpy4 is always SSE2, which every amd64 has
 // (GOAMD64=v1): it serves decode GEMVs and attention, short bursts where
-// a 256-bit body measured slower. Only the tall GEMM's two-row pass
-// (axpy4x2Wide) has a second, AVX body, chosen once from CPUID.
+// a 256-bit body measured slower. Only the tall GEMM has AVX code, its
+// register tile (tile6x16), chosen once from CPUID.
 func Axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	if len(o) == 0 {
@@ -38,30 +38,27 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 	axpy4x2SSE(&o0[0], &o1[0], n, (*[4]float32)(a0), (*[4]float32)(a1), &b0[0], &b1[0], &b2[0], &b3[0])
 }
 
-// wideAccumulate is whether axpy4x2Wide runs axpy4x2AVX: the CPU probe's
-// answer, read once. It is a variable only so that tests can switch the
-// wide body off and hold both bodies to the same bits.
+// wideAccumulate is whether matMulTile runs the tall GEMM as register
+// tiles (tile6x16AVX): the CPU probe's answer, read once. It is a
+// variable only so that tests can switch the tiles off and hold both
+// paths to the same bits.
 var wideAccumulate = cpuHasAVX()
 
-// axpy4x2Wide is axpy4x2 for the tall GEMM (see tallGEMMRows): the
-// columns in whole sixteens through axpy4x2AVX where the host has AVX,
-// the rest — and everything on a host without it — through axpy4x2SSE.
-// A lane is a column either way, so the split point changes no bit.
-func axpy4x2Wide(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
-	if !wideAccumulate {
-		axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3)
+// tile6x16 adds to six rows and sixteen columns of o — o[i*ldo+j] for
+// i < 6, j < 16 — the k terms a[i*lda+kk]*b[kk*ldb+j], kk ascending,
+// with the running sums in registers across the whole of k
+// (tile6x16AVX). Strides are in elements, and rows may not overlap. The
+// last element each operand's rows reach is indexed before the assembly
+// runs, so a short operand panics instead of being read past.
+func tile6x16(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k int) {
+	if ldo < 16 || lda < k || ldb < 16 {
+		panic("tensor: tile6x16 rows overlap")
+	}
+	if k == 0 {
 		return
 	}
-	n := len(o0)
-	o1, b0, b1, b2, b3 = o1[:n], b0[:n], b1[:n], b2[:n], b3[:n]
-	pa0, pa1 := (*[4]float32)(a0), (*[4]float32)(a1)
-	m := n &^ 15
-	if m > 0 {
-		axpy4x2AVX(&o0[0], &o1[0], m, pa0, pa1, &b0[0], &b1[0], &b2[0], &b3[0])
-	}
-	if m < n {
-		axpy4x2SSE(&o0[m], &o1[m], n-m, pa0, pa1, &b0[m], &b1[m], &b2[m], &b3[m])
-	}
+	_, _, _ = o[5*ldo+15], a[5*lda+k-1], b[(k-1)*ldb+15]
+	tile6x16AVX(&o[0], ldo, &a[0], lda, &b[0], ldb, k)
 }
 
 // cpuHasAVX reports whether the CPU executes AVX and the OS saves the
@@ -84,7 +81,7 @@ func axpy4SSE(o *float32, n int, a0, a1, a2, a3 float32, b0, b1, b2, b3 *float32
 func axpy4x2SSE(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *float32)
 
 //go:noescape
-func axpy4x2AVX(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *float32)
+func tile6x16AVX(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

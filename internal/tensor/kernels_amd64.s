@@ -1,14 +1,14 @@
 #include "textflag.h"
 
-// The accumulate kernels of kernels_amd64.go in baseline SSE2 (and one
-// two-row body in AVX, below): four output columns per vector, one lane
-// per column. A lane does what the
-// scalar reference does to its column — MULPS rounds each product as
-// MULSS would, ADDPS adds it to the running sum as ADDSS would, the four
-// terms in a0, a1, a2, a3 order — so no bit can differ. Nothing is
-// fused (no VFMADD: it rounds once), nothing is summed across lanes, and
-// every load and store is unaligned (MOVUPS): the arena, an mmap'd
-// checkpoint and stack scratch promise no alignment.
+// The accumulate kernels of kernels_amd64.go in baseline SSE2 (and the
+// tall GEMM's register tile in AVX, below): four output columns per
+// vector, one lane per column. A lane does what the scalar reference
+// does to its column — MULPS rounds each product as MULSS would, ADDPS
+// adds it to the running sum as ADDSS would, the four terms in a0, a1,
+// a2, a3 order — so no bit can differ. Nothing is fused (no VFMADD: it
+// rounds once), nothing is summed across lanes, and every load and store
+// is unaligned (MOVUPS): the arena, an mmap'd checkpoint and stack
+// scratch promise no alignment.
 
 // func axpy4SSE(o *float32, n int, a0, a1, a2, a3 float32, b0, b1, b2, b3 *float32)
 TEXT ·axpy4SSE(SB), NOSPLIT, $0-64
@@ -276,93 +276,116 @@ pair1:
 pairdone:
 	RET
 
-// func axpy4x2AVX(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *float32)
+// func tile6x16AVX(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)
 //
-// axpy4x2SSE at 256 bits, for n a positive multiple of 16 (the wrapper
-// hands the rest to axpy4x2SSE): sixteen columns of both rows per pass,
-// eight lanes per vector. VEX-encoded VMULPS/VADDPS round a lane as
-// MULPS/ADDPS do, and every operand sits where axpy4x2SSE puts it — b is
-// the first source of every VMULPS, the running sum the first source of
-// every VADDPS — so even a NaN payload comes from the same operand. No
-// VFMADD, nothing summed across lanes. AVX only (VBROADCASTSS from
-// memory, no AVX2), and VZEROUPPER before returning to SSE code.
-TEXT ·axpy4x2AVX(SB), NOSPLIT, $0-72
-	MOVQ         o0+0(FP), DI
-	MOVQ         o1+8(FP), SI
-	MOVQ         n+16(FP), CX
-	MOVQ         a0+24(FP), AX
-	MOVQ         a1+32(FP), BX
-	MOVQ         b0+40(FP), R8
-	MOVQ         b1+48(FP), R9
-	MOVQ         b2+56(FP), R10
-	MOVQ         b3+64(FP), R11
+// o[i][j] += a[i][0]*b[0][j] + ... + a[i][k-1]*b[k-1][j] for six rows i
+// and sixteen columns j, over the whole of k; the strides are in
+// elements. The 6x16 block of o lives in Y0-Y11 from the first k to the
+// last: it is loaded once and stored once, where a two-row pass stores
+// and reloads it every four k (a float32 store and reload is exact, so
+// that changes no bit). Per k, b row k's sixteen columns go into Y12/Y13
+// and each row's a[i][k] is broadcast into Y14; the product is rounded
+// into Y15 and added to the sum. b is the first source of every VMULPS
+// and the running sum the first source of every VADDPS, where
+// axpy4x2SSE puts them, so a lane is one element's ascending-k chain
+// with MULSS/ADDSS roundings and even a NaN payload comes from the same
+// operand. Twelve sums, two b vectors, the broadcast and the product are
+// all sixteen YMM registers AVX has. No VFMADD, nothing summed across
+// lanes, AVX1 only (VBROADCASTSS from memory), VZEROUPPER before
+// returning to SSE code.
+TEXT ·tile6x16AVX(SB), NOSPLIT, $0-56
+	MOVQ         o+0(FP), DI
+	MOVQ         ldo+8(FP), R9
+	MOVQ         a+16(FP), SI
+	MOVQ         lda+24(FP), R10
+	MOVQ         b+32(FP), R8
+	MOVQ         ldb+40(FP), R11
+	MOVQ         k+48(FP), CX
 	TESTQ        CX, CX
-	JEQ          widedone
-	VBROADCASTSS 0(AX), Y0
-	VBROADCASTSS 4(AX), Y1
-	VBROADCASTSS 8(AX), Y2
-	VBROADCASTSS 12(AX), Y3
-	VBROADCASTSS 0(BX), Y4
-	VBROADCASTSS 4(BX), Y5
-	VBROADCASTSS 8(BX), Y6
-	VBROADCASTSS 12(BX), Y7
-	XORQ         AX, AX
+	JEQ          tiledone
+	SHLQ         $2, R9
+	SHLQ         $2, R10
+	SHLQ         $2, R11
+	LEAQ         (SI)(R10*2), DX
+	ADDQ         R10, DX
+	MOVQ         DI, AX
+	VMOVUPS      (AX), Y0
+	VMOVUPS      32(AX), Y1
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Y2
+	VMOVUPS      32(AX), Y3
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Y4
+	VMOVUPS      32(AX), Y5
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Y6
+	VMOVUPS      32(AX), Y7
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Y8
+	VMOVUPS      32(AX), Y9
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Y10
+	VMOVUPS      32(AX), Y11
 
-wide16:
-	VMOVUPS (DI)(AX*1), Y8
-	VMOVUPS 32(DI)(AX*1), Y9
-	VMOVUPS (SI)(AX*1), Y10
-	VMOVUPS 32(SI)(AX*1), Y11
-	VMOVUPS (R8)(AX*1), Y12
-	VMOVUPS 32(R8)(AX*1), Y13
-	VMULPS  Y0, Y12, Y14
-	VMULPS  Y0, Y13, Y15
-	VMULPS  Y4, Y12, Y12
-	VMULPS  Y4, Y13, Y13
-	VADDPS  Y14, Y8, Y8
-	VADDPS  Y15, Y9, Y9
-	VADDPS  Y12, Y10, Y10
-	VADDPS  Y13, Y11, Y11
-	VMOVUPS (R9)(AX*1), Y12
-	VMOVUPS 32(R9)(AX*1), Y13
-	VMULPS  Y1, Y12, Y14
-	VMULPS  Y1, Y13, Y15
-	VMULPS  Y5, Y12, Y12
-	VMULPS  Y5, Y13, Y13
-	VADDPS  Y14, Y8, Y8
-	VADDPS  Y15, Y9, Y9
-	VADDPS  Y12, Y10, Y10
-	VADDPS  Y13, Y11, Y11
-	VMOVUPS (R10)(AX*1), Y12
-	VMOVUPS 32(R10)(AX*1), Y13
-	VMULPS  Y2, Y12, Y14
-	VMULPS  Y2, Y13, Y15
-	VMULPS  Y6, Y12, Y12
-	VMULPS  Y6, Y13, Y13
-	VADDPS  Y14, Y8, Y8
-	VADDPS  Y15, Y9, Y9
-	VADDPS  Y12, Y10, Y10
-	VADDPS  Y13, Y11, Y11
-	VMOVUPS (R11)(AX*1), Y12
-	VMOVUPS 32(R11)(AX*1), Y13
-	VMULPS  Y3, Y12, Y14
-	VMULPS  Y3, Y13, Y15
-	VMULPS  Y7, Y12, Y12
-	VMULPS  Y7, Y13, Y13
-	VADDPS  Y14, Y8, Y8
-	VADDPS  Y15, Y9, Y9
-	VADDPS  Y12, Y10, Y10
-	VADDPS  Y13, Y11, Y11
-	VMOVUPS Y8, (DI)(AX*1)
-	VMOVUPS Y9, 32(DI)(AX*1)
-	VMOVUPS Y10, (SI)(AX*1)
-	VMOVUPS Y11, 32(SI)(AX*1)
-	ADDQ    $64, AX
-	SUBQ    $16, CX
-	JNE     wide16
+tilek:
+	VMOVUPS      (R8), Y12
+	VMOVUPS      32(R8), Y13
+	VBROADCASTSS (SI), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y0, Y0
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y1, Y1
+	VBROADCASTSS (SI)(R10*1), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y2, Y2
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y3, Y3
+	VBROADCASTSS (SI)(R10*2), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y4, Y4
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y5, Y5
+	VBROADCASTSS (DX), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y6, Y6
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y7, Y7
+	VBROADCASTSS (DX)(R10*1), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y8, Y8
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y9, Y9
+	VBROADCASTSS (DX)(R10*2), Y14
+	VMULPS       Y14, Y12, Y15
+	VADDPS       Y15, Y10, Y10
+	VMULPS       Y14, Y13, Y15
+	VADDPS       Y15, Y11, Y11
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	ADDQ         R11, R8
+	DECQ         CX
+	JNE          tilek
+	MOVQ         DI, AX
+	VMOVUPS      Y0, (AX)
+	VMOVUPS      Y1, 32(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Y2, (AX)
+	VMOVUPS      Y3, 32(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Y4, (AX)
+	VMOVUPS      Y5, 32(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Y6, (AX)
+	VMOVUPS      Y7, 32(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Y8, (AX)
+	VMOVUPS      Y9, 32(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Y10, (AX)
+	VMOVUPS      Y11, 32(AX)
 	VZEROUPPER
 
-widedone:
+tiledone:
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

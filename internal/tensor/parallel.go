@@ -42,7 +42,8 @@ const (
 	// minColTile is the narrowest output-column tile a chunk takes: four
 	// cache lines of each weight row — sixteen vectors — so column splits
 	// keep streaming. At two workers shareGrain cuts every shipped shape
-	// wider than this (192 columns and up).
+	// wider than this (192 columns and up). A tall GEMM's register tiles
+	// split over columns only where two shares would each get this many.
 	minColTile = 64
 	// minParallelElems gates the per-row kernels (norms, softmax), scalar
 	// float64 loops whose per-element cost puts 1<<13 elements well past
@@ -78,6 +79,7 @@ type kernel uint8
 const (
 	kMatMulRows kernel = iota
 	kMatMulCols
+	kMatMulPanels
 	kMatMulTRows
 	kMatMulTCols
 	kMatMulQ4
@@ -137,13 +139,16 @@ func (f *forkCall) run(k kernel, n, grain int) {
 }
 
 // chunk runs indices [lo, hi) of the current call: rows, output columns,
-// quantization groups or elements, as the kernel splits.
+// sixteen-column panels, quantization groups or elements, as the kernel
+// splits.
 func (f *forkCall) chunk(lo, hi int) {
 	switch f.kernel {
 	case kMatMulRows:
 		matMulTile(f.a, f.b, f.out, lo, hi, 0, f.b.C)
 	case kMatMulCols:
 		matMulTile(f.a, f.b, f.out, 0, f.a.R, lo, hi)
+	case kMatMulPanels:
+		matMulTile(f.a, f.b, f.out, 0, f.a.R, 16*lo, min(16*hi, f.b.C))
 	case kMatMulTRows:
 		matMulTTile(f.a, f.b, f.out, lo, hi, 0, f.b.R)
 	case kMatMulTCols:

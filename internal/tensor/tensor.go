@@ -3,31 +3,36 @@
 // matrices, matmul, softmax, layer/RMS norm, and the GELU/SiLU
 // activations of the OPT and LLaMA decoder blocks.
 //
-// These are plain row-major loops, not a BLAS: there is no cache blocking.
-// What they do have is inner loops written for the pipeline — the matmul
-// accumulate takes four k per pass with the running sum in a register and
-// two output rows per pass where there are two, the transposed matmul
-// runs four dot products at once so the adds overlap — and parallelism:
-// the matmuls, norms and activations split their index spaces over the
-// shared fork-join of internal/parallel (rows when the batch is tall, one
-// tile of output columns per worker when it is not), at decode as well as
-// at prefill: a fork costs the caller well under a microsecond while a
-// decode step keeps the pool's worker awake, so anything from ~16 µs of
-// work up is split (the thresholds in parallel.go carry their measured
-// crossovers). None of it changes what an output element computes — its
-// terms, one at a time, in ascending k — so output is bit-identical to
-// the textbook loop at any SetParallelism value, whichever goroutine ran
-// which chunk (DESIGN §3c).
+// These are plain row-major loops, not a BLAS: the one cache blocking is
+// the tall GEMM's. What they do have is inner loops written for the
+// pipeline — the matmul accumulate takes four k per pass with the running
+// sum in a register and two output rows per pass where there are two, a
+// GEMM taller than a decode step runs register tiles of 6 rows x 16
+// columns whose sums stay in registers across all of k, over panels of
+// b that stay in cache across the rows, and the transposed matmul runs
+// four dot products at once so the adds overlap — and parallelism: the
+// matmuls, norms and activations split their index spaces over the
+// shared fork-join of internal/parallel (rows when the batch is tall,
+// one tile of output columns per worker when it is not, and one share of
+// sixteen-column panels per worker for the register tiles), at decode as
+// well as at prefill: a fork costs the caller well under a microsecond
+// while a decode step keeps the pool's worker awake, so anything from
+// ~16 µs of work up is split (the thresholds in parallel.go say why each
+// sits where it does). None of it changes what an output element
+// computes — its terms, one at a time, in ascending k — so output is
+// bit-identical to the textbook loop at any SetParallelism value,
+// whichever goroutine ran which chunk (DESIGN §3c).
 //
-// One leaf is assembly: on amd64 the accumulate (Axpy4, axpy4x2) runs in
-// baseline SSE2, four output columns per vector (kernels_amd64.s), and
-// the tall GEMM's two-row pass (axpy4x2Wide) in AVX, eight columns per
+// Two leaves are assembly on amd64 (kernels_amd64.s): the accumulate
+// (Axpy4, axpy4x2) in baseline SSE2, four output columns per vector, and
+// the tall GEMM's register tile (tile6x16) in AVX, eight columns per
 // vector, where CPUID says the host has it. A lane is one output element
 // keeping its own chain, each product and each sum rounded as the scalar
-// instructions round them, so the bits are those of the Go loop — which
-// stays in the package as axpy4Ref: the whole implementation on every
-// other GOARCH, and the reference the differential, guard-page and fuzz
-// tests in asm_test.go hold every body to. That is the rule for assembly here:
+// instructions round them, so the bits are those of the Go loops — which
+// stay in the package as axpy4Ref and tile6x16Ref: the whole
+// implementation on every other GOARCH, and the references the
+// differential, guard-page and fuzz tests in asm_test.go and
+// tile_test.go hold every body to. That is the rule for assembly here:
 // only for a leaf loop with an untagged Go twin and a differential test;
 // one body per CPU level, chosen once from CPUID and taken only where a
 // workload shows the win; SSE2 the tail handler and the only body on a
@@ -91,8 +96,9 @@ func (m Mat) Clone() Mat {
 //
 // The work is split over the shared worker pool (see SetParallelism):
 // row tiles when there are enough rows, column tiles of the output when
-// there are not (a decode step's activation has a single row). Either
-// split leaves every output element's k-accumulation order untouched, so
+// there are not (a decode step's activation has a single row), and
+// column shares for a tall GEMM that runs register tiles. Every split
+// leaves every output element's k-accumulation order untouched, so
 // the result is bit-identical to the serial loop at any worker count —
 // including NaN/Inf propagation, since no term is ever skipped.
 func MatMul(a, b Mat) (Mat, error) {
@@ -120,52 +126,81 @@ func MatMulInto(a, b, out Mat) error {
 		return nil
 	}
 	fork.a, fork.b, fork.out = a, b, out
-	if a.R >= parallel.N() {
+	switch {
+	case a.R > tallGEMMRows && wideAccumulate && b.C >= 2*minColTile:
+		// Register tiles reuse each panel of b across every row of a
+		// share, so the tall GEMM splits its columns: one share of whole
+		// sixteens per worker, each streaming its part of b once. Split
+		// over rows, every chunk would stream all of b again.
+		panels := (b.C + 15) / 16
+		fork.run(kMatMulPanels, panels, max(1, panels/parallel.N()))
+	case a.R >= parallel.N():
 		fork.run(kMatMulRows, a.R, 1)
-	} else {
+	default:
 		fork.run(kMatMulCols, b.C, shareGrain(b.C, minColTile))
 	}
 	return nil
 }
 
-// tallGEMMRows is the most rows a dense GEMM may have and still run its
-// two-row pass in SSE2; a taller one takes axpy4x2Wide. It is the
-// engine's fusedMaxRows (internal/infer): the GEMMs above it are prefill
-// and the steps that mix a prefill in, which reach MatMulInto through the
-// slab and run long unbroken streams of two-row passes. At or below it are
-// decode steps, whose GEMVs and small stacked GEMMs are short, sparse
-// bursts between attention, norms and fetches; there 256-bit code pays
-// the core's upper-lane warm-up again and again, and taking it there too
-// measured slower on the fleet workload's small model (EXPERIMENTS.md,
-// "prefill at the core's vector width").
+// tallGEMMRows is the most rows a dense GEMM may have and still run as
+// two-row SSE2 passes; a taller one runs register tiles (see
+// matMulTile). It is the engine's fusedMaxRows (internal/infer): the
+// GEMMs above it are prefill and the steps that mix a prefill in, which
+// reach MatMulInto through the slab and keep the core in 256-bit code
+// for milliseconds at a time. At or below it are decode steps, whose
+// GEMVs and small stacked GEMMs are short, sparse bursts between
+// attention, norms and fetches; there 256-bit code pays the core's
+// upper-lane warm-up again and again, and taking it there too measured
+// slower on the fleet workload's small model (EXPERIMENTS.md, "prefill
+// at the core's vector width").
 const tallGEMMRows = 8
 
 // matMulTile accumulates the output tile rows [rlo, rhi) x columns
-// [clo, chi) — a row tile when the batch is tall, a column tile when it
-// has fewer rows than workers. It consumes four k per pass with the
-// running sum in a register, so an output element is loaded and stored
-// once per four terms instead of once per term, and two output rows per
-// pass where the tile has them, so each weight vector is loaded once for
-// both (the vectorised accumulate is bound by re-streaming b, not by
-// arithmetic). Each element still adds its terms one at a time in
-// ascending k, which is what keeps the result bit-identical to the
-// one-k-per-pass loop and independent of the tiling and of the pairing.
-// A GEMM taller than tallGEMMRows takes the two-row pass at the core's
-// vector width (axpy4x2Wide), which is the same chain per lane.
+// [clo, chi) — a row tile, a column share, or the whole output. A GEMM
+// taller than tallGEMMRows on a host with AVX runs it as register tiles
+// (tile6x16): sixteen-column panels on the outside, six-row blocks
+// inside, so a panel of b is streamed from memory once and then served
+// from cache to every block of the share, and each tile's 6x16 sums stay
+// in registers across all of k. The rows and columns past the last whole
+// tile take matMulPairs. Every output element still adds its terms one
+// at a time in ascending k, whichever of the two runs it, so the tiling
+// changes no bit.
 func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
-	wide := a.R > tallGEMMRows
+	if a.R <= tallGEMMRows || !wideAccumulate {
+		matMulPairs(a, b, out, rlo, rhi, clo, chi)
+		return
+	}
+	r6, c16 := rlo+(rhi-rlo)/6*6, clo+(chi-clo)&^15
+	for j := clo; j < c16; j += 16 {
+		for i := rlo; i < r6; i += 6 {
+			tile6x16(out.Data[i*out.C+j:], out.C, a.Data[i*a.C:], a.C, b.Data[j:], b.C, a.C)
+		}
+	}
+	if c16 < chi {
+		matMulPairs(a, b, out, rlo, r6, c16, chi)
+	}
+	if r6 < rhi {
+		matMulPairs(a, b, out, r6, rhi, clo, chi)
+	}
+}
+
+// matMulPairs is matMulTile without register tiles: it consumes four k
+// per pass with the running sum in a register, so an output element is
+// loaded and stored once per four terms instead of once per term, and
+// two output rows per pass where the tile has them, so each weight
+// vector is loaded once for both (the vectorised accumulate is bound by
+// re-streaming b, not by arithmetic). Each element still adds its terms
+// one at a time in ascending k, which is what keeps the result
+// bit-identical to the one-k-per-pass loop and independent of the tiling
+// and of the pairing.
+func matMulPairs(a, b, out Mat, rlo, rhi, clo, chi int) {
 	i := rlo
 	for ; i+2 <= rhi; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		o0, o1 := out.Row(i)[clo:chi], out.Row(i + 1)[clo:chi]
 		k := 0
 		for ; k+4 <= a.C; k += 4 {
-			b0, b1, b2, b3 := b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:]
-			if wide {
-				axpy4x2Wide(o0, o1, a0[k:k+4], a1[k:k+4], b0, b1, b2, b3)
-			} else {
-				axpy4x2(o0, o1, a0[k:k+4], a1[k:k+4], b0, b1, b2, b3)
-			}
+			axpy4x2(o0, o1, a0[k:k+4], a1[k:k+4], b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
 		}
 		for ; k < a.C; k++ {
 			axpy(o0, a0[k], b.Row(k)[clo:])
@@ -182,6 +217,21 @@ func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 		}
 		for ; k < a.C; k++ {
 			axpy(o, arow[k], b.Row(k)[clo:])
+		}
+	}
+}
+
+// tile6x16Ref is the reference body of tile6x16: each of the 6x16
+// elements adds its k terms in ascending k, the product rounded before
+// the sum (see axpy4Ref). It is what the tile tests hold the assembly to.
+func tile6x16Ref(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k int) {
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 16; j++ {
+			t := o[i*ldo+j]
+			for kk := 0; kk < k; kk++ {
+				t += float32(a[i*lda+kk] * b[kk*ldb+j])
+			}
+			o[i*ldo+j] = t
 		}
 	}
 }
