@@ -74,15 +74,21 @@ bench-smoke:
 # every lane, every finite half, a guard page, fuzz seeds), the pinned
 # token digests (with the register tiles on and off), GELU's integer
 # float32 widening against the conversion and GELU against its
-# one-expression oracle, and RoPE's per-position angles against the
-# per-head loop — all bit-for-bit, under the race detector.
+# one-expression oracle, the attention core against its per-position
+# loop, and RoPE's per-position angles against the per-head loop — all
+# bit-for-bit, under the race detector.
 # Run twice: at the host's GOMAXPROCS, and at 3 (an odd split, and on a
 # two-core box more pool workers than cores; -count=1 because the test
-# cache does not see GOMAXPROCS and would replay the first run).
-KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+# cache does not see GOMAXPROCS and would replay the first run). Then the
+# token digests, GELU and attention once more with the standard
+# library's FMA paths switched off (math.Exp and math.Tanh take their
+# portable bodies): a fleet of mixed CPUs must produce the same tokens,
+# so a request that fails over to another host continues byte-identical.
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Attend|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
 	$(KERNEL_ORACLES)
 	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1
+	GODEBUG=cpu.fma=off $(GO) test -race -count=1 -run 'TestPinnedTokenDigests|TestGELUMatchesOracle|TestAttendMatchesRef' ./internal/infer/ ./internal/tensor/
 
 # The CI daemon-smoke job: full helmd lifecycle (signals, reload, drain)
 # plus the server chaos test, both under the race detector.

@@ -2,7 +2,6 @@ package infer
 
 import (
 	"context"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -126,48 +125,6 @@ func atWorkers(b *testing.B, body func(b *testing.B)) {
 			return
 		}
 	}
-}
-
-// The attention row beside tensor.BenchmarkGemvSplit: one block's decode
-// attention core (one query row, six heads) over 150 cached positions —
-// resident_latency's mid-decode shape — serial against forked over
-// (row, head) ranges. Like the GEMV table it wants -benchtime 2s or more.
-func BenchmarkAttendSplit(b *testing.B) {
-	cfg := benchOOC()
-	raw, err := RandomWeights(cfg, 5, 0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	se, err := NewStepEngine(cfg, raw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cached = 150
-	cache := &blockCache{maxRows: cfg.MaxSeq}
-	rng := rand.New(rand.NewSource(6))
-	row := func() tensor.Mat {
-		m := tensor.New(1, cfg.Hidden)
-		for i := range m.Data {
-			m.Data[i] = float32(rng.NormFloat64())
-		}
-		return m
-	}
-	for p := 0; p < cached; p++ {
-		if err := cache.AppendRow(row().Data, row().Data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q, k, v, out := row(), row(), row(), tensor.New(1, cfg.Hidden)
-	atWorkers(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cache.Truncate(cached)
-			clear(out.Data)
-			if err := se.attend(cache, cached, q, k, v, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // One whole resident decode step on bench-ooc after a 128-token prompt:

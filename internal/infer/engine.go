@@ -13,20 +13,17 @@ import (
 const normEps = 1e-5
 
 // KVBlock is one decoder block's KV cache as the attention path uses
-// it: rows are cached positions, columns the (possibly grouped-query)
-// KV width. The engine's private append-only blockCache implements it,
-// and so does a paged view into a kvcache.Pool — the attention kernel
-// is identical either way, which is what makes the continuous batcher
-// byte-identical to a solo engine.
+// it: the rows tensor.Attend reads (tensor.KVRows, called from several
+// goroutines at once between appends), plus what the engine needs to
+// grow and roll back the cache. The engine's private append-only
+// blockCache implements it, and so does a paged view into a
+// kvcache.Pool — the attention kernel is identical either way, which is
+// what makes the continuous batcher byte-identical to a solo engine.
 type KVBlock interface {
+	tensor.KVRows
 	// AppendRow caches one position's K and V rows (copied, not
 	// aliased). It may fail — a paged backend can run out of pages.
 	AppendRow(k, v []float32) error
-	// KRow and VRow return the cached rows of position p (read-only).
-	// Between appends they are called from several goroutines at once:
-	// the attention core reads the cache from the worker pool.
-	KRow(p int) []float32
-	VRow(p int) []float32
 	// Len reports cached positions.
 	Len() int
 	// Truncate discards cached positions >= n (no-op when Len() <= n):

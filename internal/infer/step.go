@@ -3,10 +3,8 @@ package infer
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"helmsim/internal/model"
-	"helmsim/internal/parallel"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
@@ -65,15 +63,12 @@ type StepEngine struct {
 	ld     *loader
 
 	ar *tensor.Arena
-	// scores holds one MaxSeq-wide attention-score row per item range a
-	// forked attend can have running — a handful, set by the worker
-	// count, never by the step's height. att and attendFn are attend's
-	// fork: the current call's operands, and the range body bound once.
-	scores   []float32
-	att      attendCall
-	attendFn func(lo, hi int)
-	rope     []float64  // one head's rotary (sin, cos) pairs at the row being rotated (LLaMA only)
-	logits   tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
+	// scores is tensor.Attend's scratch: one MaxSeq-wide score row per
+	// item range a forked attention can have running — a handful, set by
+	// the worker count, never by the step's height.
+	scores tensor.Mat
+	rope   []float64  // one head's rotary (sin, cos) pairs at the row being rotated (LLaMA only)
+	logits tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
 	// slab is the dequantization target for packed tensors the fused
 	// kernels do not take; it grows to the largest such tensor and holds
 	// one tensor at a time.
@@ -120,9 +115,8 @@ func newStepEngine(cfg model.Config, w WeightStore, r Retry) (*StepEngine, error
 		layers: layers,
 		ld:     ld,
 		ar:     tensor.NewArena(),
-		scores: make([]float32, cfg.MaxSeq),
+		scores: tensor.New(1, cfg.MaxSeq),
 	}
-	se.attendFn = se.attendRanges
 	if cfg.Arch == model.ArchLlama {
 		se.rope = make([]float64, cfg.Hidden/cfg.Heads)
 	}
@@ -493,126 +487,8 @@ func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) er
 			return err
 		}
 	}
-
-	// Attention per query position and head, causally masked by
-	// construction: query at absolute position pos+i sees cache entries
-	// [0, pos+i]. Each (row, head) item reads the cache and writes its own
-	// headDim slice of out, so the items are split over the worker pool;
-	// below minAttendWork the fork would cost more than it shares out.
-	items := q.R * nHeads
-	ranges := 1
-	if items*(pos+q.R)*headDim >= minAttendWork {
-		ranges = min(items, attendRangesPerWorker*parallel.N())
-	}
-	if need := ranges * se.cfg.MaxSeq; len(se.scores) < need {
-		se.scores = make([]float32, need)
-	}
-	se.att = attendCall{cache: cache, pos: pos, group: group, q: q, out: out, items: items, ranges: ranges}
-	parallel.For(ranges, 1, se.attendFn)
-	se.att = attendCall{}
+	tensor.Attend(q, cache, pos, nHeads, group, out, &se.scores)
 	return nil
-}
-
-const (
-	// attendRangesPerWorker is how many item ranges attend cuts per
-	// configured worker — the pool's own chunks-per-worker, so each chunk
-	// is one range and one MaxSeq-wide score row serves it.
-	attendRangesPerWorker = 2
-	// minAttendWork is the (row, head) items x visible positions x head
-	// width below which attend stays on the calling goroutine: where the
-	// serial attention costs about internal/tensor's fork floor, for its
-	// reasons. bench-ooc's decode attention (6 heads x 64 wide) reaches it
-	// at 43 cached positions and wins by forking from there on
-	// (BenchmarkAttendSplit; the timings are in EXPERIMENTS.md, "fork
-	// thresholds"). bench-tiny's (4 x 16) would need 256 positions and its
-	// traffic stops at 144.
-	minAttendWork = 1 << 14
-)
-
-// attendCall carries one attend's operands to its forked ranges; the
-// engine keeps the body, a method value, so forking allocates nothing.
-type attendCall struct {
-	cache         KVBlock
-	pos, group    int // cached positions before this step; query heads per K/V head
-	q, out        tensor.Mat
-	items, ranges int
-}
-
-// attendRanges runs the attention core for item ranges [lo, hi) of the
-// engine's current attendCall. Range r takes items r, r+ranges,
-// r+2*ranges, ... — under the causal mask later rows see more positions,
-// and striding spreads them evenly where contiguous blocks would not —
-// and scores them in its own row of se.scores. An item — query row i,
-// head — accumulates into its own headDim slice of out and touches no
-// other, so which goroutine runs which range cannot change a bit of it.
-func (se *StepEngine) attendRanges(lo, hi int) {
-	c := &se.att
-	nHeads := se.cfg.Heads
-	headDim := se.cfg.Hidden / nHeads
-	scale := 1 / float32(math.Sqrt(float64(headDim)))
-	for r := lo; r < hi; r++ {
-		row := se.scores[r*se.cfg.MaxSeq : (r+1)*se.cfg.MaxSeq]
-		for item := r; item < c.items; item += c.ranges {
-			i, head := item/nHeads, item%nHeads
-			limit := c.pos + i + 1
-			qh := c.q.Row(i)[head*headDim : (head+1)*headDim]
-			off := head / c.group * headDim
-			// Scores over the visible cache, in the range's reusable score
-			// row (every scores[p] is assigned before it is read, so stale
-			// values from the previous item never leak).
-			// The dots go four cached positions per pass through the kernel
-			// the logits use (four independent ascending-d chains, where a
-			// lone chain waits out the add latency on every term).
-			scores := row[:limit]
-			p := 0
-			for ; p+4 <= limit; p += 4 {
-				scores[p], scores[p+1], scores[p+2], scores[p+3] = tensor.Dot4(qh,
-					c.cache.KRow(p)[off:], c.cache.KRow(p + 1)[off:], c.cache.KRow(p + 2)[off:], c.cache.KRow(p + 3)[off:])
-			}
-			for ; p < limit; p++ {
-				krow := c.cache.KRow(p)[off : off+headDim]
-				var s float32
-				for d := range qh {
-					s += float32(qh[d] * krow[d])
-				}
-				scores[p] = s
-			}
-			var maxS float32 = float32(math.Inf(-1))
-			for p, s := range scores {
-				s *= scale
-				scores[p] = s
-				if s > maxS {
-					maxS = s
-				}
-			}
-			var sum float32
-			for p := range scores {
-				ev := float32(math.Exp(float64(scores[p] - maxS)))
-				scores[p] = ev
-				sum += ev
-			}
-			inv := float32(1)
-			if sum > 0 {
-				inv = 1 / sum
-			}
-			// The weighted sum of V rows is the matmuls' accumulate over
-			// four positions at a time: dst[d] still adds its terms one by
-			// one in ascending p, so the bits are the one-position loop's.
-			dst := c.out.Row(i)[head*headDim : (head+1)*headDim]
-			p = 0
-			for ; p+4 <= limit; p += 4 {
-				tensor.Axpy4(dst, scores[p]*inv, scores[p+1]*inv, scores[p+2]*inv, scores[p+3]*inv,
-					c.cache.VRow(p)[off:], c.cache.VRow(p + 1)[off:], c.cache.VRow(p + 2)[off:], c.cache.VRow(p + 3)[off:])
-			}
-			for ; p < limit; p++ {
-				wgt := scores[p] * inv
-				vrow := c.cache.VRow(p)[off : off+headDim]
-				for d := range dst {
-					dst[d] += float32(wgt * vrow[d])
-				}
-			}
-		}
-	}
 }
 
 // ffnWidth is the FFN intermediate width.

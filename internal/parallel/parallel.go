@@ -211,16 +211,23 @@ func newPool() *pool { return &pool{wake: make(chan struct{}, maxSpawn)} }
 // goroutine panic is.
 func For(n, grain int, body func(lo, hi int)) { shared.run(n, grain, body) }
 
+// MaxChunks is the most chunks For cuts a range into at the current
+// worker count: 1 at one worker, where every range runs inline. For(n,
+// 1, body) with n <= MaxChunks() runs each index as a chunk of its own,
+// so a caller can size one piece of scratch per chunk before it forks.
+func MaxChunks() int {
+	if w := N(); w > 1 {
+		return chunksPerWorker * w
+	}
+	return 1
+}
+
 func (p *pool) run(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	w := N()
-	chunks := min(chunksPerWorker*w, n/grain)
-	if w == 1 || chunks <= 1 || !p.state.CompareAndSwap(0, slotOwned) {
+	chunks := min(MaxChunks(), n/max(grain, 1))
+	if chunks <= 1 || !p.state.CompareAndSwap(0, slotOwned) {
 		body(0, n)
 		return
 	}

@@ -49,6 +49,29 @@ func TestForCoversEachIndexOnce(t *testing.T) {
 	}
 }
 
+// Up to MaxChunks indices, For at grain 1 runs every index as a chunk
+// of its own (while no other fork holds the slot), and never more chunks
+// than MaxChunks on any range.
+func TestMaxChunksIsForsChunkCount(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 8} {
+		prev := Set(w)
+		for n := 1; n <= 40; n++ {
+			var calls, wide atomic.Int32
+			For(n, 1, func(lo, hi int) {
+				calls.Add(1)
+				if hi-lo > 1 {
+					wide.Add(1)
+				}
+			})
+			c, max := int(calls.Load()), MaxChunks()
+			if c > max || n <= max && (c != n || wide.Load() != 0) {
+				t.Errorf("w=%d n=%d: For ran %d chunks (%d wider than one index), MaxChunks %d", w, n, c, wide.Load(), max)
+			}
+		}
+		Set(prev)
+	}
+}
+
 // Small inputs must not leave the calling goroutine (grain gating).
 func TestForSmallInputsRunInline(t *testing.T) {
 	prev := Set(8)

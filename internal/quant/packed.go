@@ -175,10 +175,10 @@ func (p Packed) DecodeRange(dst []float32, lo int) {
 // decoded tensor — one k-quad of a k x stride GEMV for one activation
 // row, over the columns from lo%stride. Each weight is DecodeRange's
 // value, gmin + float32(float32(q)*scale), and each product is rounded
-// and added in that order as tensor.Axpy4 adds it, so o ends with the
-// bits DecodeRange-then-Axpy4 stores; but at batch one every decoded
-// value is used once, and here it goes from its nibble to the sum in
-// registers. lo, stride and len(o) must be whole groups, and the four
+// and added in that order as internal/tensor's four-term accumulate adds
+// it, so o ends with the bits DecodeRange-then-accumulate stores; but at
+// batch one every decoded value is used once, and here it goes from its
+// nibble to the sum in registers. lo, stride and len(o) must be whole groups, and the four
 // rows must lie inside the tensor.
 func (p Packed) AxpyRows(o []float32, a0, a1, a2, a3 float32, lo, stride int) {
 	g, lok := p.groupsIn(lo)

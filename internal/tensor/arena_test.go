@@ -115,23 +115,21 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	assertSame(t, "MatMulTInto", wantT, gotT)
 
-	wantLN, err := LayerNorm(a, gamma, beta, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLN := New(2, 3)
-	if err := LayerNormInto(a, gamma, beta, 1e-5, gotLN); err != nil {
-		t.Fatal(err)
+	// The norms have no allocating form: a fresh output against a dirty
+	// one proves every element is assigned.
+	wantLN, gotLN := New(2, 3), dirty(2, 3)
+	for _, out := range []Mat{wantLN, gotLN} {
+		if err := LayerNormInto(a, gamma, beta, 1e-5, out); err != nil {
+			t.Fatal(err)
+		}
 	}
 	assertSame(t, "LayerNormInto", wantLN, gotLN)
 
-	wantRN, err := RMSNorm(a, gamma, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRN := New(2, 3)
-	if err := RMSNormInto(a, gamma, 1e-5, gotRN); err != nil {
-		t.Fatal(err)
+	wantRN, gotRN := New(2, 3), dirty(2, 3)
+	for _, out := range []Mat{wantRN, gotRN} {
+		if err := RMSNormInto(a, gamma, 1e-5, out); err != nil {
+			t.Fatal(err)
+		}
 	}
 	assertSame(t, "RMSNormInto", wantRN, gotRN)
 }

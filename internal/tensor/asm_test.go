@@ -11,7 +11,7 @@ import (
 // goes wrong: lengths around every unroll boundary, operands that start
 // anywhere in a vector, values whose handling differs between a right
 // and a nearly-right instruction sequence, and the memory on both sides
-// of every operand. Off amd64 Axpy4 is axpy4Ref and these pass trivially;
+// of every operand. Off amd64 axpy4 is axpy4Ref and these pass trivially;
 // there the whole suite is the reference's test.
 
 // kernelLengths is every length 0-70 (the 8-, 4- and 1-column loops in
@@ -106,7 +106,7 @@ func TestAxpy4MatchesRef(t *testing.T) {
 					bWant[k] = b[k].clone()
 				}
 				axpy4Ref(want.s, a[0], a[1], a[2], a[3], bWant[0].s, bWant[1].s, bWant[2].s, bWant[3].s)
-				Axpy4(o.s, a[0], a[1], a[2], a[3], b[0].s, b[1].s, b[2].s, b[3].s)
+				axpy4(o.s, a[0], a[1], a[2], a[3], b[0].s, b[1].s, b[2].s, b[3].s)
 				assertSameBacking(t, "o", want, o)
 				for k := range b {
 					assertSameBacking(t, "b", bWant[k], b[k])
@@ -172,7 +172,7 @@ func TestAxpy4ShortOperandPanics(t *testing.T) {
 		f()
 	}
 	o, b, short := make([]float32, 9), make([]float32, 9), make([]float32, 8)
-	mustPanic("axpy4 short b3", func() { Axpy4(o, 1, 2, 3, 4, b, b, b, short) })
+	mustPanic("axpy4 short b3", func() { axpy4(o, 1, 2, 3, 4, b, b, b, short) })
 	mustPanic("axpy4x2 short o1", func() { axpy4x2(o, short, b[:4], b[:4], b, b, b, b) })
 	mustPanic("axpy4x2 short a1", func() { axpy4x2(o, o, b[:4], b[:3], b, b, b, b) })
 	mustPanic("axpy4x2 short b0", func() { axpy4x2(o, o, b[:4], b[:4], short, b, b, b) })
@@ -200,7 +200,7 @@ func floatsFromBytes(data []byte, at *int, dst []float32) {
 }
 
 // FuzzAxpy4 is the differential target: arbitrary bit patterns, length
-// and start offset through Axpy4 and the two-row body against their
+// and start offset through axpy4 and the two-row body against their
 // references.
 func FuzzAxpy4(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64}, uint8(9), uint8(1))
@@ -222,7 +222,7 @@ func FuzzAxpy4(f *testing.F) {
 
 		want, got := o0.clone(), o0.clone()
 		axpy4Ref(want.s, a0[0], a0[1], a0[2], a0[3], b[0].s, b[1].s, b[2].s, b[3].s)
-		Axpy4(got.s, a0[0], a0[1], a0[2], a0[3], b[0].s, b[1].s, b[2].s, b[3].s)
+		axpy4(got.s, a0[0], a0[1], a0[2], a0[3], b[0].s, b[1].s, b[2].s, b[3].s)
 		assertSameBacking(t, "axpy4", want, got)
 
 		want1, got0, got1 := o1.clone(), o0.clone(), o1.clone()

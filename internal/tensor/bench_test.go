@@ -89,11 +89,12 @@ func BenchmarkLayerNorm(b *testing.B) {
 	for i := range gamma {
 		gamma[i] = 1
 	}
+	out := New(x.R, x.C)
 	benchAtParallelism(b, func(b *testing.B) {
 		b.SetBytes(int64(len(x.Data)) * 4)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := LayerNorm(x, gamma, beta, 1e-5); err != nil {
+			if err := LayerNormInto(x, gamma, beta, 1e-5, out); err != nil {
 				b.Fatal(err)
 			}
 		}

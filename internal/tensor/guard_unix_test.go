@@ -36,7 +36,7 @@ func guarded(t *testing.T, n int) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[guard-4*n])), n)
 }
 
-// Every operand of Axpy4 and of the two-row body ends exactly at a
+// Every operand of axpy4 and of the two-row body ends exactly at a
 // guard page: a kernel that loads or stores a whole vector where part of
 // one remains crashes the test binary here, where the differential tests
 // would let an over-read pass.
@@ -54,7 +54,7 @@ func TestAxpy4GuardPage(t *testing.T) {
 		fillKernel(rng, want0, 1)
 		copy(o0, want0)
 		axpy4Ref(want0, a0[0], a0[1], a0[2], a0[3], b[0], b[1], b[2], b[3])
-		Axpy4(o0, a0[0], a0[1], a0[2], a0[3], b[0], b[1], b[2], b[3])
+		axpy4(o0, a0[0], a0[1], a0[2], a0[3], b[0], b[1], b[2], b[3])
 		assertSameMat(t, "axpy4 at a guard page", Mat{R: 1, C: n, Data: want0}, Mat{R: 1, C: n, Data: o0})
 	}
 	t.Run("sse2", func(t *testing.T) {

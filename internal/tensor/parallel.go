@@ -45,7 +45,7 @@ const (
 	// wider than this (192 columns and up). A tall GEMM's register tiles
 	// split over columns only where two shares would each get this many.
 	minColTile = 64
-	// minParallelElems gates the per-row kernels (norms, softmax), scalar
+	// minParallelElems gates the per-row kernels (the norms), scalar
 	// float64 loops whose per-element cost puts 1<<13 elements well past
 	// a fork's. A decode step's norms (one row of 384) stay serial; a
 	// 128-row prefill's split.
@@ -61,6 +61,15 @@ const (
 	minParallelActs = 512
 	// actGrain is the fewest activation elements a chunk takes.
 	actGrain = 128
+	// minAttendWork gates attention: (row, head) items x visible
+	// positions x head width below which Attend stays on the calling
+	// goroutine, where the serial attention costs about the fork floor
+	// above, for its reasons. bench-ooc's decode attention (6 heads x 64
+	// wide) reaches it at 43 cached positions and wins by forking from
+	// there on (BenchmarkAttendSplit; the timings are in EXPERIMENTS.md,
+	// "fork thresholds"). bench-tiny's (4 x 16) would need 256 positions
+	// and its traffic stops at 144.
+	minAttendWork = 1 << 14
 )
 
 // SetParallelism sets the worker count shared by every kernel in this
@@ -84,11 +93,11 @@ const (
 	kMatMulTCols
 	kMatMulQ4
 	kMatMulTQ4
-	kSoftmax
 	kLayerNorm
 	kRMSNorm
 	kGELU
 	kSiLU
+	kAttend
 )
 
 // forkCall is the package's one forked kernel call: the operands its
@@ -113,6 +122,9 @@ type forkOperands struct {
 	cols, tile  int
 	gamma, beta []float32
 	eps         float32
+	// Attention's operands besides q (a), its scores (b) and out.
+	kv                        KVRows
+	pos, heads, group, ranges int
 }
 
 var fork = newForkCall()
@@ -139,8 +151,8 @@ func (f *forkCall) run(k kernel, n, grain int) {
 }
 
 // chunk runs indices [lo, hi) of the current call: rows, output columns,
-// sixteen-column panels, quantization groups or elements, as the kernel
-// splits.
+// sixteen-column panels, quantization groups, elements or attention's
+// item ranges, as the kernel splits.
 func (f *forkCall) chunk(lo, hi int) {
 	switch f.kernel {
 	case kMatMulRows:
@@ -158,8 +170,6 @@ func (f *forkCall) chunk(lo, hi int) {
 		matMulQ4Tile(f.a, f.w, f.cols, f.tile, f.out, lo*gs, hi*gs)
 	case kMatMulTQ4:
 		matMulTQ4Tile(f.a, f.w, f.tile, f.out, lo, hi)
-	case kSoftmax:
-		f.a.softmaxRows(lo, hi)
 	case kLayerNorm:
 		layerNormRows(f.a, f.gamma, f.beta, f.eps, f.out, lo, hi)
 	case kRMSNorm:
@@ -168,6 +178,8 @@ func (f *forkCall) chunk(lo, hi int) {
 		geluElems(f.a.Data[lo:hi])
 	case kSiLU:
 		siluElems(f.a.Data[lo:hi])
+	case kAttend:
+		attendRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.b, f.ranges, lo, hi)
 	}
 }
 

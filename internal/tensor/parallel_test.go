@@ -74,11 +74,13 @@ func parLevels() []int {
 // Kernels must be bit-identical at every worker count, on shapes large
 // enough to actually engage the parallel paths (tall for row tiles,
 // single-row for column tiles and for the element-wise activations).
+// Attention takes a's rows as queries in heads 16 wide, grouped in
+// pairs, over a cache of 40 positions before them.
 func TestKernelParallelismInvariance(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ r, k, c int }{
-		{128, 96, 80}, // row-tiled (and tall enough that the norms and softmax fork)
+		{128, 96, 80}, // row-tiled (and tall enough that the norms fork)
 		{1, 256, 512}, // column-tiled (decode shape)
 		{3, 128, 300}, // fewer rows than workers
 		{1, 1536, 64}, // GELU / SiLU at decode width (the FFN activation of a 384-wide model)
@@ -102,7 +104,11 @@ func TestKernelParallelismInvariance(t *testing.T) {
 			beta[i] = float32(rng.NormFloat64())
 		}
 
-		type result struct{ mm, mmt, ln, rms, gelu, silu, sm []float32 }
+		const pos = 40
+		heads := sh.k / 16
+		kv := kvMats{randMat(pos+sh.r, sh.k/2, rng.Int63()), randMat(pos+sh.r, sh.k/2, rng.Int63())}
+
+		type result struct{ mm, mmt, ln, rms, gelu, silu, att []float32 }
 		runAll := func(par int) result {
 			prev := SetParallelism(par)
 			defer SetParallelism(prev)
@@ -114,21 +120,20 @@ func TestKernelParallelismInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ln, err := LayerNorm(a, gamma, beta, 1e-5)
-			if err != nil {
+			ln, rms := New(a.R, a.C), New(a.R, a.C)
+			if err := LayerNormInto(a, gamma, beta, 1e-5, ln); err != nil {
 				t.Fatal(err)
 			}
-			rms, err := RMSNorm(a, gamma, 1e-5)
-			if err != nil {
+			if err := RMSNormInto(a, gamma, 1e-5, rms); err != nil {
 				t.Fatal(err)
 			}
 			g := a.Clone()
 			g.GELU()
 			s := a.Clone()
 			s.SiLU()
-			sm := a.Clone()
-			sm.SoftmaxRows()
-			return result{mm.Data, mmt.Data, ln.Data, rms.Data, g.Data, s.Data, sm.Data}
+			att, scores := New(a.R, a.C), Mat{}
+			Attend(a, kv, pos, heads, 2, att, &scores)
+			return result{mm.Data, mmt.Data, ln.Data, rms.Data, g.Data, s.Data, att.Data}
 		}
 
 		base := runAll(1)
@@ -148,7 +153,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 			check("rmsnorm", base.rms, got.rms)
 			check("gelu", base.gelu, got.gelu)
 			check("silu", base.silu, got.silu)
-			check("softmax", base.sm, got.sm)
+			check("attention", base.att, got.att)
 		}
 	}
 }
@@ -181,6 +186,8 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 			act := randMat(1, 1536, int64(200+g))
 			wantAct := act.Clone()
 			geluElems(wantAct.Data)
+			q, kv := randMat(1, 384, int64(300+g)), kvMats{randMat(150, 384, int64(400+g)), randMat(150, 384, int64(500+g))}
+			wantAtt, att, scores := attendRef(q, kv, 149, 6, 1), New(1, 384), Mat{}
 			for round := 0; round < 50; round++ {
 				if err := MatMulInto(a, b, out); err != nil {
 					t.Error(err)
@@ -197,6 +204,14 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 				for i := range wantAct.Data {
 					if !sameBits(got.Data[i], wantAct.Data[i]) {
 						t.Errorf("caller %d round %d: gelu elem %d = %v, want %v", g, round, i, got.Data[i], wantAct.Data[i])
+						return
+					}
+				}
+				clear(att.Data)
+				Attend(q, kv, 149, 6, 1, att, &scores)
+				for i := range wantAtt.Data {
+					if !sameBits(att.Data[i], wantAtt.Data[i]) {
+						t.Errorf("caller %d round %d: attention elem %d = %v, want %v", g, round, i, att.Data[i], wantAtt.Data[i])
 						return
 					}
 				}

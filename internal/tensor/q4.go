@@ -89,7 +89,7 @@ func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 			}
 			if i < a.R {
 				arow := a.Row(i)
-				Axpy4(out.Row(i)[c0:c1], arow[k], arow[k+1], arow[k+2], arow[k+3], b0, b1, b2, b3)
+				axpy4(out.Row(i)[c0:c1], arow[k], arow[k+1], arow[k+2], arow[k+3], b0, b1, b2, b3)
 			}
 		}
 		for ; k < a.C; k++ {
@@ -106,7 +106,7 @@ func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 // registers where it is multiplied (quant.Packed.AxpyRows), one call
 // across all of [clo, chi), instead of into scratch and read back; only
 // the K mod 4 tail rows take the scratch. An output element still adds
-// its terms in ascending k with Axpy4's roundings, so the bits are the
+// its terms in ascending k with axpy4's roundings, so the bits are the
 // scratch path's.
 func gemvQ4Tile(x []float32, w quant.Packed, cols, run int, o []float32, clo, chi int) {
 	k := 0

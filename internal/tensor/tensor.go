@@ -1,7 +1,8 @@
 // Package tensor provides the small dense linear-algebra kernel set the
 // executable inference engine (internal/infer) runs on: row-major float32
-// matrices, matmul, softmax, layer/RMS norm, and the GELU/SiLU
-// activations of the OPT and LLaMA decoder blocks.
+// matrices, matmul, layer/RMS norm, the GELU/SiLU activations of the OPT
+// and LLaMA decoder blocks, and the attention core (scores over a KV
+// cache, causal softmax, weighted sum of V rows).
 //
 // These are plain row-major loops, not a BLAS: the one cache blocking is
 // the tall GEMM's. What they do have is inner loops written for the
@@ -10,8 +11,9 @@
 // GEMM taller than a decode step runs register tiles of 6 rows x 16
 // columns whose sums stay in registers across all of k, over panels of
 // b that stay in cache across the rows, and the transposed matmul runs
-// four dot products at once so the adds overlap — and parallelism: the
-// matmuls, norms and activations split their index spaces over the
+// four dot products at once so the adds overlap, as attention's scores do
+// — and parallelism: the matmuls, norms, activations and attention split
+// their index spaces over the
 // shared fork-join of internal/parallel (rows when the batch is tall,
 // one tile of output columns per worker when it is not, and one share of
 // sixteen-column panels per worker for the register tiles), at decode as
@@ -24,7 +26,7 @@
 // whichever goroutine ran which chunk (DESIGN §3c).
 //
 // Two leaves are assembly on amd64 (kernels_amd64.s): the accumulate
-// (Axpy4, axpy4x2) in baseline SSE2, four output columns per vector, and
+// (axpy4, axpy4x2) in baseline SSE2, four output columns per vector, and
 // the tall GEMM's register tile (tile6x16) in AVX, eight columns per
 // vector, where CPUID says the host has it. A lane is one output element
 // keeping its own chain, each product and each sum rounded as the scalar
@@ -212,7 +214,7 @@ func matMulPairs(a, b, out Mat, rlo, rhi, clo, chi int) {
 		o := out.Row(i)[clo:chi]
 		k := 0
 		for ; k+4 <= a.C; k += 4 {
-			Axpy4(o, arow[k], arow[k+1], arow[k+2], arow[k+3],
+			axpy4(o, arow[k], arow[k+1], arow[k+2], arow[k+3],
 				b.Row(k)[clo:], b.Row(k + 1)[clo:], b.Row(k + 2)[clo:], b.Row(k + 3)[clo:])
 		}
 		for ; k < a.C; k++ {
@@ -236,7 +238,7 @@ func tile6x16Ref(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k
 	}
 }
 
-// axpy4Ref is the reference body of Axpy4: the whole implementation off
+// axpy4Ref is the reference body of axpy4: the whole implementation off
 // amd64, and what the differential tests hold the assembly to. Each
 // product is written float32(a*b): the Go spec lets a compiler fuse
 // x*y + z into one rounding (arm64's does) and an explicit conversion
@@ -307,14 +309,14 @@ func MatMulTInto(a, b, out Mat) error {
 }
 
 // matMulTTile fills output rows [rlo, rhi) x columns [clo, chi) of
-// a @ bᵀ, four columns per pass (see Dot4).
+// a @ bᵀ, four columns per pass (see dot4From).
 func matMulTTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 	for i := rlo; i < rhi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		j := clo
 		for ; j+4 <= chi; j += 4 {
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = Dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4From(0, 0, 0, 0, arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 		}
 		for ; j < chi; j++ {
 			orow[j] = dot(arow, b.Row(j))
@@ -336,18 +338,12 @@ func dotFrom(s float32, x, y []float32) float32 {
 	return s
 }
 
-// Dot4 computes four inner products against one x in a single pass. A
-// lone s += x*y chain waits out the add latency on every term; four
-// independent chains keep the adder busy. Each sum is still its own
-// ascending-k chain, so every result carries the bits dot returns. Only
-// the first len(x) elements of each y are read. (Exported for the
-// attention core in internal/infer, which scores four cached positions
-// per pass with it.)
-func Dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
-	return dot4From(0, 0, 0, 0, x, y0, y1, y2, y3)
-}
-
-// dot4From is Dot4 continuing from four partial sums (see dotFrom).
+// dot4From continues four inner products against one x from four
+// partial sums (see dotFrom) in a single pass. A lone s += x*y chain
+// waits out the add latency on every term; four independent chains keep
+// the adder busy. Each sum is still its own ascending-k chain, so every
+// result carries the bits dotFrom returns. Only the first len(x)
+// elements of each y are read.
 func dot4From(s0, s1, s2, s3 float32, x, y0, y1, y2, y3 []float32) (float32, float32, float32, float32) {
 	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
 	for k, xv := range x {
@@ -384,59 +380,10 @@ func (m Mat) Add(other Mat) error {
 	return nil
 }
 
-// Scale multiplies every element in place.
-func (m Mat) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row in place
-// (rows are independent, so row tiles parallelize bit-identically).
-func (m Mat) SoftmaxRows() {
-	if len(m.Data) < minParallelElems || !fork.take() {
-		m.softmaxRows(0, m.R)
-		return
-	}
-	fork.a = m
-	fork.run(kSoftmax, m.R, rowGrain)
-}
-
-func (m Mat) softmaxRows(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := m.Row(i)
-		maxV := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float32
-		for j, v := range row {
-			e := float32(math.Exp(float64(v - maxV)))
-			row[j] = e
-			sum += e
-		}
-		if sum > 0 {
-			for j := range row {
-				row[j] /= sum
-			}
-		}
-	}
-}
-
-// LayerNorm normalizes each row to zero mean / unit variance and applies
-// gamma and beta, returning a new matrix (OPT's normalization).
-func LayerNorm(x Mat, gamma, beta []float32, eps float32) (Mat, error) {
-	out := New(x.R, x.C)
-	if err := LayerNormInto(x, gamma, beta, eps, out); err != nil {
-		return Mat{}, err
-	}
-	return out, nil
-}
-
-// LayerNormInto is LayerNorm writing into a caller-provided x.R x x.C
-// output. Every element of out is assigned. out must not alias x.
+// LayerNormInto normalizes each row of x to zero mean / unit variance
+// and applies gamma and beta (OPT's normalization), writing into a
+// caller-provided x.R x x.C output. Every element of out is assigned.
+// out must not alias x.
 func LayerNormInto(x Mat, gamma, beta []float32, eps float32, out Mat) error {
 	if len(gamma) != x.C || len(beta) != x.C {
 		return fmt.Errorf("tensor: layernorm params %d/%d for width %d", len(gamma), len(beta), x.C)
@@ -476,17 +423,9 @@ func layerNormRows(x Mat, gamma, beta []float32, eps float32, out Mat, lo, hi in
 	}
 }
 
-// RMSNorm applies LLaMA's root-mean-square normalization with gamma.
-func RMSNorm(x Mat, gamma []float32, eps float32) (Mat, error) {
-	out := New(x.R, x.C)
-	if err := RMSNormInto(x, gamma, eps, out); err != nil {
-		return Mat{}, err
-	}
-	return out, nil
-}
-
-// RMSNormInto is RMSNorm writing into a caller-provided x.R x x.C
-// output. Every element of out is assigned. out must not alias x.
+// RMSNormInto applies LLaMA's root-mean-square normalization with gamma
+// to each row of x, writing into a caller-provided x.R x x.C output.
+// Every element of out is assigned. out must not alias x.
 func RMSNormInto(x Mat, gamma []float32, eps float32, out Mat) error {
 	if len(gamma) != x.C {
 		return fmt.Errorf("tensor: rmsnorm params %d for width %d", len(gamma), x.C)
