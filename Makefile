@@ -75,20 +75,28 @@ bench-smoke:
 # token digests (with the register tiles on and off), GELU's integer
 # float32 widening against the conversion and GELU against its
 # one-expression oracle, the attention core against its per-position
-# loop, and RoPE's per-position angles against the per-head loop — all
+# loop, RoPE's per-position angles against the per-head loop, and the
+# vector transcendentals (GELU, SiLU, softmax's exponential) against the
+# scalar expressions over a strided sweep of every float32, against
+# their Go twins (every length and offset, a guard page, fuzz seeds) and
+# their float64 exp and tanh against math.Exp's non-FMA body — all
 # bit-for-bit, under the race detector.
 # Run twice: at the host's GOMAXPROCS, and at 3 (an odd split, and on a
 # two-core box more pool workers than cores; -count=1 because the test
 # cache does not see GOMAXPROCS and would replay the first run). Then the
-# token digests, GELU and attention once more with the standard
-# library's FMA paths switched off (math.Exp and math.Tanh take their
-# portable bodies): a fleet of mixed CPUs must produce the same tokens,
-# so a request that fails over to another host continues byte-identical.
-KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Attend|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+# transcendentals' sweep over all 2^32 float32 inputs, without the race
+# detector (a few minutes on two cores; -exhaustive is that test's own
+# flag). Then the token digests, GELU, attention and the transcendentals
+# once more with the standard library's FMA paths switched off (math.Exp
+# takes its non-FMA body, which the vector one must then equal in
+# float64 too): a fleet of mixed CPUs must produce the same tokens, so a
+# request that fails over to another host continues byte-identical.
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Attend|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop|Transcendentals' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
 	$(KERNEL_ORACLES)
 	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1
-	GODEBUG=cpu.fma=off $(GO) test -race -count=1 -run 'TestPinnedTokenDigests|TestGELUMatchesOracle|TestAttendMatchesRef' ./internal/infer/ ./internal/tensor/
+	$(GO) test -count=1 -timeout 30m -run 'TestTranscendentalsExhaustive' ./internal/tensor/ -exhaustive
+	GODEBUG=cpu.fma=off $(GO) test -race -count=1 -run 'TestPinnedTokenDigests|TestGELUMatchesOracle|TestAttendMatchesRef|TestTranscendentals' ./internal/infer/ ./internal/tensor/
 
 # The CI daemon-smoke job: full helmd lifecycle (signals, reload, drain)
 # plus the server chaos test, both under the race detector.

@@ -76,10 +76,9 @@ func attendRanges(q Mat, kv KVRows, pos, heads, group int, out, scores Mat, rang
 					maxS = v
 				}
 			}
+			expShift(s, maxS)
 			var sum float32
-			for p := range s {
-				ev := float32(math.Exp(float64(s[p] - maxS)))
-				s[p] = ev
+			for _, ev := range s {
 				sum += ev
 			}
 			inv := float32(1)
@@ -88,6 +87,14 @@ func attendRanges(q Mat, kv KVRows, pos, heads, group int, out, scores Mat, rang
 			}
 			attendValues(out.Row(i)[head*headDim:(head+1)*headDim], s, inv, kv, off)
 		}
+	}
+}
+
+// expShiftRef is softmax's exponentials, s[p] = exp(s[p]-shift) with the
+// difference taken in float32: the Go twin of expShiftAVX (see geluRef).
+func expShiftRef(s []float32, shift float32) {
+	for p, v := range s {
+		s[p] = float32(math.Exp(float64(v - shift)))
 	}
 }
 

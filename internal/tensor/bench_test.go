@@ -102,24 +102,37 @@ func BenchmarkLayerNorm(b *testing.B) {
 }
 
 // GELU at bench-ooc's FFN activation shapes: one decode row and a
-// 128-token prefill, 1536 wide, in ns per element. The input is restored
-// before every call (a copy, ~0.1 ns per element), because GELU applied
-// in place over and over walks its input to the fixed points 0 and x,
-// where math.Tanh takes its cheap branches.
+// 128-token prefill, 1536 wide, in ns per element, through the scalar
+// body (math.Tanh per element) and the AVX one (geluAVX), forced by
+// wideAccumulate. The input is restored before every call (a copy, ~0.1
+// ns per element), because GELU applied in place over and over walks
+// its input to the fixed points 0 and x, where tanh takes its cheap
+// branches.
 func BenchmarkGELU(b *testing.B) {
+	probed := wideAccumulate
+	defer func() { wideAccumulate = probed }()
 	for _, rows := range []int{1, 128} {
 		src := randMat(rows, 1536, 8)
 		x := New(rows, 1536)
-		b.Run(fmt.Sprintf("%dx1536", rows), func(b *testing.B) {
-			benchAtParallelism(b, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					copy(x.Data, src.Data)
-					x.GELU()
+		for _, body := range []struct {
+			name string
+			avx  bool
+		}{{"scalar", false}, {"avx", true}} {
+			b.Run(fmt.Sprintf("%dx1536/%s", rows, body.name), func(b *testing.B) {
+				if body.avx && !probed {
+					b.Skip("no AVX on this host")
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x.Data)), "ns/elem")
+				wideAccumulate = body.avx
+				benchAtParallelism(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						copy(x.Data, src.Data)
+						x.GELU()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x.Data)), "ns/elem")
+				})
 			})
-		})
+		}
 	}
 }
 

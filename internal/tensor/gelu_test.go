@@ -105,37 +105,41 @@ func tanhArgEdge(edge float64) float32 {
 	return math.Float32frombits(hi)
 }
 
-// TestGELUMatchesOracle holds geluElems and Mat.GELU (forked and serial)
-// to geluOracle by Float32bits: a strided sweep of every float32 bit
-// pattern plus geluSpecials, fed in odd lengths so both the two-element
-// pass and the one-element tail run, at every offset parity.
+// TestGELUMatchesOracle holds geluRef, geluElems (the vector body
+// where the host has AVX) and Mat.GELU (forked and serial) to geluOracle
+// by Float32bits: geluSpecials plus a strided sweep of every float32 bit
+// pattern, fed in odd lengths so both the two-element pass and the
+// one-element tail run, at every offset parity.
 func TestGELUMatchesOracle(t *testing.T) {
 	const stride = 1021 // prime: the sweep visits every exponent and both signs, with varied mantissas
-	var in []float32
+	in := geluSpecials()
 	for b := uint64(0); b < 1<<32; b += stride {
 		in = append(in, math.Float32frombits(uint32(b)))
 	}
-	in = append(in, geluSpecials()...)
 	want := make([]float32, len(in))
 	for i, v := range in {
 		want[i] = geluOracle(v)
 	}
 	check := func(what string, got []float32) {
 		t.Helper()
-		for i, g := range got {
-			if math.Float32bits(g) != math.Float32bits(want[i]) {
-				t.Fatalf("%s: GELU(%#08x = %g) = %#08x, oracle %#08x", what, math.Float32bits(in[i]), in[i],
-					math.Float32bits(g), math.Float32bits(want[i]))
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s(%#08x) = %#08x, oracle %#08x", what, math.Float32bits(in[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
 			}
 		}
 	}
 	got := make([]float32, len(in))
-	for _, n := range []int{1, 3, 4099} {
-		copy(got, in)
-		for lo := 0; lo < len(got); lo += n {
-			geluElems(got[lo:min(lo+n, len(got))])
+	for _, body := range []struct {
+		name string
+		f    func([]float32)
+	}{{"geluRef", geluRef}, {"geluElems", geluElems}} {
+		for _, n := range []int{1, 3, 4099} {
+			copy(got, in)
+			for lo := 0; lo < len(got); lo += n {
+				body.f(got[lo:min(lo+n, len(got))])
+			}
+			check(body.name, got)
 		}
-		check("geluElems", got)
 	}
 	for _, par := range []int{1, 2, 3} {
 		prev := SetParallelism(par)

@@ -101,3 +101,24 @@ func TestTileGuardPage(t *testing.T) {
 		}
 	}
 }
+
+// GELU, SiLU and softmax's exponential on slices whose last vector ends
+// exactly at a guard page: each vector body loads and stores four
+// float32s at a time and not a byte past the last whole vector, which
+// the Go twin then finishes.
+func TestTranscendentalsGuardPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for _, tr := range transcendentals() {
+		for _, n := range kernelLengths() {
+			got := guarded(t, n)
+			fillKernel(rng, got, 1)
+			if tr.name == "softmax exp" {
+				nonPositive(got)
+			}
+			want := append([]float32(nil), got...)
+			tr.twin(want)
+			tr.run(got)
+			assertSameMat(t, fmt.Sprintf("%s at a guard page, n %d", tr.name, n), Mat{R: 1, C: n, Data: want}, Mat{R: 1, C: n, Data: got})
+		}
+	}
+}

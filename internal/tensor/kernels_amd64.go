@@ -38,11 +38,55 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 	axpy4x2SSE(&o0[0], &o1[0], n, (*[4]float32)(a0), (*[4]float32)(a1), &b0[0], &b1[0], &b2[0], &b3[0])
 }
 
-// wideAccumulate is whether matMulTile runs the tall GEMM as register
-// tiles (tile6x16AVX): the CPU probe's answer, read once. It is a
-// variable only so that tests can switch the tiles off and hold both
-// paths to the same bits.
+// wideAccumulate is whether the package's AVX bodies run:
+// matMulTile's register tiles (tile6x16AVX), taken only in a GEMM taller
+// than tallGEMMRows, and the transcendentals of GELU, SiLU and softmax
+// (geluAVX, siluAVX, expShiftAVX), taken at every call. It is the CPU
+// probe's answer, read once, and a variable only so that tests and
+// benchmarks can switch the bodies off and hold both paths to the same
+// bits.
 var wideAccumulate = cpuHasAVX()
+
+// geluElems applies GELU to data in place. On a host with AVX the whole
+// vectors of four go through geluAVX and the n mod 4 tail through
+// geluRef; without AVX geluRef takes it all. Both store the bits of the
+// scalar expression (kernels_amd64.s says why the vector body can).
+func geluElems(data []float32) {
+	for wideAccumulate && len(data) >= 4 {
+		n := min(len(data)&^3, vectorBlock)
+		geluAVX(&data[0], n)
+		data = data[n:]
+	}
+	geluRef(data)
+}
+
+// siluElems is geluElems for SiLU (siluAVX, siluRef).
+func siluElems(data []float32) {
+	for wideAccumulate && len(data) >= 4 {
+		n := min(len(data)&^3, vectorBlock)
+		siluAVX(&data[0], n)
+		data = data[n:]
+	}
+	siluRef(data)
+}
+
+// expShift sets s[p] = exp(s[p]-shift), softmax's exponentials, as
+// geluElems does GELU (expShiftAVX, expShiftRef).
+func expShift(s []float32, shift float32) {
+	for wideAccumulate && len(s) >= 4 {
+		n := min(len(s)&^3, vectorBlock)
+		expShiftAVX(&s[0], n, shift)
+		s = s[n:]
+	}
+	expShiftRef(s, shift)
+}
+
+// vectorBlock is the most elements one call into a vector
+// transcendental takes, about 6 µs of GELU: assembly cannot be
+// preempted, so a long activation returns to Go between blocks and the
+// non-preemptible stretch stays as short as the other leaves' (a serial
+// 128x1536 GELU in one call would be over a millisecond).
+const vectorBlock = 1024
 
 // tile6x16 adds to six rows and sixteen columns of o — o[i*ldo+j] for
 // i < 6, j < 16 — the k terms a[i*lda+kk]*b[kk*ldb+j], kk ascending,
@@ -86,3 +130,21 @@ func tile6x16AVX(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k in
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax uint32)
+
+//go:noescape
+func geluAVX(x *float32, n int)
+
+//go:noescape
+func siluAVX(x *float32, n int)
+
+//go:noescape
+func expShiftAVX(x *float32, n int, shift float32)
+
+// expAVX and tanhAVX run the vector bodies' exp and tanh on float64s in
+// place, n a multiple of four; only the tests call them.
+
+//go:noescape
+func expAVX(x *float64, n int)
+
+//go:noescape
+func tanhAVX(x *float64, n int)

@@ -1,8 +1,10 @@
 #include "textflag.h"
 
-// The accumulate kernels of kernels_amd64.go in baseline SSE2 (and the
-// tall GEMM's register tile in AVX, below): four output columns per
-// vector, one lane per column. A lane does what the scalar reference
+// The accumulate kernels of kernels_amd64.go in baseline SSE2 (and, in
+// AVX below, the tall GEMM's register tile and the transcendentals of
+// GELU, SiLU and softmax, four float64 lanes of math.Exp's non-FMA body
+// and of math.Tanh per vector): four output columns per vector, one lane
+// per column. A lane does what the scalar reference
 // does to its column — MULPS rounds each product as MULSS would, ADDPS
 // adds it to the running sum as ADDSS would, the four terms in a0, a1,
 // a2, a3 order — so no bit can differ. Nothing is fused (no VFMADD: it
@@ -386,6 +388,351 @@ tilek:
 	VZEROUPPER
 
 tiledone:
+	RET
+
+// The transcendentals of GELU, SiLU and attention's softmax, four
+// float64 lanes per vector (AVX1 only: the integer work on k is VEX.128,
+// joined by VINSERTF128). A lane runs what the scalar code runs for its
+// element: the float32 is widened exactly, math.Exp is the non-FMA body
+// of math/exp_amd64.s instruction for instruction (k = LOG2E·x rounded
+// to nearest by the conversion, x − k·LN2U − k·LN2L, ×1/16, the
+// eight-term Horner, four x·(x+2) squarings, +1, ×2^k), math.Tanh is
+// math/tanh.go, and every branch of either is a lane select over values
+// computed for all four lanes. No VFMADD, nothing summed across lanes.
+// The float32 results equal the scalar expressions' on every input
+// (TestTranscendentalsExhaustive), whether math.Exp takes its FMA body
+// or not. n is a multiple of four.
+
+// Offsets into exptab<>: each constant four times over (32 bytes) so
+// that it can be a 256-bit memory operand, then three int32 x4.
+#define LOG2E 0
+#define LN2U 32
+#define LN2L 64
+#define SIXTEENTH 96
+#define C8 128
+#define C7 160
+#define C6 192
+#define C5 224
+#define C4 256
+#define C3 288
+#define HALF 320
+#define ONE 352
+#define TWO 384
+#define OVERFLOW 416
+#define KOVERFLOW 448
+#define KUNDERFLOW 480
+#define KDENORMAL 512
+#define TINY 544
+#define POSINF 576
+#define ABSMASK 608
+#define SIGNMASK 640
+#define TANHEDGE 672
+#define HALFMAXLOG 704
+#define P0 736
+#define P1 768
+#define P2 800
+#define Q0 832
+#define Q1 864
+#define Q2 896
+#define GELUC 928
+#define GELUA 960
+#define BIAS 992
+#define DENBIAS 1008
+#define DENEDGE 1024
+
+#define CONST4(off, v) \
+	DATA exptab<>+(off)(SB)/8, v; \
+	DATA exptab<>+(off+8)(SB)/8, v; \
+	DATA exptab<>+(off+16)(SB)/8, v; \
+	DATA exptab<>+(off+24)(SB)/8, v
+
+#define INT4(off, v) \
+	DATA exptab<>+(off)(SB)/4, v; \
+	DATA exptab<>+(off+4)(SB)/4, v; \
+	DATA exptab<>+(off+8)(SB)/4, v; \
+	DATA exptab<>+(off+12)(SB)/4, v
+
+CONST4(LOG2E, $0x3ff71547652b82fe)      // 1.4426950408889634
+CONST4(LN2U, $0x3fe62e42fefa3000)       // 0.693147180559663 (upper half of ln 2)
+CONST4(LN2L, $0x3d53de6af278ece6)       // 2.8235290563031577e-13 (lower half)
+CONST4(SIXTEENTH, $0x3fb0000000000000)  // 0.0625
+CONST4(C8, $0x3efa01a01a01a01a)         // 2.4801587301587301587e-5
+CONST4(C7, $0x3f2a01a01a01a01a)         // 1.9841269841269841270e-4
+CONST4(C6, $0x3f56c16c16c16c17)         // 1.3888888888888888889e-3
+CONST4(C5, $0x3f81111111111111)         // 8.3333333333333333333e-3
+CONST4(C4, $0x3fa5555555555555)         // 4.1666666666666666667e-2
+CONST4(C3, $0x3fc5555555555555)         // 1.6666666666666666667e-1
+CONST4(HALF, $0x3fe0000000000000)       // 0.5
+CONST4(ONE, $0x3ff0000000000000)        // 1
+CONST4(TWO, $0x4000000000000000)        // 2
+CONST4(OVERFLOW, $0x40862e42fefa39ef)   // 7.09782712893384e+02
+CONST4(KOVERFLOW, $0x4090000000000000)  // 1024: k+1023 >= 0x7FF
+CONST4(KUNDERFLOW, $0xc090cc0000000000) // -1075: k+1023 < -52
+CONST4(KDENORMAL, $0xc08ff80000000000)  // -1023: k+1023 <= 0
+CONST4(TINY, $0x0010000000000000)       // 2^-1022
+CONST4(POSINF, $0x7ff0000000000000)
+CONST4(ABSMASK, $0x7fffffffffffffff)
+CONST4(SIGNMASK, $0x8000000000000000)
+CONST4(TANHEDGE, $0x3fe4000000000000)   // 0.625
+CONST4(HALFMAXLOG, $0x404601e678fc457b) // 0.5*MAXLOG, past which tanh is ±1
+CONST4(P0, $0xbfeedc5baafd6f4b)         // tanhP[0]
+CONST4(P1, $0xc058d26a0e26682d)         // tanhP[1]
+CONST4(P2, $0xc0993ac030580563)         // tanhP[2]
+CONST4(Q0, $0x405c33f28a581b86)         // tanhQ[0]
+CONST4(Q1, $0x40a176fa0e5535fa)         // tanhQ[1]
+CONST4(Q2, $0x40b2ec102442040c)         // tanhQ[2]
+CONST4(GELUC, $0x3fe9884533d43651)      // sqrt(2/pi)
+CONST4(GELUA, $0x3fa6e4e26d4801f7)      // 0.044715
+INT4(BIAS, $1023)
+INT4(DENBIAS, $1022)
+INT4(DENEDGE, $-1022)
+GLOBL exptab<>(SB), RODATA|NOPTR, $1040
+
+// EXPPOLY sets r to math.Exp's reduced polynomial at x, before the 2^k
+// scale, xk to k (int32 lanes) and kd to float64(k). t is scratch.
+#define EXPPOLY(x, r, t, xk, kd) \
+	VMULPD     exptab<>+LOG2E(SB), x, t; \
+	VCVTPD2DQY t, xk; \
+	VCVTDQ2PD  xk, kd; \
+	VMULPD     exptab<>+LN2U(SB), kd, t; \
+	VSUBPD     t, x, r; \
+	VMULPD     exptab<>+LN2L(SB), kd, t; \
+	VSUBPD     t, r, r; \
+	VMULPD     exptab<>+SIXTEENTH(SB), r, r; \
+	VMULPD     exptab<>+C8(SB), r, t; \
+	VADDPD     exptab<>+C7(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+C6(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+C5(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+C4(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+C3(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+HALF(SB), t, t; \
+	VMULPD     r, t, t; \
+	VADDPD     exptab<>+ONE(SB), t, t; \
+	VMULPD     t, r, r; \
+	VADDPD     exptab<>+TWO(SB), r, t; \
+	VMULPD     t, r, r; \
+	VADDPD     exptab<>+TWO(SB), r, t; \
+	VMULPD     t, r, r; \
+	VADDPD     exptab<>+TWO(SB), r, t; \
+	VMULPD     t, r, r; \
+	VADDPD     exptab<>+TWO(SB), r, t; \
+	VMULPD     t, r, r; \
+	VADDPD     exptab<>+ONE(SB), r, r
+
+// POW2 sets yk to 2^e for the int32 lanes e in xk (xk and yk are one
+// register): each e moved into the high dword of its quadword against
+// the zero in xz, shifted up to the exponent field. xt is scratch.
+#define POW2(xk, yk, xt, xz) \
+	VPUNPCKHDQ  xk, xz, xt; \
+	VPUNPCKLDQ  xk, xz, xk; \
+	VPSLLQ      $20, xk, xk; \
+	VPSLLQ      $20, xt, xt; \
+	VINSERTF128 $1, xt, yk, yk
+
+// EXP sets r to math.Exp(x) in every lane, the special cases of
+// exp_amd64.s as lane selects: k+1023 <= 0 scales by 2^(k+1022) and
+// then 2^-1022, k+1023 < -52 is 0 (-Inf lands here), k+1023 >= 0x7FF
+// and x > Overflow are +Inf, a NaN is x itself. t, u, yk, kd and xt
+// are scratch; xz is zero.
+#define EXP(x, r, t, u, xk, yk, kd, xt, xz) \
+	EXPPOLY(x, r, t, xk, kd); \
+	VMOVDQU     exptab<>+DENEDGE(SB), xt; \
+	VPCMPGTD    xk, xt, xt; \
+	VPAND       exptab<>+DENBIAS(SB), xt, xt; \
+	VPADDD      xt, xk, xk; \
+	VPADDD      exptab<>+BIAS(SB), xk, xk; \
+	POW2(xk, yk, xt, xz); \
+	VMULPD      yk, r, r; \
+	VCMPPD      $0x12, exptab<>+KDENORMAL(SB), kd, u; \
+	VMOVUPD     exptab<>+ONE(SB), t; \
+	VBLENDVPD   u, exptab<>+TINY(SB), t, t; \
+	VMULPD      t, r, r; \
+	VCMPPD      $0x11, exptab<>+KUNDERFLOW(SB), kd, u; \
+	VANDNPD     r, u, r; \
+	VCMPPD      $0x1d, exptab<>+KOVERFLOW(SB), kd, u; \
+	VCMPPD      $0x1e, exptab<>+OVERFLOW(SB), x, t; \
+	VORPD       t, u, u; \
+	VBLENDVPD   u, exptab<>+POSINF(SB), r, r; \
+	VCMPPD      $0x03, x, x, u; \
+	VBLENDVPD   u, x, r, r
+
+// TANH sets Y8 to math.Tanh(Y1), both of math/tanh.go's branches
+// computed for every lane: 1 − 2/(exp(2z)+1) with u's sign, z = |u|,
+// and the rational function u + u·s·P(s)/Q(s), s = u·u, for z < 0.625;
+// a zero u is returned as is and past 0.5·MAXLOG it is ±1. The exp
+// argument is at most MAXLOG where its branch is taken, so only the
+// plain 2^k scale is needed. Clobbers Y2-Y7, Y9, Y10; Y15 is zero.
+#define TANH \
+	VANDPD    exptab<>+ABSMASK(SB), Y1, Y2; \
+	VADDPD    Y2, Y2, Y3; \
+	EXPPOLY(Y3, Y4, Y7, X5, Y6); \
+	VPADDD    exptab<>+BIAS(SB), X5, X5; \
+	POW2(X5, Y5, X7, X15); \
+	VMULPD    Y5, Y4, Y4; \
+	VADDPD    exptab<>+ONE(SB), Y4, Y4; \
+	VMOVUPD   exptab<>+TWO(SB), Y7; \
+	VDIVPD    Y4, Y7, Y4; \
+	VMOVUPD   exptab<>+ONE(SB), Y7; \
+	VSUBPD    Y4, Y7, Y4; \
+	VANDPD    exptab<>+SIGNMASK(SB), Y1, Y7; \
+	VXORPD    Y7, Y4, Y4; \
+	VMULPD    Y1, Y1, Y8; \
+	VMULPD    exptab<>+P0(SB), Y8, Y9; \
+	VADDPD    exptab<>+P1(SB), Y9, Y9; \
+	VMULPD    Y8, Y9, Y9; \
+	VADDPD    exptab<>+P2(SB), Y9, Y9; \
+	VADDPD    exptab<>+Q0(SB), Y8, Y10; \
+	VMULPD    Y8, Y10, Y10; \
+	VADDPD    exptab<>+Q1(SB), Y10, Y10; \
+	VMULPD    Y8, Y10, Y10; \
+	VADDPD    exptab<>+Q2(SB), Y10, Y10; \
+	VMULPD    Y8, Y1, Y8; \
+	VMULPD    Y9, Y8, Y8; \
+	VDIVPD    Y10, Y8, Y8; \
+	VADDPD    Y8, Y1, Y8; \
+	VCMPPD    $0x00, Y15, Y1, Y9; \
+	VBLENDVPD Y9, Y1, Y8, Y8; \
+	VCMPPD    $0x1d, exptab<>+TANHEDGE(SB), Y2, Y9; \
+	VBLENDVPD Y9, Y4, Y8, Y8; \
+	VCMPPD    $0x1e, exptab<>+HALFMAXLOG(SB), Y2, Y9; \
+	VORPD     exptab<>+ONE(SB), Y7, Y4; \
+	VBLENDVPD Y9, Y4, Y8, Y8
+
+// func geluAVX(x *float32, n int)
+//
+// x[i] = float32(0.5·v·(1 + tanh(c·(v + 0.044715·v·v·v)))), v =
+// float64(x[i]), as geluRef computes it.
+TEXT ·geluAVX(SB), NOSPLIT, $0-16
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), CX
+	SHRQ   $2, CX
+	JEQ    geludone
+	VXORPD Y15, Y15, Y15
+
+geluloop:
+	VCVTPS2PD (DI), Y0
+	VMULPD    exptab<>+GELUA(SB), Y0, Y1
+	VMULPD    Y0, Y1, Y1
+	VMULPD    Y0, Y1, Y1
+	VADDPD    Y1, Y0, Y1
+	VMULPD    exptab<>+GELUC(SB), Y1, Y1
+	TANH
+	VADDPD    exptab<>+ONE(SB), Y8, Y8
+	VMULPD    exptab<>+HALF(SB), Y0, Y2
+	VMULPD    Y8, Y2, Y2
+	VCVTPD2PSY Y2, X2
+	VMOVUPS   X2, (DI)
+	ADDQ      $16, DI
+	DECQ      CX
+	JNE       geluloop
+	VZEROUPPER
+
+geludone:
+	RET
+
+// func siluAVX(x *float32, n int)
+//
+// x[i] = float32(v / (1 + exp(−v))), v = float64(x[i]), as siluRef
+// computes it.
+TEXT ·siluAVX(SB), NOSPLIT, $0-16
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), CX
+	SHRQ   $2, CX
+	JEQ    siludone
+	VXORPD Y15, Y15, Y15
+
+siluloop:
+	VCVTPS2PD  (DI), Y0
+	VXORPD     exptab<>+SIGNMASK(SB), Y0, Y1
+	EXP(Y1, Y2, Y3, Y4, X5, Y5, Y6, X7, X15)
+	VADDPD     exptab<>+ONE(SB), Y2, Y2
+	VDIVPD     Y2, Y0, Y2
+	VCVTPD2PSY Y2, X2
+	VMOVUPS    X2, (DI)
+	ADDQ       $16, DI
+	DECQ       CX
+	JNE        siluloop
+	VZEROUPPER
+
+siludone:
+	RET
+
+// func expShiftAVX(x *float32, n int, shift float32)
+//
+// x[i] = float32(exp(float64(x[i] − shift))), the subtraction in
+// float32, as expShiftRef computes it: softmax's exponentials.
+TEXT ·expShiftAVX(SB), NOSPLIT, $0-20
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHRQ         $2, CX
+	JEQ          expdone
+	VBROADCASTSS shift+16(FP), X8
+	VXORPD       Y15, Y15, Y15
+
+exploop:
+	VMOVUPS    (DI), X0
+	VSUBPS     X8, X0, X0
+	VCVTPS2PD  X0, Y0
+	EXP(Y0, Y2, Y3, Y4, X5, Y5, Y6, X7, X15)
+	VCVTPD2PSY Y2, X2
+	VMOVUPS    X2, (DI)
+	ADDQ       $16, DI
+	DECQ       CX
+	JNE        exploop
+	VZEROUPPER
+
+expdone:
+	RET
+
+// func expAVX(x *float64, n int)
+//
+// x[i] = math.Exp(x[i]) in float64, in place: EXP on its own, for the
+// tests that hold it to math.Exp's non-FMA body bit for bit.
+TEXT ·expAVX(SB), NOSPLIT, $0-16
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), CX
+	SHRQ   $2, CX
+	JEQ    exp64done
+	VXORPD Y15, Y15, Y15
+
+exp64loop:
+	VMOVUPD (DI), Y0
+	EXP(Y0, Y2, Y3, Y4, X5, Y5, Y6, X7, X15)
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     exp64loop
+	VZEROUPPER
+
+exp64done:
+	RET
+
+// func tanhAVX(x *float64, n int)
+//
+// x[i] = math.Tanh(x[i]) in float64, in place: TANH on its own, as
+// expAVX is EXP.
+TEXT ·tanhAVX(SB), NOSPLIT, $0-16
+	MOVQ   x+0(FP), DI
+	MOVQ   n+8(FP), CX
+	SHRQ   $2, CX
+	JEQ    tanh64done
+	VXORPD Y15, Y15, Y15
+
+tanh64loop:
+	VMOVUPD (DI), Y1
+	TANH
+	VMOVUPD Y8, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNE     tanh64loop
+	VZEROUPPER
+
+tanh64done:
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -15,8 +15,14 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 	axpy4x2Ref(o0, o1, a0, a1, b0, b1, b2, b3)
 }
 
-// wideAccumulate is always false off amd64: there is no register tile.
+// wideAccumulate is always false off amd64: there is no register tile
+// and no vector transcendental.
 var wideAccumulate bool
+
+// geluElems, siluElems and expShift are their scalar bodies off amd64.
+func geluElems(data []float32)            { geluRef(data) }
+func siluElems(data []float32)            { siluRef(data) }
+func expShift(s []float32, shift float32) { expShiftRef(s, shift) }
 
 // tile6x16 is never taken off amd64; it is the reference body behind the
 // amd64 wrapper's checks, so that the package builds and its tests run

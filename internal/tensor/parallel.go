@@ -52,12 +52,14 @@ const (
 	minParallelElems = 1 << 13
 	// rowGrain batches rows for the per-row kernels.
 	rowGrain = 4
-	// minParallelActs gates GELU and SiLU, each element a math.Tanh or
-	// math.Exp call (pinned to the standard library by bit-identity). The
-	// decode-width FFN activation of bench-ooc (1x1536) splits, and wins by
-	// it; bench-tiny's (1x256) does not, so its decode never wakes the pool
-	// for an activation. The per-element costs and the crossover are in
-	// EXPERIMENTS.md ("GELU at throughput").
+	// minParallelActs gates GELU and SiLU. On a host with AVX an element
+	// is one lane of the vector exp/tanh body, 5-7 ns serial, and forking
+	// a single row crosses over between 512 and 768 elements; without AVX
+	// it is a math.Tanh or math.Exp call, 15-25 ns, and forking wins from
+	// 256 up. The decode-width FFN activation of bench-ooc (1x1536) splits,
+	// and wins by it either way; bench-tiny's (1x256) does not, so its
+	// decode never wakes the pool for an activation. The per-element
+	// costs and the crossovers are in EXPERIMENTS.md ("fork thresholds").
 	minParallelActs = 512
 	// actGrain is the fewest activation elements a chunk takes.
 	actGrain = 128

@@ -185,7 +185,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 			out := New(a.R, b.C)
 			act := randMat(1, 1536, int64(200+g))
 			wantAct := act.Clone()
-			geluElems(wantAct.Data)
+			geluRef(wantAct.Data)
 			q, kv := randMat(1, 384, int64(300+g)), kvMats{randMat(150, 384, int64(400+g)), randMat(150, 384, int64(500+g))}
 			wantAtt, att, scores := attendRef(q, kv, 149, 6, 1), New(1, 384), Mat{}
 			for round := 0; round < 50; round++ {

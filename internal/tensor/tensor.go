@@ -25,20 +25,24 @@
 // bit-identical to the textbook loop at any SetParallelism value,
 // whichever goroutine ran which chunk (DESIGN §3c).
 //
-// Two leaves are assembly on amd64 (kernels_amd64.s): the accumulate
-// (axpy4, axpy4x2) in baseline SSE2, four output columns per vector, and
-// the tall GEMM's register tile (tile6x16) in AVX, eight columns per
-// vector, where CPUID says the host has it. A lane is one output element
-// keeping its own chain, each product and each sum rounded as the scalar
-// instructions round them, so the bits are those of the Go loops — which
-// stay in the package as axpy4Ref and tile6x16Ref: the whole
+// Three leaves are assembly on amd64 (kernels_amd64.s): the accumulate
+// (axpy4, axpy4x2) in baseline SSE2, four output columns per vector; the
+// tall GEMM's register tile (tile6x16) in AVX, eight columns per vector;
+// and the transcendentals of GELU, SiLU and softmax (geluAVX, siluAVX,
+// expShiftAVX) in AVX, four float64 lanes of exp and tanh per vector —
+// the AVX bodies where CPUID says the host has it. A lane is one output
+// element keeping its own chain, each operation rounded as the scalar
+// instructions round it (for exp and tanh: math.Exp's non-FMA body,
+// instruction for instruction, its branches as lane selects), so the
+// bits are those of the Go loops — which stay in the package as
+// axpy4Ref, tile6x16Ref, geluRef, siluRef and expShiftRef: the whole
 // implementation on every other GOARCH, and the references the
-// differential, guard-page and fuzz tests in asm_test.go and
-// tile_test.go hold every body to. That is the rule for assembly here:
-// only for a leaf loop with an untagged Go twin and a differential test;
-// one body per CPU level, chosen once from CPUID and taken only where a
-// workload shows the win; SSE2 the tail handler and the only body on a
-// host without AVX.
+// differential, guard-page and fuzz tests in asm_test.go, tile_test.go
+// and transcendental_test.go hold every body to. That is the rule for
+// assembly here: only for a leaf loop with an untagged Go twin and a
+// differential test; one body per CPU level, chosen once from CPUID and
+// taken only where a workload shows the win; the Go twin or SSE2 the
+// tail handler and the only body on a host without AVX.
 //
 // The engine exists to execute the paper's computation faithfully at
 // laptop scale, while the performance questions are answered by the
@@ -469,11 +473,14 @@ func (m Mat) GELU() {
 	fork.run(kGELU, len(m.Data), actGrain)
 }
 
-// geluElems takes two elements per pass, both tanh arguments formed
-// before either call, so the core runs one element's arithmetic under the
+// geluRef is GELU's scalar body: the Go twin of geluAVX, the n mod 4
+// tail of every call that takes it, and the whole of every GELU on a
+// host without AVX.
+// It takes two elements per pass, both tanh arguments formed before
+// either call, so the core runs one element's arithmetic under the
 // other's math.Tanh. Each element's float64 operations are those of the
 // one-element tail, in the same order.
-func geluElems(data []float32) {
+func geluRef(data []float32) {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	i := 0
 	for ; i+2 <= len(data); i += 2 {
@@ -493,7 +500,7 @@ func geluElems(data []float32) {
 // over every float32). It exists for its instruction, not its value: on
 // amd64 float64(v) is CVTSS2SD, which writes only the low half of its
 // destination register and so waits for whatever last wrote that register
-// — in geluElems, a register holding the previous element's result, which
+// — in geluRef, a register holding the previous element's result, which
 // put every element behind the previous math.Tanh. A normal number widens
 // exactly in integer registers (sign kept, exponent rebiased by 1023-127
 // = 896, mantissa shifted up 29 bits) and enters the float unit by a
@@ -516,7 +523,8 @@ func (m Mat) SiLU() {
 	fork.run(kSiLU, len(m.Data), actGrain)
 }
 
-func siluElems(data []float32) {
+// siluRef is SiLU's scalar body, the Go twin of siluAVX (see geluRef).
+func siluRef(data []float32) {
 	for i, v := range data {
 		x := float64(v)
 		data[i] = float32(x / (1 + math.Exp(-x)))
