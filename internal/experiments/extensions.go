@@ -5,7 +5,6 @@ import (
 
 	"helmsim/internal/autotune"
 	"helmsim/internal/core"
-	"helmsim/internal/energy"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
 	"helmsim/internal/report"
@@ -18,11 +17,6 @@ func init() {
 		ID:    "balance",
 		Title: "Extension (§VII future work): automatic compute-aware placement vs the paper's schemes",
 		Run:   runBalance,
-	})
-	register(Experiment{
-		ID:    "energy",
-		Title: "Extension (abstract): energy per token across memory configurations",
-		Run:   runEnergy,
 	})
 	register(Experiment{
 		ID:    "pareto",
@@ -81,47 +75,6 @@ func runBalance() ([]*report.Table, error) {
 		return nil, err
 	}
 	row("all-cpu", allRes)
-	return []*report.Table{t}, nil
-}
-
-// runEnergy reports energy per generated token for the HeLM latency setup
-// and the All-CPU throughput setup across DRAM, NVDRAM and MemoryMode —
-// quantifying the abstract's DRAM-substitution argument.
-func runEnergy() ([]*report.Table, error) {
-	t := &report.Table{
-		Title:   "Energy per token, OPT-175B(c): media+link transfer, GPU, host standby, platform base",
-		Headers: []string{"config", "policy", "batch", "J/token", "transfer J", "GPU J", "standby J", "tok/s"},
-	}
-	cases := []struct {
-		mem   core.MemoryConfig
-		pol   placement.Policy
-		name  string
-		batch int
-	}{
-		{core.MemDRAM, helmPolicy(), "HeLM", 1},
-		{core.MemNVDRAM, helmPolicy(), "HeLM", 1},
-		{core.MemMemoryMode, helmPolicy(), "HeLM", 1},
-		{core.MemDRAM, placement.AllCPU{}, "All-CPU", 44},
-		{core.MemNVDRAM, placement.AllCPU{}, "All-CPU", 44},
-		{core.MemMemoryMode, placement.AllCPU{}, "All-CPU", 44},
-	}
-	for _, c := range cases {
-		rc := core.RunConfig{Model: model.OPT175B(), Memory: c.mem, Policy: c.pol, Batch: c.batch, Compress: true}
-		res, err := run(rc)
-		if err != nil {
-			return nil, err
-		}
-		b, err := energy.Estimate(rc, res)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.mem.String(), c.name, c.batch,
-			fmt.Sprintf("%.1f", b.PerTokenJ),
-			fmt.Sprintf("%.1f", b.TransferJ),
-			fmt.Sprintf("%.1f", b.GPUJ),
-			fmt.Sprintf("%.1f", b.HostStandbyJ),
-			fmt.Sprintf("%.3f", res.Throughput))
-	}
 	return []*report.Table{t}, nil
 }
 
