@@ -39,16 +39,17 @@ var Determinism = &Analyzer{
 // simPackages names the packages whose outputs must replay bit-for-bit
 // from a seed. Matching is by package name: every internal simulation,
 // kernel and harness package is listed; cmd/* (package main) and the
-// analysis tooling itself are not.
+// analysis tooling itself are not. TestSimPackagesExist holds every key
+// to a directory under internal/, so a rename cannot silently drop a
+// package from the check.
 var simPackages = map[string]bool{
 	"core": true, "tensor": true, "memdev": true, "gpu": true,
 	"xfer": true, "sched": true, "fault": true, "infer": true,
 	"kvcache": true, "serve": true, "quant": true, "workload": true,
-	"placement": true, "numa": true, "cxl": true, "energy": true,
-	"trace": true, "model": true, "mlc": true, "roofline": true,
-	"calib": true, "stats": true, "checkpoint": true, "runcache": true,
+	"placement": true, "trace": true, "model": true, "calib": true,
+	"stats": true, "checkpoint": true, "runcache": true,
 	"parallel": true, "experiments": true, "autotune": true,
-	"units": true, "bwbench": true, "batch": true,
+	"units": true, "batch": true,
 }
 
 // forbiddenTimeFuncs are the time-package functions that read or wait

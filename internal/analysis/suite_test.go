@@ -1,6 +1,10 @@
 package analysis
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestErrCheckWrapGolden(t *testing.T) {
 	runGolden(t, ErrCheckWrap, "errwraptest")
@@ -11,6 +15,19 @@ func TestErrCheckWrapGolden(t *testing.T) {
 // not and must stay silent despite identical code patterns.
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, Determinism, "simpkg", "otherpkg")
+}
+
+// TestSimPackagesExist holds every simPackages key to a directory under
+// internal/: matching is by bare package name, so an entry left behind
+// by a rename or fold would match nothing and drop that code from the
+// determinism check without a sound.
+func TestSimPackagesExist(t *testing.T) {
+	for name := range simPackages {
+		fi, err := os.Stat(filepath.Join("..", name))
+		if err != nil || !fi.IsDir() {
+			t.Errorf("simPackages lists %q, but internal/%s is not a directory", name, name)
+		}
+	}
 }
 
 func TestCtxFlowGolden(t *testing.T) {

@@ -139,6 +139,10 @@ func TestTable4Shape(t *testing.T) {
 	if r := cell(base[4]) / cell(base[3]); r < 0.2 || r > 0.4 {
 		t.Errorf("FPGA/NVDRAM ratio = %.2f, want ~0.28", r)
 	}
+	// ASIC/NVDRAM likewise tracks 28/18.4 ≈ 1.52 (Table IV: 0.36 -> ~0.55).
+	if r := cell(base[5]) / cell(base[3]); r < 1.3 || r > 1.7 {
+		t.Errorf("ASIC/NVDRAM ratio = %.2f, want ~1.5", r)
+	}
 }
 
 // Fig. 12 derived: the headline All-CPU claims hold in shape.

@@ -16,12 +16,6 @@ type Outcome struct {
 	Err        error
 }
 
-// RunAll executes every registered experiment with up to parallelism
-// workers and returns the outcomes in All() order.
-func RunAll(ctx context.Context, parallelism int) []Outcome {
-	return RunSet(ctx, All(), parallelism)
-}
-
 // RunSet executes the given experiments with up to parallelism workers.
 // parallelism <= 0 means runtime.GOMAXPROCS(0). Outcomes land at the
 // index of their experiment, so output order is deterministic and

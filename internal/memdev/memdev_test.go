@@ -202,44 +202,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestLedger(t *testing.T) {
-	d := NewDRAM(0)
-	o := NewOptane(0)
-	l := NewLedger(d, o)
-	if err := l.Allocate(d, 100*units.GiB); err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
-	if got := l.Used(d); got != 100*units.GiB {
-		t.Errorf("Used = %v", got)
-	}
-	if got := l.Available(d); got != 28*units.GiB {
-		t.Errorf("Available = %v", got)
-	}
-	if err := l.Allocate(d, 100*units.GiB); err == nil {
-		t.Errorf("over-capacity allocation should fail")
-	}
-	if err := l.Free(d, 50*units.GiB); err != nil {
-		t.Errorf("Free: %v", err)
-	}
-	if err := l.Free(d, 100*units.GiB); err == nil {
-		t.Errorf("underflow free should fail")
-	}
-	if err := l.Allocate(d, -1); err == nil {
-		t.Errorf("negative allocation should fail")
-	}
-	if err := l.Free(d, -1); err == nil {
-		t.Errorf("negative free should fail")
-	}
-	if snap := l.Snapshot(); len(snap) != 2 {
-		t.Errorf("Snapshot = %v", snap)
-	}
-	// Unregistered devices are registered on first allocation.
-	s := NewSSD()
-	if err := l.Allocate(s, units.GiB); err != nil {
-		t.Errorf("Allocate new dev: %v", err)
-	}
-}
-
 // Property: every device's read bandwidth is positive and below the PCIe
 // theoretical maximum for any sane transfer/working-set combination.
 func TestBandwidthBoundsProperty(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned ASCII tables, CSV,
-// and simple horizontal bar charts for terminal inspection.
+// Package report renders experiment results as aligned ASCII tables and
+// CSV for terminal inspection.
 package report
 
 import (
@@ -131,24 +131,4 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Bar renders one horizontal bar scaled to max over the given width, e.g.
-// "NVDRAM |█████████     | 25.52ms".
-func Bar(label string, value, max float64, width int, suffix string) string {
-	if width < 1 {
-		width = 1
-	}
-	fill := 0
-	if max > 0 && value > 0 {
-		fill = int(value / max * float64(width))
-		if fill > width {
-			fill = width
-		}
-		if fill == 0 {
-			fill = 1
-		}
-	}
-	return fmt.Sprintf("%-14s |%s%s| %s", label,
-		strings.Repeat("█", fill), strings.Repeat(" ", width-fill), suffix)
 }

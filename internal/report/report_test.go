@@ -94,30 +94,6 @@ func TestRaggedRows(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	s := Bar("NVDRAM", 50, 100, 10, "50ms")
-	if !strings.Contains(s, "█████") {
-		t.Errorf("bar fill wrong: %q", s)
-	}
-	if !strings.Contains(s, "NVDRAM") || !strings.Contains(s, "50ms") {
-		t.Errorf("bar labels missing: %q", s)
-	}
-	// Tiny positive values still show one block.
-	if s := Bar("x", 0.001, 100, 10, ""); !strings.Contains(s, "█") {
-		t.Errorf("tiny bar invisible: %q", s)
-	}
-	// Zero and overflow are safe.
-	if s := Bar("x", 0, 100, 10, ""); strings.Contains(s, "█") {
-		t.Errorf("zero bar not empty: %q", s)
-	}
-	if s := Bar("x", 500, 100, 10, ""); strings.Count(s, "█") != 10 {
-		t.Errorf("overflow not clamped: %q", s)
-	}
-	if s := Bar("x", 5, 10, 0, ""); s == "" {
-		t.Errorf("zero width broke")
-	}
-}
-
 func TestAddRowFormats(t *testing.T) {
 	tab := &Table{}
 	tab.AddRow(float32(2.25), 3.14159265, "s", 7)

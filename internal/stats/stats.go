@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -76,15 +75,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns NaN for an empty slice and
 // clamps p to [0, 100].
@@ -108,22 +98,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// GeoMean returns the geometric mean of xs. All elements must be positive;
-// otherwise it returns NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // PctChange reports the relative change from base to v as a percentage:
 // +10 means v is 10% higher than base. A zero base yields NaN.
 func PctChange(base, v float64) float64 {
@@ -131,102 +105,4 @@ func PctChange(base, v float64) float64 {
 		return math.NaN()
 	}
 	return (v - base) / base * 100
-}
-
-// Speedup reports base/v — how many times faster v is than base when both
-// are durations (lower is better). A zero v yields +Inf.
-func Speedup(base, v float64) float64 {
-	if v == 0 {
-		return math.Inf(1)
-	}
-	return base / v
-}
-
-// Welford accumulates running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean reports the running mean, or NaN with no observations.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// StdDev reports the running population standard deviation, or NaN with no
-// observations.
-func (w *Welford) StdDev() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
-// Min reports the smallest observation, or NaN with none.
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.min
-}
-
-// Max reports the largest observation, or NaN with none.
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.max
-}
-
-// Summary is a compact five-number description of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g", s.N, s.Mean, s.StdDev, s.Min, s.Max)
 }

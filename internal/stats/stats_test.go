@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -51,9 +50,6 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v", got)
 	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %v", got)
-	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -90,66 +86,12 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); got != 2 {
-		t.Errorf("GeoMean{1,4} = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{2, 0}); !math.IsNaN(got) {
-		t.Errorf("GeoMean with zero = %v, want NaN", got)
-	}
-}
-
 func TestPctChangeAndSpeedup(t *testing.T) {
 	if got := PctChange(100, 133); !approx(got, 33, 1e-12) {
 		t.Errorf("PctChange = %v, want 33", got)
 	}
 	if got := PctChange(0, 5); !math.IsNaN(got) {
 		t.Errorf("PctChange zero base = %v", got)
-	}
-	if got := Speedup(10, 2); got != 5 {
-		t.Errorf("Speedup = %v, want 5", got)
-	}
-	if got := Speedup(1, 0); !math.IsInf(got, 1) {
-		t.Errorf("Speedup zero = %v, want +Inf", got)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	if !approx(w.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Welford mean %v != %v", w.Mean(), Mean(xs))
-	}
-	if !approx(w.StdDev(), StdDev(xs), 1e-9) {
-		t.Errorf("Welford sd %v != %v", w.StdDev(), StdDev(xs))
-	}
-	if w.Min() != Min(xs) || w.Max() != Max(xs) {
-		t.Errorf("Welford min/max mismatch")
-	}
-	if w.N() != len(xs) {
-		t.Errorf("Welford N = %d", w.N())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.StdDev()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
-		t.Errorf("empty Welford should report NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if s.String() == "" {
-		t.Errorf("Summary.String empty")
 	}
 }
 

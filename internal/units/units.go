@@ -10,8 +10,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Bytes is a size in bytes. Sizes in the simulator are always non-negative;
@@ -57,46 +55,6 @@ func (b Bytes) String() string {
 	default:
 		return fmt.Sprintf("%s%d B", neg, v)
 	}
-}
-
-// ParseBytes parses strings like "256MiB", "4 GiB", "32GB", "1024" (bytes).
-// Both binary (KiB/MiB/GiB/TiB) and decimal (KB/MB/GB/TB) suffixes are
-// accepted; a bare number is bytes.
-func ParseBytes(s string) (Bytes, error) {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, fmt.Errorf("units: empty byte size")
-	}
-	units := []struct {
-		suffix string
-		mult   Bytes
-	}{
-		{"TiB", TiB}, {"GiB", GiB}, {"MiB", MiB}, {"KiB", KiB},
-		{"TB", TB}, {"GB", GB}, {"MB", MB}, {"KB", KB},
-		{"T", TiB}, {"G", GiB}, {"M", MiB}, {"K", KiB},
-		{"B", 1},
-	}
-	for _, u := range units {
-		if strings.HasSuffix(strings.ToLower(t), strings.ToLower(u.suffix)) {
-			num := strings.TrimSpace(t[:len(t)-len(u.suffix)])
-			f, err := strconv.ParseFloat(num, 64)
-			if err != nil {
-				return 0, fmt.Errorf("units: parse %q: %v", s, err)
-			}
-			if f < 0 {
-				return 0, fmt.Errorf("units: negative size %q", s)
-			}
-			return Bytes(f * float64(u.mult)), nil
-		}
-	}
-	n, err := strconv.ParseInt(t, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse %q: %v", s, err)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("units: negative size %q", s)
-	}
-	return Bytes(n), nil
 }
 
 // Duration is a simulated duration in seconds.

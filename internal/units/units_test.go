@@ -6,42 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestParseBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Bytes
-		err  bool
-	}{
-		{"256MiB", 256 * MiB, false},
-		{"4 GiB", 4 * GiB, false},
-		{"32GB", 32 * GB, false},
-		{"1024", 1024, false},
-		{"1.5GiB", GiB + 512*MiB, false},
-		{"7B", 7, false},
-		{"2K", 2 * KiB, false},
-		{"", 0, true},
-		{"abc", 0, true},
-		{"-5GiB", 0, true},
-		{"-5", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseBytes(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("ParseBytes(%q): want error, got %v", c.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseBytes(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestBytesString(t *testing.T) {
 	cases := []struct {
 		in   Bytes
@@ -121,41 +85,4 @@ func TestBandwidthLinearityProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// Property: ParseBytes round-trips sizes printed in whole MiB.
-func TestParseBytesRoundTripProperty(t *testing.T) {
-	f := func(mib uint16) bool {
-		n := Bytes(mib) * MiB
-		got, err := ParseBytes((Bytes(mib)).stringMiB())
-		return err == nil && got == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// stringMiB renders a count as "<n>MiB" for the round-trip property test.
-func (b Bytes) stringMiB() string { return itoa(int64(b)) + "MiB" }
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

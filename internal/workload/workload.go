@@ -17,11 +17,6 @@ type Prompt struct {
 	ID int
 	// Source is the originating prompt ID (equal to ID for originals).
 	Source int
-	// Class is the request class tag ("interactive", "rag", "batch");
-	// empty for the single-protocol generators. The tag is a plain
-	// string — serve.ParseClass interprets it — so workload stays
-	// import-free below the serving layers.
-	Class string
 	// Tokens is the token sequence.
 	Tokens []int
 }
@@ -97,69 +92,6 @@ func (g *Generator) tokens(n int) []int {
 		}
 	}
 	return ts
-}
-
-// ClassProfile describes one request class's slice of a mixed
-// workload: a selection weight and its own prompt-length distribution.
-// Interactive turns are short, RAG prefills long, batch jobs in
-// between — a single length protocol cannot drive overload tests
-// honestly.
-type ClassProfile struct {
-	// Class is the tag stamped on generated prompts.
-	Class string
-	// Weight is the relative share of the mix (any positive scale).
-	Weight float64
-	// MedianLen and MaxLen shape the class's log-normal prompt-length
-	// distribution, as in NaturalPrompts.
-	MedianLen, MaxLen int
-}
-
-// Mixed produces n prompts drawn from the weighted class profiles,
-// each with its class tag and a length from that class's own
-// log-normal distribution. Selection and lengths come from the
-// generator's seeded source, so the mix is deterministic.
-func (g *Generator) Mixed(n int, profiles []ClassProfile) ([]Prompt, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("workload: negative prompt count %d", n)
-	}
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("workload: no class profiles")
-	}
-	total := 0.0
-	for _, cp := range profiles {
-		if cp.Weight <= 0 {
-			return nil, fmt.Errorf("workload: non-positive weight %v for class %q", cp.Weight, cp.Class)
-		}
-		if cp.MedianLen <= 0 || cp.MaxLen < cp.MedianLen {
-			return nil, fmt.Errorf("workload: bad length profile for class %q (median=%d, max=%d)", cp.Class, cp.MedianLen, cp.MaxLen)
-		}
-		total += cp.Weight
-	}
-	const sigma = 0.6
-	out := make([]Prompt, 0, n)
-	for i := 0; i < n; i++ {
-		// Weighted class pick, then a class-shaped length draw.
-		pick := g.rng.Float64() * total
-		cp := profiles[len(profiles)-1]
-		for _, c := range profiles {
-			if pick < c.Weight {
-				cp = c
-				break
-			}
-			pick -= c.Weight
-		}
-		l := int(math.Exp(math.Log(float64(cp.MedianLen)) + sigma*g.rng.NormFloat64()))
-		if l < 1 {
-			l = 1
-		}
-		if l > cp.MaxLen {
-			l = cp.MaxLen
-		}
-		p := Prompt{ID: g.next, Source: g.next, Class: cp.Class, Tokens: g.tokens(l)}
-		g.next++
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // Repeat replays each prompt the given number of times, the paper's

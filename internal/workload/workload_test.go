@@ -162,91 +162,3 @@ func TestRepeatPreservesTokensProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMixedValidation(t *testing.T) {
-	g, err := NewGenerator(1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Mixed(5, nil); err == nil {
-		t.Error("empty profile list accepted")
-	}
-	if _, err := g.Mixed(5, []ClassProfile{{Class: "x", Weight: 0, MedianLen: 8, MaxLen: 16}}); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := g.Mixed(5, []ClassProfile{{Class: "x", Weight: 1, MedianLen: 16, MaxLen: 8}}); err == nil {
-		t.Error("max < median accepted")
-	}
-	if _, err := g.Mixed(-1, []ClassProfile{{Class: "x", Weight: 1, MedianLen: 8, MaxLen: 16}}); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
-func TestMixedClassesAndLengths(t *testing.T) {
-	profiles := []ClassProfile{
-		{Class: "interactive", Weight: 2, MedianLen: 16, MaxLen: 64},
-		{Class: "rag", Weight: 1, MedianLen: 256, MaxLen: 512},
-		{Class: "batch", Weight: 1, MedianLen: 64, MaxLen: 128},
-	}
-	g, err := NewGenerator(11, 50272)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := g.Mixed(400, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := map[string]int{}
-	sumLen := map[string]int{}
-	maxLen := map[string]int{"interactive": 64, "rag": 512, "batch": 128}
-	for _, p := range ps {
-		if _, ok := maxLen[p.Class]; !ok {
-			t.Fatalf("prompt %d has unknown class %q", p.ID, p.Class)
-		}
-		if p.Len() < 1 || p.Len() > maxLen[p.Class] {
-			t.Fatalf("class %s length %d outside [1,%d]", p.Class, p.Len(), maxLen[p.Class])
-		}
-		count[p.Class]++
-		sumLen[p.Class] += p.Len()
-	}
-	// Every class appears, roughly by weight (interactive has double
-	// weight; a loose bound keeps the test seed-robust).
-	for class, n := range count {
-		if n == 0 {
-			t.Fatalf("class %s never generated", class)
-		}
-	}
-	if count["interactive"] <= count["rag"]/2 {
-		t.Errorf("weights ignored: interactive %d vs rag %d", count["interactive"], count["rag"])
-	}
-	// Length distributions are class-shaped: rag prompts average much
-	// longer than interactive ones.
-	if sumLen["rag"]/count["rag"] <= sumLen["interactive"]/count["interactive"] {
-		t.Errorf("rag mean length %d not above interactive %d",
-			sumLen["rag"]/count["rag"], sumLen["interactive"]/count["interactive"])
-	}
-}
-
-func TestMixedDeterministic(t *testing.T) {
-	profiles := []ClassProfile{
-		{Class: "interactive", Weight: 1, MedianLen: 16, MaxLen: 64},
-		{Class: "batch", Weight: 1, MedianLen: 64, MaxLen: 128},
-	}
-	gen := func() []Prompt {
-		g, err := NewGenerator(99, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := g.Mixed(50, profiles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-	a, b := gen(), gen()
-	for i := range a {
-		if a[i].Class != b[i].Class || a[i].Len() != b[i].Len() {
-			t.Fatalf("prompt %d diverges across identical seeds", i)
-		}
-	}
-}
