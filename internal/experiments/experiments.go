@@ -1,8 +1,11 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§IV-§V). Each runner executes the simulation stack
 // and returns the same rows/series the paper reports, so `cmd/helmbench`
-// and the repository benchmarks can regenerate every result. DESIGN.md
-// carries the experiment index; EXPERIMENTS.md records paper-vs-measured.
+// and the repository benchmarks can regenerate every result. A tool model
+// that only one figure consumes — the nvbandwidth sweep, the MLC matrix,
+// Table III's CXL devices, the roofline classifier, the energy estimate —
+// sits beside the runner that prints it. DESIGN.md carries the experiment
+// index; EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
