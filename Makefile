@@ -64,15 +64,18 @@ bench-smoke:
 # at those worker counts and from concurrent callers, the step's
 # validate-first atomicity, the assembly leaf kernels against their
 # Go reference bodies (every length and start offset, operands ending at
-# a guard page, fuzz seeds), the tall GEMM's AVX register tile against
-# its Go twin and the SSE2 two-row path (every depth to 9 and the
-# engine's, strides that are not multiples of sixteen, a guard page,
-# fuzz seeds) and MatMulInto with the tiles on against off at every row
-# count mod 6 and column count mod 16, the AVX probe against
-# /proc/cpuinfo, the in-register one-row GEMV leaf against its
+# a guard page, fuzz seeds), the tall GEMM's register tiles — 6x16 AVX
+# and 6x32 AVX-512, a subtest each — against their Go twin and the SSE2
+# two-row path (every depth to 9 and the engine's, strides that are not
+# multiples of sixteen, a guard page, fuzz seeds), and MatMulInto with the tiles on against off at every row
+# count mod 6 and column count mod 16 and 32, the AVX and AVX-512
+# probes against /proc/cpuinfo, the in-register one-row GEMV leaf — its
+# SSE2 and AVX-512 bodies, a subtest each — against its
 # decode-then-accumulate twin and a per-element oracle (every nibble in
-# every lane, every finite half, a guard page, fuzz seeds), the pinned
-# token digests (with the register tiles on and off), GELU's integer
+# every lane, every finite half, a guard page, fuzz seeds) and the two
+# bodies against each other by raw bits, the pinned token digests (as
+# probed, with the AVX-512 bodies off and with every wide body off),
+# GELU's integer
 # float32 widening against the conversion and GELU against its
 # one-expression oracle, the attention core against its per-position
 # loop, RoPE's per-position angles against the per-head loop, and the

@@ -25,11 +25,20 @@ var pinnedDigests = map[string]string{
 }
 
 // wideAccumulate is tensor's switch for the tall GEMM's register tiles
-// (AVX where the CPU probe found it; always false off amd64). The test
-// turns it off to run the same cases on the SSE2 two-row passes alone.
+// (AVX where the CPU probe found it; always false off amd64), and
+// tensorWide512 its switch for the 32-column tile on AVX-512;
+// quantWide512 is quant's switch for the fused 4-bit GEMV's AVX-512
+// body. The test turns them off to run the same cases on the SSE2
+// bodies alone, and the 512-bit ones alone off to run them on AVX.
 //
 //go:linkname wideAccumulate helmsim/internal/tensor.wideAccumulate
 var wideAccumulate bool
+
+//go:linkname tensorWide512 helmsim/internal/tensor.wide512
+var tensorWide512 bool
+
+//go:linkname quantWide512 helmsim/internal/quant.wide512
+var quantWide512 bool
 
 // digestTokens generates the pinned cases' tokens: a 48-token prompt,
 // then 24 greedy tokens.
@@ -53,12 +62,18 @@ func digestTokens(t *testing.T, cfg model.Config, w WeightStore) []int {
 // Greedy tokens from the RandomWeights(cfg, 5, 0.08) weights carry the
 // committed digests: in f32, and over the 4-bit checkpoint at one worker
 // (every projection serial) and at two (the group-aligned column split)
-// — each case with the prefill's register tiles as the host probed
-// them, and again with them forced off.
+// — each case at every vector level the host has: as probed, with the
+// AVX-512 bodies (the 6x32 tile, the 16-lane GEMV) forced off, and with
+// every wide body forced off.
 func TestPinnedTokenDigests(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
-	probed := wideAccumulate
-	defer func() { wideAccumulate = probed }()
+	probed, probedT512, probedQ512 := wideAccumulate, tensorWide512, quantWide512
+	defer func() { wideAccumulate, tensorWide512, quantWide512 = probed, probedT512, probedQ512 }()
+	type level struct {
+		name          string
+		wide, wide512 bool
+	}
+	levels := []level{{"as probed", probed, probedT512 || probedQ512}, {"AVX-512 off", probed, false}, {"all off", false, false}}
 	for _, cfg := range []model.Config{benchTiny(), benchOOC()} {
 		raw, err := RandomWeights(cfg, 5, 0.08)
 		if err != nil {
@@ -78,13 +93,14 @@ func TestPinnedTokenDigests(t *testing.T) {
 			{"q4", fs, 1},
 			{"q4", fs, 2},
 		} {
-			for _, wide := range []bool{probed, false} {
-				wideAccumulate = wide
+			for _, l := range levels {
+				wideAccumulate = l.wide
+				tensorWide512, quantWide512 = l.wide512 && probedT512, l.wide512 && probedQ512
 				tensor.SetParallelism(c.workers)
 				sum := sha256.Sum256([]byte(fmt.Sprint(digestTokens(t, cfg, c.store))))
 				got, want := hex.EncodeToString(sum[:]), pinnedDigests[cfg.Name+"/"+c.name]
 				if got != want {
-					t.Errorf("%s/%s at %d workers, register tiles %v: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, wide, got, want)
+					t.Errorf("%s/%s at %d workers, vector level %s: tokens digest %s, pinned %s", cfg.Name, c.name, c.workers, l.name, got, want)
 				}
 			}
 		}

@@ -268,8 +268,9 @@ func TestDecode4GroupsShortOperandsPanic(t *testing.T) {
 // five groups a call, rows one to three calls' widths apart, metadata
 // that includes both zeros, subnormal halves, negative minimums and
 // ±65504, activations and running sums with NaN, Inf and subnormals.
-// Off amd64 axpyRows is axpyRowsRef and the second comparison passes
-// trivially.
+// Each test runs every assembly body the host has as a subtest
+// (eachAxpyBody). Off amd64 axpyRows is axpyRowsRef and the second
+// comparison passes trivially.
 
 // rows are the operands of one axpyRows call: four rows of groups*gs
 // elements, each stride elements after the one before — four k-rows of a
@@ -353,39 +354,71 @@ func checkAxpyRows(t *testing.T, r rows, a [4]float32, o0 []float32, off int) {
 	}
 }
 
-func TestAxpyRowsMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	finiteHalf := func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
-	awkwardHalf := func() uint16 { return awkwardHalves[rng.Intn(len(awkwardHalves))] }
-	value := func(awkward bool) float32 {
-		if awkward {
-			return awkwardMeta[rng.Intn(len(awkwardMeta))]
-		}
-		return float32(rng.NormFloat64())
+// probed512 is the CPU probe's answer, kept because the tests switch
+// wide512.
+var probed512 = wide512
+
+// axpyBody is one assembly body axpyRows can take.
+type axpyBody struct {
+	name string
+	wide bool // wide512 while it runs
+}
+
+// axpyBodies are sse2 (off amd64: the Go twin, axpyRows's only body
+// there) and avx512.
+var axpyBodies = []axpyBody{{"sse2", false}, {"avx512", true}}
+
+// eachAxpyBody runs f once per body as a subtest named after it, with
+// axpyRows taking that body; the avx512 subtest skips with the reason
+// where the host lacks AVX-512.
+func eachAxpyBody(t *testing.T, f func(t *testing.T)) {
+	defer func() { wide512 = probed512 }()
+	for _, body := range axpyBodies {
+		t.Run(body.name, func(t *testing.T) {
+			if body.wide && !probed512 {
+				t.Skip("no AVX-512 here (CPUID.7:EBX AVX2/F/BW/VL or XCR0 ZMM state missing, or GOARCH is not amd64): axpyRows never runs axpyRowsAVX512")
+			}
+			wide512 = body.wide
+			f(t)
+		})
 	}
-	for _, gs := range []int{2, 6, 16, 32, 48, 64, 128, 256} {
-		for groups := 1; groups <= 5; groups++ {
-			for tiles := 1; tiles <= 3; tiles++ {
-				for mode := 0; mode < 3; mode++ {
-					half := finiteHalf
-					if mode == 2 {
-						half = awkwardHalf
+}
+
+func TestAxpyRowsMatchesRef(t *testing.T) {
+	eachAxpyBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(75))
+		finiteHalf := func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
+		awkwardHalf := func() uint16 { return awkwardHalves[rng.Intn(len(awkwardHalves))] }
+		value := func(awkward bool) float32 {
+			if awkward {
+				return awkwardMeta[rng.Intn(len(awkwardMeta))]
+			}
+			return float32(rng.NormFloat64())
+		}
+		for _, gs := range []int{2, 6, 16, 32, 48, 64, 128, 256} {
+			for groups := 1; groups <= 5; groups++ {
+				for tiles := 1; tiles <= 3; tiles++ {
+					for mode := 0; mode < 3; mode++ {
+						half := finiteHalf
+						if mode == 2 {
+							half = awkwardHalf
+						}
+						off := (gs + groups + tiles + mode) % 4
+						r := newRows(rng, gs, groups, tiles*gs*groups, off, half)
+						var a [4]float32
+						for k := range a {
+							a[k] = value(mode >= 1)
+						}
+						o := make([]float32, gs*groups)
+						for i := range o {
+							o[i] = value(mode >= 1 && rng.Intn(3) == 0)
+						}
+						checkAxpyRows(t, r, a, o, off)
 					}
-					off := (gs + groups + tiles + mode) % 4
-					r := newRows(rng, gs, groups, tiles*gs*groups, off, half)
-					var a [4]float32
-					for k := range a {
-						a[k] = value(mode >= 1)
-					}
-					o := make([]float32, gs*groups)
-					for i := range o {
-						o[i] = value(mode >= 1 && rng.Intn(3) == 0)
-					}
-					checkAxpyRows(t, r, a, o, off)
 				}
 			}
 		}
-	}
+	})
 }
 
 // Every nibble value in every position of a 16-column block — each of the
@@ -393,19 +426,21 @@ func TestAxpyRowsMatchesRef(t *testing.T) {
 // comes out as the oracle's expression. Lane i multiplies q·16^i by
 // scale·16^-i, so a mask, shift or lane scale that is off shows here.
 func TestAxpyRowsEveryNibbleEveryLane(t *testing.T) {
-	rng := rand.New(rand.NewSource(76))
-	r := newRows(rng, 16, 1, 16, 0, func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 })
-	for row := 0; row < 4; row++ {
-		var a [4]float32
-		a[row] = 1
-		for pos := 0; pos < 16; pos++ {
-			for q := 0; q < 16; q++ {
-				clear(r.nib)
-				r.nib[row*r.nibStride()+pos/2] = byte(q) << (4 * (pos % 2))
-				checkAxpyRows(t, r, a, make([]float32, 16), 0)
+	eachAxpyBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(76))
+		r := newRows(rng, 16, 1, 16, 0, func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 })
+		for row := 0; row < 4; row++ {
+			var a [4]float32
+			a[row] = 1
+			for pos := 0; pos < 16; pos++ {
+				for q := 0; q < 16; q++ {
+					clear(r.nib)
+					r.nib[row*r.nibStride()+pos/2] = byte(q) << (4 * (pos % 2))
+					checkAxpyRows(t, r, a, make([]float32, 16), 0)
+				}
 			}
 		}
-	}
+	})
 }
 
 // Every finite half, as a group minimum and as a group scale, in every
@@ -414,37 +449,94 @@ func TestAxpyRowsEveryNibbleEveryLane(t *testing.T) {
 // whole fp16 range, subnormals included. One row's activation is one and
 // the others zero, so that row's weights reach the sum unrounded.
 func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
-	var all []uint16
-	for h := 0; h < 1<<16; h++ {
-		if finite16(Float16(h)) {
-			all = append(all, uint16(h))
-		}
-	}
-	groups := len(all)
-	for _, c := range []struct{ mins, scales func(g int) uint16 }{
-		{func(g int) uint16 { return all[g] }, func(int) uint16 { return 0x3c00 }},
-		{func(int) uint16 { return 0x3c00 }, func(g int) uint16 { return all[g] }},
-		{func(g int) uint16 { return all[g] }, func(g int) uint16 { return all[(g*7919)%groups] }},
-	} {
-		r := rows{gs: 16, groups: groups, stride: 16 * groups}
-		r.nib = make([]byte, 4*8*groups)
-		r.mins, r.scales = make([]byte, 4*2*groups), make([]byte, 4*2*groups)
-		for row := 0; row < 4; row++ {
-			for g := 0; g < groups; g++ {
-				for b := 0; b < 8; b++ {
-					// Nibbles 0..15 rotated by the group, so each value
-					// meets each half in a different lane.
-					lo, hi := (2*b+g+row)%16, (2*b+1+g+row)%16
-					r.nib[row*r.nibStride()+8*g+b] = byte(lo | hi<<4)
-				}
-				binary.LittleEndian.PutUint16(r.mins[row*r.metaStride()+2*g:], c.mins(g))
-				binary.LittleEndian.PutUint16(r.scales[row*r.metaStride()+2*g:], c.scales(g))
+	eachAxpyBody(t, func(t *testing.T) {
+		var all []uint16
+		for h := 0; h < 1<<16; h++ {
+			if finite16(Float16(h)) {
+				all = append(all, uint16(h))
 			}
 		}
-		for row := 0; row < 4; row++ {
-			var a [4]float32
-			a[row] = 1
-			checkAxpyRows(t, r, a, make([]float32, 16*groups), 0)
+		groups := len(all)
+		for _, c := range []struct{ mins, scales func(g int) uint16 }{
+			{func(g int) uint16 { return all[g] }, func(int) uint16 { return 0x3c00 }},
+			{func(int) uint16 { return 0x3c00 }, func(g int) uint16 { return all[g] }},
+			{func(g int) uint16 { return all[g] }, func(g int) uint16 { return all[(g*7919)%groups] }},
+		} {
+			r := rows{gs: 16, groups: groups, stride: 16 * groups}
+			r.nib = make([]byte, 4*8*groups)
+			r.mins, r.scales = make([]byte, 4*2*groups), make([]byte, 4*2*groups)
+			for row := 0; row < 4; row++ {
+				for g := 0; g < groups; g++ {
+					for b := 0; b < 8; b++ {
+						// Nibbles 0..15 rotated by the group, so each value
+						// meets each half in a different lane.
+						lo, hi := (2*b+g+row)%16, (2*b+1+g+row)%16
+						r.nib[row*r.nibStride()+8*g+b] = byte(lo | hi<<4)
+					}
+					binary.LittleEndian.PutUint16(r.mins[row*r.metaStride()+2*g:], c.mins(g))
+					binary.LittleEndian.PutUint16(r.scales[row*r.metaStride()+2*g:], c.scales(g))
+				}
+			}
+			for row := 0; row < 4; row++ {
+				var a [4]float32
+				a[row] = 1
+				checkAxpyRows(t, r, a, make([]float32, 16*groups), 0)
+			}
+		}
+	})
+}
+
+// The two assembly bodies against each other, raw bits — NaN payloads
+// included, which the oracle comparisons leave open — over activations
+// and running sums drawn from NaNs with payloads, ±Inf, subnormals, ±0
+// and ordinary values, and every finite half as metadata: axpyRowsAVX512
+// keeps axpyRowsSSE's operand order in every instruction, so even the
+// payload a lane keeps when two NaNs meet is the same.
+func TestAxpyRowsBodiesAgree(t *testing.T) {
+	if !probed512 {
+		t.Skip("no AVX-512 here: axpyRows has one assembly body")
+	}
+	defer func() { wide512 = probed512 }()
+	special := []float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -1e-40, 1e-38,
+		0, float32(math.Copysign(0, -1)), 1, -0.5, math.MaxFloat32, -math.MaxFloat32,
+	}
+	rng := rand.New(rand.NewSource(80))
+	value := func() float32 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	for _, gs := range []int{16, 32, 64, 128} {
+		for groups := 1; groups <= 4; groups++ {
+			for round := 0; round < 64; round++ {
+				r := newRows(rng, gs, groups, 2*gs*groups, round%4, func() uint16 {
+					h := uint16(rng.Intn(1 << 16))
+					if !finite16(Float16(h)) {
+						h &^= 0x4000
+					}
+					return h
+				})
+				a := [4]float32{value(), value(), value(), value()}
+				o := make([]float32, gs*groups)
+				for i := range o {
+					o[i] = value()
+				}
+				var got [2][]float32
+				for i, body := range axpyBodies {
+					got[i] = append([]float32(nil), o...)
+					wide512 = body.wide
+					axpyRows(got[i], r.nib, r.mins, r.scales, gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
+				}
+				for j := range o {
+					if math.Float32bits(got[0][j]) != math.Float32bits(got[1][j]) {
+						t.Fatalf("gs=%d groups=%d a=%v o[%d]=%#08x: sse2 %#08x, avx512 %#08x", gs, groups, a, j,
+							math.Float32bits(o[j]), math.Float32bits(got[0][j]), math.Float32bits(got[1][j]))
+					}
+				}
+			}
 		}
 	}
 }
@@ -481,7 +573,7 @@ func TestAxpyRowsShortOperandsPanic(t *testing.T) {
 // FuzzAxpyRows is the differential target: arbitrary nibbles, metadata
 // (any finite half: a Packed never carries another), activation and
 // running-sum bit patterns, group size, group count, row stride and start
-// offset.
+// offset — through every body the host runs.
 func FuzzAxpyRows(f *testing.F) {
 	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x00, 0x3c, 0x00, 0xbc}, uint8(2), uint8(1), uint8(1), uint8(0))
 	f.Add([]byte{0xff, 0x7b, 0x01, 0x80, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x7f}, uint8(3), uint8(2), uint8(2), uint8(3))
@@ -524,7 +616,14 @@ func FuzzAxpyRows(f *testing.F) {
 		for i := range o {
 			o[i] = bits()
 		}
-		checkAxpyRows(t, r, a, o, int(off%4))
+		defer func() { wide512 = probed512 }()
+		for _, body := range axpyBodies {
+			if body.wide && !probed512 {
+				continue
+			}
+			wide512 = body.wide
+			checkAxpyRows(t, r, a, o, int(off%4))
+		}
 	})
 }
 

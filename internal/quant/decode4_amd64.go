@@ -51,8 +51,10 @@ func decodeGroupsSSE(out *float32, packed, mins, scales *byte, groups, blocks in
 // to o: row i's nibbles start at nib[i*nibStride], its fp16 minimums and
 // scales at mins[i*metaStride] and scales[i*metaStride]. Groups made of
 // whole 16-element blocks — every group at the usual sizes — go through
-// axpyRowsSSE in one call, metadata conversion included; any other size
-// takes the reference body.
+// one assembly call, metadata conversion included: axpyRowsAVX512, a
+// block per ZMM register, where wide512 holds, and axpyRowsSSE, a block
+// per four XMM registers, everywhere else. Both store axpyRowsRef's bits
+// (DESIGN §3c). Any other group size takes the reference body.
 func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
 	groups := len(o) / gs
 	if groups == 0 {
@@ -63,8 +65,60 @@ func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride i
 		return
 	}
 	_, _, _ = nib[3*nibStride+groups*gs/2-1], mins[3*metaStride+2*groups-1], scales[3*metaStride+2*groups-1]
+	if wide512 {
+		axpyRowsAVX512(&o[0], &nib[0], &mins[0], &scales[0], nibStride, metaStride, groups, gs/16, a0, a1, a2, a3)
+		return
+	}
 	axpyRowsSSE(&o[0], &nib[0], &mins[0], &scales[0], nibStride, metaStride, groups, gs/16, a0, a1, a2, a3)
 }
 
+// wide512 is whether axpyRows runs axpyRowsAVX512. It is the CPU
+// probe's answer, read once, and a variable only so that tests and
+// benchmarks can switch the body off and hold both to the same bits.
+var wide512 = CPUHasAVX512()
+
 //go:noescape
 func axpyRowsSSE(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
+
+//go:noescape
+func axpyRowsAVX512(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
+
+// CPUHasAVX reports whether the CPU executes AVX and the OS saves the
+// YMM registers across context switches: CPUID.1:ECX has OSXSAVE (bit
+// 27) and AVX (bit 28), and XCR0 — readable only once OSXSAVE is known
+// — enables both the XMM and the YMM state (bits 1 and 2). It is the
+// probe behind internal/tensor's AVX bodies; each package reads it once.
+func CPUHasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	_, _, ecx, _ := cpuid(1, 0)
+	if ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	return xgetbv0()&6 == 6
+}
+
+// CPUHasAVX512 reports whether the CPU executes every extension the
+// 512-bit bodies use and the OS saves the whole ZMM state: CPUHasAVX,
+// then CPUID.7.0:EBX has AVX2 (bit 5, for the VEX word broadcast),
+// AVX-512F (16), AVX-512BW (30) and AVX-512VL (31), and XCR0 enables the
+// opmask, upper-ZMM0-15 and ZMM16-31 state (bits 5, 6 and 7) besides
+// bits 1 and 2. It is the probe behind axpyRowsAVX512 and
+// internal/tensor's 6x32 register tile; each package reads it once.
+func CPUHasAVX512() bool {
+	if !CPUHasAVX() {
+		return false
+	}
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const avx2, f, bw, vl = 1 << 5, 1 << 16, 1 << 30, 1 << 31
+	_, ebx, _, _ := cpuid(7, 0)
+	if ebx&(avx2|f|bw|vl) != avx2|f|bw|vl {
+		return false
+	}
+	return xgetbv0()&0xe6 == 0xe6
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() (eax uint32)

@@ -283,3 +283,163 @@ rblock:
 
 rdone:
 	RET
+
+// HALF16 widens the fp16 value at src into all sixteen lanes of the
+// ZMM register z, whose YMM half is y: VPBROADCASTW copies the half into
+// every word of y and VCVTPH2PS converts sixteen of them. The conversion
+// is exact for every finite half, subnormals included (it does not heed
+// MXCSR's DAZ), so each lane holds HALF's bits.
+#define HALF16(src, y, z) \
+	VPBROADCASTW src, y \
+	VCVTPH2PS    y, z
+
+// AXPYROW16 adds one k-row's sixteen columns, scaled by a, to the
+// running sum Z0, one column per lane, through the scratch register Z1.
+// VMOVQ loads the row's eight nibble bytes and zeroes the rest of the
+// register; VPERMW with nibPerm (Z14) copies word j/4 of them into the
+// low half of dword j and word four — zero — into its high half; VPANDD
+// with nibMask16 (Z15) keeps nibble j mod 4 of that word, so lane j
+// holds q·16^(j mod 4), exact after VCVTDQ2PS. scale holds
+// scale·16^-(j mod 4) per lane, exact as AXPYROW's slot is, so the
+// product rounds to float32(q)*scale; then VADDPS gmin, VMULPS a and
+// VADDPS into the sum. Each instruction has AXPYROW's operands in
+// AXPYROW's order — the decoded value the first source of both products
+// and of the gmin add, the running sum the first source of the last add
+// — so a lane computes what an SSE2 lane computes, NaN payloads
+// included.
+#define AXPYROW16(src, gmin, scale, a) \
+	VMOVQ     src, X1       \
+	VPERMW    Z1, Z14, Z1   \
+	VPANDD    Z15, Z1, Z1   \
+	VCVTDQ2PS Z1, Z1        \
+	VMULPS    scale, Z1, Z1 \
+	VADDPS    gmin, Z1, Z1  \
+	VMULPS    a, Z1, Z1     \
+	VADDPS    Z1, Z0, Z0
+
+// nibPerm is VPERMW's word index per dword j: j/4 in the low word, 4 (a
+// word VMOVQ zeroed) in the high one. nibMask16 and nibScale16 are
+// nibMask and nibScale repeated over sixteen lanes.
+DATA nibPerm<>+0(SB)/8, $0x0004000000040000
+DATA nibPerm<>+8(SB)/8, $0x0004000000040000
+DATA nibPerm<>+16(SB)/8, $0x0004000100040001
+DATA nibPerm<>+24(SB)/8, $0x0004000100040001
+DATA nibPerm<>+32(SB)/8, $0x0004000200040002
+DATA nibPerm<>+40(SB)/8, $0x0004000200040002
+DATA nibPerm<>+48(SB)/8, $0x0004000300040003
+DATA nibPerm<>+56(SB)/8, $0x0004000300040003
+GLOBL nibPerm<>(SB), RODATA|NOPTR, $64
+
+DATA nibMask16<>+0(SB)/8, $0x000000f00000000f
+DATA nibMask16<>+8(SB)/8, $0x0000f00000000f00
+DATA nibMask16<>+16(SB)/8, $0x000000f00000000f
+DATA nibMask16<>+24(SB)/8, $0x0000f00000000f00
+DATA nibMask16<>+32(SB)/8, $0x000000f00000000f
+DATA nibMask16<>+40(SB)/8, $0x0000f00000000f00
+DATA nibMask16<>+48(SB)/8, $0x000000f00000000f
+DATA nibMask16<>+56(SB)/8, $0x0000f00000000f00
+GLOBL nibMask16<>(SB), RODATA|NOPTR, $64
+
+DATA nibScale16<>+0(SB)/8, $0x3d8000003f800000
+DATA nibScale16<>+8(SB)/8, $0x398000003b800000
+DATA nibScale16<>+16(SB)/8, $0x3d8000003f800000
+DATA nibScale16<>+24(SB)/8, $0x398000003b800000
+DATA nibScale16<>+32(SB)/8, $0x3d8000003f800000
+DATA nibScale16<>+40(SB)/8, $0x398000003b800000
+DATA nibScale16<>+48(SB)/8, $0x3d8000003f800000
+DATA nibScale16<>+56(SB)/8, $0x398000003b800000
+GLOBL nibScale16<>(SB), RODATA|NOPTR, $64
+
+// func axpyRowsAVX512(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
+//
+// axpyRowsSSE with a 16-column block in one ZMM register instead of
+// four XMM ones: per group the four rows' (gmin, scale) halves are
+// widened into registers (HALF16; the scales times nibScale16), then per
+// block the sixteen sums are loaded once, rows k..k+3 are added in
+// order (AXPYROW16) and the sums stored. It reads what axpyRowsSSE reads
+// — eight nibble bytes per row and block, two bytes per half — so
+// operands that end at a guard page are safe. AVX-512 F and BW, AVX2
+// for the word broadcast; no FMA. Only Z0-Z15 are used, so the
+// VZEROUPPER before returning leaves no register with dirty upper bits
+// for the SSE2 code that runs next (it does not clear ZMM16-31).
+//
+// Registers: DI output, SI row 0 and DX row 3 nibbles, R13 nibStride, R8
+// and R9 row 0 halves, R14 metaStride, R10 groups left, R11 blocks per
+// group, CX blocks left; Z0 the sums, Z1 one row's block, Z2-Z5 gmin and
+// Z6-Z9 lane scales of rows 0-3, Z10-Z13 a0-a3, Z14 nibPerm, Z15
+// nibMask16.
+TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ         o+0(FP), DI
+	MOVQ         nib+8(FP), SI
+	MOVQ         mins+16(FP), R8
+	MOVQ         scales+24(FP), R9
+	MOVQ         nibStride+32(FP), R13
+	MOVQ         metaStride+40(FP), R14
+	MOVQ         groups+48(FP), R10
+	MOVQ         blocks+56(FP), R11
+	VBROADCASTSS a0+64(FP), Z10
+	VBROADCASTSS a1+68(FP), Z11
+	VBROADCASTSS a2+72(FP), Z12
+	VBROADCASTSS a3+76(FP), Z13
+	LEAQ         (SI)(R13*2), DX
+	ADDQ         R13, DX
+	VMOVDQU32    nibPerm<>(SB), Z14
+	VMOVDQU32    nibMask16<>(SB), Z15
+
+zgroup:
+	TESTQ  R10, R10
+	JEQ    zdone
+	HALF16((R8), Y2, Z2)
+	HALF16((R8)(R14*1), Y3, Z3)
+	HALF16((R8)(R14*2), Y4, Z4)
+	LEAQ   (R8)(R14*2), CX
+	HALF16((CX)(R14*1), Y5, Z5)
+	HALF16((R9), Y6, Z6)
+	HALF16((R9)(R14*1), Y7, Z7)
+	HALF16((R9)(R14*2), Y8, Z8)
+	LEAQ   (R9)(R14*2), CX
+	HALF16((CX)(R14*1), Y9, Z9)
+	VMULPS nibScale16<>(SB), Z6, Z6
+	VMULPS nibScale16<>(SB), Z7, Z7
+	VMULPS nibScale16<>(SB), Z8, Z8
+	VMULPS nibScale16<>(SB), Z9, Z9
+	MOVQ   R11, CX
+
+zblock:
+	VMOVUPS (DI), Z0
+	AXPYROW16((SI), Z2, Z6, Z10)
+	AXPYROW16((SI)(R13*1), Z3, Z7, Z11)
+	AXPYROW16((SI)(R13*2), Z4, Z8, Z12)
+	AXPYROW16((DX), Z5, Z9, Z13)
+	VMOVUPS Z0, (DI)
+	ADDQ    $64, DI
+	ADDQ    $8, SI
+	ADDQ    $8, DX
+	DECQ    CX
+	JNE     zblock
+	ADDQ    $2, R8
+	ADDQ    $2, R9
+	DECQ    R10
+	JMP     zgroup
+
+zdone:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	RET

@@ -21,3 +21,11 @@ func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
 func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
 	axpyRowsRef(o, nib, mins, scales, gs, nibStride, metaStride, a0, a1, a2, a3)
 }
+
+// wide512 is always false off amd64: there is no AVX-512 body.
+var wide512 bool
+
+// CPUHasAVX and CPUHasAVX512 are false off amd64, where no package has
+// an AVX or AVX-512 body (see decode4_amd64.go).
+func CPUHasAVX() bool    { return false }
+func CPUHasAVX512() bool { return false }

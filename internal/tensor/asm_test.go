@@ -181,6 +181,11 @@ func TestAxpy4ShortOperandPanics(t *testing.T) {
 	mustPanic("tile short a", func() { tile6x16(tile, 16, tile[:5*16+3], 16, tile, 16, 4) })
 	mustPanic("tile short b", func() { tile6x16(tile, 16, tile, 16, tile[:3*16+15], 16, 4) })
 	mustPanic("tile overlapping rows", func() { tile6x16(tile, 15, tile, 16, tile, 16, 4) })
+	wide := make([]float32, 5*32+32)
+	mustPanic("tile6x32 short o", func() { tile6x32(wide[1:], 32, wide, 32, wide, 32, 1) })
+	mustPanic("tile6x32 short a", func() { tile6x32(wide, 32, wide[:5*32+3], 32, wide, 32, 4) })
+	mustPanic("tile6x32 short b", func() { tile6x32(wide, 32, wide, 32, wide[:3*32+31], 32, 4) })
+	mustPanic("tile6x32 overlapping rows", func() { tile6x32(wide, 31, wide, 32, wide, 32, 4) })
 }
 
 // floatsFromBytes reinterprets data as little-endian float32 bit

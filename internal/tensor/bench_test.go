@@ -168,26 +168,26 @@ func BenchmarkBenchOOCShapes(b *testing.B) {
 }
 
 // The three 128-token prefill GEMMs of bench-ooc through MatMulInto, in
-// G multiply-adds/s: the two-row SSE2 path and the register tiles at one
-// worker, and the tiles at two, split over columns — half of the tiles'
-// win is that each worker streams only its share of the weights.
+// G multiply-adds/s: the two-row SSE2 path and each register tile (tile:
+// 6x16 on AVX, tile512: 6x32 on AVX-512) at one worker, and the tiles at
+// two, split over columns — half of the tiles' win is that each worker
+// streams only its share of the weights.
 func BenchmarkPrefillBodies(b *testing.B) {
 	defer SetParallelism(Parallelism())
-	probed := wideAccumulate
-	defer func() { wideAccumulate = probed }()
+	defer func() { wideAccumulate, wide512 = probedAVX, probed512 }()
 	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
 		a, w := randMat(128, shape.k, 18), randMat(shape.k, shape.c, 19)
 		out := New(a.R, w.C)
 		for _, body := range []struct {
-			name    string
-			tile    bool
-			workers int
-		}{{"sse2", false, 1}, {"tile", true, 1}, {"tile-p2", true, 2}} {
+			name          string
+			tile, tile512 bool
+			workers       int
+		}{{"sse2", false, false, 1}, {"tile", true, false, 1}, {"tile512", true, true, 1}, {"tile-p2", true, false, 2}, {"tile512-p2", true, true, 2}} {
 			b.Run(fmt.Sprintf("128x%dx%d/%s", shape.k, shape.c, body.name), func(b *testing.B) {
-				if body.tile && !probed {
-					b.Skip("no AVX on this host")
+				if body.tile && !probedAVX || body.tile512 && !probed512 {
+					b.Skip("the host lacks this tile's vector level")
 				}
-				wideAccumulate = body.tile
+				wideAccumulate, wide512 = body.tile, body.tile512
 				SetParallelism(body.workers)
 				for i := 0; i < b.N; i++ {
 					if err := MatMulInto(a, w, out); err != nil {
@@ -238,7 +238,7 @@ func BenchmarkQ4Crossover(b *testing.B) {
 	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
 		p, _ := packMat(b, randMat(shape.k, shape.c, 16), 64)
 		slab := make([]float32, shape.k*shape.c)
-		for _, r := range []int{1, 4, 8, 16, 32, 128} {
+		for _, r := range []int{1, 2, 4, 8, 16, 32, 128} {
 			a := randMat(r, shape.k, 17)
 			out := New(r, shape.c)
 			for _, path := range []struct {

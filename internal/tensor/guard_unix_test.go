@@ -81,25 +81,27 @@ func TestAxpy4GuardPage(t *testing.T) {
 	})
 }
 
-// The register tile's last b row, a's last element and o's last row each
-// end at a guard page: the tile loads sixteen columns of b and o and one
-// element of a per row, and not a byte more.
+// Each register tile's last b row, a's last element and o's last row
+// end at a guard page: a tile loads its width of columns of b and o and
+// one element of a per row, and not a byte more.
 func TestTileGuardPage(t *testing.T) {
-	skipWithoutTile(t)
-	rng := rand.New(rand.NewSource(65))
-	for _, k := range tileKs() {
-		for _, ld := range tileStrides(k) {
-			o, a, b := guarded(t, 5*ld.o+16), guarded(t, 5*ld.a+k), guarded(t, max(0, (k-1)*ld.b+16))
-			fillKernel(rng, o, 1)
-			fillKernel(rng, a, 1)
-			fillKernel(rng, b, 1)
-			want := append([]float32(nil), o...)
-			tile6x16Ref(want, ld.o, a, ld.a, b, ld.b, k)
-			tile6x16(o, ld.o, a, ld.a, b, ld.b, k)
-			assertSameMat(t, fmt.Sprintf("tile, k %d, strides %+v, at a guard page", k, ld),
-				Mat{R: 1, C: len(o), Data: want}, Mat{R: 1, C: len(o), Data: o})
+	eachTile(t, func(t *testing.T, tb tileBody) {
+		rng := rand.New(rand.NewSource(65))
+		for _, k := range tileKs() {
+			for _, ld := range tileStrides(k, tb.width) {
+				lo, la, lb := tileLens(k, tb.width, ld)
+				o, a, b := guarded(t, lo), guarded(t, la), guarded(t, lb)
+				fillKernel(rng, o, 1)
+				fillKernel(rng, a, 1)
+				fillKernel(rng, b, 1)
+				want := append([]float32(nil), o...)
+				tileRef(want, ld.o, a, ld.a, b, ld.b, k, tb.width)
+				tb.run(o, ld.o, a, ld.a, b, ld.b, k)
+				assertSameMat(t, fmt.Sprintf("tile, k %d, strides %+v, at a guard page", k, ld),
+					Mat{R: 1, C: len(o), Data: want}, Mat{R: 1, C: len(o), Data: o})
+			}
 		}
-	}
+	})
 }
 
 // GELU, SiLU and softmax's exponential on slices whose last vector ends

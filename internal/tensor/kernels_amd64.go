@@ -1,5 +1,7 @@
 package tensor
 
+import "helmsim/internal/quant"
+
 // axpy4 adds four terms to every element of o — a0*b0[j], then a1*b1[j],
 // a2*b2[j], a3*b3[j] — with the running sum in a register. It is the one
 // accumulate every matmul in the package runs, dense or fused, which is
@@ -15,9 +17,11 @@ package tensor
 // by construction; lanes over k would need a horizontal add, which
 // reorders the sum. No fused multiply-add for the same reason (one
 // rounding, not two). axpy4 is always SSE2, which every amd64 has
-// (GOAMD64=v1): it serves decode GEMVs and attention, short bursts where
-// a 256-bit body measured slower. Only the tall GEMM has AVX code, its
-// register tile (tile6x16), chosen once from CPUID.
+// (GOAMD64=v1): it serves dense decode GEMVs and attention, short bursts
+// where a 256-bit body measured slower. The wider bodies are chosen once
+// from CPUID: the tall GEMM's register tiles (tile6x16 on AVX, tile6x32
+// on AVX-512) here, and the fused 4-bit GEMV's AVX-512 body in
+// internal/quant (axpyRows), whose probe both packages read.
 func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	if len(o) == 0 {
@@ -41,11 +45,16 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 // wideAccumulate is whether the package's AVX bodies run:
 // matMulTile's register tiles (tile6x16AVX), taken only in a GEMM taller
 // than tallGEMMRows, and the transcendentals of GELU, SiLU and softmax
-// (geluAVX, siluAVX, expShiftAVX), taken at every call. It is the CPU
-// probe's answer, read once, and a variable only so that tests and
-// benchmarks can switch the bodies off and hold both paths to the same
+// (geluAVX, siluAVX, expShiftAVX), taken at every call. wide512 is
+// whether, on top of that, matMulTile runs thirty-two-column tiles
+// (tile6x32AVX512). Each is the CPU probe's answer (quant.CPUHasAVX,
+// quant.CPUHasAVX512), read once, and a variable only so that tests and
+// benchmarks can switch the bodies off and hold every path to the same
 // bits.
-var wideAccumulate = cpuHasAVX()
+var (
+	wideAccumulate = quant.CPUHasAVX()
+	wide512        = quant.CPUHasAVX512()
+)
 
 // geluElems applies GELU to data in place. On a host with AVX the whole
 // vectors of four go through geluAVX and the n mod 4 tail through
@@ -105,17 +114,16 @@ func tile6x16(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k in
 	tile6x16AVX(&o[0], ldo, &a[0], lda, &b[0], ldb, k)
 }
 
-// cpuHasAVX reports whether the CPU executes AVX and the OS saves the
-// YMM registers across context switches: CPUID.1:ECX has OSXSAVE (bit
-// 27) and AVX (bit 28), and XCR0 — readable only once OSXSAVE is known
-// — enables both the XMM and the YMM state (bits 1 and 2).
-func cpuHasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+// tile6x32 is tile6x16 over thirty-two columns (tile6x32AVX512).
+func tile6x32(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k int) {
+	if ldo < 32 || lda < k || ldb < 32 {
+		panic("tensor: tile6x32 rows overlap")
 	}
-	return xgetbv0()&6 == 6
+	if k == 0 {
+		return
+	}
+	_, _, _ = o[5*ldo+31], a[5*lda+k-1], b[(k-1)*ldb+31]
+	tile6x32AVX512(&o[0], ldo, &a[0], lda, &b[0], ldb, k)
 }
 
 //go:noescape
@@ -127,9 +135,8 @@ func axpy4x2SSE(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *floa
 //go:noescape
 func tile6x16AVX(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax uint32)
+//go:noescape
+func tile6x32AVX512(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)
 
 //go:noescape
 func geluAVX(x *float32, n int)

@@ -390,6 +390,112 @@ tilek:
 tiledone:
 	RET
 
+// func tile6x32AVX512(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)
+//
+// tile6x16AVX at 512 bits: six rows and thirty-two columns over the
+// whole of k, the block in Z0-Z11 (two ZMM registers per row), per k b
+// row k's thirty-two columns in Z12/Z13, each row's a[i][k] broadcast
+// into Z14 and the product rounded into Z15. b is the first source of
+// every VMULPS and the running sum the first source of every VADDPS, as
+// in tile6x16AVX, so each lane is one element's ascending-k chain with
+// the same roundings and the same NaN payloads. AVX-512F only
+// (VBROADCASTSS from memory into a ZMM register), no VFMADD, nothing
+// summed across lanes, VZEROUPPER before returning.
+TEXT ·tile6x32AVX512(SB), NOSPLIT, $0-56
+	MOVQ         o+0(FP), DI
+	MOVQ         ldo+8(FP), R9
+	MOVQ         a+16(FP), SI
+	MOVQ         lda+24(FP), R10
+	MOVQ         b+32(FP), R8
+	MOVQ         ldb+40(FP), R11
+	MOVQ         k+48(FP), CX
+	TESTQ        CX, CX
+	JEQ          zdone
+	SHLQ         $2, R9
+	SHLQ         $2, R10
+	SHLQ         $2, R11
+	LEAQ         (SI)(R10*2), DX
+	ADDQ         R10, DX
+	MOVQ         DI, AX
+	VMOVUPS      (AX), Z0
+	VMOVUPS      64(AX), Z1
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Z2
+	VMOVUPS      64(AX), Z3
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Z4
+	VMOVUPS      64(AX), Z5
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Z6
+	VMOVUPS      64(AX), Z7
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Z8
+	VMOVUPS      64(AX), Z9
+	ADDQ         R9, AX
+	VMOVUPS      (AX), Z10
+	VMOVUPS      64(AX), Z11
+
+zk:
+	VMOVUPS      (R8), Z12
+	VMOVUPS      64(R8), Z13
+	VBROADCASTSS (SI), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z0, Z0
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z1, Z1
+	VBROADCASTSS (SI)(R10*1), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z2, Z2
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z3, Z3
+	VBROADCASTSS (SI)(R10*2), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z4, Z4
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z5, Z5
+	VBROADCASTSS (DX), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z6, Z6
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z7, Z7
+	VBROADCASTSS (DX)(R10*1), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z8, Z8
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z9, Z9
+	VBROADCASTSS (DX)(R10*2), Z14
+	VMULPS       Z14, Z12, Z15
+	VADDPS       Z15, Z10, Z10
+	VMULPS       Z14, Z13, Z15
+	VADDPS       Z15, Z11, Z11
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	ADDQ         R11, R8
+	DECQ         CX
+	JNE          zk
+	MOVQ         DI, AX
+	VMOVUPS      Z0, (AX)
+	VMOVUPS      Z1, 64(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Z2, (AX)
+	VMOVUPS      Z3, 64(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Z4, (AX)
+	VMOVUPS      Z5, 64(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Z6, (AX)
+	VMOVUPS      Z7, 64(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Z8, (AX)
+	VMOVUPS      Z9, 64(AX)
+	ADDQ         R9, AX
+	VMOVUPS      Z10, (AX)
+	VMOVUPS      Z11, 64(AX)
+	VZEROUPPER
+
+zdone:
+	RET
+
 // The transcendentals of GELU, SiLU and attention's softmax, four
 // float64 lanes per vector (AVX1 only: the integer work on k is VEX.128,
 // joined by VINSERTF128). A lane runs what the scalar code runs for its
@@ -733,22 +839,4 @@ tanh64loop:
 	VZEROUPPER
 
 tanh64done:
-	RET
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL   $0, CX
-	XGETBV
-	MOVL   AX, eax+0(FP)
 	RET

@@ -8,12 +8,16 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"helmsim/internal/quant"
 )
 
 // The probe against the operating system's own answer: Linux lists the
 // avx flag in /proc/cpuinfo only when the CPU has AVX and the kernel
 // saves the YMM state — it clears the flag otherwise — which is what
-// cpuHasAVX reads from CPUID and XCR0.
+// quant.CPUHasAVX reads from CPUID and XCR0, and what this package's
+// switches were set from (internal/quant holds the AVX-512 probe to its
+// flags).
 func TestCPUHasAVXMatchesCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skipf("no /proc/cpuinfo on %s", runtime.GOOS)
@@ -28,11 +32,14 @@ func TestCPUHasAVXMatchesCPUInfo(t *testing.T) {
 			continue
 		}
 		want := slices.Contains(strings.Fields(flags), "avx")
-		if got := cpuHasAVX(); got != want {
-			t.Fatalf("cpuHasAVX() = %v, /proc/cpuinfo avx flag present = %v", got, want)
+		if got := quant.CPUHasAVX(); got != want {
+			t.Fatalf("quant.CPUHasAVX() = %v, /proc/cpuinfo avx flag present = %v", got, want)
 		}
-		if wideAccumulate != want {
-			t.Fatalf("wideAccumulate = %v, probe says %v", wideAccumulate, want)
+		if probedAVX != want {
+			t.Fatalf("wideAccumulate = %v, probe says %v", probedAVX, want)
+		}
+		if probed512 != quant.CPUHasAVX512() {
+			t.Fatalf("wide512 = %v, quant.CPUHasAVX512() = %v", probed512, !probed512)
 		}
 		return
 	}
@@ -130,7 +137,7 @@ func tanhNoFMA(x float64) float64 {
 // mirrors are also held to math.Exp and math.Tanh, which is the claim
 // the float32 contract rests on: the vector body is that body.
 func TestTranscendentalsMirrorNonFMA(t *testing.T) {
-	if !cpuHasAVX() {
+	if !probedAVX {
 		t.Skip("no AVX here: the vector transcendentals never run")
 	}
 	step := uint64(251)

@@ -15,9 +15,9 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 	axpy4x2Ref(o0, o1, a0, a1, b0, b1, b2, b3)
 }
 
-// wideAccumulate is always false off amd64: there is no register tile
-// and no vector transcendental.
-var wideAccumulate bool
+// wideAccumulate and wide512 are always false off amd64: there is no
+// register tile and no vector transcendental.
+var wideAccumulate, wide512 bool
 
 // geluElems, siluElems and expShift are their scalar bodies off amd64.
 func geluElems(data []float32)            { geluRef(data) }
@@ -31,5 +31,13 @@ func tile6x16(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k in
 	if ldo < 16 || lda < k || ldb < 16 {
 		panic("tensor: tile6x16 rows overlap")
 	}
-	tile6x16Ref(o, ldo, a, lda, b, ldb, k)
+	tileRef(o, ldo, a, lda, b, ldb, k, 16)
+}
+
+// tile6x32 is tile6x16 over thirty-two columns, likewise never taken.
+func tile6x32(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k int) {
+	if ldo < 32 || lda < k || ldb < 32 {
+		panic("tensor: tile6x32 rows overlap")
+	}
+	tileRef(o, ldo, a, lda, b, ldb, k, 32)
 }

@@ -33,11 +33,13 @@ const (
 	// that the 147k GEMVs ran serially, BenchmarkDecodeStepSplit's
 	// two-worker step got slower. So it stays. The fused kernels share the
 	// gate. Each of their multiply-adds also decodes its weight, so at the
-	// gate they carry more time than the dense kernel and every bench-ooc
-	// fused GEMV splits with a clear win (EXPERIMENTS.md, "decode in
-	// registers", has the table). bench-tiny's widest decode kernel (64x512
-	// logits, 32k) stays under it. Prefill's tall GEMMs are far above it
-	// on either accumulate body.
+	// gate they carry more time than the dense kernel — still true of the
+	// AVX-512 one-row leaf at the gate's shape, though it matches the
+	// dense kernel on the wider ones — and every bench-ooc fused GEMV
+	// splits with a clear win (EXPERIMENTS.md, "fork thresholds", has the
+	// table). bench-tiny's widest decode kernel
+	// (64x512 logits, 32k) stays under it. Prefill's tall GEMMs are far
+	// above it on either accumulate body.
 	minParallelFlops = 1 << 16
 	// minColTile is the narrowest output-column tile a chunk takes: four
 	// cache lines of each weight row — sixteen vectors — so column splits
@@ -153,7 +155,7 @@ func (f *forkCall) run(k kernel, n, grain int) {
 }
 
 // chunk runs indices [lo, hi) of the current call: rows, output columns,
-// sixteen-column panels, quantization groups, elements or attention's
+// register-tile panels, quantization groups, elements or attention's
 // item ranges, as the kernel splits.
 func (f *forkCall) chunk(lo, hi int) {
 	switch f.kernel {
@@ -162,7 +164,8 @@ func (f *forkCall) chunk(lo, hi int) {
 	case kMatMulCols:
 		matMulTile(f.a, f.b, f.out, 0, f.a.R, lo, hi)
 	case kMatMulPanels:
-		matMulTile(f.a, f.b, f.out, 0, f.a.R, 16*lo, min(16*hi, f.b.C))
+		pw := panelWidth()
+		matMulTile(f.a, f.b, f.out, 0, f.a.R, pw*lo, min(pw*hi, f.b.C))
 	case kMatMulTRows:
 		matMulTTile(f.a, f.b, f.out, lo, hi, 0, f.b.R)
 	case kMatMulTCols:

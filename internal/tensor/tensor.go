@@ -8,15 +8,15 @@
 // the tall GEMM's. What they do have is inner loops written for the
 // pipeline — the matmul accumulate takes four k per pass with the running
 // sum in a register and two output rows per pass where there are two, a
-// GEMM taller than a decode step runs register tiles of 6 rows x 16
-// columns whose sums stay in registers across all of k, over panels of
+// GEMM taller than a decode step runs register tiles of 6 rows x 16 (or
+// 32) columns whose sums stay in registers across all of k, over panels of
 // b that stay in cache across the rows, and the transposed matmul runs
 // four dot products at once so the adds overlap, as attention's scores do
 // — and parallelism: the matmuls, norms, activations and attention split
 // their index spaces over the
 // shared fork-join of internal/parallel (rows when the batch is tall,
 // one tile of output columns per worker when it is not, and one share of
-// sixteen-column panels per worker for the register tiles), at decode as
+// register-tile panels per worker for the register tiles), at decode as
 // well as at prefill: a fork costs the caller well under a microsecond
 // while a decode step keeps the pool's worker awake, so anything from
 // ~16 µs of work up is split (the thresholds in parallel.go say why each
@@ -27,15 +27,16 @@
 //
 // Three leaves are assembly on amd64 (kernels_amd64.s): the accumulate
 // (axpy4, axpy4x2) in baseline SSE2, four output columns per vector; the
-// tall GEMM's register tile (tile6x16) in AVX, eight columns per vector;
-// and the transcendentals of GELU, SiLU and softmax (geluAVX, siluAVX,
-// expShiftAVX) in AVX, four float64 lanes of exp and tanh per vector —
-// the AVX bodies where CPUID says the host has it. A lane is one output
+// tall GEMM's register tile in AVX (tile6x16, eight columns per vector)
+// or AVX-512 (tile6x32, sixteen); and the transcendentals of GELU, SiLU
+// and softmax (geluAVX, siluAVX, expShiftAVX) in AVX, four float64 lanes
+// of exp and tanh per vector — each wide body where CPUID says the host
+// has its level (internal/quant's probe). A lane is one output
 // element keeping its own chain, each operation rounded as the scalar
 // instructions round it (for exp and tanh: math.Exp's non-FMA body,
 // instruction for instruction, its branches as lane selects), so the
 // bits are those of the Go loops — which stay in the package as
-// axpy4Ref, tile6x16Ref, geluRef, siluRef and expShiftRef: the whole
+// axpy4Ref, tileRef, geluRef, siluRef and expShiftRef: the whole
 // implementation on every other GOARCH, and the references the
 // differential, guard-page and fuzz tests in asm_test.go, tile_test.go
 // and transcendental_test.go hold every body to. That is the rule for
@@ -136,9 +137,10 @@ func MatMulInto(a, b, out Mat) error {
 	case a.R > tallGEMMRows && wideAccumulate && b.C >= 2*minColTile:
 		// Register tiles reuse each panel of b across every row of a
 		// share, so the tall GEMM splits its columns: one share of whole
-		// sixteens per worker, each streaming its part of b once. Split
+		// panels per worker, each streaming its part of b once. Split
 		// over rows, every chunk would stream all of b again.
-		panels := (b.C + 15) / 16
+		pw := panelWidth()
+		panels := (b.C + pw - 1) / pw
 		fork.run(kMatMulPanels, panels, max(1, panels/parallel.N()))
 	case a.R >= parallel.N():
 		fork.run(kMatMulRows, a.R, 1)
@@ -152,42 +154,63 @@ func MatMulInto(a, b, out Mat) error {
 // two-row SSE2 passes; a taller one runs register tiles (see
 // matMulTile). It is the engine's fusedMaxRows (internal/infer): the
 // GEMMs above it are prefill and the steps that mix a prefill in, which
-// reach MatMulInto through the slab and keep the core in 256-bit code
-// for milliseconds at a time. At or below it are decode steps, whose
+// reach MatMulInto through the slab and keep the core in wide code for
+// milliseconds at a time. At or below it are decode steps, whose dense
 // GEMVs and small stacked GEMMs are short, sparse bursts between
 // attention, norms and fetches; there 256-bit code pays the core's
 // upper-lane warm-up again and again, and taking it there too measured
 // slower on the fleet workload's small model (EXPERIMENTS.md, "prefill
-// at the core's vector width").
+// at the core's vector width"). The one wide decode body is the fused
+// 4-bit one-row GEMV's AVX-512 leaf in internal/quant: it is half of an
+// out-of-core decode step, and it won end to end without costing the
+// fleet (EXPERIMENTS.md, "the widest vector level").
 const tallGEMMRows = 8
 
 // matMulTile accumulates the output tile rows [rlo, rhi) x columns
 // [clo, chi) — a row tile, a column share, or the whole output. A GEMM
-// taller than tallGEMMRows on a host with AVX runs it as register tiles
-// (tile6x16): sixteen-column panels on the outside, six-row blocks
-// inside, so a panel of b is streamed from memory once and then served
-// from cache to every block of the share, and each tile's 6x16 sums stay
-// in registers across all of k. The rows and columns past the last whole
-// tile take matMulPairs. Every output element still adds its terms one
-// at a time in ascending k, whichever of the two runs it, so the tiling
-// changes no bit.
+// taller than tallGEMMRows on a host with AVX runs it as register tiles:
+// panels of panelWidth columns on the outside (tile6x32 on AVX-512,
+// tile6x16 on AVX; on AVX-512 a sixteen-column rest takes one more
+// tile6x16 panel), six-row blocks inside, so a panel of b is streamed
+// from memory once and then served from cache to every block of the
+// share, and each tile's sums stay in registers across all of k. The
+// rows and columns past the last whole tile take matMulPairs. Every
+// output element still adds its terms one at a time in ascending k,
+// whichever body runs it, so the tiling changes no bit.
 func matMulTile(a, b, out Mat, rlo, rhi, clo, chi int) {
 	if a.R <= tallGEMMRows || !wideAccumulate {
 		matMulPairs(a, b, out, rlo, rhi, clo, chi)
 		return
 	}
-	r6, c16 := rlo+(rhi-rlo)/6*6, clo+(chi-clo)&^15
-	for j := clo; j < c16; j += 16 {
-		for i := rlo; i < r6; i += 6 {
-			tile6x16(out.Data[i*out.C+j:], out.C, a.Data[i*a.C:], a.C, b.Data[j:], b.C, a.C)
+	r6, c := rlo+(rhi-rlo)/6*6, clo
+	if wide512 {
+		for ; c+32 <= chi; c += 32 {
+			for i := rlo; i < r6; i += 6 {
+				tile6x32(out.Data[i*out.C+c:], out.C, a.Data[i*a.C:], a.C, b.Data[c:], b.C, a.C)
+			}
 		}
 	}
-	if c16 < chi {
-		matMulPairs(a, b, out, rlo, r6, c16, chi)
+	for ; c+16 <= chi; c += 16 {
+		for i := rlo; i < r6; i += 6 {
+			tile6x16(out.Data[i*out.C+c:], out.C, a.Data[i*a.C:], a.C, b.Data[c:], b.C, a.C)
+		}
+	}
+	if c < chi {
+		matMulPairs(a, b, out, rlo, r6, c, chi)
 	}
 	if r6 < rhi {
 		matMulPairs(a, b, out, r6, rhi, clo, chi)
 	}
+}
+
+// panelWidth is the columns of one register-tile panel: the width of
+// the widest tile the host runs, and the unit MatMulInto splits a tall
+// GEMM's columns in.
+func panelWidth() int {
+	if wide512 {
+		return 32
+	}
+	return 16
 }
 
 // matMulPairs is matMulTile without register tiles: it consumes four k
@@ -227,12 +250,13 @@ func matMulPairs(a, b, out Mat, rlo, rhi, clo, chi int) {
 	}
 }
 
-// tile6x16Ref is the reference body of tile6x16: each of the 6x16
-// elements adds its k terms in ascending k, the product rounded before
-// the sum (see axpy4Ref). It is what the tile tests hold the assembly to.
-func tile6x16Ref(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k int) {
+// tileRef is the reference body of the register tiles, six rows by
+// width columns: each element adds its k terms in ascending k, the
+// product rounded before the sum (see axpy4Ref). It is what the tile
+// tests hold tile6x16 and tile6x32 to.
+func tileRef(o []float32, ldo int, a []float32, lda int, b []float32, ldb, k, width int) {
 	for i := 0; i < 6; i++ {
-		for j := 0; j < 16; j++ {
+		for j := 0; j < width; j++ {
 			t := o[i*ldo+j]
 			for kk := 0; kk < k; kk++ {
 				t += float32(a[i*lda+kk] * b[kk*ldb+j])
