@@ -69,11 +69,13 @@ bench-smoke:
 # two-row path (every depth to 9 and the engine's, strides that are not
 # multiples of sixteen, a guard page, fuzz seeds), and MatMulInto with the tiles on against off at every row
 # count mod 6 and column count mod 16 and 32, the AVX and AVX-512
-# probes against /proc/cpuinfo, the in-register one-row GEMV leaf — its
-# SSE2 and AVX-512 bodies, a subtest each — against its
-# decode-then-accumulate twin and a per-element oracle (every nibble in
-# every lane, every finite half, a guard page, fuzz seeds) and the two
-# bodies against each other by raw bits, the pinned token digests (as
+# probes against /proc/cpuinfo, the in-register one-row GEMV — its SSE2
+# k-quad body and its AVX-512 product table, a subtest each — against
+# its decode-then-accumulate twin and a per-element oracle (one to nine
+# rows and the engine's depths, chunks inside a row, every nibble in
+# every lane, every finite half, a guard page, fuzz seeds), Packed.Gemv
+# against DecodeRange, and the two bodies against each other by raw
+# bits, the pinned token digests (as
 # probed, with the AVX-512 bodies off and with every wide body off),
 # GELU's integer
 # float32 widening against the conversion and GELU against its
@@ -94,7 +96,7 @@ bench-smoke:
 # takes its non-FMA body, which the vector one must then equal in
 # float64 too): a fleet of mixed CPUs must produce the same tokens, so a
 # request that fails over to another host continues byte-identical.
-KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Attend|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop|Transcendentals' ./internal/tensor/ ./internal/quant/ ./internal/infer/
+KERNEL_ORACLES = $(GO) test -race -run 'Oracle|MatMulQ4|FuzzPackedView|FuzzDequantizeInto|StackedStep|LateValidation|KernelParallelism|KernelsConcurrent|Attend|Axpy4|Tile|MatMulWideShapes|CPUHasAVX|AxpyRows|Gemv|Decode4|PinnedTokenDigests|MatMulNaNInf|MatMulZeroTimesNaN|WidenExhaustive|RoPEMatchesPerHeadLoop|Transcendentals' ./internal/tensor/ ./internal/quant/ ./internal/infer/
 kernel-oracles:
 	$(KERNEL_ORACLES)
 	GOMAXPROCS=3 $(KERNEL_ORACLES) -count=1

@@ -35,11 +35,12 @@ type StepSeq struct {
 // shapes (tensor.BenchmarkQ4Crossover) the crossover has stayed between
 // 8 and 16 rows with the scalar kernels and with the SSE2 ones; decoding
 // in registers, SSE2 or AVX-512, runs only one-row steps and leaves it
-// there (at two rows re-decoding each row in registers now beats the
-// shared decode, which moves nothing near 8). So 8 — which writes no f32
-// copy of the weight and is also the widest decode step the daemons ship
-// with — stays. The tables are in EXPERIMENTS.md ("decode in registers",
-// "the widest vector level").
+// there (at two rows one in-register GEMV per row now takes a quarter to
+// a half of the shared decode's time, which moves nothing near 8). So 8
+// — which writes no f32 copy of the weight and is also the widest decode
+// step the daemons ship with — stays. The tables are in EXPERIMENTS.md
+// ("decode in registers", "the widest vector level", "the product
+// table").
 const fusedMaxRows = 8
 
 // StepEngine advances an arbitrary set of sequences one iteration at a

@@ -261,37 +261,48 @@ func TestDecode4GroupsShortOperandsPanic(t *testing.T) {
 	}
 }
 
-// axpyRows against its reference body and a per-element oracle
-// (Float16.Float32, the generic decode expression and the accumulate
-// chain, written out element by element), over every operand the
-// assembly takes: group sizes that are and are not whole blocks, one to
-// five groups a call, rows one to three calls' widths apart, metadata
-// that includes both zeros, subnormal halves, negative minimums and
-// ±65504, activations and running sums with NaN, Inf and subnormals.
+// gemv against its reference body and a per-element oracle (Float16.Float32,
+// the generic decode expression and the accumulate chain, written out
+// element by element), over every operand the assembly takes: group
+// sizes that are and are not whole blocks, that fill 64-column panels
+// and that end in a narrower one; one to nine rows and the bench-ooc
+// depths; chunks that start inside a row, one to 96 groups wide;
+// metadata that includes both zeros, subnormal halves, negative minimums
+// and ±65504; activations and running sums with NaN, Inf and subnormals.
 // Each test runs every assembly body the host has as a subtest
-// (eachAxpyBody). Off amd64 axpyRows is axpyRowsRef and the second
-// comparison passes trivially.
+// (eachAxpyBody). Off amd64 gemv is gemvRef and the second comparison
+// passes trivially.
 
-// rows are the operands of one axpyRows call: four rows of groups*gs
-// elements, each stride elements after the one before — four k-rows of a
-// k x stride matrix — as nibbles and the two fp16 metadata arrays.
+// rows are the operands of one gemv call: k weight rows of stride
+// columns — a k x stride matrix — as nibbles and the two fp16 metadata
+// arrays, of which the call reads the groups*gs columns that start lo
+// columns into each row. The arrays end where the last row's chunk does.
 type rows struct {
-	nib, mins, scales  []byte
-	gs, groups, stride int
+	nib, mins, scales         []byte
+	k, gs, groups, stride, lo int
 }
 
 func (r rows) nibStride() int  { return r.stride / 2 }
 func (r rows) metaStride() int { return 2 * r.stride / r.gs }
+func (r rows) width() int      { return r.gs * r.groups }
+func (r rows) nibLen() int     { return (r.k-1)*r.nibStride() + (r.lo+r.width())/2 }
+func (r rows) metaLen() int    { return (r.k-1)*r.metaStride() + 2*(r.lo+r.width())/r.gs }
+
+// call runs body — gemv or gemvRef — over the chunk.
+func (r rows) call(body func(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride int), o, x []float32) {
+	m := 2 * r.lo / r.gs
+	body(o, x, r.nib[r.lo/2:], r.mins[m:], r.scales[m:], r.gs, r.nibStride(), r.metaStride())
+}
 
 // newRows allocates the operands with every byte a row can reach, each
 // array starting off bytes into its backing, the nibbles random and each
 // half drawn by half.
-func newRows(rng *rand.Rand, gs, groups, stride, off int, half func() uint16) rows {
-	r := rows{gs: gs, groups: groups, stride: stride}
+func newRows(rng *rand.Rand, k, gs, groups, stride, lo, off int, half func() uint16) rows {
+	r := rows{k: k, gs: gs, groups: groups, stride: stride, lo: lo}
 	shifted := func(n int) []byte { return make([]byte, off+n)[off:] }
-	r.nib = shifted(3*r.nibStride() + groups*gs/2)
+	r.nib = shifted(r.nibLen())
 	rng.Read(r.nib)
-	r.mins, r.scales = shifted(3*r.metaStride()+2*groups), shifted(3*r.metaStride()+2*groups)
+	r.mins, r.scales = shifted(r.metaLen()), shifted(r.metaLen())
 	for i := 0; i < len(r.mins); i += 2 {
 		binary.LittleEndian.PutUint16(r.mins[i:], half())
 		binary.LittleEndian.PutUint16(r.scales[i:], half())
@@ -299,30 +310,31 @@ func newRows(rng *rand.Rand, gs, groups, stride, off int, half func() uint16) ro
 	return r
 }
 
-// axpyRowsOracle adds the four rows' terms to every element of o one
-// element at a time, with nothing shared with either body.
-func axpyRowsOracle(o []float32, r rows, a [4]float32) {
+// gemvOracle adds every row's term to every element of o one element at
+// a time, with nothing shared with either body.
+func gemvOracle(o []float32, r rows, x []float32) {
 	for j := range o {
+		c := r.lo + j
 		t := o[j]
-		for k := range a {
-			q := r.nib[k*r.nibStride()+j/2] >> (4 * (j % 2)) & 15
-			meta := k*r.metaStride() + 2*(j/r.gs)
+		for k, a := range x {
+			q := r.nib[k*r.nibStride()+c/2] >> (4 * (c % 2)) & 15
+			meta := k*r.metaStride() + 2*(c/r.gs)
 			gmin := Float16(binary.LittleEndian.Uint16(r.mins[meta:])).Float32()
 			scale := Float16(binary.LittleEndian.Uint16(r.scales[meta:])).Float32()
 			w := gmin + float32(float32(q)*scale)
-			t += float32(a[k] * w)
+			t += float32(a * w)
 		}
 		o[j] = t
 	}
 }
 
-// checkAxpyRows runs the oracle, axpyRowsRef and axpyRows from the same
-// running sums o0, each into its own copy starting off elements into a
+// checkGemv runs the oracle, gemvRef and gemv from the same running sums
+// o0, each into its own copy starting off elements into a
 // sentinel-filled backing array, and compares the whole backings.
-func checkAxpyRows(t *testing.T, r rows, a [4]float32, o0 []float32, off int) {
+func checkGemv(t *testing.T, r rows, x, o0 []float32, off int) {
 	t.Helper()
 	const margin = 8
-	n := r.gs * r.groups
+	n := r.width()
 	var backing [3][]float32
 	for side := range backing {
 		backing[side] = make([]float32, margin+off+n+margin)
@@ -333,21 +345,21 @@ func checkAxpyRows(t *testing.T, r rows, a [4]float32, o0 []float32, off int) {
 		copy(o, o0)
 		switch side {
 		case 0:
-			axpyRowsOracle(o, r, a)
+			gemvOracle(o, r, x)
 		case 1:
-			axpyRowsRef(o, r.nib, r.mins, r.scales, r.gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
+			r.call(gemvRef, o, x)
 		case 2:
-			axpyRows(o, r.nib, r.mins, r.scales, r.gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
+			r.call(gemv, o, x)
 		}
 	}
-	for side, name := range []string{1: "axpyRowsRef", 2: "axpyRows"} {
+	for side, name := range []string{1: "gemvRef", 2: "gemv"} {
 		if side == 0 {
 			continue
 		}
 		for i := range backing[0] {
 			if !sameBits(backing[0][i], backing[side][i]) {
-				t.Fatalf("gs=%d groups=%d stride=%d off=%d a=%v: %s wrote backing[%d] (o starts at %d) = %v (%#08x), oracle %v (%#08x)",
-					r.gs, r.groups, r.stride, off, a, name, i, margin+off,
+				t.Fatalf("k=%d gs=%d groups=%d stride=%d lo=%d off=%d: %s wrote backing[%d] (o starts at %d) = %v (%#08x), oracle %v (%#08x)",
+					r.k, r.gs, r.groups, r.stride, r.lo, off, name, i, margin+off,
 					backing[side][i], math.Float32bits(backing[side][i]), backing[0][i], math.Float32bits(backing[0][i]))
 			}
 		}
@@ -358,25 +370,25 @@ func checkAxpyRows(t *testing.T, r rows, a [4]float32, o0 []float32, off int) {
 // wide512.
 var probed512 = wide512
 
-// axpyBody is one assembly body axpyRows can take.
+// axpyBody is one assembly body gemv can take.
 type axpyBody struct {
 	name string
 	wide bool // wide512 while it runs
 }
 
-// axpyBodies are sse2 (off amd64: the Go twin, axpyRows's only body
-// there) and avx512.
+// axpyBodies are sse2 (axpyRowsSSE per four rows; off amd64: the Go
+// twin, gemv's only body there) and avx512 (gemvAVX512).
 var axpyBodies = []axpyBody{{"sse2", false}, {"avx512", true}}
 
 // eachAxpyBody runs f once per body as a subtest named after it, with
-// axpyRows taking that body; the avx512 subtest skips with the reason
-// where the host lacks AVX-512.
+// gemv taking that body; the avx512 subtest skips with the reason where
+// the host lacks AVX-512.
 func eachAxpyBody(t *testing.T, f func(t *testing.T)) {
 	defer func() { wide512 = probed512 }()
 	for _, body := range axpyBodies {
 		t.Run(body.name, func(t *testing.T) {
 			if body.wide && !probed512 {
-				t.Skip("no AVX-512 here (CPUID.7:EBX AVX2/F/BW/VL or XCR0 ZMM state missing, or GOARCH is not amd64): axpyRows never runs axpyRowsAVX512")
+				t.Skip("no AVX-512 here (CPUID.7:EBX AVX2/F/BW/VL or XCR0 ZMM state missing, or GOARCH is not amd64): gemv never runs gemvAVX512")
 			}
 			wide512 = body.wide
 			f(t)
@@ -384,10 +396,15 @@ func eachAxpyBody(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// finiteHalfFrom draws any finite half.
+func finiteHalfFrom(rng *rand.Rand) func() uint16 {
+	return func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
+}
+
 func TestAxpyRowsMatchesRef(t *testing.T) {
 	eachAxpyBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(75))
-		finiteHalf := func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
+		finiteHalf := finiteHalfFrom(rng)
 		awkwardHalf := func() uint16 { return awkwardHalves[rng.Intn(len(awkwardHalves))] }
 		value := func(awkward bool) float32 {
 			if awkward {
@@ -395,48 +412,64 @@ func TestAxpyRowsMatchesRef(t *testing.T) {
 			}
 			return float32(rng.NormFloat64())
 		}
-		for _, gs := range []int{2, 6, 16, 32, 48, 64, 128, 256} {
-			for groups := 1; groups <= 5; groups++ {
-				for tiles := 1; tiles <= 3; tiles++ {
+		// mode 0: finite halves and ordinary values; 1: awkward
+		// activations and sums; 2: awkward halves too.
+		check := func(k, gs, groups, tiles, lo, mode int) {
+			half := finiteHalf
+			if mode == 2 {
+				half = awkwardHalf
+			}
+			off := (gs + groups + tiles + mode) % 4
+			r := newRows(rng, k, gs, groups, lo+tiles*gs*groups, lo, off, half)
+			x := make([]float32, k)
+			for i := range x {
+				x[i] = value(mode >= 1 && rng.Intn(k) < 2)
+			}
+			o := make([]float32, r.width())
+			for i := range o {
+				o[i] = value(mode >= 1 && rng.Intn(3) == 0)
+			}
+			checkGemv(t, r, x, o, off)
+		}
+		for _, gs := range []int{2, 6, 16, 32, 48, 64, 80, 128, 256} {
+			for k := 1; k <= 9; k++ {
+				for groups := 1; groups <= 5; groups++ {
 					for mode := 0; mode < 3; mode++ {
-						half := finiteHalf
-						if mode == 2 {
-							half = awkwardHalf
-						}
-						off := (gs + groups + tiles + mode) % 4
-						r := newRows(rng, gs, groups, tiles*gs*groups, off, half)
-						var a [4]float32
-						for k := range a {
-							a[k] = value(mode >= 1)
-						}
-						o := make([]float32, gs*groups)
-						for i := range o {
-							o[i] = value(mode >= 1 && rng.Intn(3) == 0)
-						}
-						checkAxpyRows(t, r, a, o, off)
+						check(k, gs, groups, 1+(k+groups+mode)%3, (k+mode)%3*gs, mode)
 					}
 				}
+			}
+		}
+		// The bench-ooc depths, and chunks up to 1536 columns wide.
+		for _, s := range []struct{ k, gs, groups, lo int }{
+			{383, 64, 6, 64}, {384, 64, 6, 0}, {1536, 64, 2, 128}, {384, 48, 8, 48}, {383, 16, 3, 16},
+			{384, 32, 5, 0}, {1536, 128, 1, 0}, {5, 64, 24, 64}, {7, 16, 96, 16}, {9, 48, 32, 0},
+		} {
+			for mode := 0; mode < 3; mode++ {
+				check(s.k, s.gs, s.groups, 1+mode%2, s.lo, mode)
 			}
 		}
 	})
 }
 
-// Every nibble value in every position of a 16-column block — each of the
-// four lanes of each of the four vectors, in each of the four rows —
-// comes out as the oracle's expression. Lane i multiplies q·16^i by
-// scale·16^-i, so a mask, shift or lane scale that is off shows here.
+// Every nibble value in every position of a 16-column block and of a
+// 64-column panel, in each of five rows, comes out as the oracle's
+// expression: a word index, shift or table lane that is off, or a row
+// that reads another's nibbles, shows here.
 func TestAxpyRowsEveryNibbleEveryLane(t *testing.T) {
 	eachAxpyBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(76))
-		r := newRows(rng, 16, 1, 16, 0, func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 })
-		for row := 0; row < 4; row++ {
-			var a [4]float32
-			a[row] = 1
-			for pos := 0; pos < 16; pos++ {
-				for q := 0; q < 16; q++ {
-					clear(r.nib)
-					r.nib[row*r.nibStride()+pos/2] = byte(q) << (4 * (pos % 2))
-					checkAxpyRows(t, r, a, make([]float32, 16), 0)
+		for _, gs := range []int{16, 64} {
+			r := newRows(rng, 5, gs, 1, gs, 0, 0, finiteHalfFrom(rng))
+			for row := 0; row < r.k; row++ {
+				x := make([]float32, r.k)
+				x[row] = 1
+				for pos := 0; pos < gs; pos++ {
+					for q := 0; q < 16; q++ {
+						clear(r.nib)
+						r.nib[row*r.nibStride()+pos/2] = byte(q) << (4 * (pos % 2))
+						checkGemv(t, r, x, make([]float32, gs), 0)
+					}
 				}
 			}
 		}
@@ -445,9 +478,10 @@ func TestAxpyRowsEveryNibbleEveryLane(t *testing.T) {
 
 // Every finite half, as a group minimum and as a group scale, in every
 // row — under every nibble value in every lane — gives the oracle's
-// bits: the in-register widening (HALF) and the lane scales hold for the
-// whole fp16 range, subnormals included. One row's activation is one and
-// the others zero, so that row's weights reach the sum unrounded.
+// bits: the in-register widening (HALF, HALF16) and the product table
+// hold for the whole fp16 range, subnormals included. One row's
+// activation is one and the others zero, so that row's weights reach
+// the sum unrounded.
 func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
 	eachAxpyBody(t, func(t *testing.T) {
 		var all []uint16
@@ -462,10 +496,10 @@ func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
 			{func(int) uint16 { return 0x3c00 }, func(g int) uint16 { return all[g] }},
 			{func(g int) uint16 { return all[g] }, func(g int) uint16 { return all[(g*7919)%groups] }},
 		} {
-			r := rows{gs: 16, groups: groups, stride: 16 * groups}
-			r.nib = make([]byte, 4*8*groups)
-			r.mins, r.scales = make([]byte, 4*2*groups), make([]byte, 4*2*groups)
-			for row := 0; row < 4; row++ {
+			r := rows{k: 4, gs: 16, groups: groups, stride: 16 * groups}
+			r.nib = make([]byte, r.nibLen())
+			r.mins, r.scales = make([]byte, r.metaLen()), make([]byte, r.metaLen())
+			for row := 0; row < r.k; row++ {
 				for g := 0; g < groups; g++ {
 					for b := 0; b < 8; b++ {
 						// Nibbles 0..15 rotated by the group, so each value
@@ -477,10 +511,10 @@ func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
 					binary.LittleEndian.PutUint16(r.scales[row*r.metaStride()+2*g:], c.scales(g))
 				}
 			}
-			for row := 0; row < 4; row++ {
-				var a [4]float32
-				a[row] = 1
-				checkAxpyRows(t, r, a, make([]float32, 16*groups), 0)
+			for row := 0; row < r.k; row++ {
+				x := make([]float32, r.k)
+				x[row] = 1
+				checkGemv(t, r, x, make([]float32, 16*groups), 0)
 			}
 		}
 	})
@@ -489,12 +523,12 @@ func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
 // The two assembly bodies against each other, raw bits — NaN payloads
 // included, which the oracle comparisons leave open — over activations
 // and running sums drawn from NaNs with payloads, ±Inf, subnormals, ±0
-// and ordinary values, and every finite half as metadata: axpyRowsAVX512
-// keeps axpyRowsSSE's operand order in every instruction, so even the
+// and ordinary values, and any finite half as metadata: gemvAVX512 adds
+// each row's product with axpyRowsSSE's operand order, so even the
 // payload a lane keeps when two NaNs meet is the same.
 func TestAxpyRowsBodiesAgree(t *testing.T) {
 	if !probed512 {
-		t.Skip("no AVX-512 here: axpyRows has one assembly body")
+		t.Skip("no AVX-512 here: gemv has one assembly body")
 	}
 	defer func() { wide512 = probed512 }()
 	special := []float32{
@@ -503,37 +537,44 @@ func TestAxpyRowsBodiesAgree(t *testing.T) {
 		0, float32(math.Copysign(0, -1)), 1, -0.5, math.MaxFloat32, -math.MaxFloat32,
 	}
 	rng := rand.New(rand.NewSource(80))
-	value := func() float32 {
-		if rng.Intn(2) == 0 {
+	// value is special with odds one in n.
+	value := func(n int) float32 {
+		if rng.Intn(n) == 0 {
 			return special[rng.Intn(len(special))]
 		}
 		return float32(rng.NormFloat64())
 	}
-	for _, gs := range []int{16, 32, 64, 128} {
-		for groups := 1; groups <= 4; groups++ {
-			for round := 0; round < 64; round++ {
-				r := newRows(rng, gs, groups, 2*gs*groups, round%4, func() uint16 {
-					h := uint16(rng.Intn(1 << 16))
-					if !finite16(Float16(h)) {
-						h &^= 0x4000
+	for _, gs := range []int{16, 32, 48, 64, 128} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 9, 383} {
+			for groups := 1; groups <= 4; groups++ {
+				for round := 0; round < 16; round++ {
+					lo := round % 3 * gs
+					r := newRows(rng, k, gs, groups, lo+2*gs*groups, lo, round%4, func() uint16 {
+						h := uint16(rng.Intn(1 << 16))
+						if !finite16(Float16(h)) {
+							h &^= 0x4000
+						}
+						return h
+					})
+					x := make([]float32, k)
+					for i := range x {
+						x[i] = value(max(2, k/2))
 					}
-					return h
-				})
-				a := [4]float32{value(), value(), value(), value()}
-				o := make([]float32, gs*groups)
-				for i := range o {
-					o[i] = value()
-				}
-				var got [2][]float32
-				for i, body := range axpyBodies {
-					got[i] = append([]float32(nil), o...)
-					wide512 = body.wide
-					axpyRows(got[i], r.nib, r.mins, r.scales, gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
-				}
-				for j := range o {
-					if math.Float32bits(got[0][j]) != math.Float32bits(got[1][j]) {
-						t.Fatalf("gs=%d groups=%d a=%v o[%d]=%#08x: sse2 %#08x, avx512 %#08x", gs, groups, a, j,
-							math.Float32bits(o[j]), math.Float32bits(got[0][j]), math.Float32bits(got[1][j]))
+					o := make([]float32, r.width())
+					for i := range o {
+						o[i] = value(2)
+					}
+					var got [2][]float32
+					for i, body := range axpyBodies {
+						got[i] = append([]float32(nil), o...)
+						wide512 = body.wide
+						r.call(gemv, got[i], x)
+					}
+					for j := range o {
+						if math.Float32bits(got[0][j]) != math.Float32bits(got[1][j]) {
+							t.Fatalf("k=%d gs=%d groups=%d lo=%d o[%d]=%#08x: sse2 %#08x, avx512 %#08x", k, gs, groups, lo, j,
+								math.Float32bits(o[j]), math.Float32bits(got[0][j]), math.Float32bits(got[1][j]))
+						}
 					}
 				}
 			}
@@ -541,28 +582,31 @@ func TestAxpyRowsBodiesAgree(t *testing.T) {
 	}
 }
 
-// Operands shorter than four rows of the groups need — the fourth row's
-// last byte of nibbles, minimums or scales missing — are refused by the
-// bounds checks in front of the assembly, not read past.
+// Operands shorter than the rows need — the last row's last byte of
+// nibbles, minimums or scales missing — and rows a negative stride apart
+// are refused in front of the assembly, not read past.
 func TestAxpyRowsShortOperandsPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	r := newRows(rng, 64, 2, 256, 0, func() uint16 { return 0x3c00 })
-	o := make([]float32, 128)
+	r := newRows(rng, 6, 64, 2, 256, 0, 0, func() uint16 { return 0x3c00 })
+	o, x := make([]float32, 128), []float32{1, 1, 1, 1, 1, 1}
 	for name, call := range map[string]func(){
 		"nibbles": func() {
-			axpyRows(o, r.nib[:len(r.nib)-1], r.mins, r.scales, 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+			gemv(o, x, r.nib[:len(r.nib)-1], r.mins, r.scales, 64, r.nibStride(), r.metaStride())
 		},
 		"mins": func() {
-			axpyRows(o, r.nib, r.mins[:len(r.mins)-1], r.scales, 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+			gemv(o, x, r.nib, r.mins[:len(r.mins)-1], r.scales, 64, r.nibStride(), r.metaStride())
 		},
 		"scales": func() {
-			axpyRows(o, r.nib, r.mins, r.scales[:len(r.scales)-1], 64, r.nibStride(), r.metaStride(), 1, 1, 1, 1)
+			gemv(o, x, r.nib, r.mins, r.scales[:len(r.scales)-1], 64, r.nibStride(), r.metaStride())
+		},
+		"negative stride": func() {
+			gemv(o, x[:2], r.nib, r.mins, r.scales, 64, r.nibStride(), -2)
 		},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("axpyRows read four rows out of a short %s operand", name)
+					t.Errorf("gemv read rows out of %s", name)
 				}
 			}()
 			call()
@@ -572,16 +616,18 @@ func TestAxpyRowsShortOperandsPanic(t *testing.T) {
 
 // FuzzAxpyRows is the differential target: arbitrary nibbles, metadata
 // (any finite half: a Packed never carries another), activation and
-// running-sum bit patterns, group size, group count, row stride and start
-// offset — through every body the host runs.
+// running-sum bit patterns, group size, group count, row count, row
+// stride, chunk start and operand offset — through every body the host
+// runs.
 func FuzzAxpyRows(f *testing.F) {
-	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x00, 0x3c, 0x00, 0xbc}, uint8(2), uint8(1), uint8(1), uint8(0))
-	f.Add([]byte{0xff, 0x7b, 0x01, 0x80, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x7f}, uint8(3), uint8(2), uint8(2), uint8(3))
-	f.Add([]byte{0x0f, 0xf0, 0xff, 0x03, 0x00, 0x84}, uint8(0), uint8(4), uint8(3), uint8(1))
-	f.Add([]byte{}, uint8(1), uint8(0), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, gsSel, groups, tiles, off uint8) {
-		gs := []int{2, 16, 32, 64, 48, 6}[int(gsSel)%6]
-		ng, nt := 1+int(groups)%4, 1+int(tiles)%3
+	f.Add([]byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0x00, 0x3c, 0x00, 0xbc}, uint8(2), uint8(1), uint8(1), uint8(0), uint8(3), uint8(0))
+	f.Add([]byte{0xff, 0x7b, 0x01, 0x80, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x7f}, uint8(3), uint8(2), uint8(2), uint8(3), uint8(4), uint8(1))
+	f.Add([]byte{0x0f, 0xf0, 0xff, 0x03, 0x00, 0x84}, uint8(0), uint8(4), uint8(3), uint8(1), uint8(8), uint8(2))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(0), uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{0x21, 0x43, 0x65, 0x87, 0x00, 0x80, 0x01, 0x00}, uint8(4), uint8(3), uint8(1), uint8(1), uint8(6), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, gsSel, groups, tiles, off, rowSel, loSel uint8) {
+		gs := []int{2, 16, 32, 64, 48, 6, 80, 128}[int(gsSel)%8]
+		ng, nt, k, lo := 1+int(groups)%4, 1+int(tiles)%3, 1+int(rowSel)%9, int(loSel)%3*gs
 		at := 0
 		next := func() byte {
 			if len(data) == 0 {
@@ -600,19 +646,22 @@ func FuzzAxpyRows(f *testing.F) {
 		bits := func() float32 {
 			return math.Float32frombits(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
 		}
-		r := rows{gs: gs, groups: ng, stride: nt * gs * ng}
+		r := rows{k: k, gs: gs, groups: ng, stride: lo + nt*gs*ng, lo: lo}
 		shifted := func(n int) []byte { return make([]byte, int(off%4)+n)[off%4:] }
-		r.nib = shifted(3*r.nibStride() + ng*gs/2)
+		r.nib = shifted(r.nibLen())
 		for i := range r.nib {
 			r.nib[i] = next()
 		}
-		r.mins, r.scales = shifted(3*r.metaStride()+2*ng), shifted(3*r.metaStride()+2*ng)
+		r.mins, r.scales = shifted(r.metaLen()), shifted(r.metaLen())
 		for i := 0; i < len(r.mins); i += 2 {
 			binary.LittleEndian.PutUint16(r.mins[i:], half())
 			binary.LittleEndian.PutUint16(r.scales[i:], half())
 		}
-		a := [4]float32{bits(), bits(), bits(), bits()}
-		o := make([]float32, gs*ng)
+		x := make([]float32, k)
+		for i := range x {
+			x[i] = bits()
+		}
+		o := make([]float32, r.width())
 		for i := range o {
 			o[i] = bits()
 		}
@@ -622,23 +671,23 @@ func FuzzAxpyRows(f *testing.F) {
 				continue
 			}
 			wide512 = body.wide
-			checkAxpyRows(t, r, a, o, int(off%4))
+			checkGemv(t, r, x, o, int(off%4))
 		}
 	})
 }
 
-// Packed.AxpyRows over a k x cols tensor stores what decoding the four
-// rows with DecodeRange and adding their terms in order stores, for
-// every group-aligned column range of every k-quad; and it refuses
-// ranges that are not whole groups or run past the tensor.
-func TestPackedAxpyRowsMatchesDecodeRange(t *testing.T) {
+// Packed.Gemv over a k x cols tensor stores what decoding the rows with
+// DecodeRange and adding their terms in order stores, for every run of
+// rows and every group-aligned column range; and it refuses ranges that
+// are not whole groups or run past the tensor.
+func TestPackedGemvMatchesDecodeRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for _, shape := range []struct{ k, cols, gs int }{{8, 384, 64}, {12, 192, 32}, {4, 96, 48}, {8, 12, 2}} {
-		x := make([]float32, shape.k*shape.cols)
-		for i := range x {
-			x[i] = float32(rng.NormFloat64())
+	for _, shape := range []struct{ k, cols, gs int }{{8, 384, 64}, {12, 192, 32}, {4, 96, 48}, {8, 12, 2}, {6, 256, 128}} {
+		w := make([]float32, shape.k*shape.cols)
+		for i := range w {
+			w[i] = float32(rng.NormFloat64())
 		}
-		qt, err := Quantize(x, Config{Bits: 4, GroupSize: shape.gs})
+		qt, err := Quantize(w, Config{Bits: 4, GroupSize: shape.gs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -650,46 +699,50 @@ func TestPackedAxpyRowsMatchesDecodeRange(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
 		}
-		for k := 0; k+4 <= shape.k; k += 4 {
-			for c0 := 0; c0 < shape.cols; c0 += shape.gs {
-				for c1 := c0 + shape.gs; c1 <= shape.cols; c1 += shape.gs {
-					a := [4]float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
-					want := make([]float32, c1-c0)
-					for i := range want {
-						want[i] = float32(rng.NormFloat64())
-					}
-					got := append([]float32(nil), want...)
-					var w [4][]float32
-					for r := range w {
-						w[r] = make([]float32, c1-c0)
-						p.DecodeRange(w[r], (k+r)*shape.cols+c0)
-					}
-					for i := range want {
-						for r := range w {
-							want[i] += float32(a[r] * w[r][i])
+		dec := make([]float32, shape.cols)
+		for k0 := 0; k0 < shape.k; k0++ {
+			for n := 1; k0+n <= shape.k; n++ {
+				for c0 := 0; c0 < shape.cols; c0 += shape.gs {
+					for c1 := c0 + shape.gs; c1 <= shape.cols; c1 += shape.gs {
+						x := make([]float32, n)
+						for i := range x {
+							x[i] = float32(rng.NormFloat64())
 						}
-					}
-					p.AxpyRows(got, a[0], a[1], a[2], a[3], k*shape.cols+c0, shape.cols)
-					for i := range want {
-						if !sameBits(want[i], got[i]) {
-							t.Fatalf("%dx%d gs=%d k=%d columns [%d,%d): got[%d] = %v, DecodeRange then add %v", shape.k, shape.cols, shape.gs, k, c0, c1, i, got[i], want[i])
+						want := make([]float32, c1-c0)
+						for i := range want {
+							want[i] = float32(rng.NormFloat64())
+						}
+						got := append([]float32(nil), want...)
+						for r, a := range x {
+							p.DecodeRange(dec[:c1-c0], (k0+r)*shape.cols+c0)
+							for i := range want {
+								want[i] += float32(a * dec[i])
+							}
+						}
+						p.Gemv(got, x, k0*shape.cols+c0, shape.cols)
+						for i := range want {
+							if !sameBits(want[i], got[i]) {
+								t.Fatalf("%dx%d gs=%d rows [%d,%d) columns [%d,%d): got[%d] = %v, DecodeRange then add %v",
+									shape.k, shape.cols, shape.gs, k0, k0+n, c0, c1, i, got[i], want[i])
+							}
 						}
 					}
 				}
 			}
 		}
-		gs, cols := shape.gs, shape.cols
+		gs, cols, x := shape.gs, shape.cols, []float32{1, 1, 1, 1}
 		for name, call := range map[string]func(){
-			"lo inside a group":       func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 1, cols) },
-			"stride inside a group":   func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 0, cols+1) },
-			"width inside a group":    func() { p.AxpyRows(make([]float32, gs+1), 1, 1, 1, 1, 0, cols) },
-			"negative stride":         func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, 3*cols, -cols) },
-			"fourth row past the end": func() { p.AxpyRows(make([]float32, gs), 1, 1, 1, 1, (shape.k-3)*cols, cols) },
+			"lo inside a group":      func() { p.Gemv(make([]float32, gs), x, 1, cols) },
+			"stride inside a group":  func() { p.Gemv(make([]float32, gs), x, 0, cols+1) },
+			"width inside a group":   func() { p.Gemv(make([]float32, gs+1), x, 0, cols) },
+			"negative stride":        func() { p.Gemv(make([]float32, gs), x, 3*cols, -cols) },
+			"last row past the end":  func() { p.Gemv(make([]float32, gs), x, (shape.k-3)*cols, cols) },
+			"first row past the end": func() { p.Gemv(make([]float32, gs), x[:1], shape.k*cols, cols) },
 		} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%dx%d gs=%d: AxpyRows accepted %s", shape.k, cols, gs, name)
+						t.Errorf("%dx%d gs=%d: Gemv accepted %s", shape.k, cols, gs, name)
 					}
 				}()
 				call()

@@ -149,30 +149,30 @@ func packedMat(b *testing.B, k, cols int) Packed {
 }
 
 // The one-row GEMV at the three bench-ooc shapes as one worker runs it,
-// in ns per weight: every k-quad across the whole row through AxpyRows
-// (nibbles decoded in registers where they are multiplied) on each
-// assembly body — sse2, and avx512 where the host has it — beside the
-// Go twin, the decode-then-accumulate composition, which off amd64 is
-// the body.
+// in ns per weight: the whole k x c product through Gemv (nibbles
+// decoded in registers where they are multiplied) on each assembly body
+// — sse2, one call per k-quad, and avx512, one call, where the host has
+// it — beside the Go twin, the decode-then-accumulate composition, which
+// off amd64 is the body.
 func BenchmarkAxpyRows(b *testing.B) {
 	probed := wide512
 	defer func() { wide512 = probed }()
 	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
 		p := packedMat(b, shape.k, shape.c)
 		half := len(p.meta) / 2
-		o := make([]float32, shape.c)
-		registers := func(o []float32, lo int) { p.AxpyRows(o, 0.5, -0.25, 0.125, 1, lo, shape.c) }
+		o, x := make([]float32, shape.c), make([]float32, shape.k)
+		for k := range x {
+			x[k] = []float32{0.5, -0.25, 0.125, 1}[k%4]
+		}
+		registers := func() { p.Gemv(o, x, 0, shape.c) }
 		for _, leaf := range []struct {
 			name string
 			wide bool
-			run  func(o []float32, lo int)
+			run  func()
 		}{
 			{"sse2", false, registers},
 			{"avx512", true, registers},
-			{"twin", false, func(o []float32, lo int) {
-				g := lo / p.gs
-				axpyRowsRef(o, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, shape.c/2, 2*shape.c/p.gs, 0.5, -0.25, 0.125, 1)
-			}},
+			{"twin", false, func() { gemvRef(o, x, p.nib, p.meta[:half], p.meta[half:], p.gs, shape.c/2, 2*shape.c/p.gs) }},
 		} {
 			b.Run(fmt.Sprintf("%dx%d/%s", shape.k, shape.c, leaf.name), func(b *testing.B) {
 				if leaf.wide && !probed {
@@ -180,9 +180,8 @@ func BenchmarkAxpyRows(b *testing.B) {
 				}
 				wide512 = leaf.wide
 				for i := 0; i < b.N; i++ {
-					for k := 0; k < shape.k; k += 4 {
-						leaf.run(o, k*shape.c)
-					}
+					clear(o)
+					leaf.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p.Len()), "ns/weight")
 			})

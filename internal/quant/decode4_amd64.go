@@ -47,41 +47,54 @@ func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
 //go:noescape
 func decodeGroupsSSE(out *float32, packed, mins, scales *byte, groups, blocks int)
 
-// axpyRows adds four rows of len(o)/gs whole groups, scaled by a0..a3,
-// to o: row i's nibbles start at nib[i*nibStride], its fp16 minimums and
-// scales at mins[i*metaStride] and scales[i*metaStride]. Groups made of
-// whole 16-element blocks — every group at the usual sizes — go through
-// one assembly call, metadata conversion included: axpyRowsAVX512, a
-// block per ZMM register, where wide512 holds, and axpyRowsSSE, a block
-// per four XMM registers, everywhere else. Both store axpyRowsRef's bits
-// (DESIGN §3c). Any other group size takes the reference body.
-func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
+// gemv adds x[k] times weight row k to o for every k in [0, len(x)), in
+// ascending k, over len(o)/gs whole groups: row k's nibbles start at
+// nib[k*nibStride], its fp16 minimums and scales at mins[k*metaStride]
+// and scales[k*metaStride]. Groups made of whole 16-element blocks —
+// every group at the usual sizes — are decoded where they are multiplied,
+// metadata conversion included: the whole k-quads by gemvAVX512 in one
+// call, every row added to sums held in registers, where wide512 holds,
+// and by axpyRowsSSE, one call per k-quad, everywhere else; then the
+// last len(x) mod 4 rows by gemvRef on either level. The two levels
+// store the same bits, NaN payloads included, and gemvRef's values
+// (DESIGN §3c). Any other group size takes gemvRef.
+func gemv(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride int) {
 	groups := len(o) / gs
-	if groups == 0 {
+	if groups == 0 || len(x) == 0 {
 		return
 	}
 	if gs%16 != 0 {
-		axpyRowsRef(o, nib, mins, scales, gs, nibStride, metaStride, a0, a1, a2, a3)
+		gemvRef(o, x, nib, mins, scales, gs, nibStride, metaStride)
 		return
 	}
-	_, _, _ = nib[3*nibStride+groups*gs/2-1], mins[3*metaStride+2*groups-1], scales[3*metaStride+2*groups-1]
-	if wide512 {
-		axpyRowsAVX512(&o[0], &nib[0], &mins[0], &scales[0], nibStride, metaStride, groups, gs/16, a0, a1, a2, a3)
-		return
+	if nibStride < 0 || metaStride < 0 {
+		panic("quant: gemv over a negative row stride")
 	}
-	axpyRowsSSE(&o[0], &nib[0], &mins[0], &scales[0], nibStride, metaStride, groups, gs/16, a0, a1, a2, a3)
+	last := len(x) - 1
+	_, _, _ = nib[last*nibStride+groups*gs/2-1], mins[last*metaStride+2*groups-1], scales[last*metaStride+2*groups-1]
+	quads := len(x) &^ 3
+	if wide512 && quads > 0 {
+		gemvAVX512(&o[0], &x[0], &nib[0], &mins[0], &scales[0], quads, nibStride, metaStride, groups, gs/16)
+	} else {
+		for k := 0; k < quads; k += 4 {
+			axpyRowsSSE(&o[0], &nib[k*nibStride], &mins[k*metaStride], &scales[k*metaStride], nibStride, metaStride, groups, gs/16, x[k], x[k+1], x[k+2], x[k+3])
+		}
+	}
+	if k := quads; k < len(x) {
+		gemvRef(o, x[k:], nib[k*nibStride:], mins[k*metaStride:], scales[k*metaStride:], gs, nibStride, metaStride)
+	}
 }
 
-// wide512 is whether axpyRows runs axpyRowsAVX512. It is the CPU
-// probe's answer, read once, and a variable only so that tests and
-// benchmarks can switch the body off and hold both to the same bits.
+// wide512 is whether gemv runs gemvAVX512. It is the CPU probe's answer,
+// read once, and a variable only so that tests and benchmarks can switch
+// the body off and hold both to the same bits.
 var wide512 = CPUHasAVX512()
 
 //go:noescape
 func axpyRowsSSE(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
 
 //go:noescape
-func axpyRowsAVX512(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
+func gemvAVX512(o, x *float32, nib, mins, scales *byte, rows, nibStride, metaStride, groups, blocks int)
 
 // CPUHasAVX reports whether the CPU executes AVX and the OS saves the
 // YMM registers across context switches: CPUID.1:ECX has OSXSAVE (bit
@@ -102,7 +115,7 @@ func CPUHasAVX() bool {
 // then CPUID.7.0:EBX has AVX2 (bit 5, for the VEX word broadcast),
 // AVX-512F (16), AVX-512BW (30) and AVX-512VL (31), and XCR0 enables the
 // opmask, upper-ZMM0-15 and ZMM16-31 state (bits 5, 6 and 7) besides
-// bits 1 and 2. It is the probe behind axpyRowsAVX512 and
+// bits 1 and 2. It is the probe behind gemvAVX512 and
 // internal/tensor's 6x32 register tile; each package reads it once.
 func CPUHasAVX512() bool {
 	if !CPUHasAVX() {

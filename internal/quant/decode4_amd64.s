@@ -293,138 +293,215 @@ rdone:
 	VPBROADCASTW src, y \
 	VCVTPH2PS    y, z
 
-// AXPYROW16 adds one k-row's sixteen columns, scaled by a, to the
-// running sum Z0, one column per lane, through the scratch register Z1.
-// VMOVQ loads the row's eight nibble bytes and zeroes the rest of the
-// register; VPERMW with nibPerm (Z14) copies word j/4 of them into the
-// low half of dword j and word four — zero — into its high half; VPANDD
-// with nibMask16 (Z15) keeps nibble j mod 4 of that word, so lane j
-// holds q·16^(j mod 4), exact after VCVTDQ2PS. scale holds
-// scale·16^-(j mod 4) per lane, exact as AXPYROW's slot is, so the
-// product rounds to float32(q)*scale; then VADDPS gmin, VMULPS a and
-// VADDPS into the sum. Each instruction has AXPYROW's operands in
-// AXPYROW's order — the decoded value the first source of both products
-// and of the gmin add, the running sum the first source of the last add
-// — so a lane computes what an SSE2 lane computes, NaN payloads
-// included.
-#define AXPYROW16(src, gmin, scale, a) \
-	VMOVQ     src, X1       \
-	VPERMW    Z1, Z14, Z1   \
-	VPANDD    Z15, Z1, Z1   \
-	VCVTDQ2PS Z1, Z1        \
-	VMULPS    scale, Z1, Z1 \
-	VADDPS    gmin, Z1, Z1  \
-	VMULPS    a, Z1, Z1     \
-	VADDPS    Z1, Z0, Z0
+// TABLE builds one row's product table for one group in Z4: lane q holds
+// a·(gmin + float32(q)·scale), a in Z7, iota (0, 1, …, 15) in Z10. The
+// metadata halves at mins and scales are widened (HALF16), then each
+// instruction is DECODE16's or AXPYROW's with the decoded value as first
+// source: iota·scale, + gmin, ·a. A lane's value is exactly the weight
+// decode4Ref tabulates for nibble q times a, rounded as axpy4SSE rounds
+// the product. Clobbers Z8 and Z9.
+#define TABLE(mins, scales) \
+	HALF16(mins, Y8, Z8)    \
+	HALF16(scales, Y9, Z9)  \
+	VMULPS Z9, Z10, Z4      \
+	VADDPS Z8, Z4, Z4       \
+	VMULPS Z7, Z4, Z4
 
-// nibPerm is VPERMW's word index per dword j: j/4 in the low word, 4 (a
-// word VMOVQ zeroed) in the high one. nibMask16 and nibScale16 are
-// nibMask and nibScale repeated over sixteen lanes.
-DATA nibPerm<>+0(SB)/8, $0x0004000000040000
-DATA nibPerm<>+8(SB)/8, $0x0004000000040000
-DATA nibPerm<>+16(SB)/8, $0x0004000100040001
-DATA nibPerm<>+24(SB)/8, $0x0004000100040001
-DATA nibPerm<>+32(SB)/8, $0x0004000200040002
-DATA nibPerm<>+40(SB)/8, $0x0004000200040002
-DATA nibPerm<>+48(SB)/8, $0x0004000300040003
-DATA nibPerm<>+56(SB)/8, $0x0004000300040003
-GLOBL nibPerm<>(SB), RODATA|NOPTR, $64
+// BLOCK adds one row's term to the sixteen running sums in sum through
+// the scratch register Z5. VPBROADCASTQ copies the row's eight nibble
+// bytes into every quadword, so each even dword holds nibbles 0-7 and
+// each odd one nibbles 8-15; VPSRLVD by nibShift (Z12) brings nibble j/2
+// of the one and 8 + j/2 of the other into bits 0-3 of dword j, the only
+// index bits VPERMPS reads; VPERMPS picks the nibble's product out of
+// the table (Z4), and VADDPS adds it to the sum with the sum as first
+// source, as axpy4SSE's ADDPS does. So lane 2i holds column i and lane
+// 2i+1 column 8+i: the sums are loaded into that order and stored out of
+// it once per panel.
+#define BLOCK(src, sum) \
+	VPBROADCASTQ src, Z5 \
+	VPSRLVD      Z12, Z5, Z5 \
+	VPERMPS      Z4, Z5, Z5  \
+	VADDPS       Z5, sum, sum
 
-DATA nibMask16<>+0(SB)/8, $0x000000f00000000f
-DATA nibMask16<>+8(SB)/8, $0x0000f00000000f00
-DATA nibMask16<>+16(SB)/8, $0x000000f00000000f
-DATA nibMask16<>+24(SB)/8, $0x0000f00000000f00
-DATA nibMask16<>+32(SB)/8, $0x000000f00000000f
-DATA nibMask16<>+40(SB)/8, $0x0000f00000000f00
-DATA nibMask16<>+48(SB)/8, $0x000000f00000000f
-DATA nibMask16<>+56(SB)/8, $0x0000f00000000f00
-GLOBL nibMask16<>(SB), RODATA|NOPTR, $64
+// LOADSUM and STORESUM move sixteen sums between o, in column order, and
+// sum, in BLOCK's lane order, by the permutations toLanes (Z13) and
+// toColumns (Z14); a permutation moves bits, NaN payloads included.
+#define LOADSUM(src, sum) \
+	VPERMPS src, Z13, sum
 
-DATA nibScale16<>+0(SB)/8, $0x3d8000003f800000
-DATA nibScale16<>+8(SB)/8, $0x398000003b800000
-DATA nibScale16<>+16(SB)/8, $0x3d8000003f800000
-DATA nibScale16<>+24(SB)/8, $0x398000003b800000
-DATA nibScale16<>+32(SB)/8, $0x3d8000003f800000
-DATA nibScale16<>+40(SB)/8, $0x398000003b800000
-DATA nibScale16<>+48(SB)/8, $0x3d8000003f800000
-DATA nibScale16<>+56(SB)/8, $0x398000003b800000
-GLOBL nibScale16<>(SB), RODATA|NOPTR, $64
+#define STORESUM(sum, dst) \
+	VPERMPS sum, Z14, sum \
+	VMOVUPS sum, dst
 
-// func axpyRowsAVX512(o *float32, nib, mins, scales *byte, nibStride, metaStride, groups, blocks int, a0, a1, a2, a3 float32)
+// iota16 is the nibble values 0..15 as float32 bits. nibShift is
+// 4·(j/2) per dword j. toLanes is the column each lane holds, toColumns
+// the lane each column is in.
+DATA iota16<>+0(SB)/8, $0x3f80000000000000
+DATA iota16<>+8(SB)/8, $0x4040000040000000
+DATA iota16<>+16(SB)/8, $0x40a0000040800000
+DATA iota16<>+24(SB)/8, $0x40e0000040c00000
+DATA iota16<>+32(SB)/8, $0x4110000041000000
+DATA iota16<>+40(SB)/8, $0x4130000041200000
+DATA iota16<>+48(SB)/8, $0x4150000041400000
+DATA iota16<>+56(SB)/8, $0x4170000041600000
+GLOBL iota16<>(SB), RODATA|NOPTR, $64
+
+DATA nibShift<>+0(SB)/8, $0x0000000000000000
+DATA nibShift<>+8(SB)/8, $0x0000000400000004
+DATA nibShift<>+16(SB)/8, $0x0000000800000008
+DATA nibShift<>+24(SB)/8, $0x0000000c0000000c
+DATA nibShift<>+32(SB)/8, $0x0000001000000010
+DATA nibShift<>+40(SB)/8, $0x0000001400000014
+DATA nibShift<>+48(SB)/8, $0x0000001800000018
+DATA nibShift<>+56(SB)/8, $0x0000001c0000001c
+GLOBL nibShift<>(SB), RODATA|NOPTR, $64
+
+DATA toLanes<>+0(SB)/8, $0x0000000800000000
+DATA toLanes<>+8(SB)/8, $0x0000000900000001
+DATA toLanes<>+16(SB)/8, $0x0000000a00000002
+DATA toLanes<>+24(SB)/8, $0x0000000b00000003
+DATA toLanes<>+32(SB)/8, $0x0000000c00000004
+DATA toLanes<>+40(SB)/8, $0x0000000d00000005
+DATA toLanes<>+48(SB)/8, $0x0000000e00000006
+DATA toLanes<>+56(SB)/8, $0x0000000f00000007
+GLOBL toLanes<>(SB), RODATA|NOPTR, $64
+
+DATA toColumns<>+0(SB)/8, $0x0000000200000000
+DATA toColumns<>+8(SB)/8, $0x0000000600000004
+DATA toColumns<>+16(SB)/8, $0x0000000a00000008
+DATA toColumns<>+24(SB)/8, $0x0000000e0000000c
+DATA toColumns<>+32(SB)/8, $0x0000000300000001
+DATA toColumns<>+40(SB)/8, $0x0000000700000005
+DATA toColumns<>+48(SB)/8, $0x0000000b00000009
+DATA toColumns<>+56(SB)/8, $0x0000000f0000000d
+GLOBL toColumns<>(SB), RODATA|NOPTR, $64
+
+// func gemvAVX512(o, x *float32, nib, mins, scales *byte, rows, nibStride, metaStride, groups, blocks int)
 //
-// axpyRowsSSE with a 16-column block in one ZMM register instead of
-// four XMM ones: per group the four rows' (gmin, scale) halves are
-// widened into registers (HALF16; the scales times nibScale16), then per
-// block the sixteen sums are loaded once, rows k..k+3 are added in
-// order (AXPYROW16) and the sums stored. It reads what axpyRowsSSE reads
-// — eight nibble bytes per row and block, two bytes per half — so
-// operands that end at a guard page are safe. AVX-512 F and BW, AVX2
-// for the word broadcast; no FMA. Only Z0-Z15 are used, so the
-// VZEROUPPER before returning leaves no register with dirty upper bits
-// for the SSE2 code that runs next (it does not clear ZMM16-31).
+// The whole one-row GEMV over groups groups of blocks*16 columns: o[j]
+// += x[k]·w[k][j] for k = 0..rows-1 in ascending order, row k's nibbles
+// at nib + k*nibStride, its halves at mins and scales + k*metaStride;
+// the halves must be finite. The columns go in panels of up to four
+// 16-column blocks that never cross a group: a panel's sums are loaded
+// from o once, held in Z0-Z3 while every row is added (TABLE once per
+// row, BLOCK per block) and stored once. A group of 64 columns or a
+// multiple is whole panels; any other group ends in a panel of one to
+// three blocks, whose row loop tests the block count. Every output
+// element gets o + x0·w0, + x1·w1, … with w = gmin + float32(q)*scale:
+// the values, roundings, term order and operand order of axpyRowsSSE's
+// k-quads one after the other, so the bits are its bits (DESIGN §3c). It
+// reads eight nibble bytes per row and block and two bytes per half, as
+// axpyRowsSSE does, so operands that end at a guard page are safe.
+// AVX-512 F, AVX2 for the word broadcast; no FMA. Only Z0-Z15 are used,
+// so the VZEROUPPER before returning leaves no register with dirty upper
+// bits for the SSE2 code that runs next (it does not clear ZMM16-31).
 //
-// Registers: DI output, SI row 0 and DX row 3 nibbles, R13 nibStride, R8
-// and R9 row 0 halves, R14 metaStride, R10 groups left, R11 blocks per
-// group, CX blocks left; Z0 the sums, Z1 one row's block, Z2-Z5 gmin and
-// Z6-Z9 lane scales of rows 0-3, Z10-Z13 a0-a3, Z14 nibPerm, Z15
-// nibMask16.
-TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-80
-	MOVQ         o+0(FP), DI
-	MOVQ         nib+8(FP), SI
-	MOVQ         mins+16(FP), R8
-	MOVQ         scales+24(FP), R9
-	MOVQ         nibStride+32(FP), R13
-	MOVQ         metaStride+40(FP), R14
-	MOVQ         groups+48(FP), R10
-	MOVQ         blocks+56(FP), R11
-	VBROADCASTSS a0+64(FP), Z10
-	VBROADCASTSS a1+68(FP), Z11
-	VBROADCASTSS a2+72(FP), Z12
-	VBROADCASTSS a3+76(FP), Z13
-	LEAQ         (SI)(R13*2), DX
-	ADDQ         R13, DX
-	VMOVDQU32    nibPerm<>(SB), Z14
-	VMOVDQU32    nibMask16<>(SB), Z15
+// Registers: DI the panel's output, BX the end of o, DX the panel's row
+// 0 nibbles, R8 the group's row 0 minimums, R9 scales minus mins, R10 x,
+// R11 rows, R12 blocks left in the group, R13 nibStride, R14 metaStride;
+// in a row loop CX the row, SI its nibbles and AX its minimums. Z0-Z3 the
+// sums in BLOCK's lane order, Z4 the table, Z5 one block's indexes, Z7
+// x[k], Z8 and Z9 TABLE's scratch, Z10 iota16, Z12 nibShift, Z13
+// toLanes, Z14 toColumns.
+TEXT ·gemvAVX512(SB), NOSPLIT, $0-80
+	MOVQ      o+0(FP), DI
+	MOVQ      x+8(FP), R10
+	MOVQ      nib+16(FP), DX
+	MOVQ      mins+24(FP), R8
+	MOVQ      scales+32(FP), R9
+	SUBQ      R8, R9
+	MOVQ      rows+40(FP), R11
+	MOVQ      nibStride+48(FP), R13
+	MOVQ      metaStride+56(FP), R14
+	MOVQ      groups+64(FP), BX
+	IMULQ     blocks+72(FP), BX
+	SHLQ      $6, BX
+	ADDQ      DI, BX
+	VMOVUPS   iota16<>(SB), Z10
+	VMOVDQU32 nibShift<>(SB), Z12
+	VMOVDQU32 toLanes<>(SB), Z13
+	VMOVDQU32 toColumns<>(SB), Z14
 
-zgroup:
-	TESTQ  R10, R10
-	JEQ    zdone
-	HALF16((R8), Y2, Z2)
-	HALF16((R8)(R14*1), Y3, Z3)
-	HALF16((R8)(R14*2), Y4, Z4)
-	LEAQ   (R8)(R14*2), CX
-	HALF16((CX)(R14*1), Y5, Z5)
-	HALF16((R9), Y6, Z6)
-	HALF16((R9)(R14*1), Y7, Z7)
-	HALF16((R9)(R14*2), Y8, Z8)
-	LEAQ   (R9)(R14*2), CX
-	HALF16((CX)(R14*1), Y9, Z9)
-	VMULPS nibScale16<>(SB), Z6, Z6
-	VMULPS nibScale16<>(SB), Z7, Z7
-	VMULPS nibScale16<>(SB), Z8, Z8
-	VMULPS nibScale16<>(SB), Z9, Z9
-	MOVQ   R11, CX
+ggroup:
+	MOVQ blocks+72(FP), R12
 
-zblock:
-	VMOVUPS (DI), Z0
-	AXPYROW16((SI), Z2, Z6, Z10)
-	AXPYROW16((SI)(R13*1), Z3, Z7, Z11)
-	AXPYROW16((SI)(R13*2), Z4, Z8, Z12)
-	AXPYROW16((DX), Z5, Z9, Z13)
-	VMOVUPS Z0, (DI)
-	ADDQ    $64, DI
-	ADDQ    $8, SI
-	ADDQ    $8, DX
-	DECQ    CX
-	JNE     zblock
-	ADDQ    $2, R8
-	ADDQ    $2, R9
-	DECQ    R10
-	JMP     zgroup
+gpanel:
+	MOVQ DX, SI
+	MOVQ R8, AX
+	XORL CX, CX
+	CMPQ R12, $4
+	JB   gtail
+	LOADSUM((DI), Z0)
+	LOADSUM(64(DI), Z1)
+	LOADSUM(128(DI), Z2)
+	LOADSUM(192(DI), Z3)
 
-zdone:
+grow4:
+	VBROADCASTSS (R10)(CX*4), Z7
+	TABLE((AX), (AX)(R9*1))
+	BLOCK(0(SI), Z0)
+	BLOCK(8(SI), Z1)
+	BLOCK(16(SI), Z2)
+	BLOCK(24(SI), Z3)
+	ADDQ         R13, SI
+	ADDQ         R14, AX
+	INCQ         CX
+	CMPQ         CX, R11
+	JNE          grow4
+	STORESUM(Z0, (DI))
+	STORESUM(Z1, 64(DI))
+	STORESUM(Z2, 128(DI))
+	STORESUM(Z3, 192(DI))
+	ADDQ         $256, DI
+	ADDQ         $32, DX
+	SUBQ         $4, R12
+	JNE          gpanel
+	JMP          gnext
+
+gtail:
+	LOADSUM((DI), Z0)
+	CMPQ R12, $2
+	JB   growt
+	LOADSUM(64(DI), Z1)
+	JEQ  growt
+	LOADSUM(128(DI), Z2)
+
+growt:
+	VBROADCASTSS (R10)(CX*4), Z7
+	TABLE((AX), (AX)(R9*1))
+	BLOCK(0(SI), Z0)
+	CMPQ         R12, $2
+	JB           gtnext
+	BLOCK(8(SI), Z1)
+	JEQ          gtnext
+	BLOCK(16(SI), Z2)
+
+gtnext:
+	ADDQ    R13, SI
+	ADDQ    R14, AX
+	INCQ    CX
+	CMPQ    CX, R11
+	JNE     growt
+	STORESUM(Z0, (DI))
+	CMPQ R12, $2
+	JB   gtdone
+	STORESUM(Z1, 64(DI))
+	JEQ  gtdone
+	STORESUM(Z2, 128(DI))
+
+gtdone:
+	SHLQ $3, R12
+	ADDQ R12, DX
+	SHLQ $3, R12
+	ADDQ R12, DI
+
+gnext:
+	ADDQ $2, R8
+	CMPQ DI, BX
+	JNE  ggroup
 	VZEROUPPER
 	RET
+
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -16,10 +16,10 @@ func decodeGroups(dst []float32, nib, mins, scales []byte, gs int) {
 	decodeGroupsRef(dst, nib, mins, scales, gs)
 }
 
-// axpyRows adds four rows of whole groups, scaled, to o; off amd64 it is
-// the reference body (see decode4_amd64.go).
-func axpyRows(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
-	axpyRowsRef(o, nib, mins, scales, gs, nibStride, metaStride, a0, a1, a2, a3)
+// gemv adds x times the weight rows to o; off amd64 it is the reference
+// body (see decode4_amd64.go).
+func gemv(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride int) {
+	gemvRef(o, x, nib, mins, scales, gs, nibStride, metaStride)
 }
 
 // wide512 is always false off amd64: there is no AVX-512 body.

@@ -88,39 +88,43 @@ func TestDecode4GroupsGuardPage(t *testing.T) {
 	}
 }
 
-// One k-quad whose output, nibbles and fourth-row minimums and scales
-// each end exactly at a guard page — the fourth row's last group is the
-// last of the tensor, its halves the last bytes of the record — so a
-// block loop that runs one block or one group too far, an eight-byte
-// load past the row, or a half loaded four bytes wide faults here.
+// A chunk of one to five rows whose output, nibbles and last-row
+// minimums and scales each end exactly at a guard page — the last row's
+// last group is the last of the tensor, its halves the last bytes of the
+// record — so a block or panel loop that runs one block or one group too
+// far, an eight-byte load past the row, or a half loaded four bytes wide
+// faults here.
 func TestAxpyRowsGuardPage(t *testing.T) {
 	eachAxpyBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(78))
-		for _, gs := range []int{16, 64, 256} {
-			for groups := 1; groups <= 4; groups++ {
-				for tiles := 1; tiles <= 2; tiles++ {
-					r := rows{gs: gs, groups: groups, stride: tiles * gs * groups}
-					r.nib = guarded(t, 3*r.nibStride()+groups*gs/2)
-					rng.Read(r.nib)
-					r.mins, r.scales = guarded(t, 3*r.metaStride()+2*groups), guarded(t, 3*r.metaStride()+2*groups)
-					for i := 0; i < len(r.mins); i += 2 {
-						lo, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
-						r.mins[i], r.mins[i+1], r.scales[i], r.scales[i+1] = byte(lo), byte(lo>>8), byte(sc), byte(sc>>8)
-					}
-					n := gs * groups
-					raw := guarded(t, 4*n)
-					out := unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
-					want := make([]float32, n)
-					for i := range want {
-						want[i] = float32(rng.NormFloat64())
-					}
-					copy(out, want)
-					a := [4]float32{0.5, -2, 3, 0.25}
-					axpyRows(out, r.nib, r.mins, r.scales, gs, r.nibStride(), r.metaStride(), a[0], a[1], a[2], a[3])
-					axpyRowsOracle(want, r, a)
-					for i := range want {
-						if !sameBits(want[i], out[i]) {
-							t.Fatalf("gs=%d groups=%d tiles=%d: out[%d] = %v, oracle %v", gs, groups, tiles, i, out[i], want[i])
+		for _, gs := range []int{16, 48, 64, 256} {
+			for _, k := range []int{1, 4, 5} {
+				for groups := 1; groups <= 4; groups++ {
+					for tiles := 1; tiles <= 2; tiles++ {
+						lo := (tiles - 1) * gs
+						r := rows{k: k, gs: gs, groups: groups, stride: lo + tiles*gs*groups, lo: lo}
+						r.nib = guarded(t, r.nibLen())
+						rng.Read(r.nib)
+						r.mins, r.scales = guarded(t, r.metaLen()), guarded(t, r.metaLen())
+						for i := 0; i < len(r.mins); i += 2 {
+							lo, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
+							r.mins[i], r.mins[i+1], r.scales[i], r.scales[i+1] = byte(lo), byte(lo>>8), byte(sc), byte(sc>>8)
+						}
+						n := r.width()
+						raw := guarded(t, 4*n)
+						out := unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
+						want := make([]float32, n)
+						for i := range want {
+							want[i] = float32(rng.NormFloat64())
+						}
+						copy(out, want)
+						x := []float32{0.5, -2, 3, 0.25, -1}[:k]
+						r.call(gemv, out, x)
+						gemvOracle(want, r, x)
+						for i := range want {
+							if !sameBits(want[i], out[i]) {
+								t.Fatalf("gs=%d k=%d groups=%d tiles=%d: out[%d] = %v, oracle %v", gs, k, groups, tiles, i, out[i], want[i])
+							}
 						}
 					}
 				}

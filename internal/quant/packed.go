@@ -11,7 +11,7 @@ import (
 // through a store chain moves 4.5 bits per element instead of the 32 a
 // dequantized copy costs. Consumers decode the groups they need, when
 // they need them, with DecodeRange — or, for a one-row GEMV, multiply
-// them straight out of the nibbles with AxpyRows. The view is valid for
+// them straight out of the nibbles with Gemv. The view is valid for
 // as long as the payload is (for an mmap-backed checkpoint: while the
 // index is open).
 type Packed struct {
@@ -169,25 +169,25 @@ func (p Packed) DecodeRange(dst []float32, lo int) {
 	}
 }
 
-// AxpyRows adds four weight rows, scaled, to o without decoding them into
-// memory: for every j it adds a0·w[lo+j], then a1·w[lo+stride+j],
-// a2·w[lo+2·stride+j] and a3·w[lo+3·stride+j] to o[j], where w is the
-// decoded tensor — one k-quad of a k x stride GEMV for one activation
-// row, over the columns from lo%stride. Each weight is DecodeRange's
-// value, gmin + float32(float32(q)*scale), and each product is rounded
-// and added in that order as internal/tensor's four-term accumulate adds
-// it, so o ends with the bits DecodeRange-then-accumulate stores; but at
-// batch one every decoded value is used once, and here it goes from its
-// nibble to the sum in registers. lo, stride and len(o) must be whole groups, and the four
+// Gemv adds x times weight rows to o without decoding them into
+// memory: for every j, and every k in [0, len(x)) in ascending order, it
+// adds x[k]·w[lo+k·stride+j] to o[j], where w is the decoded tensor — a
+// one-row GEMV o += x @ W over a len(x) x stride W's columns from
+// lo%stride, or a chunk of one. Each weight is DecodeRange's value, gmin
+// + float32(float32(q)*scale), and each product is rounded and added in
+// that order as internal/tensor's accumulate adds it, so o ends with the
+// bits DecodeRange-then-accumulate stores; but at batch one every
+// decoded value is used once, and here it goes from its nibble to the
+// sum in registers. lo, stride and len(o) must be whole groups, and the
 // rows must lie inside the tensor.
-func (p Packed) AxpyRows(o []float32, a0, a1, a2, a3 float32, lo, stride int) {
+func (p Packed) Gemv(o, x []float32, lo, stride int) {
 	g, lok := p.groupsIn(lo)
 	sg, sok := p.groupsIn(stride)
 	if _, ook := p.groupsIn(len(o)); !lok || !sok || !ook || lo < 0 || stride < 0 {
-		panic(fmt.Sprintf("quant: AxpyRows over %d elements at %d, stride %d, is not whole groups of %d", len(o), lo, stride, p.gs))
+		panic(fmt.Sprintf("quant: Gemv over %d elements at %d, stride %d, is not whole groups of %d", len(o), lo, stride, p.gs))
 	}
 	half := len(p.meta) / 2
-	axpyRows(o, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, stride/2, 2*sg, a0, a1, a2, a3)
+	gemv(o, x, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, stride/2, 2*sg)
 }
 
 // groupsIn is n/gs, and whether n is a whole number of groups.
@@ -198,31 +198,25 @@ func (p Packed) groupsIn(n int) (int, bool) {
 	return n / p.gs, n%p.gs == 0
 }
 
-// axpyRowsRef is the reference body of axpyRows: the whole implementation
-// off amd64 and for group sizes that are not whole blocks, and what the
-// differential tests hold the assembly to. It is the composition the
-// one-row GEMV ran before decoding in registers: sixteen elements of each
-// row's group decoded (decode4), then the four terms added to each output
-// element in a0..a3 order, every product converted to float32 so that no
-// compiler may fuse it into the add.
-func axpyRowsRef(o []float32, nib, mins, scales []byte, gs, nibStride, metaStride int, a0, a1, a2, a3 float32) {
-	var w [4][16]float32
-	for g := 0; g < len(o)/gs; g++ {
-		var gmin, scale [4]float32
-		for r := range w {
-			gmin[r], scale[r] = halfAt(mins[r*metaStride:], g), halfAt(scales[r*metaStride:], g)
-		}
-		for j := g * gs; j < (g+1)*gs; j += 16 {
-			n := min(16, (g+1)*gs-j)
-			for r := range w {
-				decode4(w[r][:n], nib[r*nibStride+j/2:], gmin[r], scale[r])
-			}
-			for i, t := range o[j : j+n] {
-				t += float32(a0 * w[0][i])
-				t += float32(a1 * w[1][i])
-				t += float32(a2 * w[2][i])
-				t += float32(a3 * w[3][i])
-				o[j+i] = t
+// gemvRef is the reference body of gemv: the whole implementation off
+// amd64 and for group sizes that are not whole blocks, the last len(x)
+// mod 4 rows of the SSE2 path, and what the differential tests hold the
+// assembly to. It is the composition the one-row GEMV ran before
+// decoding in registers: sixteen elements of a row's group decoded
+// (decode4), then its term added to each output element, one row after
+// another, every product converted to float32 so that no compiler may
+// fuse it into the add.
+func gemvRef(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride int) {
+	var w [16]float32
+	for k, a := range x {
+		for g := 0; g < len(o)/gs; g++ {
+			gmin, scale := halfAt(mins[k*metaStride:], g), halfAt(scales[k*metaStride:], g)
+			for j := g * gs; j < (g+1)*gs; j += 16 {
+				n := min(16, (g+1)*gs-j)
+				decode4(w[:n], nib[k*nibStride+j/2:], gmin, scale)
+				for i, v := range w[:n] {
+					o[j+i] += float32(a * v)
+				}
 			}
 		}
 	}

@@ -233,23 +233,37 @@ func BenchmarkGemvSplit(b *testing.B) {
 // Where the fused kernel stops paying: per stacked-row count, decoding
 // each tile inside the GEMM against dequantizing the tensor once into a
 // slab and running the dense kernel — the engine's two ways through a
-// packed projection.
+// packed projection. At two rows, "rows" is a third way: one one-row
+// call per row, each decoding its weights in registers again, against
+// the shared scratch decode "fused" takes there.
 func BenchmarkQ4Crossover(b *testing.B) {
+	type path struct {
+		name string
+		run  func() error
+	}
 	for _, shape := range []struct{ k, c int }{{384, 384}, {384, 1536}, {1536, 384}} {
 		p, _ := packMat(b, randMat(shape.k, shape.c, 16), 64)
 		slab := make([]float32, shape.k*shape.c)
 		for _, r := range []int{1, 2, 4, 8, 16, 32, 128} {
 			a := randMat(r, shape.k, 17)
 			out := New(r, shape.c)
-			for _, path := range []struct {
-				name string
-				run  func() error
-			}{
+			paths := []path{
 				{"fused", func() error { return MatMulQ4Into(a, p, shape.c, out) }},
 				{"slab", func() error {
 					return MatMulInto(a, Mat{R: shape.k, C: shape.c, Data: p.DequantizeInto(slab)}, out)
 				}},
-			} {
+			}
+			if r == 2 {
+				paths = append(paths, path{"rows", func() error {
+					for i := 0; i < r; i++ {
+						if err := MatMulQ4Into(Mat{R: 1, C: a.C, Data: a.Row(i)}, p, shape.c, Mat{R: 1, C: out.C, Data: out.Row(i)}); err != nil {
+							return err
+						}
+					}
+					return nil
+				}})
+			}
+			for _, path := range paths {
 				b.Run(fmt.Sprintf("%dx%dx%d/%s", r, shape.k, shape.c, path.name), func(b *testing.B) {
 					benchAtParallelism(b, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {

@@ -32,12 +32,12 @@ const (
 	// keep the worker awake between the large ones — with the gate raised so
 	// that the 147k GEMVs ran serially, BenchmarkDecodeStepSplit's
 	// two-worker step got slower. So it stays. The fused kernels share the
-	// gate. Each of their multiply-adds also decodes its weight, so at the
-	// gate they carry more time than the dense kernel — still true of the
-	// AVX-512 one-row leaf at the gate's shape, though it matches the
-	// dense kernel on the wider ones — and every bench-ooc fused GEMV
-	// splits with a clear win (EXPERIMENTS.md, "fork thresholds", has the
-	// table). bench-tiny's widest decode kernel
+	// gate. With SSE2 each of their multiply-adds also decodes its weight,
+	// so at the gate they carry more time than the dense kernel; the
+	// AVX-512 one-row GEMV (the product table) now runs faster than the
+	// dense kernel at every bench-ooc shape, and every bench-ooc fused
+	// GEMV still splits with a win (EXPERIMENTS.md, "fork thresholds", has
+	// the table). bench-tiny's widest decode kernel
 	// (64x512 logits, 32k) stays under it. Prefill's tall GEMMs are far
 	// above it on either accumulate body.
 	minParallelFlops = 1 << 16
