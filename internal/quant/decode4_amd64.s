@@ -385,24 +385,25 @@ GLOBL toColumns<>(SB), RODATA|NOPTR, $64
 // 16-column blocks that never cross a group: a panel's sums are loaded
 // from o once, held in Z0-Z3 while every row is added (TABLE once per
 // row, BLOCK per block) and stored once. A group of 64 columns or a
-// multiple is whole panels; any other group ends in a panel of one to
-// three blocks, whose row loop tests the block count. Every output
-// element gets o + x0·w0, + x1·w1, … with w = gmin + float32(q)*scale:
-// the values, roundings, term order and operand order of axpyRowsSSE's
-// k-quads one after the other, so the bits are its bits (DESIGN §3c). It
-// reads eight nibble bytes per row and block and two bytes per half, as
-// axpyRowsSSE does, so operands that end at a guard page are safe.
-// AVX-512 F, AVX2 for the word broadcast; no FMA. Only Z0-Z15 are used,
-// so the VZEROUPPER before returning leaves no register with dirty upper
-// bits for the SSE2 code that runs next (it does not clear ZMM16-31).
+// multiple is whole panels; any other ends in a panel of one to three
+// blocks. The row loop tests the panel's block count, a branch that
+// goes the same way for every row of a panel. Every output element gets
+// o + x0·w0, + x1·w1, … with w = gmin + float32(q)*scale: the values,
+// roundings, term order and operand order of axpyRowsSSE's k-quads one
+// after the other, so the bits are its bits (DESIGN §3c). It reads eight
+// nibble bytes per row and block and two bytes per half, as axpyRowsSSE
+// does, so operands that end at a guard page are safe. AVX-512 F, AVX2
+// for the word broadcast; no FMA. Only Z0-Z15 are used, so the
+// VZEROUPPER before returning leaves no register with dirty upper bits
+// for the SSE2 code that runs next (it does not clear ZMM16-31).
 //
 // Registers: DI the panel's output, BX the end of o, DX the panel's row
 // 0 nibbles, R8 the group's row 0 minimums, R9 scales minus mins, R10 x,
-// R11 rows, R12 blocks left in the group, R13 nibStride, R14 metaStride;
-// in a row loop CX the row, SI its nibbles and AX its minimums. Z0-Z3 the
-// sums in BLOCK's lane order, Z4 the table, Z5 one block's indexes, Z7
-// x[k], Z8 and Z9 TABLE's scratch, Z10 iota16, Z12 nibShift, Z13
-// toLanes, Z14 toColumns.
+// R11 rows, R12 the nibble bytes of a row left in the group (eight a
+// block), R13 nibStride, R14 metaStride; in the row loop CX the row, SI
+// its nibbles and AX its minimums. Z0-Z3 the sums in BLOCK's lane order,
+// Z4 the table, Z5 one block's indexes, Z7 x[k], Z8 and Z9 TABLE's
+// scratch, Z10 iota16, Z12 nibShift, Z13 toLanes, Z14 toColumns.
 TEXT ·gemvAVX512(SB), NOSPLIT, $0-80
 	MOVQ      o+0(FP), DI
 	MOVQ      x+8(FP), R10
@@ -424,84 +425,64 @@ TEXT ·gemvAVX512(SB), NOSPLIT, $0-80
 
 ggroup:
 	MOVQ blocks+72(FP), R12
+	SHLQ $3, R12
 
 gpanel:
 	MOVQ DX, SI
 	MOVQ R8, AX
 	XORL CX, CX
-	CMPQ R12, $4
-	JB   gtail
 	LOADSUM((DI), Z0)
+	CMPQ R12, $16
+	JB   grow
 	LOADSUM(64(DI), Z1)
+	JEQ  grow
 	LOADSUM(128(DI), Z2)
+	CMPQ R12, $32
+	JB   grow
 	LOADSUM(192(DI), Z3)
 
-grow4:
+grow:
 	VBROADCASTSS (R10)(CX*4), Z7
 	TABLE((AX), (AX)(R9*1))
 	BLOCK(0(SI), Z0)
+	CMPQ         R12, $16
+	JB           gnextrow
 	BLOCK(8(SI), Z1)
+	JEQ          gnextrow
 	BLOCK(16(SI), Z2)
+	CMPQ         R12, $32
+	JB           gnextrow
 	BLOCK(24(SI), Z3)
-	ADDQ         R13, SI
-	ADDQ         R14, AX
-	INCQ         CX
-	CMPQ         CX, R11
-	JNE          grow4
+
+gnextrow:
+	ADDQ R13, SI
+	ADDQ R14, AX
+	INCQ CX
+	CMPQ CX, R11
+	JNE  grow
 	STORESUM(Z0, (DI))
+	CMPQ R12, $16
+	JB   gstored
 	STORESUM(Z1, 64(DI))
+	JEQ  gstored
 	STORESUM(Z2, 128(DI))
+	CMPQ R12, $32
+	JB   gstored
 	STORESUM(Z3, 192(DI))
-	ADDQ         $256, DI
-	ADDQ         $32, DX
-	SUBQ         $4, R12
-	JNE          gpanel
-	JMP          gnext
 
-gtail:
-	LOADSUM((DI), Z0)
-	CMPQ R12, $2
-	JB   growt
-	LOADSUM(64(DI), Z1)
-	JEQ  growt
-	LOADSUM(128(DI), Z2)
-
-growt:
-	VBROADCASTSS (R10)(CX*4), Z7
-	TABLE((AX), (AX)(R9*1))
-	BLOCK(0(SI), Z0)
-	CMPQ         R12, $2
-	JB           gtnext
-	BLOCK(8(SI), Z1)
-	JEQ          gtnext
-	BLOCK(16(SI), Z2)
-
-gtnext:
-	ADDQ    R13, SI
-	ADDQ    R14, AX
-	INCQ    CX
-	CMPQ    CX, R11
-	JNE     growt
-	STORESUM(Z0, (DI))
-	CMPQ R12, $2
-	JB   gtdone
-	STORESUM(Z1, 64(DI))
-	JEQ  gtdone
-	STORESUM(Z2, 128(DI))
-
-gtdone:
-	SHLQ $3, R12
-	ADDQ R12, DX
-	SHLQ $3, R12
-	ADDQ R12, DI
-
-gnext:
-	ADDQ $2, R8
-	CMPQ DI, BX
-	JNE  ggroup
+gstored:
+	MOVQ    $32, AX
+	CMPQ    R12, AX
+	CMOVQLT R12, AX
+	ADDQ    AX, DX
+	LEAQ    (DI)(AX*8), DI
+	SUBQ    AX, R12
+	JNE     gpanel
+	ADDQ    $2, R8
+	CMPQ    DI, BX
+	JNE     ggroup
 	VZEROUPPER
 	RET
-
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
