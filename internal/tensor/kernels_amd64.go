@@ -21,7 +21,7 @@ import "helmsim/internal/quant"
 // where a 256-bit body measured slower. The wider bodies are chosen once
 // from CPUID: the tall GEMM's register tiles (tile6x16 on AVX, tile6x32
 // on AVX-512) here, and the fused 4-bit GEMV's AVX-512 body in
-// internal/quant (axpyRows), whose probe both packages read.
+// internal/quant (Packed.Gemv), whose probe both packages read.
 func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	if len(o) == 0 {
