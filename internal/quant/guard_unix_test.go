@@ -88,7 +88,7 @@ func TestDecode4GroupsGuardPage(t *testing.T) {
 	}
 }
 
-// A chunk of one to five rows whose output, nibbles and last-row
+// A chunk of one to eight rows whose output, nibbles and last-row
 // minimums and scales each end exactly at a guard page — the last row's
 // last group is the last of the tensor, its halves the last bytes of the
 // record — so a block or panel loop that runs one block or one group too
@@ -98,7 +98,7 @@ func TestAxpyRowsGuardPage(t *testing.T) {
 	eachAxpyBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(78))
 		for _, gs := range []int{16, 48, 64, 256} {
-			for _, k := range []int{1, 4, 5} {
+			for _, k := range []int{1, 4, 5, 8} {
 				for groups := 1; groups <= 4; groups++ {
 					for tiles := 1; tiles <= 2; tiles++ {
 						lo := (tiles - 1) * gs
@@ -107,8 +107,8 @@ func TestAxpyRowsGuardPage(t *testing.T) {
 						rng.Read(r.nib)
 						r.mins, r.scales = guarded(t, r.metaLen()), guarded(t, r.metaLen())
 						for i := 0; i < len(r.mins); i += 2 {
-							lo, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
-							r.mins[i], r.mins[i+1], r.scales[i], r.scales[i+1] = byte(lo), byte(lo>>8), byte(sc), byte(sc>>8)
+							mn, sc := uint16(rng.Intn(0x7c00))|uint16(rng.Intn(2))<<15, uint16(rng.Intn(0x7c00))
+							r.mins[i], r.mins[i+1], r.scales[i], r.scales[i+1] = byte(mn), byte(mn>>8), byte(sc), byte(sc>>8)
 						}
 						n := r.width()
 						raw := guarded(t, 4*n)
@@ -118,7 +118,7 @@ func TestAxpyRowsGuardPage(t *testing.T) {
 							want[i] = float32(rng.NormFloat64())
 						}
 						copy(out, want)
-						x := []float32{0.5, -2, 3, 0.25, -1}[:k]
+						x := []float32{0.5, -2, 3, 0.25, -1, 1.5, -0.75, 2}[:k]
 						r.call(gemv, out, x)
 						gemvOracle(want, r, x)
 						for i := range want {
