@@ -64,27 +64,15 @@ const (
 	KindGWQ
 )
 
-// recordCRC computes the v2 record checksum: CRC32 (IEEE) over the
-// record header (name length, name, kind, payload length) followed by
-// the payload, so a flip anywhere in the record is caught.
-// It runs once per weight fetch on the out-of-core serving path, so it
-// stays allocation-free: fixed fields go through stack buffers, the name
-// is hashed in stack-sized chunks (avoiding the []byte(name) copy), and
-// crc32.Update replaces a heap-allocated digest.
-func recordCRC(name string, kind Kind, payload []byte) uint32 {
-	le := binary.LittleEndian
-	var buf [64]byte
-	le.PutUint16(buf[:2], uint16(len(name)))
-	crc := crc32.Update(0, crc32.IEEETable, buf[:2])
-	for i := 0; i < len(name); {
-		n := copy(buf[:], name[i:])
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
-		i += n
-	}
-	buf[0] = byte(kind)
-	le.PutUint64(buf[1:9], uint64(len(payload)))
-	crc = crc32.Update(crc, crc32.IEEETable, buf[:9])
-	return crc32.Update(crc, crc32.IEEETable, payload)
+// headerCRC starts a v2 record checksum: CRC32 (IEEE) over the record
+// header as stored — name length, name, kind and payload length — which
+// every reader continues over the payload with crc32.Update, so a flip
+// anywhere in the record is caught. Readers hash the bytes they parsed
+// the header from; the index does it once per record, at open.
+func headerCRC(nl, name, kp []byte) uint32 {
+	crc := crc32.ChecksumIEEE(nl)
+	crc = crc32.Update(crc, crc32.IEEETable, name)
+	return crc32.Update(crc, crc32.IEEETable, kp)
 }
 
 // Writer emits a checkpoint. Close must be called to flush.
@@ -136,7 +124,7 @@ func (w *Writer) writeEntry(name string, kind Kind, payload []byte) error {
 	hdr = append(hdr, name...)
 	hdr = append(hdr, byte(kind))
 	hdr = le.AppendUint64(hdr, uint64(len(payload)))
-	hdr = le.AppendUint32(hdr, recordCRC(name, kind, payload))
+	hdr = le.AppendUint32(hdr, crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload))
 	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
@@ -186,46 +174,36 @@ type Entry struct {
 	StoredBytes int
 }
 
-// decodePayload turns a record's payload into an Entry. Undecodable
-// payloads are corruption by definition: on the CRC path they cannot
-// occur without a matching checksum forgery, and on the legacy path they
-// are exactly the silent bit rot the typed error exists to name.
-func decodePayload(name string, kind Kind, payload []byte) (*Entry, error) {
-	return decodePayloadInto(name, kind, payload, nil)
-}
-
-// decodePayloadInto is decodePayload decoding into dst when its
-// capacity suffices (allocating otherwise). The Entry's Data never
-// aliases payload — quantized records are validated as a transient
-// view and fully dequantized — so payload may be a short-lived mmap
-// view.
-func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) (*Entry, error) {
-	e := &Entry{Name: name, Kind: kind, StoredBytes: len(payload)}
-	le := binary.LittleEndian
+// decodePayloadInto decodes a record's payload into dst when its
+// capacity suffices (allocating otherwise). Undecodable payloads are
+// corruption by definition: on the CRC path they cannot occur without a
+// matching checksum forgery, and on the legacy path they are exactly the
+// silent bit rot the typed error exists to name. The values never alias
+// payload — quantized records are validated as a transient view and
+// fully dequantized — so payload may be a short-lived mmap view.
+func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) ([]float32, error) {
 	switch kind {
 	case KindRawFP16:
 		if len(payload)%2 != 0 {
 			return nil, fmt.Errorf("checkpoint: tensor %q has odd fp16 payload: %w", name, ErrCorrupt)
 		}
 		n := len(payload) / 2
-		if cap(dst) >= n {
-			e.Data = dst[:n]
-		} else {
-			e.Data = make([]float32, n)
+		if cap(dst) < n {
+			dst = make([]float32, n)
 		}
-		for i := range e.Data {
-			e.Data[i] = quant.Float16(le.Uint16(payload[2*i:])).Float32()
+		dst = dst[:n]
+		for i := range dst {
+			dst[i] = quant.Float16(binary.LittleEndian.Uint16(payload[2*i:])).Float32()
 		}
+		return dst, nil
 	case KindGWQ:
 		data, err := dequantPayload(payload, dst)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
 		}
-		e.Data = data
-	default:
-		return nil, fmt.Errorf("checkpoint: tensor %q has unknown kind %d: %w", name, kind, ErrCorrupt)
+		return data, nil
 	}
-	return e, nil
+	return nil, fmt.Errorf("checkpoint: tensor %q has unknown kind %d: %w", name, kind, ErrCorrupt)
 }
 
 // dequantPayload decodes a quantized record into dst. 4-bit records
@@ -364,10 +342,14 @@ func (r *Reader) Next() (*Entry, error) {
 		return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", name, corruptRead(err))
 	}
 	if r.version >= versionCRC {
-		if got := recordCRC(string(name), kind, payload); got != wantCRC {
+		if got := crc32.Update(headerCRC(nl[:], name, kp[:]), crc32.IEEETable, payload); got != wantCRC {
 			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", name, wantCRC, got, ErrCorrupt)
 		}
 	}
 	r.remaining--
-	return decodePayload(string(name), kind, payload)
+	data, err := decodePayloadInto(string(name), kind, payload, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Entry{Name: string(name), Kind: kind, Data: data, StoredBytes: len(payload)}, nil
 }

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReader hardens the streaming checkpoint parser: arbitrary bytes must
-// either parse into consistent entries or be rejected with an error —
-// never panic, never allocate unbounded memory from a length field. With
-// the version-2 CRC records, every record-level rejection must also be
-// typed ErrCorrupt, so resilience layers can classify it as permanent.
-func FuzzReader(f *testing.F) {
+// fuzzSeeds is the checkpoint fuzzers' shared corpus: a valid version-2
+// stream, truncations and single flips of it, and legacy version-1
+// streams.
+func fuzzSeeds(f *testing.F) [][]byte {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, "fuzz-model", 2)
 	if err != nil {
@@ -28,33 +26,45 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes() // version 2, CRC per record
-	f.Add(valid)
-	// Truncated payload: the final bytes belong to tensor "b"'s payload.
-	f.Add(valid[:len(valid)-1])
-	f.Add(valid[:len(valid)/2])
 	// Flipped record-header byte (first record starts after the 20-byte
 	// file header: magic+version+namelen+"fuzz-model"+count).
 	hdrFlip := bytes.Clone(valid)
 	hdrFlip[21] ^= 0x40
-	f.Add(hdrFlip)
 	// Flipped payload byte.
 	payloadFlip := bytes.Clone(valid)
 	payloadFlip[len(payloadFlip)-2] ^= 0x04
-	f.Add(payloadFlip)
 	// Flipped CRC byte and legacy corruption seed.
 	corrupted := bytes.Clone(valid)
 	corrupted[6] ^= 0x7f
-	f.Add(corrupted)
-	f.Add([]byte("HLMC"))
-	f.Add([]byte{})
 	// A hand-built version-1 stream keeps the legacy path in the corpus.
 	v1 := writeV1("fuzz-v1", []struct {
 		name string
 		data []float32
 	}{{"a", []float32{1, 2}}})
-	f.Add(v1)
-	f.Add(v1[:len(v1)-1])
+	return [][]byte{
+		valid,
+		// Truncated payload: the final bytes belong to tensor "b"'s payload.
+		valid[:len(valid)-1],
+		valid[:len(valid)/2],
+		hdrFlip,
+		payloadFlip,
+		corrupted,
+		[]byte("HLMC"),
+		{},
+		v1,
+		v1[:len(v1)-1],
+	}
+}
 
+// FuzzReader hardens the streaming checkpoint parser: arbitrary bytes must
+// either parse into consistent entries or be rejected with an error —
+// never panic, never allocate unbounded memory from a length field. With
+// the version-2 CRC records, every record-level rejection must also be
+// typed ErrCorrupt, so resilience layers can classify it as permanent.
+func FuzzReader(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -79,6 +89,46 @@ func FuzzReader(f *testing.F) {
 			}
 			if e.Kind == KindRawFP16 && len(e.Data)*2 != e.StoredBytes {
 				t.Fatalf("fp16 size mismatch: %d elems, %d bytes", len(e.Data), e.StoredBytes)
+			}
+		}
+	})
+}
+
+// mappedBytes serves a byte slice the way a MappedFile serves its
+// mapping, so an index over it takes the zero-copy view path.
+type mappedBytes []byte
+
+func (m mappedBytes) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(m).ReadAt(p, off)
+}
+
+func (m mappedBytes) Bytes() []byte { return m }
+
+// FuzzIndexed hardens the random-access index the same way: arbitrary
+// bytes must either fail NewIndexed or index records every read of which
+// — decoded or packed, through a ReaderAt or a mapping — returns data or
+// a typed ErrCorrupt, never panics, and allocates nothing a length field
+// claims beyond what the bytes hold.
+func FuzzIndexed(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, r := range []io.ReaderAt{bytes.NewReader(data), mappedBytes(data)} {
+			ix, err := NewIndexed(r)
+			if err != nil {
+				continue
+			}
+			for slot := range ix.Names() {
+				if _, err := ix.ReadSlotInto(slot, nil); err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("slot %d: read error not typed ErrCorrupt: %v", slot, err)
+				}
+				if _, _, err := ix.ReadSlotPacked(slot); err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("slot %d: packed read error not typed ErrCorrupt: %v", slot, err)
+				}
+			}
+			if err := ix.Verify(); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Verify error not typed ErrCorrupt: %v", err)
 			}
 		}
 	})

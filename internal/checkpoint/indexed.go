@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sync/atomic"
@@ -10,16 +11,20 @@ import (
 	"helmsim/internal/quant"
 )
 
-// entryMeta locates one tensor inside the file.
-type entryMeta struct {
+// record locates one tensor inside the file.
+type record struct {
+	name   string
 	kind   Kind
 	offset int64 // payload start
 	length int64
-	crc    uint32 // v2 record checksum; unused for v1
+	// crc is the stored v2 record checksum and hdrCRC the checksum of
+	// the header bytes scan read (headerCRC); a read continues hdrCRC
+	// over the payload and compares the result with crc. Unused for v1.
+	crc, hdrCRC uint32
 	// packable is what the record's own header said at scan time: a
-	// 4-bit layout ReadPacked can hand out as a view. It routes a read
-	// before any payload work; the verdict that counts is ViewPacked's,
-	// on the CRC-checked payload.
+	// 4-bit layout ReadSlotPacked can hand out as a view. It routes a
+	// read before any payload work; the verdict that counts is
+	// ViewPacked's, on the CRC-checked payload.
 	packable bool
 }
 
@@ -28,18 +33,21 @@ type entryMeta struct {
 // are read and decoded per request — the out-of-core weight access
 // pattern, where a 300 GB checkpoint serves layer by layer from storage.
 //
+// A record is addressed by its slot, its position in file order (its
+// index in Names): a reader resolves names to slots once and reads by
+// slot, so no read looks a name up.
+//
 // The backing reader is any io.ReaderAt (OpenIndexed supplies a file),
 // which is where fault injection slots in: wrap the reader and every
 // payload fetch goes through the injector. Version-2 checkpoints verify
-// each record's CRC on every ReadTensor, so storage-tier bit flips
-// surface as ErrCorrupt instead of garbage floats.
+// each record's CRC on every read, so storage-tier bit flips surface as
+// ErrCorrupt instead of garbage floats.
 type Indexed struct {
 	r         io.ReaderAt
 	closer    io.Closer // nil when the caller owns the reader
 	version   uint32
 	modelName string
-	entries   map[string]entryMeta
-	order     []string
+	records   []record // file order: a record's index is its slot
 	closed    atomic.Bool
 }
 
@@ -84,7 +92,7 @@ func NewIndexed(r io.ReaderAt) (*Indexed, error) {
 	if r == nil {
 		return nil, fmt.Errorf("checkpoint: nil reader")
 	}
-	ix := &Indexed{r: r, entries: make(map[string]entryMeta)}
+	ix := &Indexed{r: r}
 	if err := ix.scan(); err != nil {
 		return nil, err
 	}
@@ -132,6 +140,7 @@ func (ix *Indexed) scan() error {
 	n := le.Uint32(cnt[:])
 
 	off := int64(10) + nameLen + 4
+	seen := make(map[string]bool)
 	for i := uint32(0); i < n; i++ {
 		var nl [2]byte
 		if err := ix.readAt(nl[:], off); err != nil {
@@ -150,27 +159,27 @@ func (ix *Indexed) scan() error {
 		if payloadLen < 0 || payloadLen > 1<<40 {
 			return fmt.Errorf("checkpoint: tensor %q has bad payload length %d: %w", tn, payloadLen, ErrCorrupt)
 		}
-		m := entryMeta{kind: Kind(kp[0]), length: payloadLen}
+		rec := record{name: string(tn), kind: Kind(kp[0]), length: payloadLen}
 		payloadOff := metaOff + 9
 		if ver >= versionCRC {
 			var cb [4]byte
 			if err := ix.readAt(cb[:], payloadOff); err != nil {
 				return fmt.Errorf("checkpoint: tensor %q crc: %w", tn, corruptRead(err))
 			}
-			m.crc = le.Uint32(cb[:])
+			rec.crc = le.Uint32(cb[:])
+			rec.hdrCRC = headerCRC(nl[:], tn, kp[:])
 			payloadOff += 4
 		}
-		m.offset = payloadOff
-		if m.kind == KindGWQ {
+		rec.offset = payloadOff
+		if rec.kind == KindGWQ {
 			var qh [20]byte
-			m.packable = ix.readAt(qh[:], payloadOff) == nil && quant.HeaderPackable(qh[:])
+			rec.packable = ix.readAt(qh[:], payloadOff) == nil && quant.HeaderPackable(qh[:])
 		}
-		key := string(tn)
-		if _, dup := ix.entries[key]; dup {
-			return fmt.Errorf("checkpoint: duplicate tensor %q", key)
+		if seen[rec.name] {
+			return fmt.Errorf("checkpoint: duplicate tensor %q", rec.name)
 		}
-		ix.entries[key] = m
-		ix.order = append(ix.order, key)
+		seen[rec.name] = true
+		ix.records = append(ix.records, rec)
 		off = payloadOff + payloadLen
 	}
 	return nil
@@ -183,12 +192,12 @@ func (ix *Indexed) ModelName() string { return ix.modelName }
 func (ix *Indexed) Version() int { return int(ix.version) }
 
 // Names lists the tensor names in file order.
-func (ix *Indexed) Names() []string { return append([]string(nil), ix.order...) }
-
-// Has reports whether the tensor exists.
-func (ix *Indexed) Has(name string) bool {
-	_, ok := ix.entries[name]
-	return ok
+func (ix *Indexed) Names() []string {
+	names := make([]string, len(ix.records))
+	for i := range ix.records {
+		names[i] = ix.records[i].name
+	}
+	return names
 }
 
 // byteRanger is the optional backing-reader extension (MappedFile) that
@@ -201,34 +210,35 @@ type byteRanger interface {
 // payload returns the record's bytes after the checks every read makes:
 // a bounds-checked view of the backing mapping when the reader exposes
 // one, a fresh copy read through io.ReaderAt otherwise, matched against
-// the record CRC on version-2 checkpoints. Views are only valid while the
-// index stays open.
-func (ix *Indexed) payload(name string, m entryMeta) ([]byte, error) {
+// the record CRC on version-2 checkpoints — the header's, computed at
+// open, continued over the payload. Views are only valid while the index
+// stays open.
+func (ix *Indexed) payload(rec *record) ([]byte, error) {
 	var p, b []byte
 	if br, ok := ix.r.(byteRanger); ok {
 		b = br.Bytes()
 	}
 	if b != nil {
-		end := m.offset + m.length
-		if m.offset < 0 || end < m.offset || end > int64(len(b)) {
-			return nil, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", name, ErrCorrupt)
+		end := rec.offset + rec.length
+		if rec.offset < 0 || end < rec.offset || end > int64(len(b)) {
+			return nil, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", rec.name, ErrCorrupt)
 		}
-		p = b[m.offset:end:end]
+		p = b[rec.offset:end:end]
 	} else {
 		var err error
-		if p, err = ix.payloadCopy(m); err != nil {
+		if p, err = ix.payloadCopy(rec); err != nil {
 			if ix.closed.Load() {
-				return nil, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
+				return nil, fmt.Errorf("checkpoint: tensor %q: %w", rec.name, ErrClosed)
 			}
-			return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", name, corruptRead(err))
+			return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", rec.name, corruptRead(err))
 		}
 	}
 	if ix.version >= versionCRC {
-		if got := recordCRC(name, m.kind, p); got != m.crc {
-			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", name, m.crc, got, ErrCorrupt)
+		if got := crc32.Update(rec.hdrCRC, crc32.IEEETable, p); got != rec.crc {
+			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", rec.name, rec.crc, got, ErrCorrupt)
 		}
 	}
-	//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index; ReadTensorInto copies out before returning, and ReadPacked hands the view on only as a quant.Packed, whose holders (DESIGN §3h) keep the index open through their generation pin
+	//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index; ReadSlotInto copies out before returning, and ReadSlotPacked hands the view on only as a quant.Packed, whose holders (DESIGN §3h) keep the index open through their generation pin
 	return p, nil
 }
 
@@ -236,19 +246,19 @@ func (ix *Indexed) payload(name string, m entryMeta) ([]byte, error) {
 // allocation for payloads up to a chunk, doubling growth beyond so a
 // corrupt index claiming an enormous payload fails on a short read
 // before the full claim is ever allocated.
-func (ix *Indexed) payloadCopy(m entryMeta) ([]byte, error) {
+func (ix *Indexed) payloadCopy(rec *record) ([]byte, error) {
 	const chunk = int64(1 << 20)
-	buf := make([]byte, min(m.length, chunk))
+	buf := make([]byte, min(rec.length, chunk))
 	var read int64
 	for {
-		if err := ix.readAt(buf[read:], m.offset+read); err != nil {
+		if err := ix.readAt(buf[read:], rec.offset+read); err != nil {
 			return nil, err
 		}
 		read = int64(len(buf))
-		if read >= m.length {
+		if read >= rec.length {
 			return buf, nil
 		}
-		grown := make([]byte, min(m.length, read*2))
+		grown := make([]byte, min(rec.length, read*2))
 		copy(grown, buf)
 		buf = grown
 	}
@@ -260,62 +270,56 @@ func (ix *Indexed) Mapped() bool {
 	return ok && br.Bytes() != nil
 }
 
-// lookup returns the record's directory entry, or why no read can be
-// served: the index is closed, or holds no such tensor.
-func (ix *Indexed) lookup(name string) (entryMeta, error) {
+// lookup returns the slot's record, or why no read can be served: the
+// index is closed, or holds no such slot.
+func (ix *Indexed) lookup(slot int) (*record, error) {
+	if slot < 0 || slot >= len(ix.records) {
+		return nil, fmt.Errorf("checkpoint: no tensor slot %d", slot)
+	}
+	rec := &ix.records[slot]
 	if ix.closed.Load() {
-		return entryMeta{}, fmt.Errorf("checkpoint: tensor %q: %w", name, ErrClosed)
+		return nil, fmt.Errorf("checkpoint: tensor %q: %w", rec.name, ErrClosed)
 	}
-	m, ok := ix.entries[name]
-	if !ok {
-		return entryMeta{}, fmt.Errorf("checkpoint: no tensor %q", name)
-	}
-	return m, nil
+	return rec, nil
 }
 
-// ReadTensor fetches and decodes one tensor from storage, verifying the
-// record CRC on version-2 checkpoints. After Close it fails with
-// ErrClosed; corrupt records fail with ErrCorrupt.
-func (ix *Indexed) ReadTensor(name string) (*Entry, error) {
-	return ix.ReadTensorInto(name, nil)
-}
-
-// ReadTensorInto is ReadTensor decoding into dst when its capacity
-// suffices (allocating otherwise) — the Entry's Data aliases dst in
-// that case, so the caller owns the buffer and must not reuse it while
-// the Entry is live. Data never aliases the checkpoint's backing
-// storage, even on mmap-backed indexes.
-func (ix *Indexed) ReadTensorInto(name string, dst []float32) (*Entry, error) {
-	m, err := ix.lookup(name)
+// ReadSlotInto fetches and decodes the slot's tensor from storage,
+// verifying the record CRC on version-2 checkpoints, into dst when its
+// capacity suffices (allocating otherwise): the returned values alias
+// dst in that case, so the caller owns the buffer. They never alias the
+// checkpoint's backing storage, even on mmap-backed indexes. After
+// Close it fails with ErrClosed; corrupt records fail with ErrCorrupt.
+func (ix *Indexed) ReadSlotInto(slot int, dst []float32) ([]float32, error) {
+	rec, err := ix.lookup(slot)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := ix.payload(name, m)
+	payload, err := ix.payload(rec)
 	if err != nil {
 		return nil, err
 	}
-	return decodePayloadInto(name, m.kind, payload, dst)
+	return decodePayloadInto(rec.name, rec.kind, payload, dst)
 }
 
-// ReadPacked hands out a 4-bit record as a validated view of its bytes
-// instead of decoding it: a view of the mapping on an mmap-backed index,
-// of the freshly read copy otherwise. It performs the checks
-// ReadTensorInto performs — closed, bounds, per-read CRC, payload
+// ReadSlotPacked hands out the slot's 4-bit record as a validated view
+// of its bytes instead of decoding it: a view of the mapping on an
+// mmap-backed index, of the freshly read copy otherwise. It performs the
+// checks ReadSlotInto performs — closed, bounds, per-read CRC, payload
 // validation — and the view stays valid only while the index is open.
 // ok is false, with a nil error and before any payload work, for records
 // that have no packed form (raw fp16, 2- and 8-bit, odd group sizes):
-// read those with ReadTensorInto.
-func (ix *Indexed) ReadPacked(name string) (p quant.Packed, ok bool, err error) {
-	m, err := ix.lookup(name)
-	if err != nil || !m.packable {
+// read those with ReadSlotInto.
+func (ix *Indexed) ReadSlotPacked(slot int) (p quant.Packed, ok bool, err error) {
+	rec, err := ix.lookup(slot)
+	if err != nil || !rec.packable {
 		return quant.Packed{}, false, err
 	}
-	payload, err := ix.payload(name, m)
+	payload, err := ix.payload(rec)
 	if err != nil {
 		return quant.Packed{}, false, err
 	}
 	if p, ok, err = quant.ViewPacked(payload); err != nil {
-		return quant.Packed{}, false, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
+		return quant.Packed{}, false, fmt.Errorf("checkpoint: tensor %q: %v: %w", rec.name, err, ErrCorrupt)
 	}
 	return p, ok, nil
 }
@@ -329,12 +333,12 @@ func (ix *Indexed) ReadPacked(name string) (p quant.Packed, ok bool, err error) 
 // record and is dropped on return.
 func (ix *Indexed) Verify() error {
 	var buf []float32
-	for _, name := range ix.order {
-		e, err := ix.ReadTensorInto(name, buf)
+	for slot := range ix.records {
+		data, err := ix.ReadSlotInto(slot, buf)
 		if err != nil {
 			return err
 		}
-		buf = e.Data
+		buf = data
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -85,8 +86,8 @@ func TestV1CheckpointsStillLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Data[0] != 0.5 || got.Data[1] != -0.5 {
-		t.Fatalf("v1 indexed read = %v", got.Data)
+	if got[0] != 0.5 || got[1] != -0.5 {
+		t.Fatalf("v1 indexed read = %v", got)
 	}
 }
 
@@ -144,6 +145,72 @@ func TestCRCDetectsEveryRecordFlip(t *testing.T) {
 		if !sawCorrupt {
 			t.Fatalf("flip at byte %d decoded successfully", pos)
 		}
+	}
+}
+
+// The index computes each record's header CRC once, at open, from the
+// bytes it scanned, and continues it over the payload at every read.
+// Every single-bit flip inside a record — header bytes, CRC field, or
+// payload — must still make NewIndexed reject the file or make a read of
+// one of the flipped index's own records fail typed ErrCorrupt, over a
+// ReaderAt and over a mapping. The unflipped file must read back clean,
+// or a read that fails on everything would pass for detection.
+func TestIndexedCRCDetectsEveryRecordFlip(t *testing.T) {
+	blob, start := v2Checkpoint(t)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, path string, b []byte) (*Indexed, error)
+	}{
+		{"readat", func(_ *testing.T, _ string, b []byte) (*Indexed, error) { return NewIndexed(bytes.NewReader(b)) }},
+		{"mmap", func(t *testing.T, path string, b []byte) (*Indexed, error) {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return OpenIndexedMmap(path)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "mmap" && !MmapSupported() {
+				t.Skip("no mmap on this platform")
+			}
+			path := filepath.Join(t.TempDir(), "flip.hlmc")
+			// readAll reports whether a read of some record failed; every
+			// failure must be typed ErrCorrupt.
+			readAll := func(ix *Indexed, what string) (sawCorrupt bool) {
+				for _, name := range ix.Names() {
+					if _, err := ix.ReadTensor(name); err != nil {
+						if !errors.Is(err, ErrCorrupt) {
+							t.Fatalf("%s: %s: error not typed ErrCorrupt: %v", what, name, err)
+						}
+						sawCorrupt = true
+					}
+				}
+				if err := ix.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return sawCorrupt
+			}
+			ix, err := tc.open(t, path, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if readAll(ix, "clean checkpoint") {
+				t.Fatal("the clean checkpoint reads back corrupt")
+			}
+			for pos := start; pos < len(blob); pos++ {
+				for bit := range 8 {
+					bad := bytes.Clone(blob)
+					bad[pos] ^= 1 << bit
+					ix, err := tc.open(t, path, bad)
+					if err != nil {
+						continue
+					}
+					if what := fmt.Sprintf("flip of bit %d at byte %d", bit, pos); !readAll(ix, what) {
+						t.Fatalf("%s: every record read back clean", what)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -81,12 +81,12 @@ func TestOpenIndexedMmapMatchesReadAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Data) != len(got.Data) {
-			t.Fatalf("%s: len %d vs %d", name, len(got.Data), len(want.Data))
+		if len(want) != len(got) {
+			t.Fatalf("%s: len %d vs %d", name, len(got), len(want))
 		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("%s: element %d differs: %v vs %v", name, i, got.Data[i], want.Data[i])
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%s: element %d differs: %v vs %v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -120,8 +120,8 @@ func TestMmapReadVerifiesCRC(t *testing.T) {
 	}
 }
 
-// ReadTensorInto must reuse a large-enough caller buffer and allocate
-// otherwise; the decoded Data must never alias the file mapping (it is
+// ReadSlotInto must reuse a large-enough caller buffer and allocate
+// otherwise; the decoded values must never alias the file mapping (it is
 // decoded from fp16/quantized bytes, so byte-level aliasing is
 // structurally impossible — assert the buffer-reuse contract instead).
 func TestReadTensorIntoReusesBuffer(t *testing.T) {
@@ -136,29 +136,33 @@ func TestReadTensorIntoReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float32, len(ref.Data)+7)
+	buf := make([]float32, len(ref)+7)
 	for i := range buf {
 		buf[i] = 1e30
 	}
-	e, err := ix.ReadTensorInto("quantized", buf)
+	slot, err := ix.slotOf("quantized")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &e.Data[0] != &buf[0] {
-		t.Fatal("ReadTensorInto did not decode into the caller's buffer")
+	e, err := ix.ReadSlotInto(slot, buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range ref.Data {
-		if e.Data[i] != ref.Data[i] {
-			t.Fatalf("element %d: %v vs %v", i, e.Data[i], ref.Data[i])
+	if &e[0] != &buf[0] {
+		t.Fatal("ReadSlotInto did not decode into the caller's buffer")
+	}
+	for i := range ref {
+		if e[i] != ref[i] {
+			t.Fatalf("element %d: %v vs %v", i, e[i], ref[i])
 		}
 	}
 	small := make([]float32, 1)
-	e2, err := ix.ReadTensorInto("quantized", small)
+	e2, err := ix.ReadSlotInto(slot, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e2.Data) != len(ref.Data) {
-		t.Fatalf("undersized dst: len %d, want %d", len(e2.Data), len(ref.Data))
+	if len(e2) != len(ref) {
+		t.Fatalf("undersized dst: len %d, want %d", len(e2), len(ref))
 	}
 }
 
@@ -248,12 +252,12 @@ func TestReadPackedBothFlavours(t *testing.T) {
 				t.Fatalf("ReadPacked(quantized): ok=%v err=%v", ok, err)
 			}
 			got := p.DequantizeInto(nil)
-			if len(got) != len(want.Data) {
-				t.Fatalf("view has %d elements, want %d", len(got), len(want.Data))
+			if len(got) != len(want) {
+				t.Fatalf("view has %d elements, want %d", len(got), len(want))
 			}
 			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("element %d: view %v, decode %v", i, got[i], want.Data[i])
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("element %d: view %v, decode %v", i, got[i], want[i])
 				}
 			}
 			if _, ok, err := ix.ReadPacked("raw"); ok || err != nil {
@@ -319,7 +323,7 @@ func TestReadPackedSkipsOtherWidths(t *testing.T) {
 		if _, ok, err := ix.ReadPacked(name); ok || err != nil {
 			t.Errorf("ReadPacked(%s): ok=%v err=%v, want not packable", name, ok, err)
 		}
-		if e, err := ix.ReadTensor(name); err != nil || len(e.Data) != len(vals) {
+		if e, err := ix.ReadTensor(name); err != nil || len(e) != len(vals) {
 			t.Errorf("ReadTensor(%s): %v", name, err)
 		}
 	}

@@ -3,6 +3,8 @@ package infer
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"helmsim/internal/checkpoint"
@@ -10,22 +12,11 @@ import (
 	"helmsim/internal/quant"
 )
 
-// TensorKey names a tensor inside a checkpoint: "L<layer>/<name>".
-// It runs once per weight fetch on the out-of-core serving path, so the
-// common shape is formatted through a stack buffer (one allocation for
-// the returned string) instead of fmt.Sprintf.
+// TensorKey names a tensor inside a checkpoint: "L<layer>/<name>". The
+// writer names records with it, and FileStore resolves them with it
+// once, at open; no fetch formats one.
 func TensorKey(layer int, name string) string {
-	if layer < 0 || layer > 999 || len(name) > 59 {
-		return fmt.Sprintf("L%03d/%s", layer, name)
-	}
-	var buf [64]byte
-	buf[0] = 'L'
-	buf[1] = byte('0' + layer/100)
-	buf[2] = byte('0' + layer/10%10)
-	buf[3] = byte('0' + layer%10)
-	buf[4] = '/'
-	n := copy(buf[5:], name)
-	return string(buf[:5+n])
+	return fmt.Sprintf("L%03d/%s", layer, name)
 }
 
 // FileStore serves weights straight from an indexed checkpoint file —
@@ -35,6 +26,9 @@ func TensorKey(layer int, name string) string {
 // FSDAX) model.
 type FileStore struct {
 	ix *checkpoint.Indexed
+	// slots maps each (layer, name) whose TensorKey names a record to
+	// that record's slot, so a fetch formats no key.
+	slots map[storeKey]int
 	// reads counts tensor fetches (observable I/O); atomic because the
 	// prefetcher's items read the file from pool workers.
 	reads atomic.Int64
@@ -49,7 +43,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileStore{ix: ix}, nil
+	return NewFileStore(ix)
 }
 
 // OpenFileStoreMmap opens a checkpoint through an mmap view, so tensor
@@ -63,7 +57,7 @@ func OpenFileStoreMmap(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileStore{ix: ix}, nil
+	return NewFileStore(ix)
 }
 
 // Mapped reports whether reads are zero-copy mmap views.
@@ -72,34 +66,50 @@ func (s *FileStore) Mapped() bool { return s.ix.Mapped() }
 // NewFileStore serves weights from an already-indexed checkpoint — the
 // hook for slotting a fault-injecting (or otherwise wrapped)
 // io.ReaderAt under the store via checkpoint.NewIndexed. Closing the
-// store closes the index.
+// store closes the index. Records whose names TensorKey does not
+// produce stay in the checkpoint, unreachable through the store.
 func NewFileStore(ix *checkpoint.Indexed) (*FileStore, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("infer: nil checkpoint index")
 	}
-	return &FileStore{ix: ix}, nil
+	s := &FileStore{ix: ix, slots: make(map[storeKey]int)}
+	for slot, key := range ix.Names() {
+		digits, name, ok := strings.Cut(strings.TrimPrefix(key, "L"), "/")
+		layer, err := strconv.Atoi(digits)
+		if ok && err == nil && TensorKey(layer, name) == key {
+			s.slots[storeKey{layer, name}] = slot
+		}
+	}
+	return s, nil
+}
+
+// slot resolves a tensor to its record's slot.
+func (s *FileStore) slot(layer int, name string) (int, error) {
+	slot, ok := s.slots[storeKey{layer, name}]
+	if !ok {
+		return 0, fmt.Errorf("infer: checkpoint has no tensor %q", TensorKey(layer, name))
+	}
+	return slot, nil
 }
 
 // Tensor implements WeightStore.
 func (s *FileStore) Tensor(layer int, name string) ([]float32, error) {
-	e, err := s.ix.ReadTensor(TensorKey(layer, name))
-	if err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	return e.Data, nil
+	return s.TensorInto(layer, name, nil)
 }
 
 // TensorInto implements IntoStore, decoding the record into dst when
 // its capacity suffices. The returned slice never aliases the
 // checkpoint's backing storage.
 func (s *FileStore) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
-	e, err := s.ix.ReadTensorInto(TensorKey(layer, name), dst)
+	slot, err := s.slot(layer, name)
 	if err != nil {
 		return nil, err
 	}
+	if dst, err = s.ix.ReadSlotInto(slot, dst); err != nil {
+		return nil, err
+	}
 	s.reads.Add(1)
-	return e.Data, nil
+	return dst, nil
 }
 
 // TensorPacked implements PackedStore: a 4-bit record comes back as a
@@ -108,7 +118,11 @@ func (s *FileStore) TensorInto(layer int, name string, dst []float32) ([]float32
 // Records with no packed form report ok false from the directory, unread
 // and uncounted: the caller's TensorInto is their one read.
 func (s *FileStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
-	p, ok, err := s.ix.ReadPacked(TensorKey(layer, name))
+	slot, err := s.slot(layer, name)
+	if err != nil {
+		return quant.Packed{}, false, err
+	}
+	p, ok, err := s.ix.ReadSlotPacked(slot)
 	if ok {
 		s.reads.Add(1)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,7 +159,7 @@ func TestLaneFirstErrorInSpecOrder(t *testing.T) {
 	wg.Wait()
 	ld.mu.Lock()
 	res := append([]fetchResult(nil), ld.next.res...)
-	names := ld.next.names
+	names := ld.next.b.names
 	ld.mu.Unlock()
 	for i, name := range names {
 		switch r := res[i]; {
@@ -178,7 +179,7 @@ func TestLaneFirstErrorInSpecOrder(t *testing.T) {
 		t.Errorf("degraded fetches = %d, want 1", d)
 	}
 	// White box: the posted ticket itself named the early tensor.
-	tk := fetchTicket{layer: 1, names: names, dsts: map[string]weight{}, res: res}
+	tk := fetchTicket{b: layerBundle{layer: 1, names: names, data: make([]weight, len(names)), bufs: make([][]float32, len(names))}, res: res}
 	if b := tk.collect(); !errors.Is(b.err, errEarly) {
 		t.Errorf("the ticket collected %v, want the first error in spec order", b.err)
 	}
@@ -220,7 +221,7 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(b.data["w_q"].f32, want) {
+	if !reflect.DeepEqual(b.data[slices.Index(b.names, "w_q")].f32, want) {
 		t.Error("off-schedule layer came back with another layer's contents")
 	}
 	if hits, misses := se.PrefetchStats(); hits != 0 || misses != 2 {
@@ -242,8 +243,8 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	}
 }
 
-// slabSet is the identity of every f32 buffer the loader owns: in its
-// free pools, in the current bundle, and in the hands of a settled ticket.
+// slabSet is the identity of every f32 buffer the loader owns: the decode
+// buffers of its two storages, and those in the hands of a settled ticket.
 func slabSet(ld *loader) map[*float32]bool {
 	ld.mu.Lock()
 	defer ld.mu.Unlock()
@@ -253,20 +254,15 @@ func slabSet(ld *loader) map[*float32]bool {
 			set[&b[:1][0]] = true
 		}
 	}
-	for _, bufs := range ld.free {
+	for _, bufs := range [][][]float32{ld.cur.bufs, ld.ticket.b.bufs} {
 		for _, b := range bufs {
 			add(b)
 		}
 	}
-	for _, w := range ld.cur.data {
-		add(w.f32)
-	}
 	if tk := ld.next; tk != nil {
-		for i, name := range tk.names {
+		for i := range tk.b.names {
 			if tk.res[i].ok {
 				add(tk.res[i].w.f32)
-			} else {
-				add(tk.dsts[name].f32)
 			}
 		}
 	}
@@ -305,7 +301,7 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 
 	type outcome struct {
 		allocs         float64
-		slabs, maps    int
+		slabs          int
 		degraded       int
 		identical, tok int
 	}
@@ -339,11 +335,6 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 		o.slabs = len(after)
 		o.degraded = se.DegradedFetches()
 		o.allocs = testing.AllocsPerRun(5, step)
-		se.Settle()
-		ld := se.ld
-		ld.mu.Lock()
-		o.maps = len(ld.freeMaps)
-		ld.mu.Unlock()
 		logits, err := se.Step([]*StepSeq{seq})
 		if err != nil {
 			t.Fatal(err)
@@ -355,9 +346,9 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 	if clean.degraded != 0 || tripped.degraded != 1 {
 		t.Errorf("degraded fetches: %d without the panic, %d with; want 0 and 1", clean.degraded, tripped.degraded)
 	}
-	if tripped.allocs != clean.allocs || tripped.slabs != clean.slabs || tripped.maps != clean.maps {
-		t.Errorf("after a panicked prefetch: %.1f allocs/step, %d slabs, %d free maps; without: %.1f, %d, %d",
-			tripped.allocs, tripped.slabs, tripped.maps, clean.allocs, clean.slabs, clean.maps)
+	if tripped.allocs != clean.allocs || tripped.slabs != clean.slabs {
+		t.Errorf("after a panicked prefetch: %.1f allocs/step, %d slabs; without: %.1f, %d",
+			tripped.allocs, tripped.slabs, clean.allocs, clean.slabs)
 	}
 	if tripped.tok != clean.tok {
 		t.Errorf("token after the panic %d, without %d", tripped.tok, clean.tok)

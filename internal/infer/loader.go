@@ -47,19 +47,26 @@ import (
 // engine's Retry policy and counts a degraded fetch; only when that retry
 // fails too does the error reach the engine.
 //
+// A layer's tensors are addressed by slot, their position in the layer's
+// spec list, never by a map: a bundle is slices indexed by slot, and the
+// layer tables are slices indexed by the dense Layer.Index. The loader
+// owns two bundles' worth of storage, the current layer's and the
+// ticket's, and swaps them at every install, so fetching allocates
+// nothing once the decode buffers have grown.
+//
 // The loader has exactly ONE consumer, its engine. Each layer is fetched
-// into the map and decode buffers of a layer the engine has already left,
-// so a second reader would see torn weights; engines that share a store
-// each have their own loader.
+// into the storage and decode buffers of a layer the engine has already
+// left, so a second reader would see torn weights; engines that share a
+// store each have their own loader.
 type loader struct {
 	backing WeightStore
 	packed  PackedStore // validated packed views of 4-bit tensors
 	into    IntoStore   // decode into recycled buffers (f32 recycling is then on)
 	views   ViewStore   // zero-copy f32 views of the store's own storage
 
-	names map[int][]string // layer index -> tensor names, spec order
-	succ  map[int]int      // layer index -> successor in the schedule cycle
-	retry Retry            // foreground re-attempt policy (zero: none)
+	names [][]string // by layer index: the layer's tensor names, spec order
+	succ  []int      // by layer index: the successor in the schedule cycle
+	retry Retry      // foreground re-attempt policy (zero: none)
 
 	// ctx is what makes a loader prefetch: it is set by
 	// NewStepEnginePrefetched, bounds every fetch, and Close cancels it. A
@@ -69,15 +76,14 @@ type loader struct {
 
 	// ticket is the one posted fetch, reused layer after layer; item is
 	// its body, bound once. Its fields are written by the consumer between
-	// a Join and the next Post and read by whoever runs an item.
+	// a Join and the next Post and read by whoever runs an item. Its
+	// bundle's storage is also where foreground fetches land.
 	ticket fetchTicket
 	item   func(i int)
 
-	mu       sync.Mutex
-	cur      layerBundle
-	next     *fetchTicket // &ticket while a fetch is posted and unconsumed
-	free     map[string][][]float32
-	freeMaps []map[string]weight
+	mu   sync.Mutex
+	cur  layerBundle
+	next *fetchTicket // &ticket while a fetch is posted and unconsumed
 	// fetches counts the tensors installed for the engine, one per tensor
 	// per layer visit.
 	fetches      int
@@ -89,24 +95,26 @@ type loader struct {
 }
 
 // layerBundle is one layer's tensors, fully fetched (or the error that
-// interrupted the fetch): packed views for the tensors the store serves
-// packed, f32 values for the rest. It is the one holder of packed views
-// (DESIGN §3h).
+// interrupted the fetch): data[j] is names[j], a packed view when the
+// store serves it packed, f32 values otherwise. It is the one holder of
+// packed views (DESIGN §3h). Its slices are one of the loader's two
+// storages; bufs[j] is the f32 buffer slot j last held, which the into
+// path decodes into next, kept while a packed view takes the slot.
 type layerBundle struct {
 	layer int
-	data  map[string]weight
+	names []string
+	data  []weight
+	bufs  [][]float32
 	err   error
 }
 
-// fetchTicket is one posted layer fetch: item i fetches names[i] into
-// res[i], decoding into the recycled buffer dsts holds under that name.
-// Items only read dsts; the consumer folds res into it after the join,
-// so the buffers a fetch was handed come back whatever its items did.
+// fetchTicket is one posted layer fetch: item i fetches b.names[i] into
+// res[i], decoding into b.bufs[i]. Items only read b; the consumer folds
+// res into it after the join, so the buffers a fetch was handed come
+// back whatever its items did.
 type fetchTicket struct {
 	task   parallel.Task
-	layer  int
-	names  []string
-	dsts   map[string]weight // the bundle's data map, holding recycled decode targets
+	b      layerBundle
 	res    []fetchResult
 	failed atomic.Bool // an item failed: the ones not yet started skip
 }
@@ -131,17 +139,15 @@ func newLoader(layers []model.Layer, w WeightStore, r Retry) (*loader, error) {
 	}
 	l := &loader{
 		backing: w,
-		names:   make(map[int][]string, len(layers)),
-		succ:    make(map[int]int, len(layers)),
+		names:   make([][]string, len(layers)),
+		succ:    make([]int, len(layers)),
 		retry:   r,
 		cancel:  func() {},
 	}
 	l.packed, _ = w.(PackedStore)
 	l.into, _ = w.(IntoStore)
 	l.views, _ = w.(ViewStore)
-	if l.into != nil {
-		l.free = make(map[string][][]float32)
-	}
+	slots := 0
 	for i, layer := range layers {
 		l.succ[layer.Index] = layers[(i+1)%len(layers)].Index
 		names := make([]string, len(layer.Weights))
@@ -149,7 +155,12 @@ func newLoader(layers []model.Layer, w WeightStore, r Retry) (*loader, error) {
 			names[j] = spec.Name
 		}
 		l.names[layer.Index] = names
+		slots = max(slots, len(names))
 	}
+	for _, b := range []*layerBundle{&l.cur, &l.ticket.b} {
+		*b = layerBundle{layer: -1, data: make([]weight, 0, slots), bufs: make([][]float32, slots)}
+	}
+	l.ticket.res = make([]fetchResult, 0, slots)
 	l.item = l.fetchItem
 	return l, nil
 }
@@ -166,14 +177,14 @@ func (l *loader) stopped() error {
 // layer returns the bundle of the layer the engine is about to compute:
 // the current one when the engine asks for it again, the posted fetch
 // when that is this layer's, a foreground fetch otherwise. The bundle
-// becomes current, the one it displaces is recycled, and a prefetching
-// loader posts the fetch of the successor.
+// becomes current, the storage it displaces becomes the ticket's, and a
+// prefetching loader posts the fetch of the successor.
 func (l *loader) layer(layer int) (layerBundle, error) {
 	l.mu.Lock()
 	// An errored bundle is never served from cur: the failure belonged to
 	// the visit that fetched it. Replaying it would fail every later step
 	// after one storage blip, without a single read.
-	if b := l.cur; b.data != nil && b.layer == layer && b.err == nil {
+	if b := l.cur; b.layer == layer && b.err == nil {
 		l.mu.Unlock()
 		return b, nil
 	}
@@ -190,13 +201,12 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 		l.mu.Lock()
 		l.next = nil
 		l.byWorker += byWorkers
-		l.byConsumer += len(t.names) - byWorkers
+		l.byConsumer += len(b.names) - byWorkers
 		switch {
 		case b.layer != layer:
 			// An off-schedule jump: the posted layer was skipped by the
-			// engine. It is recycled without ever being exposed, and the
-			// requested layer is a plain miss.
-			l.recycleLocked(&b)
+			// engine. It is never exposed — the requested layer, a plain
+			// miss, is fetched over it.
 			l.misses++
 		case b.err == nil:
 			l.hits++
@@ -209,10 +219,9 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 		default:
 			// Graceful degradation: the posted fetch failed, but the
 			// generation is not poisoned — re-fetch the layer in the
-			// foreground (with retries, when configured) and only surface
-			// an error if that fails too. Whatever the failed fetch
-			// produced is recycled first.
-			l.recycleLocked(&b)
+			// foreground (with retries, when configured), over whatever
+			// the failed fetch produced, and only surface an error if
+			// that fails too.
 			l.degraded++
 		}
 	} else {
@@ -224,9 +233,11 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 		}
 	}
 	if !ready {
-		dsts := l.takeLocked(layer)
 		l.mu.Unlock()
-		b = l.fetchLayerRetry(layer, dsts)
+		// No fetch is in flight on the ticket: it was joined, or never
+		// posted (or Close took it, after cancelling, so this fetch
+		// stops before its first read).
+		b = l.fetchLayerRetry(layer, l.ticket.b)
 		l.mu.Lock()
 	}
 	l.installLocked(b)
@@ -242,50 +253,68 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 // compounds the per-tensor fault rate across every tensor of the layer
 // on each attempt, which can exhaust even a deep retry budget under a
 // modest injected fault rate. The outer layer-level loop remains as a
-// second line of defense. Re-attempts reuse the failed bundle's buffers
+// second line of defense. Re-attempts reuse the failed bundle's storage
 // (every IntoStore fully overwrites a buffer before success).
-func (l *loader) fetchLayerRetry(layer int, dsts map[string]weight) layerBundle {
-	b := l.fetchLayer(layer, dsts)
+func (l *loader) fetchLayerRetry(layer int, b layerBundle) layerBundle {
+	b = l.fetchLayer(layer, b)
 	for attempt := 1; b.err != nil && attempt <= l.retry.Max; attempt++ {
 		if !fault.IsTransient(b.err) || l.stopped() != nil {
 			break
 		}
 		l.retry.pause(attempt)
-		b = l.fetchLayer(layer, b.data)
+		b = l.fetchLayer(layer, b)
 	}
 	return b
 }
 
-// installLocked publishes a fetched bundle as current, recycles the
-// bundle it displaces, and — on a prefetching loader, never after an
-// error or cancellation — posts the fetch of the next layer in the
-// schedule cycle on the ticket, whose previous round has been joined and
-// collected. Caller holds mu.
+// installLocked publishes a bundle fetched into the ticket's storage as
+// current, hands the storage it displaces to the ticket, and — on a
+// prefetching loader, never after an error or cancellation — posts the
+// fetch of the next layer in the schedule cycle on the ticket, whose
+// previous round has been joined and collected. Caller holds mu.
 func (l *loader) installLocked(b layerBundle) {
-	// The engine has moved past the displaced layer; its map and slabs
-	// become the targets of upcoming fetches. The single-consumer contract
-	// is what makes this safe: nobody still reads them.
-	l.recycleLocked(&l.cur)
-	l.cur = b
 	if b.err != nil {
+		// The failed bundle keeps the ticket's storage, so this write
+		// cannot race a Close still joining the ticket's last round; the
+		// current layer is marked failed and is never served again.
+		l.cur.err = b.err
 		return
 	}
-	l.fetches += len(b.data)
+	// The engine has moved past the displaced layer; its storage and
+	// decode buffers become the targets of upcoming fetches. The
+	// single-consumer contract is what makes this safe: nobody still
+	// reads them.
+	l.cur, l.ticket.b = b, l.cur
+	l.fetches += len(b.names)
 	if l.ctx == nil || l.ctx.Err() != nil {
 		return
 	}
-	layer := l.succ[b.layer]
 	t := &l.ticket
-	t.layer, t.names = layer, l.names[layer]
-	t.dsts = l.takeLocked(layer)
-	if cap(t.res) < len(t.names) {
-		t.res = make([]fetchResult, len(t.names))
-	}
-	t.res = t.res[:len(t.names)]
+	layer := l.succ[b.layer]
+	t.b = t.b.reset(layer, l.names[layer])
+	t.res = t.res[:len(t.b.names)]
 	clear(t.res)
 	t.failed.Store(false)
 	l.next = t
-	t.task.Post(len(t.names), l.item)
+	t.task.Post(len(t.b.names), l.item)
+}
+
+// reset points the storage b at layer's tensors, none fetched yet; the
+// decode buffers stay for the fetch to reuse.
+func (b layerBundle) reset(layer int, names []string) layerBundle {
+	b.layer, b.names, b.err = layer, names, nil
+	b.data = b.data[:len(names)]
+	clear(b.data)
+	return b
+}
+
+// put stores the fetched tensor of slot j, keeping its f32 values as the
+// slot's next decode buffer.
+func (b layerBundle) put(j int, w weight) {
+	b.data[j] = w
+	if !w.packed {
+		b.bufs[j] = w.f32
+	}
 }
 
 // fetchItem is the body of a posted fetch: tensor i of the ticket's
@@ -304,14 +333,13 @@ func (l *loader) fetchItem(i int) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			fail(fmt.Errorf("infer: prefetch L%d panicked: %v", t.layer, r))
+			fail(fmt.Errorf("infer: prefetch L%d panicked: %v", t.b.layer, r))
 		}
 	}()
 	if t.failed.Load() {
 		return
 	}
-	name := t.names[i]
-	w, err := l.fetchTensor(t.layer, name, t.dsts[name].f32, false)
+	w, err := l.fetchTensor(t.b.layer, t.b.names[i], t.b.bufs[i], false)
 	if err != nil {
 		fail(err)
 		return
@@ -362,18 +390,16 @@ func (l *loader) read(layer int, name string, dst []float32) (weight, error) {
 	return weight{f32: d}, err
 }
 
-// collect folds a joined ticket's results into a bundle, on the calling
-// goroutine: the data map is the ticket's decode-target map with every
-// fetched tensor stored over its target, so the buffers of items that
-// failed or skipped are still in it; the error is the first in spec
-// order.
+// collect folds a joined ticket's results into its bundle, on the
+// calling goroutine: every fetched tensor is put in its slot, so the
+// decode buffers of items that failed or skipped are still in the
+// storage; the error is the first in spec order.
 func (t *fetchTicket) collect() layerBundle {
-	b := layerBundle{layer: t.layer, data: t.dsts}
-	t.dsts = nil
-	for i, name := range t.names {
+	b := t.b
+	for i := range b.names {
 		switch r := &t.res[i]; {
 		case r.ok:
-			b.data[name] = r.w
+			b.put(i, r.w)
 		case r.err != nil && b.err == nil:
 			b.err = r.err
 		}
@@ -381,70 +407,23 @@ func (t *fetchTicket) collect() layerBundle {
 	return b
 }
 
-// takeLocked prepares the data map of a layer fetch from the free pools:
-// a recycled map holding — when the store decodes into buffers — recycled
-// decode targets keyed by tensor name (absent names decode into fresh
-// allocations). Caller holds mu.
-func (l *loader) takeLocked(layer int) map[string]weight {
-	names := l.names[layer]
-	var dsts map[string]weight
-	if n := len(l.freeMaps); n > 0 {
-		dsts = l.freeMaps[n-1]
-		l.freeMaps = l.freeMaps[:n-1]
-	} else {
-		dsts = make(map[string]weight, len(names))
-	}
-	if l.into == nil {
-		return dsts
-	}
-	for _, name := range names {
-		if bufs := l.free[name]; len(bufs) > 0 {
-			dsts[name] = weight{f32: bufs[len(bufs)-1]}
-			l.free[name] = bufs[:len(bufs)-1]
-		}
-	}
-	return dsts
-}
-
-// recycleLocked returns a bundle's map to the free pools for upcoming
-// fetches, and its f32 buffers too when they came from the into path —
-// the loader's own. Packed views and borrowed store views are dropped.
-// Caller holds mu.
-func (l *loader) recycleLocked(b *layerBundle) {
-	if b.data == nil {
-		return
-	}
-	if l.into != nil {
-		for name, w := range b.data {
-			if cap(w.f32) > 0 {
-				l.free[name] = append(l.free[name], w.f32)
-			}
-		}
-	}
-	clear(b.data)
-	l.freeMaps = append(l.freeMaps, b.data)
-	b.data = nil
-}
-
-// fetchLayer reads every tensor of a layer in the foreground, stopping at
-// the first that fails: each transiently failed tensor read is
-// re-attempted individually under the retry policy before it fails the
-// bundle. dsts supplies the recycled decode targets and becomes the
-// bundle's data map.
-func (l *loader) fetchLayer(layer int, dsts map[string]weight) layerBundle {
-	b := layerBundle{layer: layer, data: dsts}
-	names, ok := l.names[layer]
-	if !ok {
-		b.err = fmt.Errorf("infer: load: unknown layer %d", layer)
+// fetchLayer reads every tensor of a layer in the foreground into the
+// storage b, stopping at the first that fails: each transiently failed
+// tensor read is re-attempted individually under the retry policy
+// before it fails the bundle.
+func (l *loader) fetchLayer(layer int, b layerBundle) layerBundle {
+	if layer < 0 || layer >= len(l.names) {
+		b.layer, b.err = layer, fmt.Errorf("infer: load: unknown layer %d", layer)
 		return b
 	}
-	for _, name := range names {
-		w, err := l.fetchTensor(layer, name, b.data[name].f32, true)
+	b = b.reset(layer, l.names[layer])
+	for j, name := range b.names {
+		w, err := l.fetchTensor(layer, name, b.bufs[j], true)
 		if err != nil {
 			b.err = err
 			return b
 		}
-		b.data[name] = w
+		b.put(j, w)
 	}
 	return b
 }

@@ -3,6 +3,7 @@ package infer
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
@@ -232,9 +233,13 @@ func (se *StepEngine) forward(seqs []*StepSeq, rows []int) ([]tensor.Mat, error)
 	return out, err
 }
 
-// mat is one of the layer's tensors with its matrix shape checked.
+// mat is one of the layer's tensors with its matrix shape checked. The
+// name is found by a scan of the layer's few spec names, not a map.
 func (b layerBundle) mat(name string, r, c int) (weight, error) {
-	w := b.data[name]
+	var w weight
+	if j := slices.Index(b.names, name); j >= 0 {
+		w = b.data[j]
+	}
 	if n := w.len(); n != r*c {
 		return weight{}, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", b.layer, name, r, c, r*c, n)
 	}
@@ -347,7 +352,7 @@ func (se *StepEngine) norm(b layerBundle, x tensor.Mat) (tensor.Mat, error) {
 		// Decoder blocks carry their gain as "w_norm"; the output layer's
 		// final norm is stored as "w_ln" for both architectures.
 		gain := "w_norm"
-		if _, ok := b.data[gain]; !ok {
+		if !slices.Contains(b.names, gain) {
 			gain = "w_ln"
 		}
 		gamma, err := b.vec(gain, h)
