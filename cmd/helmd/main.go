@@ -35,14 +35,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"helmsim/internal/fault"
 	"helmsim/internal/infer"
 	"helmsim/internal/model"
-	"helmsim/internal/quant"
 	"helmsim/internal/server"
 )
 
@@ -146,53 +143,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// modelConfig builds the served architecture from the flags, mirroring
-// minigen's synthesis path.
-func modelConfig(o options) (model.Config, error) {
-	cfg := model.Config{
-		Name: "mini-" + o.arch, Hidden: o.hidden, Heads: o.heads, Blocks: o.blocks,
-		Vocab: o.vocab, MaxSeq: 2048, DTypeBytes: 2,
-	}
-	switch o.arch {
-	case "opt":
-	case "llama":
-		kvHeads := o.heads
-		if o.heads%2 == 0 {
-			kvHeads = o.heads / 2
-		}
-		cfg = cfg.WithLlama(kvHeads, o.hidden*8/3)
-	default:
-		return model.Config{}, fmt.Errorf("unknown arch %q", o.arch)
-	}
-	return cfg, cfg.Validate()
-}
-
-// synthesize writes a fresh checkpoint for cfg into dir and returns its
-// path.
-func synthesize(cfg model.Config, dir string, seed int64, quantize bool) (string, error) {
-	w, err := infer.RandomWeights(cfg, seed, 0.06)
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, cfg.Name+".hlmc")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	var qc *quant.Config
-	if quantize {
-		c := quant.Default()
-		qc = &c
-	}
-	if err := infer.WriteCheckpoint(f, cfg, w, qc); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
 func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
-	cfg, err := modelConfig(o)
+	cfg, err := model.Mini(o.arch, o.hidden, o.heads, o.blocks, o.vocab)
 	if err != nil {
 		return err
 	}
@@ -203,36 +155,11 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if ckpt, err = synthesize(cfg, dir, o.seed, o.quantize); err != nil {
+		ckpt = filepath.Join(dir, cfg.Name+".hlmc")
+		if err := infer.SynthesizeCheckpoint(ckpt, cfg, o.seed, o.quantize); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "helmd: synthesized %s (%d params) at %s\n", cfg.Name, cfg.ParamCount(), ckpt)
-	}
-
-	// Every open — startup and each SIGHUP reload — re-verifies the
-	// checkpoint's CRCs before the store is swapped in. In chaos mode a
-	// fresh injector wraps each generation, advancing the seed so reloads
-	// do not replay the same fault sequence.
-	var faultGen atomic.Int64
-	faultGen.Store(o.faultSeed - 1)
-	openStore := func() (infer.WeightStore, io.Closer, error) {
-		fs, err := infer.OpenFileStore(ckpt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := fs.Verify(); err != nil {
-			fs.Close()
-			return nil, nil, fmt.Errorf("checkpoint integrity: %w", err)
-		}
-		if o.faultRate <= 0 {
-			return fs, fs, nil
-		}
-		flaky, err := fault.NewStore(fs, fault.Plan{Seed: faultGen.Add(1), TransientRate: o.faultRate})
-		if err != nil {
-			fs.Close()
-			return nil, nil, err
-		}
-		return flaky, fs, nil
 	}
 
 	cost := o.cost
@@ -259,7 +186,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	//lint:helmvet-ignore ctxflow the daemon must outlive the signal ctx: SIGTERM drains gracefully; force-cancel is reserved for the drain deadline
 	s, err := server.New(context.Background(), server.Config{
 		Model:           cfg,
-		OpenStore:       openStore,
+		OpenStore:       server.FileOpener(ckpt, o.faultRate, o.faultSeed),
 		Workers:         o.workers,
 		MaxQueue:        o.maxQueue,
 		MaxWait:         o.maxWait,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"helmsim/internal/infer"
+	"helmsim/internal/model"
 	"helmsim/internal/server"
 )
 
@@ -52,7 +53,7 @@ var daemonArgs = []string{
 // seed.
 func baselineTokens(t *testing.T, prompts [][]int, genTokens int) [][]int {
 	t.Helper()
-	cfg, err := modelConfig(options{arch: "opt", hidden: 32, heads: 4, blocks: 2, vocab: 64})
+	cfg, err := model.Mini("opt", 32, 4, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

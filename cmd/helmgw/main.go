@@ -47,11 +47,9 @@ import (
 	"syscall"
 	"time"
 
-	"helmsim/internal/fault"
 	"helmsim/internal/gateway"
 	"helmsim/internal/infer"
 	"helmsim/internal/model"
-	"helmsim/internal/quant"
 	"helmsim/internal/server"
 )
 
@@ -150,51 +148,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// modelConfig builds the replicas' architecture from the flags,
-// mirroring helmd's synthesis path so a fleet and a solo daemon over
-// the same flags serve the same model.
-func modelConfig(o options) (model.Config, error) {
-	cfg := model.Config{
-		Name: "mini-" + o.arch, Hidden: o.hidden, Heads: o.heads, Blocks: o.blocks,
-		Vocab: o.vocab, MaxSeq: 2048, DTypeBytes: 2,
-	}
-	switch o.arch {
-	case "opt":
-	case "llama":
-		kvHeads := o.heads
-		if o.heads%2 == 0 {
-			kvHeads = o.heads / 2
-		}
-		cfg = cfg.WithLlama(kvHeads, o.hidden*8/3)
-	default:
-		return model.Config{}, fmt.Errorf("unknown arch %q", o.arch)
-	}
-	return cfg, cfg.Validate()
-}
-
-// synthesize writes a fresh checkpoint for cfg into dir.
-func synthesize(cfg model.Config, dir string, seed int64, quantize bool) (string, error) {
-	w, err := infer.RandomWeights(cfg, seed, 0.06)
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, cfg.Name+".hlmc")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	var qc *quant.Config
-	if quantize {
-		c := quant.Default()
-		qc = &c
-	}
-	if err := infer.WriteCheckpoint(f, cfg, w, qc); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
 // parseWeights resolves the -weights flag against the fleet size.
 func parseWeights(s string, n int) ([]int, error) {
 	weights := make([]int, n)
@@ -249,7 +202,7 @@ func buildFleet(o options, ckpt string, gw *atomic.Pointer[gateway.Gateway], std
 	if o.replicas < 1 {
 		return nil, fmt.Errorf("-replicas %d < 1", o.replicas)
 	}
-	cfg, err := modelConfig(o)
+	cfg, err := model.Mini(o.arch, o.hidden, o.heads, o.blocks, o.vocab)
 	if err != nil {
 		return nil, err
 	}
@@ -257,29 +210,11 @@ func buildFleet(o options, ckpt string, gw *atomic.Pointer[gateway.Gateway], std
 	if err != nil {
 		return nil, err
 	}
-	var faultGen atomic.Int64
-	faultGen.Store(o.faultSeed - 1)
+	// One opener for the fleet: each replica's first open and every
+	// reload draws the next fault seed, in the order they open.
+	openStore := server.FileOpener(ckpt, o.faultRate, o.faultSeed)
 	for i := 0; i < o.replicas; i++ {
 		name := fmt.Sprintf("r%d", i)
-		openStore := func() (infer.WeightStore, io.Closer, error) {
-			fst, err := infer.OpenFileStore(ckpt)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := fst.Verify(); err != nil {
-				fst.Close()
-				return nil, nil, fmt.Errorf("checkpoint integrity: %w", err)
-			}
-			if o.faultRate <= 0 {
-				return fst, fst, nil
-			}
-			flaky, err := fault.NewStore(fst, fault.Plan{Seed: faultGen.Add(1), TransientRate: o.faultRate})
-			if err != nil {
-				fst.Close()
-				return nil, nil, err
-			}
-			return flaky, fst, nil
-		}
 		// The replica anchors on Background like helmd's daemon: SIGTERM
 		// must drain it gracefully, not cancel it outright.
 		s, err := server.New(context.Background(), server.Config{
@@ -350,7 +285,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	}
 	ckpt := o.ckpt
 	if o.backends == "" && ckpt == "" {
-		cfg, err := modelConfig(o)
+		cfg, err := model.Mini(o.arch, o.hidden, o.heads, o.blocks, o.vocab)
 		if err != nil {
 			return err
 		}
@@ -359,7 +294,8 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if ckpt, err = synthesize(cfg, dir, o.seed, o.quantize); err != nil {
+		ckpt = filepath.Join(dir, cfg.Name+".hlmc")
+		if err := infer.SynthesizeCheckpoint(ckpt, cfg, o.seed, o.quantize); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "helmgw: synthesized %s (%d params) at %s, shared by %d replicas\n",

@@ -30,7 +30,6 @@ import (
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
-	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
 
@@ -80,22 +79,8 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 	if seqs < 1 {
 		return fmt.Errorf("non-positive batch %d", seqs)
 	}
-	cfg := model.Config{
-		Name: "mini-" + arch, Hidden: hidden, Heads: heads, Blocks: blocks,
-		Vocab: vocab, MaxSeq: 2048, DTypeBytes: 2,
-	}
-	switch arch {
-	case "opt":
-	case "llama":
-		kvHeads := heads
-		if heads%2 == 0 {
-			kvHeads = heads / 2 // exercise grouped-query attention
-		}
-		cfg = cfg.WithLlama(kvHeads, hidden*8/3)
-	default:
-		return fmt.Errorf("unknown arch %q", arch)
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := model.Mini(arch, hidden, heads, blocks, vocab)
+	if err != nil {
 		return err
 	}
 
@@ -108,10 +93,6 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		prompt = append(prompt, tok)
 	}
 
-	weights, err := infer.RandomWeights(cfg, seed, 0.06)
-	if err != nil {
-		return err
-	}
 	if ckptPath == "" {
 		dir, err := os.MkdirTemp("", "minigen")
 		if err != nil {
@@ -120,20 +101,7 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		defer os.RemoveAll(dir)
 		ckptPath = filepath.Join(dir, cfg.Name+".hlmc")
 	}
-	f, err := os.Create(ckptPath)
-	if err != nil {
-		return err
-	}
-	var qc *quant.Config
-	if quantize {
-		c := quant.Default()
-		qc = &c
-	}
-	if err := infer.WriteCheckpoint(f, cfg, weights, qc); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := infer.SynthesizeCheckpoint(ckptPath, cfg, seed, quantize); err != nil {
 		return err
 	}
 	st, err := os.Stat(ckptPath)

@@ -1,9 +1,10 @@
-// Package checkpoint implements a streaming binary format for model
-// weights — the on-disk artifact an out-of-core server loads its layers
-// from. Tensors are stored either as raw FP16 or group-wise 4-bit
-// quantized (the compression FlexGen applies before serving, §IV-B), and
-// the reader streams one tensor at a time so a 300 GB checkpoint never
-// needs to fit in memory.
+// Package checkpoint implements a binary format for model weights — the
+// on-disk artifact an out-of-core server loads its layers from. Tensors
+// are stored either as raw FP16 or group-wise 4-bit quantized (the
+// compression FlexGen applies before serving, §IV-B). Writer emits a
+// checkpoint in one pass; Indexed, the format's one parser, scans the
+// record directory once and reads each tensor from the backing file on
+// demand, so a 300 GB checkpoint never needs to fit in memory.
 //
 // Layout (little-endian):
 //
@@ -17,7 +18,7 @@
 // ErrCorrupt instead of silently becoming garbage floats — the integrity
 // property an out-of-core server re-reading every weight from a
 // failure-prone tier on every token depends on. The writer always emits
-// version 2; readers accept both versions.
+// version 2; Indexed accepts both versions.
 //
 // Raw payloads are IEEE-754 binary16 element streams; quantized payloads
 // are quant.Tensor.MarshalBinary blobs.
@@ -66,9 +67,9 @@ const (
 
 // headerCRC starts a v2 record checksum: CRC32 (IEEE) over the record
 // header as stored — name length, name, kind and payload length — which
-// every reader continues over the payload with crc32.Update, so a flip
-// anywhere in the record is caught. Readers hash the bytes they parsed
-// the header from; the index does it once per record, at open.
+// the index continues over the payload with crc32.Update at every read,
+// so a flip anywhere in the record is caught. The index hashes the bytes
+// it parsed the header from, once per record, at open.
 func headerCRC(nl, name, kp []byte) uint32 {
 	crc := crc32.ChecksumIEEE(nl)
 	crc = crc32.Update(crc, crc32.IEEETable, name)
@@ -77,13 +78,11 @@ func headerCRC(nl, name, kp []byte) uint32 {
 
 // Writer emits a checkpoint. Close must be called to flush.
 type Writer struct {
-	w       *bufio.Writer
-	started bool
-	count   uint32
-	name    string
-	// countPatch remembers where the tensor count lives; streaming output
-	// cannot seek, so the count is declared up front via NewWriter's
-	// tensors argument.
+	w     *bufio.Writer
+	count uint32
+	// declared is the tensor count the header holds: the output cannot
+	// seek back to patch it, so NewWriter's tensors argument fixes it up
+	// front.
 	declared uint32
 }
 
@@ -107,7 +106,7 @@ func NewWriter(w io.Writer, modelName string, tensors int) (*Writer, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, name: modelName, declared: uint32(tensors)}, nil
+	return &Writer{w: bw, declared: uint32(tensors)}, nil
 }
 
 // writeEntry emits one tensor record with its integrity checksum.
@@ -160,18 +159,6 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("checkpoint: wrote %d tensors, declared %d", w.count, w.declared)
 	}
 	return w.w.Flush()
-}
-
-// Entry is one streamed tensor.
-type Entry struct {
-	// Name identifies the tensor.
-	Name string
-	// Kind is the stored encoding.
-	Kind Kind
-	// Data is the decoded float32 content.
-	Data []float32
-	// StoredBytes is the on-disk payload size.
-	StoredBytes int
 }
 
 // decodePayloadInto decodes a record's payload into dst when its
@@ -233,50 +220,6 @@ func readVersion(v uint32) (uint32, error) {
 	return v, nil
 }
 
-// Reader streams a checkpoint.
-type Reader struct {
-	r         *bufio.Reader
-	version   uint32
-	modelName string
-	remaining uint32
-}
-
-// NewReader opens a checkpoint and parses its header.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [10]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: header: %w", err)
-	}
-	le := binary.LittleEndian
-	if got := le.Uint32(hdr[0:]); got != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %#x", got)
-	}
-	ver, err := readVersion(le.Uint32(hdr[4:]))
-	if err != nil {
-		return nil, err
-	}
-	nameLen := int(le.Uint16(hdr[8:]))
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("checkpoint: model name: %w", err)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: tensor count: %w", err)
-	}
-	return &Reader{r: br, version: ver, modelName: string(name), remaining: le.Uint32(cnt[:])}, nil
-}
-
-// ModelName reports the checkpoint's model.
-func (r *Reader) ModelName() string { return r.modelName }
-
-// Version reports the checkpoint's format version.
-func (r *Reader) Version() int { return int(r.version) }
-
-// Remaining reports how many tensors are left to stream.
-func (r *Reader) Remaining() int { return int(r.remaining) }
-
 // corruptRead classifies a mid-record read failure: a record that ends
 // early is corrupt (truncation), any other I/O failure passes through.
 func corruptRead(err error) error {
@@ -284,72 +227,4 @@ func corruptRead(err error) error {
 		return fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
 	return err
-}
-
-// readPayload reads n declared payload bytes without trusting the length
-// field: memory grows in bounded chunks as data actually arrives, so a
-// corrupt length fails with truncation instead of a giant up-front
-// allocation.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for uint64(len(buf)) < n {
-		step := min(n-uint64(len(buf)), chunk)
-		old := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[old:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// Next streams the next tensor, decoding it to float32. It returns io.EOF
-// after the last tensor. Records whose bytes are inconsistent yield an
-// error wrapping ErrCorrupt.
-func (r *Reader) Next() (*Entry, error) {
-	if r.remaining == 0 {
-		return nil, io.EOF
-	}
-	le := binary.LittleEndian
-	var nl [2]byte
-	if _, err := io.ReadFull(r.r, nl[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: tensor header: %w", corruptRead(err))
-	}
-	name := make([]byte, le.Uint16(nl[:]))
-	if _, err := io.ReadFull(r.r, name); err != nil {
-		return nil, fmt.Errorf("checkpoint: tensor name: %w", corruptRead(err))
-	}
-	var kp [9]byte
-	if _, err := io.ReadFull(r.r, kp[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: tensor %q meta: %w", name, corruptRead(err))
-	}
-	kind := Kind(kp[0])
-	payloadLen := le.Uint64(kp[1:])
-	if payloadLen > 1<<40 {
-		return nil, fmt.Errorf("checkpoint: tensor %q payload unreasonably large (%d): %w", name, payloadLen, ErrCorrupt)
-	}
-	var wantCRC uint32
-	if r.version >= versionCRC {
-		var cb [4]byte
-		if _, err := io.ReadFull(r.r, cb[:]); err != nil {
-			return nil, fmt.Errorf("checkpoint: tensor %q crc: %w", name, corruptRead(err))
-		}
-		wantCRC = le.Uint32(cb[:])
-	}
-	payload, err := readPayload(r.r, payloadLen)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", name, corruptRead(err))
-	}
-	if r.version >= versionCRC {
-		if got := crc32.Update(headerCRC(nl[:], name, kp[:]), crc32.IEEETable, payload); got != wantCRC {
-			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", name, wantCRC, got, ErrCorrupt)
-		}
-	}
-	r.remaining--
-	data, err := decodePayloadInto(string(name), kind, payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Entry{Name: string(name), Kind: kind, Data: data, StoredBytes: len(payload)}, nil
 }

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"strconv"
@@ -37,52 +36,56 @@ func TestRoundTripRawAndQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(&buf)
+	ix, err := NewIndexed(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ModelName() != "OPT-test" {
-		t.Errorf("model name = %q", r.ModelName())
+	if ix.ModelName() != "OPT-test" {
+		t.Errorf("model name = %q", ix.ModelName())
 	}
-	if r.Remaining() != 2 {
-		t.Errorf("remaining = %d", r.Remaining())
+	if names := ix.Names(); len(names) != 2 || names[0] != "w_q" || names[1] != "w_fc1" {
+		t.Fatalf("names = %q", names)
 	}
 
-	e1, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1.Name != "w_q" || e1.Kind != KindRawFP16 || len(e1.Data) != len(raw) {
-		t.Fatalf("entry 1 = %+v", e1)
+	r1, d1 := ix.records[0], mustReadSlot(t, ix, 0)
+	if r1.kind != KindRawFP16 || len(d1) != len(raw) {
+		t.Fatalf("record 1 = %+v, %d values", r1, len(d1))
 	}
 	for i := range raw {
-		if rel := math.Abs(float64(e1.Data[i]-raw[i])) / math.Max(1e-6, math.Abs(float64(raw[i]))); rel > 1e-3 {
-			t.Fatalf("fp16 round trip elem %d: %v -> %v", i, raw[i], e1.Data[i])
+		if rel := math.Abs(float64(d1[i]-raw[i])) / math.Max(1e-6, math.Abs(float64(raw[i]))); rel > 1e-3 {
+			t.Fatalf("fp16 round trip elem %d: %v -> %v", i, raw[i], d1[i])
 		}
 	}
 
-	e2, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Kind != KindGWQ || len(e2.Data) != len(raw) {
-		t.Fatalf("entry 2 = %+v", e2)
+	r2, d2 := ix.records[1], mustReadSlot(t, ix, 1)
+	if r2.kind != KindGWQ || len(d2) != len(raw) {
+		t.Fatalf("record 2 = %+v, %d values", r2, len(d2))
 	}
 	// Quantized payload is smaller than raw fp16.
-	if e2.StoredBytes >= e1.StoredBytes {
-		t.Errorf("quantized %d B not smaller than raw %d B", e2.StoredBytes, e1.StoredBytes)
+	if r2.length >= r1.length {
+		t.Errorf("quantized %d B not smaller than raw %d B", r2.length, r1.length)
 	}
 	// Dequantized content matches the quantizer's own decode.
 	want := qt.Dequantize()
 	for i := range want {
-		if e2.Data[i] != want[i] {
+		if d2[i] != want[i] {
 			t.Fatalf("quantized decode mismatch at %d", i)
 		}
 	}
 
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("want io.EOF after last tensor, got %v", err)
+	if _, err := ix.ReadSlotInto(2, nil); err == nil {
+		t.Errorf("a read past the last slot succeeded")
 	}
+}
+
+// mustReadSlot decodes the slot's tensor into fresh memory.
+func mustReadSlot(t *testing.T, ix *Indexed, slot int) []float32 {
+	t.Helper()
+	d, err := ix.ReadSlotInto(slot, nil)
+	if err != nil {
+		t.Fatalf("slot %d: %v", slot, err)
+	}
+	return d
 }
 
 func TestWriterCountEnforcement(t *testing.T) {
@@ -125,25 +128,25 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xff
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+	if _, err := NewIndexed(bytes.NewReader(bad)); err == nil {
 		t.Errorf("bad magic accepted")
 	}
 	// Bad version.
 	bad = append([]byte(nil), good...)
 	bad[4] = 99
-	if _, err := NewReader(bytes.NewReader(bad)); err == nil {
+	if _, err := NewIndexed(bytes.NewReader(bad)); err == nil {
 		t.Errorf("bad version accepted")
 	}
 	// Truncated payload.
-	r, err := NewReader(bytes.NewReader(good[:len(good)-2]))
+	ix, err := NewIndexed(bytes.NewReader(good[:len(good)-2]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil {
+	if _, err := ix.ReadSlotInto(0, nil); err == nil {
 		t.Errorf("truncated tensor accepted")
 	}
 	// Empty stream.
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
+	if _, err := NewIndexed(bytes.NewReader(nil)); err == nil {
 		t.Errorf("empty stream accepted")
 	}
 }

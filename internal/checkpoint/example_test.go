@@ -3,7 +3,6 @@ package checkpoint_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -13,7 +12,7 @@ import (
 )
 
 // ExampleWriter writes a scaled-down OPT model's weights raw (FP16) and
-// 4-bit quantized, then streams the quantized checkpoint back: the size
+// 4-bit quantized, then reads the quantized checkpoint back: the size
 // reduction compression buys every transfer an out-of-core server makes
 // (§IV-B), and the reconstruction error it costs.
 func ExampleWriter() {
@@ -63,21 +62,18 @@ func ExampleWriter() {
 	fmt.Printf("%d tensors: raw FP16 %d bytes, 4-bit %d bytes (%.2fx smaller)\n",
 		len(names), raw.Len(), packed.Len(), float64(raw.Len())/float64(packed.Len()))
 
-	r, err := checkpoint.NewReader(packed)
+	ix, err := checkpoint.NewIndexed(bytes.NewReader(packed.Bytes()))
 	if err != nil {
 		panic(err)
 	}
 	var errSq, sumSq float64
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	var data []float32
+	for slot, name := range ix.Names() {
+		if data, err = ix.ReadSlotInto(slot, data); err != nil {
 			panic(err)
 		}
-		for i, want := range weights[e.Name] {
-			d := float64(e.Data[i] - want)
+		for i, want := range weights[name] {
+			d := float64(data[i] - want)
 			errSq += d * d
 			sumSq += float64(want) * float64(want)
 		}

@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// fuzzSeeds is the checkpoint fuzzers' shared corpus: a valid version-2
-// stream, truncations and single flips of it, and legacy version-1
-// streams.
+// fuzzSeeds is FuzzIndexed's corpus: a valid version-2 checkpoint,
+// truncations and single flips of it, and legacy version-1 checkpoints.
 func fuzzSeeds(f *testing.F) [][]byte {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, "fuzz-model", 2)
@@ -56,44 +55,6 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 }
 
-// FuzzReader hardens the streaming checkpoint parser: arbitrary bytes must
-// either parse into consistent entries or be rejected with an error —
-// never panic, never allocate unbounded memory from a length field. With
-// the version-2 CRC records, every record-level rejection must also be
-// typed ErrCorrupt, so resilience layers can classify it as permanent.
-func FuzzReader(f *testing.F) {
-	for _, seed := range fuzzSeeds(f) {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 0; i < 1000; i++ {
-			e, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				// Record-level rejections are corruption by definition
-				// here: the only reader under a bytes.Reader that can
-				// fail mid-record is one looking at inconsistent bytes.
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("record error not typed ErrCorrupt: %v", err)
-				}
-				return
-			}
-			if e.Name == "" && len(e.Data) == 0 && e.StoredBytes != 0 {
-				t.Fatalf("inconsistent empty entry: %+v", e)
-			}
-			if e.Kind == KindRawFP16 && len(e.Data)*2 != e.StoredBytes {
-				t.Fatalf("fp16 size mismatch: %d elems, %d bytes", len(e.Data), e.StoredBytes)
-			}
-		}
-	})
-}
-
 // mappedBytes serves a byte slice the way a MappedFile serves its
 // mapping, so an index over it takes the zero-copy view path.
 type mappedBytes []byte
@@ -104,11 +65,14 @@ func (m mappedBytes) ReadAt(p []byte, off int64) (int, error) {
 
 func (m mappedBytes) Bytes() []byte { return m }
 
-// FuzzIndexed hardens the random-access index the same way: arbitrary
-// bytes must either fail NewIndexed or index records every read of which
-// — decoded or packed, through a ReaderAt or a mapping — returns data or
-// a typed ErrCorrupt, never panics, and allocates nothing a length field
-// claims beyond what the bytes hold.
+// FuzzIndexed hardens the checkpoint parser: arbitrary bytes must either
+// fail NewIndexed or index records every read of which — decoded or
+// packed, through a ReaderAt or a mapping — returns data or a typed
+// ErrCorrupt, never panics, and allocates nothing a length field claims
+// beyond what the bytes hold. Record-level rejections are corruption by
+// definition here: the only reader under a bytes.Reader that can fail
+// mid-record is one looking at inconsistent bytes, so resilience layers
+// can classify every one of them as permanent.
 func FuzzIndexed(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,8 +39,8 @@ func writeV1(modelName string, tensors []struct {
 	return out
 }
 
-// The writer now emits version 2; version-1 files must still stream and
-// index identically (minus integrity checking).
+// The writer now emits version 2; version-1 files must still index and
+// read (minus integrity checking).
 func TestV1CheckpointsStillLoad(t *testing.T) {
 	blob := writeV1("old-model", []struct {
 		name string
@@ -51,43 +50,31 @@ func TestV1CheckpointsStillLoad(t *testing.T) {
 		{"L001/w_q", []float32{0.5, -0.5}},
 	})
 
-	r, err := NewReader(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Errorf("version = %d, want 1", r.Version())
-	}
-	if r.ModelName() != "old-model" {
-		t.Errorf("model = %q", r.ModelName())
-	}
-	e, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Name != "L000/w_token" || len(e.Data) != 4 || e.Data[2] != 3 {
-		t.Fatalf("entry = %+v", e)
-	}
-	if e, err = r.Next(); err != nil || e.Name != "L001/w_q" {
-		t.Fatalf("entry 2 = %+v, err %v", e, err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-
 	ix, err := NewIndexed(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.Version() != 1 {
-		t.Errorf("indexed version = %d, want 1", ix.Version())
+		t.Errorf("version = %d, want 1", ix.Version())
 	}
-	got, err := ix.ReadTensor("L001/w_q")
+	if ix.ModelName() != "old-model" {
+		t.Errorf("model = %q", ix.ModelName())
+	}
+	if names := ix.Names(); len(names) != 2 || names[0] != "L000/w_token" || names[1] != "L001/w_q" {
+		t.Fatalf("names = %q", names)
+	}
+	got, err := ix.ReadTensor("L000/w_token")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != 4 || got[2] != 3 {
+		t.Fatalf("v1 read of L000/w_token = %v", got)
+	}
+	if got, err = ix.ReadTensor("L001/w_q"); err != nil {
+		t.Fatal(err)
+	}
 	if got[0] != 0.5 || got[1] != -0.5 {
-		t.Fatalf("v1 indexed read = %v", got)
+		t.Fatalf("v1 read of L001/w_q = %v", got)
 	}
 }
 
@@ -114,38 +101,6 @@ func v2Checkpoint(t *testing.T) (blob []byte, recordStart int) {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), 10 + len("m2") + 4
-}
-
-// Every single-bit flip inside a record — header bytes, CRC field, or
-// payload — must surface as ErrCorrupt from the streaming reader, never
-// as a silently wrong tensor.
-func TestCRCDetectsEveryRecordFlip(t *testing.T) {
-	blob, start := v2Checkpoint(t)
-	for pos := start; pos < len(blob); pos++ {
-		bad := append([]byte(nil), blob...)
-		bad[pos] ^= 0x10
-		r, err := NewReader(bytes.NewReader(bad))
-		if err != nil {
-			t.Fatalf("pos %d: header rejected: %v", pos, err)
-		}
-		sawCorrupt := false
-		for {
-			_, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("flip at %d: error not typed ErrCorrupt: %v", pos, err)
-				}
-				sawCorrupt = true
-				break
-			}
-		}
-		if !sawCorrupt {
-			t.Fatalf("flip at byte %d decoded successfully", pos)
-		}
-	}
 }
 
 // The index computes each record's header CRC once, at open, from the
@@ -214,25 +169,18 @@ func TestIndexedCRCDetectsEveryRecordFlip(t *testing.T) {
 	}
 }
 
-// Truncating the stream anywhere inside the record region must also be
-// typed corruption.
+// Truncating the file anywhere inside the record region must also be
+// typed corruption: the index rejects it at open, or a read of one of
+// its records fails.
 func TestCRCDetectsTruncation(t *testing.T) {
 	blob, start := v2Checkpoint(t)
 	for _, cut := range []int{start + 1, start + 10, len(blob) - 1, len(blob) - 7} {
-		r, err := NewReader(bytes.NewReader(blob[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: header rejected: %v", cut, err)
+		ix, err := NewIndexed(bytes.NewReader(blob[:cut]))
+		if err == nil {
+			err = ix.Verify()
 		}
-		var lastErr error
-		for {
-			_, err := r.Next()
-			if err != nil {
-				lastErr = err
-				break
-			}
-		}
-		if lastErr == io.EOF || !errors.Is(lastErr, ErrCorrupt) {
-			t.Errorf("cut at %d: err = %v, want ErrCorrupt", cut, lastErr)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut at %d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
 }

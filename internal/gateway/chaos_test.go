@@ -66,27 +66,9 @@ type replica struct {
 // in-process fronting.
 func startReplica(t *testing.T, name string, mc model.Config, path string, seed int64) *replica {
 	t.Helper()
-	var faultSeed atomic.Int64
-	faultSeed.Store(seed)
-	openStore := func() (infer.WeightStore, io.Closer, error) {
-		fs, err := infer.OpenFileStore(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := fs.Verify(); err != nil {
-			fs.Close()
-			return nil, nil, err
-		}
-		flaky, err := fault.NewStore(fs, fault.Plan{Seed: faultSeed.Add(1), TransientRate: 0.05})
-		if err != nil {
-			fs.Close()
-			return nil, nil, err
-		}
-		return flaky, fs, nil
-	}
 	s, err := server.New(context.Background(), server.Config{
 		Model:     mc,
-		OpenStore: openStore,
+		OpenStore: server.FileOpener(path, 0.05, seed+1),
 		Workers:   2,
 		MaxQueue:  64,
 		Retry:     infer.Retry{Max: 8, Sleep: noSleep},

@@ -455,30 +455,6 @@ func holdsPackedView(ld *loader) bool {
 	return false
 }
 
-// TopK keeps its sort and probability scratch between calls, so
-// steady-state sampling allocates nothing.
-func TestTopKSampleAllocsZero(t *testing.T) {
-	s, err := NewTopK(8, 0.9, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logits := tensor.New(1, 64)
-	for i := range logits.Data {
-		logits.Data[i] = float32((i * 37 % 64)) / 64
-	}
-	if _, err := s.Sample(logits); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Sample(logits); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("TopK.Sample allocates %.1f objects/call, want 0", allocs)
-	}
-}
-
 // Prefetching, its buffer recycling and who runs the load lane are pure
 // performance mechanisms: with recycling on (a backing that decodes into
 // caller buffers) or off (one that only serves Tensor), over read and

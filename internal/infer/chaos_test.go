@@ -369,6 +369,90 @@ func TestChaosCorruptionNotRetried(t *testing.T) {
 	}
 }
 
+// packedFailures records the packed reads of the file store that fail.
+type packedFailures struct {
+	*FileStore
+	mu    sync.Mutex
+	errs  []error
+	names []string // "L<layer>/<name>" of each failed read
+}
+
+func (p *packedFailures) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
+	q, ok, err := p.FileStore.TensorPacked(layer, name)
+	if err != nil {
+		p.mu.Lock()
+		p.errs = append(p.errs, err)
+		p.names = append(p.names, TensorKey(layer, name))
+		p.mu.Unlock()
+	}
+	return q, ok, err
+}
+
+// A corrupt 4-bit record read by a posted fetch: the prefetched engine
+// takes one clean step over a 4-bit checkpoint, then every payload read
+// is flipped. The fetch posted at the end of that step — the next step's
+// embedding layer, whose first tensor is stored packed — fails typed
+// ErrCorrupt through TensorPacked, the consumer counts one degraded
+// fetch, its foreground retry reads the same packed record and fails the
+// same way, and the generation returns the error without tokens. At one
+// worker the posted items run at the join, after the injector is armed.
+func TestChaosCorruptPackedReadUnderPrefetch(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
+	mc := tinyOPT()
+	path := writeTestCheckpoint(t, mc, 37)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ra, err := fault.NewReaderAt(f, fault.Plan{Seed: 13, CorruptRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra.SetArmed(false)
+	ix, err := checkpoint.NewIndexed(ra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := NewFileStore(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &packedFailures{FileStore: file}
+	eng := newPrefetchedSolo(t, mc, store, Retry{Max: 4, Sleep: noSleep})
+	defer eng.Close()
+	prompt := []int{1, 2, 3}
+	if _, err := stepOnce(eng.StepEngine, prompt); err != nil {
+		t.Fatalf("clean step: %v", err)
+	}
+
+	ra.SetArmed(true)
+	out, err := eng.generate(context.Background(), prompt, 4)
+	if out != nil {
+		t.Errorf("corrupt reads produced tokens: %v", out)
+	}
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("generation error %v, want ErrCorrupt", err)
+	}
+	if fault.IsTransient(err) {
+		t.Errorf("corruption classified transient: %v", err)
+	}
+	if d := eng.DegradedFetches(); d != 1 {
+		t.Errorf("degraded fetches = %d, want 1 (the posted fetch)", d)
+	}
+	// The posted fetch's read, then its foreground retry's: both of the
+	// packed embedding record, both typed.
+	first := TensorKey(mc.Layers()[0].Index, mc.Layers()[0].Weights[0].Name)
+	if len(store.names) != 2 || store.names[0] != first || store.names[1] != first {
+		t.Fatalf("failed packed reads %q, want the posted fetch's and the retry's of %s", store.names, first)
+	}
+	for i, err := range store.errs {
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("failed packed read %d: %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
 // Two engines share one fault-wrapped FileStore concurrently — the -race
 // gate for the injector, the degraded-fetch path, and the retry
 // counters. Both outputs must match the fault-free serial reference.

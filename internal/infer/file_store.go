@@ -3,6 +3,7 @@ package infer
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -178,4 +179,29 @@ func WriteCheckpoint(w io.Writer, cfg model.Config, src *MemStore, qc *quant.Con
 		}
 	}
 	return cw.Close()
+}
+
+// SynthesizeCheckpoint writes a new checkpoint of cfg's RandomWeights
+// (seeded, scale 0.06) to path, 4-bit quantized with quant.Default when
+// quantize is set: the model a command serves when no checkpoint is
+// named.
+func SynthesizeCheckpoint(path string, cfg model.Config, seed int64, quantize bool) error {
+	w, err := RandomWeights(cfg, seed, 0.06)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	var qc *quant.Config
+	if quantize {
+		c := quant.Default()
+		qc = &c
+	}
+	if err := WriteCheckpoint(f, cfg, w, qc); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -131,8 +131,12 @@ func (g *orderStore) Tensor(layer int, name string) ([]float32, error) {
 // foreground loop, which stops at the first failing tensor, would have
 // reported — whichever item failed first in time. Two joiners stand in
 // for the engine and a pool worker: one blocks inside the early tensor,
-// the other runs on to the late one.
+// the other runs on to the late one. At one worker Post publishes the
+// ticket to no pool worker, so those two are its only claimers: a worker
+// beside them could start an item after the late failure and before
+// failed is set.
 func TestLaneFirstErrorInSpecOrder(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(1))
 	mc := tinyOPT()
 	raw, err := RandomWeights(mc, 2, 0.08)
 	if err != nil {

@@ -139,12 +139,6 @@ func (p *Pool) PagesFor(n int) int {
 // evicting cached prefixes could reclaim).
 func (p *Pool) FreePages() int { return len(p.free) }
 
-// TotalPages reports the pool size.
-func (p *Pool) TotalPages() int { return p.totalPages }
-
-// PageTokens reports the page granularity.
-func (p *Pool) PageTokens() int { return p.pageTokens }
-
 // Len reports admitted sequences.
 func (p *Pool) Len() int { return len(p.seqs) }
 
@@ -457,14 +451,6 @@ type PoolStats struct {
 	PrefixEntries int `json:"prefix_entries"`
 	CoWCopies     int `json:"cow_copies"`
 	Evictions     int `json:"evictions"`
-}
-
-// HitRate is PrefixHits/PrefixLookups (0 when nothing was probed).
-func (s PoolStats) HitRate() float64 {
-	if s.PrefixLookups == 0 {
-		return 0
-	}
-	return float64(s.PrefixHits) / float64(s.PrefixLookups)
 }
 
 // Stats snapshots the pool.

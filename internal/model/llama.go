@@ -70,6 +70,29 @@ func Llama2_70B() Config {
 	return c.WithLlama(8, 28672)
 }
 
+// Mini returns the laptop-scale model the executable engine's commands
+// build from their flags: arch "opt", or "llama" with grouped-query
+// attention (half the heads as KV heads when the count is even) and a
+// gated FFN of 8/3 the hidden width. The result is validated.
+func Mini(arch string, hidden, heads, blocks, vocab int) (Config, error) {
+	c := Config{
+		Name: "mini-" + arch, Hidden: hidden, Heads: heads, Blocks: blocks,
+		Vocab: vocab, MaxSeq: 2048, DTypeBytes: 2,
+	}
+	switch arch {
+	case "opt":
+	case "llama":
+		kvHeads := heads
+		if heads%2 == 0 {
+			kvHeads = heads / 2
+		}
+		c = c.WithLlama(kvHeads, hidden*8/3)
+	default:
+		return Config{}, fmt.Errorf("unknown arch %q", arch)
+	}
+	return c, c.Validate()
+}
+
 // KVWidth is the K/V projection width — the row width of one cached
 // K or V position. Grouped-query attention shrinks it below Hidden;
 // the paged KV pool sizes its page rows with it.

@@ -155,3 +155,24 @@ func TestWithLlama(t *testing.T) {
 		t.Errorf("OPT dims changed")
 	}
 }
+
+// Mini is the commands' one flag-to-model constructor: the shapes they
+// serve, and the flag values it rejects.
+func TestMini(t *testing.T) {
+	o, err := Mini("opt", 64, 4, 2, 512)
+	if err != nil || o.Name != "mini-opt" || o.Arch != ArchOPT || o.MaxSeq != 2048 {
+		t.Errorf("opt: %+v, %v", o, err)
+	}
+	for _, tc := range []struct{ heads, kvHeads int }{{4, 2}, {3, 3}} {
+		l, err := Mini("llama", 48, tc.heads, 2, 512)
+		if err != nil || l.Arch != ArchLlama || l.KVHeads != tc.kvHeads || l.ffnDim() != 128 {
+			t.Errorf("llama with %d heads: %+v, %v", tc.heads, l, err)
+		}
+	}
+	if _, err := Mini("bogus", 64, 4, 2, 512); err == nil {
+		t.Errorf("unknown arch: %v", err)
+	}
+	if _, err := Mini("llama", 20, 4, 2, 512); err == nil {
+		t.Error("a llama head width of 5 (odd, no rotary pairs) validated")
+	}
+}

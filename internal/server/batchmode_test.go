@@ -23,7 +23,7 @@ func TestBatchModePagePressureSheds(t *testing.T) {
 	mc := tinyModel()
 	path, _ := writeCheckpoint(t, mc, 5)
 	s, ts := startServer(t, Config{
-		Model: mc, OpenStore: fileOpener(path), Workers: 1, MaxTokens: 64,
+		Model: mc, OpenStore: FileOpener(path, 0, 1), Workers: 1, MaxTokens: 64,
 		// 4 pages of 4 = 16 positions total.
 		Batch: BatchConfig{MaxSeqs: 2, KVPages: 4, PageTokens: 4},
 	})
@@ -60,7 +60,7 @@ func TestBatchModeHotReload(t *testing.T) {
 			mu.Lock()
 			p := current
 			mu.Unlock()
-			return fileOpener(p)()
+			return FileOpener(p, 0, 1)()
 		},
 		Workers: 2,
 		Batch:   BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},

@@ -278,6 +278,37 @@ func (bs breakerStore) TensorPacked(layer int, name string) (quant.Packed, bool,
 	return p, ok, err
 }
 
+// FileOpener is the OpenStore of a daemon serving the checkpoint file at
+// path: every call — startup and each reload — opens it for pread and
+// CRC-verifies every record before handing the store out. With faultRate
+// above zero a fresh injector of that transient rate wraps each store,
+// seeded faultSeed for the first and one more for each after, so reloads
+// (and replicas sharing one opener) do not replay one fault sequence. The file is read, not mapped: a mapping of a file rewritten
+// in place before the reload would fault the process.
+func FileOpener(path string, faultRate float64, faultSeed int64) func() (infer.WeightStore, io.Closer, error) {
+	var seed atomic.Int64
+	seed.Store(faultSeed - 1)
+	return func() (infer.WeightStore, io.Closer, error) {
+		fs, err := infer.OpenFileStore(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := fs.Verify(); err != nil {
+			fs.Close()
+			return nil, nil, fmt.Errorf("checkpoint integrity: %w", err)
+		}
+		if faultRate <= 0 {
+			return fs, fs, nil
+		}
+		flaky, err := fault.NewStore(fs, fault.Plan{Seed: seed.Add(1), TransientRate: faultRate})
+		if err != nil {
+			fs.Close()
+			return nil, nil, err
+		}
+		return flaky, fs, nil
+	}
+}
+
 // New opens the initial store via cfg.OpenStore, builds the batcher on
 // it and starts the workers. ctx anchors the daemon: the engine, its
 // prefetcher, and force-drain all descend from it.

@@ -51,22 +51,6 @@ func writeCheckpoint(t *testing.T, mc model.Config, seed int64) (string, *infer.
 	return path, w
 }
 
-// fileOpener is the production OpenStore shape: open the checkpoint,
-// verify its checksums, serve it.
-func fileOpener(path string) func() (infer.WeightStore, io.Closer, error) {
-	return func() (infer.WeightStore, io.Closer, error) {
-		fs, err := infer.OpenFileStore(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := fs.Verify(); err != nil {
-			fs.Close()
-			return nil, nil, err
-		}
-		return fs, fs, nil
-	}
-}
-
 // noSleep keeps retry backoff off the test clock.
 func noSleep(time.Duration) {}
 
@@ -173,7 +157,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	}
 
 	s, ts := startServer(t, Config{
-		Model: mc, OpenStore: fileOpener(path), Workers: 3,
+		Model: mc, OpenStore: FileOpener(path, 0, 1), Workers: 3,
 		Retry: infer.Retry{Max: 2, Sleep: noSleep},
 		Batch: BatchConfig{MaxSeqs: 2, KVPages: 64, PageTokens: 4},
 	})
@@ -259,7 +243,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	mc := tinyModel()
 	path, _ := writeCheckpoint(t, mc, 2)
-	s, ts := startServer(t, Config{Model: mc, OpenStore: fileOpener(path), MaxTokens: 8})
+	s, ts := startServer(t, Config{Model: mc, OpenStore: FileOpener(path, 0, 1), MaxTokens: 8})
 	cases := []struct {
 		name string
 		body string
@@ -448,7 +432,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestHealthEndpointsAndDrain(t *testing.T) {
 	mc := tinyModel()
 	path, _ := writeCheckpoint(t, mc, 5)
-	s, ts := startServer(t, Config{Model: mc, OpenStore: fileOpener(path)})
+	s, ts := startServer(t, Config{Model: mc, OpenStore: FileOpener(path, 0, 1)})
 
 	get := func(p string) int {
 		resp, err := http.Get(ts.URL + p)
@@ -750,7 +734,7 @@ func TestHotReloadSwapsGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := startServer(t, Config{Model: mc, OpenStore: fileOpener(path)})
+	s, ts := startServer(t, Config{Model: mc, OpenStore: FileOpener(path, 0, 1)})
 	status, gr, msg := postGenerate(t, ts.URL, GenerateRequest{Prompt: []int{1, 2}, MaxTokens: 6})
 	if status != http.StatusOK {
 		t.Fatalf("pre-reload request: %d (%s)", status, msg)

@@ -23,7 +23,6 @@ const (
 	GiB Bytes = 1 << 30
 	TiB Bytes = 1 << 40
 
-	KB Bytes = 1e3
 	MB Bytes = 1e6
 	GB Bytes = 1e9
 	TB Bytes = 1e12
@@ -70,9 +69,6 @@ const (
 
 // Seconds reports the duration in seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
-
-// Milliseconds reports the duration in milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) * 1e3 }
 
 // Microseconds reports the duration in microseconds.
 func (d Duration) Microseconds() float64 { return float64(d) * 1e6 }
