@@ -224,15 +224,10 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		for {
 			select {
 			case <-hup:
-				switch err := s.Reload(); {
-				case err == nil:
-					fmt.Fprintf(stderr, "helmd: reloaded checkpoint, now serving generation %d\n", s.Stats().Generation)
-				case errors.Is(err, server.ErrStaleClose):
-					// The new generation is serving; only the old store's
-					// cleanup failed.
-					fmt.Fprintf(stderr, "helmd: reloaded checkpoint to generation %d with cleanup warning: %v\n", s.Stats().Generation, err)
-				default:
+				if err := s.Reload(); err != nil {
 					fmt.Fprintln(stderr, "helmd: reload failed, serving generation unchanged:", err)
+				} else {
+					fmt.Fprintf(stderr, "helmd: reloaded checkpoint, now serving generation %d\n", s.Stats().Generation)
 				}
 			case <-ctx.Done():
 				return

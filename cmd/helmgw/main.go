@@ -359,13 +359,10 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 					continue
 				}
 				for i, s := range f.servers {
-					switch err := s.Reload(); {
-					case err == nil:
-						fmt.Fprintf(stderr, "helmgw: replica %s reloaded, now serving generation %d\n", f.names[i], s.Stats().Generation)
-					case errors.Is(err, server.ErrStaleClose):
-						fmt.Fprintf(stderr, "helmgw: replica %s reloaded to generation %d with cleanup warning: %v\n", f.names[i], s.Stats().Generation, err)
-					default:
+					if err := s.Reload(); err != nil {
 						fmt.Fprintf(stderr, "helmgw: replica %s reload failed, serving generation unchanged: %v\n", f.names[i], err)
+					} else {
+						fmt.Fprintf(stderr, "helmgw: replica %s reloaded, now serving generation %d\n", f.names[i], s.Stats().Generation)
 					}
 				}
 			case <-ctx.Done():

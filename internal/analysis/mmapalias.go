@@ -6,9 +6,9 @@ import (
 )
 
 // MmapAlias mechanizes DESIGN §3h: a slice derived from an mmap'd
-// checkpoint is only valid while the mapping's generation is pinned,
-// so a view must stay inside the frame that fetched it. The kernel is
-// free to unmap a retired generation the moment its pin count drops;
+// checkpoint is only valid while the mapping's generation is open,
+// so a view must stay inside the frame that fetched it. The daemon
+// unmaps a retired generation the moment its last batcher stops;
 // a view squirreled into a struct field, sent on a channel, captured
 // by a spawned goroutine, or returned to an unsuspecting caller turns
 // that unmap into a use-after-free SIGBUS at an arbitrary later

@@ -110,7 +110,7 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 
 	// Effective streaming bandwidth per layer: bytes / time, to convert a
 	// time overshoot into a byte count to migrate.
-	sizer := sizerFor(rc)
+	sizer := placement.SizerFor(rc.Quantizer())
 	hostBytes := make([]units.Bytes, n)
 	for i, lp := range layers {
 		hostBytes[i] = lp.TotalBytes(sizer)
@@ -215,12 +215,4 @@ type layerState struct {
 	onGPU    map[string]bool
 	remain   units.Bytes    // bytes still on the host
 	overlapC units.Duration // compute of the layer whose slot hides us
-}
-
-// sizerFor maps specs to stored size under the run's compression setting.
-func sizerFor(rc core.RunConfig) placement.Sizer {
-	if !rc.Compress {
-		return placement.RawSizer
-	}
-	return compressedSizer()
 }

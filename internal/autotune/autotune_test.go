@@ -23,7 +23,7 @@ func TestBalanceRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := mp.TotalOn(placement.TierGPU, compressedSizer())
+	used := mp.TotalOn(placement.TierGPU, placement.SizerFor(core.RunConfig{Compress: true}.Quantizer()))
 	if used > budget {
 		t.Errorf("GPU bytes %v exceed budget %v", used, budget)
 	}

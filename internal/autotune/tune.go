@@ -7,16 +7,9 @@ import (
 	"helmsim/internal/core"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/quant"
 	"helmsim/internal/runcache"
 	"helmsim/internal/units"
 )
-
-// compressedSizer maps specs through the default 4-bit quantizer.
-func compressedSizer() placement.Sizer {
-	qc := quant.Default()
-	return func(s model.WeightSpec) units.Bytes { return qc.CompressedBytes(s.Elems) }
-}
 
 // Objective selects what Tune optimizes.
 type Objective int

@@ -15,10 +15,10 @@ import (
 // an io.ReaderAt, so Indexed works on top of it unchanged.
 //
 // Lifetime contract (DESIGN §3h): Bytes views are only valid until
-// Close. Close unmaps the pages, so a caller that may race a Close —
-// e.g. an engine reading weights across a SwappableStore hot reload —
-// must hold a store pin for the duration of every read; the swap path
-// guarantees Close runs only after the last pin is released.
+// Close. Close unmaps the pages, so whoever closes must first stop
+// every reader: the serving daemon closes a retired checkpoint
+// generation only after the last engine built on it has closed and
+// joined its fetches.
 type MappedFile struct {
 	data   []byte   // the mapping; nil when not mapped
 	f      *os.File // fallback backing; nil when mapped
@@ -68,7 +68,7 @@ func (m *MappedFile) ReadAt(p []byte, off int64) (int, error) {
 
 // Close releases the mapping (or the fallback file). It is idempotent.
 // No Bytes view or ReadAt may be in flight or used afterwards — see the
-// pin discipline above.
+// lifetime contract above.
 func (m *MappedFile) Close() error {
 	if m.closed.Swap(true) {
 		return nil

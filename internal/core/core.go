@@ -139,15 +139,15 @@ func (rc RunConfig) Canonical() RunConfig {
 // claim, leaving room for staging, KV cache and reserve on the 40 GB A100.
 const defaultGPUWeightBudget = 31 * units.GB
 
-// sizerFor maps weight specs to their stored size under the compression
-// setting; compressed runs also get the quantizer configuration driving
-// the schedule's dequantization cost.
-func sizerFor(compress bool) (placement.Sizer, *quant.Config) {
-	if !compress {
-		return placement.RawSizer, nil
+// Quantizer is the run's weight quantizer: quant.Default when Compress
+// is set, nil otherwise. placement.SizerFor maps weight specs through it
+// to their stored size, and the schedule charges its dequantization.
+func (rc RunConfig) Quantizer() *quant.Config {
+	if !rc.Compress {
+		return nil
 	}
 	c := quant.Default()
-	return func(s model.WeightSpec) units.Bytes { return c.CompressedBytes(s.Elems) }, &c
+	return &c
 }
 
 // solveBudget derives a placement's GPU memory plan: the resident weight
@@ -181,7 +181,7 @@ func DefaultPolicy(m model.Config, mem MemoryConfig, compress bool) placement.Po
 	if mem == MemSSD || mem == MemFSDAX {
 		return placement.Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}
 	}
-	sizer, _ := sizerFor(compress)
+	sizer := placement.SizerFor(RunConfig{Compress: compress}.Quantizer())
 	for _, g := range []float64{50, 40, 30, 20, 10} {
 		cand := placement.Baseline{DiskPct: 0, CPUPct: 100 - g, GPUPct: g}
 		mp, err := placement.PlaceModel(cand, m)
@@ -209,8 +209,6 @@ type RunResult struct {
 	// MaxBatch is the largest batch the GPU budget admits under this
 	// placement.
 	MaxBatch int
-	// Compressed echoes the compression setting.
-	Compressed bool
 }
 
 // Run executes one configuration end to end: place weights, verify
@@ -226,7 +224,8 @@ func Run(rc RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 
-	sizer, qc := sizerFor(rc.Compress)
+	qc := rc.Quantizer()
+	sizer := placement.SizerFor(qc)
 
 	// Host/storage capacity checks: the host tier spans both sockets.
 	cpuBytes := mp.TotalOn(placement.TierCPU, sizer)
@@ -278,7 +277,6 @@ func Run(rc RunConfig) (*RunResult, error) {
 		GPUWeightBytes: gpuBytes,
 		StagingBytes:   staging,
 		MaxBatch:       maxBatch,
-		Compressed:     rc.Compress,
 	}, nil
 }
 
@@ -298,7 +296,6 @@ func MaxBatchFor(rc RunConfig) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	sizer, _ := sizerFor(rc.Compress)
-	_, _, maxBatch, err := solveBudget(rc, mp, sizer)
+	_, _, maxBatch, err := solveBudget(rc, mp, placement.SizerFor(rc.Quantizer()))
 	return maxBatch, err
 }

@@ -8,7 +8,6 @@ import (
 	"helmsim/internal/memdev"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/quant"
 	"helmsim/internal/report"
 	"helmsim/internal/sched"
 	"helmsim/internal/units"
@@ -142,10 +141,7 @@ func estimateEnergy(rc core.RunConfig, res *core.RunResult) (energyBreakdown, er
 	}
 
 	// Bytes streamed per pass: everything not GPU-resident.
-	sizer := placement.RawSizer
-	if res.Compressed {
-		sizer = compressedSizer()
-	}
+	sizer := placement.SizerFor(rc.Quantizer())
 	cpuBytes := res.Placement.TotalOn(placement.TierCPU, sizer)
 	diskBytes := res.Placement.TotalOn(placement.TierDisk, sizer)
 	passes := 1 + len(res.Decode)
@@ -196,10 +192,4 @@ func estimateEnergy(rc core.RunConfig, res *core.RunResult) (energyBreakdown, er
 		b.TokensPerJoule = tokens / b.TotalJ
 	}
 	return b, nil
-}
-
-// compressedSizer maps specs through the default quantizer.
-func compressedSizer() placement.Sizer {
-	qc := quant.Default()
-	return func(s model.WeightSpec) units.Bytes { return qc.CompressedBytes(s.Elems) }
 }

@@ -45,7 +45,7 @@ func runFig4() ([]*report.Table, error) {
 		Headers: []string{"model", "memory", "batch", "TTFT(s)", "TBT(s)", "tok/s"},
 	}
 	for _, p := range points {
-		m, err := serve.PaperProtocol(core.RunConfig{Model: p.model, Memory: p.mem, Batch: p.batch}, 3)
+		m, err := serve.PaperProtocol(core.RunConfig{Model: p.model, Memory: p.mem, Batch: p.batch})
 		if err != nil {
 			return nil, fmt.Errorf("fig4 %s/%s b%d: %w", p.model.Name, p.mem, p.batch, err)
 		}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
-	"helmsim/internal/checkpoint"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -123,7 +121,7 @@ func stepDecodeAllocs(t *testing.T, cfg model.Config, se *StepEngine) float64 {
 	return testing.AllocsPerRun(10, stepDecode(t, cfg, se))
 }
 
-// A step engine over a quantized store stops allocating once the
+// A step engine decoding a 4-bit checkpoint stops allocating once the
 // loader's recycled buffers have seen one full layer cycle: every
 // dequantization decodes into a buffer of a layer the engine has left.
 func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
@@ -132,11 +130,7 @@ func TestStepDecodeAllocsQuantRecycledZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(cfg, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := NewStepEngine(cfg, qs)
+	se, err := NewStepEngine(cfg, decodeOnly{memCheckpoint(t, cfg, raw)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,19 +436,6 @@ func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
 	}
 }
 
-// holdsPackedView reports whether the loader's current bundle carries a
-// packed view.
-func holdsPackedView(ld *loader) bool {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	for _, w := range ld.cur.data {
-		if w.packed {
-			return true
-		}
-	}
-	return false
-}
-
 // Prefetching, its buffer recycling and who runs the load lane are pure
 // performance mechanisms: with recycling on (a backing that decodes into
 // caller buffers) or off (one that only serves Tensor), over read and
@@ -529,134 +510,5 @@ func TestPrefetchRecycleIdentity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// Hot checkpoint reload over mmap-backed stores: generations pin the
-// store generation they started on, so a concurrent Swap (whose closer
-// unmaps the old generation's file) must never yank pages out from
-// under an in-flight decode, and every retired generation's closer must
-// still run exactly once. Run with -race this doubles as the
-// unmap-after-release ordering check.
-func TestSwappableMmapHotReloadRace(t *testing.T) {
-	// A width the fused kernels take, so the readers' engines hold packed
-	// views of the mapping in their loaders' bundles and decode them inside
-	// the GEMMs while generations swap underneath.
-	cfg := stackOPT()
-	path := writeTestCheckpoint(t, cfg, 47)
-	prompt := []int{2, 9, 4}
-	const n = 6
-
-	ref, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refEng, err := New(cfg, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := refEng.Generate(prompt, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	first, err := OpenFileStoreMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := NewSwappable(first, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const swaps = 5
-	const readersN = 2
-	const roundsPerReader = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, readersN*roundsPerReader+swaps)
-
-	for r := 0; r < readersN; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < roundsPerReader; round++ {
-				w, _, release, err := sw.Acquire()
-				if err != nil {
-					errs <- err
-					return
-				}
-				// The prefetched engine holds packed views of the mapping
-				// (and decodes the raw records straight out of it); Close
-				// joins background fetches before the pin drops, so no
-				// read and no view outlives the generation.
-				se, err := NewStepEnginePrefetched(context.Background(), cfg, w, Retry{})
-				if err != nil {
-					release()
-					errs <- err
-					return
-				}
-				got, genErr := prefetchedSolo{se}.generate(context.Background(), prompt, n)
-				closeErr := se.Close()
-				if genErr == nil && checkpoint.MmapSupported() && !holdsPackedView(se.ld) {
-					genErr = fmt.Errorf("prefetched engine over a pinned mmap generation holds no packed view")
-				}
-				release()
-				if genErr != nil {
-					errs <- genErr
-					return
-				}
-				if closeErr != nil {
-					errs <- closeErr
-					return
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						errs <- fmt.Errorf("reader token %d = %d, want %d", i, got[i], want[i])
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < swaps; i++ {
-			fs, err := OpenFileStoreMmap(path)
-			if err != nil {
-				errs <- err
-				return
-			}
-			installed, err := sw.Swap(fs, fs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !installed {
-				errs <- fmt.Errorf("swap %d not installed", i)
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.DeferredCloseErr(); err != nil {
-		t.Fatal(err)
-	}
-	// Every generation — the initial store, each swapped-in one — has
-	// been retired and its mapping released exactly once.
-	if got, wantGens := sw.RetiredGenerations(), int64(swaps+1); got != wantGens {
-		t.Errorf("retired generations = %d, want %d", got, wantGens)
 	}
 }

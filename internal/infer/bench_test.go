@@ -21,15 +21,11 @@ func benchModel() model.Config {
 	}
 }
 
-// benchStores builds the three serving tiers over one weight set: raw
-// in-memory, quantized (per-use dequant), and an on-disk checkpoint.
-func benchStores(tb testing.TB, mc model.Config) (mem *MemStore, qs *QuantStore, fs *FileStore) {
+// benchStores builds the two serving tiers over one weight set: raw
+// in-memory and an on-disk 4-bit checkpoint.
+func benchStores(tb testing.TB, mc model.Config) (mem *MemStore, fs *FileStore) {
 	tb.Helper()
 	raw, err := RandomWeights(mc, 3, 0.05)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	qs, err = Quantize(mc, raw, quant.Default())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func benchStores(tb testing.TB, mc model.Config) (mem *MemStore, qs *QuantStore,
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { fs.Close() })
-	return raw, qs, fs
+	return raw, fs
 }
 
 // benchGenerate runs lockstep batched generation per iteration, at
@@ -93,17 +89,12 @@ func benchGenerate(b *testing.B, store WeightStore) {
 }
 
 func BenchmarkLockstepMemStore(b *testing.B) {
-	mem, _, _ := benchStores(b, benchModel())
+	mem, _ := benchStores(b, benchModel())
 	benchGenerate(b, mem)
 }
 
-func BenchmarkLockstepQuantStore(b *testing.B) {
-	_, qs, _ := benchStores(b, benchModel())
-	benchGenerate(b, qs)
-}
-
 func BenchmarkLockstepFileStore(b *testing.B) {
-	_, _, fs := benchStores(b, benchModel())
+	_, fs := benchStores(b, benchModel())
 	benchGenerate(b, fs)
 }
 

@@ -557,7 +557,8 @@ func TestCloseOrderingSurfacesTypedClosedError(t *testing.T) {
 	}
 }
 
-// MemStore and QuantStore hand out copies: a caller scribbling on a
+// MemStore and FileStore hand out copies — the FileStore here over an
+// image whose payloads it reads as views — so a caller scribbling on a
 // returned tensor must not corrupt the store for later layer visits.
 func TestStoreTensorsAreCopies(t *testing.T) {
 	mc := tinyOPT()
@@ -565,18 +566,15 @@ func TestStoreTensorsAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(mc, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := memCheckpoint(t, mc, raw)
 	for _, tc := range []struct {
 		store WeightStore
 		name  string
 	}{
 		{raw, "w_token"}, // MemStore raw weight
 		{raw, "w_ln"},    // MemStore norm gain
-		{qs, "w_ln"},     // QuantStore raw (uncompressed) param
-		{qs, "b_ln"},     // QuantStore bias
+		{fs, "w_ln"},     // FileStore raw (uncompressed) param
+		{fs, "b_ln"},     // FileStore bias
 	} {
 		layer := 1
 		if tc.name == "w_token" {

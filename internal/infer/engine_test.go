@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"helmsim/internal/model"
-	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
 
@@ -161,19 +160,16 @@ func TestGenerateDeterministicAndResetWorks(t *testing.T) {
 	}
 }
 
-// Quantized weights (dequantized per use, FlexGen's serving mode) produce
-// outputs close to the raw weights, and the dequant counter observes the
-// per-layer-per-step decompression cost.
+// Quantized weights (decoded per use, FlexGen's serving mode) produce
+// outputs close to the raw weights, and the read counter observes one
+// fetch per tensor per forward.
 func TestQuantizedServingCloseToRaw(t *testing.T) {
 	cfg := tinyOPT()
 	raw, err := RandomWeights(cfg, 21, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(cfg, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := memCheckpoint(t, cfg, raw)
 	eRaw, err := New(cfg, raw)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +198,10 @@ func TestQuantizedServingCloseToRaw(t *testing.T) {
 	if rel := math.Sqrt(se / ss); rel > 0.5 {
 		t.Errorf("quantized logits relative error %.3f too large", rel)
 	}
-	// Dequant happened once per projection tensor per forward: 2 blocks x
-	// (4 attn + 2 ffn) + 2 embedding tables.
-	if qs.Dequants() < 10 {
-		t.Errorf("dequant counter = %d, expected per-use decompression", qs.Dequants())
+	// One read per tensor per forward: the quantized projections and
+	// embedding tables, and the raw norm gains and biases beside them.
+	if got, want := qs.Reads(), weightCount(cfg); got != want {
+		t.Errorf("read counter = %d, want one per tensor (%d)", got, want)
 	}
 }
 
@@ -278,15 +274,8 @@ func TestStoreMissingTensor(t *testing.T) {
 	}
 	cfg := tinyOPT()
 	raw, _ := RandomWeights(cfg, 1, 0.1)
-	qs, _ := Quantize(cfg, raw, quant.Default())
-	if _, err := qs.Tensor(99, "nope"); err == nil {
+	if _, err := memCheckpoint(t, cfg, raw).Tensor(99, "nope"); err == nil {
 		t.Errorf("missing quant tensor accepted")
-	}
-	if _, err := Quantize(cfg, NewMemStore(), quant.Default()); err == nil {
-		t.Errorf("incomplete source accepted")
-	}
-	if _, err := Quantize(cfg, raw, quant.Config{Bits: 3, GroupSize: 4}); err == nil {
-		t.Errorf("invalid quant config accepted")
 	}
 }
 

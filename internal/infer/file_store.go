@@ -51,8 +51,8 @@ func OpenFileStore(path string) (*FileStore, error) {
 // reads decode straight out of the page cache with no payload copy
 // (record CRCs are still verified per read). On platforms without mmap
 // it behaves exactly like OpenFileStore. Closing the store unmaps the
-// file — when the store sits under a SwappableStore, the swap path's
-// pin ordering guarantees no reader still holds a view (DESIGN §3h).
+// file: close it only after every engine reading it has closed, as the
+// serving daemon does with a retired generation (DESIGN §3h).
 func OpenFileStoreMmap(path string) (*FileStore, error) {
 	ix, err := checkpoint.OpenIndexedMmap(path)
 	if err != nil {

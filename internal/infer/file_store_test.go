@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,12 +9,47 @@ import (
 	"testing"
 
 	"helmsim/internal/checkpoint"
+	"helmsim/internal/model"
 	"helmsim/internal/quant"
 )
 
+// memFile is a checkpoint image in memory. Its Bytes method makes the
+// index serve payloads as views of it, the way a mapping does.
+type memFile []byte
+
+func (m memFile) ReadAt(p []byte, off int64) (int, error) { return bytes.NewReader(m).ReadAt(p, off) }
+
+func (m memFile) Bytes() []byte { return m }
+
+// memCheckpoint writes raw's weights for cfg as a 4-bit checkpoint in
+// memory and serves it through checkpoint.NewIndexed: the quantized
+// records come back as packed views, the raw norm gains and biases
+// decode into the caller's buffer.
+func memCheckpoint(tb testing.TB, cfg model.Config, raw *MemStore) *FileStore {
+	tb.Helper()
+	var buf bytes.Buffer
+	qc := quant.Default()
+	if err := WriteCheckpoint(&buf, cfg, raw, &qc); err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := checkpoint.NewIndexed(memFile(buf.Bytes()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs, err := NewFileStore(ix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs
+}
+
+// decodeOnly hides a store's packed views, so every 4-bit record
+// decodes into the loader's recycled buffers.
+type decodeOnly struct{ IntoStore }
+
 // End-to-end out-of-core serving: write a quantized checkpoint to disk,
-// open it as a weight store, and generate — the logits match the in-memory
-// quantized store exactly, and every tensor access is a disk read.
+// open it as a weight store, and generate — the logits match the same
+// checkpoint served from memory, and every tensor access is a disk read.
 func TestFileStoreOutOfCoreGeneration(t *testing.T) {
 	cfg := tinyOPT()
 	raw, err := RandomWeights(cfg, 31, 0.08)
@@ -56,11 +92,7 @@ func TestFileStoreOutOfCoreGeneration(t *testing.T) {
 	}
 
 	// Reference: the same quantized weights served from memory.
-	qs, err := Quantize(cfg, raw, qc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eMem, err := New(cfg, qs)
+	eMem, err := New(cfg, memCheckpoint(t, cfg, raw))
 	if err != nil {
 		t.Fatal(err)
 	}

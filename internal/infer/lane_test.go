@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
 )
 
@@ -199,10 +198,7 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(mc, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := decodeOnly{memCheckpoint(t, mc, raw)}
 	se, err := NewStepEnginePrefetched(context.Background(), mc, qs, Retry{})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +206,7 @@ func TestLaneOffScheduleJumpRecyclesTicket(t *testing.T) {
 	defer se.Close()
 	ld := se.ld
 	if ld.into == nil {
-		t.Fatal("recycling is off over a QuantStore")
+		t.Fatal("recycling is off over a decoding FileStore")
 	}
 	if _, err := ld.layer(0); err != nil {
 		t.Fatal(err)
@@ -297,10 +293,7 @@ func TestLanePanicReturnsRecycledSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(mc, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := decodeOnly{memCheckpoint(t, mc, raw)}
 	defer tensor.SetParallelism(tensor.SetParallelism(1))
 
 	type outcome struct {

@@ -472,8 +472,8 @@ func (se *StepEngine) LaneStats() (byWorker, byConsumer int) {
 
 // Settle blocks until no posted fetch is in flight, leaving the
 // completed prefetch for the engine; the calling goroutine fetches what
-// no worker has claimed. Serving workers call it between requests so no
-// fetch issued under one request's generation pin outlives that pin;
+// no worker has claimed. Callers use it between requests so no fetch
+// issued for one request outlives it;
 // beside an engine that keeps stepping there is nearly always a fetch
 // posted, and Settle returns when the engine pauses.
 func (se *StepEngine) Settle() { se.ld.ticket.task.Join() }

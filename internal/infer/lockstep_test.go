@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"helmsim/internal/model"
-	"helmsim/internal/quant"
 )
 
 // lockstep greedily decodes n tokens for every prompt on se, all
@@ -85,7 +84,7 @@ func TestLockstepMatchesIndependentEngines(t *testing.T) {
 }
 
 // The weight-reuse property: with quantized weights, the engine's loader
-// makes backing fetches (and dequantizations) independent of the batch
+// makes backing fetches (and checkpoint reads) independent of the batch
 // size — FlexGen's zig-zag reuse, executable.
 func TestLockstepWeightReuse(t *testing.T) {
 	mc := tinyOPT()
@@ -93,11 +92,8 @@ func TestLockstepWeightReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetchesFor := func(nSeqs int) (fetches, dequants int) {
-		qs, err := Quantize(mc, raw, quant.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
+	fetchesFor := func(nSeqs int) (fetches, reads int) {
+		qs := memCheckpoint(t, mc, raw)
 		se, err := NewStepEngine(mc, qs)
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +105,7 @@ func TestLockstepWeightReuse(t *testing.T) {
 		if _, err := lockstep(context.Background(), se, prompts, 4); err != nil {
 			t.Fatal(err)
 		}
-		return se.WeightFetches(), qs.Dequants()
+		return se.WeightFetches(), qs.Reads()
 	}
 	f1, d1 := fetchesFor(1)
 	f8, d8 := fetchesFor(8)
@@ -117,7 +113,7 @@ func TestLockstepWeightReuse(t *testing.T) {
 		t.Errorf("backing fetches scaled with batch: %d -> %d", f1, f8)
 	}
 	if d8 != d1 {
-		t.Errorf("dequantizations scaled with batch: %d -> %d", d1, d8)
+		t.Errorf("checkpoint reads scaled with batch: %d -> %d", d1, d8)
 	}
 }
 

@@ -40,7 +40,7 @@ func (p prefetchedSolo) generate(ctx context.Context, prompt []int, n int) ([]in
 
 // Prefetched execution is a pure overlap optimization: greedy outputs
 // must match the plain engine exactly, for both architectures and for
-// raw and quantized backings.
+// raw, packed 4-bit and decoded 4-bit backings.
 func TestPrefetchMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -55,11 +55,8 @@ func TestPrefetchMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qs, err := Quantize(mc, raw, quant.Default())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, store := range []WeightStore{raw, qs} {
+			q4 := memCheckpoint(t, mc, raw)
+			for _, store := range []WeightStore{raw, q4, decodeOnly{q4}} {
 				plain, err := New(mc, store)
 				if err != nil {
 					t.Fatal(err)
@@ -89,8 +86,8 @@ func TestPrefetchMatchesDirect(t *testing.T) {
 // The prefetcher must hit after the cold start: one foreground fetch for
 // the very first layer, then every layer arrives via the background
 // fetch — including across step boundaries (output-embed wraps to
-// input-embed). And the weight traffic must be unchanged: one dequant
-// per quantized tensor per layer visit, same as the plain engine —
+// input-embed). And the weight traffic must be unchanged: one read
+// per tensor per layer visit, same as the plain engine —
 // plus the one look-ahead the pipeline has in flight when generation
 // stops (the next step's input embedding), which is joined before
 // counting so the comparison does not depend on how far a background
@@ -101,11 +98,9 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countFor := func(prefetched bool) (dequants, hits, misses int) {
-		qs, err := Quantize(mc, raw, quant.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
+	countFor := func(prefetched bool) (reads, hits, misses int) {
+		qs := memCheckpoint(t, mc, raw)
+		var err error
 		prompts := [][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
 		var se *StepEngine
 		if prefetched {
@@ -122,18 +117,13 @@ func TestPrefetchHitsAndWeightTraffic(t *testing.T) {
 		}
 		se.Settle()
 		h, m := se.PrefetchStats()
-		return qs.Dequants(), h, m
+		return qs.Reads(), h, m
 	}
-	lookAhead := 0
-	for _, w := range mc.Layers()[0].Weights {
-		if !isNormParam(w.Name) && !isBiasParam(w.Name) {
-			lookAhead++
-		}
-	}
+	lookAhead := len(mc.Layers()[0].Weights)
 	dPlain, _, _ := countFor(false)
 	dPre, hits, misses := countFor(true)
 	if dPre != dPlain+lookAhead {
-		t.Errorf("prefetch changed dequant traffic: %d, want %d + %d trailing look-ahead", dPre, dPlain, lookAhead)
+		t.Errorf("prefetch changed read traffic: %d, want %d + %d trailing look-ahead", dPre, dPlain, lookAhead)
 	}
 	if misses != 1 {
 		t.Errorf("prefetch misses = %d, want 1 (cold start only)", misses)
@@ -156,10 +146,7 @@ func TestLockstepParallelismInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(mc, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := memCheckpoint(t, mc, raw)
 	prompts := [][]int{{1, 2, 3}, {9, 4}, {7, 7, 7, 7}, {600, 2}}
 	run := func(par int, prefetched bool) [][]int {
 		prev := tensor.SetParallelism(par)

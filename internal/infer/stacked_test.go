@@ -39,18 +39,16 @@ var stackSchedule = [][3][]int{
 }
 
 // stackStores opens the weight stores the property is checked over: f32
-// in memory, quantized in memory, and the 4-bit checkpoint through read
-// and mmap file stores (the two that hand out packed views).
+// in memory, the 4-bit checkpoint in memory decoded per fetch, and the
+// 4-bit checkpoint through read and mmap file stores (the two that hand
+// out packed views).
 func stackStores(t *testing.T, cfg model.Config, seed int64) map[string]WeightStore {
 	t.Helper()
 	raw, err := RandomWeights(cfg, seed, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := Quantize(cfg, raw, quant.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	qs := decodeOnly{memCheckpoint(t, cfg, raw)}
 	path := writeTestCheckpoint(t, cfg, seed)
 	file, err := OpenFileStore(path)
 	if err != nil {

@@ -14,7 +14,6 @@ package infer
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
@@ -36,10 +35,9 @@ type WeightStore interface {
 // ViewStore is an optional WeightStore extension serving zero-copy
 // read-only views. TensorView returns the store's own storage: the
 // caller must never mutate it, and may hold it only while the store
-// (or, under a SwappableStore, the pinned generation) stays open — see
-// DESIGN §3h for the ownership rules. Engines prefer views when the
-// store offers them, which removes the per-fetch defensive copy from
-// the decode hot path.
+// stays open — see DESIGN §3h for the ownership rules. Engines prefer
+// views when the store offers them, which removes the per-fetch
+// defensive copy from the decode hot path.
 type ViewStore interface {
 	WeightStore
 	// TensorView returns the tensor's contents without copying.
@@ -173,101 +171,4 @@ func isBiasParam(name string) bool {
 		return true
 	}
 	return false
-}
-
-// QuantStore holds group-wise quantized weights and dequantizes per use —
-// FlexGen's compressed serving mode, where every access pays the
-// decompression the simulator charges DequantTime for. Norm gains and
-// biases stay raw, as FlexGen keeps small tensors uncompressed.
-type QuantStore struct {
-	q   map[storeKey]*quant.Tensor
-	raw map[storeKey][]float32
-	// dequants counts decompression calls (observable cost); atomic so
-	// the prefetcher's background dequantization can race foreground use.
-	dequants atomic.Int64
-}
-
-// Dequants reports the decompression calls so far.
-func (s *QuantStore) Dequants() int { return int(s.dequants.Load()) }
-
-// Quantize compresses a raw store under cfg for the given model.
-func Quantize(cfg model.Config, src *MemStore, qc quant.Config) (*QuantStore, error) {
-	if err := qc.Validate(); err != nil {
-		return nil, err
-	}
-	out := &QuantStore{q: make(map[storeKey]*quant.Tensor), raw: make(map[storeKey][]float32)}
-	for _, l := range cfg.Layers() {
-		for _, w := range l.Weights {
-			data, err := src.Tensor(l.Index, w.Name)
-			if err != nil {
-				return nil, err
-			}
-			key := storeKey{l.Index, w.Name}
-			if isNormParam(w.Name) || isBiasParam(w.Name) {
-				out.raw[key] = data
-				continue
-			}
-			t, err := quant.Quantize(data, qc)
-			if err != nil {
-				return nil, fmt.Errorf("infer: quantize L%d/%s: %w", l.Index, w.Name, err)
-			}
-			out.q[key] = t
-		}
-	}
-	return out, nil
-}
-
-// Tensor implements WeightStore, decompressing on demand. Like
-// MemStore, raw (norm/bias) tensors come back as copies: the quantized
-// path already returns a fresh dequantization per call, and handing out
-// the store's own raw slices would let one caller's mutation silently
-// corrupt every later layer's computation.
-func (s *QuantStore) Tensor(layer int, name string) ([]float32, error) {
-	key := storeKey{layer, name}
-	if d, ok := s.raw[key]; ok {
-		return append([]float32(nil), d...), nil
-	}
-	t, ok := s.q[key]
-	if !ok {
-		return nil, fmt.Errorf("infer: missing tensor L%d/%s", layer, name)
-	}
-	s.dequants.Add(1)
-	return t.Dequantize(), nil
-}
-
-// TensorView implements ViewStore. Raw (norm/bias) tensors come back as
-// read-only views of the store's storage; quantized tensors still
-// require a fresh dequantization per call (use TensorInto to recycle
-// that buffer).
-func (s *QuantStore) TensorView(layer int, name string) ([]float32, error) {
-	key := storeKey{layer, name}
-	if d, ok := s.raw[key]; ok {
-		return d, nil
-	}
-	t, ok := s.q[key]
-	if !ok {
-		return nil, fmt.Errorf("infer: missing tensor L%d/%s", layer, name)
-	}
-	s.dequants.Add(1)
-	return t.Dequantize(), nil
-}
-
-// TensorInto implements IntoStore: quantized tensors dequantize into
-// dst (recycling the caller's buffer), raw ones are copied into it.
-func (s *QuantStore) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
-	key := storeKey{layer, name}
-	if d, ok := s.raw[key]; ok {
-		if cap(dst) < len(d) {
-			return append([]float32(nil), d...), nil
-		}
-		dst = dst[:len(d)]
-		copy(dst, d)
-		return dst, nil
-	}
-	t, ok := s.q[key]
-	if !ok {
-		return nil, fmt.Errorf("infer: missing tensor L%d/%s", layer, name)
-	}
-	s.dequants.Add(1)
-	return t.DequantizeInto(dst), nil
 }

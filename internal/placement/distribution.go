@@ -4,15 +4,26 @@ import (
 	"fmt"
 
 	"helmsim/internal/model"
+	"helmsim/internal/quant"
 	"helmsim/internal/units"
 )
 
 // Sizer maps a weight spec to its stored size; RawSizer stores tensors
-// uncompressed, a quantizing sizer maps through quant.Config.
+// uncompressed, SizerFor's quantizing sizer maps through quant.Config.
 type Sizer func(model.WeightSpec) units.Bytes
 
 // RawSizer stores weights at their native (FP16) size.
 func RawSizer(s model.WeightSpec) units.Bytes { return s.Bytes }
+
+// SizerFor is the Sizer of weights stored group-wise quantized under qc,
+// or RawSizer when qc is nil.
+func SizerFor(qc *quant.Config) Sizer {
+	if qc == nil {
+		return RawSizer
+	}
+	c := *qc
+	return func(s model.WeightSpec) units.Bytes { return c.CompressedBytes(s.Elems) }
+}
 
 // LayerPlacement is one layer's resolved placement.
 type LayerPlacement struct {

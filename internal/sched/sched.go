@@ -183,7 +183,7 @@ func Run(o Options) (*Result, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	r := &runner{o: o, sizer: sizerFor(o.Compression)}
+	r := &runner{o: o, sizer: placement.SizerFor(o.Compression)}
 	r.wsCPU = o.Placement.TotalOn(placement.TierCPU, r.sizer)
 	r.wsDisk = o.Placement.TotalOn(placement.TierDisk, r.sizer)
 	if err := r.computeLoads(); err != nil {
@@ -267,15 +267,6 @@ func validate(o Options) error {
 		}
 	}
 	return nil
-}
-
-// sizerFor maps weight specs to stored size under the compression setting.
-func sizerFor(cfg *quant.Config) placement.Sizer {
-	if cfg == nil {
-		return placement.RawSizer
-	}
-	c := *cfg
-	return func(s model.WeightSpec) units.Bytes { return c.CompressedBytes(s.Elems) }
 }
 
 // computeLoads fills the per-layer weight load times. They do not depend on

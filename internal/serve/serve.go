@@ -1,8 +1,9 @@
 // Package serve runs the paper's measurement protocol on top of the core
-// engine: prompts are grouped into fixed-size batches, each batch executes
-// the full prefill+decode schedule, and the reported TTFT/TBT/throughput
-// are arithmetic means across runs with the first run discarded to hide
-// cold-start effects (§III-C).
+// engine (§III-C): prompts are grouped into fixed-size batches, each
+// batch executes the full prefill+decode schedule, and the reported
+// TTFT/TBT are arithmetic means across runs with the first run
+// discarded to hide cold-start effects. It also holds the admission
+// policy the simulated queues and the live daemon share.
 package serve
 
 import (
@@ -10,71 +11,34 @@ import (
 
 	"helmsim/internal/core"
 	"helmsim/internal/runcache"
-	"helmsim/internal/stats"
 	"helmsim/internal/units"
-	"helmsim/internal/workload"
 )
 
-// Metrics aggregates a serving session per §III-C.
+// Metrics is one configuration's figures under the paper's protocol.
 type Metrics struct {
-	// Runs is the number of batch executions.
-	Runs int
 	// TTFT and TBT are the discard-first means across runs.
 	TTFT, TBT units.Duration
-	// Throughput is generated tokens per second over the whole session.
+	// Throughput is generated tokens per second.
 	Throughput float64
-	// TotalTime is the end-to-end session time.
-	TotalTime units.Duration
-	// PerRun holds the individual run results for deeper analysis.
-	PerRun []*core.RunResult
 }
 
-// Server executes batched generation under one configuration.
-type Server struct {
-	cfg core.RunConfig
-}
-
-// New returns a server for the configuration. The configuration's Batch is
-// the serving batch size.
-func New(cfg core.RunConfig) (*Server, error) {
+// PaperProtocol measures cfg under §III-B/C: batches of cfg.Batch
+// 128-token prompts, each batch the full schedule, TTFT and TBT
+// averaged over the runs after the first. Every batch is the same
+// deterministic RunConfig — the simulator never reads prompt tokens —
+// so every run is the same solve, the discard-first means are that
+// solve's figures, and it runs once.
+func PaperProtocol(cfg core.RunConfig) (Metrics, error) {
 	if cfg.Batch <= 0 {
-		return nil, fmt.Errorf("serve: non-positive batch %d", cfg.Batch)
+		return Metrics{}, fmt.Errorf("serve: non-positive batch size %d", cfg.Batch)
 	}
-	return &Server{cfg: cfg}, nil
-}
-
-// Serve runs all prompts through the engine in batches of the configured
-// size. Prompts are padded (by admission of a short final batch) rather
-// than dropped; every batch pays the full schedule.
-func (s *Server) Serve(prompts []workload.Prompt) (*Metrics, error) {
-	if len(prompts) == 0 {
-		return nil, fmt.Errorf("serve: no prompts")
+	res, err := runcache.Run(cfg)
+	if err != nil {
+		return Metrics{}, fmt.Errorf("serve: %w", err)
 	}
-	m := &Metrics{}
-	var ttfts, tbts []float64
-	var totalTokens int
-	for lo := 0; lo < len(prompts); lo += s.cfg.Batch {
-		hi := lo + s.cfg.Batch
-		if hi > len(prompts) {
-			hi = len(prompts)
-		}
-		rc := s.cfg
-		rc.Batch = hi - lo
-		res, err := runcache.Run(rc)
-		if err != nil {
-			return nil, fmt.Errorf("serve: batch [%d,%d): %w", lo, hi, err)
-		}
-		m.PerRun = append(m.PerRun, res)
-		m.Runs++
-		ttfts = append(ttfts, res.TTFT.Seconds())
-		tbts = append(tbts, res.TBT.Seconds())
-		m.TotalTime += res.TotalTime
-		totalTokens += rc.Batch * genLen(rc)
-	}
-	m.TTFT = units.Duration(stats.MeanDiscardFirst(ttfts))
-	m.TBT = units.Duration(stats.MeanDiscardFirst(tbts))
-	if m.TotalTime > 0 {
-		m.Throughput = float64(totalTokens) / m.TotalTime.Seconds()
+	m := Metrics{TTFT: res.TTFT, TBT: res.TBT}
+	if res.TotalTime > 0 {
+		m.Throughput = float64(cfg.Batch*genLen(cfg)) / res.TotalTime.Seconds()
 	}
 	return m, nil
 }
@@ -85,40 +49,4 @@ func genLen(rc core.RunConfig) int {
 		return rc.GenLen
 	}
 	return 21
-}
-
-// PaperProtocol builds the §III-B workload for a configuration: enough
-// 128-token prompts to fill `batches` batches, each prompt repeated 10
-// times, and serves them.
-func PaperProtocol(cfg core.RunConfig, batches int) (*Metrics, error) {
-	if batches <= 0 {
-		return nil, fmt.Errorf("serve: non-positive batch count %d", batches)
-	}
-	if cfg.Batch <= 0 {
-		return nil, fmt.Errorf("serve: non-positive batch size %d", cfg.Batch)
-	}
-	gen, err := workload.NewGenerator(1, cfg.Model.Vocab)
-	if err != nil {
-		return nil, err
-	}
-	promptLen := cfg.PromptLen
-	if promptLen == 0 {
-		promptLen = 128
-	}
-	// batches*batch prompts total, built from base prompts repeated 10x.
-	need := batches * cfg.Batch
-	base := (need + 9) / 10
-	prompts, err := gen.Prompts(base, promptLen)
-	if err != nil {
-		return nil, err
-	}
-	repeated, err := workload.Repeat(prompts, 10)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return srv.Serve(repeated[:need])
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 
 	"helmsim/internal/batch"
 	"helmsim/internal/infer"
@@ -65,39 +66,49 @@ func (c BatchConfig) pagesForContext(tokens int) int {
 	return (tokens + c.PageTokens - 1) / c.PageTokens
 }
 
-// batchState is one generation's batcher: the shared step engine
-// pinned to the checkpoint generation it was built on, its paged pool,
-// and the folded prefetch counter baselines (engine counters are
-// lifetime values; the server wants deltas).
+// generation is one opened checkpoint store and the batchers built on
+// it. A batcher holds a reference from newBatchState to stopBatchState;
+// the last one to stop closes the store, after its engine joined every
+// fetch it posted, so no packed view outlives its mapping (DESIGN §3h).
+// Two batchers share a generation only after a panicked-step rebuild.
+type generation struct {
+	num    int64 // 1 for the store New opened, one more per Reload; 0 until installed
+	store  infer.WeightStore
+	closer io.Closer // nil when the opener keeps the store's lifetime
+	refs   int       // batchers built on it (guarded by batchMu)
+	// closeErr is the closer's error, written by the batcher that ran
+	// it; Drain reads the final generation's once every batcher stopped.
+	closeErr error
+}
+
+// batchState is one batcher: the shared step engine built on one
+// checkpoint generation, its paged pool, and the folded prefetch
+// counter baselines (engine counters are lifetime values; the server
+// wants deltas).
 type batchState struct {
-	b       *batch.Batcher
-	se      *infer.StepEngine
-	gen     int64
-	release func()
+	b  *batch.Batcher
+	se *infer.StepEngine
+	g  *generation
 
 	hits, misses, degrade int
 }
 
-// newBatchState pins the current checkpoint generation and builds a
-// batcher over it. The caller owns the returned state and must
-// stopBatchState it.
-func (s *Server) newBatchState() (*batchState, error) {
-	pinned, gen, release, err := s.store.Acquire()
-	if err != nil {
-		return nil, err
-	}
+// newBatchState builds a batcher over g and takes a reference on g for
+// it. The caller owns the returned state and must stopBatchState it.
+func (s *Server) newBatchState(g *generation) (*batchState, error) {
 	bc := s.cfg.Batch.withDefaults()
-	se, err := infer.NewStepEnginePrefetched(s.genCtx, s.cfg.Model, breakerStore{s, pinned}, s.cfg.Retry)
+	se, err := infer.NewStepEnginePrefetched(s.genCtx, s.cfg.Model, breakerStore{s, g.store}, s.cfg.Retry)
 	if err != nil {
-		release()
 		return nil, err
 	}
 	pool, err := kvcache.NewPool(s.cfg.Model, bc.KVPages, bc.PageTokens, !bc.DisablePrefixReuse)
 	if err != nil {
 		se.Close()
-		release()
 		return nil, err
 	}
+	s.batchMu.Lock()
+	g.refs++
+	s.batchMu.Unlock()
 	return &batchState{
 		b: batch.New(se, pool, batch.Options{
 			MaxSeqs: bc.MaxSeqs,
@@ -109,20 +120,31 @@ func (s *Server) newBatchState() (*batchState, error) {
 			// prices requests the same way admission did.
 			Predictor: s.pred,
 		}),
-		se:      se,
-		gen:     gen,
-		release: release,
+		se: se,
+		g:  g,
 	}, nil
 }
 
 // stopBatchState quiesces a batcher: finish its queued and running
-// requests, fold its final prefetch counters, close its engine, release
-// its generation pin.
+// requests, fold its final prefetch counters, close its engine (which
+// joins its posted fetch), then drop its reference on its generation.
+// The last batcher on an installed generation retires it and closes
+// its store.
 func (s *Server) stopBatchState(bs *batchState) {
 	bs.b.Stop()
 	s.foldBatchPrefetch(bs)
 	bs.se.Close()
-	bs.release()
+	g := bs.g
+	s.batchMu.Lock()
+	g.refs--
+	last := g.refs == 0
+	if last && g.num > 0 {
+		s.retired++
+	}
+	s.batchMu.Unlock()
+	if last && g.closer != nil {
+		g.closeErr = g.closer.Close()
+	}
 }
 
 // foldBatchPrefetch folds the engine's prefetch counter deltas into the
@@ -144,24 +166,24 @@ func (s *Server) currentBatch() *batchState {
 	return s.bat
 }
 
-// rebuildBatcher installs a fresh batcher on the current generation and
-// retires the old one in the background: its queued and in-flight
-// submissions finish on the generation they started on while new
-// arrivals land on the new one, and the caller — a SIGHUP handler — is
-// not held up by the longest generation in flight. Caller holds
-// reloadMu.
-func (s *Server) rebuildBatcher() error {
-	nbs, err := s.newBatchState()
-	if err != nil {
-		return fmt.Errorf("server: rebuilding batcher: %w", err)
-	}
+// install makes nbs the serving batcher and retires the old one in the
+// background: its queued and in-flight submissions finish on the
+// generation they started on while new arrivals land on nbs, and the
+// caller — a SIGHUP handler — is not held up by the longest generation
+// in flight. A generation new to the server gets the next number.
+// After Drain there is nothing to replace: nbs is stopped instead.
+// Caller holds reloadMu.
+func (s *Server) install(nbs *batchState) error {
 	s.batchMu.Lock()
 	old := s.bat
 	if old == nil {
-		// Drain already tore the serving core down.
 		s.batchMu.Unlock()
 		s.stopBatchState(nbs)
-		return fmt.Errorf("server: rebuilding batcher: daemon stopped")
+		return fmt.Errorf("server: daemon stopped")
+	}
+	if nbs.g != old.g {
+		s.gens++
+		nbs.g.num = s.gens
 	}
 	s.bat = nbs
 	s.retiring.Add(1)
@@ -186,5 +208,7 @@ func (s *Server) replacePanicked(bs *batchState) {
 	s.panics.Add(1)
 	// On failure the old batcher keeps serving: it survived the panic,
 	// only its scratch is suspect.
-	_ = s.rebuildBatcher()
+	if nbs, err := s.newBatchState(bs.g); err == nil {
+		_ = s.install(nbs)
+	}
 }

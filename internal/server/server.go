@@ -27,7 +27,7 @@ type Config struct {
 	Model model.Config
 	// OpenStore opens (and should CRC-verify) a fresh weight store. It is
 	// called once at startup and once per hot reload; the returned closer
-	// (nil allowed) runs after the store's last in-flight reader.
+	// (nil allowed) runs once the last batcher built on the store stops.
 	OpenStore func() (infer.WeightStore, io.Closer, error)
 	// Workers is how many goroutines dequeue admitted requests, run the
 	// pre-service shed checks (client gone, deadline, renege) and block
@@ -164,10 +164,9 @@ type job struct {
 
 // Server is the live daemon: admission control in front of one
 // continuous batcher whose prefetched step engine — foreground retries
-// included — reads a breaker-observed, swappable checkpoint store.
+// included — reads a breaker-observed checkpoint generation.
 type Server struct {
 	cfg     Config
-	store   *infer.SwappableStore
 	breaker *Breaker
 
 	// genCtx anchors the engine and every in-flight generation;
@@ -187,17 +186,20 @@ type Server struct {
 	drainErr    error
 
 	// reloadMu serializes everything that installs a batcher: Reload
-	// calls (concurrent SIGHUPs must not interleave their open/swap
+	// calls (concurrent SIGHUPs must not interleave their open/install
 	// pairs) and the rebuild after a panicked step.
 	reloadMu sync.Mutex
 
 	// batchMu guards the active continuous batcher (nil once Drain tore
-	// it down); a hot reload or a panicked step swaps in a successor.
-	// retiring counts replaced batchers still finishing in-flight
-	// requests; Drain joins them before the store closes. Add happens
-	// under batchMu while bat is non-nil, so it never races that Wait.
+	// it down), the generation counts and every generation's refs; a hot
+	// reload or a panicked step installs a successor. retiring counts
+	// replaced batchers still finishing in-flight requests; Drain joins
+	// them. Add happens under batchMu while bat is non-nil, so it never
+	// races that Wait.
 	batchMu  sync.Mutex
 	bat      *batchState
+	gens     int64 // generations installed
+	retired  int64 // installed generations whose last batcher stopped
 	retiring sync.WaitGroup
 
 	// ledger is the conservation ledger, one serve.Ledger row per class
@@ -225,7 +227,7 @@ type Server struct {
 	degraded        atomic.Int64
 }
 
-// breakerStore sits between the engine's loader and the batcher's pinned
+// breakerStore sits between the engine's loader and the batcher's
 // generation: every raw storage attempt (including each retry) feeds
 // the breaker's failure window and the access counters.
 type breakerStore struct {
@@ -328,17 +330,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening initial store: %w", err)
 	}
-	sw, err := infer.NewSwappable(w, closer)
-	if err != nil {
-		if closer != nil {
-			closer.Close()
-		}
-		return nil, err
-	}
 	s := &Server{
 		cfg:         cfg,
-		store:       sw,
 		breaker:     br,
+		gens:        1,
 		queue:       make(chan *job, cfg.MaxQueue),
 		workersDone: make(chan struct{}),
 		drainDone:   make(chan struct{}),
@@ -352,9 +347,11 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		Sustain: cfg.Cost.BrownoutSustain,
 	}).Defaulted()
 	s.genCtx, s.forceCancel = context.WithCancel(ctx)
-	if s.bat, err = s.newBatchState(); err != nil {
+	if s.bat, err = s.newBatchState(&generation{num: 1, store: w, closer: closer}); err != nil {
 		s.forceCancel()
-		sw.Close()
+		if closer != nil {
+			closer.Close()
+		}
 		return nil, fmt.Errorf("server: building continuous batcher: %w", err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -465,8 +462,8 @@ func (s *Server) worker() {
 func seconds(d time.Duration) units.Duration { return units.Duration(d.Seconds()) }
 
 // serveJob runs one dequeued job: serve.Renege (client gone, deadline,
-// MaxWait), then the shared continuous batcher. Generation pinning is
-// per batcher, not per request: the batcher's engine was built on one
+// MaxWait), then the shared continuous batcher. A generation belongs
+// to batchers, not requests: the batcher's engine was built on one
 // generation, a hot reload installs a fresh batcher and retires this
 // one in the background, and in-flight submissions finish on the
 // generation they started on.
@@ -528,7 +525,7 @@ func (s *Server) serveJob(j *job) {
 		return
 	}
 	j.tokens = tokens
-	j.generation = bs.gen
+	j.generation = bs.g.num
 	s.served.Add(1)
 	if j.probe {
 		s.breaker.ProbeDone(true)
@@ -588,23 +585,16 @@ func (s *Server) fail(j *job, err error) {
 	}
 }
 
-// ErrStaleClose marks a Reload that installed the new generation but
-// failed to close the previous one: serving has moved to the new
-// checkpoint — only the old store's cleanup misfired. Callers should
-// treat it as a warning, not a failed reload.
-var ErrStaleClose = errors.New("server: old generation close failed after reload")
-
 // Reload hot-swaps the served checkpoint: open + verify a fresh store,
-// then atomically install it and build a fresh batcher on it; the old
-// batcher finishes its in-flight requests in the background — Reload
-// does not wait for them — and the old generation closes after that
-// last pinned reader. Later requests see the new one.
-// A nil return means the new generation is serving; an ErrStaleClose
-// return means it is serving but the old store's close failed; any
-// other error means the serving generation is unchanged.
+// build a batcher on it, then install that batcher; the old batcher
+// finishes its in-flight requests in the background — Reload does not
+// wait for them — and the old generation closes after it stops. Later
+// requests see the new one. A nil return means the new generation is
+// serving; on error the new store is closed and the serving generation
+// is unchanged.
 func (s *Server) Reload() error {
-	// Serialized so a rejected swap cannot observe a concurrent call's
-	// generation bump and be misclassified as success.
+	// Serialized so two reloads cannot interleave their open/install
+	// pairs and number generations out of order.
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	w, closer, err := s.cfg.OpenStore()
@@ -612,33 +602,29 @@ func (s *Server) Reload() error {
 		s.reloadFailures.Add(1)
 		return fmt.Errorf("server: reload open: %w", err)
 	}
-	installed, err := s.store.Swap(w, closer)
-	if !installed {
-		// Swap rejected (daemon closed); release the orphaned store.
+	nbs, err := s.newBatchState(&generation{store: w, closer: closer})
+	if err != nil {
 		s.reloadFailures.Add(1)
 		if closer != nil {
 			closer.Close()
 		}
-		return fmt.Errorf("server: reload swap: %w", err)
+		return fmt.Errorf("server: reload: building batcher: %w", err)
+	}
+	if err := s.install(nbs); err != nil {
+		s.reloadFailures.Add(1)
+		return fmt.Errorf("server: reload: %w", err)
 	}
 	s.reloads.Add(1)
-	// On failure the swap stands but requests keep serving the old
-	// generation through the old batcher — surfaced as a reload failure.
-	if rerr := s.rebuildBatcher(); rerr != nil {
-		s.reloadFailures.Add(1)
-		return rerr
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStaleClose, err)
-	}
 	return nil
 }
 
 // Drain stops admission and waits for queued and in-flight requests to
 // finish. When ctx expires first, in-flight generations are
 // force-cancelled (counted in Stats.ForceCancelled) and the ctx error
-// is returned. Drain is idempotent; concurrent calls all wait. The
-// store chain is closed once workers exit.
+// is returned. Drain is idempotent; concurrent calls all wait. Once
+// workers exit every batcher stops, which closes every generation;
+// Drain returns the final generation's close error if nothing else
+// failed first.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	flipped := s.state == stateServing
@@ -675,16 +661,17 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		s.forceCancel() // release context resources even on a clean drain
 		// Workers have exited, so no submission can race the teardown;
-		// batchers a reload retired may still be closing their engines.
+		// batchers a reload retired may still be closing their engines,
+		// and after a panicked-step rebuild one of them may be the last
+		// on the final generation.
 		s.batchMu.Lock()
 		bs := s.bat
 		s.bat = nil
 		s.batchMu.Unlock()
 		s.stopBatchState(bs)
 		s.retiring.Wait()
-		cerr := s.store.Close()
 		if derr == nil {
-			derr = cerr
+			derr = bs.g.closeErr
 		}
 		s.drainErr = derr
 		if s.cfg.OnStateChange != nil {
@@ -716,7 +703,7 @@ const StatzSchemaVersion = 4
 
 // Stats is the /statz document. The machine-readable fields a fleet
 // prober keys on — schema version, lifecycle state, checkpoint
-// generation, queue depth, breaker state, and the batcher's pinned
+// generation, queue depth, breaker state, and the batcher's
 // generation — are top-level and stable; see DESIGN.md §3i for the
 // schema contract.
 type Stats struct {
@@ -731,9 +718,9 @@ type Stats struct {
 	// probers need not descend into the breaker snapshot.
 	BreakerState string `json:"breaker_state"`
 	// BatchGeneration is the checkpoint generation the active continuous
-	// batcher was built on (0 after teardown). It trails Generation
-	// between a hot swap and the batcher rebuild, so a prober can observe
-	// reload convergence.
+	// batcher was built on (0 after teardown). A reload installs the
+	// generation and its batcher together, so while serving it equals
+	// Generation.
 	BatchGeneration int64 `json:"batch_generation"`
 
 	Arrivals         int64 `json:"arrivals"`
@@ -842,8 +829,9 @@ func (s *Server) Stats() Stats {
 		s.foldBatchPrefetch(s.bat)
 		snap := s.bat.b.Stats()
 		bst = &snap
-		batchGen = s.bat.gen
+		batchGen = s.bat.g.num
 	}
+	gens, retired := s.gens, s.retired
 	s.batchMu.Unlock()
 	return Stats{
 		SchemaVersion:      StatzSchemaVersion,
@@ -851,8 +839,8 @@ func (s *Server) Stats() Stats {
 		Draining:           state != stateServing,
 		Workers:            s.cfg.Workers,
 		QueueDepth:         depth,
-		Generation:         s.store.Generation(),
-		RetiredGenerations: s.store.RetiredGenerations(),
+		Generation:         gens,
+		RetiredGenerations: retired,
 		BreakerState:       s.breaker.State().String(),
 		BatchGeneration:    batchGen,
 		Arrivals:           total.Arrivals,

@@ -13,10 +13,6 @@ import (
 
 // Prompt is one request's input.
 type Prompt struct {
-	// ID identifies the prompt; repeats share the source ID in Source.
-	ID int
-	// Source is the originating prompt ID (equal to ID for originals).
-	Source int
 	// Tokens is the token sequence.
 	Tokens []int
 }
@@ -28,7 +24,6 @@ func (p Prompt) Len() int { return len(p.Tokens) }
 type Generator struct {
 	rng   *rand.Rand
 	vocab int
-	next  int
 }
 
 // NewGenerator returns a deterministic generator over the given vocabulary.
@@ -37,21 +32,6 @@ func NewGenerator(seed int64, vocab int) (*Generator, error) {
 		return nil, fmt.Errorf("workload: non-positive vocab %d", vocab)
 	}
 	return &Generator{rng: rand.New(rand.NewSource(seed)), vocab: vocab}, nil
-}
-
-// Prompts produces n prompts of exactly length tokens each (the paper
-// truncates inputs to a fixed 128).
-func (g *Generator) Prompts(n, length int) ([]Prompt, error) {
-	if n < 0 || length <= 0 {
-		return nil, fmt.Errorf("workload: bad prompt request (n=%d, len=%d)", n, length)
-	}
-	out := make([]Prompt, 0, n)
-	for i := 0; i < n; i++ {
-		p := Prompt{ID: g.next, Source: g.next, Tokens: g.tokens(length)}
-		g.next++
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // NaturalPrompts produces n prompts with log-normally distributed lengths
@@ -72,9 +52,7 @@ func (g *Generator) NaturalPrompts(n, median, maxLen int) ([]Prompt, error) {
 		if l > maxLen {
 			l = maxLen
 		}
-		p := Prompt{ID: g.next, Source: g.next, Tokens: g.tokens(l)}
-		g.next++
-		out = append(out, p)
+		out = append(out, Prompt{Tokens: g.tokens(l)})
 	}
 	return out, nil
 }
@@ -92,32 +70,4 @@ func (g *Generator) tokens(n int) []int {
 		}
 	}
 	return ts
-}
-
-// Repeat replays each prompt the given number of times, the paper's
-// protocol ("we repeat each prompt 10 times", §III-B). Replicas get fresh
-// IDs but share the original's Source and token content.
-func Repeat(prompts []Prompt, times int) ([]Prompt, error) {
-	if times <= 0 {
-		return nil, fmt.Errorf("workload: non-positive repeat count %d", times)
-	}
-	out := make([]Prompt, 0, len(prompts)*times)
-	next := 0
-	for _, p := range prompts {
-		if p.ID >= next {
-			next = p.ID + 1
-		}
-	}
-	for _, p := range prompts {
-		for r := 0; r < times; r++ {
-			q := p
-			if r > 0 {
-				q.ID = next
-				next++
-			}
-			q.Source = p.ID
-			out = append(out, q)
-		}
-	}
-	return out, nil
 }
