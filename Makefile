@@ -46,7 +46,7 @@ mutants:
 	bash scripts/mutants/run.sh
 
 bench:
-	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/parallel/... ./internal/tensor/... ./internal/quant/... ./internal/infer/...
+	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/parallel/... ./internal/tensor/... ./internal/quant/... ./internal/checkpoint/... ./internal/infer/...
 
 # The CI bench-smoke job's harness steps: the benchmark harness is its
 # own module (outside `go test ./...`), so its tests run from bench/;

@@ -168,7 +168,10 @@ func (w *Writer) Close() error {
 // silent bit rot the typed error exists to name. The values never alias
 // payload — quantized records are validated as a transient view and
 // fully dequantized — so payload may be a short-lived mmap view.
-func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) ([]float32, error) {
+// verified says the payload already passed these checks unchanged (a
+// flagged slot of a mapped index), so a 4-bit record skips its metadata
+// scan.
+func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32, verified bool) ([]float32, error) {
 	switch kind {
 	case KindRawFP16:
 		if len(payload)%2 != 0 {
@@ -184,7 +187,7 @@ func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) ([
 		}
 		return dst, nil
 	case KindGWQ:
-		data, err := dequantPayload(payload, dst)
+		data, err := dequantPayload(payload, dst, verified)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
 		}
@@ -197,8 +200,8 @@ func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32) ([
 // decode straight from the validated view; only the widths the view
 // cannot represent build a quant.Tensor and its per-group metadata
 // slices.
-func dequantPayload(payload []byte, dst []float32) ([]float32, error) {
-	p, ok, err := quant.ViewPacked(payload)
+func dequantPayload(payload []byte, dst []float32, verified bool) ([]float32, error) {
+	p, ok, err := viewPacked(payload, verified)
 	if err != nil {
 		return nil, err
 	}
@@ -210,6 +213,15 @@ func dequantPayload(payload []byte, dst []float32) ([]float32, error) {
 		return nil, err
 	}
 	return t.DequantizeInto(dst), nil
+}
+
+// viewPacked is quant.ViewPacked, or quant.ParsePacked — every check
+// but the metadata scan — for a payload that already passed it unchanged.
+func viewPacked(payload []byte, verified bool) (quant.Packed, bool, error) {
+	if verified {
+		return quant.ParsePacked(payload)
+	}
+	return quant.ViewPacked(payload)
 }
 
 // readVersion parses and validates the version field.

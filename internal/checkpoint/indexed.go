@@ -39,9 +39,12 @@ type record struct {
 //
 // The backing reader is any io.ReaderAt (OpenIndexed supplies a file),
 // which is where fault injection slots in: wrap the reader and every
-// payload fetch goes through the injector. Version-2 checkpoints verify
-// each record's CRC on every read, so storage-tier bit flips surface as
-// ErrCorrupt instead of garbage floats.
+// payload fetch goes through the injector. Version-2 checkpoints check
+// each record's CRC, so storage-tier bit flips surface as ErrCorrupt
+// instead of garbage floats: on every read when the bytes are read fresh
+// through the reader, and at a slot's first good fetch when they are a
+// mapping (DESIGN §3h: the bytes of an open mapping change only if the
+// file is rewritten in place).
 type Indexed struct {
 	r         io.ReaderAt
 	closer    io.Closer // nil when the caller owns the reader
@@ -49,6 +52,13 @@ type Indexed struct {
 	modelName string
 	records   []record // file order: a record's index is its slot
 	closed    atomic.Bool
+	// verified is nil unless the reader was mapped at open; then it holds
+	// one flag per slot, set once a fetch of the slot has passed every
+	// check a read makes — bounds, the record CRC, and for a 4-bit record
+	// ViewPacked's — after which fetches of that slot skip the CRC and
+	// the metadata scan. A mapped index reads only through its mapping,
+	// so a flag only ever vouches for the bytes it covers.
+	verified []atomic.Bool
 }
 
 // OpenIndexed opens and indexes a checkpoint file.
@@ -68,9 +78,10 @@ func OpenIndexed(path string) (*Indexed, error) {
 
 // OpenIndexedMmap opens and indexes a checkpoint through a MappedFile,
 // so payload reads become zero-copy views of the page cache on
-// platforms with mmap (record CRCs are still verified on every read).
-// On fallback builds it behaves exactly like OpenIndexed. Close unmaps
-// the file, so the pin discipline documented on MappedFile applies.
+// platforms with mmap. A record is CRC- and content-checked at its first
+// good fetch on the mapping (or by Verify), not at every fetch. On
+// fallback builds it behaves exactly like OpenIndexed. Close unmaps the
+// file, so the pin discipline documented on MappedFile applies.
 func OpenIndexedMmap(path string) (*Indexed, error) {
 	mf, err := OpenMapped(path)
 	if err != nil {
@@ -95,6 +106,9 @@ func NewIndexed(r io.ReaderAt) (*Indexed, error) {
 	ix := &Indexed{r: r}
 	if err := ix.scan(); err != nil {
 		return nil, err
+	}
+	if ix.Mapped() {
+		ix.verified = make([]atomic.Bool, len(ix.records))
 	}
 	return ix, nil
 }
@@ -207,39 +221,49 @@ type byteRanger interface {
 	Bytes() []byte
 }
 
-// payload returns the record's bytes after the checks every read makes:
-// a bounds-checked view of the backing mapping when the reader exposes
-// one, a fresh copy read through io.ReaderAt otherwise, matched against
-// the record CRC on version-2 checkpoints — the header's, computed at
-// open, continued over the payload. Views are only valid while the index
-// stays open.
-func (ix *Indexed) payload(rec *record) ([]byte, error) {
-	var p, b []byte
-	if br, ok := ix.r.(byteRanger); ok {
-		b = br.Bytes()
-	}
-	if b != nil {
+// payload returns the slot's bytes after the checks every read makes: a
+// bounds-checked view of the mapping on a mapped index, a fresh copy read
+// through io.ReaderAt otherwise, matched against the record CRC on
+// version-2 checkpoints — the header's, computed at open, continued over
+// the payload. verified reports that the slot's flag was already set
+// (never for a copy, nor when full asks for every check): then the CRC
+// was skipped, and the caller skips its own content checks too. Views
+// are only valid while the index stays open.
+func (ix *Indexed) payload(slot int, full bool) (p []byte, verified bool, err error) {
+	rec := &ix.records[slot]
+	if ix.verified != nil {
+		b := ix.r.(byteRanger).Bytes()
 		end := rec.offset + rec.length
-		if rec.offset < 0 || end < rec.offset || end > int64(len(b)) {
-			return nil, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", rec.name, ErrCorrupt)
+		switch {
+		case b == nil:
+			return nil, false, fmt.Errorf("checkpoint: tensor %q: %w", rec.name, ErrClosed)
+		case rec.offset < 0 || end < rec.offset || end > int64(len(b)):
+			return nil, false, fmt.Errorf("checkpoint: tensor %q extends past the mapped file: %w", rec.name, ErrCorrupt)
 		}
 		p = b[rec.offset:end:end]
-	} else {
-		var err error
-		if p, err = ix.payloadCopy(rec); err != nil {
-			if ix.closed.Load() {
-				return nil, fmt.Errorf("checkpoint: tensor %q: %w", rec.name, ErrClosed)
-			}
-			return nil, fmt.Errorf("checkpoint: tensor %q payload: %w", rec.name, corruptRead(err))
+		verified = !full && ix.verified[slot].Load()
+	} else if p, err = ix.payloadCopy(rec); err != nil {
+		if ix.closed.Load() {
+			return nil, false, fmt.Errorf("checkpoint: tensor %q: %w", rec.name, ErrClosed)
 		}
+		return nil, false, fmt.Errorf("checkpoint: tensor %q payload: %w", rec.name, corruptRead(err))
 	}
-	if ix.version >= versionCRC {
+	if ix.version >= versionCRC && !verified {
 		if got := crc32.Update(rec.hdrCRC, crc32.IEEETable, p); got != rec.crc {
-			return nil, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", rec.name, rec.crc, got, ErrCorrupt)
+			return nil, false, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", rec.name, rec.crc, got, ErrCorrupt)
 		}
 	}
 	//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index; ReadSlotInto copies out before returning, and ReadSlotPacked hands the view on only as a quant.Packed, whose holders (DESIGN §3h) keep the index open through their generation pin
-	return p, nil
+	return p, verified, nil
+}
+
+// markVerified sets the slot's flag on a mapped index: a fetch of it
+// has just passed every check. Two first fetches may both check and both
+// set it; an atomic store is all either publishes.
+func (ix *Indexed) markVerified(slot int) {
+	if ix.verified != nil {
+		ix.verified[slot].Store(true)
+	}
 }
 
 // payloadCopy reads the record's bytes through io.ReaderAt: one
@@ -284,28 +308,41 @@ func (ix *Indexed) lookup(slot int) (*record, error) {
 }
 
 // ReadSlotInto fetches and decodes the slot's tensor from storage,
-// verifying the record CRC on version-2 checkpoints, into dst when its
+// checking the record CRC on version-2 checkpoints (on a mapped index,
+// until a fetch of the slot has passed every check), into dst when its
 // capacity suffices (allocating otherwise): the returned values alias
 // dst in that case, so the caller owns the buffer. They never alias the
 // checkpoint's backing storage, even on mmap-backed indexes. After
 // Close it fails with ErrClosed; corrupt records fail with ErrCorrupt.
 func (ix *Indexed) ReadSlotInto(slot int, dst []float32) ([]float32, error) {
+	return ix.readSlotInto(slot, dst, false)
+}
+
+// readSlotInto is ReadSlotInto; full runs every check whatever the
+// slot's flag says.
+func (ix *Indexed) readSlotInto(slot int, dst []float32, full bool) ([]float32, error) {
 	rec, err := ix.lookup(slot)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := ix.payload(rec)
+	payload, verified, err := ix.payload(slot, full)
 	if err != nil {
 		return nil, err
 	}
-	return decodePayloadInto(rec.name, rec.kind, payload, dst)
+	data, err := decodePayloadInto(rec.name, rec.kind, payload, dst, verified)
+	if err == nil && !verified {
+		ix.markVerified(slot)
+	}
+	return data, err
 }
 
 // ReadSlotPacked hands out the slot's 4-bit record as a validated view
 // of its bytes instead of decoding it: a view of the mapping on an
 // mmap-backed index, of the freshly read copy otherwise. It performs the
-// checks ReadSlotInto performs — closed, bounds, per-read CRC, payload
-// validation — and the view stays valid only while the index is open.
+// checks ReadSlotInto performs — closed, bounds, CRC, payload validation
+// — except that on a mapped index a slot that has already passed them
+// skips the CRC and the metadata scan; the view is re-derived from the
+// mapping on every fetch and stays valid only while the index is open.
 // ok is false, with a nil error and before any payload work, for records
 // that have no packed form (raw fp16, 2- and 8-bit, odd group sizes):
 // read those with ReadSlotInto.
@@ -314,27 +351,32 @@ func (ix *Indexed) ReadSlotPacked(slot int) (p quant.Packed, ok bool, err error)
 	if err != nil || !rec.packable {
 		return quant.Packed{}, false, err
 	}
-	payload, err := ix.payload(rec)
+	payload, verified, err := ix.payload(slot, false)
 	if err != nil {
 		return quant.Packed{}, false, err
 	}
-	if p, ok, err = quant.ViewPacked(payload); err != nil {
+	if p, ok, err = viewPacked(payload, verified); err != nil {
 		return quant.Packed{}, false, fmt.Errorf("checkpoint: tensor %q: %v: %w", rec.name, err, ErrCorrupt)
+	}
+	if ok && !verified {
+		ix.markVerified(slot)
 	}
 	return p, ok, nil
 }
 
-// Verify re-reads and decodes every record in file order, validating
-// per-record CRCs on version-2 checkpoints — the pre-flight integrity
-// pass a serving daemon runs before hot-swapping a reloaded checkpoint
-// under live traffic. It returns the first failure (ErrCorrupt for bad
-// records, ErrClosed after Close) and reads nothing into long-lived
-// memory: every record decodes into one buffer that grows to the largest
-// record and is dropped on return.
+// Verify re-reads and decodes every record in file order, running every
+// check a first fetch runs — per-record CRCs on version-2 checkpoints,
+// content validation — whether or not a fetch already passed them, and
+// on a mapped index sets each slot's flag as its record passes: the
+// pre-flight integrity pass a serving daemon runs before hot-swapping a
+// reloaded checkpoint under live traffic. It returns the first failure
+// (ErrCorrupt for bad records, ErrClosed after Close) and reads nothing
+// into long-lived memory: every record decodes into one buffer that
+// grows to the largest record and is dropped on return.
 func (ix *Indexed) Verify() error {
 	var buf []float32
 	for slot := range ix.records {
-		data, err := ix.ReadSlotInto(slot, buf)
+		data, err := ix.readSlotInto(slot, buf, true)
 		if err != nil {
 			return err
 		}

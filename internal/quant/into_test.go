@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -176,6 +177,9 @@ func assertIdentical(t *testing.T, name string, want, got []float32) {
 // and an accepted view decodes — whole, and in group-aligned ranges — to
 // DequantizeInto's bits; whatever the decoder rejects (truncation, bad
 // magic, Inf/NaN metadata, length mismatch) the view rejects too.
+// ParsePacked, the view without the metadata scan, returns the same view
+// wherever ViewPacked does, and takes what ViewPacked rejects only for
+// its metadata.
 func FuzzPackedView(f *testing.F) {
 	for _, cfg := range []Config{{4, 64}, {4, 2}, {4, 6}, {4, 128}, {4, 3}, {2, 64}, {8, 6}} {
 		for _, n := range []int{0, 1, 63, 64, 65, 200} {
@@ -204,6 +208,13 @@ func FuzzPackedView(f *testing.F) {
 		var tt Tensor
 		uerr := tt.UnmarshalBinaryView(blob)
 		p, ok, verr := ViewPacked(blob)
+		q, qok, qerr := ParsePacked(blob)
+		switch {
+		case verr == nil && (qerr != nil || qok != ok || !reflect.DeepEqual(p, q)):
+			t.Fatalf("ParsePacked (ok=%v, err=%v) differs from ViewPacked's view (ok=%v)", qok, qerr, ok)
+		case verr != nil && qerr == nil && (!qok || checkMeta(q.meta, len(q.meta)/4) == nil):
+			t.Fatalf("ParsePacked (ok=%v) took what ViewPacked rejects for more than its metadata: %v", qok, verr)
+		}
 		if uerr != nil {
 			// A width the view cannot represent may stop it at "not
 			// packable" before the check the decoder failed; a 4-bit blob

@@ -76,6 +76,22 @@ func HeaderPackable(data []byte) bool {
 // well-formed header the view cannot represent (2- or 8-bit, odd group
 // size): the caller decodes those through Tensor.
 func ViewPacked(data []byte) (p Packed, ok bool, err error) {
+	if p, ok, err = ParsePacked(data); !ok || err != nil {
+		return Packed{}, false, err
+	}
+	if err := checkMeta(p.meta, len(p.meta)/4); err != nil {
+		return Packed{}, false, err
+	}
+	return p, true, nil
+}
+
+// ParsePacked is ViewPacked without the metadata scan: it makes every
+// check that bounds the view — magic, configuration, element count, exact
+// payload length — and leaves the group minimums and scales unread. It is
+// for bytes that already passed ViewPacked and have not changed since (a
+// checkpoint record on the mapping it was verified on); anything else goes
+// through ViewPacked.
+func ParsePacked(data []byte) (p Packed, ok bool, err error) {
 	cfg, n, err := header(data)
 	if err != nil {
 		return Packed{}, false, err
@@ -87,11 +103,7 @@ func ViewPacked(data []byte) (p Packed, ok bool, err error) {
 	if want := 20 + packedLen + 4*groups; len(data) != want {
 		return Packed{}, false, fmt.Errorf("quant: tensor payload is %d bytes, want %d", len(data), want)
 	}
-	meta := data[20+packedLen:]
-	if err := checkMeta(meta, groups); err != nil {
-		return Packed{}, false, err
-	}
-	p = Packed{gs: cfg.GroupSize, n: n, nib: data[20 : 20+packedLen : 20+packedLen], meta: meta}
+	p = Packed{gs: cfg.GroupSize, n: n, nib: data[20 : 20+packedLen : 20+packedLen], meta: data[20+packedLen:]}
 	if p.gs&(p.gs-1) == 0 {
 		p.shift = uint8(bits.TrailingZeros(uint(p.gs)))
 	}
