@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	_ "unsafe" // for go:linkname
 
@@ -104,5 +106,35 @@ func TestPinnedTokenDigests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// synthesizedSHA256 is the SHA-256 of the 4-bit checkpoint
+// SynthesizeCheckpoint writes for model.Mini("opt", 45, 5, 2, 97) at
+// seed 11. Its matrices hold odd element counts and short last groups
+// (45·45, 97·45), so the digest covers every byte the encoder lays out:
+// the record headers, each group's fp16 minimum and scale, full nibble
+// bytes and a tensor's lone low nibble.
+const synthesizedSHA256 = "47c33875aad5317975f928a9230a065753d6afe589dfae384a07235f7ec0537f"
+
+// The encoder and the checkpoint writer emit exactly the pinned bytes:
+// tokens could stay the same while a record's layout drifted, this
+// cannot.
+func TestSynthesizedCheckpointBytesPinned(t *testing.T) {
+	cfg, err := model.Mini("opt", 45, 5, 2, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mini.hlmc")
+	if err := SynthesizeCheckpoint(path, cfg, 11, true); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != synthesizedSHA256 {
+		t.Errorf("synthesized checkpoint (%d bytes) has sha256 %s, pinned %s", len(b), got, synthesizedSHA256)
 	}
 }
