@@ -21,7 +21,9 @@
 // version 2; Indexed accepts both versions.
 //
 // Raw payloads are IEEE-754 binary16 element streams; quantized payloads
-// are quant.Tensor.MarshalBinary blobs.
+// are 4-bit, even-group quant blobs (quant.Tensor.MarshalBinary). A
+// quantized record of any other width or group size is corrupt: its
+// first read, and Verify, fail with ErrCorrupt.
 package checkpoint
 
 import (
@@ -163,11 +165,12 @@ func (w *Writer) Close() error {
 
 // decodePayloadInto decodes a record's payload into dst when its
 // capacity suffices (allocating otherwise). Undecodable payloads are
-// corruption by definition: on the CRC path they cannot occur without a
-// matching checksum forgery, and on the legacy path they are exactly the
-// silent bit rot the typed error exists to name. The values never alias
-// payload — quantized records are validated as a transient view and
-// fully dequantized — so payload may be a short-lived mmap view.
+// corruption by definition: on the CRC path they take a matching
+// checksum forgery or a writer of some other quantized format, and on
+// the legacy path they are exactly the silent bit rot the typed error
+// exists to name. The values never alias payload — quantized
+// records are validated as a transient view and fully dequantized — so
+// payload may be a short-lived mmap view.
 // verified says the payload already passed these checks unchanged (a
 // flagged slot of a mapped index), so a 4-bit record skips its metadata
 // scan.
@@ -187,41 +190,28 @@ func decodePayloadInto(name string, kind Kind, payload []byte, dst []float32, ve
 		}
 		return dst, nil
 	case KindGWQ:
-		data, err := dequantPayload(payload, dst, verified)
+		p, err := viewPacked(name, payload, verified)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
+			return nil, err
 		}
-		return data, nil
+		return p.DequantizeInto(dst), nil
 	}
 	return nil, fmt.Errorf("checkpoint: tensor %q has unknown kind %d: %w", name, kind, ErrCorrupt)
 }
 
-// dequantPayload decodes a quantized record into dst. 4-bit records
-// decode straight from the validated view; only the widths the view
-// cannot represent build a quant.Tensor and its per-group metadata
-// slices.
-func dequantPayload(payload []byte, dst []float32, verified bool) ([]float32, error) {
-	p, ok, err := viewPacked(payload, verified)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return p.DequantizeInto(dst), nil
-	}
-	var t quant.Tensor
-	if err := t.UnmarshalBinaryView(payload); err != nil {
-		return nil, err
-	}
-	return t.DequantizeInto(dst), nil
-}
-
 // viewPacked is quant.ViewPacked, or quant.ParsePacked — every check
-// but the metadata scan — for a payload that already passed it unchanged.
-func viewPacked(payload []byte, verified bool) (quant.Packed, bool, error) {
+// but the metadata scan — for a payload that already passed it
+// unchanged; a payload either refuses is a corrupt record.
+func viewPacked(name string, payload []byte, verified bool) (quant.Packed, error) {
+	parse := quant.ViewPacked
 	if verified {
-		return quant.ParsePacked(payload)
+		parse = quant.ParsePacked
 	}
-	return quant.ViewPacked(payload)
+	p, err := parse(payload)
+	if err != nil {
+		return quant.Packed{}, fmt.Errorf("checkpoint: tensor %q: %v: %w", name, err, ErrCorrupt)
+	}
+	return p, nil
 }
 
 // readVersion parses and validates the version field.

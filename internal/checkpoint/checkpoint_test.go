@@ -165,22 +165,22 @@ func TestQuantTensorMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back quant.Tensor
-	if err := back.UnmarshalBinary(blob); err != nil {
+	back, err := quant.ViewPacked(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := orig.Dequantize(), back.Dequantize()
+	a, b := orig.Dequantize(), back.DequantizeInto(nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("marshal round trip diverged at %d", i)
 		}
 	}
 	// Corruption checks.
-	if err := back.UnmarshalBinary(blob[:10]); err == nil {
+	if _, err := quant.ViewPacked(blob[:10]); err == nil {
 		t.Errorf("truncated blob accepted")
 	}
 	blob[0] ^= 0xff
-	if err := back.UnmarshalBinary(blob); err == nil {
+	if _, err := quant.ViewPacked(blob); err == nil {
 		t.Errorf("bad magic accepted")
 	}
 }

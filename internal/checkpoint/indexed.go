@@ -21,11 +21,6 @@ type record struct {
 	// the header bytes scan read (headerCRC); a read continues hdrCRC
 	// over the payload and compares the result with crc. Unused for v1.
 	crc, hdrCRC uint32
-	// packable is what the record's own header said at scan time: a
-	// 4-bit layout ReadSlotPacked can hand out as a view. It routes a
-	// read before any payload work; the verdict that counts is
-	// ViewPacked's, on the CRC-checked payload.
-	packable bool
 }
 
 // Indexed is a random-access view of a checkpoint: the header and tensor
@@ -185,10 +180,6 @@ func (ix *Indexed) scan() error {
 			payloadOff += 4
 		}
 		rec.offset = payloadOff
-		if rec.kind == KindGWQ {
-			var qh [20]byte
-			rec.packable = ix.readAt(qh[:], payloadOff) == nil && quant.HeaderPackable(qh[:])
-		}
 		if seen[rec.name] {
 			return fmt.Errorf("checkpoint: duplicate tensor %q", rec.name)
 		}
@@ -336,32 +327,33 @@ func (ix *Indexed) readSlotInto(slot int, dst []float32, full bool) ([]float32, 
 	return data, err
 }
 
-// ReadSlotPacked hands out the slot's 4-bit record as a validated view
-// of its bytes instead of decoding it: a view of the mapping on an
+// ReadSlotPacked hands out the slot's quantized record as a validated
+// view of its bytes instead of decoding it: a view of the mapping on an
 // mmap-backed index, of the freshly read copy otherwise. It performs the
 // checks ReadSlotInto performs — closed, bounds, CRC, payload validation
 // — except that on a mapped index a slot that has already passed them
 // skips the CRC and the metadata scan; the view is re-derived from the
 // mapping on every fetch and stays valid only while the index is open.
-// ok is false, with a nil error and before any payload work, for records
-// that have no packed form (raw fp16, 2- and 8-bit, odd group sizes):
-// read those with ReadSlotInto.
+// Every quantized record is 4-bit with even groups: one of another width
+// or group size fails with ErrCorrupt, naming the tensor. ok is false,
+// with a nil error and before any payload work, for a record that is not
+// quantized (raw fp16): read those with ReadSlotInto.
 func (ix *Indexed) ReadSlotPacked(slot int) (p quant.Packed, ok bool, err error) {
 	rec, err := ix.lookup(slot)
-	if err != nil || !rec.packable {
+	if err != nil || rec.kind != KindGWQ {
 		return quant.Packed{}, false, err
 	}
 	payload, verified, err := ix.payload(slot, false)
 	if err != nil {
 		return quant.Packed{}, false, err
 	}
-	if p, ok, err = viewPacked(payload, verified); err != nil {
-		return quant.Packed{}, false, fmt.Errorf("checkpoint: tensor %q: %v: %w", rec.name, err, ErrCorrupt)
+	if p, err = viewPacked(rec.name, payload, verified); err != nil {
+		return quant.Packed{}, false, err
 	}
-	if ok && !verified {
+	if !verified {
 		ix.markVerified(slot)
 	}
-	return p, ok, nil
+	return p, true, nil
 }
 
 // Verify re-reads and decodes every record in file order, running every

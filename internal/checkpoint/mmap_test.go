@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -291,40 +292,92 @@ func TestReadPackedBothFlavours(t *testing.T) {
 	}
 }
 
-// Widths the view cannot represent are routed away from ReadPacked by
-// the record's own header, and still decode through ReadTensor.
-func TestReadPackedSkipsOtherWidths(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "widths", 2)
+// otherGWQ lays out a quantized payload of a kind the format refuses —
+// a width other than 4 bits, or an odd group size — as the wire format
+// would with that header: (n*bits+7)/8 packed bytes, then a finite fp16
+// minimum and scale per group. quant.Quantize cannot write one.
+func otherGWQ(bits, gs, n int) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 0x47575134) // "GWQ4"
+	b = le.AppendUint32(b, uint32(bits))
+	b = le.AppendUint32(b, uint32(gs))
+	b = le.AppendUint64(b, uint64(n))
+	for i := 0; i < (n*bits+7)/8; i++ {
+		b = append(b, byte(i*37))
+	}
+	for h := 0; h < 2*((n+gs-1)/gs); h++ {
+		b = le.AppendUint16(b, 0x3c00)
+	}
+	return b
+}
+
+// A quantized record of any kind but 4-bit with even groups is corrupt,
+// over pread and mmap alike: the packed fetch, the decoding fetch and
+// Verify each fail with ErrCorrupt — at every fetch, a failed one marks
+// nothing verified — and never decode it some other way. The relabelled record is a valid 4-bit payload whose bits word
+// alone says 8.
+func TestReadRejectsOtherWidths(t *testing.T) {
+	qt, err := quant.Quantize(make([]float32, 130), quant.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]float32, 130)
-	for i := range vals {
-		vals[i] = float32(i%17) - 8
+	relabelled, err := qt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, qc := range map[string]quant.Config{"eight": {Bits: 8, GroupSize: 64}, "odd": {Bits: 4, GroupSize: 7}} {
-		qt, err := quant.Quantize(vals, qc)
+	binary.LittleEndian.PutUint32(relabelled[4:], 8)
+	for name, payload := range map[string][]byte{
+		"eight":      otherGWQ(8, 64, 130),
+		"two":        otherGWQ(2, 64, 130),
+		"odd":        otherGWQ(4, 7, 130),
+		"relabelled": relabelled,
+	} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, "widths", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteQuantized(name, qt); err != nil {
+		if err := w.WriteRaw("raw", []float32{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewIndexed(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"eight", "odd"} {
-		if _, ok, err := ix.ReadPacked(name); ok || err != nil {
-			t.Errorf("ReadPacked(%s): ok=%v err=%v, want not packable", name, ok, err)
+		if err := w.writeEntry(name, KindGWQ, payload); err != nil {
+			t.Fatal(err)
 		}
-		if e, err := ix.ReadTensor(name); err != nil || len(e) != len(vals) {
-			t.Errorf("ReadTensor(%s): %v", name, err)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".hlmc")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, open := range []struct {
+			flavour string
+			open    func(string) (*Indexed, error)
+		}{{"readat", OpenIndexed}, {"mmap", OpenIndexedMmap}} {
+			ix, err := open.open(path)
+			if err != nil {
+				t.Fatalf("%s/%s: open: %v", name, open.flavour, err)
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s/%s: %s: %v, want ErrCorrupt", name, open.flavour, what, err)
+				}
+			}
+			for range 2 {
+				_, ok, err := ix.ReadSlotPacked(1)
+				check("ReadSlotPacked", err)
+				if ok {
+					t.Errorf("%s/%s: ReadSlotPacked reported a view", name, open.flavour)
+				}
+				_, err = ix.ReadSlotInto(1, nil)
+				check("ReadSlotInto", err)
+			}
+			check("Verify", ix.Verify())
+			if v, err := ix.ReadSlotInto(0, nil); err != nil || len(v) != 3 {
+				t.Errorf("%s/%s: the raw record beside it: %v, %v", name, open.flavour, v, err)
+			}
+			ix.Close()
 		}
 	}
 }

@@ -289,9 +289,9 @@ func testPacked(t *testing.T) quant.Packed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok, err := quant.ViewPacked(blob)
-	if !ok || err != nil {
-		t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	p, err := quant.ViewPacked(blob)
+	if err != nil {
+		t.Fatalf("ViewPacked: %v", err)
 	}
 	return p
 }

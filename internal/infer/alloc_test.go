@@ -219,9 +219,9 @@ func newPackedMemStore(t *testing.T, cfg model.Config, raw *MemStore) packedMemS
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, ok, err := quant.ViewPacked(blob)
-			if err != nil || !ok {
-				t.Fatalf("ViewPacked L%d/%s: ok=%v err=%v", l.Index, w.Name, ok, err)
+			p, err := quant.ViewPacked(blob)
+			if err != nil {
+				t.Fatalf("ViewPacked L%d/%s: %v", l.Index, w.Name, err)
 			}
 			s.packed[storeKey{l.Index, w.Name}] = p
 		}

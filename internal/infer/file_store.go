@@ -116,8 +116,8 @@ func (s *FileStore) TensorInto(layer int, name string, dst []float32) ([]float32
 // TensorPacked implements PackedStore: a 4-bit record comes back as a
 // bounds-, CRC- and metadata-checked view of its stored bytes — of the
 // mapping on an mmap-backed store — valid until the store is closed.
-// Records with no packed form report ok false from the directory, unread
-// and uncounted: the caller's TensorInto is their one read.
+// Raw fp16 records report ok false from the directory, unread and
+// uncounted: the caller's TensorInto is their one read.
 func (s *FileStore) TensorPacked(layer int, name string) (quant.Packed, bool, error) {
 	slot, err := s.slot(layer, name)
 	if err != nil {

@@ -2,6 +2,9 @@ package infer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,5 +193,70 @@ func TestIndexedDirectory(t *testing.T) {
 	}
 	if _, err := fs.Tensor(999, "nope"); err == nil {
 		t.Errorf("missing tensor accepted")
+	}
+}
+
+// relabelRecord rewrites the bits word of the named quantized record in
+// a version-2 checkpoint file to bits, leaving its 4-bit layout behind,
+// and re-seals the record CRC: the bytes a writer of another width would
+// leave, checksummed and all.
+func relabelRecord(t *testing.T, path, name string, bits uint32) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	off := 10 + int(le.Uint16(b[8:])) + 4 // magic, version, model name, count
+	for off < len(b) {
+		hdr := off
+		nl := int(le.Uint16(b[off:]))
+		rec := string(b[off+2 : off+2+nl])
+		off += 2 + nl + 1 // name length, name, kind
+		n := int(le.Uint64(b[off:]))
+		off += 8 + 4 // payload length, crc
+		payload := b[off : off+n]
+		if rec == name {
+			le.PutUint32(payload[4:], bits)
+			crc := crc32.Update(crc32.ChecksumIEEE(b[hdr:off-4]), crc32.IEEETable, payload)
+			le.PutUint32(b[off-4:], crc)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		off += n
+	}
+	t.Fatalf("no record %q in %s", name, path)
+}
+
+// A checkpoint whose quantized record is not 4-bit fails the engine's
+// step with ErrCorrupt, over pread and mmap, and no token comes out: the record is never decoded some other way.
+func TestFileStoreRejectsOtherWidthRecord(t *testing.T) {
+	mc := tinyOPT()
+	path := writeTestCheckpoint(t, mc, 5)
+	var bad string // the last attention block's output projection
+	for _, l := range mc.Layers() {
+		for _, w := range l.Weights {
+			if w.Name == "w_out" {
+				bad = TensorKey(l.Index, w.Name)
+			}
+		}
+	}
+	relabelRecord(t, path, bad, 8)
+	for name, open := range map[string]func(string) (*FileStore, error){"readat": OpenFileStore, "mmap": OpenFileStoreMmap} {
+		fs, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e, err := New(mc, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks, err := e.Generate([]int{1, 2, 3}, 4)
+		if len(toks) != 0 || !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: generated %v, err %v; want no tokens and ErrCorrupt", name, toks, err)
+		}
+		fs.Close()
 	}
 }

@@ -62,7 +62,7 @@ type IntoStore interface {
 // decoding them, so a weight crosses the store chain at 4.5 bits per
 // element and is decoded where it is consumed. ok is false, with a nil
 // error and without the store having read anything, for tensors that
-// have no packed form (raw records, other bit widths): fetch those
+// have no packed form (raw fp16 records): fetch those
 // through the other paths. A view is valid while the checkpoint index
 // under it stays open — DESIGN §3h names who may hold one.
 type PackedStore interface {

@@ -235,8 +235,9 @@ func TestCompressedSizerChangesBytesNotShares(t *testing.T) {
 		t.Errorf("compression changed shares: %v vs %v", raw, comp)
 	}
 	r := float64(mp.TotalOn(TierCPU, qSizer)) / float64(mp.TotalOn(TierCPU, RawSizer))
-	if math.Abs(r-qc.Ratio(cfg.DTypeBytes)) > 0.01 {
-		t.Errorf("compressed/raw = %.4f, want %.4f", r, qc.Ratio(cfg.DTypeBytes))
+	// 4 bits plus 32 bits of metadata per 64 elements, over fp16 (§IV-B).
+	if want := 4.5 / 16; math.Abs(r-want) > 0.01 {
+		t.Errorf("compressed/raw = %.4f, want %.4f", r, want)
 	}
 }
 

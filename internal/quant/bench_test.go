@@ -76,9 +76,8 @@ func ffnPacked(b *testing.B) (blob []byte, p Packed) {
 	if blob, err = t.MarshalBinary(); err != nil {
 		b.Fatal(err)
 	}
-	p, ok, err := ViewPacked(blob)
-	if !ok || err != nil {
-		b.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	if p, err = ViewPacked(blob); err != nil {
+		b.Fatalf("ViewPacked: %v", err)
 	}
 	return blob, p
 }
@@ -90,8 +89,8 @@ func BenchmarkViewPackedFFN(b *testing.B) {
 	blob, _ := ffnPacked(b)
 	b.SetBytes(int64(len(blob)))
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := ViewPacked(blob); !ok || err != nil {
-			b.Fatal(ok, err)
+		if _, err := ViewPacked(blob); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -141,9 +140,9 @@ func packedMat(b *testing.B, k, cols int) Packed {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, ok, err := ViewPacked(blob)
-	if !ok || err != nil {
-		b.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	p, err := ViewPacked(blob)
+	if err != nil {
+		b.Fatalf("ViewPacked: %v", err)
 	}
 	return p
 }

@@ -35,79 +35,68 @@ func (p Packed) Len() int { return p.n }
 func (p Packed) GroupSize() int { return p.gs }
 
 // header parses and checks the fixed 20-byte prefix of a MarshalBinary
-// blob.
+// blob: the magic, a bits word of 4, a positive even group size and the
+// element count.
 func header(data []byte) (cfg Config, n int, err error) {
 	le := binary.LittleEndian
-	if len(data) < 20 {
+	if len(data) < headerLen {
 		return Config{}, 0, fmt.Errorf("quant: truncated tensor header (%d bytes)", len(data))
 	}
 	if got := le.Uint32(data[0:]); got != marshalMagic {
 		return Config{}, 0, fmt.Errorf("quant: bad magic %#x", got)
 	}
-	cfg = Config{Bits: int(le.Uint32(data[4:])), GroupSize: int(le.Uint32(data[8:]))}
+	if got := le.Uint32(data[4:]); got != bitsPerElem {
+		return Config{}, 0, fmt.Errorf("quant: unsupported bit width %d (want %d)", got, bitsPerElem)
+	}
+	cfg = Config{GroupSize: int(le.Uint32(data[8:]))}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, 0, err
 	}
-	n = int(le.Uint64(data[12:]))
-	if n < 0 {
-		return Config{}, 0, fmt.Errorf("quant: negative element count")
+	// Two elements a byte: a larger count cannot fit the blob, and
+	// bounding it keeps the layout arithmetic far from overflow.
+	count := le.Uint64(data[12:])
+	if count > 2*uint64(len(data)) {
+		return Config{}, 0, fmt.Errorf("quant: %d elements cannot fit a %d-byte tensor", count, len(data))
 	}
-	return cfg, n, nil
+	return cfg, int(count), nil
 }
 
-// packable reports whether a tensor of this shape can travel as a Packed
-// view: 4-bit with an even group size, so every group starts on a byte
-// boundary and decodes through the 16-entry table.
-func (c Config) packable() bool { return c.Bits == 4 && c.GroupSize%2 == 0 }
-
-// HeaderPackable reports whether the first bytes of a MarshalBinary blob
-// describe a tensor ViewPacked would accept as packable. It reads only
-// the 20-byte header, so a caller can route a record before touching
-// its payload.
-func HeaderPackable(data []byte) bool {
-	cfg, _, err := header(data)
-	return err == nil && cfg.packable()
-}
-
-// ViewPacked validates a MarshalBinary blob and returns a view of it. It
-// makes exactly the checks UnmarshalBinary makes — magic, configuration,
-// element count, exact payload length, every group minimum and scale
-// finite — and allocates nothing. ok is false, with a nil error, for a
-// well-formed header the view cannot represent (2- or 8-bit, odd group
-// size): the caller decodes those through Tensor.
-func ViewPacked(data []byte) (p Packed, ok bool, err error) {
-	if p, ok, err = ParsePacked(data); !ok || err != nil {
-		return Packed{}, false, err
+// ViewPacked validates a MarshalBinary blob and returns a view of it:
+// magic, a 4-bit width, a positive even group size, element count, exact
+// payload length, every group minimum and scale finite. It allocates
+// nothing. Any other width or group size is an error: the format has
+// no other kind.
+func ViewPacked(data []byte) (Packed, error) {
+	p, err := ParsePacked(data)
+	if err != nil {
+		return Packed{}, err
 	}
 	if err := checkMeta(p.meta, len(p.meta)/4); err != nil {
-		return Packed{}, false, err
+		return Packed{}, err
 	}
-	return p, true, nil
+	return p, nil
 }
 
 // ParsePacked is ViewPacked without the metadata scan: it makes every
 // check that bounds the view — magic, configuration, element count, exact
 // payload length — and leaves the group minimums and scales unread. It is
 // for bytes that already passed ViewPacked and have not changed since (a
-// checkpoint record on the mapping it was verified on); anything else goes
-// through ViewPacked.
-func ParsePacked(data []byte) (p Packed, ok bool, err error) {
+// checkpoint record on the mapping it was verified on); anything else
+// goes through ViewPacked.
+func ParsePacked(data []byte) (Packed, error) {
 	cfg, n, err := header(data)
 	if err != nil {
-		return Packed{}, false, err
-	}
-	if !cfg.packable() {
-		return Packed{}, false, nil
+		return Packed{}, err
 	}
 	packedLen, groups := cfg.layout(n)
-	if want := 20 + packedLen + 4*groups; len(data) != want {
-		return Packed{}, false, fmt.Errorf("quant: tensor payload is %d bytes, want %d", len(data), want)
+	if want := headerLen + packedLen + metaBytesPerGroup*groups; len(data) != want {
+		return Packed{}, fmt.Errorf("quant: tensor payload is %d bytes, want %d", len(data), want)
 	}
-	p = Packed{gs: cfg.GroupSize, n: n, nib: data[20 : 20+packedLen : 20+packedLen], meta: data[20+packedLen:]}
+	p := Packed{gs: cfg.GroupSize, n: n, nib: data[headerLen : headerLen+packedLen : headerLen+packedLen], meta: data[headerLen+packedLen:]}
 	if p.gs&(p.gs-1) == 0 {
 		p.shift = uint8(bits.TrailingZeros(uint(p.gs)))
 	}
-	return p, true, nil
+	return p, nil
 }
 
 // checkMeta verifies that every half of a metadata block — groups
@@ -147,19 +136,19 @@ func firstNonFinite(meta []byte) int {
 	return -1
 }
 
-// layout is the packed-byte and group counts of an n-element tensor.
+// layout is the packed-byte and group counts of an n-element tensor:
+// two elements a byte, the last group possibly short.
 func (c Config) layout(n int) (packedLen, groups int) {
 	if n > 0 {
-		groups = (n + c.GroupSize - 1) / c.GroupSize
+		groups = (n-1)/c.GroupSize + 1
 	}
-	return (n*c.Bits + 7) / 8, groups
+	return (n + 1) / 2, groups
 }
 
 // DecodeRange decodes elements [lo, lo+len(dst)) into dst. lo must be a
 // multiple of the group size, and the range must end on a group boundary
 // or at the tensor's end: whole groups only, so every element comes out
-// of its group's value table exactly as Tensor.DequantizeInto computes
-// it.
+// of its group's value table exactly as DequantizeInto computes it.
 func (p Packed) DecodeRange(dst []float32, lo int) {
 	var g, whole int
 	if p.shift != 0 {
@@ -250,9 +239,10 @@ func halfAt(meta []byte, i int) float32 {
 }
 
 // DequantizeInto decodes the whole tensor into dst when its capacity
-// suffices (allocating otherwise) and returns the filled slice — the
-// same bits, tiled over the worker pool the same way, as
-// Tensor.DequantizeInto.
+// suffices (allocating otherwise) and returns the filled slice. Groups
+// are independent (each owns a disjoint output range), so the decode
+// tiles over the shared worker pool (tensor.SetParallelism), bit-identical
+// at any worker count.
 func (p Packed) DequantizeInto(dst []float32) []float32 {
 	var out []float32
 	if cap(dst) >= p.n {

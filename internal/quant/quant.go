@@ -1,14 +1,16 @@
 // Package quant implements the group-wise weight quantization FlexGen uses
 // to compress model weights from FP16 to 4 bits (Shen et al. [53], §IV-B):
 // tensors are split into fixed-size groups, each group stores its minimum
-// and scale in half precision, and elements are encoded as unsigned
-// fixed-point offsets from the group minimum.
+// and scale in half precision, and elements are encoded as 4-bit unsigned
+// fixed-point offsets from the group minimum. That is the package's one
+// format: 4 bits per element, an even group size (so every group starts
+// on a byte boundary), and nothing else is written or read.
 //
-// The package provides both a real encoder/decoder (used by the tests and
-// examples to demonstrate the error bounds that make 4-bit serving viable)
-// and the exact compressed-size accounting the placement and scheduling
-// code uses (the ~3.56x size reduction of §IV-B: "reducing the model size
-// to nearly a quarter").
+// Quantize is the encoder; Packed, a validated view of an encoded blob,
+// is the one decoder, which serving, the fused kernels and Tensor itself
+// go through. The package also provides the exact compressed-size
+// accounting the placement and scheduling code uses (the ~3.56x size
+// reduction of §IV-B: "reducing the model size to nearly a quarter").
 package quant
 
 import (
@@ -21,32 +23,26 @@ import (
 	"helmsim/internal/units"
 )
 
+// bitsPerElem is the one element width: FlexGen's 4 bits.
+const bitsPerElem = 4
+
 // Config selects the quantization parameters.
 type Config struct {
-	// Bits is the per-element width; 2, 4, and 8 are supported.
-	Bits int
-	// GroupSize is the number of elements sharing one (min, scale) pair.
+	// GroupSize is the number of elements sharing one (min, scale) pair:
+	// positive and even.
 	GroupSize int
 }
 
 // Default returns FlexGen's configuration: 4 bits, group size 64.
-func Default() Config { return Config{Bits: 4, GroupSize: 64} }
+func Default() Config { return Config{GroupSize: 64} }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	switch c.Bits {
-	case 2, 4, 8:
-	default:
-		return fmt.Errorf("quant: unsupported bit width %d (want 2, 4, or 8)", c.Bits)
-	}
-	if c.GroupSize <= 0 {
-		return fmt.Errorf("quant: non-positive group size %d", c.GroupSize)
+	if c.GroupSize <= 0 || c.GroupSize%2 != 0 {
+		return fmt.Errorf("quant: group size %d is not positive and even", c.GroupSize)
 	}
 	return nil
 }
-
-// levels is the number of representable values per element.
-func (c Config) levels() int { return 1 << c.Bits }
 
 // metaBytesPerGroup is the per-group metadata cost: one FP16 minimum and
 // one FP16 scale.
@@ -59,26 +55,16 @@ func (c Config) CompressedBytes(elems int64) units.Bytes {
 		return 0
 	}
 	groups := (elems + int64(c.GroupSize) - 1) / int64(c.GroupSize)
-	dataBits := elems * int64(c.Bits)
+	dataBits := elems * bitsPerElem
 	dataBytes := (dataBits + 7) / 8
 	return units.Bytes(dataBytes + groups*metaBytesPerGroup)
 }
 
-// Ratio is the asymptotic compressed/uncompressed size ratio against a
-// dtype of the given byte width. For the default config against FP16 this
-// is 0.28125 — "nearly a quarter" (§IV-B).
-func (c Config) Ratio(dtypeBytes int) float64 {
-	perElem := float64(c.Bits)/8 + metaBytesPerGroup/float64(c.GroupSize)
-	return perElem / float64(dtypeBytes)
-}
-
-// Tensor is a quantized tensor.
+// Tensor is a quantized tensor: the bytes MarshalBinary returns, and the
+// Packed view of them every decode goes through.
 type Tensor struct {
-	cfg    Config
-	n      int
-	packed []byte
-	mins   []Float16
-	scales []Float16
+	blob []byte
+	p    Packed
 }
 
 // Quantize encodes x under cfg.
@@ -92,21 +78,20 @@ func Quantize(x []float32, cfg Config) (*Tensor, error) {
 		}
 	}
 	n := len(x)
-	groups := (n + cfg.GroupSize - 1) / cfg.GroupSize
-	t := &Tensor{
-		cfg:    cfg,
-		n:      n,
-		packed: make([]byte, (n*cfg.Bits+7)/8),
-		mins:   make([]Float16, groups),
-		scales: make([]Float16, groups),
-	}
-	maxQ := float32(cfg.levels() - 1)
+	packedLen, groups := cfg.layout(n)
+	blob := make([]byte, headerLen+packedLen+metaBytesPerGroup*groups)
+	le := binary.LittleEndian
+	le.PutUint32(blob[0:], marshalMagic)
+	le.PutUint32(blob[4:], bitsPerElem)
+	le.PutUint32(blob[8:], uint32(cfg.GroupSize))
+	le.PutUint64(blob[12:], uint64(n))
+	nib := blob[headerLen : headerLen+packedLen]
+	mins := blob[headerLen+packedLen : headerLen+packedLen+2*groups]
+	scales := blob[headerLen+packedLen+2*groups:]
+	const maxQ = 1<<bitsPerElem - 1
 	for g := 0; g < groups; g++ {
 		lo := g * cfg.GroupSize
-		hi := lo + cfg.GroupSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+cfg.GroupSize, n)
 		gmin, gmax := x[lo], x[lo]
 		for _, v := range x[lo+1 : hi] {
 			if v < gmin {
@@ -118,84 +103,46 @@ func Quantize(x []float32, cfg Config) (*Tensor, error) {
 		}
 		// Store metadata in half precision, then quantize against the
 		// *stored* (rounded) values so decode is self-consistent.
-		t.mins[g] = ToFloat16(gmin)
-		scale := (gmax - gmin) / maxQ
-		t.scales[g] = ToFloat16(scale)
-		smin := t.mins[g].Float32()
-		sscale := t.scales[g].Float32()
+		hmin, hscale := ToFloat16(gmin), ToFloat16((gmax-gmin)/maxQ)
+		le.PutUint16(mins[2*g:], uint16(hmin))
+		le.PutUint16(scales[2*g:], uint16(hscale))
+		smin, sscale := hmin.Float32(), hscale.Float32()
+		if sscale <= 0 {
+			continue // every code 0: the group decodes to its minimum
+		}
 		for i := lo; i < hi; i++ {
-			var q uint32
-			if sscale > 0 {
-				q = uint32(math.Round(float64((x[i] - smin) / sscale)))
-				if q > uint32(maxQ) {
-					q = uint32(maxQ)
-				}
-			}
-			t.setQ(i, q)
+			q := min(uint32(math.Round(float64((x[i]-smin)/sscale))), maxQ)
+			nib[i/2] |= byte(q) << (4 * (i & 1))
 		}
 	}
-	return t, nil
-}
-
-// setQ stores the quantized value of element i into the packed buffer.
-func (t *Tensor) setQ(i int, q uint32) {
-	bits := t.cfg.Bits
-	bitPos := i * bits
-	byteIdx := bitPos / 8
-	shift := uint(bitPos % 8)
-	mask := byte(t.cfg.levels()-1) << shift
-	t.packed[byteIdx] = (t.packed[byteIdx] &^ mask) | byte(q)<<shift&mask
-}
-
-// getQ loads the quantized value of element i.
-func (t *Tensor) getQ(i int) uint32 {
-	bits := t.cfg.Bits
-	bitPos := i * bits
-	byteIdx := bitPos / 8
-	shift := uint(bitPos % 8)
-	return uint32(t.packed[byteIdx]>>shift) & uint32(t.cfg.levels()-1)
+	// A group range beyond half precision has an Inf minimum or scale,
+	// which no reader accepts: ViewPacked refuses it here instead.
+	p, err := ViewPacked(blob)
+	if err != nil {
+		return nil, err
+	}
+	return &Tensor{blob: blob, p: p}, nil
 }
 
 // Len is the element count.
-func (t *Tensor) Len() int { return t.n }
+func (t *Tensor) Len() int { return t.p.n }
 
 // Bytes is the encoded size, identical to Config.CompressedBytes.
-func (t *Tensor) Bytes() units.Bytes {
-	return units.Bytes(len(t.packed) + len(t.mins)*2 + len(t.scales)*2)
-}
+func (t *Tensor) Bytes() units.Bytes { return units.Bytes(len(t.blob) - headerLen) }
 
-// Dequantize decodes the tensor back to float32.
-//
-// Groups are independent (each owns a disjoint output range and only
-// reads the packed buffer), so the decode tiles over the shared worker
-// pool (tensor.SetParallelism) — per-use decompression is the serving
-// path's recurring compute, and it scales with cores. Output is
-// bit-identical at any worker count.
+// Dequantize decodes the tensor back to float32 (see DequantizeInto).
 func (t *Tensor) Dequantize() []float32 {
 	return t.DequantizeInto(nil)
 }
 
-// DequantizeInto is Dequantize writing into dst when its capacity
-// suffices, allocating a fresh slice otherwise; it returns the filled
-// slice (length t.Len()). The decode loop and its parallel tiling are
-// identical to Dequantize, so the output bits match exactly. dst may be
-// nil. The caller owns the returned slice; it aliases dst when dst was
-// large enough.
+// DequantizeInto decodes the tensor into dst when its capacity suffices,
+// allocating a fresh slice otherwise, and returns the filled slice
+// (length t.Len()): Packed.DequantizeInto on the tensor's own encoding,
+// so the bits are those every reader of the blob decodes, tiled over the
+// shared worker pool the same way. dst may be nil. The caller owns the
+// returned slice; it aliases dst when dst was large enough.
 func (t *Tensor) DequantizeInto(dst []float32) []float32 {
-	var out []float32
-	if cap(dst) >= t.n {
-		out = dst[:t.n]
-	} else {
-		out = make([]float32, t.n)
-	}
-	grain := dequantGrain(t.cfg.GroupSize)
-	if len(t.mins) <= grain || !fork.take() {
-		t.dequantGroups(out, 0, len(t.mins))
-		return out
-	}
-	fork.t, fork.out = t, out
-	fork.run(len(t.mins), grain)
-	return out
+	return t.p.DequantizeInto(dst)
 }
 
 // forkCall is the package's one forked decode: the operands its chunks
@@ -210,7 +157,6 @@ func (t *Tensor) DequantizeInto(dst []float32) []float32 {
 type forkCall struct {
 	busy atomic.Bool
 	body func(glo, ghi int)
-	t    *Tensor // the tensor being decoded, or nil: then p is
 	p    Packed
 	out  []float32
 }
@@ -233,16 +179,12 @@ func (f *forkCall) take() bool {
 // caller has set, then releases the call and its references.
 func (f *forkCall) run(groups, grain int) {
 	parallel.For(groups, grain, f.body)
-	f.t, f.p, f.out = nil, Packed{}, nil
+	f.p, f.out = Packed{}, nil
 	f.busy.Store(false)
 }
 
 // chunk decodes groups [glo, ghi) of the current call.
 func (f *forkCall) chunk(glo, ghi int) {
-	if f.t != nil {
-		f.t.dequantGroups(f.out, glo, ghi)
-		return
-	}
 	gs := f.p.gs
 	f.p.DecodeRange(f.out[glo*gs:min(ghi*gs, f.p.n)], glo*gs)
 }
@@ -251,37 +193,6 @@ func (f *forkCall) chunk(glo, ghi int) {
 // per tile at the default group size keeps tiny tensors (biases, norms)
 // on the calling goroutine.
 func dequantGrain(groupSize int) int { return 1 + (1<<14)/groupSize }
-
-// dequantGroups decodes groups [glo, ghi) into out — each group owns a
-// disjoint output range, so any split over groups is bit-identical.
-//
-// A 4-bit group takes only 16 distinct values, so for Bits == 4 with an
-// even GroupSize (every group then starts on a byte boundary) the group's
-// values are computed once into a table — with the generic loop's own
-// expression, so each entry carries the bits that loop would store — and
-// the packed bytes are unpacked eight at a time through it. Everything
-// else (2-/8-bit, odd group sizes, the odd last element) takes the
-// generic per-element loop.
-func (t *Tensor) dequantGroups(out []float32, glo, ghi int) {
-	gs := t.cfg.GroupSize
-	table := t.cfg.packable()
-	for g := glo; g < ghi; g++ {
-		lo := g * gs
-		hi := lo + gs
-		if hi > t.n {
-			hi = t.n
-		}
-		gmin := t.mins[g].Float32()
-		scale := t.scales[g].Float32()
-		i := lo
-		if table {
-			i += decode4(out[lo:hi], t.packed[lo/2:], gmin, scale)
-		}
-		for ; i < hi; i++ {
-			out[i] = gmin + float32(float32(t.getQ(i))*scale)
-		}
-	}
-}
 
 // decode4Ref is the reference body of decode4: the whole implementation
 // off amd64, the sub-block tail on it, and what the differential tests
@@ -342,8 +253,8 @@ func unpack4(out []float32, packed []byte, tab *[16]float32) int {
 // half a quantization step plus the half-precision rounding of the
 // metadata. Useful for asserting correctness properties.
 func (t *Tensor) MaxGroupError(g int) float64 {
-	scale := float64(t.scales[g].Float32())
+	scale := float64(halfAt(t.p.meta[len(t.p.meta)/2:], g))
 	// Half a step from rounding, plus ~2 ulps of fp16 metadata error
 	// amplified across the group range.
-	return scale/2 + scale*float64(t.cfg.levels())*1e-3 + 1e-6
+	return scale/2 + scale*(1<<bitsPerElem)*1e-3 + 1e-6
 }

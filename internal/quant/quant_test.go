@@ -14,7 +14,10 @@ func TestConfigValidate(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	for _, c := range []Config{{Bits: 3, GroupSize: 64}, {Bits: 4, GroupSize: 0}, {Bits: 0, GroupSize: 64}, {Bits: 16, GroupSize: 8}} {
+	if err := (Config{GroupSize: 2}).Validate(); err != nil {
+		t.Errorf("group size 2 invalid: %v", err)
+	}
+	for _, c := range []Config{{GroupSize: 0}, {GroupSize: -64}, {GroupSize: 1}, {GroupSize: 7}, {GroupSize: 63}} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
 		}
@@ -24,12 +27,9 @@ func TestConfigValidate(t *testing.T) {
 // §IV-B: 4-bit group-wise quantization reduces the model "to nearly a
 // quarter" of its FP16 size.
 func TestRatioNearQuarter(t *testing.T) {
-	r := Default().Ratio(2)
-	if math.Abs(r-0.28125) > 1e-12 {
+	const elems = 64 << 10
+	if r := float64(Default().CompressedBytes(elems)) / (2 * elems); r != 0.28125 {
 		t.Errorf("ratio = %v, want 0.28125", r)
-	}
-	if r8 := (Config{Bits: 8, GroupSize: 64}).Ratio(2); math.Abs(r8-0.53125) > 1e-12 {
-		t.Errorf("8-bit ratio = %v", r8)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestQuantizeRoundTripAccuracy(t *testing.T) {
 
 func TestQuantizeConstantGroup(t *testing.T) {
 	x := []float32{3.5, 3.5, 3.5, 3.5}
-	tensor, err := Quantize(x, Config{Bits: 4, GroupSize: 4})
+	tensor, err := Quantize(x, Config{GroupSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestQuantizeConstantGroup(t *testing.T) {
 
 func TestQuantizePartialGroup(t *testing.T) {
 	x := []float32{1, 2, 3, 4, 5} // group size 4 -> one full + one partial
-	tensor, err := Quantize(x, Config{Bits: 4, GroupSize: 4})
+	tensor, err := Quantize(x, Config{GroupSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +125,13 @@ func TestQuantizeRejectsNonFinite(t *testing.T) {
 	for _, bad := range [][]float32{
 		{1, float32(math.NaN())},
 		{float32(math.Inf(1)), 0},
+		{-70000, 1}, // finite, but the group minimum overflows half precision
 	} {
 		if _, err := Quantize(bad, Default()); err == nil {
 			t.Errorf("non-finite input accepted: %v", bad)
 		}
 	}
-	if _, err := Quantize([]float32{1}, Config{Bits: 5, GroupSize: 4}); err == nil {
+	if _, err := Quantize([]float32{1}, Config{GroupSize: 3}); err == nil {
 		t.Errorf("invalid config accepted")
 	}
 }
@@ -142,32 +143,6 @@ func TestQuantizeEmpty(t *testing.T) {
 	}
 	if tensor.Len() != 0 || tensor.Bytes() != 0 || len(tensor.Dequantize()) != 0 {
 		t.Errorf("empty tensor not empty: len=%d bytes=%d", tensor.Len(), tensor.Bytes())
-	}
-}
-
-func TestBitWidths(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float32, 512)
-	for i := range x {
-		x[i] = float32(rng.Float64()*2 - 1)
-	}
-	var prevErr float64 = -1
-	// Error shrinks as bit width grows.
-	for _, bits := range []int{8, 4, 2} {
-		tensor, err := Quantize(x, Config{Bits: bits, GroupSize: 64})
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		y := tensor.Dequantize()
-		var se float64
-		for i := range x {
-			d := float64(x[i] - y[i])
-			se += d * d
-		}
-		if prevErr >= 0 && se < prevErr {
-			t.Errorf("error should grow as bits shrink: bits=%d se=%g prev=%g", bits, se, prevErr)
-		}
-		prevErr = se
 	}
 }
 
@@ -309,7 +284,7 @@ func TestCompressedBytesForOPT175B(t *testing.T) {
 	c := Default()
 	elems := int64(175e9)
 	got := c.CompressedBytes(elems)
-	want := float64(elems) * 2 * c.Ratio(2)
+	want := float64(elems) * 2 * 0.28125
 	if math.Abs(float64(got)-want)/want > 1e-6 {
 		t.Errorf("compressed 175B = %v, want ~%.0f", got, want)
 	}
@@ -325,7 +300,7 @@ func TestDequantizeParallelInvariance(t *testing.T) {
 	for i := range x {
 		x[i] = float32(math.Sin(float64(i))) * float32(i%113)
 	}
-	for _, cfg := range []Config{{Bits: 4, GroupSize: 64}, {Bits: 2, GroupSize: 3}, {Bits: 8, GroupSize: 1000}} {
+	for _, cfg := range []Config{{GroupSize: 64}, {GroupSize: 2}, {GroupSize: 1000}} {
 		tensor, err := Quantize(x, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -277,7 +277,7 @@ func TestValidation(t *testing.T) {
 		t.Errorf("negative gen accepted")
 	}
 	bad = good
-	qc := quant.Config{Bits: 5, GroupSize: 64}
+	qc := quant.Config{GroupSize: 63}
 	bad.Compression = &qc
 	if _, err := Run(bad); err == nil {
 		t.Errorf("invalid compression accepted")

@@ -147,7 +147,7 @@ func TestMatMulTMatchesScalarOracle(t *testing.T) {
 // it — the fused kernels' oracle input.
 func packMat(t testing.TB, m Mat, gs int) (quant.Packed, Mat) {
 	t.Helper()
-	qt, err := quant.Quantize(m.Data, quant.Config{Bits: 4, GroupSize: gs})
+	qt, err := quant.Quantize(m.Data, quant.Config{GroupSize: gs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,9 @@ func packMat(t testing.TB, m Mat, gs int) (quant.Packed, Mat) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok, err := quant.ViewPacked(blob)
-	if err != nil || !ok {
-		t.Fatalf("ViewPacked: ok=%v err=%v", ok, err)
+	p, err := quant.ViewPacked(blob)
+	if err != nil {
+		t.Fatalf("ViewPacked: %v", err)
 	}
 	return p, Mat{R: m.R, C: m.C, Data: qt.Dequantize()}
 }
