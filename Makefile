@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-full fmt-check vet helmvet vulncheck mutants bench bench-smoke kernel-oracles daemon-smoke fleet-smoke overload-smoke
+.PHONY: all build test race lint lint-full fmt-check vet vulncheck mutants bench bench-smoke kernel-oracles daemon-smoke fleet-smoke overload-smoke
 
 all: build lint test
 
@@ -16,9 +16,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint = the offline blocking checks of the CI lint job: gofmt, go vet,
-# and the five-analyzer helmvet suite.
-lint: fmt-check vet helmvet
+# lint = the offline blocking checks of the CI lint job: gofmt and go vet.
+lint: fmt-check vet
 
 # lint-full = everything the CI lint job enforces, including the
 # blocking vulnerability scan (needs network for the scanner + DB).
@@ -29,9 +28,6 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
-
-helmvet:
-	$(GO) run ./cmd/helmvet ./...
 
 # Blocking, with the .govulncheck-ignore escape hatch for unfixable
 # stdlib advisories; CI runs the same script. Needs network.

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -183,7 +182,6 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	// The daemon anchors on Background, not the signal context: SIGTERM
 	// must trigger a graceful drain, with force-cancel reserved for the
 	// drain deadline — not fire the moment the signal lands.
-	//lint:helmvet-ignore ctxflow the daemon must outlive the signal ctx: SIGTERM drains gracefully; force-cancel is reserved for the drain deadline
 	s, err := server.New(context.Background(), server.Config{
 		Model:           cfg,
 		OpenStore:       server.FileOpener(ckpt, o.faultRate, o.faultSeed),
@@ -202,77 +200,30 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		//lint:helmvet-ignore ctxflow listen failed before serving; drain must run even though the signal ctx may already be done
-		drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		s.Drain(drainCtx)
-		return err
-	}
-	// The smoke test (and any launcher using port 0) parses this line.
-	fmt.Fprintf(stdout, "helmd: listening on %s\n", ln.Addr())
-
-	// SIGHUP → hot reload, on a dedicated channel so it never competes
-	// with the shutdown signals.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for {
-			select {
-			case <-hup:
-				if err := s.Reload(); err != nil {
-					fmt.Fprintln(stderr, "helmd: reload failed, serving generation unchanged:", err)
-				} else {
-					fmt.Fprintf(stderr, "helmd: reloaded checkpoint, now serving generation %d\n", s.Stats().Generation)
-				}
-			case <-ctx.Done():
-				return
+	err = server.Daemon{
+		Addr:    o.addr,
+		Handler: s.Handler(),
+		// The smoke test (and any launcher using port 0) parses this line.
+		Listening: func(addr net.Addr) { fmt.Fprintf(stdout, "helmd: listening on %s\n", addr) },
+		Reload: func() {
+			if err := s.Reload(); err != nil {
+				fmt.Fprintln(stderr, "helmd: reload failed, serving generation unchanged:", err)
+			} else {
+				fmt.Fprintf(stderr, "helmd: reloaded checkpoint, now serving generation %d\n", s.Stats().Generation)
 			}
-		}
-	}()
-
-	hs := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		//lint:helmvet-ignore ctxflow drain budget starts at listener failure, independent of the signal ctx
-		drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-		defer cancel()
-		s.Drain(drainCtx)
-		return fmt.Errorf("listener failed: %w", err)
-	case <-ctx.Done():
-	}
-	<-hupDone
-
-	// Graceful shutdown: stop admitting and drain in-flight work first
-	// (readyz already reports 503 via Draining), then close the listener.
-	// Drain before Shutdown so requests admitted a moment before the
-	// signal still complete rather than racing connection teardown.
-	fmt.Fprintln(stderr, "helmd: signal received, draining")
-	//lint:helmvet-ignore ctxflow the signal ctx is already cancelled here; the drain budget must be a fresh deadline
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	drainErr := s.Drain(drainCtx)
-	//lint:helmvet-ignore ctxflow same: Shutdown needs a live deadline after the signal ctx ended
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		hs.Close()
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed
+		},
+		// Draining stops admitting (readyz reports 503) and finishes
+		// in-flight work.
+		Drain: func(ctx context.Context) error {
+			fmt.Fprintln(stderr, "helmd: draining")
+			return s.Drain(ctx)
+		},
+		DrainTimeout: o.drainTimeout,
+	}.Run(ctx)
 
 	// Drained, every arrival has its bucket: the ones not admitted shed.
 	st := s.Stats()
 	fmt.Fprintf(stdout, "helmd: drained: served %d, failed %d, shed %d, force-cancelled %d, reloads %d, transients absorbed %d\n",
 		st.Served, st.Failed, st.Arrivals-st.Admitted, st.ForceCancelled, st.Reloads, st.StoreTransients)
-	if drainErr != nil {
-		return fmt.Errorf("drain: %w", drainErr)
-	}
-	return nil
+	return err
 }

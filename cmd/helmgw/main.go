@@ -311,7 +311,6 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 
 	// The gateway anchors on Background for the same reason the replicas
 	// do: the signal starts a graceful drain, it does not cut relays off.
-	//lint:helmvet-ignore ctxflow the gateway must outlive the signal ctx; Drain's deadline owns force-cancel
 	g, err := gateway.New(context.Background(), gateway.Config{
 		Backends:        f.cfgs,
 		Route:           o.route,
@@ -332,77 +331,38 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	defer stopProbes()
 	probesDone := g.Start(probeCtx)
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		//lint:helmvet-ignore ctxflow listen failed before serving; the gateway drain still needs a live deadline
-		drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		g.Drain(drainCtx)
-		return err
-	}
-	// Launchers using port 0 (and the e2e test) parse this line.
-	fmt.Fprintf(stdout, "helmgw: listening on %s, fronting %d replicas (%s)\n", ln.Addr(), len(f.cfgs), g.Router())
-
-	// SIGHUP → hot reload every in-process replica, on a dedicated
-	// channel so it never competes with the shutdown signals.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for {
-			select {
-			case <-hup:
-				if len(f.servers) == 0 {
-					fmt.Fprintln(stderr, "helmgw: SIGHUP ignored: remote daemons own their own reloads")
-					continue
-				}
-				for i, s := range f.servers {
-					if err := s.Reload(); err != nil {
-						fmt.Fprintf(stderr, "helmgw: replica %s reload failed, serving generation unchanged: %v\n", f.names[i], err)
-					} else {
-						fmt.Fprintf(stderr, "helmgw: replica %s reloaded, now serving generation %d\n", f.names[i], s.Stats().Generation)
-					}
-				}
-			case <-ctx.Done():
+	err = server.Daemon{
+		Addr:    o.addr,
+		Handler: g.Handler(),
+		// Launchers using port 0 (and the e2e test) parse this line.
+		Listening: func(addr net.Addr) {
+			fmt.Fprintf(stdout, "helmgw: listening on %s, fronting %d replicas (%s)\n", addr, len(f.cfgs), g.Router())
+		},
+		Reload: func() {
+			if len(f.servers) == 0 {
+				fmt.Fprintln(stderr, "helmgw: SIGHUP ignored: remote daemons own their own reloads")
 				return
 			}
-		}
-	}()
-
-	hs := &http.Server{Handler: g.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		//lint:helmvet-ignore ctxflow drain budget starts at listener failure, independent of the signal ctx
-		drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-		defer cancel()
-		g.Drain(drainCtx)
-		return fmt.Errorf("listener failed: %w", err)
-	case <-ctx.Done():
-	}
-	<-hupDone
-
-	// Graceful shutdown, outermost first: the gateway stops admitting and
-	// finishes in-flight relays, then the replicas drain (deferred above),
-	// then the listener closes.
-	fmt.Fprintln(stderr, "helmgw: signal received, draining gateway then fleet")
-	//lint:helmvet-ignore ctxflow the signal ctx is already cancelled here; the drain budget must be a fresh deadline
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	drainErr := g.Drain(drainCtx)
-	stopProbes()
-	<-probesDone
-	//lint:helmvet-ignore ctxflow same: Shutdown needs a live deadline after the signal ctx ended
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		hs.Close()
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed
+			for i, s := range f.servers {
+				if err := s.Reload(); err != nil {
+					fmt.Fprintf(stderr, "helmgw: replica %s reload failed, serving generation unchanged: %v\n", f.names[i], err)
+				} else {
+					fmt.Fprintf(stderr, "helmgw: replica %s reloaded, now serving generation %d\n", f.names[i], s.Stats().Generation)
+				}
+			}
+		},
+		// Outermost first: the gateway stops admitting and finishes
+		// in-flight relays, the probes stop, then the replicas drain
+		// (deferred above) after the listener has closed.
+		Drain: func(ctx context.Context) error {
+			fmt.Fprintln(stderr, "helmgw: draining gateway then fleet")
+			err := g.Drain(ctx)
+			stopProbes()
+			<-probesDone
+			return err
+		},
+		DrainTimeout: o.drainTimeout,
+	}.Run(ctx)
 
 	st := g.Stats()
 	fmt.Fprintf(stdout, "helmgw: drained: arrivals %d, routed %d, failover retries %d, shed (no healthy %d, draining %d, bad %d), conserved %v\n",
@@ -411,8 +371,5 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "helmgw:   %s: attempts %d, finalized %d, served %d, failovers %d, probes %d (failed %d)\n",
 			bs.Name, bs.Attempts, bs.Finalized, bs.Served, bs.Failovers, bs.Probes, bs.ProbeFailures)
 	}
-	if drainErr != nil {
-		return fmt.Errorf("drain: %w", drainErr)
-	}
-	return nil
+	return err
 }

@@ -190,7 +190,6 @@ func (b *Batcher) Submit(ctx context.Context, prompt []int, maxNew int) ([]int, 
 // the queue.
 func (b *Batcher) SubmitClass(ctx context.Context, prompt []int, maxNew int, class serve.Class) ([]int, error) {
 	if ctx == nil {
-		//lint:helmvet-ignore ctxflow nil-ctx guard: callers passing nil get the documented undeadlined behavior
 		ctx = context.Background()
 	}
 	if !class.Valid() {

@@ -244,7 +244,6 @@ func (ix *Indexed) payload(slot int, full bool) (p []byte, verified bool, err er
 			return nil, false, fmt.Errorf("checkpoint: tensor %q crc mismatch (stored %#x, computed %#x): %w", rec.name, rec.crc, got, ErrCorrupt)
 		}
 	}
-	//lint:helmvet-ignore mmapalias payload is the view-or-copy seam itself: its doc binds the view's lifetime to the open index; ReadSlotInto copies out before returning, and ReadSlotPacked hands the view on only as a quant.Packed, whose holders (DESIGN §3h) keep the index open through their generation pin
 	return p, verified, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"helmsim/internal/quant"
@@ -362,6 +364,8 @@ func TestReadRejectsOtherWidths(t *testing.T) {
 				t.Helper()
 				if !errors.Is(err, ErrCorrupt) {
 					t.Errorf("%s/%s: %s: %v, want ErrCorrupt", name, open.flavour, what, err)
+				} else if !strings.Contains(err.Error(), fmt.Sprintf("tensor %q", name)) {
+					t.Errorf("%s/%s: %s: %v does not name the tensor", name, open.flavour, what, err)
 				}
 			}
 			for range 2 {

@@ -41,7 +41,6 @@ func openMapped(path string) (*MappedFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: mmap %s: %w", path, err)
 	}
-	//lint:helmvet-ignore mmapalias MappedFile owns the mapping rather than borrowing it: this store is the region release() will Munmap
 	return &MappedFile{data: data}, nil
 }
 

@@ -118,7 +118,6 @@ func TestUncompressedOPT175BRejectsDRAM(t *testing.T) {
 	if err == nil {
 		t.Fatal("uncompressed OPT-175B on DRAM should exceed capacity")
 	}
-	//lint:helmvet-ignore errcheckwrap this test asserts the human-readable message names the tier, not classification
 	if !strings.Contains(err.Error(), "DRAM") {
 		t.Errorf("unhelpful capacity error: %v", err)
 	}
@@ -148,7 +147,6 @@ func TestBatchCapsMatchPaper(t *testing.T) {
 	}
 	// Running over the cap errors with a helpful message.
 	_, err = Run(RunConfig{Model: model.OPT175B(), Memory: MemNVDRAM, Batch: 44})
-	//lint:helmvet-ignore errcheckwrap this test asserts the human-readable message explains the cap, not classification
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("over-cap run: %v", err)
 	}

@@ -189,6 +189,5 @@ func (in *injector) sleep() {
 		in.plan.Sleep(in.plan.Spike)
 		return
 	}
-	//lint:helmvet-ignore determinism injectable-clock seam: Plan.Sleep is the stub point, real time is the production default
 	time.Sleep(in.plan.Spike)
 }

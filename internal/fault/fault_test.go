@@ -247,7 +247,6 @@ func TestErrorMessagesCarryContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = s.Tensor(7, "w_q")
-	//lint:helmvet-ignore errcheckwrap this test asserts the human-readable message carries tensor identity, not classification
 	if err == nil || !strings.Contains(err.Error(), "L7/w_q") {
 		t.Errorf("injected error lost tensor identity: %v", err)
 	}

@@ -183,7 +183,6 @@ func applyRoPE(row []float32, sc []float64) {
 
 // Generate runs greedy decoding: prefill the prompt, then emit n tokens.
 func (e *Engine) Generate(prompt []int, n int) ([]int, error) {
-	//lint:helmvet-ignore ctxflow compatibility shim: the no-ctx API deliberately anchors an undeadlined generation
 	return e.GenerateContext(context.Background(), prompt, n)
 }
 
@@ -193,7 +192,6 @@ func (e *Engine) Generate(prompt []int, n int) ([]int, error) {
 // instead of hanging the request forever.
 func (e *Engine) GenerateContext(ctx context.Context, prompt []int, n int) ([]int, error) {
 	if ctx == nil {
-		//lint:helmvet-ignore ctxflow nil-ctx guard: callers passing nil get the documented undeadlined behavior
 		ctx = context.Background()
 	}
 	if len(prompt) == 0 {

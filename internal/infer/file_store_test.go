@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"helmsim/internal/checkpoint"
@@ -256,6 +258,8 @@ func TestFileStoreRejectsOtherWidthRecord(t *testing.T) {
 		toks, err := e.Generate([]int{1, 2, 3}, 4)
 		if len(toks) != 0 || !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Errorf("%s: generated %v, err %v; want no tokens and ErrCorrupt", name, toks, err)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("tensor %q", bad)) {
+			t.Errorf("%s: %v does not name the tensor %s", name, err, bad)
 		}
 		fs.Close()
 	}

@@ -107,6 +107,5 @@ func (r Retry) pause(attempt int) {
 		r.Sleep(d)
 		return
 	}
-	//lint:helmvet-ignore determinism injectable-clock seam: Retry.Sleep is the stub point, real backoff is the production default
 	time.Sleep(d)
 }

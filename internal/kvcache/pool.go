@@ -476,7 +476,6 @@ func (p *Pool) Stats() PoolStats {
 // balances.
 func (p *Pool) Conserved() error {
 	want := make([]int, p.totalPages)
-	//lint:helmvet-ignore determinism commutative refcount tally: per-page increments sum to the same counts in any visit order
 	for _, s := range p.seqs {
 		for _, pg := range s.pages {
 			want[pg]++

@@ -111,7 +111,7 @@ func Quantize(x []float32, cfg Config) (*Tensor, error) {
 			continue // every code 0: the group decodes to its minimum
 		}
 		for i := lo; i < hi; i++ {
-			q := min(uint32(math.Round(float64((x[i]-smin)/sscale))), maxQ)
+			q := uint32(min(max(math.Round(float64((x[i]-smin)/sscale)), 0), maxQ))
 			nib[i/2] |= byte(q) << (4 * (i & 1))
 		}
 	}

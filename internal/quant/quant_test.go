@@ -104,6 +104,36 @@ func TestQuantizeConstantGroup(t *testing.T) {
 	}
 }
 
+// The stored minimum is the group minimum rounded to half precision,
+// which can round up past the smallest element: that element rounds to
+// code -1 against it, and must be clamped to code 0 — one step below
+// its value — not wrapped to 15, the group's maximum.
+func TestQuantizeClampsBelowStoredMin(t *testing.T) {
+	gmin := float32(1331.75 / 4096) // rounds up to 1332/4096 in fp16
+	x := []float32{gmin, gmin + 0.0004, gmin + 0.0008, gmin + 0.0012}
+	smin := ToFloat16(gmin).Float32()
+	sscale := ToFloat16((x[3] - gmin) / 15).Float32()
+	if q := math.Round(float64((gmin - smin) / sscale)); q >= 0 {
+		t.Fatalf("fixture: stored min %v, scale %v round %v to code %v, want below 0", smin, sscale, gmin, q)
+	}
+	tensor, err := Quantize(x, Config{GroupSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := tensor.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := blob[headerLen] & 0xf; code != 0 {
+		t.Errorf("element below the stored minimum encoded as code %d, want 0", code)
+	}
+	for i, v := range tensor.Dequantize() {
+		if d := math.Abs(float64(v - x[i])); d > float64(sscale) {
+			t.Errorf("elem %d: %v -> %v, off by %v, more than one step %v", i, x[i], v, d, sscale)
+		}
+	}
+}
+
 func TestQuantizePartialGroup(t *testing.T) {
 	x := []float32{1, 2, 3, 4, 5} // group size 4 -> one full + one partial
 	tensor, err := Quantize(x, Config{GroupSize: 4})

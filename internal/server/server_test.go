@@ -661,6 +661,133 @@ func TestHotReloadDoesNotMixGenerationsMidRequest(t *testing.T) {
 	}
 }
 
+// stepGate holds the engine's stall-th read of the input embedding's
+// first tensor — one per decode step — until released, signalling
+// entry, so a test can hold a request mid-decode deterministically.
+type stepGate struct {
+	backing infer.WeightStore
+	stall   int
+	enter   chan struct{}
+	release chan struct{}
+
+	mu     sync.Mutex
+	first  string
+	visits int
+}
+
+func (g *stepGate) Tensor(layer int, name string) ([]float32, error) {
+	if layer == 0 {
+		g.mu.Lock()
+		if g.first == "" {
+			g.first = name
+		}
+		if name == g.first {
+			g.visits++
+		}
+		hold := name == g.first && g.visits == g.stall
+		g.mu.Unlock()
+		if hold {
+			g.enter <- struct{}{}
+			<-g.release
+		}
+	}
+	return g.backing.Tensor(layer, name)
+}
+
+// A client that hangs up mid-decode cancels its generation: the request
+// context derives from the client's, so the batcher retires the
+// sequence at its next step, frees the slot and its KV pages, and the
+// request settles as failed — neither served nor force-cancelled. The
+// freed slot then serves the next request, byte-identical to a solo
+// engine.
+func TestClientDisconnectCancelsGeneration(t *testing.T) {
+	mc := tinyModel()
+	_, w := writeCheckpoint(t, mc, 29)
+	const maxTokens = 32
+	gate := &stepGate{backing: w, stall: 4, enter: make(chan struct{}), release: make(chan struct{})}
+	s, err := New(context.Background(), Config{
+		Model:     mc,
+		OpenStore: func() (infer.WeightStore, io.Closer, error) { return gate, nil, nil },
+		Workers:   1,
+		MaxTokens: maxTokens,
+		Batch:     BatchConfig{MaxSeqs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { drain(t, s) })
+
+	// The handler's own view of the request: serverSawHangup closes when
+	// the server notices the client is gone, handled when /v1/generate
+	// has answered.
+	serverSawHangup := make(chan struct{})
+	handled := make(chan struct{})
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		context.AfterFunc(r.Context(), func() { close(serverSawHangup) })
+		defer close(handled)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	body, err := json.Marshal(GenerateRequest{Prompt: []int{1, 2, 3}, MaxTokens: maxTokens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	req, err := http.NewRequestWithContext(clientCtx, http.MethodPost, ts.URL+"/v1/generate", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientErr := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientErr <- err
+	}()
+
+	<-gate.enter // mid-decode: three steps done, the fourth blocked in storage
+	hangUp()
+	<-serverSawHangup
+	close(gate.release)
+	<-handled
+	if err := <-clientErr; err == nil {
+		t.Error("client that hung up got a response")
+	}
+
+	st := s.Stats()
+	if st.Admitted != 1 || st.Failed != 1 || st.Served != 0 || st.ForceCancelled != 0 {
+		t.Fatalf("disconnected request: admitted %d, failed %d, served %d, force-cancelled %d; want 1, 1, 0, 0",
+			st.Admitted, st.Failed, st.Served, st.ForceCancelled)
+	}
+	if !st.Conserved() {
+		t.Errorf("ledger not conserved: %+v", st)
+	}
+	// The batcher commits its step counters before delivering, and
+	// retires the cancelled sequence before it publishes the running set.
+	waitUntil(t, "the cancelled sequence to leave the batcher", func() bool {
+		bst := s.Stats().Batch
+		return bst.Running == 0 && bst.Pool.Seqs == 0 && bst.Failed == 1
+	})
+	bst := s.Stats().Batch
+	if bst.Steps >= maxTokens || bst.Completed != 0 {
+		t.Errorf("generation ran on after the hang-up: %d steps, %d completed; want < %d, 0", bst.Steps, bst.Completed, maxTokens)
+	}
+
+	// The one slot is free: the next request is served in full.
+	prompt := []int{4, 5}
+	tokens, _, err := generate(s, prompt, 6)
+	if err != nil {
+		t.Fatalf("request after the hang-up: %v", err)
+	}
+	if want := soloTokens(t, mc, w, prompt, 6); !sameTokens(tokens, want) {
+		t.Errorf("request after the hang-up = %v, want %v", tokens, want)
+	}
+}
+
 // A client that disconnects while queued lands in its own shed bucket —
 // not shed_max_wait, which must stay zero when MaxWait is 0 (reneging
 // disabled) — and the ledger still conserves.
