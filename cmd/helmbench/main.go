@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	helmbench              # run everything, GOMAXPROCS workers
-//	helmbench -parallel 1  # sequential (output is identical either way)
+//	helmbench              # run everything (GOMAXPROCS workers, printed in id order)
 //	helmbench -run fig11   # one experiment
 //	helmbench -list        # list experiment ids
 //	helmbench -csv         # CSV instead of aligned tables
@@ -27,8 +26,6 @@ import (
 	"os"
 
 	"helmsim/internal/experiments"
-	"helmsim/internal/runcache"
-	"helmsim/internal/tensor"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -79,11 +76,7 @@ func experimentsCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	runID := fs.String("run", "", "experiment id to run (default: all)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	parallel := fs.Int("parallel", 0, "worker count (<=0: GOMAXPROCS); results print in id order regardless")
-	cacheStats := fs.Bool("cachestats", false, "print run-cache hit/miss/dedup counts to stderr")
-	threads := fs.Int("threads", 0, "tensor-kernel worker count (<=0: GOMAXPROCS); results are identical at any setting")
 	return func(stdout, stderr io.Writer) error {
-		tensor.SetParallelism(*threads)
 		if *list {
 			for _, e := range experiments.All() {
 				fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
@@ -100,7 +93,7 @@ func experimentsCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		}
 
 		failed := 0
-		for _, o := range experiments.RunSet(context.Background(), todo, *parallel) {
+		for _, o := range experiments.RunSet(context.Background(), todo, 0) {
 			fmt.Fprintf(stdout, "=== %s: %s ===\n", o.Experiment.ID, o.Experiment.Title)
 			if o.Err != nil {
 				fmt.Fprintf(stderr, "helmbench: %s: %v\n", o.Experiment.ID, o.Err)
@@ -117,11 +110,6 @@ func experimentsCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				}
 				fmt.Fprintln(stdout)
 			}
-		}
-		if *cacheStats {
-			s := runcache.Shared().Stats()
-			fmt.Fprintf(stderr, "helmbench: run cache: %d entries, %d misses, %d hits, %d deduped\n",
-				runcache.Shared().Len(), s.Misses, s.Hits, s.Dedups)
 		}
 		if failed > 0 {
 			return fmt.Errorf("%d of %d experiments failed", failed, len(todo))

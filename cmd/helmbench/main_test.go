@@ -17,7 +17,6 @@ var goldens = []struct {
 	args string
 }{
 	{"full", ""},
-	{"full", "-parallel 1"},
 	{"list", "-list"},
 	{"table3_csv", "-csv -run table3"},
 	{"sim_opt66b", "sim -model OPT-66B -mem NVDRAM"},
@@ -102,7 +101,12 @@ func TestExitCodes(t *testing.T) {
 		{"sim -policy all-gpu", 1},         // OPT-175B does not fit the GPU
 		{"tune -objective qos -tbt 1s", 1}, // no configuration meets the bound
 		{"serve -cap 0", 1},
+		{"serve -cap 2000000000 -n 20 -rate 0.01", 0}, // a huge cap sizes no allocation
 		{"-nosuchflag", 2},
+		// Retired knobs fail loudly instead of being ignored.
+		{"-parallel 1", 2},
+		{"-cachestats", 2},
+		{"-threads 2", 2},
 		{"nosuch", 2},
 		{"-run table3 extra", 2},
 		{"sim -model OPT-1T", 2},

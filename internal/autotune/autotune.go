@@ -19,13 +19,11 @@ package autotune
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"helmsim/internal/core"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/runcache"
 	"helmsim/internal/units"
 )
 
@@ -48,27 +46,6 @@ func (f *FixedPlacement) PlaceLayer(l model.Layer) ([]placement.Assignment, erro
 	return as, nil
 }
 
-// CacheKey gives the run cache a canonical identity for the placement:
-// the display name alone only encodes the GPU budget, so two Balance
-// results for different models or memory configurations could collide.
-// The key therefore fingerprints every per-layer assignment, walked in
-// sorted layer order so map iteration cannot perturb it.
-func (f *FixedPlacement) CacheKey() string {
-	idxs := make([]int, 0, len(f.layers))
-	for i := range f.layers {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	h := fnv.New64a()
-	for _, i := range idxs {
-		fmt.Fprintf(h, "%d:", i)
-		for _, a := range f.layers[i] {
-			fmt.Fprintf(h, "%s=%d;", a.Spec.Name, a.Tier)
-		}
-	}
-	return fmt.Sprintf("%s#%016x", f.name, h.Sum64())
-}
-
 // Balance builds a compute-aware placement for the configuration: all
 // weights start on the host tier, and up to gpuBudget bytes (stored size)
 // migrate to the GPU, largest-overshoot layers first, until every layer's
@@ -87,7 +64,7 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 	if probe.Batch <= 0 {
 		probe.Batch = 1
 	}
-	res, err := runcache.Run(probe)
+	res, err := core.Run(probe)
 	if err != nil {
 		return nil, fmt.Errorf("autotune: probe run: %w", err)
 	}

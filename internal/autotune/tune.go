@@ -7,7 +7,6 @@ import (
 	"helmsim/internal/core"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/runcache"
 	"helmsim/internal/units"
 )
 
@@ -135,7 +134,7 @@ func Tune(req Request) (*Result, error) {
 	for _, c := range cands {
 		rc := base
 		rc.Policy = c.pol
-		cap, err := runcache.MaxBatchFor(rc)
+		cap, err := core.MaxBatchFor(rc)
 		if err != nil {
 			return nil, fmt.Errorf("autotune: %s: %w", c.name, err)
 		}
@@ -147,7 +146,7 @@ func Tune(req Request) (*Result, error) {
 		}
 		for _, b := range batchLadder(cap) {
 			rc.Batch = b
-			run, err := runcache.Run(rc)
+			run, err := core.Run(rc)
 			if err != nil {
 				return nil, fmt.Errorf("autotune: %s batch %d: %w", c.name, b, err)
 			}

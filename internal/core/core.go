@@ -120,8 +120,8 @@ type RunConfig struct {
 
 // Canonical returns the configuration with every defaulted field resolved:
 // the paper's 128/21 prompt/generation lengths and the model/memory default
-// policy. Two configurations that canonicalize identically run identically,
-// which is the equivalence the run cache keys on.
+// policy. Run and MaxBatchFor apply it first, so two configurations that
+// canonicalize identically run identically.
 func (rc RunConfig) Canonical() RunConfig {
 	if rc.PromptLen == 0 {
 		rc.PromptLen = calib.PromptLen

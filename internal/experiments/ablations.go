@@ -10,7 +10,6 @@ import (
 	"helmsim/internal/placement"
 	"helmsim/internal/quant"
 	"helmsim/internal/report"
-	"helmsim/internal/runcache"
 	"helmsim/internal/sched"
 	"helmsim/internal/units"
 	"helmsim/internal/xfer"
@@ -190,7 +189,7 @@ func runAblationBatch() ([]*report.Table, error) {
 		row := []any{b}
 		for _, pol := range pols {
 			rc := core.RunConfig{Model: model.OPT175B(), Memory: core.MemNVDRAM, Policy: pol, Batch: b, Compress: true}
-			res, err := runcache.Run(rc)
+			res, err := core.Run(rc)
 			if err != nil {
 				row = append(row, "over budget")
 				continue

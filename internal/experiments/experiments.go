@@ -16,7 +16,6 @@ import (
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
 	"helmsim/internal/report"
-	"helmsim/internal/runcache"
 )
 
 // Experiment is one reproducible result.
@@ -92,12 +91,10 @@ func ids() string {
 // ms renders a duration in milliseconds with sensible precision.
 func ms(seconds float64) string { return fmt.Sprintf("%.2f", seconds*1e3) }
 
-// run executes one engine configuration through the process-wide run
-// cache — many runners revisit the same points, and concurrent runners
-// singleflight onto one solve — wrapping errors with the experiment
-// context. Results are shared: runners must treat them as read-only.
+// run solves one engine configuration, wrapping errors with the
+// experiment context.
 func run(rc core.RunConfig) (*core.RunResult, error) {
-	res, err := runcache.Run(rc)
+	res, err := core.Run(rc)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s batch %d: %w", rc.Model.Name, rc.Memory, rc.Batch, err)
 	}

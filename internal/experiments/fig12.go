@@ -7,7 +7,6 @@ import (
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
 	"helmsim/internal/report"
-	"helmsim/internal/runcache"
 	"helmsim/internal/stats"
 )
 
@@ -48,7 +47,7 @@ func runFig12() ([]*report.Table, error) {
 					rc.Policy = placement.AllCPU{}
 					polName = "All-CPU"
 				}
-				res, err := runcache.Run(rc)
+				res, err := core.Run(rc)
 				if err != nil {
 					if b == 44 && !allCPU {
 						// §V-C: batch 44 "is only possible with All-CPU".

@@ -6,7 +6,6 @@ import (
 	"helmsim/internal/core"
 	"helmsim/internal/model"
 	"helmsim/internal/report"
-	"helmsim/internal/serve"
 )
 
 func init() {
@@ -26,7 +25,9 @@ type fig4Point struct {
 
 // runFig4 serves both models under every Table II configuration with the
 // paper's batch sizes (1 and the per-model maximum: 32 for OPT-30B, 8 for
-// OPT-175B) and the §III-B repeat-10 protocol.
+// OPT-175B). The §III-B/C protocol repeats each batch and averages the
+// runs after the first, but every repeat is the same deterministic solve,
+// so the means are that one solve's figures.
 func runFig4() ([]*report.Table, error) {
 	var points []fig4Point
 	for _, mem := range []core.MemoryConfig{core.MemDRAM, core.MemNVDRAM, core.MemMemoryMode} {
@@ -45,14 +46,14 @@ func runFig4() ([]*report.Table, error) {
 		Headers: []string{"model", "memory", "batch", "TTFT(s)", "TBT(s)", "tok/s"},
 	}
 	for _, p := range points {
-		m, err := serve.PaperProtocol(core.RunConfig{Model: p.model, Memory: p.mem, Batch: p.batch})
+		res, err := run(core.RunConfig{Model: p.model, Memory: p.mem, Batch: p.batch})
 		if err != nil {
-			return nil, fmt.Errorf("fig4 %s/%s b%d: %w", p.model.Name, p.mem, p.batch, err)
+			return nil, fmt.Errorf("fig4: %w", err)
 		}
 		t.AddRow(p.model.Name, p.mem.String(), p.batch,
-			fmt.Sprintf("%.3f", m.TTFT.Seconds()),
-			fmt.Sprintf("%.3f", m.TBT.Seconds()),
-			fmt.Sprintf("%.3f", m.Throughput))
+			fmt.Sprintf("%.3f", res.TTFT.Seconds()),
+			fmt.Sprintf("%.3f", res.TBT.Seconds()),
+			fmt.Sprintf("%.3f", res.Throughput))
 	}
 	return []*report.Table{t}, nil
 }

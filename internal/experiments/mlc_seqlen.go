@@ -8,7 +8,6 @@ import (
 	"helmsim/internal/memdev"
 	"helmsim/internal/model"
 	"helmsim/internal/report"
-	"helmsim/internal/runcache"
 	"helmsim/internal/units"
 )
 
@@ -138,7 +137,7 @@ func runSeqLen() ([]*report.Table, error) {
 			Policy: helmPolicy(), Batch: 1, Compress: true,
 			PromptLen: p, GenLen: 21,
 		}
-		res, err := runcache.Run(rc)
+		res, err := core.Run(rc)
 		if err != nil {
 			// At full context even batch 1 no longer fits beside HeLM's
 			// 30 GiB of GPU-resident weights — the latency placement

@@ -19,8 +19,7 @@ type Outcome struct {
 // RunSet executes the given experiments with up to parallelism workers.
 // parallelism <= 0 means runtime.GOMAXPROCS(0). Outcomes land at the
 // index of their experiment, so output order is deterministic and
-// independent of scheduling; the shared run cache deduplicates engine
-// solves that several experiments revisit. A cancelled context marks the
+// independent of scheduling. A cancelled context marks the
 // not-yet-started experiments with ctx.Err().
 func RunSet(ctx context.Context, exps []Experiment, parallelism int) []Outcome {
 	if parallelism <= 0 {

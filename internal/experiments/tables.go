@@ -8,7 +8,6 @@ import (
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
 	"helmsim/internal/report"
-	"helmsim/internal/runcache"
 	"helmsim/internal/units"
 )
 
@@ -66,7 +65,7 @@ func runTable2() ([]*report.Table, error) {
 			storage = devs.Disk.Name()
 		}
 		pol := core.DefaultPolicy(r.m, r.mem, false)
-		maxBatch, err := runcache.MaxBatchFor(core.RunConfig{Model: r.m, Memory: r.mem, Batch: 1})
+		maxBatch, err := core.MaxBatchFor(core.RunConfig{Model: r.m, Memory: r.mem, Batch: 1})
 		if err != nil {
 			return nil, err
 		}

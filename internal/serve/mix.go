@@ -1,3 +1,10 @@
+// Package serve is the serving layer the simulator and the live daemon
+// share: the request classes, the admission verdicts (Admit at arrival,
+// Renege at dispatch), the per-class Ledger, the Brownout machine and the
+// cost Predictor. SimulateMix runs simulated arrivals through them and
+// serves the admitted ones in waves whose costs are core.Run solves. The
+// paper's own offline protocol (§III-C) needs none of this: every batch
+// is the same deterministic solve, so its figures are core.Run's.
 package serve
 
 import (
@@ -7,7 +14,6 @@ import (
 	"sort"
 
 	"helmsim/internal/core"
-	"helmsim/internal/runcache"
 	"helmsim/internal/stats"
 	"helmsim/internal/units"
 )
@@ -195,12 +201,11 @@ type mixReq struct {
 // not dispatch (no overtaking), the same no-starvation discipline as
 // the live batcher.
 //
-// Wave costs come from the engine through the shared run cache (one
-// solve per batch size, process-wide), scaled by the wave's token
-// volume relative to the canonical homogeneous wave — the engine is
-// memory-bound, so wave time is near-linear in tokens processed. The
-// queueing dynamics therefore sit on exactly the cost model of the
-// paper's offline numbers, and concurrent simulations are safe.
+// Wave costs come from the engine (one core.Run solve per wave size the
+// simulation reaches), scaled by the wave's token volume relative to the
+// canonical homogeneous wave — the engine is memory-bound, so wave time
+// is near-linear in tokens processed. The queueing dynamics therefore
+// sit on exactly the cost model of the paper's offline numbers.
 func SimulateMix(mc MixConfig, arrivals []Arrival) (*MixMetrics, error) {
 	if mc.Run.Batch <= 0 {
 		return nil, fmt.Errorf("serve: non-positive wave cap %d", mc.Run.Batch)
@@ -263,14 +268,20 @@ func SimulateMix(mc MixConfig, arrivals []Arrival) (*MixMetrics, error) {
 
 	rcCanon := mc.Run.Canonical()
 	nominalPerReq := rcCanon.PromptLen + rcCanon.GenLen
+	// Solves by wave size; a wave holds at most Run.Batch requests and
+	// never more than there are.
+	solved := make([]*core.RunResult, min(mc.Run.Batch, len(reqs))+1)
 	cost := func(batch, tokens int) (float64, error) {
-		rc := mc.Run
-		rc.Batch = batch
-		res, err := runcache.Run(rc)
-		if err != nil {
-			return 0, err
+		if solved[batch] == nil {
+			rc := mc.Run
+			rc.Batch = batch
+			res, err := core.Run(rc)
+			if err != nil {
+				return 0, err
+			}
+			solved[batch] = res
 		}
-		return res.TotalTime.Seconds() * (float64(tokens) / float64(batch*nominalPerReq)), nil
+		return solved[batch].TotalTime.Seconds() * (float64(tokens) / float64(batch*nominalPerReq)), nil
 	}
 
 	bo := (&Brownout{
@@ -286,8 +297,8 @@ func SimulateMix(mc MixConfig, arrivals []Arrival) (*MixMetrics, error) {
 	backlog := 0
 	busy := 0.0
 	clock := 0.0
-	queue := make([]int, 0, mc.Run.Batch) // admitted, waiting arrivals
-	next := 0                             // next unprocessed arrival
+	queue := make([]int, 0, min(mc.Run.Batch, len(reqs))) // admitted, waiting arrivals
+	next := 0                                             // next unprocessed arrival
 	for next < len(reqs) || len(queue) > 0 {
 		if len(queue) == 0 && clock < reqs[next].arrival {
 			clock = reqs[next].arrival // idle until work exists

@@ -243,9 +243,9 @@ func TestQueueDeterminism(t *testing.T) {
 	}
 }
 
-// Concurrent simulations of the same configuration must agree with the
-// sequential result — the wave costs now come from the shared run cache,
-// so this exercises the singleflight path under the race detector.
+// Concurrent simulations of the same configuration, each solving its own
+// wave costs, must agree with the sequential result under the race
+// detector.
 func TestQueueDeterminismConcurrent(t *testing.T) {
 	cfg := queueCfg(44, 1.0)
 	cfg.Classes[0].SLO = units.Duration(60)

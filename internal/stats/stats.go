@@ -1,8 +1,8 @@
 // Package stats implements the small statistical toolkit the experiment
-// harness uses: means, standard deviations, percentiles, and the paper's
-// "discard the first sample" aggregation rule (§III-C: every metric is the
-// arithmetic mean across all values except the first, which is dropped to
-// hide cold-start effects).
+// harness uses: means, percentiles, and the paper's "discard the first
+// sample" aggregation rule (§III-C: every metric is the arithmetic mean
+// across all values except the first, which is dropped to hide
+// cold-start effects).
 package stats
 
 import (
@@ -30,49 +30,6 @@ func MeanDiscardFirst(xs []float64) float64 {
 		return Mean(xs)
 	}
 	return Mean(xs[1:])
-}
-
-// StdDev returns the population standard deviation of xs, or NaN for an
-// empty slice.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Min returns the smallest element of xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear

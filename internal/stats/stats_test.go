@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,25 +31,6 @@ func TestMeanDiscardFirst(t *testing.T) {
 	}
 	if got := MeanDiscardFirst(nil); !math.IsNaN(got) {
 		t.Errorf("MeanDiscardFirst(nil) = %v, want NaN", got)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev of constant = %v, want 0", got)
-	}
-	if got := StdDev([]float64{1, 3}); got != 1 {
-		t.Errorf("StdDev{1,3} = %v, want 1", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v", got)
 	}
 }
 
@@ -108,7 +90,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
