@@ -41,8 +41,12 @@ vulncheck:
 mutants:
 	bash scripts/mutants/run.sh
 
+# The CI bench-smoke job's first step: one iteration of every kernel and
+# engine benchmark, then the simulator's hot path (a full OPT-175B
+# schedule and the placement solve) from the root package.
 bench:
 	$(GO) test -bench . -benchtime=1x -benchmem -short -run '^$$' ./internal/parallel/... ./internal/tensor/... ./internal/quant/... ./internal/checkpoint/... ./internal/infer/...
+	$(GO) test -bench 'Schedule|Placement' -benchtime=1x -benchmem -short -run '^$$' .
 
 # The CI bench-smoke job's harness steps: the benchmark harness is its
 # own module (outside `go test ./...`), so its tests run from bench/;

@@ -14,7 +14,6 @@ import (
 	"helmsim/internal/gpu"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/quant"
 	"helmsim/internal/report"
 	"helmsim/internal/sched"
 	"helmsim/internal/serve"
@@ -88,7 +87,7 @@ func simCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "%s on %s, policy %s, batch %d, compress=%v\n",
 			rc.Model.Name, rc.Memory, res.Placement.PolicyName, rc.Batch, rc.Compress)
-		fmt.Fprintf(stdout, "  placement achieved (disk, cpu, gpu): %v\n", res.Placement.AchievedDistribution(placement.RawSizer))
+		fmt.Fprintf(stdout, "  placement achieved (disk, cpu, gpu): %v\n", res.Placement.AchievedDistribution())
 		fmt.Fprintf(stdout, "  GPU weights: %v, staging: %v, max batch: %d\n", res.GPUWeightBytes, res.StagingBytes, res.MaxBatch)
 		fmt.Fprintf(stdout, "  TTFT: %v   TBT: %v   throughput: %.3f tok/s\n", res.TTFT, res.TBT, res.Throughput)
 		fmt.Fprintf(stdout, "  prefill: avg load %v, avg compute %v\n", res.Prefill.AvgLoad(), res.Prefill.AvgCompute())
@@ -111,18 +110,14 @@ func simCommand(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	}
 }
 
-// writeTrace re-runs the schedule with tracing enabled and writes a
-// Chrome trace of the copy/compute streams.
+// writeTrace re-runs the schedule over the run's placement, and so its
+// quantizer, with tracing enabled and writes a Chrome trace of the
+// copy/compute streams.
 func writeTrace(rc core.RunConfig, mp *placement.ModelPlacement, path string) error {
+	rc = rc.Canonical()
 	devs, err := rc.Memory.Devices()
 	if err != nil {
 		return err
-	}
-	if rc.PromptLen == 0 {
-		rc.PromptLen = 128
-	}
-	if rc.GenLen == 0 {
-		rc.GenLen = 21
 	}
 	var tl trace.Timeline
 	o := sched.Options{
@@ -130,10 +125,6 @@ func writeTrace(rc core.RunConfig, mp *placement.ModelPlacement, path string) er
 		GPU: gpu.NewA100(), Engine: xfer.New(),
 		Batch: rc.Batch, PromptLen: rc.PromptLen, GenLen: rc.GenLen,
 		Trace: &tl,
-	}
-	if rc.Compress {
-		qc := quant.Default()
-		o.Compression = &qc
 	}
 	if _, err := sched.Run(o); err != nil {
 		return err

@@ -19,6 +19,7 @@ package autotune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"helmsim/internal/core"
@@ -37,13 +38,14 @@ type FixedPlacement struct {
 // Name implements placement.Policy.
 func (f *FixedPlacement) Name() string { return f.name }
 
-// PlaceLayer implements placement.Policy.
+// PlaceLayer implements placement.Policy with a copy of the layer's
+// assignments.
 func (f *FixedPlacement) PlaceLayer(l model.Layer) ([]placement.Assignment, error) {
 	as, ok := f.layers[l.Index]
 	if !ok {
 		return nil, fmt.Errorf("autotune: no assignments for layer %d", l.Index)
 	}
-	return as, nil
+	return slices.Clone(as), nil
 }
 
 // Balance builds a compute-aware placement for the configuration: all
@@ -86,18 +88,18 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 	}
 
 	// Effective streaming bandwidth per layer: bytes / time, to convert a
-	// time overshoot into a byte count to migrate.
-	sizer := placement.SizerFor(rc.Quantizer())
+	// time overshoot into a byte count to migrate. The probe placement
+	// records every weight's stored size.
 	hostBytes := make([]units.Bytes, n)
 	for i, lp := range layers {
-		hostBytes[i] = lp.TotalBytes(sizer)
+		hostBytes[i] = lp.TotalBytes()
 	}
 
 	// Remaining host bytes and the spec migration state.
 	states := make([]*layerState, n)
 	for i, lp := range layers {
-		specs := append([]model.WeightSpec(nil), lp.Layer.Weights...)
-		sort.SliceStable(specs, func(a, b int) bool { return sizer(specs[a]) > sizer(specs[b]) })
+		specs := slices.Clone(lp.Assignments)
+		sort.SliceStable(specs, func(a, b int) bool { return specs[a].Stored > specs[b].Stored })
 		prev := (i - 1 + n) % n
 		states[i] = &layerState{
 			idx:      i,
@@ -136,7 +138,7 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 		var bestOver units.Duration
 		for _, s := range states {
 			if o := overshoot(s); o > bestOver {
-				if next := nextSpec(s, sizer, budget); next >= 0 {
+				if next := nextSpec(s, budget); next >= 0 {
 					best = s
 					bestOver = o
 				}
@@ -145,11 +147,10 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 		if best == nil {
 			break
 		}
-		i := nextSpec(best, sizer, budget)
-		sp := best.specs[i]
-		best.onGPU[sp.Name] = true
-		budget -= sizer(sp)
-		best.remain -= sizer(sp)
+		a := best.specs[nextSpec(best, budget)]
+		best.onGPU[a.Spec.Name] = true
+		budget -= a.Stored
+		best.remain -= a.Stored
 	}
 
 	// Materialize the per-layer assignments in spec order.
@@ -173,12 +174,12 @@ func Balance(rc core.RunConfig, gpuBudget units.Bytes) (*FixedPlacement, error) 
 
 // nextSpec returns the index of the largest still-host spec of s that fits
 // the budget, or -1.
-func nextSpec(s *layerState, sizer placement.Sizer, budget units.Bytes) int {
-	for i, sp := range s.specs {
-		if s.onGPU[sp.Name] {
+func nextSpec(s *layerState, budget units.Bytes) int {
+	for i, a := range s.specs {
+		if s.onGPU[a.Spec.Name] {
 			continue
 		}
-		if sizer(sp) <= budget && sp.Bytes > 0 {
+		if a.Stored <= budget && a.Spec.Bytes > 0 {
 			return i
 		}
 	}
@@ -188,7 +189,7 @@ func nextSpec(s *layerState, sizer placement.Sizer, budget units.Bytes) int {
 // layerState tracks one layer's migration state during waterfilling.
 type layerState struct {
 	idx      int
-	specs    []model.WeightSpec // descending stored size
+	specs    []placement.Assignment // descending stored size
 	onGPU    map[string]bool
 	remain   units.Bytes    // bytes still on the host
 	overlapC units.Duration // compute of the layer whose slot hides us

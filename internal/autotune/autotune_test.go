@@ -19,11 +19,11 @@ func TestBalanceRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := placement.PlaceModel(pol, model.OPT175B())
+	mp, err := placement.PlaceModel(pol, model.OPT175B(), req175().Quantizer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := mp.TotalOn(placement.TierGPU, placement.SizerFor(core.RunConfig{Compress: true}.Quantizer()))
+	used := mp.TotalOn(placement.TierGPU)
 	if used > budget {
 		t.Errorf("GPU bytes %v exceed budget %v", used, budget)
 	}
@@ -31,7 +31,7 @@ func TestBalanceRespectsBudget(t *testing.T) {
 		t.Errorf("budget barely used: %v of %v", used, budget)
 	}
 	// Nothing goes to disk.
-	if d := mp.TotalOn(placement.TierDisk, placement.RawSizer); d != 0 {
+	if d := mp.TotalOn(placement.TierDisk); d != 0 {
 		t.Errorf("balance placed %v on disk", d)
 	}
 }
@@ -41,11 +41,11 @@ func TestBalanceZeroBudgetIsAllCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := placement.PlaceModel(pol, model.OPT175B())
+	mp, err := placement.PlaceModel(pol, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := mp.TotalOn(placement.TierGPU, placement.RawSizer); g != 0 {
+	if g := mp.TotalOn(placement.TierGPU); g != 0 {
 		t.Errorf("zero budget placed %v on GPU", g)
 	}
 }

@@ -140,8 +140,8 @@ func (rc RunConfig) Canonical() RunConfig {
 const defaultGPUWeightBudget = 31 * units.GB
 
 // Quantizer is the run's weight quantizer: quant.Default when Compress
-// is set, nil otherwise. placement.SizerFor maps weight specs through it
-// to their stored size, and the schedule charges its dequantization.
+// is set, nil otherwise. placement.PlaceModel records every weight's
+// stored size under it, and the schedule charges its dequantization.
 func (rc RunConfig) Quantizer() *quant.Config {
 	if !rc.Compress {
 		return nil
@@ -154,11 +154,11 @@ func (rc RunConfig) Quantizer() *quant.Config {
 // bytes, the double-buffered staging allocation for the largest off-GPU
 // layer, and the largest batch the remaining budget admits. Run and
 // MaxBatchFor share it so the two paths cannot drift.
-func solveBudget(rc RunConfig, mp *placement.ModelPlacement, sizer placement.Sizer) (gpuBytes, staging units.Bytes, maxBatch int, err error) {
-	gpuBytes = mp.TotalOn(placement.TierGPU, sizer)
+func solveBudget(rc RunConfig, mp *placement.ModelPlacement) (gpuBytes, staging units.Bytes, maxBatch int, err error) {
+	gpuBytes = mp.TotalOn(placement.TierGPU)
 	var maxOffGPU units.Bytes
 	for _, lp := range mp.Layers {
-		off := lp.BytesOn(placement.TierCPU, sizer) + lp.BytesOn(placement.TierDisk, sizer)
+		off := lp.BytesOn(placement.TierCPU) + lp.BytesOn(placement.TierDisk)
 		if off > maxOffGPU {
 			maxOffGPU = off
 		}
@@ -181,14 +181,14 @@ func DefaultPolicy(m model.Config, mem MemoryConfig, compress bool) placement.Po
 	if mem == MemSSD || mem == MemFSDAX {
 		return placement.Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}
 	}
-	sizer := placement.SizerFor(RunConfig{Compress: compress}.Quantizer())
+	qc := RunConfig{Compress: compress}.Quantizer()
 	for _, g := range []float64{50, 40, 30, 20, 10} {
 		cand := placement.Baseline{DiskPct: 0, CPUPct: 100 - g, GPUPct: g}
-		mp, err := placement.PlaceModel(cand, m)
+		mp, err := placement.PlaceModel(cand, m, qc)
 		if err != nil {
 			continue
 		}
-		if mp.TotalOn(placement.TierGPU, sizer) <= defaultGPUWeightBudget {
+		if mp.TotalOn(placement.TierGPU) <= defaultGPUWeightBudget {
 			return cand
 		}
 	}
@@ -219,21 +219,18 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mp, err := placement.PlaceModel(rc.Policy, rc.Model)
+	mp, err := placement.PlaceModel(rc.Policy, rc.Model, rc.Quantizer())
 	if err != nil {
 		return nil, err
 	}
 
-	qc := rc.Quantizer()
-	sizer := placement.SizerFor(qc)
-
 	// Host/storage capacity checks: the host tier spans both sockets.
-	cpuBytes := mp.TotalOn(placement.TierCPU, sizer)
+	cpuBytes := mp.TotalOn(placement.TierCPU)
 	if cap := devs.CPU.Capacity() * hostNodes; cpuBytes > cap {
 		return nil, fmt.Errorf("core: %s cannot hold %v of host-tier weights (capacity %v): %s",
 			devs.CPU.Name(), cpuBytes, cap, capacityHint(rc))
 	}
-	if diskBytes := mp.TotalOn(placement.TierDisk, sizer); diskBytes > 0 {
+	if diskBytes := mp.TotalOn(placement.TierDisk); diskBytes > 0 {
 		if devs.Disk == nil {
 			return nil, fmt.Errorf("core: policy %s spills %v to storage but %s has no storage tier",
 				rc.Policy.Name(), diskBytes, rc.Memory)
@@ -245,7 +242,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 
 	// GPU budget: resident weights + double-buffered staging of the
 	// largest off-GPU layer.
-	gpuBytes, staging, maxBatch, err := solveBudget(rc, mp, sizer)
+	gpuBytes, staging, maxBatch, err := solveBudget(rc, mp)
 	if err != nil {
 		return nil, err
 	}
@@ -258,15 +255,14 @@ func Run(rc RunConfig) (*RunResult, error) {
 	}
 
 	res, err := sched.Run(sched.Options{
-		Model:       rc.Model,
-		Placement:   mp,
-		Devices:     devs,
-		GPU:         gpu.NewA100(),
-		Engine:      xfer.New(),
-		Batch:       rc.Batch,
-		PromptLen:   rc.PromptLen,
-		GenLen:      rc.GenLen,
-		Compression: qc,
+		Model:     rc.Model,
+		Placement: mp,
+		Devices:   devs,
+		GPU:       gpu.NewA100(),
+		Engine:    xfer.New(),
+		Batch:     rc.Batch,
+		PromptLen: rc.PromptLen,
+		GenLen:    rc.GenLen,
 	})
 	if err != nil {
 		return nil, err
@@ -292,10 +288,10 @@ func capacityHint(rc RunConfig) string {
 // MaxBatchFor solves the batch cap for a configuration without running it.
 func MaxBatchFor(rc RunConfig) (int, error) {
 	rc = rc.Canonical()
-	mp, err := placement.PlaceModel(rc.Policy, rc.Model)
+	mp, err := placement.PlaceModel(rc.Policy, rc.Model, rc.Quantizer())
 	if err != nil {
 		return 0, err
 	}
-	_, _, maxBatch, err := solveBudget(rc, mp, placement.SizerFor(rc.Quantizer()))
+	_, _, maxBatch, err := solveBudget(rc, mp)
 	return maxBatch, err
 }

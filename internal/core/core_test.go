@@ -70,12 +70,11 @@ func TestDefaultPolicyCompressionAware(t *testing.T) {
 		t.Errorf("compressed OPT-66B default GPU share = %v, want > uncompressed %v", comp.GPUPct, raw.GPUPct)
 	}
 	// The achieved compressed allocation must still fit the weight budget.
-	mp, err := placement.PlaceModel(comp, model.OPT66B())
+	mp, err := placement.PlaceModel(comp, model.OPT66B(), RunConfig{Compress: true}.Quantizer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizer := placement.SizerFor(RunConfig{Compress: true}.Quantizer())
-	if got := mp.TotalOn(placement.TierGPU, sizer); got > defaultGPUWeightBudget {
+	if got := mp.TotalOn(placement.TierGPU); got > defaultGPUWeightBudget {
 		t.Errorf("compressed default claims %v of GPU weights, budget %v", got, defaultGPUWeightBudget)
 	}
 	// OPT-175B and OPT-30B defaults are compression-invariant (plateau

@@ -41,17 +41,17 @@ func init() {
 // schedRun executes the scheduler directly with a customized GPU model or
 // options — the ablation entry point below core's fixed configuration.
 func schedRun(cfg model.Config, pol placement.Policy, dev memdev.Device, g *gpu.GPU, batch int, kvOnHost bool) (*sched.Result, error) {
-	mp, err := placement.PlaceModel(pol, cfg)
+	qc := quant.Default()
+	mp, err := placement.PlaceModel(pol, cfg, &qc)
 	if err != nil {
 		return nil, err
 	}
-	qc := quant.Default()
 	return sched.Run(sched.Options{
 		Model: cfg, Placement: mp,
 		Devices: sched.TierDevices{CPU: dev},
 		GPU:     g, Engine: xfer.New(),
 		Batch: batch, PromptLen: 128, GenLen: 21,
-		Compression: &qc, KVOnHost: kvOnHost,
+		KVOnHost: kvOnHost,
 	})
 }
 
@@ -107,11 +107,11 @@ func runAblationHeLMPct() ([]*report.Table, error) {
 	}
 	for _, pct := range []float64{10, 20, 25, 30, 50, 75, 80} {
 		pol := helmVariant{ffnGPUPct: pct}
-		mp, err := placement.PlaceModel(pol, cfg)
+		mp, err := placement.PlaceModel(pol, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		share := mp.DistributionByType(model.LayerFFN, placement.RawSizer).GPUPct
+		share := mp.DistributionByType(model.LayerFFN).GPUPct
 		res, err := schedRun(cfg, pol, dev, gpu.NewA100(), 1, false)
 		if err != nil {
 			return nil, err

@@ -158,7 +158,7 @@ func runClaims() ([]*report.Table, error) {
 	add("§V-B", "HeLM NVDRAM TBT vs DRAM", "within 8.91%", pct(dramH.TBT.Seconds(), nvH.TBT.Seconds()))
 	add("§V-B", "HeLM MemoryMode TBT vs DRAM", "within 1.64%", pct(dramH.TBT.Seconds(), mmH.TBT.Seconds()))
 	add("§V-C", "HeLM leaves on GPU", "33% of weights",
-		fmt.Sprintf("%.1f%%", nvH.Placement.AchievedDistribution(placement.RawSizer).GPUPct))
+		fmt.Sprintf("%.1f%%", nvH.Placement.AchievedDistribution().GPUPct))
 
 	// --- All-CPU, §V-C ---
 	base8, err := run(core.RunConfig{Model: model.OPT175B(), Memory: core.MemNVDRAM, Batch: 8, Compress: true})

@@ -141,9 +141,8 @@ func estimateEnergy(rc core.RunConfig, res *core.RunResult) (energyBreakdown, er
 	}
 
 	// Bytes streamed per pass: everything not GPU-resident.
-	sizer := placement.SizerFor(rc.Quantizer())
-	cpuBytes := res.Placement.TotalOn(placement.TierCPU, sizer)
-	diskBytes := res.Placement.TotalOn(placement.TierDisk, sizer)
+	cpuBytes := res.Placement.TotalOn(placement.TierCPU)
+	diskBytes := res.Placement.TotalOn(placement.TierDisk)
 	passes := 1 + len(res.Decode)
 	var transferJ float64
 	transferJ += float64(cpuBytes) * float64(passes) * perByteRead(devs.CPU.Kind())

@@ -23,7 +23,7 @@ func init() {
 // and per layer type (Fig. 10's bars).
 func runFig10() ([]*report.Table, error) {
 	cfg := model.OPT175B()
-	mp, err := placement.PlaceModel(helmPolicy(), cfg)
+	mp, err := placement.PlaceModel(helmPolicy(), cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -56,13 +56,13 @@ func runFig10() ([]*report.Table, error) {
 		Headers: []string{"scope", "host %", "GPU %"},
 	}
 	for _, lt := range []model.LayerType{model.LayerMHA, model.LayerFFN} {
-		d := mp.DistributionByType(lt, placement.RawSizer)
+		d := mp.DistributionByType(lt)
 		perType.AddRow(lt.String(), fmt.Sprintf("%.1f", d.CPUPct), fmt.Sprintf("%.1f", d.GPUPct))
 	}
-	overall := mp.AchievedDistribution(placement.RawSizer)
+	overall := mp.AchievedDistribution()
 	perType.AddRow("overall", fmt.Sprintf("%.1f", overall.CPUPct), fmt.Sprintf("%.1f", overall.GPUPct))
 
-	gpuBytes := mp.TotalOn(placement.TierGPU, placement.RawSizer)
+	gpuBytes := mp.TotalOn(placement.TierGPU)
 	perType.AddRow("GPU bytes (raw)", "", fmt.Sprintf("%.1f GiB", float64(gpuBytes)/float64(units.GiB)))
 
 	return []*report.Table{perWeight, perType}, nil

@@ -72,17 +72,17 @@ func runFig7bc() ([]*report.Table, error) {
 		{DiskPct: 65, CPUPct: 15, GPUPct: 20}, // SSD/FSDAX
 		{DiskPct: 0, CPUPct: 80, GPUPct: 20},  // NVDRAM/MemoryMode
 	} {
-		mp, err := placement.PlaceModel(req, model.OPT175B())
+		mp, err := placement.PlaceModel(req, model.OPT175B(), nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, lt := range []model.LayerType{model.LayerMHA, model.LayerFFN} {
-			d := mp.DistributionByType(lt, placement.RawSizer)
+			d := mp.DistributionByType(lt)
 			t.AddRow(fmt.Sprintf("(%g,%g,%g)", req.DiskPct, req.CPUPct, req.GPUPct),
 				lt.String(),
 				fmt.Sprintf("%.1f", d.DiskPct), fmt.Sprintf("%.1f", d.CPUPct), fmt.Sprintf("%.1f", d.GPUPct))
 		}
-		overall := mp.AchievedDistribution(placement.RawSizer)
+		overall := mp.AchievedDistribution()
 		t.AddRow(fmt.Sprintf("(%g,%g,%g)", req.DiskPct, req.CPUPct, req.GPUPct), "overall",
 			fmt.Sprintf("%.1f", overall.DiskPct), fmt.Sprintf("%.1f", overall.CPUPct), fmt.Sprintf("%.1f", overall.GPUPct))
 	}

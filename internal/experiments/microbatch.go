@@ -28,16 +28,16 @@ func init() {
 func runAblationMicroBatch() ([]*report.Table, error) {
 	cfg := model.OPT175B()
 	dev := memdev.NewOptane(0)
-	mp, err := placement.PlaceModel(placement.AllCPU{}, cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	t := &report.Table{
 		Title:   "Micro-batch sweep, OPT-175B All-CPU on NVDRAM (per-micro-batch size 2, KV on host)",
 		Headers: []string{"micro-batches", "effective batch", "compressed", "TBT(s)", "tok/s", "gain vs nb=1 (x)"},
 	}
-	for _, compress := range []bool{false, true} {
+	compressed := quant.Default()
+	for _, qc := range []*quant.Config{nil, &compressed} {
+		mp, err := placement.PlaceModel(placement.AllCPU{}, cfg, qc)
+		if err != nil {
+			return nil, err
+		}
 		var base float64
 		for _, nb := range []int{1, 2, 4, 8, 16} {
 			o := sched.Options{
@@ -47,10 +47,6 @@ func runAblationMicroBatch() ([]*report.Table, error) {
 				Batch: 2, PromptLen: 128, GenLen: 21,
 				GPUBatches: nb, KVOnHost: true,
 			}
-			if compress {
-				qc := quant.Default()
-				o.Compression = &qc
-			}
 			res, err := sched.Run(o)
 			if err != nil {
 				return nil, err
@@ -58,7 +54,7 @@ func runAblationMicroBatch() ([]*report.Table, error) {
 			if nb == 1 {
 				base = res.Throughput
 			}
-			t.AddRow(nb, 2*nb, compress,
+			t.AddRow(nb, 2*nb, qc != nil,
 				fmt.Sprintf("%.3f", res.TBT.Seconds()),
 				fmt.Sprintf("%.3f", res.Throughput),
 				fmt.Sprintf("%.2f", res.Throughput/base))

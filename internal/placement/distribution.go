@@ -8,23 +8,6 @@ import (
 	"helmsim/internal/units"
 )
 
-// Sizer maps a weight spec to its stored size; RawSizer stores tensors
-// uncompressed, SizerFor's quantizing sizer maps through quant.Config.
-type Sizer func(model.WeightSpec) units.Bytes
-
-// RawSizer stores weights at their native (FP16) size.
-func RawSizer(s model.WeightSpec) units.Bytes { return s.Bytes }
-
-// SizerFor is the Sizer of weights stored group-wise quantized under qc,
-// or RawSizer when qc is nil.
-func SizerFor(qc *quant.Config) Sizer {
-	if qc == nil {
-		return RawSizer
-	}
-	c := *qc
-	return func(s model.WeightSpec) units.Bytes { return c.CompressedBytes(s.Elems) }
-}
-
 // LayerPlacement is one layer's resolved placement.
 type LayerPlacement struct {
 	// Layer is the placed layer.
@@ -33,22 +16,22 @@ type LayerPlacement struct {
 	Assignments []Assignment
 }
 
-// BytesOn totals the layer's stored bytes on one tier under the sizer.
-func (lp LayerPlacement) BytesOn(t Tier, sz Sizer) units.Bytes {
+// BytesOn totals the layer's stored bytes on one tier.
+func (lp LayerPlacement) BytesOn(t Tier) units.Bytes {
 	var n units.Bytes
 	for _, a := range lp.Assignments {
 		if a.Tier == t {
-			n += sz(a.Spec)
+			n += a.Stored
 		}
 	}
 	return n
 }
 
 // TotalBytes totals the layer's stored bytes across all tiers.
-func (lp LayerPlacement) TotalBytes(sz Sizer) units.Bytes {
+func (lp LayerPlacement) TotalBytes() units.Bytes {
 	var n units.Bytes
 	for _, a := range lp.Assignments {
-		n += sz(a.Spec)
+		n += a.Stored
 	}
 	return n
 }
@@ -59,17 +42,31 @@ type ModelPlacement struct {
 	PolicyName string
 	// Config is the placed model.
 	Config model.Config
+	// Quantizer is the group-wise quantizer every weight is stored
+	// under, or nil when weights are stored at their native size.
+	Quantizer *quant.Config
 	// Layers holds one placement per schedulable layer, in order.
 	Layers []LayerPlacement
 }
 
-// PlaceModel runs the policy over every layer of the model.
-func PlaceModel(p Policy, cfg model.Config) (*ModelPlacement, error) {
+// PlaceModel runs the policy over every layer of the model. The policy
+// chooses tiers from the raw spec sizes; PlaceModel then records each
+// assignment's stored size, qc.CompressedBytes of its elements, or the
+// raw size when qc is nil.
+func PlaceModel(p Policy, cfg model.Config, qc *quant.Config) (*ModelPlacement, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	mp := &ModelPlacement{PolicyName: p.Name(), Config: cfg}
+	if qc != nil {
+		if err := qc.Validate(); err != nil {
+			return nil, err
+		}
+		c := *qc
+		mp.Quantizer = &c
+	}
 	layers := cfg.Layers()
-	mp := &ModelPlacement{PolicyName: p.Name(), Config: cfg, Layers: make([]LayerPlacement, 0, len(layers))}
+	mp.Layers = make([]LayerPlacement, 0, len(layers))
 	for _, l := range layers {
 		as, err := p.PlaceLayer(l)
 		if err != nil {
@@ -78,16 +75,22 @@ func PlaceModel(p Policy, cfg model.Config) (*ModelPlacement, error) {
 		if len(as) != len(l.Weights) {
 			return nil, fmt.Errorf("placement: layer %d: %d assignments for %d weights", l.Index, len(as), len(l.Weights))
 		}
+		for i := range as {
+			as[i].Stored = as[i].Spec.Bytes
+			if qc != nil {
+				as[i].Stored = qc.CompressedBytes(as[i].Spec.Elems)
+			}
+		}
 		mp.Layers = append(mp.Layers, LayerPlacement{Layer: l, Assignments: as})
 	}
 	return mp, nil
 }
 
 // TotalOn totals stored bytes across the model on one tier.
-func (mp *ModelPlacement) TotalOn(t Tier, sz Sizer) units.Bytes {
+func (mp *ModelPlacement) TotalOn(t Tier) units.Bytes {
 	var n units.Bytes
 	for _, lp := range mp.Layers {
-		n += lp.BytesOn(t, sz)
+		n += lp.BytesOn(t)
 	}
 	return n
 }
@@ -115,14 +118,14 @@ func (d Distribution) Pct(t Tier) float64 {
 	}
 }
 
-// distribution computes the split over a subset of layers.
-func distribution(layers []LayerPlacement, sz Sizer) Distribution {
+// distribution computes the raw-size split over a subset of layers.
+func distribution(layers []LayerPlacement) Distribution {
 	var per [numTiers]units.Bytes
 	var total units.Bytes
 	for _, lp := range layers {
 		for _, a := range lp.Assignments {
-			per[a.Tier] += sz(a.Spec)
-			total += sz(a.Spec)
+			per[a.Tier] += a.Spec.Bytes
+			total += a.Spec.Bytes
 		}
 	}
 	if total == 0 {
@@ -132,20 +135,21 @@ func distribution(layers []LayerPlacement, sz Sizer) Distribution {
 	return Distribution{DiskPct: pct(TierDisk), CPUPct: pct(TierCPU), GPUPct: pct(TierGPU)}
 }
 
-// AchievedDistribution is the model-wide achieved split — the quantity the
-// paper compares against the requested split in §V-A.
-func (mp *ModelPlacement) AchievedDistribution(sz Sizer) Distribution {
-	return distribution(mp.Layers, sz)
+// AchievedDistribution is the model-wide achieved split of raw weight
+// bytes — the quantity the paper compares against the requested split in
+// §V-A.
+func (mp *ModelPlacement) AchievedDistribution() Distribution {
+	return distribution(mp.Layers)
 }
 
-// DistributionByType is the achieved split over layers of one type — the
-// per-layer-type view of Figs. 7b, 7c and 10.
-func (mp *ModelPlacement) DistributionByType(t model.LayerType, sz Sizer) Distribution {
+// DistributionByType is the achieved raw split over layers of one type —
+// the per-layer-type view of Figs. 7b, 7c and 10.
+func (mp *ModelPlacement) DistributionByType(t model.LayerType) Distribution {
 	var sel []LayerPlacement
 	for _, lp := range mp.Layers {
 		if lp.Layer.Type == t {
 			sel = append(sel, lp)
 		}
 	}
-	return distribution(sel, sz)
+	return distribution(sel)
 }

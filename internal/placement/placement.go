@@ -15,6 +15,13 @@
 // same mechanism deliberately: with specs sorted ascending and a 30% GPU
 // request, fc1's midpoint falls below the GPU boundary and fc2's above it,
 // pinning exactly half of the FFN bulk on the GPU (Figs. 9-10).
+//
+// Every policy decides on raw (FP16) sizes. Compression (§IV-B) changes
+// only what each placed weight costs to hold, stream and dequantize, so
+// PlaceModel records each assignment's stored size under the run's
+// quantizer, and the byte totals (BytesOn, TotalBytes, TotalOn) sum those.
+// The percentage views (AchievedDistribution, DistributionByType) stay on
+// raw sizes: the raw split is the §V-A quantity.
 package placement
 
 import (
@@ -54,13 +61,18 @@ func (t Tier) String() string {
 type Assignment struct {
 	Spec model.WeightSpec
 	Tier Tier
+	// Stored is the spec's size as its tier holds it. PlaceModel sets it
+	// from the placement's quantizer; a policy cannot supply it.
+	Stored units.Bytes
 }
 
 // Policy decides where each layer's weights live.
 type Policy interface {
 	// Name is a short policy label for reports.
 	Name() string
-	// PlaceLayer assigns every weight of the layer to a tier.
+	// PlaceLayer assigns every weight of the layer to a tier. The
+	// returned slice belongs to the caller: PlaceModel writes each
+	// assignment's Stored size into it.
 	PlaceLayer(l model.Layer) ([]Assignment, error)
 }
 

@@ -14,11 +14,11 @@ import (
 // configurations, the achieved overall weight distribution is
 // (58.6, 33.1, 8.3)".
 func TestBaselineAchievedDistributionSSD(t *testing.T) {
-	mp, err := PlaceModel(Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B())
+	mp, err := PlaceModel(Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := mp.AchievedDistribution(RawSizer)
+	d := mp.AchievedDistribution()
 	if math.Abs(d.DiskPct-58.6) > 1.0 {
 		t.Errorf("disk = %.1f, want ~58.6", d.DiskPct)
 	}
@@ -33,11 +33,11 @@ func TestBaselineAchievedDistributionSSD(t *testing.T) {
 // §V-A: "the input and achieved distribution for NVDRAM/MemoryMode is
 // (0, 80, 20) and (0, 91.7, 8.3), respectively".
 func TestBaselineAchievedDistributionNVDRAM(t *testing.T) {
-	mp, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, model.OPT175B())
+	mp, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := mp.AchievedDistribution(RawSizer)
+	d := mp.AchievedDistribution()
 	if d.DiskPct != 0 {
 		t.Errorf("disk = %.1f, want 0", d.DiskPct)
 	}
@@ -53,12 +53,12 @@ func TestBaselineAchievedDistributionNVDRAM(t *testing.T) {
 // GPU while the smaller MHA layer does" — MHA lands ~25% GPU (w_out plus
 // trailing small tensors), FFN ~100% host.
 func TestBaselinePerTypeDistributionFig7c(t *testing.T) {
-	mp, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, model.OPT175B())
+	mp, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mha := mp.DistributionByType(model.LayerMHA, RawSizer)
-	ffn := mp.DistributionByType(model.LayerFFN, RawSizer)
+	mha := mp.DistributionByType(model.LayerMHA)
+	ffn := mp.DistributionByType(model.LayerFFN)
 	if mha.GPUPct < 20 || mha.GPUPct > 30 {
 		t.Errorf("MHA gpu = %.1f, want ~25", mha.GPUPct)
 	}
@@ -73,12 +73,12 @@ func TestBaselinePerTypeDistributionFig7c(t *testing.T) {
 // Fig. 7b: under (65,15,20) the FFN splits ~50/50 between storage and host
 // while MHA splits ~75/25 between storage and GPU.
 func TestBaselinePerTypeDistributionFig7b(t *testing.T) {
-	mp, err := PlaceModel(Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B())
+	mp, err := PlaceModel(Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mha := mp.DistributionByType(model.LayerMHA, RawSizer)
-	ffn := mp.DistributionByType(model.LayerFFN, RawSizer)
+	mha := mp.DistributionByType(model.LayerMHA)
+	ffn := mp.DistributionByType(model.LayerFFN)
 	if math.Abs(mha.DiskPct-75) > 2 || math.Abs(mha.GPUPct-25) > 2 {
 		t.Errorf("MHA = %v, want ~(75, 0, 25)", mha)
 	}
@@ -91,12 +91,12 @@ func TestBaselinePerTypeDistributionFig7b(t *testing.T) {
 // (~0.04% of MHA bytes) and pins fc1 — half the FFN bulk — on the GPU.
 func TestHeLMDistribution(t *testing.T) {
 	h := HeLM{Default: Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}}
-	mp, err := PlaceModel(h, model.OPT175B())
+	mp, err := PlaceModel(h, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mha := mp.DistributionByType(model.LayerMHA, RawSizer)
-	ffn := mp.DistributionByType(model.LayerFFN, RawSizer)
+	mha := mp.DistributionByType(model.LayerMHA)
+	ffn := mp.DistributionByType(model.LayerFFN)
 	if mha.GPUPct > 0.1 {
 		t.Errorf("HeLM MHA gpu = %.3f%%, want ~0.04%% (biases+norms only)", mha.GPUPct)
 	}
@@ -131,18 +131,18 @@ func TestHeLMDistribution(t *testing.T) {
 // grows the host-resident MHA bytes ~33%.
 func TestHeLMLoadDeltaVsBaseline(t *testing.T) {
 	cfg := model.OPT175B()
-	base, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, cfg)
+	base, err := PlaceModel(Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	helm, err := PlaceModel(HeLM{Default: Baseline{CPUPct: 80, GPUPct: 20}}, cfg)
+	helm, err := PlaceModel(HeLM{Default: Baseline{CPUPct: 80, GPUPct: 20}}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layerHost := func(mp *ModelPlacement, lt model.LayerType) units.Bytes {
 		for _, lp := range mp.Layers {
 			if lp.Layer.Type == lt {
-				return lp.BytesOn(TierCPU, RawSizer)
+				return lp.BytesOn(TierCPU)
 			}
 		}
 		return 0
@@ -159,19 +159,19 @@ func TestHeLMLoadDeltaVsBaseline(t *testing.T) {
 
 func TestAllCPUAndAllGPU(t *testing.T) {
 	cfg := model.OPT30B()
-	cpuMP, err := PlaceModel(AllCPU{}, cfg)
+	cpuMP, err := PlaceModel(AllCPU{}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := cpuMP.AchievedDistribution(RawSizer)
+	d := cpuMP.AchievedDistribution()
 	if d.CPUPct != 100 {
 		t.Errorf("AllCPU cpu = %.1f, want 100", d.CPUPct)
 	}
-	gpuMP, err := PlaceModel(AllGPU{}, cfg)
+	gpuMP, err := PlaceModel(AllGPU{}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := gpuMP.AchievedDistribution(RawSizer); g.GPUPct != 100 {
+	if g := gpuMP.AchievedDistribution(); g.GPUPct != 100 {
 		t.Errorf("AllGPU gpu = %.1f, want 100", g.GPUPct)
 	}
 }
@@ -220,31 +220,83 @@ func TestGetChoiceBoundaries(t *testing.T) {
 
 func TestCompressedSizerChangesBytesNotShares(t *testing.T) {
 	// Percent-based allocation is scale-invariant: compressing all specs by
-	// a near-constant factor leaves the achieved shares intact while
+	// a near-constant factor leaves the stored shares intact while
 	// shrinking absolute bytes ~3.56x.
 	cfg := model.OPT175B()
 	qc := quant.Default()
-	qSizer := func(s model.WeightSpec) units.Bytes { return qc.CompressedBytes(s.Elems) }
-	mp, err := PlaceModel(Baseline{CPUPct: 80, GPUPct: 20}, cfg)
+	raw, err := PlaceModel(Baseline{CPUPct: 80, GPUPct: 20}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := mp.AchievedDistribution(RawSizer)
-	comp := mp.AchievedDistribution(qSizer)
-	if math.Abs(raw.CPUPct-comp.CPUPct) > 0.5 {
-		t.Errorf("compression changed shares: %v vs %v", raw, comp)
+	comp, err := PlaceModel(Baseline{CPUPct: 80, GPUPct: 20}, cfg, &qc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := float64(mp.TotalOn(TierCPU, qSizer)) / float64(mp.TotalOn(TierCPU, RawSizer))
+	cpuShare := func(mp *ModelPlacement) float64 {
+		return float64(mp.TotalOn(TierCPU)) / float64(mp.TotalOn(TierDisk)+mp.TotalOn(TierCPU)+mp.TotalOn(TierGPU)) * 100
+	}
+	if r, c := cpuShare(raw), cpuShare(comp); math.Abs(r-c) > 0.5 {
+		t.Errorf("compression changed the stored CPU share: %.2f%% vs %.2f%%", r, c)
+	}
+	r := float64(comp.TotalOn(TierCPU)) / float64(raw.TotalOn(TierCPU))
 	// 4 bits plus 32 bits of metadata per 64 elements, over fp16 (§IV-B).
 	if want := 4.5 / 16; math.Abs(r-want) > 0.01 {
 		t.Errorf("compressed/raw = %.4f, want %.4f", r, want)
 	}
 }
 
+// PlaceModel places on raw sizes and records each weight's stored size:
+// a compressed run streams, budgets and dequantizes exactly these bytes,
+// so a placement that kept the raw size under a quantizer would run a
+// compressed configuration at uncompressed transfer cost.
+func TestPlaceModelRecordsStoredBytes(t *testing.T) {
+	cfg := model.OPT175B()
+	qc := quant.Default()
+	for _, pol := range []Policy{
+		Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20},
+		Baseline{CPUPct: 80, GPUPct: 20},
+		HeLM{Default: Baseline{CPUPct: 80, GPUPct: 20}},
+		AllCPU{},
+	} {
+		raw, err := PlaceModel(pol, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := PlaceModel(pol, cfg, &qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw.Quantizer != nil || comp.Quantizer == nil || *comp.Quantizer != qc {
+			t.Fatalf("%s: quantizers %v, %v; want nil, %v", pol.Name(), raw.Quantizer, comp.Quantizer, qc)
+		}
+		for i, lp := range comp.Layers {
+			for k, a := range lp.Assignments {
+				r := raw.Layers[i].Assignments[k]
+				if r.Stored != r.Spec.Bytes {
+					t.Fatalf("%s: raw L%d %s stored %v, want its spec's %v", pol.Name(), i, r.Spec.Name, r.Stored, r.Spec.Bytes)
+				}
+				if want := qc.CompressedBytes(a.Spec.Elems); a.Stored != want {
+					t.Fatalf("%s: compressed L%d %s stored %v, want %v", pol.Name(), i, a.Spec.Name, a.Stored, want)
+				}
+				if a.Spec != r.Spec || a.Tier != r.Tier {
+					t.Fatalf("%s: L%d assignment %d is %s on %v compressed, %s on %v raw",
+						pol.Name(), i, k, a.Spec.Name, a.Tier, r.Spec.Name, r.Tier)
+				}
+			}
+		}
+		if got := float64(comp.TotalOn(TierCPU)) / float64(raw.TotalOn(TierCPU)); math.Abs(got-4.5/16) > 1e-3 {
+			t.Errorf("%s: compressed/raw CPU bytes = %.5f, want %.5f", pol.Name(), got, 4.5/16)
+		}
+	}
+}
+
 func TestPlaceModelRejectsInvalidConfig(t *testing.T) {
 	bad := model.Config{Name: "bad"}
-	if _, err := PlaceModel(AllCPU{}, bad); err == nil {
+	if _, err := PlaceModel(AllCPU{}, bad, nil); err == nil {
 		t.Errorf("invalid config accepted")
+	}
+	if _, err := PlaceModel(AllCPU{}, model.OPT175B(), &quant.Config{GroupSize: 63}); err == nil {
+		t.Errorf("invalid quantizer (group size 63) accepted")
 	}
 }
 
@@ -262,7 +314,7 @@ func TestDistributionHelpers(t *testing.T) {
 	if Tier(9).String() != "Tier(9)" {
 		t.Errorf("unknown tier name")
 	}
-	if got := distribution(nil, RawSizer); got != (Distribution{}) {
+	if got := distribution(nil); got != (Distribution{}) {
 		t.Errorf("empty distribution = %v", got)
 	}
 }
@@ -277,11 +329,11 @@ func TestPlacementConservesBytesProperty(t *testing.T) {
 		rest := 100 - disk
 		cpu := rest * float64(b%101) / 100
 		gpu := 100 - disk - cpu
-		mp, err := PlaceModel(Baseline{DiskPct: disk, CPUPct: cpu, GPUPct: gpu}, cfg)
+		mp, err := PlaceModel(Baseline{DiskPct: disk, CPUPct: cpu, GPUPct: gpu}, cfg, nil)
 		if err != nil {
 			return false
 		}
-		total := mp.TotalOn(TierDisk, RawSizer) + mp.TotalOn(TierCPU, RawSizer) + mp.TotalOn(TierGPU, RawSizer)
+		total := mp.TotalOn(TierDisk) + mp.TotalOn(TierCPU) + mp.TotalOn(TierGPU)
 		return total == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -299,12 +351,12 @@ func TestBaselineMonotoneGPUProperty(t *testing.T) {
 		if g1 > g2 {
 			g1, g2 = g2, g1
 		}
-		mp1, err1 := PlaceModel(Baseline{CPUPct: 100 - g1, GPUPct: g1}, cfg)
-		mp2, err2 := PlaceModel(Baseline{CPUPct: 100 - g2, GPUPct: g2}, cfg)
+		mp1, err1 := PlaceModel(Baseline{CPUPct: 100 - g1, GPUPct: g1}, cfg, nil)
+		mp2, err2 := PlaceModel(Baseline{CPUPct: 100 - g2, GPUPct: g2}, cfg, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return mp2.AchievedDistribution(RawSizer).GPUPct >= mp1.AchievedDistribution(RawSizer).GPUPct-1e-9
+		return mp2.AchievedDistribution().GPUPct >= mp1.AchievedDistribution().GPUPct-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -23,7 +23,7 @@ func ExampleRun_cxlSweep() {
 	qc := quant.Default()
 	base := placement.Baseline{DiskPct: 0, CPUPct: 80, GPUPct: 20}
 	tbt := func(pol placement.Policy, dev memdev.Device) float64 {
-		mp, err := placement.PlaceModel(pol, cfg)
+		mp, err := placement.PlaceModel(pol, cfg, &qc)
 		if err != nil {
 			panic(err)
 		}
@@ -31,7 +31,7 @@ func ExampleRun_cxlSweep() {
 			Model: cfg, Placement: mp,
 			Devices: sched.TierDevices{CPU: dev},
 			GPU:     gpu.NewA100(), Engine: xfer.New(),
-			Batch: 1, PromptLen: 128, GenLen: 21, Compression: &qc,
+			Batch: 1, PromptLen: 128, GenLen: 21,
 		})
 		if err != nil {
 			panic(err)

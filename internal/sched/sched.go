@@ -9,7 +9,9 @@
 //
 // Weight transfer for layer j+1 overlaps with layer j's compute; the sync
 // makes each pipeline slot cost max(compute_j, load_{j+1}). Host-resident
-// weights are re-streamed every token step, which is why inference is
+// weights are re-streamed every token step at the size the placement
+// stored them (compressed when its quantizer is set, which also charges
+// their dequantization as compute), which is why inference is
 // bound by the weight-transfer bandwidth of the slowest populated tier
 // (§IV-B) and why the per-layer load-time series shows the MHA/FFN
 // sawtooth of Fig. 7a.
@@ -27,7 +29,6 @@ import (
 	"helmsim/internal/memdev"
 	"helmsim/internal/model"
 	"helmsim/internal/placement"
-	"helmsim/internal/quant"
 	"helmsim/internal/stats"
 	"helmsim/internal/trace"
 	"helmsim/internal/units"
@@ -63,7 +64,9 @@ type TierDevices struct {
 type Options struct {
 	// Model is the served model.
 	Model model.Config
-	// Placement is the resolved weight placement.
+	// Placement is the resolved weight placement. Its stored sizes are
+	// what streams, and when its Quantizer is set every weight's
+	// dequantization is charged as compute.
 	Placement *placement.ModelPlacement
 	// Devices maps tiers to devices.
 	Devices TierDevices
@@ -75,9 +78,6 @@ type Options struct {
 	Batch int
 	// PromptLen and GenLen are the input/output sequence lengths.
 	PromptLen, GenLen int
-	// Compression, when non-nil, stores and streams all weights
-	// group-wise quantized and adds the dequantization compute cost.
-	Compression *quant.Config
 	// GPUBatches is FlexGen's micro-batch count: the zig-zag schedule
 	// computes GPUBatches micro-batches of Batch prompts each against one
 	// weight load per layer per token step (§II-B: the schedule
@@ -146,7 +146,6 @@ type Result struct {
 // runner holds the per-run derived state.
 type runner struct {
 	o      Options
-	sizer  placement.Sizer
 	wsCPU  units.Bytes // bytes streamed from the CPU tier per pass
 	wsDisk units.Bytes
 	loads  []units.Duration // per-layer weight load times (stage-invariant)
@@ -183,9 +182,9 @@ func Run(o Options) (*Result, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	r := &runner{o: o, sizer: placement.SizerFor(o.Compression)}
-	r.wsCPU = o.Placement.TotalOn(placement.TierCPU, r.sizer)
-	r.wsDisk = o.Placement.TotalOn(placement.TierDisk, r.sizer)
+	r := &runner{o: o}
+	r.wsCPU = o.Placement.TotalOn(placement.TierCPU)
+	r.wsDisk = o.Placement.TotalOn(placement.TierDisk)
 	if err := r.computeLoads(); err != nil {
 		return nil, err
 	}
@@ -255,14 +254,9 @@ func validate(o Options) error {
 	if o.PromptLen <= 0 || o.GenLen <= 0 {
 		return fmt.Errorf("sched: non-positive sequence lengths (%d, %d)", o.PromptLen, o.GenLen)
 	}
-	if o.Compression != nil {
-		if err := o.Compression.Validate(); err != nil {
-			return err
-		}
-	}
 	// Every disk-tier byte needs a disk device.
 	if o.Devices.Disk == nil {
-		if n := o.Placement.TotalOn(placement.TierDisk, placement.RawSizer); n > 0 {
+		if n := o.Placement.TotalOn(placement.TierDisk); n > 0 {
 			return fmt.Errorf("sched: placement puts %v on disk but no disk device configured", n)
 		}
 	}
@@ -276,10 +270,10 @@ func (r *runner) computeLoads() error {
 	r.loads = make([]units.Duration, len(layers))
 	for i, lp := range layers {
 		var shards []xfer.Shard
-		if b := lp.BytesOn(placement.TierDisk, r.sizer); b > 0 {
+		if b := lp.BytesOn(placement.TierDisk); b > 0 {
 			shards = append(shards, xfer.Shard{Src: r.o.Devices.Disk, Bytes: b, WorkingSet: r.wsDisk})
 		}
-		if b := lp.BytesOn(placement.TierCPU, r.sizer); b > 0 {
+		if b := lp.BytesOn(placement.TierCPU); b > 0 {
 			shards = append(shards, xfer.Shard{Src: r.o.Devices.CPU, Bytes: b, WorkingSet: r.wsCPU})
 		}
 		t, err := r.o.Engine.LoadTime(shards)
@@ -307,8 +301,8 @@ func (r *runner) computeTime(lp placement.LayerPlacement, stage Stage, ctx int) 
 	var total units.Duration
 	// Dequantization: every compressed weight of the layer is expanded
 	// before use, wherever it was stored.
-	if r.o.Compression != nil {
-		d, err := g.DequantTime(lp.TotalBytes(r.sizer))
+	if r.o.Placement.Quantizer != nil {
+		d, err := g.DequantTime(lp.TotalBytes())
 		if err != nil {
 			return 0, err
 		}
@@ -398,7 +392,7 @@ func (r *runner) pass(stage Stage, ctx int) (StepTiming, error) {
 		if out := kvOut[j] * nb; out > slot {
 			slot = out
 		}
-		r.traceSlot(stage, lp, totalC, h2d, kvOut[j]*nb, next)
+		r.traceSlot(stage, lp, totalC, h2d, next)
 		r.now += slot
 		step.Time += slot
 	}
@@ -413,8 +407,9 @@ func (r *runner) microBatches() int {
 	return r.o.GPUBatches
 }
 
-// traceSlot emits one pipeline slot's events.
-func (r *runner) traceSlot(stage Stage, lp placement.LayerPlacement, c, h2d, d2h units.Duration, next int) {
+// traceSlot emits one pipeline slot's compute and host->GPU copy events.
+// The KV write-back is not traced: it lives only in LayerTiming.KVStore.
+func (r *runner) traceSlot(stage Stage, lp placement.LayerPlacement, c, h2d units.Duration, next int) {
 	if r.o.Trace == nil {
 		return
 	}
@@ -433,10 +428,6 @@ func (r *runner) traceSlot(stage Stage, lp placement.LayerPlacement, c, h2d, d2h
 			Start:  r.now, Duration: h2d, Args: args,
 		})
 	}
-	// KV write-back shares the copy lane's slot budget but is a separate
-	// DMA direction; record it on the copy lane after the load for
-	// visualization (PCIe is full duplex, so wall time is the max).
-	_ = d2h
 }
 
 // ---------------------------------------------------------------------------

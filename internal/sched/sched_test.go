@@ -17,11 +17,16 @@ import (
 func opts(t *testing.T, pol placement.Policy, dev memdev.Device, batch int, compress bool) Options {
 	t.Helper()
 	cfg := model.OPT175B()
-	mp, err := placement.PlaceModel(pol, cfg)
+	var qc *quant.Config
+	if compress {
+		c := quant.Default()
+		qc = &c
+	}
+	mp, err := placement.PlaceModel(pol, cfg, qc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{
+	return Options{
 		Model:     cfg,
 		Placement: mp,
 		Devices:   TierDevices{CPU: dev},
@@ -31,11 +36,6 @@ func opts(t *testing.T, pol placement.Policy, dev memdev.Device, batch int, comp
 		PromptLen: 128,
 		GenLen:    21,
 	}
-	if compress {
-		qc := quant.Default()
-		o.Compression = &qc
-	}
-	return o
 }
 
 func baselinePol() placement.Policy {
@@ -171,7 +171,7 @@ func TestLoadsStageInvariant(t *testing.T) {
 func TestAllGPUNoTransfers(t *testing.T) {
 	o := opts(t, placement.AllGPU{}, memdev.NewDRAM(0), 1, true)
 	o.Model = model.OPT6B7()
-	mp, err := placement.PlaceModel(placement.AllGPU{}, o.Model)
+	mp, err := placement.PlaceModel(placement.AllGPU{}, o.Model, o.Placement.Quantizer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +276,6 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Errorf("negative gen accepted")
 	}
-	bad = good
-	qc := quant.Config{GroupSize: 63}
-	bad.Compression = &qc
-	if _, err := Run(bad); err == nil {
-		t.Errorf("invalid compression accepted")
-	}
 	// Placement/model mismatch.
 	bad = good
 	bad.Model = model.OPT30B()
@@ -289,7 +283,7 @@ func TestValidation(t *testing.T) {
 		t.Errorf("mismatched placement accepted")
 	}
 	// Disk-tier bytes without a disk device.
-	mp, err := placement.PlaceModel(placement.Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B())
+	mp, err := placement.PlaceModel(placement.Baseline{DiskPct: 65, CPUPct: 15, GPUPct: 20}, model.OPT175B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
