@@ -75,7 +75,11 @@ bench-smoke:
 # rows and the engine's depths, chunks inside a row, every nibble in
 # every lane, every finite half, a guard page, fuzz seeds), Packed.Gemv
 # against DecodeRange, and the two bodies against each other by raw
-# bits, the pinned token digests (as
+# bits, the packed logits' sixteen-table-row leaf against its Go twin and
+# a per-element oracle (one to nine stacked rows, every nibble in every
+# lane, every finite half, guard pages at both ends of the metadata,
+# fuzz seeds) and the logits with it on and off against the dense
+# oracle, the pinned token digests (as
 # probed, with the AVX-512 bodies off and with every wide body off),
 # GELU's integer
 # float32 widening against the conversion and GELU against its

@@ -30,6 +30,15 @@ var awkwardMeta = []float32{
 	math.SmallestNonzeroFloat32, -1e-40, 5.9604645e-08 /* smallest fp16 */, 65504, -65504, math.MaxFloat32, 1.0 / 3,
 }
 
+// specialValues are the activations and sums a reordered, fused or
+// skipped term shows on: NaNs with payloads, ±Inf, subnormals, both
+// zeros and the extremes.
+var specialValues = []float32{
+	math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800001),
+	float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -1e-40, 1e-38,
+	0, float32(math.Copysign(0, -1)), 1, -0.5, math.MaxFloat32, -math.MaxFloat32,
+}
+
 func decodeLengths() []int {
 	var ns []int
 	for n := 0; n <= 70; n++ {
@@ -381,14 +390,18 @@ type axpyBody struct {
 var axpyBodies = []axpyBody{{"sse2", false}, {"avx512", true}}
 
 // eachAxpyBody runs f once per body as a subtest named after it, with
-// gemv taking that body; the avx512 subtest skips with the reason where
-// the host lacks AVX-512.
-func eachAxpyBody(t *testing.T, f func(t *testing.T)) {
+// gemv taking that body (eachBody).
+func eachAxpyBody(t *testing.T, f func(t *testing.T)) { eachBody(t, axpyBodies, f) }
+
+// eachBody runs f once per body as a subtest named after it, with
+// wide512 set for that body; an AVX-512 subtest skips with the reason
+// where the host lacks AVX-512.
+func eachBody(t *testing.T, bodies []axpyBody, f func(t *testing.T)) {
 	defer func() { wide512 = probed512 }()
-	for _, body := range axpyBodies {
+	for _, body := range bodies {
 		t.Run(body.name, func(t *testing.T) {
 			if body.wide && !probed512 {
-				t.Skip("no AVX-512 here (CPUID.7:EBX AVX2/F/BW/VL or XCR0 ZMM state missing, or GOARCH is not amd64): gemv never runs gemvAVX512")
+				t.Skip("no AVX-512 here (CPUID.7:EBX AVX2/F/BW/VL or XCR0 ZMM state missing, or GOARCH is not amd64): the AVX-512 body never runs")
 			}
 			wide512 = body.wide
 			f(t)
@@ -531,16 +544,11 @@ func TestAxpyRowsBodiesAgree(t *testing.T) {
 		t.Skip("no AVX-512 here: gemv has one assembly body")
 	}
 	defer func() { wide512 = probed512 }()
-	special := []float32{
-		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800001),
-		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -1e-40, 1e-38,
-		0, float32(math.Copysign(0, -1)), 1, -0.5, math.MaxFloat32, -math.MaxFloat32,
-	}
 	rng := rand.New(rand.NewSource(80))
 	// value is special with odds one in n.
 	value := func(n int) float32 {
 		if rng.Intn(n) == 0 {
-			return special[rng.Intn(len(special))]
+			return specialValues[rng.Intn(len(specialValues))]
 		}
 		return float32(rng.NormFloat64())
 	}

@@ -85,9 +85,40 @@ func gemv(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride in
 	}
 }
 
-// wide512 is whether gemv runs gemvAVX512. It is the CPU probe's answer,
-// read once, and a variable only so that tests and benchmarks can switch
-// the body off and hold both to the same bits.
+// gemvT adds x_r · w_t to o[r*ldo+t] for every activation row x_r of
+// x (len(x)/k rows of k elements) and each of sixteen consecutive table
+// rows w_t of k elements, the first of which starts at nib[0] and at
+// group g0 of the metadata block meta (every minimum, then every scale;
+// groups of gs). Every sum is one ascending-k chain from o's value. With
+// wide512, at a group size that is a multiple of 8, gemvTAVX512 runs it,
+// eight activation rows a call, one ZMM lane per table row, decoding each
+// weight once for all of them; every other case, and every GOARCH but
+// amd64, takes gemvTRef. Both store the same bits (DESIGN §3c, "the
+// transposed GEMV at sixteen lanes").
+func gemvT(o []float32, ldo int, x []float32, nib, meta []byte, g0, gs, k int) {
+	rows := len(x) / k
+	if !wide512 || gs%8 != 0 || k >= maxGatherRow || rows == 0 {
+		gemvTRef(o, ldo, x, nib, meta, g0, gs, k)
+		return
+	}
+	groups, half := k/gs, len(meta)/2
+	last := g0 + 16*groups - 1
+	// The last nibble dword, output element, minimum dword and scale the
+	// gathers and stores reach; the scales start two bytes early.
+	_, _, _, _ = nib[16*(k/2)-1], o[(rows-1)*ldo+15], meta[2*last+3], meta[half+2*last+1]
+	for r := 0; r < rows; r += 8 {
+		gemvTAVX512(&o[r*ldo], ldo, &x[r*k], k, min(8, rows-r), &nib[0], &meta[2*g0], &meta[half+2*g0-2], groups, gs/8)
+	}
+}
+
+// maxGatherRow bounds the table row length gemvTAVX512 takes: its
+// gathers address sixteen rows by 32-bit byte offsets of up to 15·k/2.
+const maxGatherRow = 1 << 28
+
+// wide512 is whether gemv runs gemvAVX512 and gemvT gemvTAVX512. It is
+// the CPU probe's answer, read once, and a variable only so that tests
+// and benchmarks can switch the bodies off and hold them to the same
+// bits.
 var wide512 = CPUHasAVX512()
 
 //go:noescape
@@ -95,6 +126,9 @@ func axpyRowsSSE(o *float32, nib, mins, scales *byte, nibStride, metaStride, gro
 
 //go:noescape
 func gemvAVX512(o, x *float32, nib, mins, scales *byte, rows, nibStride, metaStride, groups, blocks int)
+
+//go:noescape
+func gemvTAVX512(o *float32, ldo int, x *float32, k, rows int, nib, mins, scales *byte, groups, chunks int)
 
 // CPUHasAVX reports whether the CPU executes AVX and the OS saves the
 // YMM registers across context switches: CPUID.1:ECX has OSXSAVE (bit
@@ -115,7 +149,7 @@ func CPUHasAVX() bool {
 // then CPUID.7.0:EBX has AVX2 (bit 5, for the VEX word broadcast),
 // AVX-512F (16), AVX-512BW (30) and AVX-512VL (31), and XCR0 enables the
 // opmask, upper-ZMM0-15 and ZMM16-31 state (bits 5, 6 and 7) besides
-// bits 1 and 2. It is the probe behind gemvAVX512 and
+// bits 1 and 2. It is the probe behind gemvAVX512, gemvTAVX512 and
 // internal/tensor's 6x32 register tile; each package reads it once.
 func CPUHasAVX512() bool {
 	if !CPUHasAVX() {

@@ -484,6 +484,215 @@ gstored:
 	VZEROUPPER
 	RET
 
+// ROWT adds one activation row's term for the current k to the sixteen
+// table-row sums in sum: VMULPS multiplies the decoded weights (Z8) by
+// x[k] broadcast from src (.BCST, an embedded four-byte broadcast) into
+// Z12, and VADDPS adds that product to the sum with the sum as first
+// source, as dotFrom's s += x*w does.
+#define ROWT(src, sum) \
+	VMULPS.BCST src, Z8, Z12 \
+	VADDPS      Z12, sum, sum
+
+// lanes16 is the lane numbers 0..15 as int32s: times a row stride, the
+// byte offsets a gather reads sixteen rows at.
+DATA lanes16<>+0(SB)/8, $0x0000000100000000
+DATA lanes16<>+8(SB)/8, $0x0000000300000002
+DATA lanes16<>+16(SB)/8, $0x0000000500000004
+DATA lanes16<>+24(SB)/8, $0x0000000700000006
+DATA lanes16<>+32(SB)/8, $0x0000000900000008
+DATA lanes16<>+40(SB)/8, $0x0000000b0000000a
+DATA lanes16<>+48(SB)/8, $0x0000000d0000000c
+DATA lanes16<>+56(SB)/8, $0x0000000f0000000e
+GLOBL lanes16<>(SB), RODATA|NOPTR, $64
+
+// func gemvTAVX512(o *float32, ldo int, x *float32, k, rows int, nib, mins, scales *byte, groups, chunks int)
+//
+// The transposed GEMV at sixteen lanes: for each of rows (1 to 8)
+// activation rows x_r = x[r*k : (r+1)*k] and each of sixteen table rows
+// t, o[r*ldo+t] += x_r · w_t, one ZMM lane per table row, each lane one
+// ascending-k chain that starts from o and is stored back once. Table
+// row t's nibbles start at nib + t*k/2, its minimums at mins +
+// t*2*groups and its scales two bytes after scales + t*2*groups; a row
+// is groups groups of chunks*8 elements.
+// The lanes are rows, not k, because a logit's value is the order its
+// terms are added in: nothing is summed across lanes.
+//
+// Per group one dword gather fetches every row's minimum at its own
+// address (the low word; the other is the next minimum, or for the last
+// one the first scale) and one every row's scale at its address minus 2
+// (the high word; the other is the previous scale, or for the first one
+// the last minimum), so neither reads outside the metadata block, even
+// at its first half or its last. VPSRLD $16 brings the scales down,
+// VPMOVDW keeps the low words and VCVTPH2PS widens them, exactly for
+// every finite half. Per eight
+// k one gather fetches each row's next four nibble bytes; per k VPANDD
+// takes each lane's low nibble and VPSRLD moves the next one down, then
+// VCVTDQ2PS, VMULPS by the scale and VADDPS of the minimum (the minimum
+// the first source) make decode4Ref's gmin + float32(float32(q)*scale)
+// with its two roundings, and ROWT adds x_r[k] times it to each row's
+// sum. So every lane adds the terms dot4From adds to that logit, with
+// the same roundings, in the same order: no FMA. The weight is finite,
+// so a NaN product comes only from x[k] (or Inf·0) and is the scalar
+// product's NaN. AVX-512 F; only Z0-Z15, so VZEROUPPER leaves no dirty
+// upper state.
+//
+// Registers: DI o, R14 ldo in bytes, SI x_0 at k and BX x_4 at k, R8
+// the row stride of x in bytes and R9 three of them, R10 rows, DX the
+// nibble cursor, R11 the minimums and R12 the scales cursor, R13 groups
+// left, CX chunks left in the group, AX k left in the chunk. Z0-Z7 the
+// sums of rows 0-7, Z8 the decoded weights, Z9 the minimums, Z10 the
+// scales, Z11 the chunk's nibbles, Z12 a product, Z13 the nibble mask,
+// Z14 and Z15 the nibble and metadata gather offsets.
+TEXT ·gemvTAVX512(SB), NOSPLIT, $0-80
+	MOVQ         o+0(FP), DI
+	MOVQ         ldo+8(FP), R14
+	SHLQ         $2, R14
+	MOVQ         x+16(FP), SI
+	MOVQ         k+24(FP), R8
+	MOVQ         rows+32(FP), R10
+	MOVQ         nib+40(FP), DX
+	MOVQ         mins+48(FP), R11
+	MOVQ         scales+56(FP), R12
+	MOVQ         groups+64(FP), R13
+	MOVQ         R8, AX
+	SHRQ         $1, AX
+	VPBROADCASTD AX, Z14
+	VPMULLD      lanes16<>(SB), Z14, Z14
+	MOVQ         R13, AX
+	SHLQ         $1, AX
+	VPBROADCASTD AX, Z15
+	VPMULLD      lanes16<>(SB), Z15, Z15
+	MOVL         $15, AX
+	VPBROADCASTD AX, Z13
+	SHLQ         $2, R8
+	LEAQ         (R8)(R8*2), R9
+	LEAQ         (SI)(R8*4), BX
+
+	MOVQ    DI, AX
+	VMOVUPS (AX), Z0
+	CMPQ    R10, $2
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z1
+	CMPQ    R10, $3
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z2
+	CMPQ    R10, $4
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z3
+	CMPQ    R10, $5
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z4
+	CMPQ    R10, $6
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z5
+	CMPQ    R10, $7
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z6
+	CMPQ    R10, $8
+	JB      tgroup
+	ADDQ    R14, AX
+	VMOVUPS (AX), Z7
+
+tgroup:
+	KXNORW     K1, K1, K1
+	VPGATHERDD (R11)(Z15*1), K1, Z9
+	KXNORW     K2, K2, K2
+	VPGATHERDD (R12)(Z15*1), K2, Z10
+	VPMOVDW    Z9, Y9
+	VCVTPH2PS  Y9, Z9
+	VPSRLD     $16, Z10, Z10
+	VPMOVDW    Z10, Y10
+	VCVTPH2PS  Y10, Z10
+	ADDQ       $2, R11
+	ADDQ       $2, R12
+	MOVQ       chunks+72(FP), CX
+
+tchunk:
+	KXNORW     K1, K1, K1
+	VPGATHERDD (DX)(Z14*1), K1, Z11
+	ADDQ       $4, DX
+	MOVL       $8, AX
+
+tk:
+	VPANDD    Z13, Z11, Z8
+	VPSRLD    $4, Z11, Z11
+	VCVTDQ2PS Z8, Z8
+	VMULPS    Z10, Z8, Z8
+	VADDPS    Z8, Z9, Z8
+	ROWT((SI), Z0)
+	CMPQ      R10, $2
+	JB        tnextk
+	ROWT((SI)(R8*1), Z1)
+	CMPQ      R10, $3
+	JB        tnextk
+	ROWT((SI)(R8*2), Z2)
+	CMPQ      R10, $4
+	JB        tnextk
+	ROWT((SI)(R9*1), Z3)
+	CMPQ      R10, $5
+	JB        tnextk
+	ROWT((BX), Z4)
+	CMPQ      R10, $6
+	JB        tnextk
+	ROWT((BX)(R8*1), Z5)
+	CMPQ      R10, $7
+	JB        tnextk
+	ROWT((BX)(R8*2), Z6)
+	CMPQ      R10, $8
+	JB        tnextk
+	ROWT((BX)(R9*1), Z7)
+
+tnextk:
+	ADDQ $4, SI
+	ADDQ $4, BX
+	DECL AX
+	JNE  tk
+	DECQ CX
+	JNE  tchunk
+	DECQ R13
+	JNE  tgroup
+
+	MOVQ    DI, AX
+	VMOVUPS Z0, (AX)
+	CMPQ    R10, $2
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z1, (AX)
+	CMPQ    R10, $3
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z2, (AX)
+	CMPQ    R10, $4
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z3, (AX)
+	CMPQ    R10, $5
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z4, (AX)
+	CMPQ    R10, $6
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z5, (AX)
+	CMPQ    R10, $7
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z6, (AX)
+	CMPQ    R10, $8
+	JB      tstored
+	ADDQ    R14, AX
+	VMOVUPS Z7, (AX)
+
+tstored:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

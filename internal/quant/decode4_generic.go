@@ -22,6 +22,12 @@ func gemv(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride in
 	gemvRef(o, x, nib, mins, scales, gs, nibStride, metaStride)
 }
 
+// gemvT adds x times sixteen table rows to o; off amd64 it is the
+// reference body (see decode4_amd64.go).
+func gemvT(o []float32, ldo int, x []float32, nib, meta []byte, g0, gs, k int) {
+	gemvTRef(o, ldo, x, nib, meta, g0, gs, k)
+}
+
 // wide512 is always false off amd64: there is no AVX-512 body.
 var wide512 bool
 

@@ -132,3 +132,89 @@ func TestAxpyRowsGuardPage(t *testing.T) {
 		}
 	})
 }
+
+// afterGuard returns n bytes whose first one is the first byte after an
+// inaccessible page, so reading before the slice faults.
+func afterGuard(t *testing.T, n int) []byte {
+	t.Helper()
+	page := syscall.Getpagesize()
+	pages := (n+page-1)/page + 1
+	mem, err := syscall.Mmap(-1, 0, pages*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[:page], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return mem[page : page+n : page+n]
+}
+
+// The transposed GEMV reads each row's metadata with dword gathers, so
+// each read takes a neighbouring half along: the scale's gather reads the
+// two bytes before it, the minimum's the two after. Against a serialized
+// table that ends at a guard page — the last row's last scale is the
+// record's final two bytes — every block, the last one included, must
+// read nothing past the end; against a metadata block and nibbles that
+// each start right after a guard page, the first block must read
+// nothing before them. The output and the activations end at a guard
+// page too.
+func TestGemvTGuardPage(t *testing.T) {
+	eachBody(t, gemvTBodies, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(85))
+		for _, s := range []struct{ n, k, gs int }{{16, 64, 64}, {32, 384, 64}, {17, 48, 16}, {48, 16, 8}} {
+			for _, rows := range []int{1, 3, 8} {
+				blob := blobOf(t, rng, s.n*s.k, s.gs)
+				end := guarded(t, len(blob))
+				copy(end, blob)
+				p, err := ViewPacked(end)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := guardedFloats(t, rows*s.k)
+				for i := range x {
+					x[i] = float32(rng.NormFloat64())
+				}
+				o := guardedFloats(t, (rows-1)*s.n+GemvTRows)
+				want := make([]float32, len(o))
+				for j := 0; j+GemvTRows <= s.n; j++ {
+					clear(o)
+					clear(want)
+					p.GemvT(o, s.n, x, s.k, j)
+					tb := table{nib: p.nib, meta: p.meta, n: s.n, k: s.k, gs: s.gs}
+					gemvTOracle(want, s.n, x, tb, j)
+					for i := range want {
+						if !sameBits(want[i], o[i]) {
+							t.Fatalf("%dx%d gs=%d rows=%d j=%d: o[%d] = %v, oracle %v", s.n, s.k, s.gs, rows, j, i, o[i], want[i])
+						}
+					}
+				}
+				// The first block, its nibbles and metadata each right
+				// after a guard page.
+				tb := table{nib: afterGuard(t, len(p.nib)), meta: afterGuard(t, len(p.meta)), n: s.n, k: s.k, gs: s.gs}
+				copy(tb.nib, p.nib)
+				copy(tb.meta, p.meta)
+				clear(o)
+				clear(want)
+				tb.call(gemvT, o, s.n, x, 0)
+				gemvTOracle(want, s.n, x, tb, 0)
+				for i := range want {
+					if !sameBits(want[i], o[i]) {
+						t.Fatalf("%dx%d gs=%d rows=%d after a guard page: o[%d] = %v, oracle %v", s.n, s.k, s.gs, rows, i, o[i], want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
+// guardedFloats is guarded for n float32s.
+func guardedFloats(t *testing.T, n int) []float32 {
+	t.Helper()
+	raw := guarded(t, 4*n)
+	return unsafe.Slice((*float32)(unsafe.Pointer(&raw[0])), n)
+}

@@ -191,6 +191,59 @@ func (p Packed) Gemv(o, x []float32, lo, stride int) {
 	gemv(o, x, p.nib[lo/2:], p.meta[2*g:half], p.meta[half+2*g:], p.gs, stride/2, 2*sg)
 }
 
+// GemvTRows is the number of consecutive table rows one GemvT call
+// multiplies: one per lane of a 512-bit register.
+const GemvTRows = 16
+
+// GemvT adds a block of logits against a packed token table without
+// decoding it into memory: the tensor is a table of rows of k elements,
+// x holds len(x)/k activation rows x_r of k elements each, and for each
+// r and each of the GemvTRows table rows j+t it adds x_r · w[j+t] to
+// o[r*ldo+t], the terms in ascending k from o's value, each weight
+// DecodeRange's value and each product rounded and added as
+// internal/tensor's dotFrom adds it — so o ends with the bits
+// DecodeRange-then-dotFrom stores. On a host with AVX-512, at a group
+// size that is a multiple of 8, each weight is decoded in a register
+// once for all of x's rows. k must be whole groups, the table rows must
+// lie inside the tensor, and with more than one activation row the
+// output rows may not overlap (ldo >= GemvTRows).
+func (p Packed) GemvT(o []float32, ldo int, x []float32, k, j int) {
+	g, kok := p.groupsIn(k)
+	if !kok || k <= 0 || len(x)%k != 0 || j < 0 || j > p.n/k-GemvTRows || (len(x) > k && ldo < GemvTRows) {
+		panic(fmt.Sprintf("quant: GemvT over %d activations, table rows %d.. of %d elements, output stride %d, in groups of %d", len(x), j, k, ldo, p.gs))
+	}
+	gemvT(o, ldo, x, p.nib[j*k/2:], p.meta, j*g, p.gs, k)
+}
+
+// gemvTRef is the reference body of gemvT: the whole implementation off
+// amd64, where AVX-512 is missing and at group sizes that are not a
+// multiple of 8, and what the differential tests hold the assembly to.
+// It is the composition the logits ran before: a table row's group
+// decoded (decode4, sixteen elements at a time), then each activation
+// row's dot continued over it, every product converted to float32 so
+// that no compiler may fuse it into the add.
+func gemvTRef(o []float32, ldo int, x []float32, nib, meta []byte, g0, gs, k int) {
+	var w [16]float32
+	half, groups := len(meta)/2, k/gs
+	for t := 0; t < GemvTRows; t++ {
+		for r := 0; r < len(x)/k; r++ {
+			s, xr := o[r*ldo+t], x[r*k:(r+1)*k]
+			for gi := 0; gi < groups; gi++ {
+				g := g0 + t*groups + gi
+				gmin, scale := halfAt(meta, g), halfAt(meta[half:], g)
+				for i := gi * gs; i < (gi+1)*gs; i += 16 {
+					n := min(16, (gi+1)*gs-i)
+					decode4(w[:n], nib[t*(k/2)+i/2:], gmin, scale)
+					for e, v := range w[:n] {
+						s += float32(xr[i+e] * v)
+					}
+				}
+			}
+			o[r*ldo+t] = s
+		}
+	}
+}
+
 // groupsIn is n/gs, and whether n is a whole number of groups.
 func (p Packed) groupsIn(n int) (int, bool) {
 	if p.shift != 0 {

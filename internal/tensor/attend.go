@@ -99,7 +99,10 @@ func expShiftRef(s []float32, shift float32) {
 }
 
 // attendScores sets s[p] to the dot of qh with position p's K row from
-// off, four cached positions per pass as the logits' dots go. It and
+// off, four cached positions per pass as the dense logits' dots go
+// (matMulTTile; the packed logits take sixteen table rows per vector on
+// AVX-512, which needs the rows' operands side by side — for K rows,
+// a transposed page). It and
 // attendValues are functions of their own because inlined into
 // attendRanges, among its many live values, the dots ran 10-20 % slower
 // (BenchmarkAttendSplit).

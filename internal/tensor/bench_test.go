@@ -277,3 +277,36 @@ func BenchmarkQ4Crossover(b *testing.B) {
 		}
 	}
 }
+
+// The logits of bench-ooc against its 4-bit token table (2048 rows of
+// 384, groups of 64) through MatMulTQ4Into, at the stacked row counts a
+// decode step reaches: "lanes" is the AVX-512 body (quant.Packed.GemvT,
+// sixteen table rows a call), "rows4" the four-row scratch path every
+// host without AVX-512 takes; each at one worker and at GOMAXPROCS.
+func BenchmarkLogitsQ4(b *testing.B) {
+	defer func() { wide512 = probed512 }()
+	p, _ := packMat(b, randMat(2048, 384, 20), 64)
+	for _, r := range []int{1, 2, 5, 8} {
+		a := randMat(r, 384, 21)
+		out := New(r, 2048)
+		for _, body := range []struct {
+			name string
+			wide bool
+		}{{"lanes", true}, {"rows4", false}} {
+			b.Run(fmt.Sprintf("%dx384x2048/%s", r, body.name), func(b *testing.B) {
+				if body.wide && !probed512 {
+					b.Skip("the host lacks AVX-512")
+				}
+				wide512 = body.wide
+				benchAtParallelism(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := MatMulTQ4Into(a, p, out); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,14 +217,33 @@ func TestMatMulQ4MatchesDequantOracle(t *testing.T) {
 }
 
 // The fused logits kernel stores the bits of dequantize-then-MatMulTInto
-// when the inner dimension is one decode run, several, or several and a
-// part, with a table tail that is not a multiple of four.
+// whichever body takes the table rows — sixteen a lane each
+// (quant.Packed.GemvT, where AVX-512 holds and the group size is a
+// multiple of 8) or four through stack scratch (every other host, other
+// group sizes, and the rows past the last block of sixteen): when the
+// inner dimension is one decode run, several, or several and a part;
+// tables of one row, fewer than a block, a block and either side of
+// one, two and a bit, and bench-ooc's 2048 rows and one fewer; hidden
+// sizes 16 to 640; one to eight stacked rows and a tall batch; NaN/Inf
+// activations; 1, 2, 3 and 8 workers; the AVX-512 body on and off.
 func TestMatMulTQ4MatchesDequantOracle(t *testing.T) {
 	defer SetParallelism(Parallelism())
+	defer func() { wide512 = probed512 }()
 	rng := rand.New(rand.NewSource(24))
-	for _, shape := range []struct{ r, k, n, gs int }{
-		{1, 64, 3, 64}, {1, 384, 259, 64}, {3, 512, 517, 32}, {8, 640, 130, 128}, {128, 64, 37, 2},
-	} {
+	type shape struct{ r, k, n, gs int }
+	shapes := []shape{{1, 64, 3, 64}, {1, 384, 259, 64}, {3, 512, 517, 32}, {8, 640, 130, 128}, {128, 64, 37, 2}}
+	for _, n := range []int{1, 15, 16, 17, 33, 2047, 2048} {
+		for _, gs := range []int{8, 16, 32, 64, 128, 2, 6} {
+			var ks []int
+			for _, k := range []int{16, 48, 96, 128, 192, 384, 640} {
+				if k%gs == 0 && (n < 2047 || k <= 192) {
+					ks = append(ks, k)
+				}
+			}
+			shapes = append(shapes, shape{1 + len(shapes)%8, ks[len(shapes)%len(ks)], n, gs})
+		}
+	}
+	for _, shape := range shapes {
 		p, table := packMat(t, randMat(shape.n, shape.k, 43), shape.gs)
 		for _, special := range []bool{false, true} {
 			a := randMat(shape.r, shape.k, 44)
@@ -234,13 +254,16 @@ func TestMatMulTQ4MatchesDequantOracle(t *testing.T) {
 			if err := MatMulTInto(a, table, want); err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{1, 2, 3, 8} {
-				SetParallelism(par)
-				got := dirty(shape.r, shape.n)
-				if err := MatMulTQ4Into(a, p, got); err != nil {
-					t.Fatal(err)
+			for _, wide := range []bool{false, probed512} {
+				wide512 = wide
+				for _, par := range []int{1, 2, 3, 8} {
+					SetParallelism(par)
+					got := dirty(shape.r, shape.n)
+					if err := MatMulTQ4Into(a, p, got); err != nil {
+						t.Fatal(err)
+					}
+					assertSameMat(t, fmt.Sprintf("matmulTQ4 %+v special=%v wide512=%v workers=%d", shape, special, wide, par), want, got)
 				}
-				assertSameMat(t, "matmulTQ4", want, got)
 			}
 		}
 	}

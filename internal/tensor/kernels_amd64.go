@@ -20,8 +20,9 @@ import "helmsim/internal/quant"
 // (GOAMD64=v1): it serves dense decode GEMVs and attention, short bursts
 // where a 256-bit body measured slower. The wider bodies are chosen once
 // from CPUID: the tall GEMM's register tiles (tile6x16 on AVX, tile6x32
-// on AVX-512) here, and the fused 4-bit GEMV's AVX-512 body in
-// internal/quant (Packed.Gemv), whose probe both packages read.
+// on AVX-512) here, and in internal/quant, whose probe both packages
+// read, the fused 4-bit kernels' AVX-512 bodies: the one-row GEMV
+// (Packed.Gemv) and the logits' sixteen-table-row leaf (Packed.GemvT).
 func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
 	if len(o) == 0 {
@@ -47,7 +48,8 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 // than tallGEMMRows, and the transcendentals of GELU, SiLU and softmax
 // (geluAVX, siluAVX, expShiftAVX), taken at every call. wide512 is
 // whether, on top of that, matMulTile runs thirty-two-column tiles
-// (tile6x32AVX512). Each is the CPU probe's answer (quant.CPUHasAVX,
+// (tile6x32AVX512) and matMulTQ4Tile hands blocks of sixteen table rows
+// to quant.Packed.GemvT. Each is the CPU probe's answer (quant.CPUHasAVX,
 // quant.CPUHasAVX512), read once, and a variable only so that tests and
 // benchmarks can switch the bodies off and hold every path to the same
 // bits.

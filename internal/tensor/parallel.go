@@ -174,7 +174,7 @@ func (f *forkCall) chunk(lo, hi int) {
 		gs := f.w.GroupSize()
 		matMulQ4Tile(f.a, f.w, f.cols, f.tile, f.out, lo*gs, hi*gs)
 	case kMatMulTQ4:
-		matMulTQ4Tile(f.a, f.w, f.tile, f.out, lo, hi)
+		matMulTQ4Tile(f.a, f.w, f.tile, f.out, lo*quant.GemvTRows, min(hi*quant.GemvTRows, f.out.C))
 	case kLayerNorm:
 		layerNormRows(f.a, f.gamma, f.beta, f.eps, f.out, lo, hi)
 	case kRMSNorm:

@@ -107,11 +107,10 @@ func matMulQ4Tile(a Mat, w quant.Packed, cols, run int, out Mat, clo, chi int) {
 }
 
 // MatMulTQ4Into computes a @ Wᵀ into out for a (r x k) and a packed
-// 4-bit W (c x k) — logits against a packed token table. Four table
-// rows are decoded a run of k at a time and dotted against every row of
-// a; a dot taken in runs continues from its partial sum, so each output
-// is the one ascending-k chain MatMulTInto computes, bit for bit. The
-// split over the worker pool is over table rows. out is fully
+// 4-bit W (c x k) — logits against a packed token table. Each output is
+// the one ascending-k chain MatMulTInto computes, bit for bit, from the
+// dequantizer's weights; matMulTQ4Tile says how. The split over the
+// worker pool is over blocks of sixteen table rows. out is fully
 // overwritten and must not alias a.
 func MatMulTQ4Into(a Mat, w quant.Packed, out Mat) error {
 	if a.C <= 0 || w.Len() != out.C*a.C {
@@ -130,16 +129,30 @@ func MatMulTQ4Into(a Mat, w quant.Packed, out Mat) error {
 		return nil
 	}
 	fork.a, fork.w, fork.tile, fork.out = a, w, run, out
-	fork.run(kMatMulTQ4, out.C, minColTile)
+	blocks := (out.C + quant.GemvTRows - 1) / quant.GemvTRows
+	fork.run(kMatMulTQ4, blocks, minColTile/quant.GemvTRows)
 	return nil
 }
 
-// matMulTQ4Tile fills output columns [jlo, jhi) — table rows — four at
-// a time like matMulTTile. out arrives zeroed: the partial sums live in
-// it between runs.
+// matMulTQ4Tile fills output columns [jlo, jhi) — table rows. out
+// arrives zeroed: the sums start there. On a host with AVX-512, at a
+// group size that is a multiple of 8, each whole block of sixteen table
+// rows is one quant.Packed.GemvT call: one lane per table row, each
+// weight decoded in a register once for every row of a, every logit its
+// own ascending-k chain. The rows past the last whole block, and every
+// row on other hosts, go four at a time like matMulTTile: four table
+// rows are decoded a run of k at a time into stack scratch and dotted
+// against every row of a, a dot taken in runs continuing from its
+// partial sum in out. Either way each output adds dotFrom's terms in
+// dotFrom's order with its roundings, so the bits are MatMulTInto's.
 func matMulTQ4Tile(a Mat, w quant.Packed, run int, out Mat, jlo, jhi int) {
-	var scratch [4 * q4Tile]float32
 	j := jlo
+	if wide512 && w.GroupSize()%8 == 0 {
+		for ; j+quant.GemvTRows <= jhi; j += quant.GemvTRows {
+			w.GemvT(out.Data[j:], out.C, a.Data[:a.R*a.C], a.C, j)
+		}
+	}
+	var scratch [4 * q4Tile]float32
 	for ; j+4 <= jhi; j += 4 {
 		for k0 := 0; k0 < a.C; k0 += run {
 			n := min(run, a.C-k0)

@@ -160,10 +160,11 @@ func MatMulInto(a, b, out Mat) error {
 // attention, norms and fetches; there 256-bit code pays the core's
 // upper-lane warm-up again and again, and taking it there too measured
 // slower on the fleet workload's small model (EXPERIMENTS.md, "prefill
-// at the core's vector width"). The one wide decode body is the fused
-// 4-bit one-row GEMV's AVX-512 leaf in internal/quant: it is half of an
-// out-of-core decode step, and it won end to end without costing the
-// fleet (EXPERIMENTS.md, "the widest vector level").
+// at the core's vector width"). The wide decode bodies are the fused
+// 4-bit kernels' AVX-512 leaves in internal/quant, the one-row GEMV and
+// the packed logits: they are most of an out-of-core decode step, and
+// each won end to end without costing the fleet (EXPERIMENTS.md, "the
+// widest vector level" and "logits at sixteen lanes").
 const tallGEMMRows = 8
 
 // matMulTile accumulates the output tile rows [rlo, rhi) x columns
