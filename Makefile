@@ -69,13 +69,14 @@ bench-smoke:
 # two-row path (every depth to 9 and the engine's, strides that are not
 # multiples of sixteen, a guard page, fuzz seeds), and MatMulInto with the tiles on against off at every row
 # count mod 6 and column count mod 16 and 32, the AVX and AVX-512
-# probes against /proc/cpuinfo, the in-register one-row GEMV — its SSE2
-# k-quad body and its AVX-512 product table, a subtest each — against
+# probes against /proc/cpuinfo, the in-register GEMV — its SSE2
+# k-quad body and its AVX-512 product tables, a subtest each — against
 # its decode-then-accumulate twin and a per-element oracle (one to nine
 # rows and the engine's depths, chunks inside a row, every nibble in
-# every lane, every finite half, a guard page, fuzz seeds), Packed.Gemv
-# against DecodeRange, and the two bodies against each other by raw
-# bits, the packed logits' sixteen-table-row leaf against its Go twin and
+# every lane, every finite half, a guard page, fuzz seeds), one to nine
+# stacked activation rows against one call per row by raw bits (guard
+# pages at both ends), Packed.Gemv against DecodeRange, and the two
+# bodies against each other by raw bits, the packed logits' sixteen-table-row leaf against its Go twin and
 # a per-element oracle (one to nine stacked rows, every nibble in every
 # lane, every finite half, guard pages at both ends of the metadata,
 # fuzz seeds) and the logits with it on and off against the dense

@@ -34,14 +34,16 @@ type StepSeq struct {
 // the dense kernel, whose row split shares a tall input evenly where the
 // fused kernel re-decodes each tile per column share. On the bench-ooc
 // shapes (tensor.BenchmarkQ4Crossover) the crossover has stayed between
-// 8 and 16 rows with the scalar kernels and with the SSE2 ones; decoding
-// in registers, SSE2 or AVX-512, runs only one-row steps and leaves it
-// there (at two rows one in-register GEMV per row now takes a quarter to
-// a half of the shared decode's time, which moves nothing near 8). So 8
-// — which writes no f32 copy of the weight and is also the widest decode
-// step the daemons ship with — stays. The tables are in EXPERIMENTS.md
-// ("decode in registers", "the widest vector level", "the product
-// table").
+// 8 and 16 rows with the scalar kernels and with the SSE2 ones. Decoding
+// in registers now runs every step up to this height on AVX-512 (one row
+// everywhere): at two to eight rows the stacked in-register GEMV is
+// 1.3–1.8× faster than one in-register call per row and 2.2–5.7× faster
+// than the shared scratch decode, so the fused path wins by more below
+// the crossover, and the crossover itself, above 8 rows, did not move.
+// So 8 — which writes no f32 copy of the weight and is also the widest
+// decode step the daemons ship with — stays. The tables are in
+// EXPERIMENTS.md ("decode in registers", "the widest vector level",
+// "the product table", "stacked steps in registers").
 const fusedMaxRows = 8
 
 // StepEngine advances an arbitrary set of sequences one iteration at a

@@ -160,7 +160,8 @@ func N() int { return int(workers.Load()) }
 // Slot states, the high bits of pool.state; the low 32 bits count the
 // workers currently inside the job. The slot is free only at zero, so a
 // worker that lingers inside a finished job (it has no chunk, it just
-// has not left yet) keeps the descriptor from being rewritten under it.
+// has not left yet) keeps the descriptor from being rewritten under it;
+// the owner's join waits for it to leave before freeing the slot.
 const (
 	slotOwned = 1 << 33 // a caller holds the descriptor
 	slotOpen  = 1 << 32 // ... and has published it: workers may enter
@@ -250,8 +251,14 @@ func (p *pool) run(n, grain int, body func(lo, hi int)) {
 	finished = true
 }
 
-// join waits for the chunks other goroutines are still running and
-// frees the slot.
+// join waits for the chunks other goroutines are still running, closes
+// the slot, waits for every worker still inside it to leave, and only
+// then frees it. A worker that found no chunk left may linger inside a
+// finished fork for a moment; a slot freed before it leaves is not yet
+// free (state is not zero), and the caller's next fork — a stacked
+// decode step is a run of them a few microseconds apart — would find it
+// taken and run its whole range inline. Once slotOpen is clear no worker
+// can enter, so the wait is for workers already on their way out.
 func (p *pool) join() {
 	for polls := 0; p.pending.Load() > 0; polls++ {
 		if polls >= waitPolls {
@@ -259,7 +266,13 @@ func (p *pool) join() {
 		}
 	}
 	p.body = nil
-	p.state.Add(^uint64(slotOwned|slotOpen) + 1)
+	p.state.Add(^uint64(slotOpen) + 1)
+	for polls := 0; p.state.Load() != slotOwned; polls++ {
+		if polls >= waitPolls {
+			runtime.Gosched()
+		}
+	}
+	p.state.Store(0)
 }
 
 // abandon retires a fork whose body panicked on the calling goroutine:

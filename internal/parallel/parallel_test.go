@@ -344,6 +344,58 @@ func TestForBodyPanicFreesSlot(t *testing.T) {
 	}
 }
 
+// A worker still inside a fork whose chunks are all finished — it found
+// none left to claim and has not left yet — does not make the caller's
+// next fork run inline: For returns only once every worker has left the
+// slot. The lingering worker is a stand-in that enters the slot the way
+// a worker does and leaves only once the owner has closed it and is
+// waiting, so the verdict does not depend on which goroutine runs first.
+func TestForAfterLingeringWorkerSplits(t *testing.T) {
+	atProcs(t, 2, 2)
+	p := newPool()
+	p.spawned.Store(1) // a hot worker that never arrives: every chunk runs on the caller
+	var left atomic.Bool
+	leave := func() {
+		if left.CompareAndSwap(false, true) {
+			p.state.Add(^uint64(0))
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	p.run(8, 1, func(lo, hi int) {
+		if lo != 0 {
+			return
+		}
+		if s := p.state.Load(); s&slotOpen == 0 || !p.state.CompareAndSwap(s, s+1) {
+			t.Errorf("could not enter the slot as a worker: state %#x", s)
+			close(done)
+			return
+		}
+		go func() {
+			defer close(done)
+			for p.state.Load() != slotOwned|1 {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			leave()
+		}()
+	})
+	chunks := 0
+	p.run(8, 1, func(lo, hi int) { chunks++ })
+	close(stop)
+	<-done
+	leave()
+	if chunks < 2 {
+		t.Errorf("the fork after one with a lingering worker ran as %d chunk(s): the slot was still taken", chunks)
+	}
+	if s := p.state.Load(); s != 0 {
+		t.Errorf("state %#x after both forks, want a free slot", s)
+	}
+}
+
 // taskCounts is a Task body that counts how often each item ran. An item
 // is a fraction of a microsecond of arithmetic, so that an owner working
 // through a Join leaves a hot worker time to claim the next one.

@@ -297,10 +297,14 @@ func (r rows) width() int      { return r.gs * r.groups }
 func (r rows) nibLen() int     { return (r.k-1)*r.nibStride() + (r.lo+r.width())/2 }
 func (r rows) metaLen() int    { return (r.k-1)*r.metaStride() + 2*(r.lo+r.width())/r.gs }
 
-// call runs body — gemv or gemvRef — over the chunk.
-func (r rows) call(body func(o, x []float32, nib, mins, scales []byte, gs, nibStride, metaStride int), o, x []float32) {
+// gemvBody is gemv's signature: gemv itself or its twin gemvRef.
+type gemvBody func(o []float32, ldo int, x []float32, k int, nib, mins, scales []byte, gs, nibStride, metaStride int)
+
+// call runs body over the chunk for len(x)/r.k stacked activation rows,
+// their output rows ldo apart in o.
+func (r rows) call(body gemvBody, o []float32, ldo int, x []float32) {
 	m := 2 * r.lo / r.gs
-	body(o, x, r.nib[r.lo/2:], r.mins[m:], r.scales[m:], r.gs, r.nibStride(), r.metaStride())
+	body(o, ldo, x, r.k, r.nib[r.lo/2:], r.mins[m:], r.scales[m:], r.gs, r.nibStride(), r.metaStride())
 }
 
 // newRows allocates the operands with every byte a row can reach, each
@@ -338,27 +342,36 @@ func gemvOracle(o []float32, r rows, x []float32) {
 }
 
 // checkGemv runs the oracle, gemvRef and gemv from the same running sums
-// o0, each into its own copy starting off elements into a
-// sentinel-filled backing array, and compares the whole backings.
+// o0 — one row of r.width() per activation row in x, which holds
+// len(x)/r.k rows of r.k — each into its own copy: the output rows gap
+// elements apart, the first starting off elements into a
+// sentinel-filled backing array. It compares the whole backings, the
+// gaps between rows included.
 func checkGemv(t *testing.T, r rows, x, o0 []float32, off int) {
 	t.Helper()
-	const margin = 8
-	n := r.width()
+	const margin, gap = 8, 5
+	n, nrows := r.width(), len(x)/r.k
+	ldo := n + gap
+	span := (nrows-1)*ldo + n
 	var backing [3][]float32
 	for side := range backing {
-		backing[side] = make([]float32, margin+off+n+margin)
+		backing[side] = make([]float32, margin+off+span+margin)
 		for i := range backing[side] {
 			backing[side][i] = sentinel
 		}
-		o := backing[side][margin+off : margin+off+n : margin+off+n]
-		copy(o, o0)
+		o := backing[side][margin+off : margin+off+span : margin+off+span]
+		for i := 0; i < nrows; i++ {
+			copy(o[i*ldo:i*ldo+n], o0[i*n:(i+1)*n])
+		}
 		switch side {
 		case 0:
-			gemvOracle(o, r, x)
+			for i := 0; i < nrows; i++ {
+				gemvOracle(o[i*ldo:i*ldo+n], r, x[i*r.k:(i+1)*r.k])
+			}
 		case 1:
-			r.call(gemvRef, o, x)
+			r.call(gemvRef, o, ldo, x)
 		case 2:
-			r.call(gemv, o, x)
+			r.call(gemv, o, ldo, x)
 		}
 	}
 	for side, name := range []string{1: "gemvRef", 2: "gemv"} {
@@ -367,8 +380,8 @@ func checkGemv(t *testing.T, r rows, x, o0 []float32, off int) {
 		}
 		for i := range backing[0] {
 			if !sameBits(backing[0][i], backing[side][i]) {
-				t.Fatalf("k=%d gs=%d groups=%d stride=%d lo=%d off=%d: %s wrote backing[%d] (o starts at %d) = %v (%#08x), oracle %v (%#08x)",
-					r.k, r.gs, r.groups, r.stride, r.lo, off, name, i, margin+off,
+				t.Fatalf("k=%d gs=%d groups=%d stride=%d lo=%d off=%d rows=%d: %s wrote backing[%d] (o starts at %d, rows %d apart) = %v (%#08x), oracle %v (%#08x)",
+					r.k, r.gs, r.groups, r.stride, r.lo, off, nrows, name, i, margin+off, ldo,
 					backing[side][i], math.Float32bits(backing[side][i]), backing[0][i], math.Float32bits(backing[0][i]))
 			}
 		}
@@ -534,11 +547,12 @@ func TestAxpyRowsEveryFiniteHalf(t *testing.T) {
 }
 
 // The two assembly bodies against each other, raw bits — NaN payloads
-// included, which the oracle comparisons leave open — over activations
-// and running sums drawn from NaNs with payloads, ±Inf, subnormals, ±0
-// and ordinary values, and any finite half as metadata: gemvAVX512 adds
-// each row's product with axpyRowsSSE's operand order, so even the
-// payload a lane keeps when two NaNs meet is the same.
+// included, which the oracle comparisons leave open — over one to nine
+// stacked activation rows, activations and running sums drawn from NaNs
+// with payloads, ±Inf, subnormals, ±0 and ordinary values, and any
+// finite half as metadata: gemvAVX512 adds each row's product with
+// axpyRowsSSE's operand order, so even the payload a lane keeps when two
+// NaNs meet is the same.
 func TestAxpyRowsBodiesAgree(t *testing.T) {
 	if !probed512 {
 		t.Skip("no AVX-512 here: gemv has one assembly body")
@@ -564,11 +578,12 @@ func TestAxpyRowsBodiesAgree(t *testing.T) {
 						}
 						return h
 					})
-					x := make([]float32, k)
+					nrows := 1 + round%9
+					x := make([]float32, nrows*k)
 					for i := range x {
 						x[i] = value(max(2, k/2))
 					}
-					o := make([]float32, r.width())
+					o := make([]float32, nrows*r.width())
 					for i := range o {
 						o[i] = value(2)
 					}
@@ -576,11 +591,11 @@ func TestAxpyRowsBodiesAgree(t *testing.T) {
 					for i, body := range axpyBodies {
 						got[i] = append([]float32(nil), o...)
 						wide512 = body.wide
-						r.call(gemv, got[i], x)
+						r.call(gemv, got[i], r.width(), x)
 					}
 					for j := range o {
 						if math.Float32bits(got[0][j]) != math.Float32bits(got[1][j]) {
-							t.Fatalf("k=%d gs=%d groups=%d lo=%d o[%d]=%#08x: sse2 %#08x, avx512 %#08x", k, gs, groups, lo, j,
+							t.Fatalf("k=%d gs=%d groups=%d lo=%d rows=%d o[%d]=%#08x: sse2 %#08x, avx512 %#08x", k, gs, groups, lo, nrows, j,
 								math.Float32bits(o[j]), math.Float32bits(got[0][j]), math.Float32bits(got[1][j]))
 						}
 					}
@@ -599,16 +614,16 @@ func TestAxpyRowsShortOperandsPanic(t *testing.T) {
 	o, x := make([]float32, 128), []float32{1, 1, 1, 1, 1, 1}
 	for name, call := range map[string]func(){
 		"nibbles": func() {
-			gemv(o, x, r.nib[:len(r.nib)-1], r.mins, r.scales, 64, r.nibStride(), r.metaStride())
+			gemv(o, 128, x, 6, r.nib[:len(r.nib)-1], r.mins, r.scales, 64, r.nibStride(), r.metaStride())
 		},
 		"mins": func() {
-			gemv(o, x, r.nib, r.mins[:len(r.mins)-1], r.scales, 64, r.nibStride(), r.metaStride())
+			gemv(o, 128, x, 6, r.nib, r.mins[:len(r.mins)-1], r.scales, 64, r.nibStride(), r.metaStride())
 		},
 		"scales": func() {
-			gemv(o, x, r.nib, r.mins, r.scales[:len(r.scales)-1], 64, r.nibStride(), r.metaStride())
+			gemv(o, 128, x, 6, r.nib, r.mins, r.scales[:len(r.scales)-1], 64, r.nibStride(), r.metaStride())
 		},
 		"negative stride": func() {
-			gemv(o, x[:2], r.nib, r.mins, r.scales, 64, r.nibStride(), -2)
+			gemv(o, 128, x[:2], 2, r.nib, r.mins, r.scales, 64, r.nibStride(), -2)
 		},
 	} {
 		func() {
@@ -727,7 +742,7 @@ func TestPackedGemvMatchesDecodeRange(t *testing.T) {
 								want[i] += float32(a * dec[i])
 							}
 						}
-						p.Gemv(got, x, k0*shape.cols+c0, shape.cols)
+						p.Gemv(got, len(got), x, n, k0*shape.cols+c0, shape.cols)
 						for i := range want {
 							if !sameBits(want[i], got[i]) {
 								t.Fatalf("%dx%d gs=%d rows [%d,%d) columns [%d,%d): got[%d] = %v, DecodeRange then add %v",
@@ -740,12 +755,16 @@ func TestPackedGemvMatchesDecodeRange(t *testing.T) {
 		}
 		gs, cols, x := shape.gs, shape.cols, []float32{1, 1, 1, 1}
 		for name, call := range map[string]func(){
-			"lo inside a group":      func() { p.Gemv(make([]float32, gs), x, 1, cols) },
-			"stride inside a group":  func() { p.Gemv(make([]float32, gs), x, 0, cols+1) },
-			"width inside a group":   func() { p.Gemv(make([]float32, gs+1), x, 0, cols) },
-			"negative stride":        func() { p.Gemv(make([]float32, gs), x, 3*cols, -cols) },
-			"last row past the end":  func() { p.Gemv(make([]float32, gs), x, (shape.k-3)*cols, cols) },
-			"first row past the end": func() { p.Gemv(make([]float32, gs), x[:1], shape.k*cols, cols) },
+			"lo inside a group":      func() { p.Gemv(make([]float32, gs), gs, x, 4, 1, cols) },
+			"stride inside a group":  func() { p.Gemv(make([]float32, gs), gs, x, 4, 0, cols+1) },
+			"width inside a group":   func() { p.Gemv(make([]float32, gs+1), gs+1, x, 4, 0, cols) },
+			"negative stride":        func() { p.Gemv(make([]float32, gs), gs, x, 4, 3*cols, -cols) },
+			"last row past the end":  func() { p.Gemv(make([]float32, gs), gs, x, 4, (shape.k-3)*cols, cols) },
+			"first row past the end": func() { p.Gemv(make([]float32, gs), gs, x[:1], 1, shape.k*cols, cols) },
+			"ragged activations":     func() { p.Gemv(make([]float32, 2*gs), gs, x[:3], 2, 0, cols) },
+			"overlapping outputs":    func() { p.Gemv(make([]float32, 2*gs), gs/2, x, 2, 0, cols) },
+			"no activation rows":     func() { p.Gemv(make([]float32, gs), gs, x[:0], 4, 0, cols) },
+			"zero depth":             func() { p.Gemv(make([]float32, gs), gs, x, 0, 0, cols) },
 		} {
 			func() {
 				defer func() {

@@ -163,7 +163,7 @@ func BenchmarkAxpyRows(b *testing.B) {
 		for k := range x {
 			x[k] = []float32{0.5, -0.25, 0.125, 1}[k%4]
 		}
-		registers := func() { p.Gemv(o, x, 0, shape.c) }
+		registers := func() { p.Gemv(o, shape.c, x, shape.k, 0, shape.c) }
 		for _, leaf := range []struct {
 			name string
 			wide bool
@@ -171,7 +171,9 @@ func BenchmarkAxpyRows(b *testing.B) {
 		}{
 			{"sse2", false, registers},
 			{"avx512", true, registers},
-			{"twin", false, func() { gemvRef(o, x, p.nib, p.meta[:half], p.meta[half:], p.gs, shape.c/2, 2*shape.c/p.gs) }},
+			{"twin", false, func() {
+				gemvRef(o, shape.c, x, shape.k, p.nib, p.meta[:half], p.meta[half:], p.gs, shape.c/2, 2*shape.c/p.gs)
+			}},
 		} {
 			b.Run(fmt.Sprintf("%dx%d/%s", shape.k, shape.c, leaf.name), func(b *testing.B) {
 				if leaf.wide && !probed {

@@ -119,11 +119,70 @@ func TestAxpyRowsGuardPage(t *testing.T) {
 						}
 						copy(out, want)
 						x := []float32{0.5, -2, 3, 0.25, -1, 1.5, -0.75, 2}[:k]
-						r.call(gemv, out, x)
+						r.call(gemv, out, n, x)
 						gemvOracle(want, r, x)
 						for i := range want {
 							if !sameBits(want[i], out[i]) {
 								t.Fatalf("gs=%d k=%d groups=%d tiles=%d: out[%d] = %v, oracle %v", gs, k, groups, tiles, i, out[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// One to nine stacked activation rows at each end of a guard page: the
+// nibbles, minimums and scales first end exactly at one (the last weight
+// row's last group the tensor's last, its halves the record's last
+// bytes) with the activations and the last output row ending at one too,
+// then start right after one (the first weight row's first group the
+// tensor's first) with the activations and the first output row starting
+// after one. A panel loop that runs one block or group too far or starts
+// one early, an eight-byte nibble load past a row or a half loaded four
+// bytes wide, an activation read past its row or an output row stored
+// past its end faults here.
+func TestGemvStackedGuardPage(t *testing.T) {
+	eachAxpyBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(87))
+		half := func() uint16 { return uint16(rng.Intn(0x7c00)) | uint16(rng.Intn(2))<<15 }
+		for _, gs := range []int{16, 48, 64, 256} {
+			for _, nrows := range []int{1, 2, 4, 5, 8, 9} {
+				for _, k := range []int{4, 7} {
+					for groups := 1; groups <= 3; groups++ {
+						n := gs * groups
+						ldo := n + 3
+						for _, end := range []bool{true, false} {
+							place := guarded
+							if !end {
+								place = afterGuard
+							}
+							r := rows{k: k, gs: gs, groups: groups, stride: n}
+							r.nib, r.mins, r.scales = place(t, r.nibLen()), place(t, r.metaLen()), place(t, r.metaLen())
+							rng.Read(r.nib)
+							for i := 0; i < len(r.mins); i += 2 {
+								mn, sc := half(), half()
+								r.mins[i], r.mins[i+1], r.scales[i], r.scales[i+1] = byte(mn), byte(mn>>8), byte(sc), byte(sc>>8)
+							}
+							rawX, rawO := place(t, 4*nrows*k), place(t, 4*((nrows-1)*ldo+n))
+							x := unsafe.Slice((*float32)(unsafe.Pointer(&rawX[0])), nrows*k)
+							out := unsafe.Slice((*float32)(unsafe.Pointer(&rawO[0])), (nrows-1)*ldo+n)
+							for i := range x {
+								x[i] = float32(rng.NormFloat64())
+							}
+							for i := range out {
+								out[i] = float32(rng.NormFloat64())
+							}
+							want := append([]float32(nil), out...)
+							r.call(gemv, out, ldo, x)
+							for i := 0; i < nrows; i++ {
+								gemvOracle(want[i*ldo:i*ldo+n], r, x[i*k:(i+1)*k])
+							}
+							for i := range want {
+								if !sameBits(want[i], out[i]) {
+									t.Fatalf("gs=%d rows=%d k=%d groups=%d guard at the end %v: out[%d] = %v, oracle %v", gs, nrows, k, groups, end, i, out[i], want[i])
+								}
 							}
 						}
 					}

@@ -161,10 +161,12 @@ func MatMulInto(a, b, out Mat) error {
 // upper-lane warm-up again and again, and taking it there too measured
 // slower on the fleet workload's small model (EXPERIMENTS.md, "prefill
 // at the core's vector width"). The wide decode bodies are the fused
-// 4-bit kernels' AVX-512 leaves in internal/quant, the one-row GEMV and
+// 4-bit kernels' AVX-512 leaves in internal/quant, the GEMV — one row,
+// or a stacked step of up to tallGEMMRows rows (matMulQ4Tile) — and
 // the packed logits: they are most of an out-of-core decode step, and
 // each won end to end without costing the fleet (EXPERIMENTS.md, "the
-// widest vector level" and "logits at sixteen lanes").
+// widest vector level", "logits at sixteen lanes" and "stacked steps in
+// registers").
 const tallGEMMRows = 8
 
 // matMulTile accumulates the output tile rows [rlo, rhi) x columns
