@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	_ "unsafe" // go:linkname
 )
 
 // The tall GEMM's register tiles (tile6x16 on AVX, tile6x32 on AVX-512)
@@ -15,6 +16,16 @@ import (
 // probedAVX and probed512 are the CPU probe's answers, kept because the
 // tests switch wideAccumulate and wide512.
 var probedAVX, probed512 = wideAccumulate, wide512
+
+// quantWide512 is quant's switch for its AVX-512 GEMV bodies, the one
+// quant.Packed.GemvStacked and GemvTWide read: the 4-bit tests and
+// benchmarks turn it off to run matMulQ4Tile's and matMulTQ4Tile's
+// scratch paths on a host with AVX-512. probedQ512 is its probed value.
+//
+//go:linkname quantWide512 helmsim/internal/quant.wide512
+var quantWide512 bool
+
+var probedQ512 = quantWide512
 
 // tileBody is one register tile: the columns it covers and whether the
 // host runs it.
