@@ -85,7 +85,11 @@ bench-smoke:
 # GELU's integer
 # float32 widening against the conversion and GELU against its
 # one-expression oracle, the attention core against its per-position
-# loop, RoPE's per-position angles against the per-head loop, and the
+# loop (the per-row path, and at prefill heights — every height mod 6 to
+# 130, head widths 16 to 128, grouped-query heads, awkward values — the
+# register tiles at each vector level the host has, at one to three
+# workers, with q, out, every K/V row, the score rows and the gathered
+# K/V panels ending at a guard page, fuzz seeds), RoPE's per-position angles against the per-head loop, and the
 # vector transcendentals (GELU, SiLU, softmax's exponential) against the
 # scalar expressions over a strided sweep of every float32, against
 # their Go twins (every length and offset, a guard page, fuzz seeds) and

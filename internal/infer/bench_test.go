@@ -180,6 +180,45 @@ func BenchmarkLlamaPrefill(b *testing.B) {
 	})
 }
 
+// A 128-token prefill over bench-ooc's mmap'd 4-bit checkpoint on the
+// prefetched engine: the step ooc_latency's TTFT is made of. Its profile
+// is where the prefill's shares (the register tiles, attention, GELU)
+// are read from.
+func BenchmarkFilePrefill(b *testing.B) {
+	cfg := benchOOC()
+	path := writeTestCheckpoint(b, cfg, 5)
+	prompt := make([]int, 128)
+	for i := range prompt {
+		prompt[i] = 1 + i%97
+	}
+	b.Run(cfg.Name, func(b *testing.B) {
+		atWorkers(b, func(b *testing.B) {
+			fs, err := OpenFileStoreMmap(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fs.Close()
+			se, err := NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer se.Close()
+			seq := &StepSeq{KV: NewBlockCaches(cfg)}
+			seqs := []*StepSeq{seq}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seq.Tokens, seq.Pos = prompt, 0
+				for _, kv := range seq.KV {
+					kv.Truncate(0)
+				}
+				if _, err := se.Step(seqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
 // benchTiny is bench/'s fleet model — what helmd and helmgw boot: too
 // small for any decode kernel to fork, so the load lane gets no worker.
 func benchTiny() model.Config {

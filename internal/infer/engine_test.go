@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,30 +62,129 @@ func TestForwardShapesAndFiniteness(t *testing.T) {
 	}
 }
 
-// The KV cache must make incremental decoding exactly consistent with
-// recomputing from scratch: feeding tokens one by one yields the same
-// final logits as feeding them all at once.
+// The exact prefill oracle: a prompt fed as one step stores the bits of
+// the same prompt fed one token per step — the final logits and every
+// block's cached K and V rows — whichever kernels the two heights take
+// (the fused 4-bit GEMV against the slab GEMM, the per-row attention
+// against the register tiles, every block against a last block that
+// keeps one row). Prompts of 1, 5, 8, 9, 13, 40 and 128 tokens (both
+// sides of fusedMaxRows, and heights that are and are not whole six-row
+// tiles), on f32 weights (OPT, grouped-query LLaMA with heads 8 and 16
+// wide) and on the mmap'd 4-bit bench-tiny and bench-ooc checkpoints;
+// then one step that mixes a decoding sequence with two prompts, one
+// continuing a cached prefix, against the same oracle.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
-	for _, cfg := range []model.Config{tinyOPT(), tinyLlama()} {
-		tokens := []int{5, 9, 3, 17, 2}
-
-		full := newEngine(t, cfg, 7)
-		fullLogits, err := full.Forward(tokens)
+	withSeq := func(c model.Config, maxSeq int) model.Config { c.MaxSeq = maxSeq; return c }
+	llama16 := model.Config{Name: "Llama-16", Hidden: 64, Heads: 4, Blocks: 2, Vocab: 64, MaxSeq: 128, DTypeBytes: 2}.WithLlama(2, 96)
+	type tc struct {
+		name  string
+		cfg   model.Config
+		store func(t *testing.T, cfg model.Config) WeightStore
+	}
+	f32 := func(t *testing.T, cfg model.Config) WeightStore {
+		ws, err := RandomWeights(cfg, 7, 0.08)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		inc := newEngine(t, cfg, 7)
-		var incLogits tensor.Mat
-		for _, tok := range tokens {
-			if incLogits, err = inc.Forward([]int{tok}); err != nil {
+		return ws
+	}
+	mmap := func(t *testing.T, cfg model.Config) WeightStore {
+		fs, err := OpenFileStoreMmap(writeTestCheckpoint(t, cfg, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		return fs
+	}
+	for _, c := range []tc{
+		{"f32", withSeq(tinyOPT(), 128), f32},
+		{"f32", withSeq(tinyLlama(), 128), f32},
+		{"f32", llama16, f32},
+		{"q4", benchTiny(), mmap},
+		{"q4", benchOOC(), mmap},
+	} {
+		t.Run(c.cfg.Name+"/"+c.name, func(t *testing.T) {
+			se, err := NewStepEngine(c.cfg, c.store(t, c.cfg))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := range fullLogits.Data {
-			if d := math.Abs(float64(fullLogits.Data[i] - incLogits.Data[i])); d > 1e-3 {
-				t.Fatalf("%s: incremental diverges at logit %d by %g", cfg.Name, i, d)
+			defer se.Close()
+			rng := rand.New(rand.NewSource(17))
+			tokens := make([]int, 128)
+			for i := range tokens {
+				tokens[i] = rng.Intn(c.cfg.Vocab)
 			}
+			// The oracle: one token per step, the logits after each.
+			inc := &StepSeq{KV: NewBlockCaches(c.cfg)}
+			want := make([][]float32, len(tokens))
+			for i, tok := range tokens {
+				inc.Tokens = []int{tok}
+				out, err := se.Step([]*StepSeq{inc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = append([]float32(nil), out[0].Data...)
+				inc.Pos++
+			}
+			check := func(name string, s *StepSeq, logits tensor.Mat) {
+				t.Helper()
+				n := s.Pos + len(s.Tokens)
+				assertSameBits(t, name+": logits", want[n-1], logits.Data)
+				for blk, kv := range s.KV {
+					if kv.Len() != n {
+						t.Fatalf("%s: block %d caches %d positions, want %d", name, blk, kv.Len(), n)
+					}
+					for p := 0; p < n; p++ {
+						assertSameBits(t, fmt.Sprintf("%s: block %d K row %d", name, blk, p), inc.KV[blk].KRow(p), kv.KRow(p))
+						assertSameBits(t, fmt.Sprintf("%s: block %d V row %d", name, blk, p), inc.KV[blk].VRow(p), kv.VRow(p))
+					}
+				}
+			}
+			for _, n := range []int{1, 5, 8, 9, 13, 40, 128} {
+				s := &StepSeq{Tokens: tokens[:n], KV: NewBlockCaches(c.cfg)}
+				out, err := se.Step([]*StepSeq{s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%d-token prefill", n), s, out[0])
+			}
+
+			// A mixed step: a sequence decoding its seventh token, a
+			// 13-token prompt, and 31 tokens after a 9-token cached prefix.
+			prefixed := func(pos, n int) *StepSeq {
+				s := &StepSeq{KV: NewBlockCaches(c.cfg)}
+				if pos > 0 {
+					s.Tokens = tokens[:pos]
+					if _, err := se.Step([]*StepSeq{s}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Tokens, s.Pos = tokens[pos:pos+n], pos
+				return s
+			}
+			seqs := []*StepSeq{prefixed(6, 1), prefixed(0, 13), nil, prefixed(9, 31)}
+			out, err := se.Step(seqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range seqs {
+				if s != nil {
+					check(fmt.Sprintf("mixed step, sequence %d", i), s, out[i])
+				}
+			}
+		})
+	}
+}
+
+// assertSameBits fails unless got holds want's float32 bit patterns.
+func assertSameBits(t *testing.T, name string, want, got []float32) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("%s: element %d = %v (%#08x), want %v (%#08x)", name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }

@@ -32,7 +32,11 @@ type StepSeq struct {
 // the fused 4-bit kernels; anything taller (a prefill, a step that mixes
 // one in) dequantizes the tensor once into the engine's slab and runs
 // the dense kernel, whose row split shares a tall input evenly where the
-// fused kernel re-decodes each tile per column share. On the bench-ooc
+// fused kernel re-decodes each tile per column share. Height is per
+// projection, not per step: the last block of a prefill step keeps one
+// row per sequence past its K/V projections (forward), so its Q, out and
+// FFN projections and the logits take the fused kernels whenever the
+// step has at most this many sequences. On the bench-ooc
 // shapes (tensor.BenchmarkQ4Crossover) the crossover has stayed between
 // 8 and 16 rows with the scalar kernels and with the SSE2 ones. Decoding
 // in registers now runs every step up to this height on AVX-512 (one row
@@ -52,11 +56,15 @@ const fusedMaxRows = 8
 // normalization, projection, FFN and logit kernel runs once per step,
 // over all sequences' rows together; only what depends on a sequence's
 // own history — rotary position, KV append, the attention core — runs per
-// sequence, on its row range. Every kernel involved computes an output
-// row from its own input row alone (DESIGN §3c), so a sequence's logits
-// carry the same bits whoever shares its step. It is the substrate of the
-// solo Engine and the continuous batcher: the engine holds no sequence
-// state, so the set of sequences may change freely between calls.
+// sequence, on its row range. Only each sequence's last row reaches the
+// logits, so the last block runs on every row only as far as the K/V
+// rows every position caches, and from its Q projection on, on one row
+// per sequence (forward). Every kernel involved computes an output row
+// from its own input row alone (DESIGN §3c), so a sequence's logits
+// carry the same bits whoever shares its step and however many of its
+// rows run. It is the substrate of the solo Engine and the continuous
+// batcher: the engine holds no sequence state, so the set of sequences
+// may change freely between calls.
 //
 // All per-step scratch — activations, attention scores, logits — comes
 // from a per-engine arena and is recycled across steps, so steady-state
@@ -69,10 +77,12 @@ type StepEngine struct {
 	ld     *loader
 
 	ar *tensor.Arena
-	// scores is tensor.Attend's scratch: one MaxSeq-wide score row per
+	// attn is tensor.Attend's scratch: one MaxSeq-wide score row per
 	// item range a forked attention can have running — a handful, set by
-	// the worker count, never by the step's height.
-	scores tensor.Mat
+	// the worker count — or six per range on the register tiles, and the
+	// tiles' K and V panels, one block's K/V rows wide and as long as the
+	// longest prefill context yet. Never per step row.
+	attn   tensor.AttendScratch
 	rope   []float64  // one head's rotary (sin, cos) pairs at the row being rotated (LLaMA only)
 	logits tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
 	// slab is the dequantization target for packed tensors the fused
@@ -121,7 +131,7 @@ func newStepEngine(cfg model.Config, w WeightStore, r Retry) (*StepEngine, error
 		layers: layers,
 		ld:     ld,
 		ar:     tensor.NewArena(),
-		scores: tensor.New(1, cfg.MaxSeq),
+		attn:   tensor.NewAttendScratch(cfg.MaxSeq),
 	}
 	if cfg.Arch == model.ArchLlama {
 		se.rope = make([]float64, cfg.Hidden/cfg.Heads)
@@ -209,15 +219,23 @@ func (se *StepEngine) layout(seqs []*StepSeq) ([]int, error) {
 }
 
 // forward is the one forward pass of the package: embed, then per block
-// attention and FFN over the stacked rows, then logits. On error the KV
-// caches may hold this step's partial appends; Step truncates them.
+// attention and FFN over the stacked rows, then logits. Only each
+// sequence's last row reaches the logits, so where a sequence feeds more
+// than one token the last block keeps just those rows: its norm and K/V
+// projections still cover every row — every position's K/V is cached —
+// but its Q projection, attention core, out projection, residual and
+// FFN run on one row per active sequence (see attention). A step where
+// every sequence feeds one token keeps every row, and its last block is
+// every other block's. On error the KV caches may hold this step's
+// partial appends; Step truncates them.
 func (se *StepEngine) forward(seqs []*StepSeq, rows []int) ([]tensor.Mat, error) {
 	x, err := se.embed(seqs, rows)
 	if err != nil {
 		return nil, err
 	}
 	for blk := 0; blk < se.cfg.Blocks; blk++ {
-		nx, err := se.attention(se.layers[1+2*blk], blk, seqs, rows, x)
+		keep := blk == se.cfg.Blocks-1 && x.R > active(rows)
+		nx, err := se.attention(se.layers[1+2*blk], blk, seqs, rows, x, keep)
 		se.ar.Put(x)
 		if err != nil {
 			return nil, err
@@ -233,6 +251,31 @@ func (se *StepEngine) forward(seqs []*StepSeq, rows []int) ([]tensor.Mat, error)
 	out, err := se.output(seqs, rows, x)
 	se.ar.Put(x)
 	return out, err
+}
+
+// active counts the sequences that feed tokens this step.
+func active(rows []int) int {
+	n := 0
+	for i := range len(rows) - 1 {
+		if rows[i+1] > rows[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// lastRows copies each active sequence's last row of m, in sequence
+// order, into a fresh arena matrix the caller owns.
+func (se *StepEngine) lastRows(rows []int, m tensor.Mat) tensor.Mat {
+	last := se.ar.Get(active(rows), m.C)
+	a := 0
+	for i := range len(rows) - 1 {
+		if rows[i+1] > rows[i] {
+			copy(last.Row(a), m.Row(rows[i+1]-1))
+			a++
+		}
+	}
+	return last
 }
 
 // mat is one of the layer's tensors with its matrix shape checked. The
@@ -385,10 +428,12 @@ func (se *StepEngine) norm(b layerBundle, x tensor.Mat) (tensor.Mat, error) {
 }
 
 // proj computes x @ W (+ bias for OPT) into a fresh arena matrix the
-// caller owns. A packed W under a short x is decoded tile by tile inside
-// the GEMM, once for all of x's rows; otherwise it is dequantized into
-// the slab first. Which kernel runs depends on what was fetched and on
-// x's height, never on a setting, and both store the same bits.
+// caller owns. x is the step's stacked rows, or in the last block of a
+// step that feeds a prompt, past the K/V projections, one row per
+// sequence (forward). A packed W under a short x is decoded tile by tile
+// inside the GEMM, once for all of x's rows; otherwise it is dequantized
+// into the slab first. Which kernel runs depends on what was fetched and
+// on x's height, never on a setting, and both store the same bits.
 func (se *StepEngine) proj(b layerBundle, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
 	w, err := b.mat(wName, x.C, outDim)
 	if err != nil {
@@ -421,8 +466,16 @@ func rowRange(m tensor.Mat, r0, r1 int) tensor.Mat {
 // attention runs one block's pre-norm attention with a residual
 // connection: normalization and the Q/K/V and output projections once
 // over the stacked rows, the attention core once per sequence over its
-// own rows and KV cache.
-func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, rows []int, x tensor.Mat) (tensor.Mat, error) {
+// own rows and KV cache. With keep (the last block of a step that feeds
+// some sequence more than one token) the norm and the K/V projections
+// still run over every row and every row's K/V is appended, but the Q
+// projection, the core, the out projection and the residual run only on
+// each active sequence's last row, which attends at its own position
+// once all of its sequence's rows are cached; the result has one row
+// per active sequence. Every kernel computes an output row from its own
+// input row, so the kept rows carry the bits they would have had
+// among all rows.
+func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, rows []int, x tensor.Mat, keep bool) (tensor.Mat, error) {
 	b, err := se.ld.layer(layer.Index)
 	if err != nil {
 		return tensor.Mat{}, err
@@ -434,7 +487,13 @@ func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, row
 		return tensor.Mat{}, err
 	}
 	defer se.ar.Put(hn)
-	q, err := se.proj(b, hn, "w_q", "b_q", h)
+	qin, res := hn, x
+	if keep {
+		qin, res = se.lastRows(rows, hn), se.lastRows(rows, x)
+		defer se.ar.Put(qin)
+		defer se.ar.Put(res)
+	}
+	q, err := se.proj(b, qin, "w_q", "b_q", h)
 	if err != nil {
 		return tensor.Mat{}, err
 	}
@@ -452,14 +511,20 @@ func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, row
 
 	// out comes from the arena zeroed, which attend's accumulation
 	// relies on.
-	out := se.ar.Get(x.R, h)
+	out := se.ar.Get(q.R, h)
 	defer se.ar.Put(out)
+	a := 0
 	for i, s := range seqs {
 		r0, r1 := rows[i], rows[i+1]
 		if r0 == r1 {
 			continue
 		}
-		if err := se.attend(s.KV[blk], s.Pos, rowRange(q, r0, r1), rowRange(k, r0, r1), rowRange(v, r0, r1), rowRange(out, r0, r1)); err != nil {
+		q0, q1 := r0, r1
+		if keep {
+			q0, q1 = a, a+1
+		}
+		a++
+		if err := se.attend(s.KV[blk], s.Pos, rowRange(q, q0, q1), rowRange(k, r0, r1), rowRange(v, r0, r1), rowRange(out, q0, q1)); err != nil {
 			return tensor.Mat{}, err
 		}
 	}
@@ -467,7 +532,7 @@ func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, row
 	if err != nil {
 		return tensor.Mat{}, err
 	}
-	if err := attnOut.Add(x); err != nil {
+	if err := attnOut.Add(res); err != nil {
 		se.ar.Put(attnOut)
 		return tensor.Mat{}, err
 	}
@@ -475,19 +540,23 @@ func (se *StepEngine) attention(layer model.Layer, blk int, seqs []*StepSeq, row
 }
 
 // attend is the per-sequence part of attention: rotate the sequence's
-// new q and k rows to their positions, append k and v to its cache
-// (whose entries cover positions [0, pos)), and accumulate into out —
-// zeroed on entry — each new position's attention over the cache.
+// new k rows — positions pos, pos+1, ... — and its q rows, which are the
+// last q.R of those positions, append k and v to its cache (whose
+// entries cover positions [0, pos)), and accumulate into out — zeroed on
+// entry — each q row's attention over the cache up to its position.
 func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) error {
 	nHeads := se.cfg.Heads
 	headDim := se.cfg.Hidden / nHeads
 	group := nHeads / (k.C / headDim)
+	skip := k.R - q.R // positions with k rows but no q row
 
 	// Rotary position embedding for LLaMA (applied to q and k).
 	if se.cfg.Arch == model.ArchLlama {
-		for i := 0; i < q.R; i++ {
+		for i := 0; i < k.R; i++ {
 			ropeAngles(se.rope, pos+i)
-			applyRoPE(q.Row(i), se.rope)
+			if i >= skip {
+				applyRoPE(q.Row(i-skip), se.rope)
+			}
 			applyRoPE(k.Row(i), se.rope)
 		}
 	}
@@ -497,7 +566,7 @@ func (se *StepEngine) attend(cache KVBlock, pos int, q, k, v, out tensor.Mat) er
 			return err
 		}
 	}
-	tensor.Attend(q, cache, pos, nHeads, group, out, &se.scores)
+	tensor.Attend(q, cache, pos+skip, nHeads, group, out, &se.attn)
 	return nil
 }
 
@@ -559,31 +628,17 @@ func (se *StepEngine) ffnBlock(layer model.Layer, x tensor.Mat) (tensor.Mat, err
 	return out, nil
 }
 
-// output gathers every advanced sequence's last row, applies the final
-// norm and the logit projection to them together, and hands each
-// sequence its row of the result. The logits matrix is retained arena
-// storage: it stays valid until the engine's next step.
+// output applies the final norm and the logit projection to the last
+// block's rows — by then one per advanced sequence, in sequence order
+// (see forward) — and hands each sequence its row of the result. The
+// logits matrix is retained arena storage: it stays valid until the
+// engine's next step.
 func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tensor.Mat, error) {
 	b, err := se.ld.layer(se.layers[len(se.layers)-1].Index)
 	if err != nil {
 		return nil, err
 	}
-	active := 0
-	for i := range seqs {
-		if rows[i+1] > rows[i] {
-			active++
-		}
-	}
-	last := se.ar.Get(active, x.C)
-	defer se.ar.Put(last)
-	a := 0
-	for i := range seqs {
-		if rows[i+1] > rows[i] {
-			copy(last.Row(a), x.Row(rows[i+1]-1))
-			a++
-		}
-	}
-	hn, err := se.norm(b, last)
+	hn, err := se.norm(b, x)
 	if err != nil {
 		return nil, err
 	}
@@ -592,8 +647,8 @@ func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tenso
 	if err != nil {
 		return nil, err
 	}
-	logits := se.ar.Get(active, se.cfg.Vocab)
-	if table.packed && active <= fusedMaxRows && tensor.Q4Fusable(table.q, se.cfg.Hidden) {
+	logits := se.ar.Get(x.R, se.cfg.Vocab)
+	if table.packed && x.R <= fusedMaxRows && tensor.Q4Fusable(table.q, se.cfg.Hidden) {
 		err = tensor.MatMulTQ4Into(hn, table.q, logits)
 	} else {
 		err = tensor.MatMulTInto(hn, tensor.Mat{R: se.cfg.Vocab, C: se.cfg.Hidden, Data: se.dense(table)}, logits)
@@ -609,7 +664,7 @@ func (se *StepEngine) output(seqs []*StepSeq, rows []int, x tensor.Mat) ([]tenso
 	}
 	out := se.out[:len(seqs)]
 	clear(out)
-	a = 0
+	a := 0
 	for i := range seqs {
 		if rows[i+1] > rows[i] {
 			out[i] = rowRange(logits, a, a+1)

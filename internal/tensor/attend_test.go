@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,16 +76,60 @@ func attendCase(rng *rand.Rand, rows, pos, heads, group, hd, sparse int) (Mat, k
 	return fill(New(rows, heads*hd)), kvMats{fill(New(pos+rows, w)), fill(New(pos+rows, w))}
 }
 
-// Attend stores the oracle's bits: prompt heights 1-9 from position 0
-// (every limit mod 4 of the four-position passes) and from later
-// positions, grouped-query groups 1-3, head widths 2, 16 and 64,
+// attendLevel is one vector level Attend can run at: the register
+// tiles at thirty-two columns (AVX-512) or sixteen (AVX), or none
+// (SSE2, the per-row path at every height).
+type attendLevel struct {
+	name           string
+	tiles, tile512 bool
+	host           bool
+}
+
+func attendLevels() []attendLevel {
+	return []attendLevel{
+		{"avx512", true, true, probed512},
+		{"avx", true, false, probedAVX},
+		{"sse2", false, false, true},
+	}
+}
+
+// eachAttendLevel runs f once per level the host has, as a subtest
+// named after it, with the package's switches set to that level.
+func eachAttendLevel(t *testing.T, f func(t *testing.T)) {
+	defer func() { wideAccumulate, wide512 = probedAVX, probed512 }()
+	for _, l := range attendLevels() {
+		t.Run(l.name, func(t *testing.T) {
+			if !l.host {
+				t.Skip("the host lacks this level")
+			}
+			wideAccumulate, wide512 = l.tiles, l.tile512
+			f(t)
+		})
+	}
+}
+
+// dirtyScratch is Attend's scratch with every part NaN and large enough
+// for any case below, so that a score or panel element read before this
+// call wrote it shows.
+func dirtyScratch() AttendScratch {
+	return AttendScratch{scores: dirty(1, 8), tile: dirty(1, 1<<14).Data, kt: dirty(1, 1<<16).Data, v: dirty(1, 1<<16).Data}
+}
+
+// Attend stores the oracle's bits. Short calls: prompt heights 1-9 from
+// position 0 (every limit mod 4 of the four-position passes) and from
+// later positions, grouped-query groups 1-3, head widths 2, 16 and 64,
 // Gaussian and awkward values, at one worker and two, on both sides of
-// minAttendWork. The score scratch starts as NaNs and is shared by every
-// case, so a score read before it is written shows.
+// minAttendWork. Prefill heights (the "tiles" subtests, at every vector
+// level the host has and at one, two and three workers): every height
+// mod 6 from 9 to 14 and 40, 129 and 130, from position 0 and a later
+// one, head widths 16, 64 and 128, one KV head per query head and three
+// per KV head, with awkward values. The scratch starts as NaNs and is
+// shared by every case, so a score or panel element read before it is
+// written shows.
 func TestAttendMatchesRef(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(31))
-	scores := dirty(1, 8)
+	scores := dirtyScratch()
 	forked := map[bool]int{}
 	for _, workers := range []int{1, 2} {
 		SetParallelism(workers)
@@ -110,6 +155,44 @@ func TestAttendMatchesRef(t *testing.T) {
 	if forked[true] == 0 || forked[false] == 0 {
 		t.Fatalf("cases at or above minAttendWork: %d, below: %d; want both", forked[true], forked[false])
 	}
+
+	t.Run("tiles", func(t *testing.T) {
+		type tileCase struct {
+			name              string
+			q                 Mat
+			kv                kvMats
+			pos, heads, group int
+			want              Mat
+		}
+		var cases []tileCase
+		rng := rand.New(rand.NewSource(32))
+		for _, hd := range []int{16, 64, 128} {
+			for _, group := range []int{1, 3} {
+				heads := 2 * group
+				for _, pos := range []int{0, 37} {
+					for _, rows := range []int{9, 10, 11, 12, 13, 14, 40, 129, 130} {
+						if rows > 40 && (hd == 128 || pos > 0) {
+							continue // the longest heights from position 0 at head widths 16 and 64
+						}
+						q, kv := attendCase(rng, rows, pos, heads, group, hd, 8)
+						cases = append(cases, tileCase{fmt.Sprintf("head width %d, group %d, pos %d, rows %d", hd, group, pos, rows),
+							q, kv, pos, heads, group, attendRef(q, kv, pos, heads, group)})
+					}
+				}
+			}
+		}
+		eachAttendLevel(t, func(t *testing.T) {
+			sc := dirtyScratch()
+			for _, workers := range []int{1, 2, 3} {
+				SetParallelism(workers)
+				for _, c := range cases {
+					got := New(c.q.R, c.q.C)
+					Attend(c.q, c.kv, c.pos, c.heads, c.group, got, &sc)
+					assertSameMat(t, fmt.Sprintf("workers %d, %s", workers, c.name), c.want, got)
+				}
+			}
+		})
+	})
 
 	// With one-hot V rows out is the softmax weights themselves; q picks
 	// each position's score out of its K row.
@@ -179,7 +262,7 @@ func BenchmarkAttendSplit(b *testing.B) {
 	q := randMat(1, hidden, 5)
 	kv := &kvMats{randMat(cached+1, hidden, 6), randMat(cached+1, hidden, 7)}
 	out := New(1, hidden)
-	scores := New(1, 256)
+	scores := NewAttendScratch(256)
 	benchAtParallelism(b, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -187,4 +270,74 @@ func BenchmarkAttendSplit(b *testing.B) {
 			Attend(q, kv, cached, heads, 1, out, &scores)
 		}
 	})
+}
+
+// FuzzAttend is the attention core's differential target: arbitrary
+// float32 bit patterns for q, K and V, prompt heights up to 48 (on both
+// sides of tallGEMMRows), positions up to 39, head widths that fill no
+// tile, one of each width and both, grouped-query groups 1-3, at every
+// vector level the host has, against the per-position oracle.
+func FuzzAttend(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 64, 64}, uint8(12), uint8(3), uint8(3))
+	f.Add([]byte{0, 0, 192, 127, 1, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 0, 128}, uint8(40), uint8(0), uint8(0x2a))
+	f.Add([]byte{255, 255, 127, 127, 205, 204, 76, 62, 0, 0, 128, 0}, uint8(8), uint8(30), uint8(0x11))
+	f.Add([]byte{}, uint8(47), uint8(39), uint8(0xff))
+	// Twelve rows of one head 16 wide, every value 0.5 but one +Inf in
+	// V's last row, which the second block's first five rows cannot see.
+	masked := make([]byte, 4*3*12*16)
+	for i := 0; i < len(masked); i += 4 {
+		binary.LittleEndian.PutUint32(masked[i:], math.Float32bits(0.5))
+	}
+	binary.LittleEndian.PutUint32(masked[4*(2*12*16+11*16):], math.Float32bits(float32(math.Inf(1))))
+	f.Add(masked, uint8(11), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, rows, pos, shape uint8) {
+		r, p := 1+int(rows)%48, int(pos)%40
+		hd := []int{16, 32, 48, 64, 8}[int(shape)%5]
+		group := 1 + int(shape>>3)%3
+		heads := group * (1 + int(shape>>5)%2)
+		q := New(r, heads*hd)
+		kv := kvMats{New(p+r, heads/group*hd), New(p+r, heads/group*hd)}
+		at := 0
+		floatsFromBytes(data, &at, q.Data)
+		floatsFromBytes(data, &at, kv.k.Data)
+		floatsFromBytes(data, &at, kv.v.Data)
+		want := attendRef(q, kv, p, heads, group)
+		defer func() { wideAccumulate, wide512 = probedAVX, probed512 }()
+		for _, l := range attendLevels() {
+			if !l.host {
+				continue
+			}
+			wideAccumulate, wide512 = l.tiles, l.tile512
+			got, sc := New(r, heads*hd), dirtyScratch()
+			Attend(q, kv, p, heads, group, got, &sc)
+			assertSameMat(t, fmt.Sprintf("%s, rows %d, pos %d, head width %d, heads %d, group %d", l.name, r, p, hd, heads, group), want, got)
+		}
+	})
+}
+
+// One block's prefill attention on bench-ooc's shapes: 128 query rows,
+// six heads 64 wide, from position 0 — at each vector level the host
+// has, so the tiles' row sits beside the per-row path they replace.
+func BenchmarkAttendPrefill(b *testing.B) {
+	const rows, hidden, heads = 128, 384, 6
+	q := randMat(rows, hidden, 5)
+	kv := &kvMats{randMat(rows, hidden, 6), randMat(rows, hidden, 7)}
+	out := New(rows, hidden)
+	defer func() { wideAccumulate, wide512 = probedAVX, probed512 }()
+	for _, l := range attendLevels() {
+		if !l.host {
+			continue
+		}
+		b.Run(l.name, func(b *testing.B) {
+			wideAccumulate, wide512 = l.tiles, l.tile512
+			var sc AttendScratch
+			benchAtParallelism(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					clear(out.Data)
+					Attend(q, kv, 0, heads, 1, out, &sc)
+				}
+			})
+		})
+	}
 }

@@ -124,3 +124,46 @@ func TestTranscendentalsGuardPage(t *testing.T) {
 		}
 	}
 }
+
+// kvRowSlices is a KV cache whose every row is a slice of its own.
+type kvRowSlices struct{ k, v [][]float32 }
+
+func (c kvRowSlices) KRow(p int) []float32 { return c.k[p] }
+func (c kvRowSlices) VRow(p int) []float32 { return c.v[p] }
+
+// Prefill attention on the register tiles with every operand ending
+// exactly at a guard page: q, out, each cached K and V row, the score
+// rows, and the transposed K and gathered V panels, each scratch part
+// exactly the size the call needs. A tile or a tail that reads or writes
+// a vector past any of them crashes the test binary here.
+func TestAttendTileGuardPage(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(65))
+	eachAttendLevel(t, func(t *testing.T) {
+		for _, hd := range []int{16, 48, 64, 128} {
+			for _, group := range []int{1, 3} {
+				for _, rows := range []int{9, 13, 40} {
+					const pos = 5
+					heads := group
+					q, kv := attendCase(rng, rows, pos, heads, group, hd, 8)
+					want := attendRef(q, kv, pos, heads, group)
+					gq := Mat{R: q.R, C: q.C, Data: guarded(t, len(q.Data))}
+					copy(gq.Data, q.Data)
+					var gkv kvRowSlices
+					for p := 0; p < kv.k.R; p++ {
+						k, v := guarded(t, kv.k.C), guarded(t, kv.v.C)
+						copy(k, kv.k.Row(p))
+						copy(v, kv.v.Row(p))
+						gkv.k, gkv.v = append(gkv.k, k), append(gkv.v, v)
+					}
+					n := pos + rows
+					lp, kvDim := tilePositions(n), kv.k.C
+					sc := AttendScratch{tile: guarded(t, 6*lp), kt: guarded(t, kvDim*lp), v: guarded(t, kvDim*lp)}
+					got := Mat{R: rows, C: q.C, Data: guarded(t, rows*q.C)}
+					Attend(gq, gkv, pos, heads, group, got, &sc)
+					assertSameMat(t, fmt.Sprintf("head width %d, group %d, rows %d", hd, group, rows), want, got)
+				}
+			}
+		}
+	})
+}

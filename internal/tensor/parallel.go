@@ -49,7 +49,8 @@ const (
 	minColTile = 64
 	// minParallelElems gates the per-row kernels (the norms), scalar
 	// float64 loops whose per-element cost puts 1<<13 elements well past
-	// a fork's. A decode step's norms (one row of 384) stay serial; a
+	// a fork's, and the elementwise adds (bias and residual), which share
+	// it. A decode step's norms and adds (one row of 384) stay serial; a
 	// 128-row prefill's split.
 	minParallelElems = 1 << 13
 	// rowGrain batches rows for the per-row kernels.
@@ -97,11 +98,14 @@ const (
 	kMatMulTCols
 	kMatMulQ4
 	kMatMulTQ4
+	kAddBias
+	kAdd
 	kLayerNorm
 	kRMSNorm
 	kGELU
 	kSiLU
 	kAttend
+	kAttendTile
 )
 
 // forkCall is the package's one forked kernel call: the operands its
@@ -126,8 +130,9 @@ type forkOperands struct {
 	cols, tile  int
 	gamma, beta []float32
 	eps         float32
-	// Attention's operands besides q (a), its scores (b) and out.
+	// Attention's operands besides q (a) and out.
 	kv                        KVRows
+	attn                      *AttendScratch
 	pos, heads, group, ranges int
 }
 
@@ -175,6 +180,10 @@ func (f *forkCall) chunk(lo, hi int) {
 		matMulQ4Tile(f.a, f.w, f.cols, f.tile, f.out, lo*gs, hi*gs)
 	case kMatMulTQ4:
 		matMulTQ4Tile(f.a, f.w, f.tile, f.out, lo*quant.GemvTRows, min(hi*quant.GemvTRows, f.out.C))
+	case kAddBias:
+		addBiasRows(f.a, f.gamma, lo, hi)
+	case kAdd:
+		addRows(f.a, f.b, lo, hi)
 	case kLayerNorm:
 		layerNormRows(f.a, f.gamma, f.beta, f.eps, f.out, lo, hi)
 	case kRMSNorm:
@@ -184,7 +193,9 @@ func (f *forkCall) chunk(lo, hi int) {
 	case kSiLU:
 		siluElems(f.a.Data[lo:hi])
 	case kAttend:
-		attendRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.b, f.ranges, lo, hi)
+		attendRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.attn.scores, f.ranges, lo, hi)
+	case kAttendTile:
+		attendTileRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.attn, f.ranges, lo, hi)
 	}
 }
 

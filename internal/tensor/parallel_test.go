@@ -80,7 +80,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct{ r, k, c int }{
-		{128, 96, 80}, // row-tiled (and tall enough that the norms fork)
+		{128, 96, 80}, // row-tiled (and tall enough that the norms and adds fork)
 		{1, 256, 512}, // column-tiled (decode shape)
 		{3, 128, 300}, // fewer rows than workers
 		{1, 1536, 64}, // GELU / SiLU at decode width (the FFN activation of a 384-wide model)
@@ -108,7 +108,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 		heads := sh.k / 16
 		kv := kvMats{randMat(pos+sh.r, sh.k/2, rng.Int63()), randMat(pos+sh.r, sh.k/2, rng.Int63())}
 
-		type result struct{ mm, mmt, ln, rms, gelu, silu, att []float32 }
+		type result struct{ mm, mmt, ln, rms, gelu, silu, att, add []float32 }
 		runAll := func(par int) result {
 			prev := SetParallelism(par)
 			defer SetParallelism(prev)
@@ -131,9 +131,16 @@ func TestKernelParallelismInvariance(t *testing.T) {
 			g.GELU()
 			s := a.Clone()
 			s.SiLU()
-			att, scores := New(a.R, a.C), Mat{}
+			att, scores := New(a.R, a.C), AttendScratch{}
 			Attend(a, kv, pos, heads, 2, att, &scores)
-			return result{mm.Data, mmt.Data, ln.Data, rms.Data, g.Data, s.Data, att.Data}
+			add := a.Clone()
+			if err := add.AddBias(beta); err != nil {
+				t.Fatal(err)
+			}
+			if err := add.Add(ln); err != nil {
+				t.Fatal(err)
+			}
+			return result{mm.Data, mmt.Data, ln.Data, rms.Data, g.Data, s.Data, att.Data, add.Data}
 		}
 
 		base := runAll(1)
@@ -154,6 +161,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 			check("gelu", base.gelu, got.gelu)
 			check("silu", base.silu, got.silu)
 			check("attention", base.att, got.att)
+			check("bias and residual adds", base.add, got.add)
 		}
 	}
 }
@@ -187,7 +195,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 			wantAct := act.Clone()
 			geluRef(wantAct.Data)
 			q, kv := randMat(1, 384, int64(300+g)), kvMats{randMat(150, 384, int64(400+g)), randMat(150, 384, int64(500+g))}
-			wantAtt, att, scores := attendRef(q, kv, 149, 6, 1), New(1, 384), Mat{}
+			wantAtt, att, scores := attendRef(q, kv, 149, 6, 1), New(1, 384), AttendScratch{}
 			for round := 0; round < 50; round++ {
 				if err := MatMulInto(a, b, out); err != nil {
 					t.Error(err)

@@ -10,9 +10,10 @@
 // sum in a register and two output rows per pass where there are two, a
 // GEMM taller than a decode step runs register tiles of 6 rows x 16 (or
 // 32) columns whose sums stay in registers across all of k, over panels of
-// b that stay in cache across the rows, and the transposed matmul runs
-// four dot products at once so the adds overlap, as attention's scores do
-// — and parallelism: the matmuls, norms, activations and attention split
+// b that stay in cache across the rows (a prefill's attention runs its
+// two GEMMs per head, QKᵀ and PV, on the same tiles), and the transposed
+// matmul runs four dot products at once so the adds overlap, as a decode
+// step's attention scores do — and parallelism: the matmuls, norms, activations and attention split
 // their index spaces over the
 // shared fork-join of internal/parallel (rows when the batch is tall,
 // one tile of output columns per worker when it is not, and one share of
@@ -386,29 +387,53 @@ func dot4From(s0, s1, s2, s3 float32, x, y0, y1, y2, y3 []float32) (float32, flo
 	return s0, s1, s2, s3
 }
 
-// AddBias adds a length-C bias vector to every row in place.
+// AddBias adds a length-C bias vector to every row in place. From
+// minParallelElems up the rows are split over the worker pool, as the
+// norms split theirs; each element is one add either way.
 func (m Mat) AddBias(bias []float32) error {
 	if len(bias) != m.C {
 		return fmt.Errorf("tensor: bias length %d for width %d", len(bias), m.C)
 	}
-	for i := 0; i < m.R; i++ {
+	if len(m.Data) < minParallelElems || !fork.take() {
+		addBiasRows(m, bias, 0, m.R)
+		return nil
+	}
+	fork.a, fork.gamma = m, bias
+	fork.run(kAddBias, m.R, rowGrain)
+	return nil
+}
+
+// addBiasRows adds bias to rows [lo, hi) of m.
+func addBiasRows(m Mat, bias []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		row := m.Row(i)
 		for j := range row {
 			row[j] += bias[j]
 		}
 	}
-	return nil
 }
 
-// Add adds other element-wise in place.
+// Add adds other element-wise in place, its rows split over the worker
+// pool from minParallelElems up, as AddBias splits.
 func (m Mat) Add(other Mat) error {
 	if m.R != other.R || m.C != other.C {
 		return fmt.Errorf("tensor: add shape mismatch %dx%d vs %dx%d", m.R, m.C, other.R, other.C)
 	}
-	for i := range m.Data {
-		m.Data[i] += other.Data[i]
+	if len(m.Data) < minParallelElems || !fork.take() {
+		addRows(m, other, 0, m.R)
+		return nil
 	}
+	fork.a, fork.b = m, other
+	fork.run(kAdd, m.R, rowGrain)
 	return nil
+}
+
+// addRows adds rows [lo, hi) of other to m's.
+func addRows(m, other Mat, lo, hi int) {
+	d, o := m.Data[lo*m.C:hi*m.C], other.Data[lo*m.C:hi*m.C]
+	for i := range d {
+		d[i] += o[i]
+	}
 }
 
 // LayerNormInto normalizes each row of x to zero mean / unit variance
