@@ -85,11 +85,16 @@ bench-smoke:
 # GELU's integer
 # float32 widening against the conversion and GELU against its
 # one-expression oracle, the attention core against its per-position
-# loop (the per-row path, and at prefill heights — every height mod 6 to
-# 130, head widths 16 to 128, grouped-query heads, awkward values — the
-# register tiles at each vector level the host has, at one to three
-# workers, with q, out, every K/V row, the score rows and the gathered
-# K/V panels ending at a guard page, fuzz seeds), RoPE's per-position angles against the per-head loop, and the
+# loop (the decode bodies — sixteen lanes on AVX-512, four with SSE2,
+# the Go twins — over K pages of 1, 5, 16, 17 and 32 positions, head
+# widths 8 to 128, grouped-query heads and awkward values, with q, out,
+# the score row, every V row and every K page ending at a guard page,
+# and against their twins by raw bits; and at prefill heights — every
+# height mod 6 to 130, head widths 16 to 128, grouped-query heads,
+# awkward values — the register tiles at each vector level the host
+# has, at one to three workers, with q, out, every K page and V row, the
+# score rows and the K/V panels ending at a guard page; fuzz seeds),
+# RoPE's per-position angles against the per-head loop, and the
 # vector transcendentals (GELU, SiLU, softmax's exponential) against the
 # scalar expressions over a strided sweep of every float32, against
 # their Go twins (every length and offset, a guard page, fuzz seeds) and

@@ -205,6 +205,17 @@ func (ix *Indexed) Names() []string {
 	return names
 }
 
+// RawLen reports the element count of the slot's record when it is
+// stored raw (fp16), from the directory alone: nothing is read or
+// checked, so a corrupt payload still fails at its first read. ok is
+// false for a quantized record and for a slot the index does not hold.
+func (ix *Indexed) RawLen(slot int) (n int, ok bool) {
+	if slot < 0 || slot >= len(ix.records) || ix.records[slot].kind != KindRawFP16 {
+		return 0, false
+	}
+	return int(ix.records[slot].length / 2), true
+}
+
 // byteRanger is the optional backing-reader extension (MappedFile) that
 // exposes the whole file as one byte view, enabling zero-copy payload
 // access.

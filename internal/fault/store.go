@@ -41,7 +41,10 @@ func NewStore(backing TensorStore, plan Plan) (*Store, error) {
 	return &Store{injector: newInjector(plan), backing: backing}, nil
 }
 
-// Tensor implements the weight-store interface with injection.
+// Tensor implements the weight-store interface with injection. What the
+// backing store returns is forwarded as it is — a read-only view of a
+// store's resident tensors included (infer.FileStore's norms and biases)
+// — and a corrupt outcome flips its bit in a copy, never in the view.
 func (s *Store) Tensor(layer int, name string) ([]float32, error) {
 	o, armed := s.decide(true)
 	if !armed {

@@ -21,6 +21,21 @@ func weightCount(cfg model.Config) int {
 	return n
 }
 
+// residentCount is how many of a forward pass's tensors a FileStore
+// serves from its resident arena: the norm gains, biases and norm shifts.
+// The rest, weightCount minus these, read the file.
+func residentCount(cfg model.Config) int {
+	n := 0
+	for _, l := range cfg.Layers() {
+		for _, w := range l.Weights {
+			if residentParam(w.Name) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Steady-state single-token decode over an in-memory store must not
 // touch the heap at all: activations come from the engine's arena, KV
 // rows land in preallocated slabs, scores use the engine's scratch row,
@@ -377,9 +392,13 @@ func TestDecodeAllocsFileZero(t *testing.T) {
 	defer tensor.SetParallelism(prev)
 	step := soloDecodeStep(t, e)
 	before := fs.Reads()
+	_, resBefore := fs.Resident()
 	step()
-	if got, want := fs.Reads()-before, weightCount(cfg); got != want {
+	if got, want := fs.Reads()-before, weightCount(cfg)-residentCount(cfg); got != want {
 		t.Errorf("solo decode reads %d tensors/token, want %d", got, want)
+	}
+	if _, res := fs.Resident(); res-resBefore != residentCount(cfg) {
+		t.Errorf("solo decode fetches %d resident tensors/token, want %d", res-resBefore, residentCount(cfg))
 	}
 	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 		t.Errorf("solo mmap decode allocates %.1f objects/token, want 0", allocs)
@@ -418,7 +437,7 @@ func TestPrefetchedDecodeWritesNoF32Weights(t *testing.T) {
 	ld := se.ld
 	ld.mu.Lock()
 	defer ld.mu.Unlock()
-	bundles := []layerBundle{ld.cur}
+	bundles := []*layerBundle{&ld.cur}
 	if ld.next != nil {
 		bundles = append(bundles, ld.next.collect())
 	}

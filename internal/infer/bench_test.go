@@ -2,11 +2,13 @@ package infer
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"helmsim/internal/kvcache"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -273,5 +275,79 @@ func BenchmarkFileDecodeStep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// Decode attention as ooc_latency's steps run it: bench-ooc's six
+// blocks, one query row of six heads 64 wide, over contexts of 128 to
+// 148 cached positions (one more each op, then around again), on the
+// caches the engines attend over — the solo engine's blockCache and the
+// batcher's kvcache.Pool view, pages of sixteen — at one worker and at
+// GOMAXPROCS. An op is one decode step's six Attend calls; µs/step is
+// the attention time a step spends. minAttendWork is set from it.
+func BenchmarkAttendDecode(b *testing.B) {
+	cfg := benchOOC()
+	const lo, hi = 128, 148
+	rng := rand.New(rand.NewSource(9))
+	rows := make([][2][]float32, hi+1)
+	for p := range rows {
+		for i := range rows[p] {
+			rows[p][i] = make([]float32, cfg.KVWidth())
+			for d := range rows[p][i] {
+				rows[p][i][d] = float32(rng.NormFloat64())
+			}
+		}
+	}
+	fill := func(b *testing.B, kv []KVBlock) []KVBlock {
+		for _, c := range kv {
+			for _, r := range rows {
+				if err := c.AppendRow(r[0], r[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		return kv
+	}
+	caches := []struct {
+		name string
+		make func(b *testing.B) []KVBlock
+	}{
+		{"block", func(b *testing.B) []KVBlock { return fill(b, NewBlockCaches(cfg)) }},
+		{"pool", func(b *testing.B) []KVBlock {
+			pool, err := kvcache.NewPool(cfg, cfg.MaxSeq/16, 16, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pool.Admit(1, make([]int, hi+1)); err != nil {
+				b.Fatal(err)
+			}
+			kv := make([]KVBlock, cfg.Blocks)
+			for blk := range kv {
+				kv[blk] = pool.View(1, blk, 0)
+			}
+			return fill(b, kv)
+		}},
+	}
+	q, out := tensor.New(1, cfg.Hidden), tensor.New(1, cfg.Hidden)
+	for i := range q.Data {
+		q.Data[i] = float32(rng.NormFloat64())
+	}
+	for _, c := range caches {
+		b.Run(c.name, func(b *testing.B) {
+			kv := c.make(b)
+			atWorkers(b, func(b *testing.B) {
+				sc := tensor.NewAttendScratch(cfg.MaxSeq)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pos := lo + i%(hi-lo)
+					for _, blk := range kv {
+						clear(out.Data)
+						tensor.Attend(q, blk, pos, cfg.Heads, 1, out, &sc)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/step")
+			})
+		})
 	}
 }

@@ -559,7 +559,10 @@ func TestCloseOrderingSurfacesTypedClosedError(t *testing.T) {
 
 // MemStore and FileStore hand out copies — the FileStore here over an
 // image whose payloads it reads as views — so a caller scribbling on a
-// returned tensor must not corrupt the store for later layer visits.
+// returned tensor must not corrupt the store for later layer visits. The
+// FileStore's norm gains and biases are the exception, by design: its
+// Tensor serves them as read-only views of the resident arena
+// (TestFileStoreResidentViews), and its TensorInto decodes a copy.
 func TestStoreTensorsAreCopies(t *testing.T) {
 	mc := tinyOPT()
 	raw, err := RandomWeights(mc, 61, 0.08)
@@ -571,10 +574,11 @@ func TestStoreTensorsAreCopies(t *testing.T) {
 		store WeightStore
 		name  string
 	}{
-		{raw, "w_token"}, // MemStore raw weight
-		{raw, "w_ln"},    // MemStore norm gain
-		{fs, "w_ln"},     // FileStore raw (uncompressed) param
-		{fs, "b_ln"},     // FileStore bias
+		{raw, "w_token"},       // MemStore raw weight
+		{raw, "w_ln"},          // MemStore norm gain
+		{fs, "w_q"},            // FileStore 4-bit matrix, decoded
+		{intoOnly{fs}, "w_ln"}, // FileStore norm gain, decoded
+		{intoOnly{fs}, "b_ln"}, // FileStore bias, decoded
 	} {
 		layer := 1
 		if tc.name == "w_token" {
@@ -598,6 +602,13 @@ func TestStoreTensorsAreCopies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// intoOnly fetches every tensor through TensorInto, into a fresh buffer.
+type intoOnly struct{ *FileStore }
+
+func (s intoOnly) Tensor(layer int, name string) ([]float32, error) {
+	return s.TensorInto(layer, name, nil)
 }
 
 // Per-generation contexts bound a generation: cancellation and deadlines

@@ -13,9 +13,9 @@ import (
 const normEps = 1e-5
 
 // KVBlock is one decoder block's KV cache as the attention path uses
-// it: the rows tensor.Attend reads (tensor.KVRows, called from several
-// goroutines at once between appends), plus what the engine needs to
-// grow and roll back the cache. The engine's private append-only
+// it: the K blocks and V rows tensor.Attend reads (tensor.KVRows, called
+// from several goroutines at once between appends), plus what the engine
+// needs to grow and roll back the cache. The engine's private append-only
 // blockCache implements it, and so does a paged view into a
 // kvcache.Pool — the attention kernel is identical either way, which is
 // what makes the continuous batcher byte-identical to a solo engine.
@@ -32,65 +32,61 @@ type KVBlock interface {
 	Truncate(n int)
 }
 
-// blockCache is one decoder block's KV cache: rows are cached positions,
-// columns the (possibly grouped-query) KV width. With maxRows set (the
-// engine sets it to the model's MaxSeq) the rows live in two flat slabs
-// allocated once on first append, so steady-state appends are
-// copy-only; a zero-value blockCache degrades to per-row allocation.
+// blockCache is one decoder block's KV cache: cached positions, each a
+// K and a V row of the (possibly grouped-query) KV width. V is a row per
+// position; K is kept in blocks of tensor.KBlockPositions positions,
+// each d-major (block b's row d holds its positions' element d side by
+// side, the layout Attend's score lanes read), so that K is stored once.
+// Both live in flat slabs, sized on the first append to maxRows (the
+// engine sets it to the model's MaxSeq) so that steady-state appends are
+// copy-only; a cache that outgrows them (callers bound length by MaxSeq
+// before appending, so only a zero-value blockCache does) doubles them.
 type blockCache struct {
 	maxRows      int
-	width        int
+	width, n     int
 	kslab, vslab []float32
-	k, v         [][]float32
 }
 
-// AppendRow implements KVBlock by copying the rows.
+// AppendRow implements KVBlock by copying the rows; the first append
+// fixes the cache's width.
 func (c *blockCache) AppendRow(k, v []float32) error {
-	if c.maxRows > 0 {
-		if c.width == 0 && len(k) > 0 {
-			c.width = len(k)
-			c.kslab = make([]float32, c.maxRows*c.width)
-			c.vslab = make([]float32, c.maxRows*c.width)
-			c.k = make([][]float32, 0, c.maxRows)
-			c.v = make([][]float32, 0, c.maxRows)
-		}
-		if n := len(c.k); len(k) == c.width && len(v) == c.width && n < c.maxRows {
-			kr := c.kslab[n*c.width : (n+1)*c.width : (n+1)*c.width]
-			vr := c.vslab[n*c.width : (n+1)*c.width : (n+1)*c.width]
-			copy(kr, k)
-			copy(vr, v)
-			c.k = append(c.k, kr)
-			c.v = append(c.v, vr)
-			return nil
-		}
-		// Shape surprise or overflow past maxRows: fall through to
-		// per-row allocation rather than fail (callers bound length by
-		// MaxSeq before appending).
+	if c.vslab == nil {
+		c.width = len(k)
 	}
-	c.k = append(c.k, append([]float32(nil), k...))
-	c.v = append(c.v, append([]float32(nil), v...))
+	if len(k) != c.width || len(v) != c.width || c.width == 0 {
+		return fmt.Errorf("infer: KV rows %d and %d wide for a cache of width %d", len(k), len(v), c.width)
+	}
+	const bp = tensor.KBlockPositions
+	if c.n*c.width == len(c.vslab) {
+		rows := (max(c.maxRows, 2*c.n, bp) + bp - 1) / bp * bp
+		c.kslab = append(make([]float32, 0, rows*c.width), c.kslab...)[:rows*c.width]
+		c.vslab = append(make([]float32, 0, rows*c.width), c.vslab...)[:rows*c.width]
+	}
+	kb, j := c.kslab[c.n/bp*bp*c.width:], c.n%bp
+	for d, x := range k {
+		kb[d*bp+j] = x
+	}
+	copy(c.vslab[c.n*c.width:], v)
+	c.n++
 	return nil
 }
 
-// KRow implements KVBlock.
-func (c *blockCache) KRow(p int) []float32 { return c.k[p] }
+// KBlock implements KVBlock: from p to the end of its sixteen-position
+// block, rows sixteen apart.
+func (c *blockCache) KBlock(p int) ([]float32, int, int) {
+	const bp = tensor.KBlockPositions
+	b, j := p/bp, p%bp
+	return c.kslab[b*bp*c.width+j : (b+1)*bp*c.width], bp - j, bp
+}
 
 // VRow implements KVBlock.
-func (c *blockCache) VRow(p int) []float32 { return c.v[p] }
+func (c *blockCache) VRow(p int) []float32 { return c.vslab[p*c.width : (p+1)*c.width] }
 
 // Len implements KVBlock.
-func (c *blockCache) Len() int { return len(c.k) }
+func (c *blockCache) Len() int { return c.n }
 
 // Truncate implements KVBlock.
-func (c *blockCache) Truncate(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if len(c.k) > n {
-		c.k = c.k[:n]
-		c.v = c.v[:n]
-	}
-}
+func (c *blockCache) Truncate(n int) { c.n = min(c.n, max(n, 0)) }
 
 // Engine executes a decoder-only transformer incrementally for one
 // sequence: a StepEngine stepped with a single sequence over private,

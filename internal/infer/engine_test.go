@@ -62,6 +62,16 @@ func TestForwardShapesAndFiniteness(t *testing.T) {
 	}
 }
 
+// kRow gathers position p's K row, width wide, out of its cache block.
+func kRow(kv KVBlock, p, width int) []float32 {
+	k, _, stride := kv.KBlock(p)
+	row := make([]float32, width)
+	for d := range row {
+		row[d] = k[d*stride]
+	}
+	return row
+}
+
 // The exact prefill oracle: a prompt fed as one step stores the bits of
 // the same prompt fed one token per step — the final logits and every
 // block's cached K and V rows — whichever kernels the two heights take
@@ -135,7 +145,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 						t.Fatalf("%s: block %d caches %d positions, want %d", name, blk, kv.Len(), n)
 					}
 					for p := 0; p < n; p++ {
-						assertSameBits(t, fmt.Sprintf("%s: block %d K row %d", name, blk, p), inc.KV[blk].KRow(p), kv.KRow(p))
+						assertSameBits(t, fmt.Sprintf("%s: block %d K row %d", name, blk, p), kRow(inc.KV[blk], p, c.cfg.KVWidth()), kRow(kv, p, c.cfg.KVWidth()))
 						assertSameBits(t, fmt.Sprintf("%s: block %d V row %d", name, blk, p), inc.KV[blk].VRow(p), kv.VRow(p))
 					}
 				}
@@ -298,10 +308,14 @@ func TestQuantizedServingCloseToRaw(t *testing.T) {
 	if rel := math.Sqrt(se / ss); rel > 0.5 {
 		t.Errorf("quantized logits relative error %.3f too large", rel)
 	}
-	// One read per tensor per forward: the quantized projections and
-	// embedding tables, and the raw norm gains and biases beside them.
-	if got, want := qs.Reads(), weightCount(cfg); got != want {
-		t.Errorf("read counter = %d, want one per tensor (%d)", got, want)
+	// One fetch per tensor per forward: a read of the quantized
+	// projections and embedding tables, and the raw norm gains and biases
+	// beside them served from the resident arena.
+	if got, want := qs.Reads(), weightCount(cfg)-residentCount(cfg); got != want {
+		t.Errorf("read counter = %d, want one per non-resident tensor (%d)", got, want)
+	}
+	if _, got := qs.Resident(); got != residentCount(cfg) {
+		t.Errorf("resident fetches = %d, want one per norm and bias (%d)", got, residentCount(cfg))
 	}
 }
 
@@ -313,7 +327,7 @@ func TestGQACacheWidth(t *testing.T) {
 	if _, err := e.Forward([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.cache[0].k[0]); got != cfg.Hidden/2 {
+	if got := e.cache[0].width; got != cfg.Hidden/2 {
 		t.Errorf("KV width = %d, want %d", got, cfg.Hidden/2)
 	}
 	// OPT caches the full width.
@@ -321,7 +335,7 @@ func TestGQACacheWidth(t *testing.T) {
 	if _, err := o.Forward([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(o.cache[0].k[0]); got != tinyOPT().Hidden {
+	if got := o.cache[0].width; got != tinyOPT().Hidden {
 		t.Errorf("OPT KV width = %d", got)
 	}
 }
@@ -468,6 +482,50 @@ func TestRoPEMatchesPerHeadLoop(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// A blockCache keeps every row it is handed in sixteen-position K blocks
+// and V rows: zero-valued (it sizes its slabs on the first append) or
+// presized and appended past its size (it doubles them), every element
+// reads back through KBlock and VRow, a truncated cache appends over its
+// tail, and a row of another width is refused.
+func TestBlockCacheLayout(t *testing.T) {
+	const width = 5
+	val := func(p, d int) float32 { return float32(100*p + d) }
+	for _, maxRows := range []int{0, 3, 16} {
+		c := &blockCache{maxRows: maxRows}
+		appendRows := func(from, to int) {
+			for p := from; p < to; p++ {
+				k, v := make([]float32, width), make([]float32, width)
+				for d := range k {
+					k[d], v[d] = val(p, d), -val(p, d)
+				}
+				if err := c.AppendRow(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		appendRows(0, 40)
+		c.Truncate(33)
+		appendRows(33, 45)
+		if c.Len() != 45 {
+			t.Fatalf("maxRows %d: %d positions cached, want 45", maxRows, c.Len())
+		}
+		for p := 0; p < c.Len(); p++ {
+			k, n, stride := c.KBlock(p)
+			if stride != tensor.KBlockPositions || n != stride-p%stride {
+				t.Fatalf("maxRows %d, pos %d: block of %d positions, stride %d", maxRows, p, n, stride)
+			}
+			for d := 0; d < width; d++ {
+				if k[d*stride] != val(p, d) || c.VRow(p)[d] != -val(p, d) {
+					t.Fatalf("maxRows %d, pos %d, dim %d: K %v V %v", maxRows, p, d, k[d*stride], c.VRow(p)[d])
+				}
+			}
+		}
+		if err := c.AppendRow(make([]float32, width+1), make([]float32, width+1)); err == nil {
+			t.Errorf("maxRows %d: a row of another width was appended", maxRows)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"helmsim/internal/checkpoint"
@@ -21,22 +22,49 @@ func TensorKey(layer int, name string) string {
 }
 
 // FileStore serves weights straight from an indexed checkpoint file —
-// genuine out-of-core operation: nothing but the directory lives in
-// memory, every layer access reads and decodes from storage, exactly the
-// access pattern whose cost the simulator's storage configurations (SSD,
-// FSDAX) model.
+// genuine out-of-core operation: every weight access reads and decodes
+// from storage, exactly the access pattern whose cost the simulator's
+// storage configurations (SSD, FSDAX) model. Only the directory and the
+// resident set live in memory: the norm gains, biases and norm shifts
+// stored raw (residentParam), HeLM's first placement rule executed.
+// They are 0.1 % of a 4-bit checkpoint's bytes, and each is decoded once,
+// after its CRC passes, into one f32 arena the store owns — at open, or
+// at the first fetch that reads it cleanly when open could not — and is
+// then served from it: a resident fetch reads no file, converts nothing
+// and is not counted in Reads. A later rewrite of the file cannot reach
+// a resident copy; Verify still re-reads every record (DESIGN §3h).
 type FileStore struct {
 	ix *checkpoint.Indexed
 	// slots maps each (layer, name) whose TensorKey names a record to
 	// that record's slot, so a fetch formats no key.
 	slots map[storeKey]int
-	// reads counts tensor fetches (observable I/O); atomic because the
-	// prefetcher's items read the file from pool workers.
-	reads atomic.Int64
+	// resident is by slot: the arena window of a resident record (nil
+	// for every other record) and whether it holds the record's verified
+	// values. mu serializes a window's decode past open.
+	resident []residentSlot
+	arena    []float32
+	mu       sync.Mutex
+	closed   atomic.Bool
+	// reads counts tensor fetches that read the file, residents counts
+	// the fetches served from the arena; atomic because the prefetcher's
+	// items fetch from pool workers.
+	reads, residents atomic.Int64
 }
 
-// Reads reports the tensor fetches so far.
+// residentSlot is one resident record's arena window.
+type residentSlot struct {
+	view  []float32
+	ready atomic.Bool
+}
+
+// Reads reports the tensor fetches that have read the file so far.
 func (s *FileStore) Reads() int { return int(s.reads.Load()) }
+
+// Resident reports the resident arena's size in bytes — the first line
+// of a resident budget — and the fetches it has served.
+func (s *FileStore) Resident() (bytes, fetches int) {
+	return 4 * len(s.arena), int(s.residents.Load())
+}
 
 // OpenFileStore opens a checkpoint as a weight store.
 func OpenFileStore(path string) (*FileStore, error) {
@@ -73,15 +101,72 @@ func NewFileStore(ix *checkpoint.Indexed) (*FileStore, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("infer: nil checkpoint index")
 	}
-	s := &FileStore{ix: ix, slots: make(map[storeKey]int)}
-	for slot, key := range ix.Names() {
+	names := ix.Names()
+	s := &FileStore{ix: ix, slots: make(map[storeKey]int), resident: make([]residentSlot, len(names))}
+	windows := make([]int, len(names))
+	total := 0
+	for slot, key := range names {
 		digits, name, ok := strings.Cut(strings.TrimPrefix(key, "L"), "/")
 		layer, err := strconv.Atoi(digits)
-		if ok && err == nil && TensorKey(layer, name) == key {
-			s.slots[storeKey{layer, name}] = slot
+		if !ok || err != nil || TensorKey(layer, name) != key {
+			continue
+		}
+		s.slots[storeKey{layer, name}] = slot
+		if n, raw := ix.RawLen(slot); raw && residentParam(name) {
+			windows[slot] = n
+			total += n
+		}
+	}
+	s.arena = make([]float32, total)
+	off := 0
+	for slot, n := range windows {
+		if n > 0 {
+			s.resident[slot].view = s.arena[off : off+n : off+n]
+			off += n
+			// A record that fails here — corrupt, or a transient read
+			// error — stays unread, and its fetches read it until one
+			// passes, or fail as any record's would.
+			_ = s.decodeResident(slot)
 		}
 	}
 	return s, nil
+}
+
+// decodeResident reads a resident record into its arena window; the
+// window is published only once the read — CRC first — has passed.
+func (s *FileStore) decodeResident(slot int) error {
+	r := &s.resident[slot]
+	data, err := s.ix.ReadSlotInto(slot, r.view[:0])
+	if err != nil {
+		return err
+	}
+	if len(data) != len(r.view) || &data[0] != &r.view[0] {
+		return fmt.Errorf("infer: resident %s decoded to %d values, directory says %d: %w", s.ix.Names()[slot], len(data), len(r.view), checkpoint.ErrCorrupt)
+	}
+	r.ready.Store(true)
+	return nil
+}
+
+// residentView serves a resident record's window, reading the record
+// first if open could not.
+func (s *FileStore) residentView(slot int) ([]float32, error) {
+	if s.closed.Load() {
+		return nil, fmt.Errorf("infer: resident tensor %q: %w", s.ix.Names()[slot], checkpoint.ErrClosed)
+	}
+	r := &s.resident[slot]
+	if !r.ready.Load() {
+		s.mu.Lock()
+		var err error
+		if !r.ready.Load() {
+			err = s.decodeResident(slot)
+		}
+		s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.residents.Add(1)
+	return r.view, nil
 }
 
 // slot resolves a tensor to its record's slot.
@@ -93,14 +178,24 @@ func (s *FileStore) slot(layer int, name string) (int, error) {
 	return slot, nil
 }
 
-// Tensor implements WeightStore.
+// Tensor implements WeightStore. A resident tensor comes back as a
+// read-only view of the arena, valid while the store is open — the
+// caller must never write to it, nor decode into it; every other record
+// as a fresh decode the caller owns.
 func (s *FileStore) Tensor(layer int, name string) ([]float32, error) {
+	slot, err := s.slot(layer, name)
+	if err != nil {
+		return nil, err
+	}
+	if s.resident[slot].view != nil {
+		return s.residentView(slot)
+	}
 	return s.TensorInto(layer, name, nil)
 }
 
 // TensorInto implements IntoStore, decoding the record into dst when
-// its capacity suffices. The returned slice never aliases the
-// checkpoint's backing storage.
+// its capacity suffices — read from the file, resident or not. The
+// returned slice never aliases the store's storage.
 func (s *FileStore) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
 	slot, err := s.slot(layer, name)
 	if err != nil {
@@ -134,12 +229,17 @@ func (s *FileStore) TensorPacked(layer int, name string) (quant.Packed, bool, er
 func (s *FileStore) ModelName() string { return s.ix.ModelName() }
 
 // Verify re-reads and CRC-validates every record of the backing
-// checkpoint (see checkpoint.Indexed.Verify) — run it on a freshly
-// opened store before swapping it under a live server.
+// checkpoint (see checkpoint.Indexed.Verify), the resident ones too —
+// run it on a freshly opened store before swapping it under a live
+// server.
 func (s *FileStore) Verify() error { return s.ix.Verify() }
 
-// Close releases the underlying file.
-func (s *FileStore) Close() error { return s.ix.Close() }
+// Close releases the underlying file; resident fetches fail after it
+// too.
+func (s *FileStore) Close() error {
+	s.closed.Store(true)
+	return s.ix.Close()
+}
 
 // WriteCheckpoint serializes a model's weights from a raw store into w,
 // optionally group-wise quantized (norm gains and biases stay raw, as in

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +12,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"helmsim/internal/checkpoint"
 	"helmsim/internal/model"
@@ -28,8 +31,8 @@ func (m memFile) Bytes() []byte { return m }
 
 // memCheckpoint writes raw's weights for cfg as a 4-bit checkpoint in
 // memory and serves it through checkpoint.NewIndexed: the quantized
-// records come back as packed views, the raw norm gains and biases
-// decode into the caller's buffer.
+// records come back as packed views, the raw norm gains and biases from
+// the store's resident arena.
 func memCheckpoint(tb testing.TB, cfg model.Config, raw *MemStore) *FileStore {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -262,5 +265,316 @@ func TestFileStoreRejectsOtherWidthRecord(t *testing.T) {
 			t.Errorf("%s: %v does not name the tensor %s", name, err, bad)
 		}
 		fs.Close()
+	}
+}
+
+// writeCheckpointFile writes w's weights for cfg to a new file, 4-bit
+// quantized when quantize is set.
+func writeCheckpointFile(tb testing.TB, cfg model.Config, w *MemStore, quantize bool) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "resident.hlmc")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var qc *quant.Config
+	if quantize {
+		c := quant.Default()
+		qc = &c
+	}
+	if err := WriteCheckpoint(f, cfg, w, qc); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// fileOpeners are the two ways a FileStore reads its checkpoint.
+var fileOpeners = []struct {
+	name string
+	open func(string) (*FileStore, error)
+}{{"pread", OpenFileStore}, {"mmap", OpenFileStoreMmap}}
+
+// A 4-bit checkpoint's norm gains and biases are resident from open: the
+// arena holds every one of them, a fetch through Tensor is the same
+// read-only view every time, reads no file and counts no Reads, and
+// TensorInto still decodes a copy from the file; the packed records are
+// still read; after Close a resident fetch fails like any other.
+func TestFileStoreResidentViews(t *testing.T) {
+	cfg := tinyOPT()
+	raw, err := RandomWeights(cfg, 71, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeCheckpointFile(t, cfg, raw, true)
+	elems := 0
+	for _, l := range cfg.Layers() {
+		for _, w := range l.Weights {
+			if residentParam(w.Name) {
+				elems += int(w.Elems)
+			}
+		}
+	}
+	for _, o := range fileOpeners {
+		t.Run(o.name, func(t *testing.T) {
+			fs, err := o.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes, fetches := fs.Resident(); bytes != 4*elems || fetches != 0 {
+				t.Errorf("resident arena %d B after %d fetches, want %d B after none", bytes, fetches, 4*elems)
+			}
+			v1, err := fs.Tensor(1, "w_ln")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := fs.Tensor(1, "b_ln")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v3, err := fs.Tensor(1, "w_ln")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &v1[0] != &v3[0] || cap(v1) != len(v1) {
+				t.Error("a resident tensor is not one fixed window of the arena")
+			}
+			want, _ := raw.TensorView(1, "w_ln")
+			wantB, _ := raw.TensorView(1, "b_ln")
+			if !slices.Equal(v1, want) || !slices.Equal(v2, wantB) {
+				t.Error("resident values differ from the weights written")
+			}
+			if fs.Reads() != 0 {
+				t.Errorf("resident fetches read the file %d times", fs.Reads())
+			}
+			if _, fetches := fs.Resident(); fetches != 3 {
+				t.Errorf("resident fetches = %d, want 3", fetches)
+			}
+			cp, err := fs.TensorInto(1, "w_ln", nil)
+			if err != nil || &cp[0] == &v1[0] || !slices.Equal(cp, want) || fs.Reads() != 1 {
+				t.Errorf("TensorInto of a resident tensor: aliases the arena %v, err %v, reads %d", err == nil && &cp[0] == &v1[0], err, fs.Reads())
+			}
+			if _, ok, err := fs.TensorPacked(1, "w_q"); !ok || err != nil || fs.Reads() != 2 {
+				t.Errorf("packed fetch: ok %v, err %v, reads %d", ok, err, fs.Reads())
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Tensor(1, "w_ln"); !errors.Is(err, checkpoint.ErrClosed) {
+				t.Errorf("resident fetch after Close: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// rewrittenPair writes a 4-bit checkpoint and a second one of the same
+// layout whose L1 norm gain differs, and returns the first's path and
+// the byte ranges where the second differs: L1/w_ln's payload and its
+// record CRC.
+func rewrittenPair(t *testing.T, cfg model.Config) (path string, other []byte, diff [][2]int) {
+	t.Helper()
+	raw, err := RandomWeights(cfg, 73, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = writeCheckpointFile(t, cfg, raw, true)
+	gain, _ := raw.TensorView(1, "w_ln")
+	doubled := make([]float32, len(gain))
+	for i, g := range gain {
+		doubled[i] = 2 * g
+	}
+	raw.Put(1, "w_ln", doubled)
+	otherPath := writeCheckpointFile(t, cfg, raw, true)
+	raw.Put(1, "w_ln", gain)
+	a, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err = os.ReadFile(otherPath); err != nil || len(other) != len(a) {
+		t.Fatalf("second checkpoint: %d bytes, want %d (%v)", len(other), len(a), err)
+	}
+	for i := 0; i < len(a); i++ {
+		if a[i] != other[i] {
+			j := i
+			for j < len(a) && a[j] != other[j] {
+				j++
+			}
+			diff = append(diff, [2]int{i, j})
+			i = j
+		}
+	}
+	if len(diff) == 0 {
+		t.Fatal("the two checkpoints are identical")
+	}
+	return path, other, diff
+}
+
+// writeRanges writes src's bytes over path's in the ranges, in place: the
+// same file, so a mapping of it sees them.
+func writeRanges(t *testing.T, path string, src []byte, ranges [][2]int) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ranges {
+		if _, err := f.WriteAt(src[r[0]:r[1]], int64(r[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A raw record rewritten in place after open is unseen by fetches — the
+// resident copy was decoded at open — and caught by Verify, which still
+// re-reads every record against the CRCs read at open, over pread and
+// over mmap.
+func TestFileStoreResidentIgnoresRewrite(t *testing.T) {
+	cfg := tinyOPT()
+	for _, o := range fileOpeners {
+		t.Run(o.name, func(t *testing.T) {
+			path, other, diff := rewrittenPair(t, cfg)
+			fs, err := o.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			if o.name == "mmap" && !fs.Mapped() {
+				t.Skip("no mmap on this platform")
+			}
+			before, err := fs.Tensor(1, "w_ln")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(before)
+			writeRanges(t, path, other, diff)
+			after, err := fs.Tensor(1, "w_ln")
+			if err != nil || !slices.Equal(after, want) {
+				t.Errorf("a fetch after the rewrite: err %v, values changed %v", err, err == nil && !slices.Equal(after, want))
+			}
+			if err := fs.Verify(); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("Verify after the rewrite: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// A resident record that fails its CRC at open is never published: every
+// fetch of it reads it again and fails ErrCorrupt, and no fetch ever
+// serves its window.
+func TestFileStoreResidentWaitsForCRC(t *testing.T) {
+	cfg := tinyOPT()
+	for _, o := range fileOpeners {
+		t.Run(o.name, func(t *testing.T) {
+			path, other, diff := rewrittenPair(t, cfg)
+			// The last difference alone, in the payload (the record CRC
+			// precedes it): the stored CRC still vouches for the old bytes.
+			writeRanges(t, path, other, diff[len(diff)-1:])
+			fs, err := o.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			for i := 0; i < 2; i++ {
+				if v, err := fs.Tensor(1, "w_ln"); !errors.Is(err, checkpoint.ErrCorrupt) {
+					t.Fatalf("fetch %d of a corrupt resident record: %v (%d values), want ErrCorrupt", i, err, len(v))
+				}
+			}
+			if _, err := fs.Tensor(1, "b_ln"); err != nil {
+				t.Errorf("a clean resident record beside it: %v", err)
+			}
+		})
+	}
+}
+
+// intoCounter counts the TensorInto calls that reach a FileStore.
+type intoCounter struct {
+	*FileStore
+	into atomic.Int64
+}
+
+func (c *intoCounter) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
+	c.into.Add(1)
+	return c.FileStore.TensorInto(layer, name, dst)
+}
+
+// A steady-state decode step over a 4-bit checkpoint converts nothing:
+// the packed records travel as views and the norms and biases come from
+// the resident arena, so no TensorInto call reaches the store and the
+// loader holds no decode buffer, on the plain and the prefetched engine.
+func TestDecodeStepMakesNoIntoCalls(t *testing.T) {
+	cfg := oocShaped()
+	path := writeTestCheckpoint(t, cfg, 13)
+	for _, prefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", prefetch), func(t *testing.T) {
+			fs, err := OpenFileStoreMmap(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			store := &intoCounter{FileStore: fs}
+			var se *StepEngine
+			if prefetch {
+				se, err = NewStepEnginePrefetched(context.Background(), cfg, store, Retry{})
+			} else {
+				se, err = NewStepEngine(cfg, store)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			step := stepDecode(t, cfg, se)
+			before := store.into.Load()
+			for range 3 {
+				step()
+			}
+			se.Settle()
+			if n := store.into.Load() - before; n != 0 {
+				t.Errorf("%d TensorInto calls in three decode steps, want 0", n)
+			}
+			if bufs := slabSet(se.ld); len(bufs) != 0 {
+				t.Errorf("the loader holds %d decode buffers, want none", len(bufs))
+			}
+		})
+	}
+}
+
+// The loader never keeps a resident view as a decode buffer: over a
+// raw-fp16 checkpoint, where every matrix decodes into the loader's
+// buffers, none of those buffers lies in the store's resident arena after
+// a prefill and decode steps.
+func TestResidentViewsNeverDecodeTargets(t *testing.T) {
+	cfg := tinyOPT()
+	raw, err := RandomWeights(cfg, 79, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileStore(writeCheckpointFile(t, cfg, raw, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	se, err := NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	step := stepDecode(t, cfg, se)
+	step()
+	se.Settle()
+	bufs := slabSet(se.ld)
+	if len(bufs) == 0 {
+		t.Fatal("no decode buffers: the raw matrices did not take the into path")
+	}
+	lo := uintptr(unsafe.Pointer(&fs.arena[0]))
+	hi := lo + uintptr(4*len(fs.arena))
+	for p := range bufs {
+		if a := uintptr(unsafe.Pointer(p)); a >= lo && a < hi {
+			t.Fatal("a resident view became a decode buffer")
+		}
 	}
 }

@@ -380,8 +380,8 @@ func slabSet(ld *loader) map[*float32]bool {
 	}
 	if tk := ld.next; tk != nil {
 		for i := range tk.b.names {
-			if tk.res[i].ok {
-				add(tk.res[i].w.f32)
+			if tk.res[i].ok && tk.b.data[i].decoded {
+				add(tk.b.data[i].f32)
 			}
 		}
 	}

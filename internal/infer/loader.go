@@ -21,7 +21,10 @@ import (
 // preference: packed views (4-bit tensors arrive as validated views of
 // their stored bytes and stay packed until a kernel consumes them), decode
 // into the loader's recycled buffers, zero-copy views of the store's own
-// storage (a resident MemStore), plain copies.
+// storage (a resident MemStore), plain copies. The norm gains, biases and
+// norm shifts (residentParam) skip the decode: a FileStore serves them
+// from its resident arena through Tensor, so a step over a 4-bit
+// checkpoint decodes nothing into a buffer of the loader's.
 //
 // A prefetching loader (NewStepEnginePrefetched) overlaps the next layer's
 // fetch with the current layer's compute: Listing 1's load_weight(i, j+1)
@@ -98,8 +101,9 @@ type loader struct {
 // interrupted the fetch): data[j] is names[j], a packed view when the
 // store serves it packed, f32 values otherwise. It is the one holder of
 // packed views (DESIGN §3h). Its slices are one of the loader's two
-// storages; bufs[j] is the f32 buffer slot j last held, which the into
-// path decodes into next, kept while a packed view takes the slot.
+// storages; bufs[j] is the decode buffer slot j last held, which the into
+// path decodes into next, kept while a packed view or a store's f32
+// values take the slot.
 type layerBundle struct {
 	layer int
 	names []string
@@ -109,9 +113,10 @@ type layerBundle struct {
 }
 
 // fetchTicket is one posted layer fetch: item i fetches b.names[i] into
-// res[i], decoding into b.bufs[i]. Items only read b; the consumer folds
-// res into it after the join, so the buffers a fetch was handed come
-// back whatever its items did.
+// b.data[i], decoding into b.bufs[i], and reports in res[i]. Items write
+// only their own slot of b.data; the consumer folds res into b after the
+// join, so the buffers a fetch was handed come back whatever its items
+// did.
 type fetchTicket struct {
 	task   parallel.Task
 	b      layerBundle
@@ -122,7 +127,6 @@ type fetchTicket struct {
 // fetchResult is one item's outcome; the zero value is an item that
 // skipped because a sibling had failed.
 type fetchResult struct {
-	w   weight
 	ok  bool
 	err error
 }
@@ -178,15 +182,16 @@ func (l *loader) stopped() error {
 // the current one when the engine asks for it again, the posted fetch
 // when that is this layer's, a foreground fetch otherwise. The bundle
 // becomes current, the storage it displaces becomes the ticket's, and a
-// prefetching loader posts the fetch of the successor.
-func (l *loader) layer(layer int) (layerBundle, error) {
+// prefetching loader posts the fetch of the successor. The engine reads
+// the current bundle in place, until it asks for another layer.
+func (l *loader) layer(layer int) (*layerBundle, error) {
 	l.mu.Lock()
 	// An errored bundle is never served from cur: the failure belonged to
 	// the visit that fetched it. Replaying it would fail every later step
 	// after one storage blip, without a single read.
-	if b := l.cur; b.layer == layer && b.err == nil {
+	if l.cur.layer == layer && l.cur.err == nil {
 		l.mu.Unlock()
-		return b, nil
+		return &l.cur, nil
 	}
 	t := l.next
 	l.mu.Unlock()
@@ -197,7 +202,7 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 		// The ticket stays in next across the join, so a Close from
 		// another goroutine joins the same round.
 		byWorkers := t.task.Join()
-		b = t.collect()
+		b = *t.collect()
 		l.mu.Lock()
 		l.next = nil
 		l.byWorker += byWorkers
@@ -242,7 +247,10 @@ func (l *loader) layer(layer int) (layerBundle, error) {
 	}
 	l.installLocked(b)
 	l.mu.Unlock()
-	return b, b.err
+	if b.err != nil {
+		return nil, b.err
+	}
+	return &l.cur, nil
 }
 
 // fetchLayerRetry is fetchLayer under the engine's foreground retry
@@ -291,7 +299,7 @@ func (l *loader) installLocked(b layerBundle) {
 	}
 	t := &l.ticket
 	layer := l.succ[b.layer]
-	t.b = t.b.reset(layer, l.names[layer])
+	t.b.reset(layer, l.names[layer])
 	t.res = t.res[:len(t.b.names)]
 	clear(t.res)
 	t.failed.Store(false)
@@ -301,18 +309,18 @@ func (l *loader) installLocked(b layerBundle) {
 
 // reset points the storage b at layer's tensors, none fetched yet; the
 // decode buffers stay for the fetch to reuse.
-func (b layerBundle) reset(layer int, names []string) layerBundle {
+func (b *layerBundle) reset(layer int, names []string) {
 	b.layer, b.names, b.err = layer, names, nil
 	b.data = b.data[:len(names)]
 	clear(b.data)
-	return b
 }
 
-// put stores the fetched tensor of slot j, keeping its f32 values as the
-// slot's next decode buffer.
-func (b layerBundle) put(j int, w weight) {
-	b.data[j] = w
-	if !w.packed {
+// keep makes the values slot j was just fetched into the slot's next
+// decode buffer — only when the store decoded them into a buffer of the
+// loader's: a store's own values (a resident view) must never become a
+// decode target.
+func (b *layerBundle) keep(j int) {
+	if w := &b.data[j]; w.decoded {
 		b.bufs[j] = w.f32
 	}
 }
@@ -339,67 +347,71 @@ func (l *loader) fetchItem(i int) {
 	if t.failed.Load() {
 		return
 	}
-	w, err := l.fetchTensor(t.b.layer, t.b.names[i], t.b.bufs[i], false)
-	if err != nil {
+	if err := l.fetchTensor(&t.b.data[i], t.b.layer, t.b.names[i], t.b.bufs[i], false); err != nil {
 		fail(err)
 		return
 	}
-	t.res[i] = fetchResult{w: w, ok: true}
+	t.res[i] = fetchResult{ok: true}
 }
 
-// fetchTensor reads one tensor of a layer fetch from the store, checking
-// for cancellation first. With retry set, a transiently failed read is
-// re-attempted under the retry policy before it fails.
-func (l *loader) fetchTensor(layer int, name string, dst []float32, retry bool) (weight, error) {
+// fetchTensor reads one tensor of a layer fetch from the store into w,
+// checking for cancellation first. With retry set, a transiently failed
+// read is re-attempted under the retry policy before it fails.
+func (l *loader) fetchTensor(w *weight, layer int, name string, dst []float32, retry bool) error {
 	if err := l.stopped(); err != nil {
-		return weight{}, fmt.Errorf("infer: load L%d cancelled: %w", layer, err)
+		return fmt.Errorf("infer: load L%d cancelled: %w", layer, err)
 	}
-	w, err := l.read(layer, name, dst)
+	err := l.read(w, layer, name, dst)
 	for attempt := 1; retry && err != nil && attempt <= l.retry.Max; attempt++ {
 		if !fault.IsTransient(err) || l.stopped() != nil {
 			break
 		}
 		l.retry.pause(attempt)
-		w, err = l.read(layer, name, dst)
+		err = l.read(w, layer, name, dst)
 	}
 	if err != nil {
-		return weight{}, fmt.Errorf("infer: load L%d/%s: %w", layer, name, err)
+		*w = weight{}
+		return fmt.Errorf("infer: load L%d/%s: %w", layer, name, err)
 	}
-	return w, nil
+	return nil
 }
 
-// read fetches one tensor by the best path the store offers for it: a
-// packed view when the store serves the tensor packed, else decoded —
-// into dst, as a borrowed view, or as a plain copy.
-func (l *loader) read(layer int, name string, dst []float32) (weight, error) {
+// read fetches one tensor into w by the best path the store offers for
+// it: a packed view when the store serves the tensor packed, else f32 —
+// decoded into dst (never for a resident tensor), as a borrowed view, or
+// as the store's Tensor.
+func (l *loader) read(w *weight, layer int, name string, dst []float32) error {
+	*w = weight{}
 	if l.packed != nil {
-		if q, ok, err := l.packed.TensorPacked(layer, name); ok || err != nil {
-			return weight{q: q, packed: ok}, err
+		q, ok, err := l.packed.TensorPacked(layer, name)
+		if ok || err != nil {
+			w.q, w.packed = q, ok
+			return err
 		}
 	}
-	var d []float32
 	var err error
 	switch {
-	case l.into != nil:
-		d, err = l.into.TensorInto(layer, name, dst)
+	case l.into != nil && !residentParam(name):
+		w.f32, err = l.into.TensorInto(layer, name, dst)
+		w.decoded = true
 	case l.views != nil:
-		d, err = l.views.TensorView(layer, name)
+		w.f32, err = l.views.TensorView(layer, name)
 	default:
-		d, err = l.backing.Tensor(layer, name)
+		w.f32, err = l.backing.Tensor(layer, name)
 	}
-	return weight{f32: d}, err
+	return err
 }
 
 // collect folds a joined ticket's results into its bundle, on the
-// calling goroutine: every fetched tensor is put in its slot, so the
-// decode buffers of items that failed or skipped are still in the
-// storage; the error is the first in spec order.
-func (t *fetchTicket) collect() layerBundle {
-	b := t.b
+// calling goroutine, and returns it: every fetched tensor's decode buffer
+// is kept in its slot, so the buffers of items that failed or skipped are
+// still in the storage; the error is the first in spec order.
+func (t *fetchTicket) collect() *layerBundle {
+	b := &t.b
 	for i := range b.names {
 		switch r := &t.res[i]; {
 		case r.ok:
-			b.put(i, r.w)
+			b.keep(i)
 		case r.err != nil && b.err == nil:
 			b.err = r.err
 		}
@@ -416,14 +428,13 @@ func (l *loader) fetchLayer(layer int, b layerBundle) layerBundle {
 		b.layer, b.err = layer, fmt.Errorf("infer: load: unknown layer %d", layer)
 		return b
 	}
-	b = b.reset(layer, l.names[layer])
+	b.reset(layer, l.names[layer])
 	for j, name := range b.names {
-		w, err := l.fetchTensor(layer, name, b.bufs[j], true)
-		if err != nil {
+		if err := l.fetchTensor(&b.data[j], layer, name, b.bufs[j], true); err != nil {
 			b.err = err
 			return b
 		}
-		b.put(j, w)
+		b.keep(j)
 	}
 	return b
 }

@@ -77,11 +77,12 @@ type StepEngine struct {
 	ld     *loader
 
 	ar *tensor.Arena
-	// attn is tensor.Attend's scratch: one MaxSeq-wide score row per
-	// item range a forked attention can have running — a handful, set by
-	// the worker count — or six per range on the register tiles, and the
-	// tiles' K and V panels, one block's K/V rows wide and as long as the
-	// longest prefill context yet. Never per step row.
+	// attn is tensor.Attend's scratch: the gathered K blocks and V rows
+	// of one block's cache, one MaxSeq-wide score row per item range a
+	// forked attention can have running — a handful, set by the worker
+	// count — or six per range on the register tiles, and the tiles' K
+	// and V panels, one block's K/V rows wide and as long as the longest
+	// prefill context yet. Never per step row.
 	attn   tensor.AttendScratch
 	rope   []float64  // one head's rotary (sin, cos) pairs at the row being rotated (LLaMA only)
 	logits tensor.Mat // the last step's logits, one row per advanced sequence; reclaimed by the next
@@ -278,24 +279,26 @@ func (se *StepEngine) lastRows(rows []int, m tensor.Mat) tensor.Mat {
 	return last
 }
 
-// mat is one of the layer's tensors with its matrix shape checked. The
-// name is found by a scan of the layer's few spec names, not a map.
-func (b layerBundle) mat(name string, r, c int) (weight, error) {
-	var w weight
-	if j := slices.Index(b.names, name); j >= 0 {
-		w = b.data[j]
+// mat is one of the layer's tensors, in place, with its matrix shape
+// checked. The name is found by a scan of the layer's few spec names, not
+// a map.
+func (b *layerBundle) mat(name string, r, c int) (*weight, error) {
+	n := 0
+	j := slices.Index(b.names, name)
+	if j >= 0 {
+		n = b.data[j].len()
 	}
-	if n := w.len(); n != r*c {
-		return weight{}, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", b.layer, name, r, c, r*c, n)
+	if j < 0 || n != r*c {
+		return nil, fmt.Errorf("infer: L%d/%s: %dx%d needs %d values, got %d", b.layer, name, r, c, r*c, n)
 	}
-	return w, nil
+	return &b.data[j], nil
 }
 
 // vec is one of the layer's tensors as a length-n f32 vector. Norm gains
 // and biases are stored raw by this repo's writer; one that arrives
 // packed anyway gets a slice of its own, because a norm holds two vectors
 // at once and the slab holds one tensor.
-func (b layerBundle) vec(name string, n int) ([]float32, error) {
+func (b *layerBundle) vec(name string, n int) ([]float32, error) {
 	w, err := b.mat(name, 1, n)
 	if err != nil {
 		return nil, err
@@ -309,7 +312,7 @@ func (b layerBundle) vec(name string, n int) ([]float32, error) {
 // dense returns the tensor's f32 values: its own when it was fetched
 // decoded, the engine's slab — overwritten by the next call — when it
 // arrived packed.
-func (se *StepEngine) dense(w weight) []float32 {
+func (se *StepEngine) dense(w *weight) []float32 {
 	if !w.packed {
 		return w.f32
 	}
@@ -325,20 +328,20 @@ func (se *StepEngine) dense(w weight) []float32 {
 // time).
 type tableRows struct {
 	c     int
-	q     quant.Packed
+	q     *quant.Packed
 	byRow bool
 	full  []float32
 }
 
-func (se *StepEngine) tableRows(t weight, c int) tableRows {
+func (se *StepEngine) tableRows(t *weight, c int) tableRows {
 	if t.packed && c%t.q.GroupSize() == 0 {
-		return tableRows{c: c, q: t.q, byRow: true}
+		return tableRows{c: c, q: &t.q, byRow: true}
 	}
 	return tableRows{c: c, full: se.dense(t)}
 }
 
 // read fills dst (length c) with row r.
-func (t tableRows) read(dst []float32, r int) {
+func (t *tableRows) read(dst []float32, r int) {
 	if t.byRow {
 		t.q.DecodeRange(dst, r*t.c)
 		return
@@ -391,7 +394,7 @@ func (se *StepEngine) embed(seqs []*StepSeq, rows []int) (tensor.Mat, error) {
 
 // norm applies the architecture's normalization using the layer's
 // params, into a fresh arena matrix the caller owns.
-func (se *StepEngine) norm(b layerBundle, x tensor.Mat) (tensor.Mat, error) {
+func (se *StepEngine) norm(b *layerBundle, x tensor.Mat) (tensor.Mat, error) {
 	h := se.cfg.Hidden
 	if se.cfg.Arch == model.ArchLlama {
 		// Decoder blocks carry their gain as "w_norm"; the output layer's
@@ -434,7 +437,7 @@ func (se *StepEngine) norm(b layerBundle, x tensor.Mat) (tensor.Mat, error) {
 // inside the GEMM, once for all of x's rows; otherwise it is dequantized
 // into the slab first. Which kernel runs depends on what was fetched and
 // on x's height, never on a setting, and both store the same bits.
-func (se *StepEngine) proj(b layerBundle, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
+func (se *StepEngine) proj(b *layerBundle, x tensor.Mat, wName, bName string, outDim int) (tensor.Mat, error) {
 	w, err := b.mat(wName, x.C, outDim)
 	if err != nil {
 		return tensor.Mat{}, err

@@ -71,17 +71,21 @@ type PackedStore interface {
 	TensorPacked(layer int, name string) (p quant.Packed, ok bool, err error)
 }
 
-// weight is one fetched tensor as the engine consumes it: decoded f32
-// values, or — when packed is set — the packed 4-bit view the kernels
-// decode tile by tile.
+// weight is one fetched tensor as the engine consumes it: f32 values,
+// or — when packed is set — the packed 4-bit view the kernels decode tile
+// by tile. decoded marks f32 values the store decoded into a buffer of
+// the loader's (IntoStore), which alone may be decoded into again: any
+// other f32 values are the store's — a view, a resident tensor — or a
+// copy, and never a decode target. A bundle holds its weights in place
+// and hands out pointers to them; the struct is a hundred bytes.
 type weight struct {
-	f32    []float32
-	q      quant.Packed
-	packed bool
+	f32             []float32
+	q               quant.Packed
+	packed, decoded bool
 }
 
 // len is the tensor's element count.
-func (w weight) len() int {
+func (w *weight) len() int {
 	if w.packed {
 		return w.q.Len()
 	}
@@ -163,6 +167,13 @@ func RandomWeights(cfg model.Config, seed int64, scale float64) (*MemStore, erro
 func isNormParam(name string) bool {
 	return name == "w_ln" || name == "w_norm"
 }
+
+// residentParam reports whether the tensor is one HeLM keeps resident
+// beside the compute (its first placement rule: the biases and norms of
+// both layer types): a norm gain, a bias or a norm shift. A FileStore
+// decodes those stored raw once and serves them from memory, and the
+// loader fetches them through Tensor, never into a recycled buffer.
+func residentParam(name string) bool { return isNormParam(name) || isBiasParam(name) }
 
 // isBiasParam reports whether the tensor is a bias or norm shift.
 func isBiasParam(name string) bool {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"helmsim/internal/model"
+	"helmsim/internal/tensor"
 )
 
 // Typed ledger errors. "Released twice" (a live double-free — the
@@ -31,7 +32,9 @@ var (
 )
 
 // Pool is the real paged KV cache: block-granular storage of K/V rows
-// in fixed-size pages, with a page table per sequence — the
+// in fixed-size pages — V a row per position, K d-major (a page's row d
+// holds its positions' element d side by side, the layout attention's
+// score lanes read, tensor.KVRows) — with a page table per sequence — the
 // PagedAttention scheme of vLLM (Kwon et al. [63], discussed in the
 // paper's related work) as the engine's actual memory. One
 // physical page ID addresses pageTokens rows in every decoder block's
@@ -54,7 +57,7 @@ type Pool struct {
 	totalPages int
 	free       []int   // free page IDs, LIFO
 	refs       []int   // per-page reference count (sequences + prefix entries)
-	k, v       [][]row // [block][page] -> flat rows, allocated lazily
+	k, v       [][]row // [block][page] -> K [width][pageTokens], V [pageTokens][width]; allocated lazily
 	seqs       map[int]*poolSeq
 	released   map[int]bool
 	poisoned   bool
@@ -70,7 +73,7 @@ type Pool struct {
 	evictions    int
 }
 
-// row is one page's flat storage: pageTokens rows of width floats.
+// row is one page's flat storage: pageTokens x width floats.
 type row []float32
 
 // poolSeq is one sequence's page table.
@@ -311,40 +314,28 @@ func (p *Pool) writeRow(id, blk, pos int, kRow, vRow []float32) error {
 	if p.refs[pg] > 1 {
 		// Copy-on-write: the page is shared (a prefix another sequence
 		// or the index still references); writing would corrupt their
-		// view. Copy the rows below the write point — for every block,
-		// since one physical page spans all block slabs — then retarget
-		// this sequence's table at the private copy.
+		// view. Copy the whole page — for every block, since one physical
+		// page spans all block slabs; K's positions interleave row by
+		// row — then retarget this sequence's table at the private copy.
 		np, err := p.alloc()
 		if err != nil {
 			return err
 		}
 		for b := 0; b < p.cfg.Blocks; b++ {
-			copy(p.k[b][np][:off*p.width], p.k[b][pg][:off*p.width])
-			copy(p.v[b][np][:off*p.width], p.v[b][pg][:off*p.width])
+			copy(p.k[b][np], p.k[b][pg])
+			copy(p.v[b][np], p.v[b][pg])
 		}
 		p.deref(pg)
 		s.pages[idx] = np
 		pg = np
 		p.cowCopies++
 	}
-	copy(p.k[blk][pg][off*p.width:(off+1)*p.width], kRow)
+	k := p.k[blk][pg]
+	for d, x := range kRow {
+		k[d*p.pageTokens+off] = x
+	}
 	copy(p.v[blk][pg][off*p.width:(off+1)*p.width], vRow)
 	return nil
-}
-
-// kRow and vRow return one cached position's rows for one block.
-func (p *Pool) kRow(id, blk, pos int) []float32 {
-	s := p.seqs[id]
-	pg := s.pages[pos/p.pageTokens]
-	off := pos % p.pageTokens
-	return p.k[blk][pg][off*p.width : (off+1)*p.width]
-}
-
-func (p *Pool) vRow(id, blk, pos int) []float32 {
-	s := p.seqs[id]
-	pg := s.pages[pos/p.pageTokens]
-	off := pos % p.pageTokens
-	return p.v[blk][pg][off*p.width : (off+1)*p.width]
 }
 
 // Rollback trims a sequence's page table to what tokens positions
@@ -394,8 +385,11 @@ func (p *Pool) Poisoned() bool { return p.poisoned }
 
 // View returns one sequence's KV view of one decoder block, rows
 // [0, tokens) already valid. It satisfies infer.KVBlock structurally.
+// The view holds the sequence's page table, so its reads index it
+// directly; a view of an ID not admitted has none — its appends fail as
+// unknown, and it must not be read.
 func (p *Pool) View(id, blk, tokens int) *PoolView {
-	return &PoolView{pool: p, id: id, blk: blk, n: tokens}
+	return &PoolView{pool: p, seq: p.seqs[id], id: id, blk: blk, n: tokens}
 }
 
 // PoolView is a per-(sequence, block) window into the pool: the
@@ -405,6 +399,7 @@ func (p *Pool) View(id, blk, tokens int) *PoolView {
 // block b is one append ahead of block b+1.
 type PoolView struct {
 	pool *Pool
+	seq  *poolSeq // the page table, retargeted in place by copy-on-write
 	id   int
 	blk  int
 	n    int
@@ -419,11 +414,22 @@ func (w *PoolView) AppendRow(k, v []float32) error {
 	return nil
 }
 
-// KRow returns the cached K row of position p.
-func (w *PoolView) KRow(p int) []float32 { return w.pool.kRow(w.id, w.blk, p) }
+// KBlock returns K from position p to the end of its block
+// (tensor.KVRows): a page's positions in runs of up to
+// tensor.KBlockPositions, rows pageTokens apart.
+func (w *PoolView) KBlock(p int) ([]float32, int, int) {
+	pt := w.pool.pageTokens
+	off := p % pt
+	end := min(pt, (off/tensor.KBlockPositions+1)*tensor.KBlockPositions)
+	return w.pool.k[w.blk][w.seq.pages[p/pt]][off:], end - off, pt
+}
 
 // VRow returns the cached V row of position p.
-func (w *PoolView) VRow(p int) []float32 { return w.pool.vRow(w.id, w.blk, p) }
+func (w *PoolView) VRow(p int) []float32 {
+	pt, width := w.pool.pageTokens, w.pool.width
+	off := p % pt
+	return w.pool.v[w.blk][w.seq.pages[p/pt]][off*width : (off+1)*width]
+}
 
 // Len reports cached positions.
 func (w *PoolView) Len() int { return w.n }

@@ -16,6 +16,12 @@ func poolConfig() model.Config {
 	}
 }
 
+// kAt reads element d of position p's K row through the view's blocks.
+func kAt(v *PoolView, p, d int) float32 {
+	k, _, stride := v.KBlock(p)
+	return k[d*stride]
+}
+
 // fillSeq appends n positions of deterministic rows to every block of a
 // sequence through its views, the way the engine writes during a step.
 func fillSeq(t *testing.T, p *Pool, id, from, n int) {
@@ -59,7 +65,7 @@ func TestPoolLifecycle(t *testing.T) {
 		v := p.View(1, blk, 5)
 		for pos := 0; pos < 5; pos++ {
 			want := float32(1*1000 + blk*100 + pos)
-			if got := v.KRow(pos)[0]; got != want {
+			if got := kAt(v, pos, 0); got != want {
 				t.Fatalf("blk %d pos %d K: got %v, want %v", blk, pos, got, want)
 			}
 			if got := v.VRow(pos)[0]; got != -want {
@@ -202,7 +208,7 @@ func TestPoolPrefixReuse(t *testing.T) {
 	v := p.View(2, 1, shared)
 	for pos := 0; pos < shared; pos++ {
 		want := float32(1*1000 + 1*100 + pos)
-		if got := v.KRow(pos)[0]; got != want {
+		if got := kAt(v, pos, 0); got != want {
 			t.Fatalf("shared pos %d: got %v, want %v", pos, got, want)
 		}
 	}
@@ -228,7 +234,7 @@ func TestPoolPrefixReuse(t *testing.T) {
 		t.Fatal("write into shared page did not copy-on-write")
 	}
 	// Sequence 1's row at position 7 is untouched by sequence 3's write.
-	if got, want := p.View(1, 0, 9).KRow(7)[0], float32(1*1000+7); got != want {
+	if got, want := kAt(p.View(1, 0, 9), 7, 0), float32(1*1000+7); got != want {
 		t.Fatalf("CoW leaked into the shared page: got %v, want %v", got, want)
 	}
 	if err := p.Conserved(); err != nil {
@@ -405,4 +411,93 @@ func FuzzPoolLedger(f *testing.F) {
 			t.Fatalf("seed %d ops %d: %v", seed, ops, err)
 		}
 	})
+}
+
+// K pages are d-major, and copy-on-write and prefix reuse carry them
+// whole: rows whose every element differs, written on pages of 20
+// positions (a block of sixteen and one of four), read back element by
+// element through KBlock — by the writer, by a sequence reusing its
+// prefix, and after that sequence's copy-on-write append into a shared
+// page, by both — with every block no longer than sixteen positions and
+// its rows a page apart.
+func TestPoolTransposedKSurvivesCoWAndReuse(t *testing.T) {
+	cfg := poolConfig()
+	const pt = 20
+	p, err := NewPool(cfg, 16, pt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cfg.KVWidth()
+	val := func(id, blk, pos, d int) float32 { return float32(id*100000 + blk*10000 + pos*100 + d) }
+	write := func(id, from, n int) {
+		for blk := 0; blk < cfg.Blocks; blk++ {
+			v := p.View(id, blk, from)
+			for pos := from; pos < from+n; pos++ {
+				kr, vr := make([]float32, w), make([]float32, w)
+				for d := range kr {
+					kr[d], vr[d] = val(id, blk, pos, d), -val(id, blk, pos, d)
+				}
+				if err := v.AppendRow(kr, vr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	check := func(who, id, n int, writer func(pos int) int) {
+		t.Helper()
+		for blk := 0; blk < cfg.Blocks; blk++ {
+			v := p.View(id, blk, n)
+			for pos := 0; pos < n; pos++ {
+				k, m, stride := v.KBlock(pos)
+				if stride != pt || m < 1 || m > 16 || (pos%pt)%16+m > min(16, pt-(pos%pt)/16*16) {
+					t.Fatalf("seq %d blk %d pos %d: block of %d positions %d apart", id, blk, pos, m, stride)
+				}
+				for d := 0; d < w; d++ {
+					want := val(writer(pos), blk, pos, d)
+					if got := k[d*stride]; got != want {
+						t.Fatalf("seq %d (read %d) blk %d pos %d K[%d] = %v, want %v", id, who, blk, pos, d, got, want)
+					}
+					if got := v.VRow(pos)[d]; got != -want {
+						t.Fatalf("seq %d blk %d pos %d V[%d] = %v, want %v", id, blk, pos, d, got, -want)
+					}
+				}
+			}
+		}
+	}
+	prompt := make([]int, 2*pt)
+	for i := range prompt {
+		prompt[i] = i + 1
+	}
+	if _, err := p.Admit(1, prompt); err != nil {
+		t.Fatal(err)
+	}
+	write(1, 0, len(prompt))
+	if err := p.RegisterPrefix(1); err != nil {
+		t.Fatal(err)
+	}
+	from1 := func(int) int { return 1 }
+	check(1, 1, len(prompt), from1)
+
+	// A whole-prompt hit shares both pages and recomputes the last
+	// position, whose append copies the second page on write.
+	shared, err := p.Admit(2, prompt)
+	if err != nil || shared != len(prompt)-1 {
+		t.Fatalf("admit: shared %d, %v", shared, err)
+	}
+	check(2, 2, shared, from1)
+	cow := p.Stats().CoWCopies
+	write(2, shared, 1)
+	if p.Stats().CoWCopies == cow {
+		t.Fatal("the append into a shared page did not copy it")
+	}
+	check(2, 2, len(prompt), func(pos int) int {
+		if pos == shared {
+			return 2
+		}
+		return 1
+	})
+	check(1, 1, len(prompt), from1)
+	if err := p.Conserved(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -229,7 +229,9 @@ type Server struct {
 
 // breakerStore sits between the engine's loader and the batcher's
 // generation: every raw storage attempt (including each retry) feeds
-// the breaker's failure window and the access counters.
+// the breaker's failure window and the access counters. A FileStore's
+// resident norms and biases cross it through Tensor as the read-only
+// views they are, each fetch one access.
 type breakerStore struct {
 	s       *Server
 	backing infer.WeightStore

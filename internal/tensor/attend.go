@@ -6,25 +6,57 @@ import (
 	"helmsim/internal/parallel"
 )
 
-// KVRows is a decoder block's KV cache as attention reads it: rows are
-// cached positions, columns the (possibly grouped-query) K/V width.
-// Attend calls both methods from several goroutines at once, so an
-// implementation must allow concurrent reads between its appends.
+// KVRows is a decoder block's KV cache as attention reads it. K comes in
+// blocks of up to KBlockPositions consecutive positions stored d-major —
+// a block's row d holds its positions' element d side by side, so
+// sixteen positions' scores are one vector's lanes — and V in rows, one
+// per position. Attend calls both methods from several goroutines at
+// once, so an implementation must allow concurrent reads between its
+// appends.
 type KVRows interface {
-	// KRow and VRow return position p's cached K and V rows (read-only).
-	KRow(p int) []float32
+	// KBlock returns K from position p to the end of p's block: n
+	// positions, 1 <= n <= KBlockPositions, position p+j's element d at
+	// k[d*stride+j] for every d of the K/V width, stride >= n. Every
+	// block of one cache has the same stride. A block may hold positions
+	// past the cached ones; a reader takes only those it knows are
+	// cached. The values are read-only.
+	KBlock(p int) (k []float32, n, stride int)
+	// VRow returns position p's cached V row (read-only).
 	VRow(p int) []float32
 }
 
+// KBlockPositions is the most positions one K block holds: sixteen
+// float32 lanes, one ZMM register.
+const KBlockPositions = 16
+
+// kBlock is one K block of a call's cache as the score bodies read it:
+// positions [p0, p0+n) from k[0], each d-major row stride apart, and
+// mask = 1<<n - 1, the AVX-512 body's lanes. The assembly reads the
+// fields at fixed offsets (kernels_amd64.s): k's data pointer at 0, n at
+// 32, mask at 40, 48 bytes an entry.
+type kBlock struct {
+	k           []float32
+	p0, n, mask int
+}
+
 // AttendScratch is Attend's scratch, kept by the caller across calls:
-// the score rows of the item ranges a call cuts — one per range, or for
-// a prefill on the register tiles six, a block's — and the tiles' panels
-// of each KV head's K rows, transposed, and V rows. Each part grows to
-// the largest call it has served and is never shrunk, so a caller that
+// the call's cache gathered once — K's blocks and V's rows — the score
+// rows of the item ranges a call cuts — one per range, or for a prefill
+// on the register tiles six, a block's — and the tiles' panels of each
+// KV head's K rows, transposed, and V rows. Each part grows to the
+// largest call it has served and is never shrunk, so a caller that
 // keeps one allocates only when a call is longer or wider than every one
 // before it. The zero value is ready to use; NewAttendScratch sizes the
-// score row for a context up front.
+// score row and the gathered cache for a context up front.
 type AttendScratch struct {
+	// blocks are K's blocks over the call's positions, padded with empty
+	// ones to a whole number of fours (the AVX-512 body's group); nb of
+	// them are real, stride apart row to row. vrows are V's rows, one
+	// per position. Both are written before the call forks and only read
+	// after.
+	blocks     []kBlock
+	nb, stride int
+	vrows      [][]float32
 	// scores is the per-row path's: one row per item range.
 	scores Mat
 	// tile, kt and v are the tiles', for positions [0, n) of a call, lp
@@ -35,11 +67,16 @@ type AttendScratch struct {
 	tile, kt, v []float32
 }
 
-// NewAttendScratch returns scratch whose one score row spans maxSeq
-// positions, so that a decode step of a context up to maxSeq on one
-// worker allocates nothing, from its first step on.
+// NewAttendScratch returns scratch whose one score row and gathered
+// cache span maxSeq positions in blocks of KBlockPositions, so that a
+// decode step of a context up to maxSeq on one worker allocates nothing,
+// from its first step on.
 func NewAttendScratch(maxSeq int) AttendScratch {
-	return AttendScratch{scores: New(1, maxSeq)}
+	return AttendScratch{
+		blocks: make([]kBlock, 0, (maxSeq+KBlockPositions-1)/KBlockPositions+4),
+		vrows:  make([][]float32, 0, maxSeq),
+		scores: New(1, maxSeq),
+	}
 }
 
 // Attend accumulates into out — zeroed by the caller — the causal
@@ -50,11 +87,14 @@ func NewAttendScratch(maxSeq int) AttendScratch {
 // 1/sqrt(head width), a softmax (subtract the running max, exponentiate,
 // multiply by 1/sum), and the weighted sum of the V rows.
 //
-// A call taller than tallGEMMRows on a host with AVX — a prefill — runs
-// each head's six-row blocks as two register-tile GEMMs over panels of
-// the head's K and V rows (attendBlock); the rows past the last whole
-// block, every shorter call and every host without AVX take one item at
-// a time (attendItem). Both add each score's and each output element's
+// The cache is gathered once per call (gather), before any fork. A call
+// taller than tallGEMMRows on a host with AVX — a prefill — copies each
+// KV head's K blocks and V rows into panels and runs each head's six-row
+// blocks as two register-tile GEMMs over them (attendBlock); the rows
+// past the last whole block, every shorter call — every decode step —
+// and every host without AVX take one item at a time (attendItem), on
+// the lanes of the host's widest attention body (attendScores,
+// attendValues). All of them add each score's and each output element's
 // terms in ascending order with the roundings of the per-position loop,
 // so which one runs changes no bit.
 //
@@ -62,9 +102,13 @@ func NewAttendScratch(maxSeq int) AttendScratch {
 //
 // The work is split over the worker pool from minAttendWork up. An item
 // or block accumulates into its own slices of out and touches no other,
-// so which goroutine runs which range cannot change a bit of it.
+// and each KV head's panels are built by one chunk, so which goroutine
+// runs which range cannot change a bit of it.
 func Attend(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *AttendScratch) {
 	n := pos + q.R
+	hd := q.C / heads
+	kvHeads := heads / group
+	sc.gather(kv, n, kvHeads*hd)
 	items := q.R * heads
 	tiled := q.R > tallGEMMRows && wideAccumulate
 	units := items
@@ -73,53 +117,91 @@ func Attend(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *AttendScratch)
 		units = (q.R/6 + q.R%6) * heads
 	}
 	ranges := 1
-	if items*n*(q.C/heads) >= minAttendWork {
+	if items*n*hd >= minAttendWork {
 		ranges = min(units, parallel.MaxChunks())
 	}
 	kernel := kAttend
 	if tiled {
 		kernel = kAttendTile
-		sc.tiles(kv, n, heads/group*(q.C/heads), q.C/heads, ranges)
+		sc.tiles(n, kvHeads*hd, ranges)
+		if ranges == 1 || !fork.take() {
+			for kh := range kvHeads {
+				sc.panels(kh, hd, n)
+			}
+		} else {
+			fork.a, fork.attn, fork.pos, fork.heads = q, sc, pos, heads
+			fork.run(kAttendPanels, kvHeads, 1)
+		}
 	} else if sc.scores.R < ranges || sc.scores.C < n {
 		sc.scores = New(max(sc.scores.R, ranges), max(sc.scores.C, n))
 	}
 	if ranges == 1 || !fork.take() {
 		if tiled {
-			attendTileRanges(q, kv, pos, heads, group, out, sc, 1, 0, 1)
+			attendTileRanges(q, pos, heads, group, out, sc, 1, 0, 1)
 		} else {
-			attendRanges(q, kv, pos, heads, group, out, sc.scores, 1, 0, 1)
+			attendRanges(q, sc, pos, heads, group, out, 1, 0, 1)
 		}
 		return
 	}
-	fork.a, fork.out, fork.kv, fork.attn = q, out, kv, sc
+	fork.a, fork.out, fork.attn = q, out, sc
 	fork.pos, fork.heads, fork.group, fork.ranges = pos, heads, group, ranges
 	fork.run(kernel, ranges, 1)
+}
+
+// gather reads positions [0, n) of kv into the scratch: K's blocks, each
+// cut at n and checked to hold its kvDim rows, padded with empty blocks
+// to a whole number of fours, and V's rows cut to kvDim. A block that
+// breaks KBlock's contract panics here, before any body reads it.
+func (sc *AttendScratch) gather(kv KVRows, n, kvDim int) {
+	sc.blocks, sc.stride = sc.blocks[:0], 0
+	for p := 0; p < n; {
+		k, m, stride := kv.KBlock(p)
+		m = min(m, n-p)
+		if m < 1 || m > KBlockPositions || stride < m || (sc.stride != 0 && stride != sc.stride) || len(k) < (kvDim-1)*stride+m {
+			panic("tensor: KBlock broke its contract")
+		}
+		sc.stride = stride
+		sc.blocks = append(sc.blocks, kBlock{k: k, p0: p, n: m, mask: 1<<m - 1})
+		p += m
+	}
+	sc.nb = len(sc.blocks)
+	for sc.nb > 0 && len(sc.blocks)%4 != 0 {
+		sc.blocks = append(sc.blocks, kBlock{k: sc.blocks[0].k})
+	}
+	sc.vrows = sc.vrows[:0]
+	for p := range n {
+		sc.vrows = append(sc.vrows, kv.VRow(p)[:kvDim])
+	}
 }
 
 // attendRanges runs item ranges [lo, hi) of ranges. Range r takes items
 // r, r+ranges, r+2*ranges, ... — under the causal mask later rows see
 // more positions, and striding spreads them evenly where contiguous
-// blocks would not — and scores them in row r of scores.
-func attendRanges(q Mat, kv KVRows, pos, heads, group int, out, scores Mat, ranges, lo, hi int) {
+// blocks would not — and scores them in row r of the scratch's scores.
+func attendRanges(q Mat, sc *AttendScratch, pos, heads, group int, out Mat, ranges, lo, hi int) {
 	items := q.R * heads
 	for r := lo; r < hi; r++ {
 		for item := r; item < items; item += ranges {
-			attendItem(q, kv, pos, item/heads, item%heads, heads, group, out, scores.Row(r))
+			attendItem(q, sc, pos, item/heads, item%heads, heads, group, out, sc.scores.Row(r))
 		}
 	}
 }
 
 // attendItem is query row i's head: scores over the visible cache in the
 // range's reusable score row — every s[p] is assigned before it is read,
-// so stale values from the previous item never leak — the softmax, and
-// the weighted sum of V rows into out.
-func attendItem(q Mat, kv KVRows, pos, i, head, heads, group int, out Mat, row []float32) {
-	headDim := q.C / heads
-	off := head / group * headDim
+// so stale values from the previous item never leak — the softmax, its
+// weights w[p] = s[p]*inv stored rounded in place, and the weighted sum
+// of V rows into out.
+func attendItem(q Mat, sc *AttendScratch, pos, i, head, heads, group int, out Mat, row []float32) {
+	hd := q.C / heads
+	off := head / group * hd
 	s := row[:pos+i+1]
-	attendScores(s, q.Row(i)[head*headDim:(head+1)*headDim], kv, off)
-	inv := softmax(s, 1/float32(math.Sqrt(float64(headDim))))
-	attendValues(out.Row(i)[head*headDim:(head+1)*headDim], s, inv, kv, off)
+	attendScores(s, q.Row(i)[head*hd:(head+1)*hd], sc.blocks, sc.nb, sc.stride, off)
+	inv := softmax(s, 1/float32(math.Sqrt(float64(hd))))
+	for p := range s {
+		s[p] *= inv
+	}
+	attendValues(out.Row(i)[head*hd:(head+1)*hd], s, sc.vrows[:len(s)], off)
 }
 
 // softmax scales s in place, finds the running max, exponentiates the
@@ -149,41 +231,36 @@ func softmax(s []float32, scale float32) float32 {
 // widest tile, so that every tile of QKᵀ reads whole panel columns.
 func tilePositions(n int) int { return (n + 31) &^ 31 }
 
-// tiles lays out the tiles' scratch for positions [0, n) of kv and
-// ranges item ranges (see AttendScratch): kvDim is the K/V row width, hd
-// the head width. Head by head, kt is K transposed, kt[d*lp+p] = K_p[d];
-// it is written sixteen positions at a time, so each store fills a cache
-// line that the next fifteen positions' stores would otherwise each miss
-// on again.
-func (sc *AttendScratch) tiles(kv KVRows, n, kvDim, hd, ranges int) {
+// tiles sizes the tiles' scratch for positions [0, n) and ranges item
+// ranges (see AttendScratch); kvDim is the K/V row width.
+func (sc *AttendScratch) tiles(n, kvDim, ranges int) {
 	lp := tilePositions(n)
 	if len(sc.tile) < 6*ranges*lp {
 		sc.tile = make([]float32, 6*ranges*lp)
 	}
-	need := kvDim * lp
-	if len(sc.kt) < need {
+	if need := kvDim * lp; len(sc.kt) < need {
 		sc.kt, sc.v = make([]float32, need), make([]float32, need)
 	}
-	kt, v := sc.kt[:need], sc.v[:need]
-	var rows [16][]float32
-	for p0 := 0; p0 < n; p0 += len(rows) {
-		m := min(len(rows), n-p0)
-		for j := range m {
-			rows[j] = kv.KRow(p0 + j)[:kvDim]
-			vrow := kv.VRow(p0 + j)[:kvDim]
-			for off := 0; off < kvDim; off += hd {
-				copy(v[off*lp+(p0+j)*hd:], vrow[off:off+hd])
-			}
-		}
-		for d := 0; d < kvDim; d++ {
-			t := kt[d*lp+p0 : d*lp+p0+m]
-			for j := range t {
-				t[j] = rows[j][d]
-			}
+}
+
+// panels fills KV head kh's panels from the gathered cache of n
+// positions: its hd rows of K, kt[d*lp+p] = K_p[d] with zeros past n,
+// copied a block row at a time — the blocks are d-major already, so
+// nothing is transposed — and its n rows of V.
+func (sc *AttendScratch) panels(kh, hd, n int) {
+	lp := tilePositions(n)
+	off := kh * hd
+	kt, v := sc.kt[off*lp:(off+hd)*lp], sc.v[off*lp:(off+hd)*lp]
+	for _, b := range sc.blocks[:sc.nb] {
+		for d := range hd {
+			copy(kt[d*lp+b.p0:d*lp+b.p0+b.n], b.k[(off+d)*sc.stride:])
 		}
 	}
-	for d := 0; d < kvDim; d++ {
+	for d := range hd {
 		clear(kt[d*lp+n : (d+1)*lp])
+	}
+	for p, row := range sc.vrows {
+		copy(v[p*hd:(p+1)*hd], row[off:off+hd])
 	}
 }
 
@@ -191,7 +268,7 @@ func (sc *AttendScratch) tiles(kv KVRows, n, kvDim, hd, ranges int) {
 // units r, r+ranges, ... of the (block, head) units and then the (row,
 // head) items of the rows past the last whole block, the blocks in
 // score rows [6r, 6r+6) of sc.tile and the items in row 6r.
-func attendTileRanges(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *AttendScratch, ranges, lo, hi int) {
+func attendTileRanges(q Mat, pos, heads, group int, out Mat, sc *AttendScratch, ranges, lo, hi int) {
 	hd := q.C / heads
 	lp := tilePositions(pos + q.R)
 	blocks := q.R / 6
@@ -201,7 +278,7 @@ func attendTileRanges(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *Atte
 		for u := r; u < units; u += ranges {
 			b, head := u/heads, u%heads
 			if b >= blocks {
-				attendItem(q, kv, pos, 6*blocks+b-blocks, head, heads, group, out, s[:lp])
+				attendItem(q, sc, pos, 6*blocks+b-blocks, head, heads, group, out, s[:lp])
 				continue
 			}
 			off := head / group * hd
@@ -265,8 +342,8 @@ func attendBlock(q Mat, i0, col, hd, pos int, kt, v []float32, out Mat, s []floa
 }
 
 // panelValues adds to dst, in ascending p from p0, w[p] times the V
-// panel's row p (rows ld apart), four positions per pass as
-// attendValues goes.
+// panel's row p (rows ld apart), four positions per pass (axpy4), each
+// element's terms still one by one.
 func panelValues(dst, w []float32, p0 int, v []float32, ld int) {
 	if len(dst) == 0 {
 		return
@@ -288,36 +365,35 @@ func expShiftRef(s []float32, shift float32) {
 	}
 }
 
-// attendScores sets s[p] to the dot of qh with position p's K row from
-// off, four cached positions per pass as the dense logits' dots go
-// (matMulTTile; the packed logits take sixteen table rows per vector on
-// AVX-512, which needs the rows' operands side by side — for K rows,
-// a transposed page). It and
-// attendValues are functions of their own because inlined into
-// attendRanges, among its many live values, the dots ran 10-20 % slower
-// (BenchmarkAttendSplit).
-func attendScores(s, qh []float32, kv KVRows, off int) {
-	p := 0
-	for ; p+4 <= len(s); p += 4 {
-		s[p], s[p+1], s[p+2], s[p+3] = dot4From(0, 0, 0, 0, qh,
-			kv.KRow(p)[off:], kv.KRow(p + 1)[off:], kv.KRow(p + 2)[off:], kv.KRow(p + 3)[off:])
-	}
-	for ; p < len(s); p++ {
-		s[p] = dot(qh, kv.KRow(p)[off:])
+// attendBody is the vector level of the decode attention bodies.
+type attendBody uint8
+
+const (
+	attendTwin attendBody = iota // the Go twins (scoreBlockRef, valuesRef)
+	attendSSE2                   // scoresSSE, valuesSSE
+	attend512                    // scoresAVX512, valuesAVX512
+)
+
+// scoreBlockRef sets the scores of positions [from, m) of block b: the
+// Go twin of the score bodies, one ascending-d chain per position.
+func scoreBlockRef(s, qh []float32, b kBlock, stride, off, from, m int) {
+	for j := from; j < m; j++ {
+		var t float32
+		for d, x := range qh {
+			t += float32(x * b.k[(off+d)*stride+j])
+		}
+		s[b.p0+j] = t
 	}
 }
 
-// attendValues adds to dst the V rows from off weighted by s[p]*inv:
-// the matmuls' accumulate over four positions at a time, dst[d] still
-// adding its terms one by one in ascending p, so the bits are the
-// one-position loop's.
-func attendValues(dst, s []float32, inv float32, kv KVRows, off int) {
-	p := 0
-	for ; p+4 <= len(s); p += 4 {
-		axpy4(dst, s[p]*inv, s[p+1]*inv, s[p+2]*inv, s[p+3]*inv,
-			kv.VRow(p)[off:], kv.VRow(p + 1)[off:], kv.VRow(p + 2)[off:], kv.VRow(p + 3)[off:])
-	}
-	for ; p < len(s); p++ {
-		axpy(dst, s[p]*inv, kv.VRow(p)[off:])
+// valuesRef is the Go twin of the value bodies: columns [from, len(dst))
+// of dst, each one ascending-p chain.
+func valuesRef(dst, w []float32, vrows [][]float32, off, from int) {
+	for d := from; d < len(dst); d++ {
+		t := dst[d]
+		for p, wp := range w {
+			t += float32(wp * vrows[p][off+d])
+		}
+		dst[d] = t
 	}
 }

@@ -125,14 +125,61 @@ func TestTranscendentalsGuardPage(t *testing.T) {
 	}
 }
 
-// kvRowSlices is a KV cache whose every row is a slice of its own.
-type kvRowSlices struct{ k, v [][]float32 }
+// guardedKV copies kv into guarded memory: each K page exactly as long
+// as KBlock's contract needs — its rows pt apart, the last row ending at
+// the page's last cached position — and each V row, each ending at a
+// guard page.
+func guardedKV(t *testing.T, kv kvMats) kvMats {
+	g := kv
+	g.pages = nil
+	for i, page := range kv.pages {
+		filled := min(kv.pt, kv.k.R-i*kv.pt)
+		gp := guarded(t, (kv.k.C-1)*kv.pt+filled)
+		copy(gp, page)
+		g.pages = append(g.pages, gp)
+	}
+	g.vrows = nil
+	for p := 0; p < kv.v.R; p++ {
+		gv := guarded(t, kv.v.C)
+		copy(gv, kv.v.Row(p))
+		g.vrows = append(g.vrows, gv)
+	}
+	return g
+}
 
-func (c kvRowSlices) KRow(p int) []float32 { return c.k[p] }
-func (c kvRowSlices) VRow(p int) []float32 { return c.v[p] }
+// Decode attention's block and row reads with every operand ending
+// exactly at a guard page: q, out, the score row, each K page (its last
+// block's last row ends at the last cached position) and each V row, on
+// pages of 1, 5, 16, 17 and 32 positions, at each decode body the host
+// has. A body that loads or stores a lane past a short block, a head's
+// columns or a row crashes the test binary here.
+func TestAttendBlockGuardPage(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(66))
+	eachAttendLevel(t, func(t *testing.T) {
+		for _, pt := range []int{1, 5, 16, 17, 32} {
+			for _, hd := range []int{8, 16, 48, 64, 128} {
+				for _, pos := range []int{0, 4, 15, 16, 40, 70} {
+					for _, rows := range []int{1, 2} {
+						const heads, group = 3, 3
+						q, kv := attendCase(rng, rows, pos, heads, group, hd, 8)
+						kv = kv.paged(pt)
+						want := attendRef(q, kv, pos, heads, group)
+						gq := Mat{R: q.R, C: q.C, Data: guarded(t, len(q.Data))}
+						copy(gq.Data, q.Data)
+						sc := AttendScratch{scores: Mat{R: 1, C: pos + rows, Data: guarded(t, pos+rows)}}
+						got := Mat{R: rows, C: q.C, Data: guarded(t, rows*q.C)}
+						Attend(gq, guardedKV(t, kv), pos, heads, group, got, &sc)
+						assertSameMat(t, fmt.Sprintf("page %d, head width %d, pos %d, rows %d", pt, hd, pos, rows), want, got)
+					}
+				}
+			}
+		}
+	})
+}
 
 // Prefill attention on the register tiles with every operand ending
-// exactly at a guard page: q, out, each cached K and V row, the score
+// exactly at a guard page: q, out, each K page and V row, the score
 // rows, and the transposed K and gathered V panels, each scratch part
 // exactly the size the call needs. A tile or a tail that reads or writes
 // a vector past any of them crashes the test binary here.
@@ -149,18 +196,11 @@ func TestAttendTileGuardPage(t *testing.T) {
 					want := attendRef(q, kv, pos, heads, group)
 					gq := Mat{R: q.R, C: q.C, Data: guarded(t, len(q.Data))}
 					copy(gq.Data, q.Data)
-					var gkv kvRowSlices
-					for p := 0; p < kv.k.R; p++ {
-						k, v := guarded(t, kv.k.C), guarded(t, kv.v.C)
-						copy(k, kv.k.Row(p))
-						copy(v, kv.v.Row(p))
-						gkv.k, gkv.v = append(gkv.k, k), append(gkv.v, v)
-					}
 					n := pos + rows
 					lp, kvDim := tilePositions(n), kv.k.C
 					sc := AttendScratch{tile: guarded(t, 6*lp), kt: guarded(t, kvDim*lp), v: guarded(t, kvDim*lp)}
 					got := Mat{R: rows, C: q.C, Data: guarded(t, rows*q.C)}
-					Attend(gq, gkv, pos, heads, group, got, &sc)
+					Attend(gq, guardedKV(t, kv.paged(17)), pos, heads, group, got, &sc)
 					assertSameMat(t, fmt.Sprintf("head width %d, group %d, rows %d", hd, group, rows), want, got)
 				}
 			}

@@ -5,9 +5,9 @@ import "helmsim/internal/quant"
 // axpy4 adds four terms to every element of o — a0*b0[j], then a1*b1[j],
 // a2*b2[j], a3*b3[j] — with the running sum in a register. It is the one
 // accumulate every matmul in the package runs, dense or fused, which is
-// what makes their outputs agree bit for bit, and attention's weighted
-// sum of V rows. Only the first len(o) elements of each b are read; a
-// shorter b panics.
+// what makes their outputs agree bit for bit, and the tail of prefill
+// attention's weighted sum of V rows. Only the first len(o) elements of
+// each b are read; a shorter b panics.
 //
 // On amd64 the loop is axpy4SSE (kernels_amd64.s): four columns of o per
 // vector. The lanes are columns, not terms, because an output element's
@@ -17,10 +17,11 @@ import "helmsim/internal/quant"
 // by construction; lanes over k would need a horizontal add, which
 // reorders the sum. No fused multiply-add for the same reason (one
 // rounding, not two). axpy4 is always SSE2, which every amd64 has
-// (GOAMD64=v1): it serves dense decode GEMVs and attention, short bursts
-// where a 256-bit body measured slower. The wider bodies are chosen once
-// from CPUID: the tall GEMM's register tiles (tile6x16 on AVX, tile6x32
-// on AVX-512) here, and in internal/quant, whose probe both packages
+// (GOAMD64=v1): it serves dense decode GEMVs, short bursts where a
+// 256-bit body measured slower. The wider bodies are chosen once from
+// CPUID: the tall GEMM's register tiles (tile6x16 on AVX, tile6x32 on
+// AVX-512) and decode attention's sixteen lanes (attendScores,
+// attendValues) here, and in internal/quant, whose probe both packages
 // read, the fused 4-bit kernels' AVX-512 bodies: the GEMV of a decode
 // step's one to eight rows (Packed.Gemv) and the logits'
 // sixteen-table-row leaf (Packed.GemvT).
@@ -58,6 +59,94 @@ var (
 	wideAccumulate = quant.CPUHasAVX()
 	wide512        = quant.CPUHasAVX512()
 )
+
+// attendLanes is the level of decode attention's bodies, chosen once
+// from the same probe: attend512 on a host with AVX-512, attendSSE2 on
+// every other amd64. A variable so that tests can run each level,
+// attendTwin included.
+var attendLanes = func() attendBody {
+	if wide512 {
+		return attend512
+	}
+	return attendSSE2
+}()
+
+// attendScores sets s[p], for every position p < len(s), to the dot of
+// qh with position p's K row from off: each score one ascending-d chain
+// from zero, the product rounded before the sum, as dot adds. blocks are
+// the call's gathered K blocks, nb of them real (padded to a whole
+// number of fours), row d of KV column off+d at k[(off+d)*stride:]. On
+// AVX-512 one lane per position and four blocks a group (scoresAVX512):
+// the whole groups that s covers in one call, then the group that s ends
+// in, copied with each block cut at len(s) and padded with empty blocks —
+// masked lanes, so a short block needs no tail. With SSE2 four positions
+// per vector, a block at a time (scoresSSE), its positions past the last
+// whole vector in the Go twin; the twin takes all of them at attendTwin.
+func attendScores(s, qh []float32, blocks []kBlock, nb, stride, off int) {
+	hd := len(qh)
+	switch attendLanes {
+	case attend512:
+		g := 0
+		for g+4 <= nb && blocks[g+3].p0+blocks[g+3].n <= len(s) {
+			g += 4
+		}
+		if g > 0 {
+			scoresAVX512(&s[0], &qh[0], hd, &blocks[0], g/4, stride, off*stride)
+		}
+		if g == nb || blocks[g].p0 >= len(s) {
+			return
+		}
+		var tail [4]kBlock
+		for j := range tail {
+			tail[j] = kBlock{k: blocks[g].k}
+			if g+j < nb && blocks[g+j].p0 < len(s) {
+				b := blocks[g+j]
+				b.n = min(b.n, len(s)-b.p0)
+				b.mask = 1<<b.n - 1
+				tail[j] = b
+			}
+		}
+		scoresAVX512(&s[blocks[g].p0], &qh[0], hd, &tail[0], 1, stride, off*stride)
+	default:
+		for _, b := range blocks[:nb] {
+			if b.p0 >= len(s) {
+				break
+			}
+			m, from := min(b.n, len(s)-b.p0), 0
+			if attendLanes == attendSSE2 && m >= 4 {
+				from = m &^ 3
+				scoresSSE(&s[b.p0], &qh[0], hd, &b.k[off*stride], stride, m/4)
+			}
+			scoreBlockRef(s, qh, b, stride, off, from, m)
+		}
+	}
+}
+
+// attendValues adds to dst, lanes over its columns, each V row's columns
+// from off weighted by w[p], p ascending: dst[d] adds its terms one by
+// one, the product rounded before the sum, so the bits are the
+// one-position loop's. On AVX-512 sixty-four columns a pass
+// (valuesAVX512), the columns past hd masked off; with SSE2 sixteen a
+// pass (valuesSSE), the columns past the last sixteen in the Go twin;
+// the twin takes all of them at attendTwin.
+func attendValues(dst, w []float32, vrows [][]float32, off int) {
+	hd, c := len(dst), 0
+	switch attendLanes {
+	case attend512:
+		for ; c < hd; c += 64 {
+			m := hd - c
+			valuesAVX512(&dst[c], &w[0], &vrows[0], len(w), off+c, laneMask(m), laneMask(m-16), laneMask(m-32), laneMask(m-48))
+		}
+	case attendSSE2:
+		for ; c+16 <= hd; c += 16 {
+			valuesSSE(&dst[c], &w[0], &vrows[0], len(w), off+c)
+		}
+	}
+	valuesRef(dst, w, vrows, off, c)
+}
+
+// laneMask is the mask of the first n of sixteen lanes.
+func laneMask(n int) uint16 { return uint16(1<<min(max(n, 0), 16) - 1) }
 
 // geluElems applies GELU to data in place. On a host with AVX the whole
 // vectors of four go through geluAVX and the n mod 4 tail through
@@ -134,6 +223,18 @@ func axpy4SSE(o *float32, n int, a0, a1, a2, a3 float32, b0, b1, b2, b3 *float32
 
 //go:noescape
 func axpy4x2SSE(o0, o1 *float32, n int, a0, a1 *[4]float32, b0, b1, b2, b3 *float32)
+
+//go:noescape
+func scoresAVX512(s, q *float32, hd int, blocks *kBlock, groups, stride, koff int)
+
+//go:noescape
+func scoresSSE(s, q *float32, hd int, k *float32, stride, vecs int)
+
+//go:noescape
+func valuesAVX512(dst, w *float32, rows *[]float32, n, off int, m0, m1, m2, m3 uint16)
+
+//go:noescape
+func valuesSSE(dst, w *float32, rows *[]float32, n, off int)
 
 //go:noescape
 func tile6x16AVX(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k int)

@@ -840,3 +840,249 @@ tanh64loop:
 
 tanh64done:
 	RET
+
+// Decode attention's bodies (attendScores, attendValues in attend.go):
+// lanes over positions for the scores, over head columns for the
+// weighted sum of V rows, so that a lane is one output's own ascending
+// chain — q[d]·K[p][d] over d, w[p]·V[p][d] over p — multiplied and
+// added with the roundings of MULSS and ADDSS. No VFMADD, nothing summed
+// across lanes, every load and store unaligned. The AVX-512 bodies mask
+// the lanes past a short block or past the head width: masked loads
+// read nothing there (a masked-off element never faults) and masked
+// stores write nothing, so they need no tail.
+
+// func scoresAVX512(s, q *float32, hd int, blocks *kBlock, groups, stride, koff int)
+//
+// groups groups of four K blocks (kBlock, 48 bytes: k's data pointer at
+// 0, n at 32, the lane mask at 40), their scores stored to s one block
+// after another, n apiece. Block j's row d starts at k + (koff +
+// d*stride)*4 bytes; its sixteen lanes accumulate in Zj from zero. Per
+// d, q[d] is broadcast into Z4, multiplied into each block's row under
+// its mask (zeroed past n) and added to the running sum: four
+// independent chains in flight hide the add's latency.
+TEXT ·scoresAVX512(SB), NOSPLIT, $0-56
+	MOVQ         s+0(FP), DI
+	MOVQ         q+8(FP), SI
+	MOVQ         hd+16(FP), CX
+	MOVQ         blocks+24(FP), R12
+	MOVQ         groups+32(FP), R13
+	MOVQ         stride+40(FP), DX
+	MOVQ         koff+48(FP), AX
+	SHLQ         $2, DX
+	SHLQ         $2, AX
+
+sgroup:
+	MOVQ         0(R12), R8
+	KMOVW        40(R12), K1
+	MOVQ         48(R12), R9
+	KMOVW        88(R12), K2
+	MOVQ         96(R12), R10
+	KMOVW        136(R12), K3
+	MOVQ         144(R12), R11
+	KMOVW        184(R12), K4
+	ADDQ         AX, R8
+	ADDQ         AX, R9
+	ADDQ         AX, R10
+	ADDQ         AX, R11
+	VPXORD       Z0, Z0, Z0
+	VPXORD       Z1, Z1, Z1
+	VPXORD       Z2, Z2, Z2
+	VPXORD       Z3, Z3, Z3
+	XORQ         BX, BX
+
+sd:
+	VBROADCASTSS (SI)(BX*4), Z4
+	VMULPS.Z     (R8), Z4, K1, Z5
+	VADDPS       Z5, Z0, Z0
+	VMULPS.Z     (R9), Z4, K2, Z6
+	VADDPS       Z6, Z1, Z1
+	VMULPS.Z     (R10), Z4, K3, Z7
+	VADDPS       Z7, Z2, Z2
+	VMULPS.Z     (R11), Z4, K4, Z8
+	VADDPS       Z8, Z3, Z3
+	ADDQ         DX, R8
+	ADDQ         DX, R9
+	ADDQ         DX, R10
+	ADDQ         DX, R11
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          sd
+	VMOVUPS      Z0, K1, (DI)
+	MOVQ         32(R12), BX
+	LEAQ         (DI)(BX*4), DI
+	VMOVUPS      Z1, K2, (DI)
+	MOVQ         80(R12), BX
+	LEAQ         (DI)(BX*4), DI
+	VMOVUPS      Z2, K3, (DI)
+	MOVQ         128(R12), BX
+	LEAQ         (DI)(BX*4), DI
+	VMOVUPS      Z3, K4, (DI)
+	MOVQ         176(R12), BX
+	LEAQ         (DI)(BX*4), DI
+	ADDQ         $192, R12
+	DECQ         R13
+	JNE          sgroup
+	VZEROUPPER
+	RET
+
+// func scoresSSE(s, q *float32, hd int, k *float32, stride, vecs int)
+//
+// One K block's first 4*vecs positions, four per vector: row d at k +
+// d*stride*4 bytes. A whole block (vecs = 4) keeps its four vectors'
+// chains in X0-X3 at once; fewer are run one vector at a time.
+TEXT ·scoresSSE(SB), NOSPLIT, $0-48
+	MOVQ   s+0(FP), DI
+	MOVQ   q+8(FP), SI
+	MOVQ   hd+16(FP), CX
+	MOVQ   k+24(FP), R8
+	MOVQ   stride+32(FP), DX
+	MOVQ   vecs+40(FP), R9
+	SHLQ   $2, DX
+	CMPQ   R9, $4
+	JLT    sone
+	XORPS  X0, X0
+	XORPS  X1, X1
+	XORPS  X2, X2
+	XORPS  X3, X3
+	XORQ   BX, BX
+
+squad:
+	MOVSS  (SI)(BX*4), X4
+	SHUFPS $0, X4, X4
+	MOVUPS (R8), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+	MOVUPS 16(R8), X6
+	MULPS  X4, X6
+	ADDPS  X6, X1
+	MOVUPS 32(R8), X7
+	MULPS  X4, X7
+	ADDPS  X7, X2
+	MOVUPS 48(R8), X8
+	MULPS  X4, X8
+	ADDPS  X8, X3
+	ADDQ   DX, R8
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    squad
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	RET
+
+sone:
+	TESTQ  R9, R9
+	JEQ    sdone
+	XORPS  X0, X0
+	XORQ   BX, BX
+	MOVQ   R8, R10
+
+sonek:
+	MOVSS  (SI)(BX*4), X4
+	SHUFPS $0, X4, X4
+	MOVUPS (R10), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+	ADDQ   DX, R10
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    sonek
+	MOVUPS X0, (DI)
+	ADDQ   $16, DI
+	ADDQ   $16, R8
+	DECQ   R9
+	JMP    sone
+
+sdone:
+	RET
+
+// func valuesAVX512(dst, w *float32, rows *[]float32, n, off int, m0, m1, m2, m3 uint16)
+//
+// Sixty-four columns of dst, under the four lane masks m0-m3: they are
+// loaded once into Z0-Z3 and stored once, and in between every row p < n
+// adds w[p]·rows[p][off+c] to each, p ascending. rows is a slice of
+// slices (24 bytes an entry, the data pointer first).
+TEXT ·valuesAVX512(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         w+8(FP), SI
+	MOVQ         rows+16(FP), R12
+	MOVQ         n+24(FP), CX
+	MOVQ         off+32(FP), AX
+	KMOVW        m0+40(FP), K1
+	KMOVW        m1+42(FP), K2
+	KMOVW        m2+44(FP), K3
+	KMOVW        m3+46(FP), K4
+	SHLQ         $2, AX
+	VMOVUPS.Z    (DI), K1, Z0
+	VMOVUPS.Z    64(DI), K2, Z1
+	VMOVUPS.Z    128(DI), K3, Z2
+	VMOVUPS.Z    192(DI), K4, Z3
+	XORQ         BX, BX
+
+vp:
+	MOVQ         (R12), R8
+	ADDQ         AX, R8
+	VBROADCASTSS (SI)(BX*4), Z4
+	VMULPS.Z     (R8), Z4, K1, Z5
+	VADDPS       Z5, Z0, Z0
+	VMULPS.Z     64(R8), Z4, K2, Z6
+	VADDPS       Z6, Z1, Z1
+	VMULPS.Z     128(R8), Z4, K3, Z7
+	VADDPS       Z7, Z2, Z2
+	VMULPS.Z     192(R8), Z4, K4, Z8
+	VADDPS       Z8, Z3, Z3
+	ADDQ         $24, R12
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          vp
+	VMOVUPS      Z0, K1, (DI)
+	VMOVUPS      Z1, K2, 64(DI)
+	VMOVUPS      Z2, K3, 128(DI)
+	VMOVUPS      Z3, K4, 192(DI)
+	VZEROUPPER
+	RET
+
+// func valuesSSE(dst, w *float32, rows *[]float32, n, off int)
+//
+// valuesAVX512 at four lanes a vector: sixteen columns of dst in X0-X3,
+// loaded once and stored once, every row p < n adding w[p]·rows[p][off+c].
+TEXT ·valuesSSE(SB), NOSPLIT, $0-40
+	MOVQ   dst+0(FP), DI
+	MOVQ   w+8(FP), SI
+	MOVQ   rows+16(FP), R12
+	MOVQ   n+24(FP), CX
+	MOVQ   off+32(FP), AX
+	SHLQ   $2, AX
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	XORQ   BX, BX
+
+vsp:
+	MOVQ   (R12), R8
+	ADDQ   AX, R8
+	MOVSS  (SI)(BX*4), X4
+	SHUFPS $0, X4, X4
+	MOVUPS (R8), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+	MOVUPS 16(R8), X6
+	MULPS  X4, X6
+	ADDPS  X6, X1
+	MOVUPS 32(R8), X7
+	MULPS  X4, X7
+	ADDPS  X7, X2
+	MOVUPS 48(R8), X8
+	MULPS  X4, X8
+	ADDPS  X8, X3
+	ADDQ   $24, R12
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    vsp
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	RET

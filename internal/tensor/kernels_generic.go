@@ -4,8 +4,8 @@ package tensor
 
 // axpy4 adds four terms to every element of o — a0*b0[j], then a1*b1[j],
 // a2*b2[j], a3*b3[j]: the one accumulate every matmul in the package
-// runs, and attention's. Off amd64 it is the reference loop (see
-// kernels_amd64.go).
+// runs, and prefill attention's tails. Off amd64 it is the reference loop
+// (see kernels_amd64.go).
 func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	axpy4Ref(o, a0, a1, a2, a3, b0, b1, b2, b3)
 }
@@ -18,6 +18,22 @@ func axpy4x2(o0, o1, a0, a1, b0, b1, b2, b3 []float32) {
 // wideAccumulate and wide512 are always false off amd64: there is no
 // register tile and no vector transcendental.
 var wideAccumulate, wide512 bool
+
+// attendLanes is always the Go twins off amd64.
+var attendLanes = attendTwin
+
+// attendScores and attendValues are the decode attention's Go twins off
+// amd64 (see kernels_amd64.go).
+func attendScores(s, qh []float32, blocks []kBlock, nb, stride, off int) {
+	for _, b := range blocks[:nb] {
+		if b.p0 >= len(s) {
+			break
+		}
+		scoreBlockRef(s, qh, b, stride, off, 0, min(b.n, len(s)-b.p0))
+	}
+}
+
+func attendValues(dst, w []float32, vrows [][]float32, off int) { valuesRef(dst, w, vrows, off, 0) }
 
 // geluElems, siluElems and expShift are their scalar bodies off amd64.
 func geluElems(data []float32)            { geluRef(data) }

@@ -68,13 +68,16 @@ const (
 	actGrain = 128
 	// minAttendWork gates attention: (row, head) items x visible
 	// positions x head width below which Attend stays on the calling
-	// goroutine, where the serial attention costs about the fork floor
-	// above, for its reasons. bench-ooc's decode attention (6 heads x 64
-	// wide) reaches it at 43 cached positions and wins by forking from
-	// there on (BenchmarkAttendSplit; the timings are in EXPERIMENTS.md,
-	// "fork thresholds"). bench-tiny's (4 x 16) would need 256 positions
-	// and its traffic stops at 144.
-	minAttendWork = 1 << 14
+	// goroutine. On the sixteen-lane bodies a decode attention call is
+	// bound by streaming its K and V, and two workers pull them faster
+	// only once they spill out of one core's cache: bench-ooc's (6 heads
+	// x 64 wide) ties serial from 40 to 84 cached positions and wins by
+	// forking from about 100 on (BenchmarkAttendDecode; the timings are
+	// in EXPERIMENTS.md, "decode attention at sixteen lanes"), so it
+	// forks from 86 up and the positions below leave the second worker
+	// to the prefetch lane. bench-tiny's (4 x 16) would need 512
+	// positions and its traffic stops at 144.
+	minAttendWork = 1 << 15
 )
 
 // SetParallelism sets the worker count shared by every kernel in this
@@ -105,6 +108,7 @@ const (
 	kGELU
 	kSiLU
 	kAttend
+	kAttendPanels
 	kAttendTile
 )
 
@@ -130,8 +134,8 @@ type forkOperands struct {
 	cols, tile  int
 	gamma, beta []float32
 	eps         float32
-	// Attention's operands besides q (a) and out.
-	kv                        KVRows
+	// Attention's operands besides q (a) and out; the scratch holds the
+	// gathered cache.
 	attn                      *AttendScratch
 	pos, heads, group, ranges int
 }
@@ -193,9 +197,13 @@ func (f *forkCall) chunk(lo, hi int) {
 	case kSiLU:
 		siluElems(f.a.Data[lo:hi])
 	case kAttend:
-		attendRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.attn.scores, f.ranges, lo, hi)
+		attendRanges(f.a, f.attn, f.pos, f.heads, f.group, f.out, f.ranges, lo, hi)
+	case kAttendPanels:
+		for kh := lo; kh < hi; kh++ {
+			f.attn.panels(kh, f.a.C/f.heads, f.pos+f.a.R)
+		}
 	case kAttendTile:
-		attendTileRanges(f.a, f.kv, f.pos, f.heads, f.group, f.out, f.attn, f.ranges, lo, hi)
+		attendTileRanges(f.a, f.pos, f.heads, f.group, f.out, f.attn, f.ranges, lo, hi)
 	}
 }
 

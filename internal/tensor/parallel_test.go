@@ -106,7 +106,7 @@ func TestKernelParallelismInvariance(t *testing.T) {
 
 		const pos = 40
 		heads := sh.k / 16
-		kv := kvMats{randMat(pos+sh.r, sh.k/2, rng.Int63()), randMat(pos+sh.r, sh.k/2, rng.Int63())}
+		kv := newKV(randMat(pos+sh.r, sh.k/2, rng.Int63()), randMat(pos+sh.r, sh.k/2, rng.Int63()))
 
 		type result struct{ mm, mmt, ln, rms, gelu, silu, att, add []float32 }
 		runAll := func(par int) result {
@@ -194,7 +194,7 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 			act := randMat(1, 1536, int64(200+g))
 			wantAct := act.Clone()
 			geluRef(wantAct.Data)
-			q, kv := randMat(1, 384, int64(300+g)), kvMats{randMat(150, 384, int64(400+g)), randMat(150, 384, int64(500+g))}
+			q, kv := randMat(1, 384, int64(300+g)), newKV(randMat(150, 384, int64(400+g)), randMat(150, 384, int64(500+g)))
 			wantAtt, att, scores := attendRef(q, kv, 149, 6, 1), New(1, 384), AttendScratch{}
 			for round := 0; round < 50; round++ {
 				if err := MatMulInto(a, b, out); err != nil {

@@ -11,9 +11,10 @@
 // GEMM taller than a decode step runs register tiles of 6 rows x 16 (or
 // 32) columns whose sums stay in registers across all of k, over panels of
 // b that stay in cache across the rows (a prefill's attention runs its
-// two GEMMs per head, QKᵀ and PV, on the same tiles), and the transposed
-// matmul runs four dot products at once so the adds overlap, as a decode
-// step's attention scores do — and parallelism: the matmuls, norms, activations and attention split
+// two GEMMs per head, QKᵀ and PV, on the same tiles), the transposed
+// matmul runs four dot products at once so the adds overlap, and a decode
+// step's attention runs sixteen lanes of positions or head columns over K
+// cached d-major (attend.go) — and parallelism: the matmuls, norms, activations and attention split
 // their index spaces over the
 // shared fork-join of internal/parallel (rows when the batch is tall,
 // one tile of output columns per worker when it is not, and one share of
