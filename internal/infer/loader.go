@@ -378,8 +378,10 @@ func (l *loader) fetchTensor(w *weight, layer int, name string, dst []float32, r
 
 // read fetches one tensor into w by the best path the store offers for
 // it: a packed view when the store serves the tensor packed, else f32 —
-// decoded into dst (never for a resident tensor), as a borrowed view, or
-// as the store's Tensor.
+// decoded into dst, as a borrowed view, or as the store's Tensor. A
+// resident tensor (residentParam) is never decoded into dst: it comes
+// through Tensor, a FileStore's read-only view of its arena, and only
+// what TensorInto decoded (w.decoded) becomes a decode buffer.
 func (l *loader) read(w *weight, layer int, name string, dst []float32) error {
 	*w = weight{}
 	if l.packed != nil {

@@ -28,7 +28,11 @@ type storeKey struct {
 // WeightStore provides a layer's named tensors on demand.
 type WeightStore interface {
 	// Tensor returns the float32 contents of the named tensor of the
-	// given schedulable layer.
+	// given schedulable layer. The result may be a read-only view of
+	// the store's own storage (FileStore serves its resident norms and
+	// biases so): the caller must never write to it, nor decode into it,
+	// and may hold it only while the store stays open. A caller that
+	// needs its own copy makes one.
 	Tensor(layer int, name string) ([]float32, error)
 }
 
@@ -170,9 +174,16 @@ func isNormParam(name string) bool {
 
 // residentParam reports whether the tensor is one HeLM keeps resident
 // beside the compute (its first placement rule: the biases and norms of
-// both layer types): a norm gain, a bias or a norm shift. A FileStore
-// decodes those stored raw once and serves them from memory, and the
-// loader fetches them through Tensor, never into a recycled buffer.
+// both layer types): a norm gain, a bias or a norm shift. It is the one
+// statement of that rule, and both sides of a fetch read it: a FileStore
+// decodes those stored raw once and serves them from memory through
+// Tensor, and the loader fetches them through Tensor, never into a
+// recycled buffer. The rule is by name, not asked of the store, because
+// only Tensor crosses every wrapper between the two (breakerStore,
+// fault.Store, a benchmark's timing layer). Its cost falls on an
+// IntoStore that keeps nothing resident: each norm and bias fetch gets
+// a fresh Tensor result instead of a recycled buffer, a few kB a layer.
+// Every IntoStore here is a FileStore or a wrapper of one.
 func residentParam(name string) bool { return isNormParam(name) || isBiasParam(name) }
 
 // isBiasParam reports whether the tensor is a bias or norm shift.

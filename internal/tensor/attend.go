@@ -102,8 +102,7 @@ func NewAttendScratch(maxSeq int) AttendScratch {
 //
 // The work is split over the worker pool from minAttendWork up. An item
 // or block accumulates into its own slices of out and touches no other,
-// and each KV head's panels are built by one chunk, so which goroutine
-// runs which range cannot change a bit of it.
+// so which goroutine runs which range cannot change a bit of it.
 func Attend(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *AttendScratch) {
 	n := pos + q.R
 	hd := q.C / heads
@@ -124,13 +123,8 @@ func Attend(q Mat, kv KVRows, pos, heads, group int, out Mat, sc *AttendScratch)
 	if tiled {
 		kernel = kAttendTile
 		sc.tiles(n, kvHeads*hd, ranges)
-		if ranges == 1 || !fork.take() {
-			for kh := range kvHeads {
-				sc.panels(kh, hd, n)
-			}
-		} else {
-			fork.a, fork.attn, fork.pos, fork.heads = q, sc, pos, heads
-			fork.run(kAttendPanels, kvHeads, 1)
+		for kh := range kvHeads {
+			sc.panels(kh, hd, n)
 		}
 	} else if sc.scores.R < ranges || sc.scores.C < n {
 		sc.scores = New(max(sc.scores.R, ranges), max(sc.scores.C, n))

@@ -164,11 +164,11 @@ func dirtyScratch() AttendScratch {
 
 // Attend stores the oracle's bits. Short calls — every decode step —
 // at each vector level the host has (the "avx512", "sse2" and "twin"
-// bodies): K pages of 1, 5, 16, 17 and 32 positions, head widths 8, 16,
-// 64 and 128, one KV head per query head and three per KV head, prompt
-// heights 1, 3 and 9 from positions that end a call inside the first
-// block, at a block's edge, past a group of four blocks and at 200,
-// Gaussian and awkward values, at one worker and two, on both sides of
+// bodies): K pages of 1, 5, 16, 17 and 32 positions, head widths 2, 8,
+// 16, 64 and 128, grouped-query groups 1-3, prompt heights 1-9 from
+// position 0 and from positions that end a call inside the first block,
+// at a block's edge, past a group of four blocks and at 200, Gaussian
+// and awkward values, at one worker and two, on both sides of
 // minAttendWork. Prefill heights (the "tiles" subtests, at every vector
 // level the host has and at one, two and three workers): every height
 // mod 6 from 9 to 14 and 40, 129 and 130, from position 0 and a later
@@ -188,15 +188,15 @@ func TestAttendMatchesRef(t *testing.T) {
 	}
 	var short []shortCase
 	rng := rand.New(rand.NewSource(31))
-	for _, pt := range []int{1, 5, 16, 17, 32} {
-		for _, hd := range []int{8, 16, 64, 128} {
-			for _, group := range []int{1, 3} {
-				heads := 2 * group
-				for _, pos := range []int{0, 13, 62, 200} {
-					for _, rows := range []int{1, 3, 9} {
-						q, kv := attendCase(rng, rows, pos, heads, group, hd, 8*(rows%2))
-						short = append(short, shortCase{fmt.Sprintf("page %d, head width %d, group %d, pos %d, rows %d", pt, hd, group, pos, rows),
-							q, kv.paged(pt), pos, heads, group, attendRef(q, kv, pos, heads, group)})
+	for _, hd := range []int{2, 8, 16, 64, 128} {
+		for _, group := range []int{1, 2, 3} {
+			heads := 2 * group
+			for _, pos := range []int{0, 6, 13, 62, 200} {
+				for rows := 1; rows <= 9; rows++ {
+					for _, sparse := range []int{0, 8} {
+						q, kv := attendCase(rng, rows, pos, heads, group, hd, sparse)
+						short = append(short, shortCase{fmt.Sprintf("head width %d, group %d, pos %d, rows %d, awkward 1/%d", hd, group, pos, rows, sparse),
+							q, kv, pos, heads, group, attendRef(q, kv, pos, heads, group)})
 					}
 				}
 			}
@@ -204,13 +204,16 @@ func TestAttendMatchesRef(t *testing.T) {
 	}
 	eachAttendLevel(t, func(t *testing.T) {
 		forked := map[bool]int{}
-		for _, workers := range []int{1, 2} {
-			SetParallelism(workers)
-			for _, c := range short {
-				got := New(c.q.R, c.q.C)
-				Attend(c.q, c.kv, c.pos, c.heads, c.group, got, &scores)
-				assertSameMat(t, fmt.Sprintf("workers %d, %s", workers, c.name), c.want, got)
-				forked[c.q.R*c.heads*(c.pos+c.q.R)*(c.q.C/c.heads) >= minAttendWork]++
+		for _, c := range short {
+			for _, pt := range []int{1, 5, 16, 17, 32} {
+				kv := c.kv.paged(pt)
+				for _, workers := range []int{1, 2} {
+					SetParallelism(workers)
+					got := New(c.q.R, c.q.C)
+					Attend(c.q, kv, c.pos, c.heads, c.group, got, &scores)
+					assertSameMat(t, fmt.Sprintf("workers %d, page %d, %s", workers, pt, c.name), c.want, got)
+					forked[c.q.R*c.heads*(c.pos+c.q.R)*(c.q.C/c.heads) >= minAttendWork]++
+				}
 			}
 		}
 		if forked[true] == 0 || forked[false] == 0 {

@@ -108,7 +108,6 @@ const (
 	kGELU
 	kSiLU
 	kAttend
-	kAttendPanels
 	kAttendTile
 )
 
@@ -198,10 +197,6 @@ func (f *forkCall) chunk(lo, hi int) {
 		siluElems(f.a.Data[lo:hi])
 	case kAttend:
 		attendRanges(f.a, f.attn, f.pos, f.heads, f.group, f.out, f.ranges, lo, hi)
-	case kAttendPanels:
-		for kh := lo; kh < hi; kh++ {
-			f.attn.panels(kh, f.a.C/f.heads, f.pos+f.a.R)
-		}
 	case kAttendTile:
 		attendTileRanges(f.a, f.pos, f.heads, f.group, f.out, f.attn, f.ranges, lo, hi)
 	}
