@@ -102,7 +102,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.maxWait, "max-wait", 0, "renege bound on queueing delay (0 = unbounded)")
 	fs.IntVar(&o.maxTokens, "max-tokens", 64, "per-request generation cap (and default)")
 	fs.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "server-side deadline per admitted request (0 = none)")
-	fs.IntVar(&o.retries, "retries", 3, "max foreground retries per transiently failed fetch")
+	fs.IntVar(&o.retries, "retries", 3, "max re-reads of a transiently failed weight fetch (at most 1+N reads; corrupt records are read once)")
 	fs.Int64Var(&o.jitterSeed, "backoff-jitter", 0, "seed for deterministic retry-backoff jitter (0 = no jitter); give each replica its own seed so fleet retries desynchronize")
 	fs.IntVar(&o.cost.TokenBudget, "token-budget", 0, "admitted-cost backlog cap in estimated tokens (0 disables cost admission and brownout)")
 	fs.IntVar(&o.budgetInteractive, "budget-interactive", 0, "interactive-class backlog cap in estimated tokens (0 = uncapped)")

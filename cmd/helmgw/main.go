@@ -124,7 +124,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.workers, "workers", 0, "requests each in-process replica hands its batcher at once (0 = the default batch width)")
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "per-replica admission bound on the waiting line")
 	fs.IntVar(&o.maxTokens, "max-tokens", 64, "per-request generation cap (and default)")
-	fs.IntVar(&o.retries, "retries", 3, "max foreground retries per transiently failed fetch, per replica")
+	fs.IntVar(&o.retries, "retries", 3, "max re-reads of a transiently failed weight fetch, per replica (at most 1+N reads; corrupt records are read once)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient read errors at this per-tensor probability in every in-process replica (chaos mode)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "base seed for the fault plans (each replica and reload advances it)")
 	fs.IntVar(&o.breaker.Window, "breaker-window", 0, "per-replica breaker sliding-window size (0 = default)")

@@ -50,7 +50,7 @@ func main() {
 
 		faultRate = flag.Float64("fault-rate", 0, "inject transient read errors at this per-tensor probability (chaos mode)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault plan (reproducible chaos)")
-		retries   = flag.Int("retries", 3, "max foreground retries per transiently failed fetch")
+		retries   = flag.Int("retries", 3, "max re-reads of a transiently failed weight fetch (at most 1+N reads; corrupt records are read once)")
 		timeout   = flag.Duration("timeout", 0, "per-generation deadline (0 = none)")
 	)
 	flag.Parse()
@@ -70,9 +70,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// pageTokens is the KV page size of the batcher's pool (helmd's default).
-const pageTokens = 16
 
 func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, blocks, vocab int, seed int64, promptCSV string, gen int, quantize bool, ckptPath string, seqs int,
 	faultRate float64, faultSeed int64, retries int, timeout time.Duration) error {
@@ -146,12 +143,12 @@ func run(ctx context.Context, stdout io.Writer, arch string, hidden, heads, bloc
 		return err
 	}
 	defer se.Close()
-	pages := seqs * ((len(prompt) + gen + pageTokens - 1) / pageTokens)
-	pool, err := kvcache.NewPool(cfg, pages, pageTokens, true)
+	pages := seqs * kvcache.PagesFor(len(prompt)+gen, kvcache.DefaultPageTokens)
+	pool, err := kvcache.NewPool(cfg, pages, kvcache.DefaultPageTokens, true)
 	if err != nil {
 		return err
 	}
-	b := batch.New(se, pool, batch.Options{MaxSeqs: seqs, MaxQueue: seqs})
+	b := batch.New(se, pool, batch.Options{MaxSeqs: seqs})
 	outputs := make([][]int, seqs)
 	errs := make([]error, seqs)
 	var wg sync.WaitGroup

@@ -31,29 +31,20 @@ import (
 // ErrStopped rejects work submitted to a stopped batcher.
 var ErrStopped = errors.New("batch: batcher stopped")
 
-// ErrBusy rejects work when the admission queue is at capacity — the
-// caller's cue to shed instead of queueing unboundedly.
-var ErrBusy = errors.New("batch: queue full")
-
 // ErrPanicked marks a step that panicked inside the engine or the store
-// chain under it. The step is never retried: its running requests fail
-// with this error and their pages return to the pool. The batcher keeps
-// serving, but the engine's scratch and weight loader were abandoned
-// mid-step, so an owner that can rebuild the engine should.
+// chain under it. Like any failed step it is not re-run: its running
+// requests fail with this error and their pages return to the pool.
+// The batcher keeps serving, but the engine's scratch and weight loader
+// were abandoned mid-step, so an owner that can rebuild the engine
+// should.
 var ErrPanicked = errors.New("batch: step panicked")
 
-// Options tunes a Batcher.
+// Options tunes a Batcher. Its queue has no bound of its own: the
+// caller bounds what it submits (server.Config.MaxQueue, through
+// serve.Admit's queue verdict).
 type Options struct {
 	// MaxSeqs caps concurrently running sequences per step (default 8).
 	MaxSeqs int
-	// MaxQueue caps waiting requests; Submit beyond it fails with
-	// ErrBusy (default 64).
-	MaxQueue int
-	// StepRetries is how many times a failed step is retried verbatim
-	// before the running requests are failed (default 3). Retrying is
-	// safe because steps are atomic: a failed step rolls every KV cache
-	// back to its pre-step length.
-	StepRetries int
 	// Predictor, when set, tightens the page-pressure admission gate
 	// from worst-case (maxNew tokens of decode) to the predictor's
 	// output-length bucket: short-answer classes stop reserving pages
@@ -66,12 +57,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxSeqs <= 0 {
 		o.MaxSeqs = 8
-	}
-	if o.MaxQueue <= 0 {
-		o.MaxQueue = 64
-	}
-	if o.StepRetries <= 0 {
-		o.StepRetries = 3
 	}
 	return o
 }
@@ -112,7 +97,9 @@ type Stats struct {
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	// Preemptions counts sequences evicted under page pressure and
-	// requeued; Retries counts step retries after transient faults.
+	// requeued. Retries is always 0: a failed step is never re-run (the
+	// engine's infer.Retry is the one storage retry). The field stays
+	// because bench/stack.go reads it and bench/ is frozen.
 	Preemptions int `json:"preemptions"`
 	Retries     int `json:"retries"`
 	// TokensOut counts delivered generated tokens.
@@ -209,10 +196,6 @@ func (b *Batcher) SubmitClass(ctx context.Context, prompt []int, maxNew int, cla
 	if b.stopped {
 		b.mu.Unlock()
 		return nil, ErrStopped
-	}
-	if len(b.queue) >= b.opts.MaxQueue {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d waiting", ErrBusy, b.opts.MaxQueue)
 	}
 	b.queue = append(b.queue, r)
 	b.cond.Signal()
@@ -374,8 +357,7 @@ func (b *Batcher) estDecode(r *request) int {
 }
 
 // buildStep fills the batcher's reusable step scratch from the current
-// running set (rebuilt inside the retry loop after preemption changes
-// membership).
+// running set (rebuilt after a preemption changes membership).
 func (b *Batcher) buildStep() []*infer.StepSeq {
 	if cap(b.seqScratch) < len(b.running) {
 		b.seqScratch = make([]infer.StepSeq, len(b.running))
@@ -402,7 +384,10 @@ func (b *Batcher) engineStep(seqs []*infer.StepSeq) (logits []tensor.Mat, err er
 }
 
 // step advances every running sequence one iteration, handling
-// retries, page-pressure preemption, retirement, and cancellation.
+// page-pressure preemption, retirement, and cancellation. A step that
+// fails for any other reason — a storage fault the engine's Retry did
+// not absorb, a panic — is not re-run: its running requests fail at
+// once, after the pool is rolled back.
 func (b *Batcher) step() {
 	// Cancelled running sequences leave before the step.
 	b.retireCancelled()
@@ -412,7 +397,7 @@ func (b *Batcher) step() {
 
 	seqs := b.buildStep()
 	logits, err := b.engineStep(seqs)
-	for retries := 0; err != nil; retries++ {
+	for err != nil {
 		// The step rolled every view back to its pre-step length; free
 		// the pages the aborted step had claimed so the ledger reflects
 		// committed state only.
@@ -422,23 +407,18 @@ func (b *Batcher) step() {
 				return
 			}
 		}
-		if errors.Is(err, kvcache.ErrOutOfPages) {
-			if !b.preemptLowestYoungest() {
-				// A lone sequence that cannot grow even after the pool
-				// evicted every cached prefix will never fit.
-				b.failAllRunning(err)
-				return
-			}
-			if len(b.running) == 0 {
-				return
-			}
-		} else if retries >= b.opts.StepRetries || errors.Is(err, ErrPanicked) {
+		if !errors.Is(err, kvcache.ErrOutOfPages) {
 			b.failAllRunning(err)
 			return
-		} else {
-			b.mu.Lock()
-			b.stats.Retries++
-			b.mu.Unlock()
+		}
+		if !b.preemptLowestYoungest() {
+			// A lone sequence that cannot grow even after the pool
+			// evicted every cached prefix will never fit.
+			b.failAllRunning(err)
+			return
+		}
+		if len(b.running) == 0 {
+			return
 		}
 		seqs = b.buildStep()
 		logits, err = b.engineStep(seqs)

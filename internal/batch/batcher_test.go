@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"helmsim/internal/checkpoint"
 	"helmsim/internal/fault"
 	"helmsim/internal/infer"
 	"helmsim/internal/kvcache"
@@ -454,8 +456,8 @@ func TestStepPanicFailsItsRequestsOnly(t *testing.T) {
 	if want := soloGenerate(t, cfg, w, prompt, 4); !equalInts(got, want) {
 		t.Fatalf("post-panic request diverged: got %v, want %v", got, want)
 	}
-	if st := b.Stats(); st.Failed != 2 || st.Completed != 1 || st.Retries != 0 {
-		t.Errorf("accounting (a panicked step is never retried): %+v", st)
+	if st := b.Stats(); st.Failed != 2 || st.Completed != 1 {
+		t.Errorf("accounting: %+v", st)
 	}
 	b.Stop() // the loop owns the pool until it exits
 	if err := pool.Conserved(); err != nil {
@@ -479,37 +481,101 @@ func (s *blackoutStore) Tensor(layer int, name string) ([]float32, error) {
 	return s.backing.Tensor(layer, name)
 }
 
-// TestStorageBlackoutDoesNotPoisonBatcher: the step retry after a failed
-// weight fetch must reach the store again. A prefetched engine that
-// replayed its cached fetch error failed every retry, and every later
-// request, without a single read.
+// newPrefetchedBatcher is helmd's serving core in miniature: a batcher
+// over a prefetched engine with the given retry policy.
+func newPrefetchedBatcher(t *testing.T, cfg model.Config, w infer.WeightStore, r infer.Retry) *Batcher {
+	t.Helper()
+	se, err := infer.NewStepEnginePrefetched(context.Background(), cfg, w, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { se.Close() })
+	pool, err := kvcache.NewPool(cfg, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(se, pool, Options{})
+	t.Cleanup(b.Stop) // runs before the engine's Close
+	return b
+}
+
+// TestStorageBlackoutDoesNotPoisonBatcher: a failed weight fetch fails
+// only the step it happened in. With no retry budget the request across
+// the one-read blackout fails with the transient still typed, and the
+// next request reads the store again and decodes the solo engine's
+// tokens. A prefetched engine that replayed its cached fetch error
+// failed every later request without a single read.
 func TestStorageBlackoutDoesNotPoisonBatcher(t *testing.T) {
 	cfg := batchConfig()
 	w, err := infer.RandomWeights(cfg, 41, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := infer.NewStepEnginePrefetched(context.Background(), cfg, &blackoutStore{backing: w}, infer.Retry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	pool, err := kvcache.NewPool(cfg, 16, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(se, pool, Options{})
-	defer b.Stop()
+	b := newPrefetchedBatcher(t, cfg, &blackoutStore{backing: w}, infer.Retry{})
 
 	prompt := []int{3, 1, 4}
+	if _, err := b.Submit(context.Background(), prompt, 4); !fault.IsTransient(err) {
+		t.Fatalf("request across a one-read blackout with no retry budget: got %v, want the typed transient", err)
+	}
 	got, err := b.Submit(context.Background(), prompt, 4)
 	if err != nil {
-		t.Fatalf("request across a one-read blackout: %v", err)
+		t.Fatalf("request after the blackout: %v", err)
 	}
 	if want := soloGenerate(t, cfg, w, prompt, 4); !equalInts(got, want) {
 		t.Fatalf("diverged: got %v, want %v", got, want)
 	}
-	if st := b.Stats(); st.Retries != 1 {
-		t.Errorf("step retries = %d, want 1", st.Retries)
+}
+
+// brokenLayerStore fails every read of one layer with err and counts
+// those reads.
+type brokenLayerStore struct {
+	backing infer.WeightStore
+	layer   int
+	err     error
+	reads   atomic.Int64
+}
+
+func (s *brokenLayerStore) Tensor(layer int, name string) ([]float32, error) {
+	if layer == s.layer {
+		s.reads.Add(1)
+		return nil, fmt.Errorf("L%d/%s: %w", layer, name, s.err)
+	}
+	return s.backing.Tensor(layer, name)
+}
+
+// TestResilientBatchReadBudget: the engine's Retry is the one storage
+// retry under the batcher. On a fresh engine the first layer is a
+// foreground miss; a tensor whose store never recovers is read 1 + Max
+// times per request — not again per layer attempt, nor per step run —
+// and a corrupt one exactly once.
+func TestResilientBatchReadBudget(t *testing.T) {
+	cfg := batchConfig()
+	w, err := infer.RandomWeights(cfg, 43, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cfg.Layers()[0].Index
+	r := infer.Retry{Max: 3, Sleep: func(time.Duration) {}}
+	for _, tc := range []struct {
+		name  string
+		err   error
+		reads int64 // per request
+		typed func(error) bool
+	}{
+		{"transient", fault.ErrTransient, int64(1 + r.Max), fault.IsTransient},
+		{"corrupt", checkpoint.ErrCorrupt, 1, func(err error) bool { return errors.Is(err, checkpoint.ErrCorrupt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &brokenLayerStore{backing: w, layer: first, err: tc.err}
+			b := newPrefetchedBatcher(t, cfg, s, r)
+			for req := int64(1); req <= 2; req++ {
+				if _, err := b.Submit(context.Background(), []int{3, 1, 4}, 4); !tc.typed(err) {
+					t.Fatalf("request %d: got %v, want %v", req, err, tc.err)
+				}
+				if got, want := s.reads.Load(), req*tc.reads; got != want {
+					t.Errorf("after request %d the broken tensor was read %d times, want %d", req, got, want)
+				}
+			}
+		})
 	}
 }

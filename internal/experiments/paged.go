@@ -52,7 +52,7 @@ func runPaged() ([]*report.Table, error) {
 		free := int(budget / pageBytes)
 		admitted, slots, used := 0, 0, 0
 		for _, pr := range prompts {
-			need := (pr.Len() + page - 1) / page
+			need := kvcache.PagesFor(pr.Len(), page)
 			if need > free {
 				break // budget exhausted
 			}

@@ -375,3 +375,98 @@ func TestStorePackedAccessesKeepTheFaultSequence(t *testing.T) {
 		}
 	}
 }
+
+// intoMem is a backing store with a decode-into path; it counts its
+// TensorInto calls.
+type intoMem struct {
+	memStore
+	into int
+}
+
+func (m *intoMem) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
+	m.into++
+	return append(dst[:0], 1, 2, 3, 4), nil
+}
+
+// TensorInto reaches the backing store's TensorInto, filling the
+// caller's buffer, as one access of the plan that draws the same
+// samples as a Tensor access; over a store with no TensorInto it is
+// Tensor.
+func TestStoreIntoForwarding(t *testing.T) {
+	plan := Plan{Seed: 5, TransientRate: 0.3}
+	run := func(into func(i int) bool) ([]bool, *intoMem) {
+		m := &intoMem{}
+		s, err := NewStore(m, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float32, 4)
+		var fails []bool
+		for i := 0; i < 200; i++ {
+			var d []float32
+			if into(i) {
+				d, err = s.TensorInto(0, "w", dst)
+				if err == nil && &d[0] != &dst[0] {
+					t.Fatalf("access %d: TensorInto did not fill the caller's buffer", i+1)
+				}
+			} else {
+				_, err = s.Tensor(0, "w")
+			}
+			fails = append(fails, err != nil)
+		}
+		if st := s.Stats(); st.Accesses != 200 {
+			t.Errorf("%d accesses counted, want 200", st.Accesses)
+		}
+		return fails, m
+	}
+	tensor, _ := run(func(int) bool { return false })
+	mixed, m := run(func(i int) bool { return i%3 != 0 })
+	for i := range tensor {
+		if tensor[i] != mixed[i] {
+			t.Fatalf("access %d failed on one path and not the other", i+1)
+		}
+	}
+	if m.into == 0 {
+		t.Error("no TensorInto reached the backing store")
+	}
+
+	plain, err := NewStore(&memStore{}, Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := plain.TensorInto(0, "w", make([]float32, 4)); err != nil || len(d) != 4 {
+		t.Fatalf("TensorInto over a store without one: %v, %v", d, err)
+	}
+}
+
+// A corrupt TensorInto access flips one bit in the caller's buffer; the
+// store's data is untouched.
+func TestStoreIntoCorruptionFlipsCallersBuffer(t *testing.T) {
+	m := &intoMem{}
+	s, err := NewStore(m, Plan{CorruptAtAccess: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, 4)
+	d, err := s.TensorInto(0, "w", dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float32{1, 2, 3, 4}
+	diff := 0
+	for i := range dst {
+		if dst[i] != want[i] {
+			diff++
+		}
+	}
+	if diff != 1 || &d[0] != &dst[0] {
+		t.Fatalf("corruption changed %d elements of the caller's buffer, want exactly 1: %v", diff, dst)
+	}
+	if st := s.Stats(); st.Corruptions != 1 {
+		t.Errorf("corruptions = %d, want 1", st.Corruptions)
+	}
+	d, err = s.TensorInto(0, "w", dst)
+	if err != nil || fmt.Sprint(d) != fmt.Sprint(want) {
+		t.Fatalf("next access: %v, %v; want clean %v", d, err, want)
+	}
+}

@@ -20,11 +20,18 @@ type packedStore interface {
 	TensorPacked(layer int, name string) (quant.Packed, bool, error)
 }
 
-// Store injects faults at tensor granularity: each Tensor call, and each
-// TensorPacked call the backing store serves packed, is one access of the
-// plan. Transient failures return an error wrapping ErrTransient;
-// corruption flips one bit of one element in a copy of the fetched
-// tensor (the backing store's data is never touched).
+// intoStore is infer.IntoStore's extra method, matched structurally
+// for the same reason.
+type intoStore interface {
+	TensorInto(layer int, name string, dst []float32) ([]float32, error)
+}
+
+// Store injects faults at tensor granularity: each Tensor and TensorInto
+// call, and each TensorPacked call the backing store serves packed, is
+// one access of the plan. Transient failures return an error wrapping
+// ErrTransient; corruption flips one bit of one element of the fetched
+// tensor in a buffer of the caller's — a copy, or TensorInto's dst — so
+// the backing store's data is never touched.
 type Store struct {
 	injector
 	backing TensorStore
@@ -46,9 +53,30 @@ func NewStore(backing TensorStore, plan Plan) (*Store, error) {
 // store's resident tensors included (infer.FileStore's norms and biases)
 // — and a corrupt outcome flips its bit in a copy, never in the view.
 func (s *Store) Tensor(layer int, name string) ([]float32, error) {
+	return s.access(layer, name, false, func() ([]float32, error) { return s.backing.Tensor(layer, name) })
+}
+
+// TensorInto forwards the backing store's decode into the caller's
+// buffer (infer.IntoStore), so an engine behind the injector keeps
+// recycling its decode buffers instead of allocating every f32 fetch.
+// Each call is one access of the plan, like Tensor; a corrupt outcome
+// flips its bit in the filled slice, which is the caller's. Over a store
+// with no TensorInto it is Tensor.
+func (s *Store) TensorInto(layer int, name string, dst []float32) ([]float32, error) {
+	is, ok := s.backing.(intoStore)
+	if !ok {
+		return s.Tensor(layer, name)
+	}
+	return s.access(layer, name, true, func() ([]float32, error) { return is.TensorInto(layer, name, dst) })
+}
+
+// access is one access of the plan around an f32 read. owned says the
+// read fills a buffer of the caller's, where a corrupt outcome may flip
+// its bit in place; otherwise the bit flips in a copy.
+func (s *Store) access(layer int, name string, owned bool, read func() ([]float32, error)) ([]float32, error) {
 	o, armed := s.decide(true)
 	if !armed {
-		return s.backing.Tensor(layer, name)
+		return read()
 	}
 	if o.spike {
 		s.sleep()
@@ -56,16 +84,17 @@ func (s *Store) Tensor(layer int, name string) ([]float32, error) {
 	if o.fail {
 		return nil, s.injected(o, layer, name)
 	}
-	data, err := s.backing.Tensor(layer, name)
+	data, err := read()
 	if err != nil {
 		return nil, err
 	}
 	if o.corrupt && len(data) > 0 {
-		flipped := append([]float32(nil), data...)
-		i := int(o.bitIndex % int64(len(flipped)))
+		if !owned {
+			data = append([]float32(nil), data...)
+		}
+		i := int(o.bitIndex % int64(len(data)))
 		bit := uint32(1) << uint(o.bitIndex%32)
-		flipped[i] = math.Float32frombits(math.Float32bits(flipped[i]) ^ bit)
-		return flipped, nil
+		data[i] = math.Float32frombits(math.Float32bits(data[i]) ^ bit)
 	}
 	return data, nil
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"helmsim/internal/fault"
 	"helmsim/internal/model"
 	"helmsim/internal/quant"
 	"helmsim/internal/tensor"
@@ -368,6 +369,40 @@ func TestStepDecodeAllocsFileZero(t *testing.T) {
 				t.Errorf("file decode (%s) allocates %.1f objects/step, want at most %d", tc.name, allocs, tc.budget)
 			}
 		})
+	}
+}
+
+// The fault injector keeps the decode buffers: a prefetched engine over
+// fault.NewStore over a raw-fp16 checkpoint's mapping — helmd's store
+// chain under -fault-rate on the checkpoint it synthesizes — decodes
+// every matrix into the loader's recycled buffers through the
+// injector's TensorInto and allocates nothing per step. Without it each
+// matrix fetch came back as a fresh slice from Tensor.
+func TestStepDecodeAllocsFaultStoreRawFileZero(t *testing.T) {
+	cfg := tinyOPT()
+	w, err := RandomWeights(cfg, 13, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileStoreMmap(writeCheckpointFile(t, cfg, w, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if !fs.Mapped() {
+		t.Skip("no mmap on this platform")
+	}
+	faulty, err := fault.NewStore(fs, fault.Plan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewStepEnginePrefetched(context.Background(), cfg, faulty, Retry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if allocs := stepDecodeAllocs(t, cfg, se); allocs != 0 {
+		t.Errorf("decode behind the fault injector allocates %.1f objects/step, want 0", allocs)
 	}
 }
 

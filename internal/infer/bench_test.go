@@ -235,46 +235,66 @@ func benchTiny() model.Config {
 // worker-share is LaneStats' byWorker / (byWorker + byConsumer).
 func BenchmarkFileDecodeStep(b *testing.B) {
 	for _, cfg := range []model.Config{benchTiny(), benchOOC()} {
-		path := writeTestCheckpoint(b, cfg, 5)
-		for _, prefetched := range []bool{false, true} {
-			b.Run(cfg.Name+map[bool]string{false: "/plain", true: "/prefetched"}[prefetched], func(b *testing.B) {
-				fs, err := OpenFileStoreMmap(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer fs.Close()
-				var se *StepEngine
-				if prefetched {
-					se, err = NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
-				} else {
-					se, err = NewStepEngine(cfg, fs)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer se.Close()
-				prompt := make([]int, 32)
-				for i := range prompt {
-					prompt[i] = 1 + i%97
-				}
-				step, seq := decodeStepper(b, cfg, se, prompt, 3)
-				w0, c0 := se.LaneStats()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if seq.Pos == cfg.MaxSeq {
-						seq.Pos = len(prompt)
-						for _, kv := range seq.KV {
-							kv.Truncate(seq.Pos)
-						}
-					}
-					step()
-				}
-				if w, c := se.LaneStats(); w+c > w0+c0 {
-					b.ReportMetric(float64(w-w0)/float64(w+c-w0-c0), "worker-share")
-				}
-			})
+		for _, raw := range []bool{false, true} {
+			benchFileDecodeStep(b, cfg, raw)
 		}
+	}
+}
+
+// benchFileDecodeStep is BenchmarkFileDecodeStep's rows for one model,
+// over its 4-bit checkpoint or, when raw is set, its raw-fp16 one (the
+// checkpoint the daemons synthesize by default): every matrix then
+// decodes into the loader's recycled buffers, where a 4-bit one is a
+// packed view.
+func benchFileDecodeStep(b *testing.B, cfg model.Config, raw bool) {
+	name, path := cfg.Name, ""
+	if raw {
+		w, err := RandomWeights(cfg, 5, 0.08)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name, path = name+"-raw", writeCheckpointFile(b, cfg, w, false)
+	} else {
+		path = writeTestCheckpoint(b, cfg, 5)
+	}
+	for _, prefetched := range []bool{false, true} {
+		b.Run(name+map[bool]string{false: "/plain", true: "/prefetched"}[prefetched], func(b *testing.B) {
+			fs, err := OpenFileStoreMmap(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer fs.Close()
+			var se *StepEngine
+			if prefetched {
+				se, err = NewStepEnginePrefetched(context.Background(), cfg, fs, Retry{})
+			} else {
+				se, err = NewStepEngine(cfg, fs)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer se.Close()
+			prompt := make([]int, 32)
+			for i := range prompt {
+				prompt[i] = 1 + i%97
+			}
+			step, seq := decodeStepper(b, cfg, se, prompt, 3)
+			w0, c0 := se.LaneStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if seq.Pos == cfg.MaxSeq {
+					seq.Pos = len(prompt)
+					for _, kv := range seq.KV {
+						kv.Truncate(seq.Pos)
+					}
+				}
+				step()
+			}
+			if w, c := se.LaneStats(); w+c > w0+c0 {
+				b.ReportMetric(float64(w-w0)/float64(w+c-w0-c0), "worker-share")
+			}
+		})
 	}
 }
 

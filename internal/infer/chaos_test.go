@@ -110,10 +110,10 @@ func TestResilientStoreDoesNotRetryPermanentErrors(t *testing.T) {
 }
 
 // A store that never recovers exhausts the budget and the step fails
-// with the transient error still typed — a caller above (the batcher's
-// step retry, a client) can still tell a flaky tier from a broken one.
-// The failing tensor is read 1 + Max times per layer attempt, and the
-// layer is re-attempted Max times on top.
+// with the transient error still typed — a caller above (the batcher, a
+// client) can still tell a flaky tier from a broken one. The failing
+// tensor is read 1 + Max times: the loader's per-tensor retry is the
+// whole budget.
 func TestResilientStoreExhaustionStaysTyped(t *testing.T) {
 	mc := tinyOPT()
 	fs := &flakyStore{backing: nil, failures: 1 << 30} // never recovers
@@ -130,8 +130,8 @@ func TestResilientStoreExhaustionStaysTyped(t *testing.T) {
 	if !fault.IsTransient(err) {
 		t.Errorf("exhaustion lost transient typing: %v", err)
 	}
-	if want := (1 + r.Max) * (1 + r.Max); fs.calls != want {
-		t.Errorf("attempts = %d, want %d ((1 + 2 retries) per layer attempt, 1 + 2 layer attempts)", fs.calls, want)
+	if want := 1 + r.Max; fs.calls != want {
+		t.Errorf("attempts = %d, want %d (1 + 2 retries)", fs.calls, want)
 	}
 	if _, err := NewStepEnginePrefetched(context.Background(), mc, nil, Retry{}); err == nil {
 		t.Error("nil store accepted")

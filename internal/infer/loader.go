@@ -46,9 +46,9 @@ import (
 // surface when the engine asks for that layer, and cancelling the
 // prefetching loader's context (or closing the engine) stops it and fails
 // later fetches cleanly. A failed posted fetch does not poison the
-// generation: the loader retries the layer in the foreground under the
-// engine's Retry policy and counts a degraded fetch; only when that retry
-// fails too does the error reach the engine.
+// generation: the loader refetches the layer in the foreground, each
+// tensor under the engine's Retry policy, and counts a degraded fetch;
+// only when that refetch fails too does the error reach the engine.
 //
 // A layer's tensors are addressed by slot, their position in the layer's
 // spec list, never by a map: a bundle is slices indexed by slot, and the
@@ -224,9 +224,9 @@ func (l *loader) layer(layer int) (*layerBundle, error) {
 		default:
 			// Graceful degradation: the posted fetch failed, but the
 			// generation is not poisoned — re-fetch the layer in the
-			// foreground (with retries, when configured), over whatever
-			// the failed fetch produced, and only surface an error if
-			// that fails too.
+			// foreground (each tensor with retries, when configured),
+			// over whatever the failed fetch produced, and only surface
+			// an error if that fails too.
 			l.degraded++
 		}
 	} else {
@@ -242,7 +242,7 @@ func (l *loader) layer(layer int) (*layerBundle, error) {
 		// No fetch is in flight on the ticket: it was joined, or never
 		// posted (or Close took it, after cancelling, so this fetch
 		// stops before its first read).
-		b = l.fetchLayerRetry(layer, l.ticket.b)
+		b = l.fetchLayer(layer, l.ticket.b)
 		l.mu.Lock()
 	}
 	l.installLocked(b)
@@ -251,28 +251,6 @@ func (l *loader) layer(layer int) (*layerBundle, error) {
 		return nil, b.err
 	}
 	return &l.cur, nil
-}
-
-// fetchLayerRetry is fetchLayer under the engine's foreground retry
-// policy: transient failures are re-attempted with deterministic
-// backoff; permanent ones (corruption, closed checkpoint, cancellation)
-// surface immediately. Retrying happens per tensor (a failed tensor is
-// re-read alone, not the whole layer) — a layer-granular retry
-// compounds the per-tensor fault rate across every tensor of the layer
-// on each attempt, which can exhaust even a deep retry budget under a
-// modest injected fault rate. The outer layer-level loop remains as a
-// second line of defense. Re-attempts reuse the failed bundle's storage
-// (every IntoStore fully overwrites a buffer before success).
-func (l *loader) fetchLayerRetry(layer int, b layerBundle) layerBundle {
-	b = l.fetchLayer(layer, b)
-	for attempt := 1; b.err != nil && attempt <= l.retry.Max; attempt++ {
-		if !fault.IsTransient(b.err) || l.stopped() != nil {
-			break
-		}
-		l.retry.pause(attempt)
-		b = l.fetchLayer(layer, b)
-	}
-	return b
 }
 
 // installLocked publishes a bundle fetched into the ticket's storage as
@@ -424,7 +402,8 @@ func (t *fetchTicket) collect() *layerBundle {
 // fetchLayer reads every tensor of a layer in the foreground into the
 // storage b, stopping at the first that fails: each transiently failed
 // tensor read is re-attempted individually under the retry policy
-// before it fails the bundle.
+// before it fails the bundle. Nothing retries the layer: that would
+// re-read the tensors already fetched and multiply the retry budget.
 func (l *loader) fetchLayer(layer int, b layerBundle) layerBundle {
 	if layer < 0 || layer >= len(l.names) {
 		b.layer, b.err = layer, fmt.Errorf("infer: load: unknown layer %d", layer)

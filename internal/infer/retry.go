@@ -5,13 +5,17 @@ import (
 	"time"
 )
 
-// Retry bounds and paces a prefetched step engine's foreground
-// re-attempts after transient weight-store failures — the one place the
-// serving path retries a fetch. Errors are classified through
-// fault.IsTransient: only
-// retryable failures (injected or real I/O hiccups marked transient)
-// are re-attempted; permanent ones — corruption, missing tensors,
-// closed checkpoints, cancelled contexts — surface immediately.
+// Retry bounds and paces a step engine's foreground re-attempts after
+// transient weight-store failures — the one place the serving stack
+// retries a fetch. A foreground tensor fetch reads the store at most
+// 1 + Max times; nothing above it re-reads the layer, and the batcher
+// fails a faulted step's requests instead of re-running the step. A
+// posted (background) fetch is a single read whose failure sends the
+// layer to the foreground. Errors are classified through
+// fault.IsTransient: only retryable failures (injected or real I/O
+// hiccups marked transient) are re-attempted; permanent ones —
+// corruption, missing tensors, closed checkpoints, cancelled contexts —
+// are read once and surface immediately.
 //
 // Backoff is deterministic by design: an out-of-core serving
 // experiment must be reproducible fault-for-fault, so there is no

@@ -130,13 +130,20 @@ func NewPool(cfg model.Config, totalPages, pageTokens int, prefixReuse bool) (*P
 	return p, nil
 }
 
-// PagesFor is the page count covering n tokens.
-func (p *Pool) PagesFor(n int) int {
+// DefaultPageTokens is the default page size in tokens: vLLM's, and the
+// daemons' and the simulator's.
+const DefaultPageTokens = 16
+
+// PagesFor is the page count covering n tokens in pages of pageTokens.
+func PagesFor(n, pageTokens int) int {
 	if n <= 0 {
 		return 0
 	}
-	return (n + p.pageTokens - 1) / p.pageTokens
+	return (n + pageTokens - 1) / pageTokens
 }
+
+// PagesFor is the page count covering n tokens in the pool's pages.
+func (p *Pool) PagesFor(n int) int { return PagesFor(n, p.pageTokens) }
 
 // FreePages reports immediately allocatable pages (not counting what
 // evicting cached prefixes could reclaim).

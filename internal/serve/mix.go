@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"helmsim/internal/core"
+	"helmsim/internal/kvcache"
 	"helmsim/internal/stats"
 	"helmsim/internal/units"
 )
@@ -67,16 +68,13 @@ type MixConfig struct {
 	BrownoutSustain           int
 	// PageBudget caps the KV pages a wave holds at once, modeling the
 	// paged cache (kvcache.Pool) under the wave dispatcher: each request
-	// pins ceil((PromptLen+MaxNew)/pageTokens) pages for its service
-	// time, so a wave takes head-of-line requests while both Run.Batch
-	// and the page budget allow. A request too large for the whole
-	// budget sheds at admission (ShedPagePressure). 0 means unbounded.
+	// pins the pages of its PromptLen+MaxNew tokens, at
+	// kvcache.DefaultPageTokens a page, for its service time, so a wave
+	// takes head-of-line requests while both Run.Batch and the page
+	// budget allow. A request too large for the whole budget sheds at
+	// admission (ShedPagePressure). 0 means unbounded.
 	PageBudget int
 }
-
-// pageTokens is the simulated page granularity: vLLM's, and helmd's
-// default.
-const pageTokens = 16
 
 // MixMetrics aggregates a serving simulation. Per-class arrays are
 // indexed by Class, like the ledger rows; latencies cover admitted
@@ -260,7 +258,7 @@ func SimulateMix(mc MixConfig, arrivals []Arrival) (*MixMetrics, error) {
 			arrival:  a.At,
 			est:      pred.EstimateCost(cs.Class, cs.PromptLen, cs.MaxNew),
 			actual:   context,
-			pages:    (context + pageTokens - 1) / pageTokens,
+			pages:    kvcache.PagesFor(context, kvcache.DefaultPageTokens),
 			slo:      cs.SLO.Seconds(),
 			deadline: cs.Deadline,
 		}

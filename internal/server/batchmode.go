@@ -24,7 +24,8 @@ type BatchConfig struct {
 	MaxSeqs int
 	// KVPages is the paged KV pool size in pages (default 512).
 	KVPages int
-	// PageTokens is the page granularity (default 16, vLLM's).
+	// PageTokens is the page granularity (default
+	// kvcache.DefaultPageTokens).
 	PageTokens int
 	// DisablePrefixReuse turns off the shared-prefix page cache (on by
 	// default: zero value enables it).
@@ -39,7 +40,7 @@ func (c BatchConfig) withDefaults() BatchConfig {
 		c.KVPages = 512
 	}
 	if c.PageTokens == 0 {
-		c.PageTokens = 16
+		c.PageTokens = kvcache.DefaultPageTokens
 	}
 	return c
 }
@@ -59,11 +60,11 @@ func (c BatchConfig) Validate() error {
 	return nil
 }
 
-// pagesForContext is the page count a full context pins, the admission
-// predicate for the shed_page_pressure bucket.
-func (c BatchConfig) pagesForContext(tokens int) int {
+// fits reports whether the pages a full context of tokens pins fit the
+// pool, the admission predicate for the shed_page_pressure bucket.
+func (c BatchConfig) fits(tokens int) bool {
 	c = c.withDefaults()
-	return (tokens + c.PageTokens - 1) / c.PageTokens
+	return kvcache.PagesFor(tokens, c.PageTokens) <= c.KVPages
 }
 
 // generation is one opened checkpoint store and the batchers built on
@@ -112,10 +113,6 @@ func (s *Server) newBatchState(g *generation) (*batchState, error) {
 	return &batchState{
 		b: batch.New(se, pool, batch.Options{
 			MaxSeqs: bc.MaxSeqs,
-			// The server's own queue bound plus one slot per worker: the
-			// batcher's queue must never be the binding constraint, or a
-			// request the server admitted would bounce with ErrBusy.
-			MaxQueue: s.cfg.MaxQueue + s.cfg.Workers,
 			// Share the admission predictor so the batcher's page gate
 			// prices requests the same way admission did.
 			Predictor: s.pred,

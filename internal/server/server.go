@@ -385,7 +385,7 @@ func (s *Server) admit(ctx context.Context, prompt []int, maxTokens int, timeout
 	row.Arrivals++
 	b := serve.Admit(serve.AdmitState{
 		Draining:     s.state != stateServing,
-		PagesFit:     s.cfg.Batch.pagesForContext(len(prompt)+maxTokens) <= s.cfg.Batch.withDefaults().KVPages,
+		PagesFit:     s.cfg.Batch.fits(len(prompt) + maxTokens),
 		Backlog:      s.cost.backlog,
 		ClassBacklog: s.cost.classBacklog[class],
 		Waiting:      s.waiting,
